@@ -15,7 +15,6 @@
 //! | `fig10_tightness` | Fig. 10: operations vs gain-requirement tightness |
 //! | `ablation_heuristics` | ablation of the §2.3 heuristics (design-choice study) |
 //! | `fig_incremental` | incremental vs full DCM propagation: cost + equivalence oracle |
-//! | `bench_propagation` | interp vs compiled vs compiled-parallel engines: wall-clock + equivalence oracle |
 //! | `bench_collab` | multi-session collaboration load: submit-latency percentiles under client churn |
 //!
 //! Criterion benches (`cargo bench -p adpm-bench`) measure the propagation

@@ -30,8 +30,7 @@ use adpm_collab::{
     NegotiationConfig, ServerOptions, SessionFactory, SessionOptions, WireError, WireOp,
 };
 use adpm_constraint::{
-    explain_all_violations, propagate, NetworkError, PropagationConfig, PropagationEngine,
-    PropagationKind, Value,
+    explain_all_violations, propagate, NetworkError, PropagationConfig, PropagationKind, Value,
 };
 use adpm_core::{state_fingerprint, DesignProcessManager, DpmConfig, ManagementMode};
 use adpm_dddl::{compile_source, parse, to_source, CompiledScenario};
@@ -152,7 +151,6 @@ COMMANDS:
     check   <file.dddl>                    compile, propagate, report feasibility
     run     <file.dddl> [--mode adpm|conventional] [--seed N] [--max-ops N]
             [--propagation full|incremental]
-            [--engine interp|compiled|compiled-parallel]
             [--csv] [--trace FILE] [--metrics]
             [--concurrent] [--turn-barrier] [--remote] [--fault-plan PLAN]
             [--negotiate]
@@ -160,12 +158,7 @@ COMMANDS:
                                            (--propagation picks the DCM path:
                                             full re-propagation after every
                                             operation, or incremental dirty-set
-                                            propagation; --engine picks the
-                                            revision engine — AST interpreter,
-                                            compiled flat interval programs, or
-                                            compiled + parallel across
-                                            connected components; see
-                                            docs/PERFORMANCE.md; --csv prints the
+                                            propagation; --csv prints the
                                             per-operation table, --trace streams
                                             a JSONL event trace to FILE,
                                             --metrics appends the aggregate
@@ -352,12 +345,6 @@ pub struct RunOptions {
     pub max_operations: usize,
     /// Which DCM propagation path ADPM runs after each operation.
     pub propagation: PropagationKind,
-    /// Which revision engine runs the DCM hot path: the AST interpreter
-    /// (the default), the compiled flat-program engine, or the compiled
-    /// engine parallelized across connected components. All engines reach
-    /// identical fixed points (`adpm diff-trace` between engines is
-    /// clean); only wall-clock differs.
-    pub engine: PropagationEngine,
     /// Emit the per-operation capture as CSV instead of the summary.
     pub csv: bool,
     /// Stream a JSONL trace of the run (see `docs/OBSERVABILITY.md` for the
@@ -393,7 +380,6 @@ impl Default for RunOptions {
             seed: 0,
             max_operations: 5_000,
             propagation: PropagationKind::Full,
-            engine: PropagationEngine::Interp,
             csv: false,
             trace: None,
             metrics: false,
@@ -416,7 +402,6 @@ pub fn run(source: &str, options: &RunOptions) -> Result<String, CliError> {
     let mut config = SimulationConfig::for_mode(options.mode, options.seed);
     config.max_operations = options.max_operations;
     config.propagation_kind = options.propagation;
-    config.propagation.engine = options.engine;
 
     let metrics = options.metrics.then(|| Arc::new(InMemorySink::new()));
     let trace = options
@@ -1517,26 +1502,13 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, CliError> {
                     .parse()
                     .map_err(|e| CliError::Usage(format!("--propagation: {e}")))?;
             }
-            "--engine" => {
-                options.engine = value(&mut it)?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--engine: {e}")))?;
-            }
-            other => match (
-                other.strip_prefix("--propagation="),
-                other.strip_prefix("--engine="),
-            ) {
-                (Some(v), _) => {
+            other => match other.strip_prefix("--propagation=") {
+                Some(v) => {
                     options.propagation = v
                         .parse()
                         .map_err(|e| CliError::Usage(format!("--propagation: {e}")))?;
                 }
-                (None, Some(v)) => {
-                    options.engine = v
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--engine: {e}")))?;
-                }
-                (None, None) => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
+                None => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
             },
         }
     }
@@ -2054,48 +2026,6 @@ mod tests {
             parse_run_options(&["--propagation=".into()]),
             Err(CliError::Usage(_))
         ));
-    }
-
-    #[test]
-    fn run_option_parsing_accepts_engine_in_both_forms() {
-        let options =
-            parse_run_options(&["--engine".into(), "compiled".into()]).expect("valid options");
-        assert_eq!(options.engine, PropagationEngine::Compiled);
-        let options = parse_run_options(&["--engine=compiled-parallel".into()])
-            .expect("valid options");
-        assert_eq!(options.engine, PropagationEngine::CompiledParallel);
-        let options = parse_run_options(&[]).expect("valid options");
-        assert_eq!(options.engine, PropagationEngine::Interp);
-        let err = parse_run_options(&["--engine".into(), "jit".into()]).unwrap_err();
-        assert!(err.to_string().contains("--engine"), "{err}");
-        assert!(matches!(
-            parse_run_options(&["--engine=".into()]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn run_reports_identical_statistics_across_engines() {
-        let base = RunOptions {
-            seed: 3,
-            max_operations: 150,
-            ..RunOptions::default()
-        };
-        let interp = run(MINI, &base).expect("interp run");
-        for engine in [
-            PropagationEngine::Compiled,
-            PropagationEngine::CompiledParallel,
-        ] {
-            let out = run(
-                MINI,
-                &RunOptions {
-                    engine,
-                    ..base.clone()
-                },
-            )
-            .expect("compiled run");
-            assert_eq!(out, interp, "engine {engine} diverged from interp");
-        }
     }
 
     /// Runs the mini scenario with a trace sink and returns the trace text.

@@ -746,6 +746,10 @@ impl CollabServer {
                         for t in finished {
                             let _ = t.join();
                         }
+                        // Replies are written whole (see `write_frames`);
+                        // Nagle would hold a reply's tail behind the peer's
+                        // delayed ACK of its head.
+                        let _ = stream.set_nodelay(true);
                         if let Ok(clone) = stream.try_clone() {
                             lock(&streams).insert(conn_index, clone);
                         }
@@ -952,6 +956,23 @@ fn write_frame(writer: &Mutex<ConnWriter>, frame: &Frame) -> io::Result<()> {
         .write_line(&line)
 }
 
+/// Writes a multi-frame reply under one writer-lock acquisition. Without a
+/// fault plan the lines leave in a single `write_all`, so a snapshot's
+/// `state`, `prop`… `end` frames fill as few segments as the socket allows
+/// instead of one each; with one, every line passes through the injector
+/// exactly as [`write_frame`] would send it.
+fn write_frames(writer: &Mutex<ConnWriter>, frames: &[Frame]) -> io::Result<()> {
+    let mut writer = lock(writer);
+    if writer.injector.is_some() {
+        return frames
+            .iter()
+            .try_for_each(|frame| writer.write_line(&frame.to_line()));
+    }
+    let batch: String = frames.iter().map(Frame::to_line).collect();
+    writer.stream.write_all(batch.as_bytes())?;
+    writer.stream.flush()
+}
+
 fn reject_reason(reason: &RejectReason) -> String {
     reason.to_string()
 }
@@ -1095,10 +1116,8 @@ fn serve_connection(
                                 let mut frames =
                                     registry.stats_report(&session_name, *all, true);
                                 frames.push(Frame::End);
-                                for frame in &frames {
-                                    if write_frame(&writer, frame).is_err() {
-                                        break 'conn;
-                                    }
+                                if write_frames(&writer, &frames).is_err() {
+                                    break 'conn;
                                 }
                             }
                         }
@@ -1289,12 +1308,12 @@ fn serve_connection(
                             .into(),
                     }
                 } else {
-                    for frame in registry.stats_report(&session_name, all, false) {
-                        if write_frame(&writer, &frame).is_err() {
-                            break 'conn;
-                        }
+                    let mut frames = registry.stats_report(&session_name, all, false);
+                    frames.push(Frame::End);
+                    if write_frames(&writer, &frames).is_err() {
+                        break 'conn;
                     }
-                    Frame::End
+                    continue;
                 }
             }
             Frame::Watch { all, interval_ms } => {
@@ -1316,12 +1335,12 @@ fn serve_connection(
                     ));
                     // Push the first report immediately so a watcher does
                     // not sit blind for a whole interval.
-                    for frame in registry.stats_report(&session_name, all, true) {
-                        if write_frame(&writer, &frame).is_err() {
-                            break 'conn;
-                        }
+                    let mut frames = registry.stats_report(&session_name, all, true);
+                    frames.push(Frame::End);
+                    if write_frames(&writer, &frames).is_err() {
+                        break 'conn;
                     }
-                    Frame::End
+                    continue;
                 }
             }
             Frame::Dump => match registry.recorder(&session_name) {
@@ -1592,31 +1611,27 @@ fn stream_snapshot(
         .property_ids()
         .filter(|id| network.is_bound(*id))
         .count();
-    write_frame(
-        writer,
-        &Frame::State {
-            operations: dpm.operations_total() as u64,
-            bound: bound as u32,
-            violations: network.violated_constraints().len() as u32,
-        },
-    )?;
-    for id in network.property_ids() {
-        let feasible = network.feasible(id);
+    let mut frames = Vec::with_capacity(network.property_count() + 2);
+    frames.push(Frame::State {
+        operations: dpm.operations_total() as u64,
+        bound: bound as u32,
+        violations: network.violated_constraints().len() as u32,
+    });
+    frames.extend(network.property_ids().map(|id| {
         // An empty feasible subspace is encoded as an inverted interval.
-        let (lo, hi) = feasible
+        let (lo, hi) = network
+            .feasible(id)
             .enclosing_interval()
             .map_or((1.0, 0.0), |iv| (iv.lo(), iv.hi()));
-        write_frame(
-            writer,
-            &Frame::Prop {
-                name: names.property_name(id).to_owned(),
-                lo,
-                hi,
-                bound: network.is_bound(id),
-            },
-        )?;
-    }
-    write_frame(writer, &Frame::End)
+        Frame::Prop {
+            name: names.property_name(id).to_owned(),
+            lo,
+            hi,
+            bound: network.is_bound(id),
+        }
+    }));
+    frames.push(Frame::End);
+    write_frames(writer, &frames)
 }
 
 #[cfg(test)]
@@ -1812,6 +1827,62 @@ mod tests {
         };
         assert_eq!(operations, 0);
         assert_eq!(props.len(), properties as usize);
+        server.shutdown();
+    }
+
+    /// The batched snapshot reply reads back, line by line on a plain
+    /// socket, as `state`, one `prop` per property, then `end`.
+    #[test]
+    fn batched_snapshot_reply_parses_as_state_props_end() {
+        use std::io::BufRead;
+
+        let server = serve_sensing();
+        let properties = sensing_dpm().network().property_count();
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut reader = io::BufReader::new(stream.try_clone().expect("clone"));
+        (&stream)
+            .write_all(Frame::Snapshot.to_line().as_bytes())
+            .expect("send");
+        let mut next = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read");
+            Frame::parse_line(line.trim_end()).expect("one frame per line")
+        };
+        assert!(matches!(next(), Frame::State { operations: 0, .. }));
+        let mut names = std::collections::BTreeSet::new();
+        for _ in 0..properties {
+            let Frame::Prop { name, .. } = next() else {
+                panic!("expected one prop frame per property");
+            };
+            names.insert(name);
+        }
+        assert_eq!(names.len(), properties);
+        assert_eq!(next(), Frame::End);
+        server.shutdown();
+    }
+
+    /// Every accepted socket has Nagle off, so no reply waits on the
+    /// peer's delayed ACK.
+    #[test]
+    fn accepted_streams_have_nodelay() {
+        let server = serve_sensing();
+        let mut clients: Vec<_> = (0..3)
+            .map(|_| TcpStream::connect(server.local_addr()).expect("connect"))
+            .collect();
+        for client in &mut clients {
+            // A reply proves the server has registered the connection.
+            client
+                .write_all(Frame::Ping { nonce: 1 }.to_line().as_bytes())
+                .expect("ping");
+            let mut byte = [0u8; 1];
+            client.read_exact(&mut byte).expect("pong");
+        }
+        let streams = lock(&server.conn_streams);
+        assert_eq!(streams.len(), clients.len());
+        for stream in streams.values() {
+            assert_eq!(stream.nodelay().ok(), Some(true));
+        }
+        drop(streams);
         server.shutdown();
     }
 

@@ -1,10 +1,9 @@
-//! Dense structure-of-arrays interval storage for the compiled
-//! propagation engine.
+//! Dense structure-of-arrays interval storage for propagation runs.
 //!
 //! The AST interpreter resolves every variable occurrence through
 //! [`ConstraintNetwork::effective_interval`](crate::ConstraintNetwork::effective_interval),
 //! which walks a property-state struct and matches on the [`Domain`]
-//! (crate::Domain) enum. The compiled engine instead keeps one flat pair of
+//! (crate::Domain) enum. The propagator instead keeps one flat pair of
 //! `f64` arrays — lower bounds and upper bounds — indexed directly by the
 //! dense `u32` of a [`PropertyId`], so the hot path's variable loads are two
 //! array reads with no hashing, no enum dispatch, and no pointer chasing.
@@ -18,13 +17,11 @@ use crate::ids::PropertyId;
 use crate::interval::Interval;
 
 /// Flat interval store indexed by dense property ids (SoA layout: one
-/// array of lower bounds, one of upper bounds).
-///
-/// Cloning an arena is two `memcpy`s, which is how the parallel
-/// propagation path hands each connected-component worker an independent
-/// snapshot of the current box.
+/// array of lower bounds, one of upper bounds). Each propagation run loads
+/// one from the network's current box and keeps it in step with every
+/// narrowing.
 #[derive(Debug, Clone, PartialEq)]
-pub struct IntervalArena {
+pub(crate) struct IntervalArena {
     los: Vec<f64>,
     his: Vec<f64>,
 }
@@ -32,26 +29,16 @@ pub struct IntervalArena {
 impl IntervalArena {
     /// An arena for `len` properties, every slot initialized to
     /// [`Interval::UNIVERSE`].
-    pub fn new(len: usize) -> Self {
+    pub(crate) fn new(len: usize) -> Self {
         IntervalArena {
             los: vec![f64::NEG_INFINITY; len],
             his: vec![f64::INFINITY; len],
         }
     }
 
-    /// Number of property slots.
-    pub fn len(&self) -> usize {
-        self.los.len()
-    }
-
-    /// Whether the arena has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.los.is_empty()
-    }
-
     /// The interval currently stored for `pid`.
     #[inline]
-    pub fn get(&self, pid: PropertyId) -> Interval {
+    pub(crate) fn get(&self, pid: PropertyId) -> Interval {
         let i = pid.index();
         Interval::new(self.los[i], self.his[i])
     }
@@ -59,7 +46,7 @@ impl IntervalArena {
     /// Stores `iv` for `pid` (the empty interval round-trips via its NaN
     /// bounds).
     #[inline]
-    pub fn set(&mut self, pid: PropertyId, iv: Interval) {
+    pub(crate) fn set(&mut self, pid: PropertyId, iv: Interval) {
         let i = pid.index();
         self.los[i] = iv.lo();
         self.his[i] = iv.hi();
@@ -77,8 +64,7 @@ mod tests {
     #[test]
     fn slots_start_at_universe() {
         let arena = IntervalArena::new(3);
-        assert_eq!(arena.len(), 3);
-        assert!(!arena.is_empty());
+        assert_eq!((arena.los.len(), arena.his.len()), (3, 3));
         assert_eq!(arena.get(p(2)), Interval::UNIVERSE);
     }
 

@@ -1,14 +1,14 @@
-//! Compilation of constraints to flat interval programs — the compiled
-//! propagation engine's lowering pass.
+//! Compilation of constraints to flat interval programs — the form the
+//! propagator revises.
 //!
 //! The AST interpreter behind [`hc4_revise`](crate::hc4_revise) re-walks
 //! each constraint's [`Expr`] tree on every HC4 revision, allocating a
 //! boxed node tree for the forward values and a `HashMap` for the narrowed
-//! arguments. This module lowers each constraint **once**
-//! into a flat array of [`Op`] instructions whose operands are instruction
-//! indices, evaluated against an [`IntervalArena`] with a reusable
-//! [`ReviseScratch`] — no per-revise allocation, no hashing, no pointer
-//! chasing on the hot path.
+//! arguments. This module lowers each constraint **once**, when it enters
+//! the network or is relaxed, into a flat array of [`Op`] instructions
+//! whose operands are instruction indices, evaluated against an
+//! [`IntervalArena`] with a reusable [`ReviseScratch`] — no per-revise
+//! allocation, no hashing, no pointer chasing on the hot path.
 //!
 //! ## Instruction order
 //!
@@ -25,9 +25,9 @@
 //!
 //! The backward visit order matters: repeated variable occurrences
 //! accumulate through tolerant intersections whose
-//! floating-point results depend on operand order, and the engine-equality
-//! gate (`adpm diff-trace`) requires the compiled engine to reproduce the
-//! interpreter's fixed points bit-for-bit.
+//! floating-point results depend on operand order, and the propagator must
+//! reproduce the interpreter's fixed points bit-for-bit (the oracle tests
+//! here and in `propagate.rs` check it).
 
 use crate::arena::IntervalArena;
 use crate::constraint::{Constraint, Relation, EQ_TOL};
@@ -41,7 +41,7 @@ use crate::propagate::{root_even, signed_root, tolerant_intersect, ReviseResult}
 /// instructions in the same [`CompiledConstraint`]; `Var` operands index
 /// the program's variable-slot table instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Op {
+pub(crate) enum Op {
     /// Push the constant `[x, x]`.
     Const(f64),
     /// Load variable slot `k` from the arena.
@@ -74,7 +74,7 @@ pub enum Op {
 
 /// One constraint lowered to a flat interval program.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CompiledConstraint {
+pub(crate) struct CompiledConstraint {
     ops: Vec<Op>,
     lhs_root: u32,
     rhs_root: u32,
@@ -89,7 +89,7 @@ pub struct CompiledConstraint {
 /// any number of revisions of any number of programs; each call resizes
 /// the buffers to the program at hand without freeing capacity.
 #[derive(Debug, Clone, Default)]
-pub struct ReviseScratch {
+pub(crate) struct ReviseScratch {
     /// Forward value of each instruction.
     vals: Vec<Interval>,
     /// Pending backward target per instruction (`None` = not visited).
@@ -102,14 +102,14 @@ pub struct ReviseScratch {
 
 impl ReviseScratch {
     /// Empty scratch buffers (they grow to the largest program revised).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ReviseScratch::default()
     }
 }
 
 impl CompiledConstraint {
     /// Lowers `constraint` to a flat program.
-    pub fn compile(constraint: &Constraint) -> Self {
+    pub(crate) fn compile(constraint: &Constraint) -> Self {
         let vars = constraint.argument_slice().to_vec();
         let mut ops = Vec::with_capacity(constraint.lhs().node_count() + constraint.rhs().node_count());
         // Reverse preorder: rhs first, and second children first — see the
@@ -126,21 +126,15 @@ impl CompiledConstraint {
         }
     }
 
-    /// Number of instructions in the program.
-    pub fn instruction_count(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// The constraint's distinct arguments, ascending.
-    pub fn vars(&self) -> &[PropertyId] {
-        &self.vars
-    }
-
     /// One HC4 revision against the intervals in `arena`, equivalent to
     /// [`hc4_revise`](crate::hc4_revise) on the original constraint —
     /// interval for interval, including the accumulation order of repeated
     /// variable occurrences.
-    pub fn revise(&self, arena: &IntervalArena, scratch: &mut ReviseScratch) -> ReviseResult {
+    pub(crate) fn revise(
+        &self,
+        arena: &IntervalArena,
+        scratch: &mut ReviseScratch,
+    ) -> ReviseResult {
         let n = self.ops.len();
 
         // Forward pass: one ascending sweep fills every instruction's value.
@@ -377,45 +371,29 @@ fn lower(expr: &Expr, vars: &[PropertyId], ops: &mut Vec<Op>) -> u32 {
 }
 
 /// Every constraint of a network lowered to flat programs, indexed by
-/// [`ConstraintId`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledNetwork {
+/// [`ConstraintId`]. The network keeps it in lockstep with its constraints
+/// ([`push`](Self::push) on add, [`replace`](Self::replace) on relax).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct CompiledNetwork {
     constraints: Vec<CompiledConstraint>,
 }
 
 impl CompiledNetwork {
-    /// Lowers every constraint of `net`.
-    pub fn compile(net: &ConstraintNetwork) -> Self {
-        CompiledNetwork {
-            constraints: net
-                .constraint_ids()
-                .map(|cid| CompiledConstraint::compile(net.constraint(cid)))
-                .collect(),
-        }
-    }
-
-    /// Number of compiled constraints.
-    pub fn constraint_count(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// Total instructions across all programs (the `compile` trace line's
-    /// `instructions` field).
-    pub fn instruction_count(&self) -> usize {
+    /// Compiles and appends the program of a newly added constraint.
+    pub(crate) fn push(&mut self, constraint: &Constraint) {
+        debug_assert_eq!(constraint.id().index(), self.constraints.len());
         self.constraints
-            .iter()
-            .map(CompiledConstraint::instruction_count)
-            .sum()
+            .push(CompiledConstraint::compile(constraint));
     }
 
-    /// The compiled program of constraint `cid`.
-    pub fn constraint(&self, cid: ConstraintId) -> &CompiledConstraint {
-        &self.constraints[cid.index()]
+    /// Recompiles the program of a rewritten constraint.
+    pub(crate) fn replace(&mut self, constraint: &Constraint) {
+        self.constraints[constraint.id().index()] = CompiledConstraint::compile(constraint);
     }
 
     /// One HC4 revision of constraint `cid` against `arena` (see
     /// [`CompiledConstraint::revise`]).
-    pub fn revise(
+    pub(crate) fn revise(
         &self,
         cid: ConstraintId,
         arena: &IntervalArena,
@@ -424,9 +402,9 @@ impl CompiledNetwork {
         self.constraints[cid.index()].revise(arena, scratch)
     }
 
-    /// An arena snapshot of `net`'s current effective intervals — the
-    /// compiled engine's starting box.
-    pub fn load_arena(net: &ConstraintNetwork) -> IntervalArena {
+    /// An arena snapshot of `net`'s current effective intervals — a
+    /// propagation run's starting box.
+    pub(crate) fn load_arena(net: &ConstraintNetwork) -> IntervalArena {
         let mut arena = IntervalArena::new(net.property_count());
         for pid in net.property_ids() {
             arena.set(pid, net.effective_interval(pid));
@@ -440,6 +418,7 @@ mod tests {
     use super::*;
     use crate::expr::{cst, var};
     use crate::hc4_revise;
+    use proptest::prelude::*;
 
     fn p(i: u32) -> PropertyId {
         PropertyId::new(i)
@@ -574,10 +553,10 @@ mod tests {
         );
         let compiled = CompiledConstraint::compile(&c);
         assert_eq!(
-            compiled.instruction_count(),
+            compiled.ops.len(),
             c.lhs().node_count() + c.rhs().node_count()
         );
-        assert_eq!(compiled.vars(), &[p(0), p(1)]);
+        assert_eq!(compiled.vars, [p(0), p(1)]);
     }
 
     #[test]
@@ -601,6 +580,84 @@ mod tests {
             let got = compiled.revise(&arena, &mut scratch);
             let want = hc4_revise(c, &|pid| arena.get(pid));
             assert_eq!(got, want);
+        }
+    }
+
+    /// Number of distinct properties random expressions draw from.
+    const VARS: u32 = 4;
+
+    /// Bitwise interval equality, treating every empty interval as equal
+    /// (the canonical empty interval is NaN-bounded, so plain `==` rejects
+    /// it).
+    fn iv_eq(a: &Interval, b: &Interval) -> bool {
+        (a.is_empty() && b.is_empty())
+            || (a.lo().to_bits() == b.lo().to_bits() && a.hi().to_bits() == b.hi().to_bits())
+    }
+
+    /// Finite intervals in [-20, 20].
+    fn arb_interval() -> impl Strategy<Value = Interval> {
+        (-20.0f64..20.0, -20.0f64..20.0).prop_map(|(a, b)| Interval::new(a.min(b), a.max(b)))
+    }
+
+    fn arb_relation() -> impl Strategy<Value = Relation> {
+        prop_oneof![
+            Just(Relation::Le),
+            Just(Relation::Lt),
+            Just(Relation::Ge),
+            Just(Relation::Gt),
+            Just(Relation::Eq),
+        ]
+    }
+
+    /// Random expression trees over the whole operator repertoire,
+    /// including repeated variable occurrences (the accumulation-order
+    /// stress case).
+    fn arb_expr() -> impl Strategy<Value = Expr> {
+        let leaf = prop_oneof![
+            (0..VARS).prop_map(|i| var(p(i))),
+            (-10.0f64..10.0).prop_map(cst),
+        ];
+        leaf.prop_recursive(4, 24, 2, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(|e| -e),
+                inner.clone().prop_map(|e| e.abs()),
+                inner.clone().prop_map(|e| e.sqrt()),
+                inner.clone().prop_map(|e| e.exp()),
+                inner.clone().prop_map(|e| e.ln()),
+                (inner.clone(), 0i32..4).prop_map(|(e, n)| e.powi(n)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a + b),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a - b),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a * b),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a / b),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.min(b)),
+                (inner.clone(), inner).prop_map(|(a, b)| a.max(b)),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One compiled revision equals one interpreted HC4 revision bit
+        /// for bit: same conflict flag, same narrowed arguments in the same
+        /// order, same interval bounds.
+        #[test]
+        fn compiled_revise_matches_interp(
+            lhs in arb_expr(),
+            rhs in arb_expr(),
+            rel in arb_relation(),
+            ivs in proptest::collection::vec(arb_interval(), VARS as usize..VARS as usize + 1),
+        ) {
+            let c = Constraint::new(ConstraintId::new(0), "c", lhs, rel, rhs);
+            let arena = arena_from(&ivs);
+            let got = CompiledConstraint::compile(&c).revise(&arena, &mut ReviseScratch::new());
+            let want = hc4_revise(&c, &|pid| arena.get(pid));
+            prop_assert_eq!(got.conflict, want.conflict);
+            prop_assert_eq!(got.narrowed.len(), want.narrowed.len());
+            for ((gp, gi), (wp, wi)) in got.narrowed.iter().zip(&want.narrowed) {
+                prop_assert_eq!(gp, wp);
+                prop_assert!(iv_eq(gi, wi), "narrowed {:?}: {:?} vs {:?}", gp, gi, wi);
+            }
         }
     }
 }

@@ -257,7 +257,7 @@ impl Constraint {
                 }
                 // A dropped constraint becomes the trivially satisfied
                 // `0 <= 1`: ids, indices, and journaled histories stay
-                // valid, and every propagation engine handles it as an
+                // valid, and the propagator handles it as an
                 // ordinary (argument-free) constraint.
                 let mut relaxed = Constraint::new(
                     self.id,

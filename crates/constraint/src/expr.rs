@@ -12,12 +12,10 @@
 //! * **symbolic differentiation** ([`Expr::diff`]) — powers monotonicity
 //!   inference for the direction-aware repair heuristic (paper §3.1.1).
 //!
-//! The propagation hot path does not interpret these trees directly
-//! unless asked to: under the compiled engines
-//! ([`crate::PropagationEngine`]) each tree is lowered once per run to a
-//! flat postfix program ([`crate::CompiledConstraint`]) that replays the
-//! interpreter's forward/backward HC4 passes allocation-free — see
-//! `docs/PERFORMANCE.md` for the cost model.
+//! The propagation hot path does not interpret these trees: the network
+//! lowers each constraint once, when it is added or relaxed, to a flat
+//! postfix program that replays the interpreter's forward/backward HC4
+//! passes allocation-free — see `docs/PERFORMANCE.md` for the cost model.
 //!
 //! Expressions are built with [`var`]/[`cst`] plus standard operators:
 //!

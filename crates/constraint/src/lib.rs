@@ -18,7 +18,10 @@
 //!   cross-object (spin-relevant) classification;
 //! * [`propagate`] — the DCM's propagation algorithm (HC4-revise inside an
 //!   AC-3 worklist) computing infeasible values and statuses while counting
-//!   constraint evaluations, the paper's tool-run proxy;
+//!   constraint evaluations, the paper's tool-run proxy. Each constraint is
+//!   lowered once, when it is added or relaxed, to a flat interval program
+//!   the worklist revises against dense structure-of-arrays interval
+//!   storage; [`hc4_revise`] is the equivalent AST interpreter;
 //! * [`propagate_observed`] — the same algorithm reporting per-wave spans
 //!   and counters to an [`adpm_observe::MetricsSink`], with
 //!   [`propagate_profiled`] additionally timing spans against an injectable
@@ -27,12 +30,6 @@
 //! * [`propagate_incremental`] — dirty-set propagation that narrows from
 //!   the last fixed point, seeding only constraints adjacent to the changed
 //!   properties (falling back to a full run when reuse would be unsound);
-//! * [`CompiledNetwork`] / [`IntervalArena`] — the compiled propagation
-//!   engine: each constraint lowered once to a flat postfix program revised
-//!   against dense structure-of-arrays interval storage, selected per run
-//!   via [`PropagationConfig::engine`] ([`PropagationEngine`]), with the
-//!   parallel variant fanning full propagation out across independent
-//!   connected components;
 //! * [`helps_direction`] — constraint monotonicity (declared or inferred);
 //! * [`HeuristicReport`] — the mined per-property heuristic support data
 //!   (`v_F` size, `β_i`, `α_i`, repair directions) of the paper's §2.3.
@@ -79,8 +76,6 @@ mod network;
 mod propagate;
 mod value;
 
-pub use arena::IntervalArena;
-pub use compile::{CompiledConstraint, CompiledNetwork, Op, ReviseScratch};
 pub use constraint::{Constraint, ConstraintStatus, Relation, RelaxError, Relaxation, EQ_TOL};
 pub use domain::Domain;
 pub use error::NetworkError;
@@ -94,7 +89,7 @@ pub use monotone::{helps_direction, local_helps_direction};
 pub use network::{ConstraintNetwork, HelpsDirection, Property};
 pub use propagate::{
     hc4_revise, propagate, propagate_incremental, propagate_incremental_profiled,
-    propagate_observed, propagate_profiled, PropagationConfig, PropagationEngine,
-    PropagationKind, PropagationOutcome, ReviseResult,
+    propagate_observed, propagate_profiled, PropagationConfig, PropagationKind, PropagationOutcome,
+    ReviseResult,
 };
 pub use value::{Value, VALUE_EPS};

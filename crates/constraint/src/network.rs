@@ -6,6 +6,7 @@
 //! constraint. It is the data structure the paper's Design Constraint
 //! Manager evaluates and the Design Process Manager labels states with.
 
+use crate::compile::CompiledNetwork;
 use crate::constraint::{Constraint, ConstraintStatus, Relation, Relaxation};
 use crate::domain::Domain;
 use crate::error::NetworkError;
@@ -15,6 +16,7 @@ use crate::interval::Interval;
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Static description of a design property.
 ///
@@ -160,6 +162,11 @@ struct PropertyState {
 pub struct ConstraintNetwork {
     properties: Vec<PropertyState>,
     constraints: Vec<Constraint>,
+    /// Each constraint lowered to a flat interval program, in lockstep with
+    /// `constraints`: compiled in `add_constraint`, recompiled in
+    /// `relax_constraint` — the only structural edits. Behind an `Arc`, so
+    /// cloning the network shares the programs instead of copying them.
+    programs: Arc<CompiledNetwork>,
     statuses: Vec<ConstraintStatus>,
     prop_constraints: Vec<Vec<ConstraintId>>,
     declared_monotonic: HashMap<(ConstraintId, PropertyId), HelpsDirection>,
@@ -256,6 +263,7 @@ impl ConstraintNetwork {
         for arg in constraint.argument_slice() {
             self.prop_constraints[arg.index()].push(id);
         }
+        Arc::make_mut(&mut self.programs).push(&constraint);
         self.constraints.push(constraint);
         self.statuses.push(ConstraintStatus::Consistent);
         self.fixpoint_clean = false;
@@ -323,6 +331,11 @@ impl ConstraintNetwork {
     /// Panics if `id` does not belong to this network.
     pub fn constraint(&self, id: ConstraintId) -> &Constraint {
         &self.constraints[id.index()]
+    }
+
+    /// The compiled programs of every constraint, indexed by id.
+    pub(crate) fn programs(&self) -> &Arc<CompiledNetwork> {
+        &self.programs
     }
 
     /// The constraints where property `id` appears (the basis of `β_i`).
@@ -658,7 +671,8 @@ impl ConstraintNetwork {
     /// Rewrites constraint `cid` in place with the given relaxation (see
     /// [`Constraint::relaxed`]). The property→constraint adjacency is
     /// updated for arguments the rewrite removed (a drop empties them), the
-    /// constraint's status is re-evaluated immediately, and the network's
+    /// constraint's program is recompiled, its status is re-evaluated
+    /// immediately, and the network's
     /// fixed point is invalidated — relaxing *widens* the admissible space,
     /// so the next propagation must restart from scratch.
     ///
@@ -684,6 +698,7 @@ impl ConstraintNetwork {
                 self.prop_constraints[arg.index()].retain(|c| *c != cid);
             }
         }
+        Arc::make_mut(&mut self.programs).replace(&new);
         self.constraints[cid.index()] = new;
         self.fixpoint_clean = false;
         self.evaluate_constraint(cid);

@@ -8,6 +8,13 @@
 //! worklist that re-queues a constraint whenever one of its arguments
 //! narrows.
 //!
+//! The worklist revises through the flat interval programs the network
+//! compiles at its structural edits (see [`crate::compile`]), against an
+//! arena mirror of the current box loaded once per run. [`hc4_revise`], the
+//! AST interpreter, computes the same revision interval for interval; it
+//! serves violation explanation and conflict-set reduction, and is the
+//! reference the propagator is tested against.
+//!
 //! Every HC4 revision of one constraint counts as one **constraint
 //! evaluation** — the unit the paper uses as a proxy for verification-tool
 //! runs — so [`PropagationOutcome::evaluations`] is directly comparable to
@@ -28,6 +35,7 @@ use crate::network::ConstraintNetwork;
 use adpm_observe::{Clock, Counter, MetricsSink, MonotonicClock, NoopSink, SpanKind, TraceEvent};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// Tuning knobs for the propagation fixed point.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,10 +50,6 @@ pub struct PropagationConfig {
     /// Minimum relative width reduction for a narrowing to count (and
     /// trigger re-queuing of dependent constraints).
     pub min_relative_narrowing: f64,
-    /// Which revision implementation the propagator runs (the default
-    /// AST interpreter, or the compiled flat-program engine, optionally
-    /// parallelized across connected components).
-    pub engine: PropagationEngine,
 }
 
 impl Default for PropagationConfig {
@@ -53,60 +57,7 @@ impl Default for PropagationConfig {
         PropagationConfig {
             max_evaluations: 10_000,
             min_relative_narrowing: 1e-6,
-            engine: PropagationEngine::Interp,
         }
-    }
-}
-
-/// Which revision implementation the propagator uses. All three compute
-/// the same fixed points, conflict sets, and evaluation counts — the
-/// engines differ only in wall-clock cost (see `docs/PERFORMANCE.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PropagationEngine {
-    /// Per-revise AST interpretation (the default; golden traces pin it).
-    #[default]
-    Interp,
-    /// Flat interval programs over an [`IntervalArena`], compiled once per
-    /// propagation run and revised with a reusable scratch stack.
-    Compiled,
-    /// [`PropagationEngine::Compiled`], plus `std::thread::scope` workers
-    /// propagating independent connected components of the constraint
-    /// graph concurrently on full runs. Incremental runs and
-    /// single-component networks fall back to the sequential compiled
-    /// path.
-    CompiledParallel,
-}
-
-impl PropagationEngine {
-    /// Stable lowercase name, used in traces and on the CLI.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PropagationEngine::Interp => "interp",
-            PropagationEngine::Compiled => "compiled",
-            PropagationEngine::CompiledParallel => "compiled-parallel",
-        }
-    }
-}
-
-impl std::str::FromStr for PropagationEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interp" => Ok(PropagationEngine::Interp),
-            "compiled" => Ok(PropagationEngine::Compiled),
-            "compiled-parallel" | "parallel" => Ok(PropagationEngine::CompiledParallel),
-            other => Err(format!(
-                "unknown propagation engine `{other}` \
-                 (expected `interp`, `compiled`, or `compiled-parallel`)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for PropagationEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -247,78 +198,7 @@ pub fn propagate_profiled(
     sink: &dyn MetricsSink,
     clock: &dyn Clock,
 ) -> PropagationOutcome {
-    let trace = sink.is_enabled();
-    let started = if trace { clock.now_us() } else { 0 };
-
-    // Start from scratch: initial ranges, bound values pinned.
-    net.reset_feasible();
-    let prop_ids: Vec<PropertyId> = net.property_ids().collect();
-    for pid in &prop_ids {
-        if let Some(value) = net.assignment(*pid).cloned() {
-            net.set_feasible(*pid, Domain::singleton(&value));
-        }
-    }
-
-    let seeds: Vec<ConstraintId> = net.constraint_ids().collect();
-    // Reserve the final full status sweep inside the cap.
-    let budget = config.max_evaluations.saturating_sub(net.constraint_count());
-    let mut engine = EngineState::prepare(net, config.engine, sink, trace, clock);
-    let parallel = config.engine == PropagationEngine::CompiledParallel;
-    let mut run = match parallel
-        .then(|| {
-            run_worklist_parallel(
-                net,
-                budget,
-                config.min_relative_narrowing,
-                trace,
-                sink,
-                clock,
-                &engine,
-            )
-        })
-        .flatten()
-    {
-        Some(run) => run,
-        None => run_worklist(
-            net,
-            &seeds,
-            budget,
-            config.min_relative_narrowing,
-            false,
-            trace,
-            clock,
-            &mut engine,
-        ),
-    };
-
-    let mut outcome = PropagationOutcome {
-        kind: PropagationKind::Full,
-        seeded: seeds.len(),
-        evaluations: run.evaluations,
-        narrowed: Vec::new(),
-        conflicts: run.conflicts.clone(),
-        reached_fixpoint: run.reached_fixpoint,
-        waves: run.waves,
-    };
-
-    // Final status sweep over the narrowed box: every constraint is
-    // checked once, so attribution charges each one evaluation.
-    outcome.evaluations += net.evaluate_statuses();
-    if trace {
-        for evals in &mut run.constraint_evals {
-            *evals += 1;
-        }
-    }
-    outcome.narrowed = collect_narrowed(net, &prop_ids);
-    net.mark_fixpoint(outcome.reached_fixpoint && outcome.conflicts.is_empty());
-
-    let dur_us = if trace {
-        clock.now_us().saturating_sub(started)
-    } else {
-        0
-    };
-    emit_run(sink, trace, net, &run, &outcome, dur_us);
-    outcome
+    full_run::<CompiledReviser>(net, config, sink, clock)
 }
 
 /// Dirty-set propagation: narrows from the last fixed point instead of
@@ -393,6 +273,121 @@ pub fn propagate_incremental_profiled(
     sink: &dyn MetricsSink,
     clock: &dyn Clock,
 ) -> PropagationOutcome {
+    incremental_run::<CompiledReviser>(net, dirty, config, sink, clock)
+}
+
+/// How the worklist revises one constraint: the network's compiled
+/// programs in production ([`CompiledReviser`]), the AST interpreter as the
+/// fixed-point reference in tests.
+trait Reviser {
+    /// Prepares a run starting from `net`'s current box (called after bound
+    /// properties are pinned).
+    fn load(net: &ConstraintNetwork) -> Self;
+    /// One HC4 revision of constraint `cid` against the current box.
+    fn revise(&mut self, net: &ConstraintNetwork, cid: ConstraintId) -> ReviseResult;
+    /// `pid`'s feasible subspace in `net` just narrowed.
+    fn narrowed(&mut self, net: &ConstraintNetwork, pid: PropertyId);
+}
+
+/// The network's compiled programs (shared, never recompiled here) revised
+/// against an arena mirror of the box, loaded once per run.
+struct CompiledReviser {
+    programs: Arc<CompiledNetwork>,
+    arena: IntervalArena,
+    scratch: ReviseScratch,
+}
+
+impl Reviser for CompiledReviser {
+    fn load(net: &ConstraintNetwork) -> Self {
+        CompiledReviser {
+            programs: Arc::clone(net.programs()),
+            arena: CompiledNetwork::load_arena(net),
+            scratch: ReviseScratch::new(),
+        }
+    }
+
+    fn revise(&mut self, _net: &ConstraintNetwork, cid: ConstraintId) -> ReviseResult {
+        self.programs.revise(cid, &self.arena, &mut self.scratch)
+    }
+
+    fn narrowed(&mut self, net: &ConstraintNetwork, pid: PropertyId) {
+        self.arena.set(pid, net.effective_interval(pid));
+    }
+}
+
+/// From-scratch propagation with reviser `R` (see [`propagate_profiled`]).
+fn full_run<R: Reviser>(
+    net: &mut ConstraintNetwork,
+    config: &PropagationConfig,
+    sink: &dyn MetricsSink,
+    clock: &dyn Clock,
+) -> PropagationOutcome {
+    let trace = sink.is_enabled();
+    let started = if trace { clock.now_us() } else { 0 };
+
+    // Start from scratch: initial ranges, bound values pinned.
+    net.reset_feasible();
+    let prop_ids: Vec<PropertyId> = net.property_ids().collect();
+    for pid in &prop_ids {
+        if let Some(value) = net.assignment(*pid).cloned() {
+            net.set_feasible(*pid, Domain::singleton(&value));
+        }
+    }
+
+    let seeds: Vec<ConstraintId> = net.constraint_ids().collect();
+    // Reserve the final full status sweep inside the cap.
+    let budget = config.max_evaluations.saturating_sub(net.constraint_count());
+    let mut reviser = R::load(net);
+    let mut run = run_worklist(
+        net,
+        &seeds,
+        budget,
+        config.min_relative_narrowing,
+        false,
+        trace,
+        clock,
+        &mut reviser,
+    );
+
+    let mut outcome = PropagationOutcome {
+        kind: PropagationKind::Full,
+        seeded: seeds.len(),
+        evaluations: run.evaluations,
+        narrowed: Vec::new(),
+        conflicts: run.conflicts.clone(),
+        reached_fixpoint: run.reached_fixpoint,
+        waves: run.waves,
+    };
+
+    // Final status sweep over the narrowed box: every constraint is
+    // checked once, so attribution charges each one evaluation.
+    outcome.evaluations += net.evaluate_statuses();
+    if trace {
+        for evals in &mut run.constraint_evals {
+            *evals += 1;
+        }
+    }
+    outcome.narrowed = collect_narrowed(net, &prop_ids);
+    net.mark_fixpoint(outcome.reached_fixpoint && outcome.conflicts.is_empty());
+
+    let dur_us = if trace {
+        clock.now_us().saturating_sub(started)
+    } else {
+        0
+    };
+    emit_run(sink, trace, net, &run, &outcome, dur_us);
+    outcome
+}
+
+/// Dirty-set propagation with reviser `R` (see
+/// [`propagate_incremental_profiled`]).
+fn incremental_run<R: Reviser>(
+    net: &mut ConstraintNetwork,
+    dirty: &[PropertyId],
+    config: &PropagationConfig,
+    sink: &dyn MetricsSink,
+    clock: &dyn Clock,
+) -> PropagationOutcome {
     let mut dirty_all: BTreeSet<PropertyId> = dirty.iter().copied().collect();
     dirty_all.extend(net.dirty_props().iter().copied());
     let reusable = net.incremental_reuse_ok()
@@ -400,7 +395,7 @@ pub fn propagate_incremental_profiled(
             .iter()
             .all(|pid| pid.index() < net.property_count() && net.assignment(*pid).is_some());
     if !reusable {
-        return propagate_profiled(net, config, sink, clock);
+        return full_run::<R>(net, config, sink, clock);
     }
     let trace = sink.is_enabled();
     let started = if trace { clock.now_us() } else { 0 };
@@ -421,9 +416,7 @@ pub fn propagate_incremental_profiled(
         .into_iter()
         .collect();
     let budget = config.max_evaluations.saturating_sub(net.constraint_count());
-    // Incremental waves are small and component-local by construction, so
-    // `CompiledParallel` runs the sequential compiled path here.
-    let mut engine = EngineState::prepare(net, config.engine, sink, trace, clock);
+    let mut reviser = R::load(net);
     let mut run = run_worklist(
         net,
         &seeds,
@@ -432,7 +425,7 @@ pub fn propagate_incremental_profiled(
         true,
         trace,
         clock,
-        &mut engine,
+        &mut reviser,
     );
 
     if run.aborted_on_conflict {
@@ -440,14 +433,11 @@ pub fn propagate_incremental_profiled(
         // scratch, charging the aborted revisions against the cap.
         let wasted = run.evaluations;
         sink.incr(Counter::Evaluations, wasted as u64);
-        if run.compiled_evals > 0 {
-            sink.incr(Counter::CompiledEvals, run.compiled_evals);
-        }
         let inner = PropagationConfig {
             max_evaluations: config.max_evaluations.saturating_sub(wasted),
             ..config.clone()
         };
-        let mut outcome = propagate_profiled(net, &inner, sink, clock);
+        let mut outcome = full_run::<R>(net, &inner, sink, clock);
         outcome.evaluations += wasted;
         return outcome;
     }
@@ -518,60 +508,6 @@ struct WorklistRun {
     /// Narrowing events per property (indexed by `PropertyId::index`);
     /// populated only when `record_waves` is set.
     property_narrowings: Vec<u64>,
-    /// Flat-program revisions performed (0 under the AST interpreter).
-    compiled_evals: u64,
-    /// Connected components propagated by parallel workers (0 when the
-    /// run was sequential).
-    components_parallel: u64,
-}
-
-/// Revision-engine state for one propagation run.
-enum EngineState {
-    /// AST interpretation straight off the network.
-    Interp,
-    /// Compiled flat programs plus an arena mirror of the effective box.
-    Compiled {
-        programs: CompiledNetwork,
-        arena: IntervalArena,
-        scratch: ReviseScratch,
-    },
-}
-
-impl EngineState {
-    /// Lowers the network for the compiled engines (timing the pass and
-    /// emitting the `compile` trace line), or returns the zero-cost
-    /// interpreter state. Must be called after bound properties are
-    /// pinned so the arena snapshot matches the starting box.
-    fn prepare(
-        net: &ConstraintNetwork,
-        engine: PropagationEngine,
-        sink: &dyn MetricsSink,
-        trace: bool,
-        clock: &dyn Clock,
-    ) -> EngineState {
-        match engine {
-            PropagationEngine::Interp => EngineState::Interp,
-            PropagationEngine::Compiled | PropagationEngine::CompiledParallel => {
-                let started = if trace { clock.now_us() } else { 0 };
-                let programs = CompiledNetwork::compile(net);
-                let arena = CompiledNetwork::load_arena(net);
-                if trace {
-                    let dur_us = clock.now_us().saturating_sub(started);
-                    sink.record(&TraceEvent::CompileDone {
-                        constraints: programs.constraint_count() as u32,
-                        instructions: programs.instruction_count() as u64,
-                        dur_us,
-                    });
-                    sink.time(SpanKind::Compile, dur_us);
-                }
-                EngineState::Compiled {
-                    programs,
-                    arena,
-                    scratch: ReviseScratch::new(),
-                }
-            }
-        }
-    }
 }
 
 /// Drains an AC-3 worklist seeded with `seeds` to a fixed point (or until
@@ -579,7 +515,7 @@ impl EngineState {
 /// `abort_on_conflict` the first conflict stops the run immediately —
 /// the incremental path's cue to restart from scratch.
 #[allow(clippy::too_many_arguments)]
-fn run_worklist(
+fn run_worklist<R: Reviser>(
     net: &mut ConstraintNetwork,
     seeds: &[ConstraintId],
     budget: usize,
@@ -587,7 +523,7 @@ fn run_worklist(
     abort_on_conflict: bool,
     record_waves: bool,
     clock: &dyn Clock,
-    engine: &mut EngineState,
+    reviser: &mut R,
 ) -> WorklistRun {
     let mut run = WorklistRun {
         evaluations: 0,
@@ -608,8 +544,6 @@ fn run_worklist(
         } else {
             Vec::new()
         },
-        compiled_evals: 0,
-        components_parallel: 0,
     };
     let mut queue: VecDeque<ConstraintId> = seeds.iter().copied().collect();
     let mut in_queue = vec![false; net.constraint_count()];
@@ -638,20 +572,7 @@ fn run_worklist(
             run.constraint_evals[cid.index()] += 1;
         }
 
-        let revise = match engine {
-            EngineState::Interp => {
-                let lookup = |pid: PropertyId| net.effective_interval(pid);
-                hc4_revise(net.constraint(cid), &lookup)
-            }
-            EngineState::Compiled {
-                programs,
-                arena,
-                scratch,
-            } => {
-                run.compiled_evals += 1;
-                programs.revise(cid, arena, scratch)
-            }
-        };
+        let revise = reviser.revise(net, cid);
         if revise.conflict {
             if !conflicted[cid.index()] {
                 conflicted[cid.index()] = true;
@@ -670,19 +591,17 @@ fn run_worklist(
                 let new = old.narrow_to_interval(&narrowed_iv);
                 if significant_narrowing(&old, &new, min_relative_narrowing) {
                     net.set_feasible(pid, new);
-                    if let EngineState::Compiled { arena, .. } = engine {
-                        arena.set(pid, net.effective_interval(pid));
-                    }
+                    reviser.narrowed(net, pid);
                     run.narrowing_events += 1;
                     run.changed.insert(pid);
                     wave_narrowings += 1;
                     if record_waves {
                         run.property_narrowings[pid.index()] += 1;
                     }
-                    for dep in net.constraints_of(pid).to_vec() {
+                    for dep in net.constraints_of(pid) {
                         if !in_queue[dep.index()] {
                             in_queue[dep.index()] = true;
-                            queue.push_back(dep);
+                            queue.push_back(*dep);
                         }
                     }
                 }
@@ -723,364 +642,6 @@ fn run_worklist(
         run.waves += 1;
     }
     run
-}
-
-/// Result of propagating one connected component on a worker thread.
-struct ComponentRun {
-    evaluations: usize,
-    waves: usize,
-    conflicts: Vec<ConstraintId>,
-    narrowing_events: u64,
-    /// Final feasible subspace of every property the worker narrowed.
-    changed: Vec<(PropertyId, Domain)>,
-    reached_fixpoint: bool,
-    wave_records: Vec<WaveRecord>,
-    /// Sparse (constraint, revisions) pairs; populated only when traced.
-    constraint_evals: Vec<(ConstraintId, u64)>,
-    /// Sparse (property, narrowings) pairs; populated only when traced.
-    property_narrowings: Vec<(PropertyId, u64)>,
-    compiled_evals: u64,
-    dur_us: u64,
-}
-
-/// Drains one connected component's AC-3 worklist against a private arena
-/// snapshot and a private copy of the component's feasible subspaces.
-///
-/// The loop is a line-for-line mirror of [`run_worklist`] restricted to the
-/// component: because a component's constraints are only ever re-enqueued by
-/// narrowings of the component's own properties, the sequential FIFO order
-/// restricted to this component is exactly the order produced here, so the
-/// revisions, narrowings, wave indices, and conflicts all match the
-/// sequential compiled run.
-#[allow(clippy::too_many_arguments)]
-fn run_component(
-    net: &ConstraintNetwork,
-    programs: &CompiledNetwork,
-    mut arena: IntervalArena,
-    cids: &[ConstraintId],
-    pids: &[PropertyId],
-    mut domains: Vec<Domain>,
-    bound: &[bool],
-    budget: usize,
-    min_relative_narrowing: f64,
-    record_waves: bool,
-    clock: &dyn Clock,
-) -> ComponentRun {
-    let started = if record_waves { clock.now_us() } else { 0 };
-    let mut scratch = ReviseScratch::new();
-    let mut evaluations: usize = 0;
-    let mut waves: usize = 0;
-    let mut conflicts: Vec<ConstraintId> = Vec::new();
-    let mut narrowing_events: u64 = 0;
-    let mut changed: BTreeSet<PropertyId> = BTreeSet::new();
-    let mut reached_fixpoint = true;
-    let mut wave_records: Vec<WaveRecord> = Vec::new();
-    let mut compiled_evals: u64 = 0;
-    let mut constraint_evals = if record_waves {
-        vec![0u64; cids.len()]
-    } else {
-        Vec::new()
-    };
-    let mut property_narrowings = if record_waves {
-        vec![0u64; pids.len()]
-    } else {
-        Vec::new()
-    };
-
-    let mut queue: VecDeque<ConstraintId> = cids.iter().copied().collect();
-    let mut in_queue = vec![false; net.constraint_count()];
-    for cid in cids {
-        in_queue[cid.index()] = true;
-    }
-    let mut conflicted = vec![false; net.constraint_count()];
-
-    let mut wave_remaining = queue.len();
-    let mut wave_queue_len = queue.len();
-    let mut wave_evaluations: u64 = 0;
-    let mut wave_narrowings: u32 = 0;
-    let mut wave_started = started;
-
-    while let Some(cid) = queue.pop_front() {
-        in_queue[cid.index()] = false;
-        if evaluations >= budget {
-            reached_fixpoint = false;
-            break;
-        }
-        evaluations += 1;
-        wave_evaluations += 1;
-        if record_waves {
-            let k = cids.binary_search(&cid).expect("component constraint");
-            constraint_evals[k] += 1;
-        }
-        compiled_evals += 1;
-        let revise = programs.revise(cid, &arena, &mut scratch);
-        if revise.conflict {
-            if !conflicted[cid.index()] {
-                conflicted[cid.index()] = true;
-                conflicts.push(cid);
-            }
-        } else {
-            for (pid, narrowed_iv) in revise.narrowed {
-                let k = pids.binary_search(&pid).expect("component property");
-                if bound[k] {
-                    continue; // bound properties stay pinned to their value
-                }
-                let old = domains[k].clone();
-                let new = old.narrow_to_interval(&narrowed_iv);
-                if significant_narrowing(&old, &new, min_relative_narrowing) {
-                    // Mirror of the sequential arena sync: for an unbound
-                    // property `effective_interval` is exactly the feasible
-                    // subspace's enclosing interval (UNIVERSE for symbolic).
-                    arena.set(pid, new.enclosing_interval().unwrap_or(Interval::UNIVERSE));
-                    domains[k] = new;
-                    narrowing_events += 1;
-                    changed.insert(pid);
-                    wave_narrowings += 1;
-                    if record_waves {
-                        property_narrowings[k] += 1;
-                    }
-                    for dep in net.constraints_of(pid) {
-                        if !in_queue[dep.index()] {
-                            in_queue[dep.index()] = true;
-                            queue.push_back(*dep);
-                        }
-                    }
-                }
-            }
-        }
-
-        wave_remaining -= 1;
-        if wave_remaining == 0 {
-            if record_waves {
-                let now = clock.now_us();
-                wave_records.push(WaveRecord {
-                    wave: waves as u32,
-                    queue_len: wave_queue_len as u32,
-                    evaluations: wave_evaluations,
-                    narrowed: wave_narrowings,
-                    dur_us: now.saturating_sub(wave_started),
-                });
-                wave_started = now;
-            }
-            waves += 1;
-            wave_remaining = queue.len();
-            wave_queue_len = queue.len();
-            wave_evaluations = 0;
-            wave_narrowings = 0;
-        }
-    }
-    if wave_evaluations > 0 {
-        if record_waves {
-            wave_records.push(WaveRecord {
-                wave: waves as u32,
-                queue_len: wave_queue_len as u32,
-                evaluations: wave_evaluations,
-                narrowed: wave_narrowings,
-                dur_us: clock.now_us().saturating_sub(wave_started),
-            });
-        }
-        waves += 1;
-    }
-
-    ComponentRun {
-        evaluations,
-        waves,
-        conflicts,
-        narrowing_events,
-        changed: changed
-            .into_iter()
-            .map(|pid| {
-                let k = pids.binary_search(&pid).expect("component property");
-                (pid, domains[k].clone())
-            })
-            .collect(),
-        reached_fixpoint,
-        wave_records,
-        constraint_evals: cids
-            .iter()
-            .zip(constraint_evals)
-            .filter(|(_, e)| *e > 0)
-            .map(|(c, e)| (*c, e))
-            .collect(),
-        property_narrowings: pids
-            .iter()
-            .zip(property_narrowings)
-            .filter(|(_, n)| *n > 0)
-            .map(|(p, n)| (*p, n))
-            .collect(),
-        compiled_evals,
-        dur_us: if record_waves {
-            clock.now_us().saturating_sub(started)
-        } else {
-            0
-        },
-    }
-}
-
-/// Full propagation parallelized across independent connected components.
-///
-/// Each component gets a worker thread with a clone of the compiled arena
-/// and private copies of its feasible subspaces; the shared network is only
-/// read (adjacency, constraint metadata). Because components share no
-/// properties, the merged result — domains, conflicts, evaluation counts,
-/// wave structure — is identical to the sequential compiled run.
-///
-/// Returns `None` (network untouched — workers operate on clones) when the
-/// parallel path cannot guarantee that equivalence: fewer than two
-/// components, any worker hitting the revision budget on its own, or the
-/// summed revisions exceeding the budget. The caller then falls back to the
-/// sequential compiled worklist, which owns the exact cap semantics.
-#[allow(clippy::too_many_arguments)]
-fn run_worklist_parallel(
-    net: &mut ConstraintNetwork,
-    budget: usize,
-    min_relative_narrowing: f64,
-    record_waves: bool,
-    sink: &dyn MetricsSink,
-    clock: &dyn Clock,
-    engine: &EngineState,
-) -> Option<WorklistRun> {
-    let EngineState::Compiled {
-        programs, arena, ..
-    } = engine
-    else {
-        return None;
-    };
-    let components = net.constraint_components();
-    if components.len() < 2 {
-        return None;
-    }
-
-    let net_ref: &ConstraintNetwork = net;
-    let mut inputs = Vec::with_capacity(components.len());
-    for cids in &components {
-        let mut pid_set: BTreeSet<PropertyId> = BTreeSet::new();
-        for cid in cids {
-            pid_set.extend(net_ref.constraint(*cid).argument_slice().iter().copied());
-        }
-        let pids: Vec<PropertyId> = pid_set.into_iter().collect();
-        let domains: Vec<Domain> = pids.iter().map(|p| net_ref.feasible(*p).clone()).collect();
-        let bound: Vec<bool> = pids.iter().map(|p| net_ref.is_bound(*p)).collect();
-        inputs.push((cids.as_slice(), pids, domains, bound));
-    }
-
-    let runs: Vec<ComponentRun> = std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .into_iter()
-            .map(|(cids, pids, domains, bound)| {
-                let arena = arena.clone();
-                scope.spawn(move || {
-                    run_component(
-                        net_ref,
-                        programs,
-                        arena,
-                        cids,
-                        &pids,
-                        domains,
-                        &bound,
-                        budget,
-                        min_relative_narrowing,
-                        record_waves,
-                        clock,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("component worker panicked"))
-            .collect()
-    });
-
-    let total_evals: usize = runs.iter().map(|r| r.evaluations).sum();
-    if total_evals > budget || runs.iter().any(|r| !r.reached_fixpoint) {
-        // The sequential run checks the cap before every revision; replaying
-        // that exactly across workers is not possible, so hand the whole run
-        // back to the sequential compiled path (still pristine: the workers
-        // only touched clones).
-        return None;
-    }
-
-    let mut run = WorklistRun {
-        evaluations: total_evals,
-        waves: runs.iter().map(|r| r.waves).max().unwrap_or(0),
-        conflicts: Vec::new(),
-        narrowing_events: runs.iter().map(|r| r.narrowing_events).sum(),
-        changed: BTreeSet::new(),
-        reached_fixpoint: true,
-        aborted_on_conflict: false,
-        wave_records: Vec::new(),
-        constraint_evals: if record_waves {
-            vec![0; net.constraint_count()]
-        } else {
-            Vec::new()
-        },
-        property_narrowings: if record_waves {
-            vec![0; net.property_count()]
-        } else {
-            Vec::new()
-        },
-        compiled_evals: runs.iter().map(|r| r.compiled_evals).sum(),
-        components_parallel: runs.len() as u64,
-    };
-
-    for (idx, (component, comp_run)) in components.iter().zip(&runs).enumerate() {
-        for (pid, domain) in &comp_run.changed {
-            net.set_feasible(*pid, domain.clone());
-            run.changed.insert(*pid);
-        }
-        for cid in &comp_run.conflicts {
-            run.conflicts.push(*cid);
-        }
-        if record_waves {
-            for (cid, evals) in &comp_run.constraint_evals {
-                run.constraint_evals[cid.index()] += evals;
-            }
-            for (pid, narrowings) in &comp_run.property_narrowings {
-                run.property_narrowings[pid.index()] += narrowings;
-            }
-            sink.record(&TraceEvent::ParallelComponent {
-                component: idx as u32,
-                constraints: component.len() as u32,
-                evaluations: comp_run.evaluations as u64,
-                waves: comp_run.waves as u32,
-                dur_us: comp_run.dur_us,
-            });
-            sink.time(SpanKind::ParWave, comp_run.dur_us);
-        }
-    }
-    // Deterministic conflict order (sequential order interleaves components
-    // by FIFO position; ascending constraint id is the stable equivalent).
-    run.conflicts.sort_by_key(|c| c.index());
-
-    if record_waves {
-        // Merge per-component BFS levels: level `i` of the global run is the
-        // union of every component's level `i`, so the counts sum and the
-        // wall-clock is the slowest worker's level.
-        for i in 0..run.waves {
-            let mut queue_len: u32 = 0;
-            let mut evaluations: u64 = 0;
-            let mut narrowed: u32 = 0;
-            let mut dur_us: u64 = 0;
-            for comp_run in &runs {
-                if let Some(w) = comp_run.wave_records.get(i) {
-                    queue_len += w.queue_len;
-                    evaluations += w.evaluations;
-                    narrowed += w.narrowed;
-                    dur_us = dur_us.max(w.dur_us);
-                }
-            }
-            run.wave_records.push(WaveRecord {
-                wave: i as u32,
-                queue_len,
-                evaluations,
-                narrowed,
-                dur_us,
-            });
-        }
-    }
-
-    Some(run)
 }
 
 /// Properties whose feasible subspace sits strictly inside their `E_i`.
@@ -1144,12 +705,6 @@ fn emit_run(
     sink.incr(Counter::Narrowings, run.narrowing_events);
     sink.incr(Counter::Conflicts, outcome.conflicts.len() as u64);
     sink.incr(Counter::SeedConstraints, outcome.seeded as u64);
-    if run.compiled_evals > 0 {
-        sink.incr(Counter::CompiledEvals, run.compiled_evals);
-    }
-    if run.components_parallel > 0 {
-        sink.incr(Counter::ComponentsParallel, run.components_parallel);
-    }
     if trace {
         sink.record(&TraceEvent::PropagationDone {
             kind: outcome.kind.as_str(),
@@ -1465,6 +1020,7 @@ mod tests {
     use crate::expr::{cst, var};
     use crate::network::Property;
     use crate::value::Value;
+    use proptest::prelude::*;
 
     fn net_with(
         domains: &[(f64, f64)],
@@ -1998,38 +1554,153 @@ mod tests {
         assert_eq!(out.kind, PropagationKind::Full);
     }
 
-    #[test]
-    fn engine_parses_and_displays() {
-        assert_eq!("interp".parse(), Ok(PropagationEngine::Interp));
-        assert_eq!("compiled".parse(), Ok(PropagationEngine::Compiled));
-        assert_eq!(
-            "compiled-parallel".parse(),
-            Ok(PropagationEngine::CompiledParallel)
-        );
-        assert_eq!("parallel".parse(), Ok(PropagationEngine::CompiledParallel));
-        assert!("jit".parse::<PropagationEngine>().is_err());
-        assert_eq!(PropagationEngine::Compiled.to_string(), "compiled");
-        assert_eq!(PropagationEngine::default(), PropagationEngine::Interp);
+    /// The fixed-point reference: the worklist revising through the AST
+    /// interpreter straight off the network's feasible subspaces.
+    struct Interp;
+
+    impl Reviser for Interp {
+        fn load(_net: &ConstraintNetwork) -> Self {
+            Interp
+        }
+
+        fn revise(&mut self, net: &ConstraintNetwork, cid: ConstraintId) -> ReviseResult {
+            hc4_revise(net.constraint(cid), &|pid| net.effective_interval(pid))
+        }
+
+        fn narrowed(&mut self, _net: &ConstraintNetwork, _pid: PropertyId) {}
     }
 
-    /// Every engine must land on the same fixed point: identical feasible
-    /// subspaces, statuses, conflicts, and work counts.
+    fn reference(net: &mut ConstraintNetwork, config: &PropagationConfig) -> PropagationOutcome {
+        full_run::<Interp>(net, config, &NoopSink, &MonotonicClock)
+    }
+
+    fn reference_incremental(
+        net: &mut ConstraintNetwork,
+        dirty: &[PropertyId],
+        config: &PropagationConfig,
+    ) -> PropagationOutcome {
+        incremental_run::<Interp>(net, dirty, config, &NoopSink, &MonotonicClock)
+    }
+
+    /// Two runs landed on the same fixed point bit for bit: identical
+    /// outcomes (work counts, waves, conflicts, narrowed set), feasible
+    /// subspaces (compared through `{:?}`, which is exact for `f64` and
+    /// tells `-0.0` from `0.0`), and statuses.
     fn assert_outcomes_match(
         a: &ConstraintNetwork,
         oa: &PropagationOutcome,
         b: &ConstraintNetwork,
         ob: &PropagationOutcome,
     ) {
-        assert_eq!(oa.evaluations, ob.evaluations);
-        assert_eq!(oa.waves, ob.waves);
-        assert_eq!(oa.narrowed, ob.narrowed);
-        assert_eq!(oa.conflicts, ob.conflicts);
-        assert_eq!(oa.reached_fixpoint, ob.reached_fixpoint);
+        assert_eq!(oa, ob);
         for pid in a.property_ids() {
-            assert_eq!(a.feasible(pid), b.feasible(pid), "feasible({pid:?})");
+            assert_eq!(
+                format!("{:?}", a.feasible(pid)),
+                format!("{:?}", b.feasible(pid)),
+                "feasible({pid:?})"
+            );
         }
         for cid in a.constraint_ids() {
             assert_eq!(a.status(cid), b.status(cid), "status({cid:?})");
+        }
+    }
+
+    /// One generated component: property bounds (lo, hi) for a `Le` chain,
+    /// upper-bound caps applied round-robin over those properties, and the
+    /// bound on the product of the chain's two ends.
+    type ComponentSpec = (Vec<(f64, f64)>, Vec<f64>, f64);
+
+    fn arb_components() -> impl Strategy<Value = Vec<ComponentSpec>> {
+        proptest::collection::vec(
+            (
+                proptest::collection::vec((0.0f64..10.0, 10.0f64..30.0), 2..5),
+                proptest::collection::vec(5.0f64..40.0, 1..4),
+                50.0f64..600.0,
+            ),
+            1..5,
+        )
+    }
+
+    /// A network of independent chain-plus-caps-plus-product components.
+    fn build_net(comps: &[ComponentSpec]) -> ConstraintNetwork {
+        let mut net = ConstraintNetwork::new();
+        for (k, (bounds, caps, product)) in comps.iter().enumerate() {
+            let ids: Vec<PropertyId> = bounds
+                .iter()
+                .enumerate()
+                .map(|(i, (lo, hi))| {
+                    net.add_property(Property::new(
+                        format!("x{k}_{i}"),
+                        format!("o{k}"),
+                        Domain::interval(*lo, *hi),
+                    ))
+                    .unwrap()
+                })
+                .collect();
+            for w in ids.windows(2) {
+                net.add_constraint(format!("ord{k}"), var(w[0]), Relation::Le, var(w[1]))
+                    .unwrap();
+            }
+            for (i, cap) in caps.iter().enumerate() {
+                net.add_constraint(
+                    format!("cap{k}_{i}"),
+                    var(ids[i % ids.len()]),
+                    Relation::Le,
+                    cst(*cap),
+                )
+                .unwrap();
+            }
+            let ends = var(ids[0]) * var(ids[ids.len() - 1]);
+            net.add_constraint(format!("prod{k}"), ends, Relation::Le, cst(*product))
+                .unwrap();
+        }
+        net
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Full propagation through the compiled programs lands on the
+        /// reference fixed point bit for bit.
+        #[test]
+        fn engines_reach_identical_fixed_points(comps in arb_components()) {
+            let config = PropagationConfig::default();
+            let mut want = build_net(&comps);
+            let mut got = build_net(&comps);
+            let oa = reference(&mut want, &config);
+            let ob = propagate(&mut got, &config);
+            assert_outcomes_match(&want, &oa, &got, &ob);
+        }
+
+        /// Incremental propagation through the compiled programs follows the
+        /// reference bit for bit along a seeded sequence of binds (inside
+        /// and outside the current feasible subspace) and unbinds, fallbacks
+        /// and conflict restarts included.
+        #[test]
+        fn incremental_runs_match_the_reference(
+            comps in arb_components(),
+            edits in proptest::collection::vec((0usize..16, 0.0f64..1.0, 0u32..6), 1..12),
+        ) {
+            let config = PropagationConfig::default();
+            let mut want = build_net(&comps);
+            let mut got = build_net(&comps);
+            let oa = reference(&mut want, &config);
+            let ob = propagate(&mut got, &config);
+            assert_outcomes_match(&want, &oa, &got, &ob);
+            for (slot, t, kind) in edits {
+                let pid = PropertyId::new((slot % want.property_count()) as u32);
+                if kind == 0 {
+                    prop_assert_eq!(want.unbind(pid).is_ok(), got.unbind(pid).is_ok());
+                } else {
+                    let iv = want.property(pid).initial_domain().enclosing_interval().unwrap();
+                    let value = Value::number(iv.lo() + t * (iv.hi() - iv.lo()));
+                    want.bind(pid, value.clone()).unwrap();
+                    got.bind(pid, value).unwrap();
+                }
+                let oa = reference_incremental(&mut want, &[pid], &config);
+                let ob = propagate_incremental(&mut got, &[pid], &config, &NoopSink);
+                assert_outcomes_match(&want, &oa, &got, &ob);
+            }
         }
     }
 
@@ -2060,160 +1731,110 @@ mod tests {
 
     #[test]
     fn compiled_engine_matches_interp_fixpoint() {
-        let interp_cfg = PropagationConfig::default();
-        let compiled_cfg = PropagationConfig {
-            engine: PropagationEngine::Compiled,
-            ..PropagationConfig::default()
-        };
+        let config = PropagationConfig::default();
         let (mut a, ids) = dense_net();
         let (mut b, _) = dense_net();
         a.bind(ids[0], Value::number(150.0)).unwrap();
         b.bind(ids[0], Value::number(150.0)).unwrap();
-        let oa = propagate(&mut a, &interp_cfg);
-        let ob = propagate(&mut b, &compiled_cfg);
+        let oa = reference(&mut a, &config);
+        let ob = propagate(&mut b, &config);
         assert!(oa.reached_fixpoint);
         assert_outcomes_match(&a, &oa, &b, &ob);
     }
 
     #[test]
-    fn parallel_engine_matches_sequential_on_multi_component() {
-        use adpm_observe::{Counter, InMemorySink};
-
-        // Three independent components: a three-constraint chain, the
-        // receiver power budget, and a deliberately conflicted cap pair.
-        let build = || {
-            let (mut net, ids) = net_with(&[
-                (0.0, 10.0),
-                (0.0, 10.0),
-                (0.0, 10.0),
-                (0.0, 300.0),
-                (0.0, 300.0),
-                (0.0, 10.0),
-            ]);
-            net.add_constraint("xy", var(ids[0]), Relation::Le, var(ids[1]))
-                .unwrap();
-            net.add_constraint("yz", var(ids[1]), Relation::Le, var(ids[2]))
-                .unwrap();
-            net.add_constraint("z3", var(ids[2]), Relation::Le, cst(3.0))
-                .unwrap();
-            net.add_constraint(
-                "power",
-                var(ids[3]) + var(ids[4]),
-                Relation::Le,
-                cst(200.0),
-            )
-            .unwrap();
-            net.add_constraint("hi", var(ids[5]), Relation::Ge, cst(8.0))
-                .unwrap();
-            net.add_constraint("lo", var(ids[5]), Relation::Le, cst(2.0))
-                .unwrap();
-            net
-        };
-        let seq_cfg = PropagationConfig {
-            engine: PropagationEngine::Compiled,
-            ..PropagationConfig::default()
-        };
-        let par_cfg = PropagationConfig {
-            engine: PropagationEngine::CompiledParallel,
-            ..PropagationConfig::default()
-        };
-        let mut seq = build();
-        let mut par = build();
-        assert_eq!(seq.constraint_components().len(), 3);
-        let oseq = propagate(&mut seq, &seq_cfg);
-        let sink = InMemorySink::new();
-        let opar = propagate_observed(&mut par, &par_cfg, &sink);
-        assert_outcomes_match(&seq, &oseq, &par, &opar);
-        assert!(!opar.conflicts.is_empty());
-        assert_eq!(sink.get(Counter::ComponentsParallel), 3);
-        assert_eq!(
-            sink.get(Counter::CompiledEvals),
-            // Worklist revisions only; the status sweep is interpreted.
-            (opar.evaluations - par.constraint_count()) as u64
-        );
-    }
-
-    #[test]
-    fn single_component_runs_sequential_under_parallel_engine() {
-        use adpm_observe::{Counter, InMemorySink};
-
-        let (mut net, ids) = dense_net();
-        let _ = ids;
-        assert_eq!(net.constraint_components().len(), 1);
-        let cfg = PropagationConfig {
-            engine: PropagationEngine::CompiledParallel,
-            ..PropagationConfig::default()
-        };
-        let sink = InMemorySink::new();
-        let out = propagate_observed(&mut net, &cfg, &sink);
-        assert!(out.reached_fixpoint);
-        assert_eq!(sink.get(Counter::ComponentsParallel), 0);
-        assert!(sink.get(Counter::CompiledEvals) > 0);
-    }
-
-    #[test]
     fn compiled_engine_honours_evaluation_cap() {
-        let mk = |engine| PropagationConfig {
+        let config = PropagationConfig {
             max_evaluations: 8,
-            engine,
             ..PropagationConfig::default()
         };
         let (mut a, _) = dense_net();
         let (mut b, _) = dense_net();
-        let oa = propagate(&mut a, &mk(PropagationEngine::Interp));
-        let ob = propagate(&mut b, &mk(PropagationEngine::Compiled));
+        let oa = reference(&mut a, &config);
+        let ob = propagate(&mut b, &config);
         assert!(!oa.reached_fixpoint);
         assert_outcomes_match(&a, &oa, &b, &ob);
     }
 
+    /// Propagation revises through the programs the network compiled at
+    /// its structural edits; no run replaces them.
     #[test]
-    fn traced_compiled_run_emits_compile_and_par_wave_lines() {
-        use adpm_observe::JsonlSink;
-        use std::sync::{Arc, Mutex};
+    fn propagation_reuses_the_network_programs() {
+        let (mut net, ids) = dense_net();
+        let programs = Arc::clone(net.programs());
+        let config = PropagationConfig::default();
+        propagate(&mut net, &config);
+        net.bind(ids[0], Value::number(150.0)).unwrap();
+        propagate_incremental(&mut net, &[ids[0]], &config, &NoopSink);
+        assert!(Arc::ptr_eq(&programs, net.programs()));
+    }
 
-        #[derive(Clone, Default)]
-        struct Buf(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for Buf {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
+    /// A soft `cap` (by default `x0 <= 4`) plus the budget `x0 + x1 <= 12`.
+    fn relax_net(cap: Option<(Expr, Expr)>) -> (ConstraintNetwork, Vec<PropertyId>, ConstraintId) {
+        let (mut net, ids) = net_with(&[(0.0, 10.0), (0.0, 10.0)]);
+        let (lhs, rhs) = cap.unwrap_or((var(ids[0]), cst(4.0)));
+        let cap = net.add_constraint("cap", lhs, Relation::Le, rhs).unwrap();
+        net.set_constraint_soft(cap, true).unwrap();
+        net.add_constraint("sum", var(ids[0]) + var(ids[1]), Relation::Le, cst(12.0))
+            .unwrap();
+        (net, ids, cap)
+    }
+
+    /// After `relax_constraint` the network propagates exactly like one
+    /// built fresh with the relaxed constraint — its program was recompiled.
+    #[test]
+    fn relaxed_network_propagates_like_a_fresh_build() {
+        use crate::constraint::Relaxation;
+
+        let config = PropagationConfig::default();
+        let x0 = PropertyId::new(0);
+        for (relaxation, fresh_cap, x0_hi) in [
+            (
+                Relaxation::WidenBound { slack: 3.0 },
+                (var(x0), cst(4.0) + cst(3.0)),
+                7.0,
+            ),
+            (Relaxation::Drop, (cst(0.0), cst(1.0)), 10.0),
+        ] {
+            let (mut relaxed, ids, cap) = relax_net(None);
+            relaxed.bind(ids[1], Value::number(2.0)).unwrap();
+            propagate(&mut relaxed, &config);
+            relaxed.relax_constraint(cap, relaxation).unwrap();
+            let out = propagate(&mut relaxed, &config);
+
+            let (mut fresh, _, _) = relax_net(Some(fresh_cap));
+            fresh.bind(ids[1], Value::number(2.0)).unwrap();
+            let fresh_out = propagate(&mut fresh, &config);
+            assert_outcomes_match(&relaxed, &out, &fresh, &fresh_out);
+            assert_eq!(relaxed.feasible(ids[0]), &Domain::interval(0.0, x0_hi));
         }
+    }
 
-        // Two independent sum constraints → two components.
-        let (mut net, ids) = net_with(&[(0.0, 10.0), (0.0, 10.0), (0.0, 10.0), (0.0, 10.0)]);
-        net.add_constraint("s1", var(ids[0]) + var(ids[1]), Relation::Le, cst(5.0))
-            .unwrap();
-        net.add_constraint("s2", var(ids[2]) + var(ids[3]), Relation::Le, cst(7.0))
-            .unwrap();
-        let cfg = PropagationConfig {
-            engine: PropagationEngine::CompiledParallel,
-            ..PropagationConfig::default()
-        };
-        let buf = Buf::default();
-        let sink = JsonlSink::new(Box::new(buf.clone()));
-        let out = propagate_observed(&mut net, &cfg, &sink);
-        sink.finish().unwrap();
-        drop(sink);
-        assert!(out.reached_fixpoint);
+    #[test]
+    fn relaxing_a_clone_leaves_the_original_untouched() {
+        use crate::constraint::Relaxation;
 
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines = adpm_observe::parse_trace(&text).unwrap();
-        let compile = lines.iter().find(|l| l.tag() == "compile").unwrap();
-        assert_eq!(compile.u64_field("constraints"), Some(2));
-        assert!(compile.u64_field("instructions").unwrap() > 0);
-        let par: Vec<_> = lines.iter().filter(|l| l.tag() == "par_wave").collect();
-        assert_eq!(par.len(), 2);
-        let par_evals: u64 = par.iter().map(|l| l.u64_field("evaluations").unwrap()).sum();
-        let counters = lines.iter().find(|l| l.tag() == "counters").unwrap();
-        assert_eq!(counters.u64_field("compiled_evals"), Some(par_evals));
-        assert_eq!(counters.u64_field("components_parallel"), Some(2));
-        // Per-wave lines are still the merged BFS levels.
-        let waves: Vec<_> = lines.iter().filter(|l| l.tag() == "wave").collect();
-        assert_eq!(waves.len(), out.waves);
+        let config = PropagationConfig::default();
+        let (mut original, ids, cap) = relax_net(None);
+        let first = propagate(&mut original, &config);
+        let programs = Arc::clone(original.programs());
+
+        let mut clone = original.clone();
+        assert!(Arc::ptr_eq(original.programs(), clone.programs()));
+        clone
+            .relax_constraint(cap, Relaxation::WidenBound { slack: 3.0 })
+            .unwrap();
+        assert!(!Arc::ptr_eq(original.programs(), clone.programs()));
+        propagate(&mut clone, &config);
+        assert_eq!(clone.feasible(ids[0]), &Domain::interval(0.0, 7.0));
+
+        assert!(Arc::ptr_eq(&programs, original.programs()));
+        let (mut fresh, _, _) = relax_net(None);
+        let fresh_out = propagate(&mut fresh, &config);
+        let again = propagate(&mut original, &config);
+        assert_eq!(again, first);
+        assert_outcomes_match(&original, &again, &fresh, &fresh_out);
+        assert_eq!(original.feasible(ids[0]), &Domain::interval(0.0, 4.0));
     }
 
     /// Statuses set out-of-band (the conventional flow's verify path) are

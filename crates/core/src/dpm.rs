@@ -98,11 +98,8 @@ impl ManagementMode {
 pub struct DpmConfig {
     /// Transition model selector (`λ`).
     pub mode: ManagementMode,
-    /// Propagation settings used in ADPM mode, including the revision
-    /// engine ([`PropagationConfig::engine`]): the AST interpreter (the
-    /// default), the compiled flat-program engine, or the compiled engine
-    /// parallelized across connected components. All engines reach the
-    /// same fixed points; only the wall-clock differs.
+    /// Propagation settings used in ADPM mode (evaluation cap, narrowing
+    /// threshold).
     pub propagation: PropagationConfig,
     /// Which DCM propagation path runs after each ADPM operation:
     /// from-scratch [`PropagationKind::Full`] (the default) or dirty-set
@@ -946,23 +943,6 @@ mod tests {
         let feasible = dpm.network().feasible(ps).enclosing_interval().unwrap();
         assert!((feasible.hi() - 50.0).abs() < 1e-9);
         assert!(dpm.heuristics().is_some());
-    }
-
-    #[test]
-    fn compiled_engine_flows_through_dpm_config() {
-        use adpm_constraint::PropagationEngine;
-
-        let mut config = DpmConfig::adpm();
-        config.propagation.engine = PropagationEngine::Compiled;
-        let (mut dpm, d0, _, _, front, _, pf, ps, _) = fixture_with(config);
-        let record = dpm
-            .execute(Operation::assign(d0, front, pf, Value::number(150.0)))
-            .unwrap();
-        assert!(record.evaluations > 0);
-        // Same fixed point as the interpreter reaches in
-        // `adpm_assign_triggers_propagation_and_narrows_neighbour`.
-        let feasible = dpm.network().feasible(ps).enclosing_interval().unwrap();
-        assert!((feasible.hi() - 50.0).abs() < 1e-9);
     }
 
     #[test]

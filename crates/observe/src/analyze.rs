@@ -154,14 +154,12 @@ impl AnalysisReport {
 }
 
 /// Span tags in nesting order for the timing rollup.
-const SPAN_TAGS: [&str; 10] = [
+const SPAN_TAGS: [&str; 8] = [
     "tick",
     "session",
     "op",
     "negotiate",
     "propagation",
-    "compile",
-    "par_wave",
     "wave",
     "fanout",
     "notify",

@@ -36,10 +36,6 @@ pub enum SpanKind {
     Recover,
     /// One resilient-client reconnect (first failure to restored link).
     Reconnect,
-    /// One lowering of a constraint network to flat interval programs.
-    Compile,
-    /// One connected-component worker inside a parallel propagation run.
-    ParWave,
     /// One complete conflict negotiation (MCS reduction through the final
     /// accepted/abandoned verdict).
     Negotiate,
@@ -47,7 +43,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every span kind, in index order.
-    pub const ALL: [SpanKind; 12] = [
+    pub const ALL: [SpanKind; 10] = [
         SpanKind::Tick,
         SpanKind::Operation,
         SpanKind::Propagation,
@@ -57,8 +53,6 @@ impl SpanKind {
         SpanKind::Notify,
         SpanKind::Recover,
         SpanKind::Reconnect,
-        SpanKind::Compile,
-        SpanKind::ParWave,
         SpanKind::Negotiate,
     ];
 
@@ -83,8 +77,6 @@ impl SpanKind {
             SpanKind::Notify => "notify",
             SpanKind::Recover => "recover",
             SpanKind::Reconnect => "reconnect",
-            SpanKind::Compile => "compile",
-            SpanKind::ParWave => "par_wave",
             SpanKind::Negotiate => "negotiate",
         }
     }
@@ -104,7 +96,7 @@ const BUCKETS: usize = 65;
 /// percentiles. Percentiles are pure bucket bounds: two histograms with
 /// the same per-bucket occupancy report identical quantiles even when
 /// their exact samples differ, which is what keeps `adpm analyze --vs`
-/// timing comparisons deterministic across engines.
+/// timing comparisons deterministic across builds.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
@@ -333,7 +325,7 @@ mod tests {
     fn percentiles_depend_only_on_bucket_occupancy() {
         // Same buckets, different exact samples (and maxima): quantiles
         // must agree — the determinism contract `adpm analyze --vs`
-        // relies on when comparing interp vs compiled timing columns.
+        // relies on when comparing the timing columns of two traces.
         let (a, b) = (Histogram::new(), Histogram::new());
         for v in [3, 70, 130] {
             a.record(v);

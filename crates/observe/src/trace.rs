@@ -29,8 +29,6 @@ use crate::json::escape_into;
 /// | `JournalBytes` | bytes appended to a session's operation journal |
 /// | `RecoveryOps` | an operation is re-executed from a journal during crash recovery |
 /// | `FaultsInjected` | the deterministic fault layer perturbs (drops, delays, corrupts...) a frame |
-/// | `CompiledEvals` | a flat-program HC4 revision runs on the compiled propagation engine |
-/// | `ComponentsParallel` | a connected component is propagated by a parallel worker |
 /// | `SessionsActive` | a named session is added to a collaboration server's registry |
 /// | `SessionsCreated` | a client's `create` frame dynamically creates a new named session |
 /// | `AttachRejected` | a session `create`/`attach` request is rejected (unknown name, creation disabled...) |
@@ -92,12 +90,6 @@ pub enum Counter {
     /// Frames perturbed (dropped, delayed, duplicated, corrupted,
     /// truncated, or killed) by the deterministic fault-injection layer.
     FaultsInjected,
-    /// Flat-program HC4 revisions run by the compiled propagation engine
-    /// (its analogue of `Evaluations`, which it also bumps).
-    CompiledEvals,
-    /// Connected components handed to `std::thread::scope` workers by a
-    /// parallel propagation run.
-    ComponentsParallel,
     /// Named sessions added to a collaboration server's registry (the
     /// default session, `--sessions N` pre-creates, and dynamic creates).
     SessionsActive,
@@ -139,7 +131,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in index order.
-    pub const ALL: [Counter; 36] = [
+    pub const ALL: [Counter; 34] = [
         Counter::Operations,
         Counter::Evaluations,
         Counter::Propagations,
@@ -161,8 +153,6 @@ impl Counter {
         Counter::JournalBytes,
         Counter::RecoveryOps,
         Counter::FaultsInjected,
-        Counter::CompiledEvals,
-        Counter::ComponentsParallel,
         Counter::SessionsActive,
         Counter::SessionsCreated,
         Counter::AttachRejected,
@@ -210,8 +200,6 @@ impl Counter {
             Counter::JournalBytes => "journal_bytes",
             Counter::RecoveryOps => "recovery_ops",
             Counter::FaultsInjected => "faults_injected",
-            Counter::CompiledEvals => "compiled_evals",
-            Counter::ComponentsParallel => "components_parallel",
             Counter::SessionsActive => "sessions_active",
             Counter::SessionsCreated => "sessions_created",
             Counter::AttachRejected => "attach_rejected",
@@ -429,33 +417,6 @@ pub enum TraceEvent<'a> {
         /// Bytes discarded (delimiter included).
         bytes: u64,
     },
-    /// The compiled propagation engine lowered the constraint network to
-    /// flat interval programs, once per propagation run. The line doubles
-    /// as the `compile` span carrier (its `dur_us`).
-    CompileDone {
-        /// Constraints lowered to flat programs.
-        constraints: u32,
-        /// Total flat-program instructions emitted across all programs.
-        instructions: u64,
-        /// Duration of the lowering, µs.
-        dur_us: u64,
-    },
-    /// One connected-component worker of a parallel propagation run
-    /// finished. The line doubles as the `par_wave` span carrier (its
-    /// `dur_us`).
-    ParallelComponent {
-        /// 0-based component index (components are ordered by their
-        /// smallest constraint id).
-        component: u32,
-        /// Constraints in the component.
-        constraints: u32,
-        /// Flat-program HC4 revisions the worker performed.
-        evaluations: u64,
-        /// Worklist waves (BFS levels) the worker took.
-        waves: u32,
-        /// Wall-clock duration of the worker, µs.
-        dur_us: u64,
-    },
     /// One conflict negotiation finished (resolved or abandoned). The
     /// line doubles as the `negotiate` span carrier (its `dur_us`).
     Negotiation {
@@ -508,8 +469,6 @@ impl TraceEvent<'_> {
             TraceEvent::Recovery { .. } => "recover",
             TraceEvent::Reconnect { .. } => "reconnect",
             TraceEvent::WireSkip { .. } => "wire_skip",
-            TraceEvent::CompileDone { .. } => "compile",
-            TraceEvent::ParallelComponent { .. } => "par_wave",
             TraceEvent::Negotiation { .. } => "negotiate",
             TraceEvent::RunSummary { .. } => "summary",
         }
@@ -688,28 +647,6 @@ impl TraceEvent<'_> {
             TraceEvent::WireSkip { bytes } => {
                 field_u64(out, "bytes", bytes);
             }
-            TraceEvent::CompileDone {
-                constraints,
-                instructions,
-                dur_us,
-            } => {
-                field_u64(out, "constraints", constraints.into());
-                field_u64(out, "instructions", instructions);
-                field_u64(out, "dur_us", dur_us);
-            }
-            TraceEvent::ParallelComponent {
-                component,
-                constraints,
-                evaluations,
-                waves,
-                dur_us,
-            } => {
-                field_u64(out, "component", component.into());
-                field_u64(out, "constraints", constraints.into());
-                field_u64(out, "evaluations", evaluations);
-                field_u64(out, "waves", waves.into());
-                field_u64(out, "dur_us", dur_us);
-            }
             TraceEvent::Negotiation {
                 seq,
                 constraint,
@@ -814,31 +751,6 @@ mod tests {
             dur_us: 0,
         };
         assert!(event.to_json().contains("quo\\\"te"));
-    }
-
-    #[test]
-    fn compiled_engine_events_serialize() {
-        let compile = TraceEvent::CompileDone {
-            constraints: 4,
-            instructions: 31,
-            dur_us: 9,
-        };
-        assert_eq!(
-            compile.to_json(),
-            "{\"t\":\"compile\",\"constraints\":4,\"instructions\":31,\"dur_us\":9}"
-        );
-        let component = TraceEvent::ParallelComponent {
-            component: 1,
-            constraints: 3,
-            evaluations: 12,
-            waves: 2,
-            dur_us: 5,
-        };
-        assert_eq!(
-            component.to_json(),
-            "{\"t\":\"par_wave\",\"component\":1,\"constraints\":3,\"evaluations\":12,\
-             \"waves\":2,\"dur_us\":5}"
-        );
     }
 
     #[test]

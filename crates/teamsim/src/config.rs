@@ -95,10 +95,8 @@ pub struct SimulationConfig {
     /// choosing the smallest feasible width to save power). This is what
     /// makes runs vary across seeds in both modes.
     pub choice_noise: f64,
-    /// Propagation settings for the ADPM DCM, including which revision
-    /// engine runs the hot path (`propagation.engine`): the AST
-    /// interpreter, the compiled flat-program engine, or the compiled
-    /// engine parallelized across connected components.
+    /// Propagation settings for the ADPM DCM (evaluation cap, narrowing
+    /// threshold).
     pub propagation: PropagationConfig,
     /// Which DCM propagation path the ADPM DPM runs after each operation:
     /// from-scratch full propagation (the default) or dirty-set incremental
@@ -194,18 +192,5 @@ mod tests {
         assert_eq!(c.dpm_config().propagation_kind, PropagationKind::Full);
         c.propagation_kind = PropagationKind::Incremental;
         assert_eq!(c.dpm_config().propagation_kind, PropagationKind::Incremental);
-    }
-
-    #[test]
-    fn dpm_config_propagates_engine() {
-        use adpm_constraint::PropagationEngine;
-
-        let mut c = SimulationConfig::adpm(7);
-        assert_eq!(c.dpm_config().propagation.engine, PropagationEngine::Interp);
-        c.propagation.engine = PropagationEngine::Compiled;
-        assert_eq!(
-            c.dpm_config().propagation.engine,
-            PropagationEngine::Compiled
-        );
     }
 }

@@ -23,7 +23,7 @@ echo "==> adpm diff-trace self-comparison (golden vs golden, must exit 0)"
 cargo run --release -q -p adpm-cli --bin adpm -- diff-trace \
   tests/golden/sensing_short.jsonl tests/golden/sensing_short.jsonl >/dev/null
 
-echo "==> compiled-engine smoke runs (all builtins + mini scenario)"
+echo "==> propagation smoke runs (all builtins + mini scenario)"
 cat > /tmp/verify_engine_mini.dddl <<'EOF'
 object rx {
     property P-front : interval(0, 300);
@@ -40,35 +40,22 @@ done
 for SRC in /tmp/verify_engine_sensing.dddl /tmp/verify_engine_receiver.dddl \
            /tmp/verify_engine_walkthrough.dddl /tmp/verify_engine_mini.dddl; do
   cargo run --release -q -p adpm-cli --bin adpm -- run "$SRC" \
-    --engine compiled --seed 3 --max-ops 40 >/dev/null
+    --seed 3 --max-ops 40 >/dev/null
 done
 
-echo "==> engine trace equivalence (interp vs compiled, diff-trace both ways, zero tolerance)"
+# tests/golden/sensing_seed3_ops40.jsonl was recorded with the AST
+# interpreter as the propagator; the compiled programs must reproduce its
+# every statistic exactly.
+echo "==> propagation trace vs interpreter-recorded reference (diff-trace both ways, zero tolerance)"
 cargo run --release -q -p adpm-cli --bin adpm -- run /tmp/verify_engine_sensing.dddl \
-  --seed 3 --max-ops 40 --engine interp --trace /tmp/verify_engine_interp.jsonl >/dev/null
-cargo run --release -q -p adpm-cli --bin adpm -- run /tmp/verify_engine_sensing.dddl \
-  --seed 3 --max-ops 40 --engine compiled --trace /tmp/verify_engine_compiled.jsonl >/dev/null
+  --seed 3 --max-ops 40 --trace /tmp/verify_engine_trace.jsonl >/dev/null
 cargo run --release -q -p adpm-cli --bin adpm -- diff-trace \
-  /tmp/verify_engine_interp.jsonl /tmp/verify_engine_compiled.jsonl --abs 0 --rel 0 >/dev/null
+  tests/golden/sensing_seed3_ops40.jsonl /tmp/verify_engine_trace.jsonl --abs 0 --rel 0 >/dev/null
 cargo run --release -q -p adpm-cli --bin adpm -- diff-trace \
-  /tmp/verify_engine_compiled.jsonl /tmp/verify_engine_interp.jsonl --abs 0 --rel 0 >/dev/null
+  /tmp/verify_engine_trace.jsonl tests/golden/sensing_seed3_ops40.jsonl --abs 0 --rel 0 >/dev/null
 rm -f /tmp/verify_engine_sensing.dddl /tmp/verify_engine_receiver.dddl \
       /tmp/verify_engine_walkthrough.dddl /tmp/verify_engine_mini.dddl \
-      /tmp/verify_engine_interp.jsonl /tmp/verify_engine_compiled.jsonl
-
-echo "==> results/BENCH_propagation.json schema + speedup gate"
-BENCH_JSON=results/BENCH_propagation.json
-[ -f "$BENCH_JSON" ] || { echo "$BENCH_JSON missing — run bench_propagation"; exit 1; }
-grep -q '"t":"bench_case"' "$BENCH_JSON" || { echo "$BENCH_JSON has no bench_case rows"; exit 1; }
-grep -q '"t":"bench_summary"' "$BENCH_JSON" || { echo "$BENCH_JSON has no bench_summary row"; exit 1; }
-awk -F'"largest_speedup":' '
-/"t":"bench_summary"/ {
-  seen = 1
-  split($2, a, "}"); speedup = a[1] + 0
-  if (speedup < 5.0) { printf "largest_speedup %.2f < 5.0\n", speedup; exit 1 }
-  printf "largest_speedup %.2f >= 5.0 ok\n", speedup
-}
-END { if (!seen) { print "no parseable largest_speedup"; exit 1 } }' "$BENCH_JSON"
+      /tmp/verify_engine_trace.jsonl
 
 echo "==> concurrent teamsim smoke run (2 designers, turn barrier)"
 cat > /tmp/verify_mini.dddl <<'EOF'
