@@ -8,12 +8,13 @@
 //! [`next_event`](CollabClient::next_event) drains that queue before
 //! touching the socket, so neither path loses frames to the other.
 //!
-//! Reads go through an internal byte buffer rather than a `BufReader`:
-//! with a read timeout on the socket, a line can arrive in pieces, and
-//! the buffer keeps the partial line intact across timeouts.
+//! Reads go through the same [`LineBuffer`] framer the server uses rather
+//! than a `BufReader`: with a read timeout on the socket, a line can
+//! arrive in pieces, and the buffer keeps the partial line intact across
+//! timeouts.
 
 use crate::fault::{FaultAction, FaultInjector};
-use crate::wire::{Frame, WireError, MAX_LINE_BYTES};
+use crate::wire::{BufferedLine, Frame, LineBuffer, WireError};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -28,7 +29,7 @@ const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 pub struct CollabClient {
     stream: TcpStream,
     /// Bytes read off the socket but not yet consumed as a full line.
-    pending: Vec<u8>,
+    buffer: LineBuffer,
     /// `event` frames received while waiting for a response.
     events: VecDeque<Frame>,
     /// Response frames received while waiting for an event.
@@ -52,7 +53,7 @@ impl CollabClient {
         stream.set_nodelay(true).ok();
         Ok(CollabClient {
             stream,
-            pending: Vec::new(),
+            buffer: LineBuffer::new(),
             events: VecDeque::new(),
             replies: VecDeque::new(),
             warnings: Vec::new(),
@@ -219,10 +220,16 @@ impl CollabClient {
     /// here are returned like any other frame. `Ok(None)` on deadline.
     fn poll_frame(&mut self, deadline: Instant) -> Result<Option<Frame>, WireError> {
         loop {
-            if let Some(line) = self.take_line()? {
-                if line.trim().is_empty() {
-                    continue;
+            let line = match self.buffer.take() {
+                Some(BufferedLine::Line(line)) => Some(line),
+                // An oversized or non-UTF-8 line is a mangled stream, like
+                // a line that does not parse below.
+                Some(BufferedLine::Skipped { .. }) => {
+                    return Err(WireError::io("server sent an oversized or non-UTF-8 line"))
                 }
+                None => None,
+            };
+            if let Some(line) = line {
                 // A line that does not parse means the *stream* got mangled
                 // in transit (torn or corrupted frame) — a transport
                 // failure, classified retryable so a resilient caller can
@@ -258,31 +265,12 @@ impl CollabClient {
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Err(WireError::io("connection closed by the server")),
-                Ok(n) => {
-                    self.pending.extend_from_slice(&chunk[..n]);
-                    if self.pending.len() > MAX_LINE_BYTES {
-                        return Err(WireError::io(format!(
-                            "server line exceeds the {MAX_LINE_BYTES} byte limit"
-                        )));
-                    }
-                }
+                Ok(n) => self.buffer.push(&chunk[..n]),
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut => {}
                 Err(e) => return Err(WireError::io(format!("read failed: {e}"))),
             }
         }
-    }
-
-    /// Pops one complete line off the pending buffer, if there is one.
-    fn take_line(&mut self) -> Result<Option<String>, WireError> {
-        let Some(pos) = self.pending.iter().position(|b| *b == b'\n') else {
-            return Ok(None);
-        };
-        let rest = self.pending.split_off(pos + 1);
-        let line = std::mem::replace(&mut self.pending, rest);
-        String::from_utf8(line)
-            .map(Some)
-            .map_err(|_| WireError::io("server frame is not valid UTF-8"))
     }
 }

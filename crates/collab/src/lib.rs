@@ -89,6 +89,4 @@ pub use session::{
     NegotiationReport, OpOutcome, RejectReason, SessionClosed, SessionEngine, SessionHandle,
     SessionOptions, DEFAULT_INBOX_CAPACITY,
 };
-pub use wire::{
-    read_frame, BufferedLine, Frame, LineBuffer, WireError, WireErrorKind, WireOp, MAX_LINE_BYTES,
-};
+pub use wire::{BufferedLine, Frame, LineBuffer, WireError, WireErrorKind, WireOp, MAX_LINE_BYTES};

@@ -15,8 +15,8 @@ use adpm_constraint::{ConstraintId, ConstraintNetwork, PropertyId};
 use adpm_core::{DesignProcessManager, DesignerId, Event};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::task::Waker;
 
 /// The properties and constraints a subscriber cares about.
 ///
@@ -158,12 +158,13 @@ pub struct InboxEntry {
 struct InboxState {
     queue: VecDeque<InboxEntry>,
     closed: bool,
+    /// The consumer's wake-up hook; see [`Inbox::set_waker`].
+    waker: Option<Waker>,
 }
 
 #[derive(Debug)]
 struct InboxShared {
     state: Mutex<InboxState>,
-    available: Condvar,
     capacity: usize,
     dropped: AtomicU64,
 }
@@ -188,8 +189,8 @@ impl Inbox {
                 state: Mutex::new(InboxState {
                     queue: VecDeque::new(),
                     closed: false,
+                    waker: None,
                 }),
-                available: Condvar::new(),
                 capacity: capacity.max(1),
                 dropped: AtomicU64::new(0),
             }),
@@ -215,39 +216,24 @@ impl Inbox {
             return false;
         }
         state.queue.push_back(entry);
+        let waker = state.waker.clone();
         drop(state);
-        self.shared.available.notify_all();
+        if let Some(waker) = waker {
+            waker.wake();
+        }
         true
+    }
+
+    /// Registers the consumer's wake-up hook. Every accepted
+    /// [`push`](Inbox::push) wakes it after releasing the inbox lock, so the
+    /// hook may take the consumer's locks; [`close`](Inbox::close) does not.
+    pub fn set_waker(&self, waker: Waker) {
+        self.lock().waker = Some(waker);
     }
 
     /// Takes every queued entry without blocking.
     pub fn drain(&self) -> Vec<InboxEntry> {
         self.lock().queue.drain(..).collect()
-    }
-
-    /// Blocks until at least one entry is queued, the inbox closes, or
-    /// `timeout` elapses — then drains. An empty result therefore means
-    /// "nothing arrived in time" or "closed", distinguishable via
-    /// [`is_closed`](Inbox::is_closed).
-    pub fn wait_drain(&self, timeout: Duration) -> Vec<InboxEntry> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.lock();
-        while state.queue.is_empty() && !state.closed {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            let (next, result) = self
-                .shared
-                .available
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            state = next;
-            if result.timed_out() {
-                break;
-            }
-        }
-        state.queue.drain(..).collect()
     }
 
     /// Number of entries currently queued.
@@ -265,11 +251,10 @@ impl Inbox {
         self.shared.dropped.load(Ordering::Relaxed)
     }
 
-    /// Closes the inbox: future pushes are dropped (and counted) and
-    /// blocked waiters wake immediately. Queued entries stay drainable.
+    /// Closes the inbox: future pushes are dropped (and counted). Queued
+    /// entries stay drainable.
     pub fn close(&self) {
         self.lock().closed = true;
-        self.shared.available.notify_all();
     }
 
     /// Whether [`close`](Inbox::close) has been called.
@@ -324,44 +309,36 @@ mod tests {
     }
 
     #[test]
-    fn close_wakes_waiters_and_rejects_pushes() {
+    fn close_rejects_pushes_and_keeps_queued_entries() {
         let inbox = Inbox::bounded(4);
-        let waiter = {
-            let inbox = inbox.clone();
-            std::thread::spawn(move || inbox.wait_drain(Duration::from_secs(30)))
-        };
-        // Give the waiter a moment to block, then close.
-        std::thread::sleep(Duration::from_millis(10));
+        assert!(inbox.push(entry(1)));
         inbox.close();
-        let drained = waiter.join().expect("waiter panicked");
-        assert!(drained.is_empty());
         assert!(inbox.is_closed());
-        assert!(!inbox.push(entry(1)));
+        assert!(!inbox.push(entry(2)));
         assert_eq!(inbox.dropped(), 1);
+        assert_eq!(inbox.drain().iter().map(|e| e.seq).collect::<Vec<_>>(), [1]);
     }
 
     #[test]
-    fn wait_drain_times_out_empty() {
-        let inbox = Inbox::bounded(4);
-        let start = Instant::now();
-        assert!(inbox.wait_drain(Duration::from_millis(20)).is_empty());
-        assert!(start.elapsed() >= Duration::from_millis(20));
-    }
+    fn every_accepted_push_wakes_the_waker_and_close_does_not() {
+        use std::sync::atomic::AtomicUsize;
+        use std::task::Wake;
 
-    #[test]
-    fn wait_drain_returns_when_an_entry_lands() {
-        let inbox = Inbox::bounded(4);
-        let producer = {
-            let inbox = inbox.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(10));
-                inbox.push(entry(7));
-            })
-        };
-        let drained = inbox.wait_drain(Duration::from_secs(30));
-        producer.join().expect("producer panicked");
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].seq, 7);
+        struct Count(AtomicUsize);
+        impl Wake for Count {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let wakes = Arc::new(Count(AtomicUsize::new(0)));
+        let inbox = Inbox::bounded(2);
+        inbox.set_waker(Waker::from(wakes.clone()));
+        assert!(inbox.push(entry(1)));
+        assert!(inbox.push(entry(2)));
+        assert!(!inbox.push(entry(3)), "full: dropped, no wake");
+        inbox.close();
+        assert!(!inbox.push(entry(4)), "closed: dropped, no wake");
+        assert_eq!(wakes.0.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! [`CollabServer::bind`] takes ownership of a configured
 //! [`DesignProcessManager`], moves it into a [`SessionEngine`], and
 //! accepts JSONL wire-protocol connections on a loopback TCP listener.
-//! Each connection runs on its own thread; connections bound to the same
-//! session funnel into that session's command loop, so concurrent clients
-//! interleave exactly like concurrent [`SessionHandle`] users —
-//! linearized, with one authoritative history per session.
+//! Each connection runs a reader thread, which blocks on the socket and
+//! queues its replies, and a writer thread, the only one that writes to
+//! the socket and the keeper of the connection's deadlines. Connections
+//! bound to the same session funnel into that session's command loop, so
+//! concurrent clients interleave exactly like concurrent [`SessionHandle`]
+//! users — linearized, with one authoritative history per session.
 //!
 //! Multi-tenancy ([`CollabServer::bind_registry`]): the server hosts a
 //! **registry of named sessions**, each owning its own [`SessionEngine`]
@@ -30,16 +32,16 @@
 //!
 //! Fault tolerance ([`ServerOptions`]):
 //!
-//! - **Heartbeats.** Connection reads run on a short poll timeout; after
-//!   [`heartbeat`](ServerOptions::heartbeat) of silence the server sends a
+//! - **Heartbeats.** After [`heartbeat`](ServerOptions::heartbeat) of
+//!   silence from the peer the connection's writer sends a
 //!   `ping` frame, counts unanswered pings into `heartbeats_missed`, and
 //!   after [`idle_timeout`](ServerOptions::idle_timeout) declares the peer
 //!   half-open and drops it — the failure a plain blocking read can never
 //!   detect.
 //! - **Write deadlines.** Every connection socket gets
 //!   [`write_deadline`](ServerOptions::write_deadline) as its write
-//!   timeout, so one stalled client cannot wedge a pusher thread forever;
-//!   the bounded inbox in front of it sheds load first.
+//!   timeout, so one stalled client cannot wedge its writer thread
+//!   forever; the bounded inbox in front of it sheds load first.
 //! - **Resynchronization.** Oversized or undecodable lines are skipped to
 //!   the next newline; skipped bytes count into `wire_bytes_skipped`, emit
 //!   a `wire_skip` trace event, and the peer is told with a `warn` frame.
@@ -67,23 +69,19 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
+use std::task::{Wake, Waker};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// How long a notification pusher thread sleeps between inbox polls.
-const PUSH_POLL: Duration = Duration::from_millis(50);
-
-/// Connection read poll interval — the heartbeat bookkeeping granularity.
-const READ_POLL: Duration = Duration::from_millis(25);
 
 /// Backoff after an `accept(2)` error. Persistent failures (e.g. EMFILE)
 /// otherwise turn the accept loop into a 100% CPU spin.
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
 
-/// How often the (non-blocking) scrape listener polls for a connection
-/// and for the stop flag.
-const SCRAPE_POLL: Duration = Duration::from_millis(25);
+/// Queued reply bytes past which a connection's reader stops reading until
+/// its writer catches up, so a peer that sends without reading meets TCP
+/// backpressure instead of a queue that grows without bound.
+const OUTBOX_LIMIT: usize = 1 << 20;
 
 /// Name of the session every connection starts bound to. It always exists:
 /// [`CollabServer::bind`] seeds it from the DPM it is given.
@@ -535,9 +533,9 @@ impl Registry {
         }
     }
 
-    /// The `stats_reply` frames for one report: the attached session's
-    /// alone, or (with `all`) every hosted session plus the `*` rollup.
-    /// The terminating `end` frame is the caller's to write.
+    /// The `stats_reply` frames for one report, then its `end`: the
+    /// attached session's alone, or (with `all`) every hosted session plus
+    /// the `*` rollup.
     fn stats_report(&self, session: &str, all: bool, watch: bool) -> Vec<Frame> {
         let connections: BTreeMap<String, u32> = {
             let conns = lock(&self.conn_sessions);
@@ -548,7 +546,7 @@ impl Registry {
             counts
         };
         let conns_for = |name: &str| connections.get(name).copied().unwrap_or(0);
-        if all {
+        let mut frames = if all {
             let mut frames: Vec<Frame> = self
                 .hub
                 .snapshot_all()
@@ -576,7 +574,9 @@ impl Registry {
                 }
                 None => Vec::new(),
             }
-        }
+        };
+        frames.push(Frame::End);
+        frames
     }
 }
 
@@ -690,7 +690,6 @@ impl CollabServer {
             None => (None, None),
             Some(scrape_addr) => {
                 let scrape = TcpListener::bind(scrape_addr)?;
-                scrape.set_nonblocking(true)?;
                 let bound = scrape.local_addr()?;
                 let hub = hub.clone();
                 let stop = stop.clone();
@@ -746,7 +745,7 @@ impl CollabServer {
                         for t in finished {
                             let _ = t.join();
                         }
-                        // Replies are written whole (see `write_frames`);
+                        // Replies are written whole (see `ConnWriter`);
                         // Nagle would hold a reply's tail behind the peer's
                         // delayed ACK of its head.
                         let _ = stream.set_nodelay(true);
@@ -852,12 +851,13 @@ impl CollabServer {
 
     fn finish(mut self) -> DesignProcessManager {
         self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
+        // Unblock both accept loops with a throwaway connection each.
+        for addr in std::iter::once(self.addr).chain(self.metrics_addr) {
+            let _ = TcpStream::connect(addr);
+        }
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // The scrape listener is non-blocking and polls the stop flag.
         if let Some(t) = self.metrics_thread.take() {
             let _ = t.join();
         }
@@ -887,90 +887,234 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// The plaintext scrape loop: accept, write one exposition body covering
-/// every hosted session plus the `*` rollup, close. The listener is
-/// non-blocking so the loop can poll `stop` without a wakeup connection.
+/// every hosted session plus the `*` rollup, close. Like the main accept
+/// loop, it is woken for shutdown by a throwaway connection.
 fn serve_scrapes(listener: &TcpListener, hub: &MetricsHub, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let mut body = String::new();
-                for (name, snapshot) in hub.snapshot_all() {
-                    write_exposition(&mut body, &name, &snapshot);
-                }
-                write_exposition(&mut body, ROLLUP_SESSION, &hub.rollup_snapshot());
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-                let _ = stream.write_all(body.as_bytes());
-                let _ = stream.shutdown(NetShutdown::Both);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(SCRAPE_POLL),
-            Err(_) => thread::sleep(ACCEPT_ERROR_BACKOFF),
+    for incoming in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(mut stream) = incoming else {
+            thread::sleep(ACCEPT_ERROR_BACKOFF);
+            continue;
+        };
+        let mut body = String::new();
+        for (name, snapshot) in hub.snapshot_all() {
+            write_exposition(&mut body, &name, &snapshot);
+        }
+        write_exposition(&mut body, ROLLUP_SESSION, &hub.rollup_snapshot());
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+        let _ = stream.write_all(body.as_bytes());
+        let _ = stream.shutdown(NetShutdown::Both);
     }
 }
 
 /// The write half of one connection: the socket plus the optional fault
-/// injector every outgoing frame passes through.
+/// injector every outgoing line passes through.
 struct ConnWriter {
     stream: TcpStream,
     injector: Option<FaultInjector>,
 }
 
 impl ConnWriter {
-    fn write_line(&mut self, line: &str) -> io::Result<()> {
-        match self
-            .injector
-            .as_mut()
-            .map(|injector| injector.transform(line.as_bytes()))
-        {
-            None => {
-                self.stream.write_all(line.as_bytes())?;
-                self.stream.flush()
-            }
-            Some(FaultAction::Kill) => {
-                let _ = self.stream.shutdown(NetShutdown::Both);
-                Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "connection killed by fault plan",
-                ))
-            }
-            Some(FaultAction::Write(chunks)) => {
-                for (bytes, delay) in chunks {
-                    if !delay.is_zero() {
-                        thread::sleep(delay);
-                    }
-                    self.stream.write_all(&bytes)?;
+    /// Writes a batch of encoded lines. Without a fault plan the batch
+    /// leaves in a single `write_all`, so a snapshot's `state`, `prop`…
+    /// `end` frames fill as few segments as the socket allows instead of
+    /// one each; with one, every line passes through the injector.
+    fn write(&mut self, batch: &str) -> io::Result<()> {
+        let Some(injector) = self.injector.as_mut() else {
+            self.stream.write_all(batch.as_bytes())?;
+            return self.stream.flush();
+        };
+        for line in batch.split_inclusive('\n') {
+            match injector.transform(line.as_bytes()) {
+                FaultAction::Kill => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::BrokenPipe,
+                        "connection killed by fault plan",
+                    ))
                 }
-                self.stream.flush()
+                FaultAction::Write(chunks) => {
+                    for (bytes, delay) in chunks {
+                        if !delay.is_zero() {
+                            thread::sleep(delay);
+                        }
+                        self.stream.write_all(&bytes)?;
+                    }
+                }
             }
+        }
+        self.stream.flush()
+    }
+}
+
+/// One connection's outbound side: the reader queues into it, the writer
+/// thread drains it.
+struct Outbox {
+    state: Mutex<OutboxState>,
+    /// Wakes the writer, and a reader held back by [`OUTBOX_LIMIT`].
+    changed: Condvar,
+}
+
+struct OutboxState {
+    /// Encoded lines not yet written, in queue order.
+    lines: String,
+    /// The inbox and the name tables its events are encoded with.
+    subscription: Option<(Inbox, Arc<NameMaps>)>,
+    /// Armed by `watch`: all sessions or not, interval, next report due.
+    watch: Option<(bool, Duration, Instant)>,
+    /// When the reader last received bytes from the peer.
+    last_read: Instant,
+    /// Set by whichever thread ends the connection first.
+    closed: bool,
+}
+
+impl Outbox {
+    /// Queues `frames`, encoded here so the writer only copies bytes, once
+    /// the queue is under [`OUTBOX_LIMIT`].
+    fn send(&self, frames: &[Frame]) {
+        let encoded: String = frames.iter().map(Frame::to_line).collect();
+        let mut state = lock(&self.state);
+        while state.lines.len() >= OUTBOX_LIMIT && !state.closed {
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.lines.push_str(&encoded);
+        self.changed.notify_all();
+    }
+
+    /// Ends the connection and its subscription, and wakes the other thread.
+    fn close(&self) {
+        let mut state = lock(&self.state);
+        state.closed = true;
+        if let Some((inbox, _)) = state.subscription.take() {
+            inbox.close();
+        }
+        self.changed.notify_all();
+    }
+}
+
+/// Wakes a connection's writer after each push to its inbox; weak, because
+/// the outbox holds the inbox that holds this.
+struct WakeWriter(Weak<Outbox>);
+
+impl Wake for WakeWriter {
+    fn wake(self: Arc<Self>) {
+        if let Some(outbox) = self.0.upgrade() {
+            // Taking the lock orders this wake after the writer's look at
+            // the inbox, so it cannot fall between that look and the wait.
+            let _state = lock(&outbox.state);
+            outbox.changed.notify_all();
         }
     }
 }
 
-/// Writes one frame under the connection's writer lock, so concurrently
-/// pushed notification lines never interleave with response lines.
-fn write_frame(writer: &Mutex<ConnWriter>, frame: &Frame) -> io::Result<()> {
-    let line = frame.to_line();
-    writer
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .write_line(&line)
+/// The connection's writer thread. Each round sends the queued replies, a
+/// due `ping` and `watch` report, and the subscription's events, in that
+/// order, or sleeps until the earliest deadline. On exit (outbox closed,
+/// write failed, peer idle) it shuts the socket down, ending the reader.
+fn write_connection(
+    outbox: &Outbox,
+    mut writer: ConnWriter,
+    registry: &Registry,
+    options: &ServerOptions,
+    sink: &dyn MetricsSink,
+    conn_index: u64,
+) {
+    let mut pings: u64 = 0;
+    let mut pinged_at: Option<Instant> = None;
+    // Slow-client eviction is by queue AGE, not depth: the bounded inbox
+    // caps depth on its own, so a client that keeps it pinned near-full
+    // is losing events forever without ever tripping a depth check.
+    let mut backlogged_since: Option<Instant> = None;
+    let mut state = lock(&outbox.state);
+    loop {
+        let now = Instant::now();
+        let idle_deadline = deadline(state.last_read, options.idle_timeout);
+        if !state.closed && now >= idle_deadline {
+            // Half-open peer: nothing (not even pongs) for the whole idle
+            // window.
+            sink.incr(Counter::HeartbeatsMissed, 1);
+            break;
+        }
+        let mut batch = std::mem::take(&mut state.lines);
+        if batch.len() >= OUTBOX_LIMIT {
+            outbox.changed.notify_all();
+        }
+        // A ping sent after the last read is still unanswered.
+        let unanswered = pinged_at.filter(|at| *at > state.last_read);
+        let ping_due = deadline(unanswered.unwrap_or(state.last_read), options.heartbeat);
+        if now >= ping_due {
+            if unanswered.is_some() {
+                sink.incr(Counter::HeartbeatsMissed, 1);
+            }
+            pings += 1;
+            batch.push_str(&Frame::Ping { nonce: pings }.to_line());
+            pinged_at = Some(now);
+        }
+        let report = state.watch.filter(|(_, _, due)| now >= *due);
+        if let Some((all, interval, _)) = report {
+            state.watch = Some((all, interval, deadline(now, interval)));
+        }
+        let subscription = state.subscription.clone();
+        let events = subscription
+            .as_ref()
+            .map_or(Vec::new(), |(inbox, _)| inbox.drain());
+        if batch.is_empty() && report.is_none() && events.is_empty() {
+            if state.closed {
+                break;
+            }
+            let watch_due = state.watch.map_or(ping_due, |(_, _, due)| due);
+            let wake_at = idle_deadline.min(ping_due).min(watch_due);
+            state = outbox
+                .changed
+                .wait_timeout(state, wake_at.saturating_duration_since(now))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            continue;
+        }
+        drop(state);
+        if let Some((all, _, _)) = report {
+            // The connection's current session, which `attach` may change.
+            let session = lock(&registry.conn_sessions).get(&conn_index).cloned();
+            for frame in registry.stats_report(&session.unwrap_or_default(), all, true) {
+                batch.push_str(&frame.to_line());
+            }
+        }
+        if let Some((_, names)) = &subscription {
+            for entry in &events {
+                batch.push_str(&names.event_frame(entry).to_line());
+            }
+        }
+        if writer.write(&batch).is_err() {
+            state = lock(&outbox.state);
+            break;
+        }
+        if let Some((inbox, _)) = &subscription {
+            if inbox.is_empty() {
+                backlogged_since = None;
+            } else if backlogged_since.get_or_insert_with(Instant::now).elapsed()
+                > options.max_queue_age
+            {
+                sink.incr(Counter::OverloadSheds, 1);
+                inbox.close();
+                inbox.drain();
+                backlogged_since = None;
+            }
+        }
+        state = lock(&outbox.state);
+    }
+    drop(state);
+    outbox.close();
+    let _ = writer.stream.shutdown(NetShutdown::Both);
 }
 
-/// Writes a multi-frame reply under one writer-lock acquisition. Without a
-/// fault plan the lines leave in a single `write_all`, so a snapshot's
-/// `state`, `prop`… `end` frames fill as few segments as the socket allows
-/// instead of one each; with one, every line passes through the injector
-/// exactly as [`write_frame`] would send it.
-fn write_frames(writer: &Mutex<ConnWriter>, frames: &[Frame]) -> io::Result<()> {
-    let mut writer = lock(writer);
-    if writer.injector.is_some() {
-        return frames
-            .iter()
-            .try_for_each(|frame| writer.write_line(&frame.to_line()));
-    }
-    let batch: String = frames.iter().map(Frame::to_line).collect();
-    writer.stream.write_all(batch.as_bytes())?;
-    writer.stream.flush()
+/// `from + wait`, the wait capped at ~136 years: `Instant` arithmetic
+/// panics past what the clock holds, and a `watch` interval is wire input.
+fn deadline(from: Instant, wait: Duration) -> Instant {
+    from + wait.min(Duration::from_secs(1 << 32))
 }
 
 fn reject_reason(reason: &RejectReason) -> String {
@@ -978,18 +1122,18 @@ fn reject_reason(reason: &RejectReason) -> String {
 }
 
 /// Rebinds a connection's mutable session state after a successful
-/// `create`/`attach`/`detach`: the old subscription is closed (its pusher
-/// exits; the old session GCs it) and a designer index that does not exist
-/// in the new session is forgotten, forcing a fresh `hello`.
+/// `create`/`attach`/`detach`: the old subscription is closed (the old
+/// session GCs it) and a designer index that does not exist in the new
+/// session is forgotten, forcing a fresh `hello`.
 fn switch_session(
     new_handle: SessionHandle,
     new_names: Arc<NameMaps>,
     handle: &mut SessionHandle,
     names: &mut Arc<NameMaps>,
     designer: &mut Option<DesignerId>,
-    subscription: &mut Option<Inbox>,
+    outbox: &Outbox,
 ) {
-    if let Some(old) = subscription.take() {
+    if let Some((old, _)) = lock(&outbox.state).subscription.take() {
         old.close();
     }
     if let Some(d) = *designer {
@@ -1010,137 +1154,115 @@ fn serve_connection(
     sink: Arc<dyn MetricsSink>,
     conn_index: u64,
 ) {
-    let (mut handle, mut names) = registry.default_session();
+    lock(&registry.conn_sessions).insert(conn_index, DEFAULT_SESSION.to_owned());
+    if run_connection(stream, &registry, &options, &sink, conn_index) {
+        let (flag, cvar) = &*shutdown_signal;
+        *lock(flag) = true;
+        cvar.notify_all();
+    }
+    // The accept loop retains a clone of this socket (to unblock readers
+    // at server shutdown), so dropping our halves is not enough to close
+    // it — shut the underlying socket down so the peer sees EOF now, and
+    // deregister the clone so churn cannot accumulate dead streams.
+    if let Some(stream) = lock(&streams).remove(&conn_index) {
+        let _ = stream.shutdown(NetShutdown::Both);
+    }
+    lock(&registry.conn_sessions).remove(&conn_index);
+}
+
+/// Reads and answers one connection's requests; a writer thread spawned
+/// here sends everything. Returns, after joining the writer so a `bye` is
+/// on the wire, whether the peer asked the server to shut down.
+fn run_connection(
+    stream: TcpStream,
+    registry: &Arc<Registry>,
+    options: &Arc<ServerOptions>,
+    sink: &Arc<dyn MetricsSink>,
+    conn_index: u64,
+) -> bool {
     let Ok(mut read_half) = stream.try_clone() else {
-        lock(&streams).remove(&conn_index);
-        return;
+        return false;
     };
-    // Which session this connection is bound to — feeds the per-session
-    // connection counts in `stats_reply` and scopes `stats`/`dump`.
-    let mut session_name: String = DEFAULT_SESSION.to_owned();
-    lock(&registry.conn_sessions).insert(conn_index, session_name.clone());
-    // Armed by a `watch` frame: push a stats report every interval.
-    let mut watch_state: Option<(bool, Duration, Instant)> = None;
-    let _ = read_half.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(options.write_deadline));
     let injector = options
         .fault_plan
         .as_ref()
         .map(|plan| FaultInjector::new(plan, conn_index).with_sink(sink.clone()));
-    let writer = Arc::new(Mutex::new(ConnWriter { stream, injector }));
+    let mut writer = ConnWriter { stream, injector };
     // Admission: a default session already at its client cap sheds the
     // fresh connection with a typed frame (the count includes this
-    // connection, registered above).
+    // connection) — the one frame not sent by a writer thread.
     let default_conns = lock(&registry.conn_sessions)
         .values()
         .filter(|s| s.as_str() == DEFAULT_SESSION)
         .count();
     if default_conns > options.max_clients_per_session {
         sink.incr(Counter::OverloadSheds, 1);
-        let _ = write_frame(
-            &writer,
-            &Frame::Overloaded {
-                retry_after_ms: options.retry_after_ms,
-                cid: None,
-            },
-        );
-        let _ = read_half.shutdown(NetShutdown::Both);
-        lock(&streams).remove(&conn_index);
-        lock(&registry.conn_sessions).remove(&conn_index);
-        return;
+        let overloaded = Frame::Overloaded {
+            retry_after_ms: options.retry_after_ms,
+            cid: None,
+        };
+        let _ = writer.write(&overloaded.to_line());
+        return false;
     }
+    let outbox = Arc::new(Outbox {
+        state: Mutex::new(OutboxState {
+            lines: String::new(),
+            subscription: None,
+            watch: None,
+            last_read: Instant::now(),
+            closed: false,
+        }),
+        changed: Condvar::new(),
+    });
+    let writer_thread = {
+        let (outbox, registry, options) = (outbox.clone(), registry.clone(), options.clone());
+        let sink = sink.clone();
+        thread::Builder::new()
+            .name("adpm-write".into())
+            .spawn(move || {
+                write_connection(&outbox, writer, &registry, &options, &*sink, conn_index)
+            })
+    };
+    let Ok(writer_thread) = writer_thread else {
+        return false;
+    };
+    let (mut handle, mut names) = registry.default_session();
+    // Which session this connection is bound to — feeds the per-session
+    // connection counts in `stats_reply` and scopes `stats`/`dump`.
+    let mut session_name: String = DEFAULT_SESSION.to_owned();
     let mut buffer = LineBuffer::new();
     let mut chunk = [0u8; 4096];
-    let mut last_activity = Instant::now();
-    let mut pending_ping: Option<Instant> = None;
-    let mut ping_nonce: u64 = 0;
     let mut designer: Option<DesignerId> = None;
-    let mut subscription: Option<Inbox> = None;
-    let mut pushers: Vec<thread::JoinHandle<()>> = Vec::new();
-    let conn_done = Arc::new(AtomicBool::new(false));
-    'conn: loop {
-        // Assemble the next complete line, interleaving heartbeat
-        // bookkeeping with short-timeout reads.
-        let line = 'line: loop {
+    let shutdown = 'conn: loop {
+        let line = loop {
             match buffer.take() {
-                Some(BufferedLine::Line(line)) => break 'line line,
+                Some(BufferedLine::Line(line)) => break line,
                 Some(BufferedLine::Skipped { bytes }) => {
                     sink.incr(Counter::WireBytesSkipped, bytes);
                     if sink.is_enabled() {
                         sink.record(&TraceEvent::WireSkip { bytes });
                     }
-                    let warning = Frame::Warning {
+                    outbox.send(&[Frame::Warning {
                         message: format!("{bytes} bytes discarded resynchronizing the stream"),
-                    };
-                    if write_frame(&writer, &warning).is_err() {
-                        break 'conn;
-                    }
+                    }]);
                 }
                 None => match read_half.read(&mut chunk) {
-                    Ok(0) => break 'conn,
+                    Ok(0) | Err(_) => break 'conn false,
                     Ok(n) => {
                         buffer.push(&chunk[..n]);
-                        last_activity = Instant::now();
-                        pending_ping = None;
+                        lock(&outbox.state).last_read = Instant::now();
                     }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        let now = Instant::now();
-                        let idle = now.duration_since(last_activity);
-                        if idle >= options.idle_timeout {
-                            // Half-open peer: nothing (not even pongs) for
-                            // the whole idle window.
-                            sink.incr(Counter::HeartbeatsMissed, 1);
-                            break 'conn;
-                        }
-                        let since_ping = pending_ping.map_or(idle, |at| now.duration_since(at));
-                        if idle >= options.heartbeat && since_ping >= options.heartbeat {
-                            if pending_ping.is_some() {
-                                sink.incr(Counter::HeartbeatsMissed, 1);
-                            }
-                            ping_nonce += 1;
-                            if write_frame(&writer, &Frame::Ping { nonce: ping_nonce }).is_err() {
-                                break 'conn;
-                            }
-                            pending_ping = Some(now);
-                        }
-                        // A quiet read poll is also the watch tick: push a
-                        // stats report when the armed interval has elapsed.
-                        if let Some((all, interval, last_push)) = watch_state.as_mut() {
-                            if last_push.elapsed() >= *interval {
-                                *last_push = Instant::now();
-                                let mut frames =
-                                    registry.stats_report(&session_name, *all, true);
-                                frames.push(Frame::End);
-                                if write_frames(&writer, &frames).is_err() {
-                                    break 'conn;
-                                }
-                            }
-                        }
-                    }
-                    Err(_) => break 'conn,
                 },
             }
         };
         let frame = match Frame::parse_line(&line) {
             Ok(frame) => frame,
             Err(err) => {
-                // Parse errors keep the line-synchronized connection open;
-                // I/O errors end the loop at the next write or read.
-                if write_frame(
-                    &writer,
-                    &Frame::Error {
-                        message: err.message,
-                    },
-                )
-                .is_err()
-                {
-                    break;
-                }
+                // Parse errors keep the line-synchronized connection open.
+                outbox.send(&[Frame::Error {
+                    message: err.message,
+                }]);
                 continue;
             }
         };
@@ -1172,23 +1294,14 @@ fn serve_connection(
                         message: "session is shut down".into(),
                     },
                     Ok((inbox, last_idx)) => {
+                        inbox.set_waker(Waker::from(Arc::new(WakeWriter(Arc::downgrade(&outbox)))));
                         // A re-subscribe (resume) supersedes the previous
                         // inbox; closing it lets the session GC it.
-                        if let Some(old) = subscription.replace(inbox.clone()) {
+                        let subscription = (inbox, names.clone());
+                        if let Some((old, _)) =
+                            lock(&outbox.state).subscription.replace(subscription)
+                        {
                             old.close();
-                        }
-                        let writer = writer.clone();
-                        let names = names.clone();
-                        let done = conn_done.clone();
-                        let sink = sink.clone();
-                        let max_queue_age = options.max_queue_age;
-                        let worker = thread::Builder::new()
-                            .name("adpm-push".into())
-                            .spawn(move || {
-                                push_events(inbox, writer, names, done, sink, max_queue_age)
-                            });
-                        if let Ok(worker) = worker {
-                            pushers.push(worker);
                         }
                         Frame::Subscribed {
                             designer: d.index() as u32,
@@ -1226,9 +1339,7 @@ fn serve_connection(
                     message: "session is shut down".into(),
                 },
                 Ok(dpm) => {
-                    if stream_snapshot(&writer, &names, &dpm).is_err() {
-                        break;
-                    }
+                    outbox.send(&snapshot_frames(&names, &dpm));
                     continue;
                 }
             },
@@ -1237,15 +1348,12 @@ fn serve_connection(
             // no reply.
             Frame::Pong { .. } => continue,
             Frame::Shutdown => {
-                let _ = write_frame(&writer, &Frame::Bye);
-                let (flag, cvar) = &*shutdown_signal;
-                *lock(flag) = true;
-                cvar.notify_all();
-                break;
+                outbox.send(&[Frame::Bye]);
+                break true;
             }
             Frame::Bye => {
-                let _ = write_frame(&writer, &Frame::Bye);
-                break;
+                outbox.send(&[Frame::Bye]);
+                break false;
             }
             Frame::CreateSession { name } => match registry.attach(&name, true) {
                 Err(reason) => Frame::AttachRejected { name, reason },
@@ -1256,7 +1364,7 @@ fn serve_connection(
                         &mut handle,
                         &mut names,
                         &mut designer,
-                        &mut subscription,
+                        &outbox,
                     );
                     session_name = name.clone();
                     lock(&registry.conn_sessions).insert(conn_index, session_name.clone());
@@ -1272,7 +1380,7 @@ fn serve_connection(
                         &mut handle,
                         &mut names,
                         &mut designer,
-                        &mut subscription,
+                        &outbox,
                     );
                     session_name = name.clone();
                     lock(&registry.conn_sessions).insert(conn_index, session_name.clone());
@@ -1287,7 +1395,7 @@ fn serve_connection(
                     &mut handle,
                     &mut names,
                     &mut designer,
-                    &mut subscription,
+                    &outbox,
                 );
                 session_name = DEFAULT_SESSION.to_owned();
                 lock(&registry.conn_sessions).insert(conn_index, session_name.clone());
@@ -1308,11 +1416,7 @@ fn serve_connection(
                             .into(),
                     }
                 } else {
-                    let mut frames = registry.stats_report(&session_name, all, false);
-                    frames.push(Frame::End);
-                    if write_frames(&writer, &frames).is_err() {
-                        break 'conn;
-                    }
+                    outbox.send(&registry.stats_report(&session_name, all, false));
                     continue;
                 }
             }
@@ -1325,21 +1429,16 @@ fn serve_connection(
                     }
                 } else if interval_ms == 0 {
                     // Interval zero disarms; `end` acknowledges it.
-                    watch_state = None;
+                    lock(&outbox.state).watch = None;
                     Frame::End
                 } else {
-                    watch_state = Some((
-                        all,
-                        Duration::from_millis(interval_ms),
-                        Instant::now(),
-                    ));
-                    // Push the first report immediately so a watcher does
-                    // not sit blind for a whole interval.
-                    let mut frames = registry.stats_report(&session_name, all, true);
-                    frames.push(Frame::End);
-                    if write_frames(&writer, &frames).is_err() {
-                        break 'conn;
-                    }
+                    let interval = Duration::from_millis(interval_ms);
+                    let due = deadline(Instant::now(), interval);
+                    lock(&outbox.state).watch = Some((all, interval, due));
+                    // Send the first report immediately so a watcher does
+                    // not sit blind for a whole interval; the writer sends
+                    // the rest as they fall due.
+                    outbox.send(&registry.stats_report(&session_name, all, true));
                     continue;
                 }
             }
@@ -1349,20 +1448,19 @@ fn serve_connection(
                 },
                 Some(recorder) => {
                     let lines = recorder.dump_indexed();
-                    let header = Frame::DumpReply {
+                    let mut frames = vec![Frame::DumpReply {
                         session: session_name.clone(),
                         count: lines.len() as u32,
                         recorded: recorder.recorded(),
-                    };
-                    if write_frame(&writer, &header).is_err() {
-                        break 'conn;
-                    }
-                    for (idx, line) in lines {
-                        if write_frame(&writer, &Frame::Flight { idx, line }).is_err() {
-                            break 'conn;
-                        }
-                    }
-                    Frame::End
+                    }];
+                    frames.extend(
+                        lines
+                            .into_iter()
+                            .map(|(idx, line)| Frame::Flight { idx, line }),
+                    );
+                    frames.push(Frame::End);
+                    outbox.send(&frames);
+                    continue;
                 }
             },
             // A client-sent `propose` asks the server to negotiate the
@@ -1427,26 +1525,11 @@ fn serve_connection(
                 message: format!("unexpected `{}` frame from a client", other.tag()),
             },
         };
-        if write_frame(&writer, &reply).is_err() {
-            break;
-        }
-    }
-    // Closing the inbox both stops the pusher and lets the session's
-    // fan-out GC the dead subscription.
-    if let Some(inbox) = subscription.take() {
-        inbox.close();
-    }
-    conn_done.store(true, Ordering::SeqCst);
-    for p in pushers {
-        let _ = p.join();
-    }
-    // The accept loop retains a clone of this socket (to unblock readers
-    // at server shutdown), so dropping our halves is not enough to close
-    // it — shut the underlying socket down so the peer sees EOF now, and
-    // deregister the clone so churn cannot accumulate dead streams.
-    let _ = read_half.shutdown(NetShutdown::Both);
-    lock(&streams).remove(&conn_index);
-    lock(&registry.conn_sessions).remove(&conn_index);
+        outbox.send(&[reply]);
+    };
+    outbox.close();
+    let _ = writer_thread.join();
+    shutdown
 }
 
 fn subscribe(
@@ -1462,41 +1545,6 @@ fn subscribe(
         InterestSet::for_designer(&snapshot, designer)
     };
     handle.subscribe_from(designer, interests, DEFAULT_INBOX_CAPACITY, resume_from)
-}
-
-fn push_events(
-    inbox: Inbox,
-    writer: Arc<Mutex<ConnWriter>>,
-    names: Arc<NameMaps>,
-    done: Arc<AtomicBool>,
-    sink: Arc<dyn MetricsSink>,
-    max_queue_age: Duration,
-) {
-    // Slow-client eviction is by queue AGE, not depth: the bounded inbox
-    // caps depth on its own, so a client that keeps it pinned near-full
-    // is losing events forever without ever tripping a depth check.
-    let mut backlogged_since: Option<Instant> = None;
-    loop {
-        let entries = inbox.wait_drain(PUSH_POLL);
-        for entry in &entries {
-            if write_frame(&writer, &names.event_frame(entry)).is_err() {
-                return;
-            }
-        }
-        if inbox.is_empty() {
-            backlogged_since = None;
-        } else {
-            let since = *backlogged_since.get_or_insert_with(Instant::now);
-            if since.elapsed() > max_queue_age {
-                sink.incr(Counter::OverloadSheds, 1);
-                inbox.close();
-                return;
-            }
-        }
-        if done.load(Ordering::SeqCst) || (inbox.is_closed() && inbox.is_empty()) {
-            return;
-        }
-    }
 }
 
 fn submit(
@@ -1601,11 +1649,8 @@ fn resolve_operation(
     }
 }
 
-fn stream_snapshot(
-    writer: &Mutex<ConnWriter>,
-    names: &NameMaps,
-    dpm: &DesignProcessManager,
-) -> io::Result<()> {
+/// The `state`, `prop`… `end` reply to a `snapshot` request.
+fn snapshot_frames(names: &NameMaps, dpm: &DesignProcessManager) -> Vec<Frame> {
     let network = dpm.network();
     let bound = network
         .property_ids()
@@ -1631,7 +1676,7 @@ fn stream_snapshot(
         }
     }));
     frames.push(Frame::End);
-    write_frames(writer, &frames)
+    frames
 }
 
 #[cfg(test)]
@@ -2535,6 +2580,111 @@ mod tests {
             .send(&Frame::Watch { all: false, interval_ms: 0 })
             .expect("disarm");
         recv_batch(&mut client);
+        server.shutdown();
+    }
+
+    /// `watch` reports fall due on the writer's clock, not on a quiet
+    /// read, so a client that never stops sending still gets them.
+    #[test]
+    fn watch_reports_arrive_while_the_client_keeps_sending() {
+        let server = serve_sensing();
+        let mut client = CollabClient::connect(server.local_addr()).expect("connect");
+        let first = read_batch(
+            &mut client,
+            &Frame::Watch {
+                all: false,
+                interval_ms: 30,
+            },
+        );
+        assert_eq!(first.len(), 1);
+        let mut reports = 0;
+        let mut nonce = 0;
+        let until = Instant::now() + Duration::from_millis(600);
+        while Instant::now() < until {
+            nonce += 1;
+            client.send(&Frame::Ping { nonce }).expect("ping");
+            // `recv` swallows the server's pongs.
+            while let Some(frame) = client.recv(Duration::from_millis(5)).expect("recv") {
+                if matches!(frame, Frame::StatsReply { watch: true, .. }) {
+                    reports += 1;
+                }
+            }
+        }
+        assert!(
+            reports >= 5,
+            "{reports} pushed reports in 600 ms of steady sending at a 30 ms interval"
+        );
+        // An interval no clock can represent arms like any other.
+        let first = read_batch(
+            &mut client,
+            &Frame::Watch {
+                all: false,
+                interval_ms: u64::MAX,
+            },
+        );
+        assert_eq!(first.len(), 1);
+        let welcome = client
+            .request(&Frame::Hello { designer: 0 })
+            .expect("hello");
+        assert!(matches!(welcome, Frame::Welcome { .. }));
+        server.shutdown();
+    }
+
+    #[test]
+    fn backlogged_subscriber_is_evicted_by_queue_age() {
+        let mut dpm = sensing_dpm();
+        let sink = Arc::new(InMemorySink::new());
+        dpm.set_sink(sink.clone());
+        let assign = |value: f64| {
+            let op = WireOp::Assign {
+                problem: "pressure-sensor".into(),
+                property: "sensor.s-area".into(),
+                value,
+            };
+            resolve_operation(&NameMaps::build(&dpm), DesignerId::new(1), op).expect("names")
+        };
+        let operations = [assign(4.0), assign(5.0)];
+        // Every line to every wire client crawls out 20 ms late.
+        let options = ServerOptions {
+            fault_plan: Some("seed=1,delay=1.0:20ms".parse().expect("plan")),
+            max_queue_age: Duration::from_millis(100),
+            ..ServerOptions::default()
+        };
+        let server =
+            CollabServer::bind_with(dpm, 0, options, SessionOptions::default()).expect("bind");
+        let mut subscriber = CollabClient::connect(server.local_addr()).expect("connect");
+        subscriber
+            .request(&Frame::Hello { designer: 2 })
+            .expect("hello");
+        subscriber
+            .request(&Frame::Subscribe {
+                all: true,
+                resume_from: None,
+            })
+            .expect("subscribe");
+        // The actor runs in process: over the wire its own replies would be
+        // delayed as much as the subscriber's events.
+        let handle = server.handle();
+        let mut operations = operations.iter().cycle();
+        let mut design = || {
+            let operation = operations.next().expect("endless cycle").clone();
+            handle.submit(operation).expect("session alive");
+            thread::sleep(Duration::from_millis(2));
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while sink.get(Counter::OverloadSheds) == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the subscriber was never evicted"
+            );
+            design();
+        }
+        // Keep designing a while: the evicted subscription sheds no more.
+        let until = Instant::now() + Duration::from_millis(200);
+        while Instant::now() < until {
+            design();
+        }
+        assert_eq!(sink.get(Counter::OverloadSheds), 1);
         server.shutdown();
     }
 

@@ -994,7 +994,6 @@ mod tests {
         ConstraintNetwork, Domain, Property, PropertyId, Relation, Value,
     };
     use adpm_core::{DpmConfig, ProblemId};
-    use std::time::Duration;
 
     /// Two designers share the receiver power budget `P_f + P_s <= 200`.
     fn session_fixture() -> (DesignProcessManager, PropertyId, PropertyId) {
@@ -1114,7 +1113,7 @@ mod tests {
         handle
             .submit(Operation::assign(d0, fe, pf, Value::number(150.0)))
             .expect("session alive");
-        let entries = inbox.wait_drain(Duration::from_secs(10));
+        let entries = inbox.drain();
         assert!(
             entries.iter().any(|e| matches!(
                 e.event,
@@ -1344,7 +1343,7 @@ mod tests {
             .iter()
             .any(|r| r.operation.operator().kind() == "relax"));
         // d1 saw the proposal and the close.
-        let entries = inbox.wait_drain(Duration::from_secs(10));
+        let entries = inbox.drain();
         assert!(entries
             .iter()
             .any(|e| matches!(e.event, Event::NegotiationProposed { .. })));

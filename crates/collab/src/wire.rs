@@ -16,7 +16,6 @@
 
 use adpm_observe::{escape_into, parse_object, CounterSnapshot, JsonValue};
 use std::fmt;
-use std::io::BufRead;
 
 /// Upper bound on one wire line, delimiter included (64 KiB).
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
@@ -1122,63 +1121,6 @@ impl Frame {
     }
 }
 
-/// Reads one frame from a buffered byte stream.
-///
-/// Returns `Ok(None)` on clean end-of-stream. Oversized lines are consumed
-/// (so the stream stays line-synchronized) but reported as an error without
-/// ever buffering more than [`MAX_LINE_BYTES`].
-///
-/// # Errors
-///
-/// `Err(Ok(io_error))`-free by design: I/O problems surface as a
-/// [`WireError`] describing them, since callers treat both identically —
-/// the connection is done.
-pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<Frame>, WireError> {
-    let mut line: Vec<u8> = Vec::new();
-    let mut discarded: usize = 0;
-    let mut oversized = false;
-    loop {
-        let buf = reader
-            .fill_buf()
-            .map_err(|e| WireError::io(format!("read failed: {e}")))?;
-        if buf.is_empty() {
-            // End of stream.
-            if line.is_empty() && !oversized {
-                return Ok(None);
-            }
-            break;
-        }
-        let newline = buf.iter().position(|b| *b == b'\n');
-        let take = newline.map_or(buf.len(), |i| i + 1);
-        if oversized {
-            discarded += take;
-        } else if line.len() + take > MAX_LINE_BYTES {
-            oversized = true;
-            discarded = line.len() + take;
-            line.clear();
-        } else {
-            line.extend_from_slice(&buf[..take]);
-        }
-        reader.consume(take);
-        if newline.is_some() {
-            break;
-        }
-    }
-    if oversized {
-        return Err(WireError::protocol(format!(
-            "line exceeds the {MAX_LINE_BYTES} byte limit \
-             ({discarded} bytes discarded resynchronizing)"
-        )));
-    }
-    let text = std::str::from_utf8(&line)
-        .map_err(|_| WireError::new("frame is not valid UTF-8"))?;
-    if text.trim().is_empty() {
-        // Tolerate blank keep-alive lines by reading the next frame.
-        return read_frame(reader);
-    }
-    Frame::parse_line(text).map(Some)
-}
-
 /// Outcome of draining one line from a [`LineBuffer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BufferedLine {
@@ -1193,13 +1135,13 @@ pub enum BufferedLine {
     },
 }
 
-/// Incremental line assembler for non-blocking reads, with bounded memory
-/// and skip accounting.
+/// The line framer both ends of a connection read through, with bounded
+/// memory and skip accounting.
 ///
-/// Unlike [`read_frame`], which blocks on a [`BufRead`], a `LineBuffer`
-/// accepts whatever bytes a short-timeout read produced ([`LineBuffer::push`])
-/// and hands back complete lines as they form ([`LineBuffer::take`]) — the
-/// shape a connection loop that interleaves reading with heartbeats needs.
+/// A `LineBuffer` accepts whatever bytes one socket read produced
+/// ([`LineBuffer::push`]) and hands back complete lines as they form
+/// ([`LineBuffer::take`]), so a line split across reads, or a read that
+/// timed out mid-line, loses nothing. A partial line is never parsed.
 /// A line that exceeds [`MAX_LINE_BYTES`] before its newline arrives is
 /// dropped, the buffer resynchronizes at the next newline, and the count
 /// of discarded bytes is reported as [`BufferedLine::Skipped`]; buffered
@@ -1617,45 +1559,6 @@ mod tests {
             counter_fields += 1;
         }
         assert_eq!(counter_fields, Counter::COUNT, "every counter crosses the wire");
-    }
-
-    #[test]
-    fn read_frame_streams_frames_and_skips_blank_lines() {
-        let text = format!(
-            "{}\n{}{}",
-            "", // leading blank line
-            Frame::Hello { designer: 0 }.to_line(),
-            Frame::Bye.to_line()
-        );
-        let mut reader = std::io::BufReader::new(text.as_bytes());
-        assert_eq!(
-            read_frame(&mut reader).unwrap(),
-            Some(Frame::Hello { designer: 0 })
-        );
-        assert_eq!(read_frame(&mut reader).unwrap(), Some(Frame::Bye));
-        assert_eq!(read_frame(&mut reader).unwrap(), None);
-    }
-
-    #[test]
-    fn read_frame_rejects_oversized_lines_without_buffering_them() {
-        let mut text = String::new();
-        text.push_str("{\"t\":\"rejected\",\"reason\":\"");
-        text.push_str(&"x".repeat(MAX_LINE_BYTES));
-        text.push_str("\"}\n");
-        text.push_str(&Frame::Bye.to_line());
-        let mut reader = std::io::BufReader::new(text.as_bytes());
-        let err = read_frame(&mut reader).expect_err("oversized");
-        assert!(err.message.contains("byte limit"));
-        // The stream stays line-synchronized: the next frame parses.
-        assert_eq!(read_frame(&mut reader).unwrap(), Some(Frame::Bye));
-    }
-
-    #[test]
-    fn read_frame_handles_missing_trailing_newline() {
-        let line = Frame::Snapshot.to_line();
-        let mut reader = std::io::BufReader::new(line.trim_end().as_bytes());
-        assert_eq!(read_frame(&mut reader).unwrap(), Some(Frame::Snapshot));
-        assert_eq!(read_frame(&mut reader).unwrap(), None);
     }
 
     #[test]

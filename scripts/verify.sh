@@ -318,11 +318,12 @@ grep -q '^adpm_session_ops{session="\*"} 1$' "$SCRAPE" || {
   echo "rollup did not aggregate session_ops"; cat "$SCRAPE"; exit 1; }
 grep -q '^adpm_events{session="\*"}' "$SCRAPE" || {
   echo "scrape missing rollup events"; cat "$SCRAPE"; exit 1; }
-# One stats batch as JSONL: default + s1 + s2 + the `*` rollup.
+# Three stats batches as JSONL, each default + s1 + s2 + the `*` rollup:
+# the immediate first report and two the server pushed on its own.
 TOP_LOG=$(mktemp)
-"$ADPM_RELEASE" top "$ADDR" --json --count 1 --interval 50 > "$TOP_LOG"
-[ "$(grep -c '"t":"stats_reply"' "$TOP_LOG")" -eq 4 ] || {
-  echo "top: expected 4 stats_reply rows"; cat "$TOP_LOG"; exit 1; }
+"$ADPM_RELEASE" top "$ADDR" --json --count 3 --interval 50 > "$TOP_LOG"
+[ "$(grep -c '"t":"stats_reply"' "$TOP_LOG")" -eq 12 ] || {
+  echo "top: expected 12 stats_reply rows"; cat "$TOP_LOG"; exit 1; }
 grep -q '"session":"s1"' "$TOP_LOG" || { echo "top missing s1"; cat "$TOP_LOG"; exit 1; }
 grep -q '"session":"\*"' "$TOP_LOG" || { echo "top missing rollup"; cat "$TOP_LOG"; exit 1; }
 # Schema lockstep: every non-metadata stats_reply key must name a counter

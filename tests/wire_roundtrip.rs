@@ -1,14 +1,32 @@
 //! Property-based round-trip tests for the collaboration wire protocol:
 //! any [`Frame`] the strategies can generate must survive
-//! `Frame::to_line` → `Frame::parse_line` (and the streaming
-//! `read_frame`) with every field intact — including adversarial names
+//! `Frame::to_line` → `Frame::parse_line` (and the `LineBuffer` framer
+//! both connection ends read through) with every field intact — including adversarial names
 //! needing every JSON escape and full-precision `f64` values — and the
 //! parser must reject malformed, mistyped, and oversized input with a
 //! useful message instead of mis-parsing it.
 
-use adpm_collab::{read_frame, Frame, WireOp, MAX_LINE_BYTES};
+use adpm_collab::{BufferedLine, Frame, LineBuffer, WireOp, MAX_LINE_BYTES};
 use proptest::prelude::*;
-use std::io::BufReader;
+
+/// Feeds `bytes` to a fresh [`LineBuffer`] in pieces of the given sizes
+/// (cycled), the way socket reads deliver them, and collects every line
+/// it yields along the way.
+fn frame_in_chunks(bytes: &[u8], sizes: &[usize]) -> (Vec<BufferedLine>, LineBuffer) {
+    let mut buffer = LineBuffer::new();
+    let mut lines = Vec::new();
+    let mut rest = bytes;
+    for size in sizes.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (chunk, tail) = rest.split_at((*size).min(rest.len()));
+        buffer.push(chunk);
+        lines.extend(std::iter::from_fn(|| buffer.take()));
+        rest = tail;
+    }
+    (lines, buffer)
+}
 
 /// Names as the engine produces them (`object.property` targets, problem
 /// and constraint names) plus adversarial strings that need every escape
@@ -131,22 +149,25 @@ proptest! {
         prop_assert_eq!(parsed, frame);
     }
 
-    /// A whole conversation's worth of frames streams back through
-    /// `read_frame` in order, then yields a clean EOF.
+    /// A whole conversation's worth of frames, arriving in arbitrary
+    /// pieces, comes back out of a `LineBuffer` in order with nothing left
+    /// over.
     #[test]
-    fn frame_streams_round_trip(frames in proptest::collection::vec(frame(), 0..12)) {
-        let mut bytes = Vec::new();
-        for frame in &frames {
-            bytes.extend_from_slice(frame.to_line().as_bytes());
-        }
-        let mut reader = BufReader::new(bytes.as_slice());
-        for expected in &frames {
-            let got = read_frame(&mut reader)
-                .expect("writer output must parse")
-                .expect("stream ended early");
-            prop_assert_eq!(&got, expected);
-        }
-        prop_assert_eq!(read_frame(&mut reader).expect("clean EOF"), None);
+    fn frame_streams_round_trip(
+        frames in proptest::collection::vec(frame(), 0..12),
+        sizes in proptest::collection::vec(1usize..64, 1..8),
+    ) {
+        let bytes: String = frames.iter().map(Frame::to_line).collect();
+        let (lines, buffer) = frame_in_chunks(bytes.as_bytes(), &sizes);
+        let parsed: Vec<Frame> = lines
+            .iter()
+            .map(|line| match line {
+                BufferedLine::Line(text) => Frame::parse_line(text).expect("writer output must parse"),
+                skipped => panic!("the framer skipped writer output: {skipped:?}"),
+            })
+            .collect();
+        prop_assert_eq!(parsed, frames);
+        prop_assert!(!buffer.has_pending());
     }
 }
 
@@ -177,8 +198,8 @@ fn parser_rejects_malformed_frames() {
     }
 }
 
-/// An oversized line is rejected whole — the reader consumes it without
-/// buffering and stays line-synchronized, so the next frame still parses.
+/// An oversized line is rejected whole — the framer skips it, counting
+/// every byte, and stays line-synchronized, so the next frame still parses.
 #[test]
 fn oversized_lines_are_rejected_in_both_paths() {
     let oversized = format!(
@@ -187,32 +208,46 @@ fn oversized_lines_are_rejected_in_both_paths() {
     );
     assert!(Frame::parse_line(&oversized).is_err());
 
+    let skipped = oversized.len() as u64 + 1;
     let mut bytes = oversized.into_bytes();
     bytes.push(b'\n');
     bytes.extend_from_slice(Frame::Bye.to_line().as_bytes());
-    let mut reader = BufReader::new(bytes.as_slice());
-    assert!(read_frame(&mut reader).is_err(), "oversized line must error");
+    let (lines, buffer) = frame_in_chunks(&bytes, &[4096]);
     assert_eq!(
-        read_frame(&mut reader).expect("resynchronized"),
-        Some(Frame::Bye),
-        "reader must recover at the next line boundary"
+        lines,
+        vec![
+            BufferedLine::Skipped { bytes: skipped },
+            BufferedLine::Line(Frame::Bye.to_line().trim_end().to_owned()),
+        ],
+        "the framer must skip the oversized line and recover at the next boundary"
     );
+    assert!(!buffer.has_pending());
 }
 
-/// Blank lines are skipped, a final frame without a trailing newline still
-/// parses, and non-UTF-8 bytes error instead of panicking.
+/// Blank lines are swallowed, a non-UTF-8 line is skipped instead of
+/// panicking, and a final frame without its newline stays buffered: no end
+/// parses a partial line.
 #[test]
 fn reader_edge_cases() {
+    let invalid = b"{\"t\":\"bye\xff\"}\n";
     let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"\n\n");
+    bytes.extend_from_slice(b"\n\r\n");
     bytes.extend_from_slice(Frame::Snapshot.to_line().as_bytes());
     bytes.extend_from_slice(b"\n");
+    bytes.extend_from_slice(invalid);
     bytes.extend_from_slice(Frame::End.to_line().trim_end().as_bytes());
-    let mut reader = BufReader::new(bytes.as_slice());
-    assert_eq!(read_frame(&mut reader).unwrap(), Some(Frame::Snapshot));
-    assert_eq!(read_frame(&mut reader).unwrap(), Some(Frame::End));
-    assert_eq!(read_frame(&mut reader).unwrap(), None);
-
-    let mut invalid = BufReader::new(&b"{\"t\":\"bye\xff\"}\n"[..]);
-    assert!(read_frame(&mut invalid).is_err());
+    let (lines, buffer) = frame_in_chunks(&bytes, &[3, 7]);
+    assert_eq!(
+        lines,
+        vec![
+            BufferedLine::Line(Frame::Snapshot.to_line().trim_end().to_owned()),
+            BufferedLine::Skipped {
+                bytes: invalid.len() as u64
+            },
+        ]
+    );
+    assert!(
+        buffer.has_pending(),
+        "the unterminated `end` frame waits for its newline"
+    );
 }
