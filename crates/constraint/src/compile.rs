@@ -36,6 +36,7 @@ use crate::ids::{ConstraintId, PropertyId};
 use crate::interval::Interval;
 use crate::network::ConstraintNetwork;
 use crate::propagate::{root_even, signed_root, tolerant_intersect, ReviseResult};
+use std::sync::OnceLock;
 
 /// One flat-program instruction. Operands are indices of earlier
 /// instructions in the same [`CompiledConstraint`]; `Var` operands index
@@ -73,7 +74,7 @@ pub(crate) enum Op {
 }
 
 /// One constraint lowered to a flat interval program.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct CompiledConstraint {
     ops: Vec<Op>,
     lhs_root: u32,
@@ -82,6 +83,54 @@ pub(crate) struct CompiledConstraint {
     /// The constraint's distinct arguments, ascending — variable slot `k`
     /// in [`Op::Var`] refers to `vars[k]`.
     vars: Vec<PropertyId>,
+    /// The gap form, built on the first monotonicity query (see
+    /// [`gap_form`](Self::gap_form)).
+    gap: OnceLock<GapForm>,
+}
+
+/// A constraint's gap `lhs - rhs` with everything monotonicity inference
+/// derives from it symbolically. It depends only on the constraint, so it
+/// is built once per program rather than once per query.
+#[derive(Debug, Clone)]
+pub(crate) struct GapForm {
+    /// The gap expression `lhs - rhs`.
+    pub(crate) gap: Expr,
+    /// Whether the gap has a kink (`abs`, `min`, `max`), in which case
+    /// inference samples the gap instead of reading a derivative.
+    pub(crate) kinked: bool,
+    /// `∂gap/∂vars[k]` per argument slot `k`; empty when `kinked`.
+    derivatives: Vec<Expr>,
+}
+
+impl GapForm {
+    fn new(constraint: &Constraint) -> Self {
+        let gap = constraint.gap();
+        let kinked = gap.has_kink();
+        let derivatives = if kinked {
+            Vec::new()
+        } else {
+            constraint
+                .argument_slice()
+                .iter()
+                .map(|pid| gap.diff(*pid))
+                .collect()
+        };
+        GapForm {
+            gap,
+            kinked,
+            derivatives,
+        }
+    }
+
+    /// The gap's partial derivative in argument slot `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the gap is kinked (no derivatives are built) or `slot`
+    /// is out of range.
+    pub(crate) fn derivative(&self, slot: usize) -> &Expr {
+        &self.derivatives[slot]
+    }
 }
 
 /// Reusable scratch buffers for [`CompiledConstraint::revise`] — the
@@ -123,7 +172,16 @@ impl CompiledConstraint {
             rhs_root,
             relation: constraint.relation(),
             vars,
+            gap: OnceLock::new(),
         }
+    }
+
+    /// The gap form of `constraint`, the source this program was compiled
+    /// from, built on the first call. Filling it lazily keeps derivatives
+    /// of constraints that are never violated off the setup path.
+    pub(crate) fn gap_form(&self, constraint: &Constraint) -> &GapForm {
+        debug_assert_eq!(self.vars, constraint.argument_slice());
+        self.gap.get_or_init(|| GapForm::new(constraint))
     }
 
     /// One HC4 revision against the intervals in `arena`, equivalent to
@@ -373,7 +431,7 @@ fn lower(expr: &Expr, vars: &[PropertyId], ops: &mut Vec<Op>) -> u32 {
 /// Every constraint of a network lowered to flat programs, indexed by
 /// [`ConstraintId`]. The network keeps it in lockstep with its constraints
 /// ([`push`](Self::push) on add, [`replace`](Self::replace) on relax).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CompiledNetwork {
     constraints: Vec<CompiledConstraint>,
 }
@@ -386,9 +444,21 @@ impl CompiledNetwork {
             .push(CompiledConstraint::compile(constraint));
     }
 
-    /// Recompiles the program of a rewritten constraint.
+    /// Recompiles the program of a rewritten constraint; its gap form is
+    /// dropped with the old program.
     pub(crate) fn replace(&mut self, constraint: &Constraint) {
         self.constraints[constraint.id().index()] = CompiledConstraint::compile(constraint);
+    }
+
+    /// The gap form of `constraint` (see [`CompiledConstraint::gap_form`]).
+    pub(crate) fn gap_form(&self, constraint: &Constraint) -> &GapForm {
+        self.constraints[constraint.id().index()].gap_form(constraint)
+    }
+
+    /// Whether constraint `cid`'s gap form has been built.
+    #[cfg(test)]
+    pub(crate) fn has_gap_form(&self, cid: ConstraintId) -> bool {
+        self.constraints[cid.index()].gap.get().is_some()
     }
 
     /// One HC4 revision of constraint `cid` against `arena` (see

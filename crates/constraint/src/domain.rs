@@ -207,16 +207,22 @@ impl Domain {
     /// This is the unit-independent quantity the *focus on the smallest
     /// feasible subspace* heuristic (paper §2.3.1) ranks properties by —
     /// the paper's own footnote notes raw sizes are unit-dependent.
+    ///
+    /// An unbounded `self` reads 1.0; a bounded one inside an unbounded
+    /// `initial` reads 0.0, like a singleton inside a bounded range.
     pub fn relative_size(&self, initial: &Domain) -> f64 {
         let init = initial.measure();
+        let size = self.measure();
         if init <= 0.0 {
             if self.is_empty() {
                 0.0
             } else {
                 1.0
             }
+        } else if size.is_infinite() {
+            1.0
         } else {
-            (self.measure() / init).clamp(0.0, 1.0)
+            (size / init).clamp(0.0, 1.0)
         }
     }
 
@@ -434,6 +440,15 @@ mod tests {
         let narrowed = Domain::interval(2.0, 4.0);
         assert!((narrowed.relative_size(&init) - 0.2).abs() < 1e-12);
         assert_eq!(init.relative_size(&init), 1.0);
+        assert_eq!(Domain::empty().relative_size(&init), 0.0);
+    }
+
+    #[test]
+    fn relative_size_of_unbounded_initial_is_finite() {
+        let init = Domain::interval(0.0, f64::INFINITY);
+        assert_eq!(init.relative_size(&init), 1.0);
+        assert_eq!(Domain::interval(1.0, f64::INFINITY).relative_size(&init), 1.0);
+        assert_eq!(Domain::interval(1.0, 4.0).relative_size(&init), 0.0);
         assert_eq!(Domain::empty().relative_size(&init), 0.0);
     }
 

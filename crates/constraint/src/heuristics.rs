@@ -72,13 +72,18 @@ impl HeuristicReport {
     /// per-property heuristic data. Call after
     /// [`propagate`](crate::propagate) (ADPM) or after explicit status
     /// updates (conventional flow).
+    ///
+    /// Only the per-operation state is read afresh: statuses, feasible
+    /// sizes and the directions of violated constraints. The structural
+    /// inputs — two-hop `β` and each constraint's gap derivatives — are
+    /// computed once per network structure and cached by the network.
     pub fn mine(net: &ConstraintNetwork) -> Self {
         let insights = net
             .property_ids()
             .map(|pid| {
                 let alpha = net.alpha(pid);
                 let beta = net.beta(pid);
-                let beta_indirect = net.beta_extended(pid, 2);
+                let beta_indirect = net.beta_indirect(pid);
                 let feasible_relative_size = net
                     .feasible(pid)
                     .relative_size(net.property(pid).initial_domain());
@@ -193,6 +198,75 @@ fn majority(directions: &[(ConstraintId, HelpsDirection)]) -> (Option<HelpsDirec
     }
 }
 
+/// The uncached mining, the test oracle for the structure caches: a fresh
+/// `BTreeSet` walk for each property's two-hop `β` and the uncached
+/// [`reference_helps_direction`](crate::monotone::reference_helps_direction).
+#[cfg(test)]
+pub(crate) fn reference_mine(net: &ConstraintNetwork) -> HeuristicReport {
+    use crate::monotone::reference_helps_direction;
+
+    let insights = net
+        .property_ids()
+        .map(|pid| {
+            let mut violation_directions = Vec::new();
+            for cid in net.constraints_of(pid) {
+                if net.status(*cid).is_violated() {
+                    if let Some(dir) = reference_helps_direction(net, *cid, pid) {
+                        violation_directions.push((*cid, dir));
+                    }
+                }
+            }
+            let (repair_direction, repair_support) = majority(&violation_directions);
+            PropertyInsight {
+                property: pid,
+                alpha: net.alpha(pid),
+                beta: net.beta(pid),
+                beta_indirect: reference_beta_extended(net, pid, 2),
+                feasible_relative_size: net
+                    .feasible(pid)
+                    .relative_size(net.property(pid).initial_domain()),
+                bound: net.is_bound(pid),
+                violation_directions,
+                repair_direction,
+                repair_support,
+            }
+        })
+        .collect();
+    HeuristicReport { insights }
+}
+
+/// [`ConstraintNetwork::beta_extended`] as a `BTreeSet` walk.
+#[cfg(test)]
+pub(crate) fn reference_beta_extended(
+    net: &ConstraintNetwork,
+    id: PropertyId,
+    depth: usize,
+) -> usize {
+    if depth == 0 {
+        return 0;
+    }
+    let mut seen: std::collections::BTreeSet<ConstraintId> =
+        net.constraints_of(id).iter().copied().collect();
+    let mut frontier: Vec<ConstraintId> = seen.iter().copied().collect();
+    for _ in 1..depth {
+        let mut next = Vec::new();
+        for cid in frontier.drain(..) {
+            for arg in net.constraint(cid).argument_slice() {
+                for dep in net.constraints_of(*arg) {
+                    if seen.insert(*dep) {
+                        next.push(*dep);
+                    }
+                }
+            }
+        }
+        if next.is_empty() {
+            break;
+        }
+        frontier = next;
+    }
+    seen.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +343,32 @@ mod tests {
         propagate(&mut net, &PropagationConfig::default());
         let report = HeuristicReport::mine(&net);
         assert_eq!(report.rank_by_smallest_feasible(&[b, a]), vec![a, b]);
+    }
+
+    #[test]
+    fn unbounded_initial_ranges_rank_without_panicking() {
+        let mut net = ConstraintNetwork::new();
+        let open = net
+            .add_property(Property::new(
+                "open",
+                "o",
+                Domain::interval(0.0, f64::INFINITY),
+            ))
+            .unwrap();
+        let capped = net
+            .add_property(Property::new("capped", "o", Domain::interval(0.0, 10.0)))
+            .unwrap();
+        net.add_constraint("floor", var(open), Relation::Ge, cst(1.0))
+            .unwrap();
+        net.add_constraint("cap", var(capped), Relation::Le, cst(5.0))
+            .unwrap();
+        propagate(&mut net, &PropagationConfig::default());
+        let report = HeuristicReport::mine(&net);
+        assert_eq!(report.insight(open).feasible_relative_size, 1.0);
+        assert_eq!(
+            report.rank_by_smallest_feasible(&[open, capped]),
+            vec![capped, open]
+        );
     }
 
     #[test]
@@ -388,5 +488,209 @@ mod tests {
         assert_eq!(report.insight(x).alpha, 0);
         assert!(report.insight(x).violation_directions.is_empty());
         assert!(report.conflicted_properties().is_empty());
+    }
+
+    /// SplitMix64: a seeded stream for the generated networks below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.unit()
+        }
+    }
+
+    fn add_random_property(net: &mut ConstraintNetwork, rng: &mut Rng) -> PropertyId {
+        let i = net.property_count();
+        let lo = rng.range(0.1, 1.0);
+        // A few open-ended ranges exercise the unbounded relative size.
+        let hi = if rng.below(40) == 0 {
+            f64::INFINITY
+        } else {
+            rng.range(10.0, 50.0)
+        };
+        net.add_property(Property::new(
+            format!("p{i}"),
+            format!("sub{}", i % 8),
+            Domain::interval(lo, hi),
+        ))
+        .unwrap()
+    }
+
+    /// Adds one random constraint over `net`'s properties: linear sums,
+    /// non-linear terms (products, quotients, roots, powers), kinked terms
+    /// (`abs`, `min`, `max`) and the occasional equality; some are soft and
+    /// some carry declared directions.
+    fn add_random_constraint(net: &mut ConstraintNetwork, rng: &mut Rng) -> ConstraintId {
+        let n = net.property_count();
+        let pick = |rng: &mut Rng| var(PropertyId::new(rng.below(n) as u32));
+        let (a, b, c) = (pick(rng), pick(rng), pick(rng));
+        let k = rng.range(1.0, 60.0);
+        let (lhs, rhs) = match rng.below(10) {
+            0 | 1 => (a + b * cst(rng.range(0.5, 3.0)), cst(k)),
+            2 => (a + b + c, cst(k)),
+            3 => (a * b, cst(k)),
+            4 => (cst(k) / a, b + cst(1.0)),
+            5 => (a.sqrt() + b.powi(2), c * cst(2.0)),
+            6 => ((a - cst(k / 4.0)).abs(), cst(rng.range(0.5, 5.0))),
+            7 => (a.max(b), c + cst(rng.range(0.0, 5.0))),
+            8 => (a.min(b) * cst(2.0), cst(k)),
+            _ => (a - b.ln(), c),
+        };
+        let rel = match rng.below(9) {
+            0..=3 => Relation::Le,
+            4..=6 => Relation::Ge,
+            7 => Relation::Lt,
+            _ => Relation::Eq,
+        };
+        let name = format!("c{}", net.constraint_count());
+        let cid = net.add_constraint(name, lhs, rel, rhs).unwrap();
+        if rng.below(4) == 0 {
+            net.set_constraint_soft(cid, true).unwrap();
+        }
+        let args = net.constraint(cid).arguments();
+        if rng.below(6) == 0 {
+            let dir = if rng.below(2) == 0 {
+                HelpsDirection::Up
+            } else {
+                HelpsDirection::Down
+            };
+            net.declare_monotonic(cid, args[rng.below(args.len())], dir)
+                .unwrap();
+        }
+        cid
+    }
+
+    fn random_net(rng: &mut Rng, props: usize, constraints: usize) -> ConstraintNetwork {
+        let mut net = ConstraintNetwork::new();
+        for _ in 0..props {
+            add_random_property(&mut net, rng);
+        }
+        for _ in 0..constraints {
+            add_random_constraint(&mut net, rng);
+        }
+        net
+    }
+
+    /// `mine` and `helps_direction` agree with the uncached reference on
+    /// every pair, and `beta_extended` with the `BTreeSet` walk. Returns
+    /// the number of violation directions mined.
+    fn assert_matches_reference(net: &ConstraintNetwork) -> usize {
+        let report = HeuristicReport::mine(net);
+        assert_eq!(report, reference_mine(net));
+        for cid in net.constraint_ids() {
+            for pid in net.constraint(cid).argument_slice() {
+                assert_eq!(
+                    helps_direction(net, cid, *pid),
+                    crate::monotone::reference_helps_direction(net, cid, *pid),
+                    "{cid:?} in {pid:?}"
+                );
+            }
+        }
+        for pid in net.property_ids() {
+            for depth in 0..4 {
+                assert_eq!(
+                    net.beta_extended(pid, depth),
+                    reference_beta_extended(net, pid, depth)
+                );
+            }
+        }
+        report
+            .insights()
+            .iter()
+            .map(|ins| ins.violation_directions.len())
+            .sum()
+    }
+
+    /// Mining from cached structure equals the uncached reference after
+    /// every step of seeded edit sequences on generated networks.
+    #[test]
+    fn cached_mining_matches_the_reference_along_seeded_edits() {
+        use crate::constraint::Relaxation;
+        use crate::propagate::propagate_incremental;
+        use adpm_observe::NoopSink;
+
+        let config = PropagationConfig::default();
+        let (mut directions, mut relaxed) = (0, 0);
+        for seed in 0..4u64 {
+            let mut rng = Rng(seed);
+            let mut net = random_net(&mut rng, 110, 100);
+            propagate(&mut net, &config);
+            assert_matches_reference(&net);
+            for _ in 0..30 {
+                let mut dirty = Vec::new();
+                match rng.below(10) {
+                    0..=3 => {
+                        let pid = PropertyId::new(rng.below(net.property_count()) as u32);
+                        let iv = net
+                            .property(pid)
+                            .initial_domain()
+                            .enclosing_interval()
+                            .unwrap();
+                        let hi = if iv.hi().is_finite() { iv.hi() } else { 100.0 };
+                        net.bind(pid, Value::number(rng.range(iv.lo(), hi)))
+                            .unwrap();
+                        dirty.push(pid);
+                    }
+                    4 => {
+                        let bound: Vec<PropertyId> =
+                            net.property_ids().filter(|p| net.is_bound(*p)).collect();
+                        if !bound.is_empty() {
+                            net.unbind(bound[rng.below(bound.len())]).unwrap();
+                        }
+                    }
+                    5 | 6 => {
+                        let cid = ConstraintId::new(rng.below(net.constraint_count()) as u32);
+                        let relaxation = if net.constraint(cid).is_soft() {
+                            Relaxation::Drop
+                        } else {
+                            Relaxation::WidenBound {
+                                slack: rng.range(0.5, 10.0),
+                            }
+                        };
+                        // Widening an equality is refused; the network is
+                        // unchanged then, which the oracle checks as well.
+                        relaxed += net.relax_constraint(cid, relaxation).is_ok() as usize;
+                    }
+                    7 => {
+                        add_random_constraint(&mut net, &mut rng);
+                    }
+                    8 => {
+                        add_random_property(&mut net, &mut rng);
+                        add_random_constraint(&mut net, &mut rng);
+                    }
+                    _ => {
+                        // A clone shares the caches; mining it must not
+                        // disturb the original's.
+                        let clone = net.clone();
+                        directions += assert_matches_reference(&clone);
+                    }
+                }
+                if rng.below(2) == 0 {
+                    propagate(&mut net, &config);
+                } else {
+                    propagate_incremental(&mut net, &dirty, &config, &NoopSink);
+                }
+                directions += assert_matches_reference(&net);
+            }
+        }
+        // The sequences must actually exercise directions and relaxations.
+        assert!(directions > 500, "only {directions} violation directions");
+        assert!(relaxed > 10, "only {relaxed} relaxations");
     }
 }

@@ -14,7 +14,9 @@
 //! 2. **Inference** — the symbolic derivative of the constraint's gap
 //!    expression, interval-evaluated over the current box; when the sign is
 //!    ambiguous (or the expression has a kink), a sampling fallback checks
-//!    whether the gap is monotone along the property's axis.
+//!    whether the gap is monotone along the property's axis. The gap and
+//!    its derivatives are built on a constraint's first query and kept with
+//!    its compiled program; each query only evaluates them.
 
 use crate::constraint::Relation;
 use crate::expr::Expr;
@@ -51,9 +53,9 @@ pub fn helps_direction(
     pid: PropertyId,
 ) -> Option<HelpsDirection> {
     let constraint = net.constraint(cid);
-    if !constraint.involves(pid) {
+    let Ok(slot) = constraint.argument_slice().binary_search(&pid) else {
         return None;
-    }
+    };
     if let Some(declared) = net.declared_monotonic(cid, pid) {
         return Some(declared);
     }
@@ -62,16 +64,21 @@ pub fn helps_direction(
         return None;
     }
 
-    let gap = constraint.gap();
-    let gap_trend = if gap.has_kink() {
-        sample_trend(net, &gap, pid)
+    let form = net.gap_form(cid);
+    let gap_trend = if form.kinked {
+        sample_trend(net, &form.gap, pid)
     } else {
-        derivative_trend(net, &gap, pid).or_else(|| sample_trend(net, &gap, pid))
+        derivative_trend(net, form.derivative(slot)).or_else(|| sample_trend(net, &form.gap, pid))
     }?;
+    direction_for(constraint.relation(), gap_trend)
+}
 
+/// The direction that helps satisfy a `relation` requirement whose gap
+/// moves with the property as `gap_trend` says.
+fn direction_for(relation: Relation, gap_trend: Trend) -> Option<HelpsDirection> {
     // `gap_trend == Up` means the gap (lhs - rhs) grows as pid grows.
     // For `<=` requirements a smaller gap helps; for `>=` a larger one does.
-    let direction = match (constraint.relation(), gap_trend) {
+    let direction = match (relation, gap_trend) {
         (Relation::Le | Relation::Lt, Trend::Up) => HelpsDirection::Down,
         (Relation::Le | Relation::Lt, Trend::Down) => HelpsDirection::Up,
         (Relation::Ge | Relation::Gt, Trend::Up) => HelpsDirection::Up,
@@ -175,10 +182,9 @@ enum Trend {
     Down,
 }
 
-/// Trend of `gap` along `pid` from the derivative's interval sign, if the
-/// sign is unambiguous over the current box.
-fn derivative_trend(net: &ConstraintNetwork, gap: &Expr, pid: PropertyId) -> Option<Trend> {
-    let derivative = gap.diff(pid);
+/// Trend of a gap along one property from the interval sign of the gap's
+/// `derivative` in it, if the sign is unambiguous over the current box.
+fn derivative_trend(net: &ConstraintNetwork, derivative: &Expr) -> Option<Trend> {
     let lookup = |id: PropertyId| net.effective_interval(id);
     let sign = derivative.eval_interval(&lookup);
     if sign.is_empty() {
@@ -251,6 +257,33 @@ fn sample_trend_over(
         (false, true, true) => Some(Trend::Down),
         _ => None,
     }
+}
+
+/// The uncached [`helps_direction`], the test oracle for the gap cache:
+/// it rebuilds the gap and its derivative in `pid` on every call.
+#[cfg(test)]
+pub(crate) fn reference_helps_direction(
+    net: &ConstraintNetwork,
+    cid: ConstraintId,
+    pid: PropertyId,
+) -> Option<HelpsDirection> {
+    let constraint = net.constraint(cid);
+    if !constraint.involves(pid) {
+        return None;
+    }
+    if let Some(declared) = net.declared_monotonic(cid, pid) {
+        return Some(declared);
+    }
+    if constraint.relation() == Relation::Eq {
+        return None;
+    }
+    let gap = constraint.gap();
+    let gap_trend = if gap.has_kink() {
+        sample_trend(net, &gap, pid)
+    } else {
+        derivative_trend(net, &gap.diff(pid)).or_else(|| sample_trend(net, &gap, pid))
+    }?;
+    direction_for(constraint.relation(), gap_trend)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! constraint. It is the data structure the paper's Design Constraint
 //! Manager evaluates and the Design Process Manager labels states with.
 
-use crate::compile::CompiledNetwork;
+use crate::compile::{CompiledNetwork, GapForm};
 use crate::constraint::{Constraint, ConstraintStatus, Relation, Relaxation};
 use crate::domain::Domain;
 use crate::error::NetworkError;
@@ -16,7 +16,7 @@ use crate::interval::Interval;
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Static description of a design property.
 ///
@@ -164,9 +164,14 @@ pub struct ConstraintNetwork {
     constraints: Vec<Constraint>,
     /// Each constraint lowered to a flat interval program, in lockstep with
     /// `constraints`: compiled in `add_constraint`, recompiled in
-    /// `relax_constraint` — the only structural edits. Behind an `Arc`, so
-    /// cloning the network shares the programs instead of copying them.
+    /// `relax_constraint` — the only edits of constraints. Behind an `Arc`,
+    /// so cloning the network shares the programs, and the gap forms they
+    /// build on first use, instead of copying them.
     programs: Arc<CompiledNetwork>,
+    /// Each property's two-hop `β` ([`beta_indirect`](Self::beta_indirect)),
+    /// computed on the first read after a structural edit. Clones share it;
+    /// `add_property`, `add_constraint` and `relax_constraint` replace it.
+    two_hop_beta: Arc<OnceLock<Vec<usize>>>,
     statuses: Vec<ConstraintStatus>,
     prop_constraints: Vec<Vec<ConstraintId>>,
     declared_monotonic: HashMap<(ConstraintId, PropertyId), HelpsDirection>,
@@ -224,6 +229,7 @@ impl ConstraintNetwork {
         });
         self.prop_constraints.push(Vec::new());
         self.name_index.insert(key, id);
+        self.two_hop_beta = Arc::default();
         self.fixpoint_clean = false;
         Ok(id)
     }
@@ -266,6 +272,7 @@ impl ConstraintNetwork {
         Arc::make_mut(&mut self.programs).push(&constraint);
         self.constraints.push(constraint);
         self.statuses.push(ConstraintStatus::Consistent);
+        self.two_hop_beta = Arc::default();
         self.fixpoint_clean = false;
         Ok(id)
     }
@@ -338,6 +345,12 @@ impl ConstraintNetwork {
         &self.programs
     }
 
+    /// The gap form of constraint `cid`: its gap expression, kink flag and
+    /// per-argument derivatives, built on first use and shared by clones.
+    pub(crate) fn gap_form(&self, cid: ConstraintId) -> &GapForm {
+        self.programs.gap_form(&self.constraints[cid.index()])
+    }
+
     /// The constraints where property `id` appears (the basis of `β_i`).
     pub fn constraints_of(&self, id: PropertyId) -> &[ConstraintId] {
         &self.prop_constraints[id.index()]
@@ -396,29 +409,21 @@ impl ConstraintNetwork {
     /// extension: "β_i may also include constraints indirectly related to
     /// a_i by an intermediate constraint".
     pub fn beta_extended(&self, id: PropertyId, depth: usize) -> usize {
-        if depth == 0 {
-            return 0;
-        }
-        let mut seen_constraints: std::collections::BTreeSet<ConstraintId> =
-            self.prop_constraints[id.index()].iter().copied().collect();
-        let mut frontier: Vec<ConstraintId> = seen_constraints.iter().copied().collect();
-        for _ in 1..depth {
-            let mut next = Vec::new();
-            for cid in frontier.drain(..) {
-                for arg in self.constraints[cid.index()].argument_slice() {
-                    for dep in &self.prop_constraints[arg.index()] {
-                        if seen_constraints.insert(*dep) {
-                            next.push(*dep);
-                        }
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        seen_constraints.len()
+        Walk::new(self.constraints.len()).count(self, id, depth)
+    }
+
+    /// [`beta_extended`](Self::beta_extended) at two hops, the `β`
+    /// extension [`HeuristicReport`](crate::HeuristicReport) mines. It
+    /// depends only on the network's structure, so the first read after a
+    /// structural edit computes it for every property and later reads are
+    /// lookups.
+    pub fn beta_indirect(&self, id: PropertyId) -> usize {
+        self.two_hop_beta.get_or_init(|| {
+            let mut walk = Walk::new(self.constraints.len());
+            self.property_ids()
+                .map(|pid| walk.count(self, pid, 2))
+                .collect()
+        })[id.index()]
     }
 
     /// The paper's `α_i`: number of *violated* constraints where `id`
@@ -700,6 +705,7 @@ impl ConstraintNetwork {
         }
         Arc::make_mut(&mut self.programs).replace(&new);
         self.constraints[cid.index()] = new;
+        self.two_hop_beta = Arc::default();
         self.fixpoint_clean = false;
         self.evaluate_constraint(cid);
         Ok(())
@@ -780,10 +786,65 @@ impl ConstraintNetwork {
     }
 }
 
+/// A breadth-first walk of the property–constraint graph. Constraints are
+/// marked with the walk's current stamp, so consecutive walks share the
+/// buffers without clearing them.
+struct Walk {
+    marks: Vec<u32>,
+    stamp: u32,
+    frontier: Vec<ConstraintId>,
+    next: Vec<ConstraintId>,
+}
+
+impl Walk {
+    fn new(constraints: usize) -> Self {
+        Walk {
+            marks: vec![0; constraints],
+            stamp: 0,
+            frontier: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    /// The number of constraints within `depth` hops of property `id`.
+    fn count(&mut self, net: &ConstraintNetwork, id: PropertyId, depth: usize) -> usize {
+        if depth == 0 {
+            return 0;
+        }
+        self.stamp += 1;
+        self.frontier.clear();
+        for cid in &net.prop_constraints[id.index()] {
+            self.marks[cid.index()] = self.stamp;
+            self.frontier.push(*cid);
+        }
+        let mut count = self.frontier.len();
+        for _ in 1..depth {
+            self.next.clear();
+            for cid in &self.frontier {
+                for arg in net.constraints[cid.index()].argument_slice() {
+                    for dep in &net.prop_constraints[arg.index()] {
+                        if self.marks[dep.index()] != self.stamp {
+                            self.marks[dep.index()] = self.stamp;
+                            self.next.push(*dep);
+                        }
+                    }
+                }
+            }
+            if self.next.is_empty() {
+                break;
+            }
+            count += self.next.len();
+            std::mem::swap(&mut self.frontier, &mut self.next);
+        }
+        count
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{cst, var};
+    use crate::heuristics::HeuristicReport;
 
     fn simple_net() -> (ConstraintNetwork, PropertyId, PropertyId, ConstraintId) {
         let mut net = ConstraintNetwork::new();
@@ -1098,5 +1159,125 @@ mod tests {
         net.mark_fixpoint(true);
         net.unbind(b).unwrap();
         assert!(!net.incremental_reuse_ok());
+    }
+
+    /// A chain `soft c0: x0 + x1 <= 4`, `c1: x1 <= x2`, `c2: x2 + x3 <= 9`
+    /// with `x0` bound to 10, so `c0` is violated and mining builds its gap
+    /// form.
+    fn chain_net() -> (ConstraintNetwork, Vec<PropertyId>, Vec<ConstraintId>) {
+        let mut net = ConstraintNetwork::new();
+        let x: Vec<PropertyId> = (0..4)
+            .map(|i| {
+                net.add_property(Property::new(
+                    format!("x{i}"),
+                    "o",
+                    Domain::interval(0.0, 10.0),
+                ))
+                .unwrap()
+            })
+            .collect();
+        let c = vec![
+            net.add_constraint("c0", var(x[0]) + var(x[1]), Relation::Le, cst(4.0))
+                .unwrap(),
+            net.add_constraint("c1", var(x[1]), Relation::Le, var(x[2]))
+                .unwrap(),
+            net.add_constraint("c2", var(x[2]) + var(x[3]), Relation::Le, cst(9.0))
+                .unwrap(),
+        ];
+        net.set_constraint_soft(c[0], true).unwrap();
+        net.bind(x[0], Value::number(10.0)).unwrap();
+        net.evaluate_statuses();
+        assert!(net.status(c[0]).is_violated());
+        (net, x, c)
+    }
+
+    fn mine_checked(net: &ConstraintNetwork) -> HeuristicReport {
+        let report = HeuristicReport::mine(net);
+        assert_eq!(report, crate::heuristics::reference_mine(net));
+        report
+    }
+
+    #[test]
+    fn relax_dropping_an_argument_updates_beta_and_the_gap_cache() {
+        let (mut net, x, c) = chain_net();
+        let report = mine_checked(&net);
+        assert_eq!(report.insight(x[0]).beta, 1);
+        assert_eq!(report.insight(x[0]).beta_indirect, 2);
+        assert_eq!(report.insight(x[1]).beta_indirect, 3);
+        assert_eq!(
+            report.insight(x[0]).violation_directions,
+            vec![(c[0], HelpsDirection::Down)]
+        );
+        assert!(net.programs().has_gap_form(c[0]));
+
+        net.relax_constraint(c[0], Relaxation::Drop).unwrap();
+        assert!(!net.programs().has_gap_form(c[0]));
+        let report = mine_checked(&net);
+        assert_eq!(report.insight(x[0]).beta, 0);
+        assert_eq!(report.insight(x[0]).beta_indirect, 0);
+        assert_eq!(report.insight(x[1]).beta_indirect, 2);
+        assert!(report.insight(x[0]).violation_directions.is_empty());
+        assert_eq!(crate::helps_direction(&net, c[0], x[0]), None);
+        assert_eq!(net.gap_form(c[0]).gap, net.constraint(c[0]).gap());
+    }
+
+    #[test]
+    fn relax_widening_rebuilds_the_gap_form() {
+        let (mut net, _, c) = chain_net();
+        mine_checked(&net);
+        net.relax_constraint(c[0], Relaxation::WidenBound { slack: 2.0 })
+            .unwrap();
+        assert!(!net.programs().has_gap_form(c[0]));
+        mine_checked(&net);
+        assert_eq!(net.gap_form(c[0]).gap, net.constraint(c[0]).gap());
+    }
+
+    #[test]
+    fn structural_additions_after_a_mine_reach_the_next_mine() {
+        let (mut net, x, _) = chain_net();
+        let before = mine_checked(&net);
+        assert_eq!(before.insight(x[3]).beta_indirect, 2);
+
+        let x4 = net
+            .add_property(Property::new("x4", "o", Domain::interval(0.0, 10.0)))
+            .unwrap();
+        let report = mine_checked(&net);
+        assert_eq!(report.insights().len(), 5);
+        assert_eq!(report.insight(x4).beta_indirect, 0);
+
+        // `x3 + x4 >= 30` cannot hold inside [0, 10]²: violated, and both
+        // arguments must rise.
+        let c3 = net
+            .add_constraint("c3", var(x[3]) + var(x4), Relation::Ge, cst(30.0))
+            .unwrap();
+        net.evaluate_statuses();
+        let report = mine_checked(&net);
+        assert_eq!(report.insight(x[3]).beta, 2);
+        assert_eq!(report.insight(x[2]).beta_indirect, 4);
+        assert_eq!(report.insight(x4).beta_indirect, 2);
+        assert_eq!(
+            report.insight(x4).violation_directions,
+            vec![(c3, HelpsDirection::Up)]
+        );
+    }
+
+    #[test]
+    fn relaxing_a_clone_leaves_the_original_caches_untouched() {
+        let (original, x, c) = chain_net();
+        let report = mine_checked(&original);
+        let two_hop = Arc::clone(&original.two_hop_beta);
+        let programs = Arc::clone(original.programs());
+
+        let mut clone = original.clone();
+        assert!(Arc::ptr_eq(&two_hop, &clone.two_hop_beta));
+        clone.relax_constraint(c[0], Relaxation::Drop).unwrap();
+        assert_eq!(mine_checked(&clone).insight(x[1]).beta_indirect, 2);
+        assert!(!clone.programs().has_gap_form(c[0]));
+
+        assert!(Arc::ptr_eq(&two_hop, &original.two_hop_beta));
+        assert!(Arc::ptr_eq(&programs, original.programs()));
+        assert!(original.programs().has_gap_form(c[0]));
+        assert_eq!(original.gap_form(c[0]).gap, original.constraint(c[0]).gap());
+        assert_eq!(mine_checked(&original), report);
     }
 }

@@ -400,6 +400,15 @@ awk '
 }
 END { if (!seen) { print "no parseable bench_summary"; exit 1 } }' "$NEG_JSON"
 
+# A traced perfbench run fails unless its per-layer self times reconcile
+# with the end-to-end submit (negative self time within 25%) and the
+# offline replay of core.execute stays within 0.5-2x of the live spans.
+echo "==> perfbench traced runs (layer reconciliation + in-situ replay, registered workloads)"
+for WORKLOAD in collab-large-net teamsim-batch; do
+  cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$WORKLOAD" --seed 1 --seconds 4 --trace 1 >/dev/null
+done
+
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
