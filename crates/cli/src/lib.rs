@@ -2734,6 +2734,46 @@ mod tests {
     }
 
     #[test]
+    fn traced_remote_run_keeps_constraint_profiles() {
+        // `run --remote` tees the trace writer with the server's hub sinks
+        // and flight recorder; only the writer wants `cprof`/`pprof`.
+        let dir = std::env::temp_dir().join("adpm-cli-test");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join(format!(
+            "mini-remote-{:?}.jsonl",
+            std::thread::current().id()
+        ));
+        run(
+            MINI,
+            &RunOptions {
+                seed: 7,
+                remote: true,
+                trace: Some(path.clone()),
+                ..RunOptions::default()
+            },
+        )
+        .expect("valid scenario");
+        let text = std::fs::read_to_string(&path).expect("trace file");
+        std::fs::remove_file(&path).ok();
+        let lines = parse_trace(&text).expect("schema-valid JSONL");
+        let cprof: u64 = lines
+            .iter()
+            .filter(|l| l.tag() == "cprof")
+            .map(|l| l.u64_field("evaluations").expect("evaluations field"))
+            .sum();
+        let counters = lines.last().expect("non-empty trace");
+        assert_eq!(counters.tag(), "counters");
+        assert!(
+            cprof > 0,
+            "the served session still profiles into the trace"
+        );
+        assert_eq!(Some(cprof), counters.u64_field("evaluations"));
+        let report = analyze(&text, false).expect("valid trace");
+        assert!(report.contains("constraint hot-spots"), "{report}");
+        assert!(!report.contains("no cprof"), "{report}");
+    }
+
+    #[test]
     fn fault_tolerance_option_parsing() {
         let options = parse_serve_options(&[
             "--journal".into(),

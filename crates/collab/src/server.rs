@@ -1334,12 +1334,12 @@ fn run_connection(
                     reply
                 }
             },
-            Frame::Snapshot => match handle.snapshot() {
+            Frame::Snapshot => match handle.read(WireState::copy) {
                 Err(_) => Frame::Error {
                     message: "session is shut down".into(),
                 },
-                Ok(dpm) => {
-                    outbox.send(&snapshot_frames(&names, &dpm));
+                Ok(state) => {
+                    outbox.send(&state.frames(&names));
                     continue;
                 }
             },
@@ -1541,8 +1541,7 @@ fn subscribe(
     let interests = if all {
         InterestSet::everything()
     } else {
-        let snapshot = handle.snapshot()?;
-        InterestSet::for_designer(&snapshot, designer)
+        handle.read(move |dpm| InterestSet::for_designer(dpm, designer))?
     };
     handle.subscribe_from(designer, interests, DEFAULT_INBOX_CAPACITY, resume_from)
 }
@@ -1649,41 +1648,65 @@ fn resolve_operation(
     }
 }
 
-/// The `state`, `prop`… `end` reply to a `snapshot` request.
-fn snapshot_frames(names: &NameMaps, dpm: &DesignProcessManager) -> Vec<Frame> {
-    let network = dpm.network();
-    let bound = network
-        .property_ids()
-        .filter(|id| network.is_bound(*id))
-        .count();
-    let mut frames = Vec::with_capacity(network.property_count() + 2);
-    frames.push(Frame::State {
-        operations: dpm.operations_total() as u64,
-        bound: bound as u32,
-        violations: network.violated_constraints().len() as u32,
-    });
-    frames.extend(network.property_ids().map(|id| {
-        // An empty feasible subspace is encoded as an inverted interval.
-        let (lo, hi) = network
-            .feasible(id)
-            .enclosing_interval()
-            .map_or((1.0, 0.0), |iv| (iv.lo(), iv.hi()));
-        Frame::Prop {
-            name: names.property_name(id).to_owned(),
-            lo,
-            hi,
-            bound: network.is_bound(id),
+/// What a `snapshot` reply carries, copied on the session thread by
+/// [`WireState::copy`] so that the session waits only for the copy; the
+/// frames are rendered on the connection thread.
+struct WireState {
+    operations: u64,
+    bound: u32,
+    violations: u32,
+    /// `(lo, hi, bound)` per property, in id order. An empty feasible
+    /// subspace is encoded as an inverted interval.
+    props: Vec<(f64, f64, bool)>,
+}
+
+impl WireState {
+    fn copy(dpm: &DesignProcessManager) -> WireState {
+        let network = dpm.network();
+        let props: Vec<(f64, f64, bool)> = network
+            .property_ids()
+            .map(|id| {
+                let (lo, hi) = network
+                    .feasible(id)
+                    .enclosing_interval()
+                    .map_or((1.0, 0.0), |iv| (iv.lo(), iv.hi()));
+                (lo, hi, network.is_bound(id))
+            })
+            .collect();
+        WireState {
+            operations: dpm.operations_total() as u64,
+            bound: props.iter().filter(|(_, _, bound)| *bound).count() as u32,
+            violations: network.violated_constraints().len() as u32,
+            props,
         }
-    }));
-    frames.push(Frame::End);
-    frames
+    }
+
+    /// The `state`, `prop`… `end` reply to a `snapshot` request.
+    fn frames(&self, names: &NameMaps) -> Vec<Frame> {
+        let mut frames = Vec::with_capacity(self.props.len() + 2);
+        frames.push(Frame::State {
+            operations: self.operations,
+            bound: self.bound,
+            violations: self.violations,
+        });
+        frames.extend(self.props.iter().zip(&names.property_names).map(
+            |(&(lo, hi, bound), name)| Frame::Prop {
+                name: name.clone(),
+                lo,
+                hi,
+                bound,
+            },
+        ));
+        frames.push(Frame::End);
+        frames
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::CollabClient;
-    use adpm_observe::InMemorySink;
+    use adpm_observe::{InMemorySink, DEFAULT_FLIGHT_CAPACITY};
     use adpm_scenarios::sensing_system;
     use adpm_teamsim::SimulationConfig;
     use std::time::Duration;
@@ -2056,13 +2079,14 @@ mod tests {
                     resume_from: None,
                 })
                 .expect("subscribe");
-            // Dropped here with an active subscription: the pusher thread
-            // must notice the dead socket or the closing inbox and exit.
+            // Dropped here with an active subscription: the reader thread
+            // sees EOF and closes the outbox, and the connection's writer
+            // thread must notice that (or the dead socket) and exit.
         }
         let mut client = CollabClient::connect(addr).expect("connect again");
         let welcome = client.request(&Frame::Hello { designer: 1 }).expect("hello");
         assert!(matches!(welcome, Frame::Welcome { .. }));
-        // shutdown() joins every connection thread; a wedged pusher would
+        // shutdown() joins every connection thread; a wedged writer would
         // hang the test here.
         server.shutdown();
     }
@@ -2599,20 +2623,58 @@ mod tests {
         assert_eq!(first.len(), 1);
         let mut reports = 0;
         let mut nonce = 0;
+        // Whether a report's `stats_reply` has been read but not its `end`.
+        let mut in_report = false;
+        let mut track = |frame: Frame| match frame {
+            Frame::StatsReply { watch: true, .. } => {
+                reports += 1;
+                in_report = true;
+                false
+            }
+            Frame::End if in_report => {
+                in_report = false;
+                false
+            }
+            Frame::End => true,
+            other => panic!("unexpected {other:?}"),
+        };
         let until = Instant::now() + Duration::from_millis(600);
         while Instant::now() < until {
             nonce += 1;
             client.send(&Frame::Ping { nonce }).expect("ping");
             // `recv` swallows the server's pongs.
             while let Some(frame) = client.recv(Duration::from_millis(5)).expect("recv") {
-                if matches!(frame, Frame::StatsReply { watch: true, .. }) {
-                    reports += 1;
+                assert!(!track(frame), "an `end` outside a report");
+            }
+        }
+        // Disarm, and drain up to the bare `end` acknowledging it: reports
+        // already due may still be on the wire ahead of it, none after.
+        client
+            .send(&Frame::Watch {
+                all: false,
+                interval_ms: 0,
+            })
+            .expect("disarm");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            assert!(
+                Instant::now() < deadline,
+                "the disarm was never acknowledged"
+            );
+            if let Some(frame) = client.recv(Duration::from_millis(100)).expect("recv") {
+                if track(frame) {
+                    break;
                 }
             }
         }
         assert!(
             reports >= 5,
             "{reports} pushed reports in 600 ms of steady sending at a 30 ms interval"
+        );
+        assert_eq!(
+            client.recv(Duration::from_millis(100)).expect("recv"),
+            None,
+            "no report follows the disarm"
         );
         // An interval no clock can represent arms like any other.
         let first = read_batch(
@@ -2721,6 +2783,147 @@ mod tests {
         let recorder = server.flight_recorder(DEFAULT_SESSION).expect("recorder");
         assert!(recorder.len() >= *count as usize);
         server.shutdown();
+    }
+
+    /// A chain `x0 <= x1 <= … <= xN` of more constraints than the flight
+    /// recorder holds, so one propagation touches more constraints than
+    /// the ring has room for.
+    fn chain_dpm(constraints: usize) -> DesignProcessManager {
+        let mut source = String::from("object chain {\n");
+        for i in 0..=constraints {
+            source.push_str(&format!("    property x{i} : interval(0, 100);\n"));
+        }
+        source.push_str("}\n");
+        let names: Vec<String> = (0..constraints).map(|i| format!("c{i}")).collect();
+        for (i, name) in names.iter().enumerate() {
+            source.push_str(&format!(
+                "constraint {name}: chain.x{i} <= chain.x{};\n",
+                i + 1
+            ));
+        }
+        source.push_str(&format!(
+            "problem chain {{ outputs: chain.x0, chain.x100, chain.x200; \
+             constraints: {}; designer 0; }}\n",
+            names.join(", ")
+        ));
+        let scenario = adpm_dddl::compile_source(&source).expect("chain compiles");
+        let mut dpm = scenario.build_dpm(SimulationConfig::adpm(7).dpm_config());
+        dpm.initialize();
+        dpm
+    }
+
+    #[test]
+    fn dump_keeps_whole_operations_on_a_large_network() {
+        let constraints = DEFAULT_FLIGHT_CAPACITY + 44;
+        let server = CollabServer::bind(chain_dpm(constraints), 0).expect("bind");
+        let mut client = CollabClient::connect(server.local_addr()).expect("connect");
+        client
+            .request(&Frame::Hello { designer: 0 })
+            .expect("hello");
+        let mut executed = Vec::new();
+        for (property, value) in [
+            ("chain.x0", 10.0),
+            ("chain.x100", 50.0),
+            ("chain.x200", 60.0),
+        ] {
+            let reply = client
+                .request(&Frame::Submit {
+                    op: WireOp::Assign {
+                        problem: "chain".into(),
+                        property: property.into(),
+                        value,
+                    },
+                    cid: None,
+                })
+                .expect("submit");
+            let Frame::Executed {
+                seq, evaluations, ..
+            } = reply
+            else {
+                panic!("expected executed, got {reply:?}");
+            };
+            executed.push(seq);
+            assert!(evaluations > 100, "each assign propagates along the chain");
+        }
+        let frames = read_batch(&mut client, &Frame::Dump);
+        let lines: Vec<&str> = frames[1..]
+            .iter()
+            .map(|frame| match frame {
+                Frame::Flight { line, .. } => line.as_str(),
+                other => panic!("expected flight, got {other:?}"),
+            })
+            .collect();
+        let trace = adpm_observe::parse_trace(&lines.join("\n")).expect("ring lines parse");
+        for seq in &executed {
+            assert!(
+                trace
+                    .iter()
+                    .any(|l| l.tag() == "op" && l.u64_field("seq") == Some(*seq)),
+                "the ring lost the `op` line of operation {seq}"
+            );
+        }
+        let submits = trace
+            .iter()
+            .filter(|l| l.tag() == "session" && l.str_field("kind") == Some("submit"))
+            .count();
+        assert_eq!(submits, executed.len(), "one `session` line per submit");
+        assert!(
+            trace
+                .iter()
+                .all(|l| l.tag() != "cprof" && l.tag() != "pprof"),
+            "profile lines stay out of the ring"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn profiles_reach_a_trace_writer_but_not_the_flight_recorder() {
+        let dir = std::env::temp_dir().join("adpm-collab-server-tests");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join(format!("profiles-{:?}.jsonl", std::thread::current().id()));
+        let trace = Arc::new(adpm_observe::JsonlSink::create(&path).expect("trace file"));
+        let mut dpm = sensing_dpm();
+        dpm.set_sink(Arc::new(TeeSink::new(vec![
+            trace.clone() as Arc<dyn MetricsSink>
+        ])));
+        let server =
+            CollabServer::bind_with(dpm, 0, ServerOptions::default(), SessionOptions::default())
+                .expect("bind");
+        let mut client = CollabClient::connect(server.local_addr()).expect("connect");
+        client
+            .request(&Frame::Hello { designer: 1 })
+            .expect("hello");
+        for value in [4.0, 5.0, 6.0] {
+            assert!(matches!(
+                assign_s_area(&mut client, value),
+                Frame::Executed { .. }
+            ));
+        }
+        let recorder = server.flight_recorder(DEFAULT_SESSION).expect("recorder");
+        let ring = adpm_observe::parse_trace(&recorder.dump().join("\n")).expect("ring parses");
+        assert_eq!(ring.iter().filter(|l| l.tag() == "op").count(), 3);
+        assert!(
+            ring.iter()
+                .all(|l| l.tag() != "cprof" && l.tag() != "pprof"),
+            "profile lines stay out of the ring"
+        );
+        server.shutdown();
+        trace.finish().expect("flush trace");
+        let text = std::fs::read_to_string(&path).expect("read trace");
+        std::fs::remove_file(&path).ok();
+        let lines = adpm_observe::parse_trace(&text).expect("trace parses");
+        let cprof: u64 = lines
+            .iter()
+            .filter(|l| l.tag() == "cprof")
+            .map(|l| l.u64_field("evaluations").expect("evaluations field"))
+            .sum();
+        assert!(
+            lines.iter().any(|l| l.tag() == "pprof"),
+            "narrowings are profiled"
+        );
+        let counters = lines.last().expect("non-empty trace");
+        assert_eq!(counters.tag(), "counters");
+        assert_eq!(Some(cprof), counters.u64_field("evaluations"));
     }
 
     #[test]

@@ -123,8 +123,10 @@ enum Command {
         resume_from: Option<u64>,
         reply: Sender<(Inbox, u64)>,
     },
-    Snapshot {
-        reply: Sender<DesignProcessManager>,
+    /// A read of the design state at this point of the queue: the
+    /// closure runs on the session thread and sends its own reply.
+    Read {
+        read: Box<dyn FnOnce(&DesignProcessManager) + Send>,
     },
     /// Negotiate the conflict seeded at `seed` now (the wire `propose`
     /// frame), regardless of which operation introduced it.
@@ -142,7 +144,7 @@ impl Command {
         match self {
             Command::Submit { .. } => "submit",
             Command::Subscribe { .. } => "subscribe",
-            Command::Snapshot { .. } => "snapshot",
+            Command::Read { .. } => "snapshot",
             Command::Negotiate { .. } => "negotiate",
             Command::Shutdown { .. } => "shutdown",
         }
@@ -152,9 +154,7 @@ impl Command {
         match self {
             Command::Submit { operation, .. } => operation.designer().index() as u32,
             Command::Subscribe { designer, .. } => designer.index() as u32,
-            Command::Snapshot { .. } | Command::Negotiate { .. } | Command::Shutdown { .. } => {
-                u32::MAX
-            }
+            Command::Read { .. } | Command::Negotiate { .. } | Command::Shutdown { .. } => u32::MAX,
         }
     }
 }
@@ -288,18 +288,41 @@ impl SessionHandle {
         rx.recv().map_err(|_| SessionClosed)
     }
 
+    /// Runs `read` on the session thread against the DPM as it stands at
+    /// this point of the command queue — a consistent read — and returns
+    /// its result. Every other command waits while `read` runs, so it
+    /// should copy out what the caller needs and do the rest on the
+    /// caller's thread.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionClosed`] when the session thread has already exited.
+    pub fn read<T, F>(&self, read: F) -> Result<T, SessionClosed>
+    where
+        T: Send + 'static,
+        F: FnOnce(&DesignProcessManager) -> T + Send + 'static,
+    {
+        let (reply, rx) = mpsc::channel();
+        let read = Box::new(move |dpm: &DesignProcessManager| {
+            // A caller that gave up waiting must not wedge the session.
+            let _ = reply.send(read(dpm));
+        });
+        self.tx
+            .send(Command::Read { read })
+            .map_err(|_| SessionClosed)?;
+        rx.recv().map_err(|_| SessionClosed)
+    }
+
     /// Returns a clone of the DPM frozen at this point of the command
-    /// queue — a consistent read of the whole design state.
+    /// queue — a consistent read of the whole design state. Cloning the
+    /// whole DPM is the costliest [`read`](SessionHandle::read); prefer a
+    /// narrower one on hot paths.
     ///
     /// # Errors
     ///
     /// [`SessionClosed`] when the session thread has already exited.
     pub fn snapshot(&self) -> Result<DesignProcessManager, SessionClosed> {
-        let (reply, rx) = mpsc::channel();
-        self.tx
-            .send(Command::Snapshot { reply })
-            .map_err(|_| SessionClosed)?;
-        rx.recv().map_err(|_| SessionClosed)
+        self.read(DesignProcessManager::clone)
     }
 
     /// Runs a conflict negotiation for `seed` now, as if an operation had
@@ -599,8 +622,8 @@ fn session_loop(
                 let _ = reply.send((inbox, last_idx));
                 "ok"
             }
-            Command::Snapshot { reply } => {
-                let _ = reply.send(dpm.clone());
+            Command::Read { read } => {
+                read(&dpm);
                 "ok"
             }
             Command::Negotiate { seed, reply } => {
@@ -636,7 +659,7 @@ fn session_loop(
                                 .send(OpOutcome::Rejected(RejectReason::ShuttingDown));
                         }
                         Command::Subscribe { .. }
-                        | Command::Snapshot { .. }
+                        | Command::Read { .. }
                         | Command::Negotiate { .. }
                         | Command::Shutdown { .. } => {
                             // Dropping the reply sender signals closure.

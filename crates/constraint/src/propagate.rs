@@ -323,6 +323,7 @@ fn full_run<R: Reviser>(
     clock: &dyn Clock,
 ) -> PropagationOutcome {
     let trace = sink.is_enabled();
+    let profile = trace && sink.wants_profiles();
     let started = if trace { clock.now_us() } else { 0 };
 
     // Start from scratch: initial ranges, bound values pinned.
@@ -345,6 +346,7 @@ fn full_run<R: Reviser>(
         config.min_relative_narrowing,
         false,
         trace,
+        profile,
         clock,
         &mut reviser,
     );
@@ -362,7 +364,7 @@ fn full_run<R: Reviser>(
     // Final status sweep over the narrowed box: every constraint is
     // checked once, so attribution charges each one evaluation.
     outcome.evaluations += net.evaluate_statuses();
-    if trace {
+    if profile {
         for evals in &mut run.constraint_evals {
             *evals += 1;
         }
@@ -375,7 +377,7 @@ fn full_run<R: Reviser>(
     } else {
         0
     };
-    emit_run(sink, trace, net, &run, &outcome, dur_us);
+    emit_run(sink, trace, profile, net, &run, &outcome, dur_us);
     outcome
 }
 
@@ -398,6 +400,7 @@ fn incremental_run<R: Reviser>(
         return full_run::<R>(net, config, sink, clock);
     }
     let trace = sink.is_enabled();
+    let profile = trace && sink.wants_profiles();
     let started = if trace { clock.now_us() } else { 0 };
 
     // Keep the fixed-point box; pin the dirty properties to their values.
@@ -424,6 +427,7 @@ fn incremental_run<R: Reviser>(
         config.min_relative_narrowing,
         true,
         trace,
+        profile,
         clock,
         &mut reviser,
     );
@@ -462,7 +466,7 @@ fn incremental_run<R: Reviser>(
         sweep.extend(net.constraints_of(*pid).iter().copied());
     }
     outcome.evaluations += net.evaluate_statuses_subset(&sweep);
-    if trace {
+    if profile {
         for cid in &sweep {
             run.constraint_evals[cid.index()] += 1;
         }
@@ -475,7 +479,7 @@ fn incremental_run<R: Reviser>(
     } else {
         0
     };
-    emit_run(sink, trace, net, &run, &outcome, dur_us);
+    emit_run(sink, trace, profile, net, &run, &outcome, dur_us);
     outcome
 }
 
@@ -503,10 +507,10 @@ struct WorklistRun {
     aborted_on_conflict: bool,
     wave_records: Vec<WaveRecord>,
     /// HC4 revisions per constraint (indexed by `ConstraintId::index`);
-    /// populated only when `record_waves` is set.
+    /// populated only when `record_profiles` is set.
     constraint_evals: Vec<u64>,
     /// Narrowing events per property (indexed by `PropertyId::index`);
-    /// populated only when `record_waves` is set.
+    /// populated only when `record_profiles` is set.
     property_narrowings: Vec<u64>,
 }
 
@@ -522,6 +526,7 @@ fn run_worklist<R: Reviser>(
     min_relative_narrowing: f64,
     abort_on_conflict: bool,
     record_waves: bool,
+    record_profiles: bool,
     clock: &dyn Clock,
     reviser: &mut R,
 ) -> WorklistRun {
@@ -534,12 +539,12 @@ fn run_worklist<R: Reviser>(
         reached_fixpoint: true,
         aborted_on_conflict: false,
         wave_records: Vec::new(),
-        constraint_evals: if record_waves {
+        constraint_evals: if record_profiles {
             vec![0; net.constraint_count()]
         } else {
             Vec::new()
         },
-        property_narrowings: if record_waves {
+        property_narrowings: if record_profiles {
             vec![0; net.property_count()]
         } else {
             Vec::new()
@@ -568,7 +573,7 @@ fn run_worklist<R: Reviser>(
         }
         run.evaluations += 1;
         wave_evaluations += 1;
-        if record_waves {
+        if record_profiles {
             run.constraint_evals[cid.index()] += 1;
         }
 
@@ -595,7 +600,7 @@ fn run_worklist<R: Reviser>(
                     run.narrowing_events += 1;
                     run.changed.insert(pid);
                     wave_narrowings += 1;
-                    if record_waves {
+                    if record_profiles {
                         run.property_narrowings[pid.index()] += 1;
                     }
                     for dep in net.constraints_of(pid) {
@@ -657,11 +662,12 @@ fn collect_narrowed(net: &ConstraintNetwork, prop_ids: &[PropertyId]) -> Vec<Pro
 }
 
 /// Emits the buffered wave spans, per-constraint / per-property profile
-/// attribution, the run counters, and the `PropagationDone` span for one
-/// completed (non-aborted) run.
+/// attribution (when `profile`: the sink wants it), the run counters, and
+/// the `PropagationDone` span for one completed (non-aborted) run.
 fn emit_run(
     sink: &dyn MetricsSink,
     trace: bool,
+    profile: bool,
     net: &ConstraintNetwork,
     run: &WorklistRun,
     outcome: &PropagationOutcome,
@@ -678,6 +684,8 @@ fn emit_run(
             });
             sink.time(SpanKind::Wave, w.dur_us);
         }
+    }
+    if profile {
         for cid in net.constraint_ids() {
             let evaluations = run.constraint_evals[cid.index()];
             if evaluations > 0 {
@@ -1373,6 +1381,70 @@ mod tests {
         let wave_narrowings: u64 = waves.iter().map(|l| l.u64_field("narrowed").unwrap()).sum();
         let counters = lines.iter().find(|l| l.tag() == "counters").unwrap();
         assert_eq!(counters.u64_field("narrowings"), Some(wave_narrowings));
+    }
+
+    #[test]
+    fn profiles_are_built_only_for_sinks_that_want_them() {
+        use adpm_observe::{
+            FlightRecorder, InMemorySink, JsonlSink, MetricsSink, SpanKind, TeeSink,
+        };
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Clone, Default)]
+        struct Buf(Arc<Mutex<Vec<u8>>>);
+        impl std::io::Write for Buf {
+            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(b);
+                Ok(b.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let chain = || {
+            let (mut net, ids) = net_with(&[(0.0, 10.0), (0.0, 10.0), (0.0, 10.0)]);
+            net.add_constraint("xy", var(ids[0]), Relation::Le, var(ids[1]))
+                .unwrap();
+            net.add_constraint("yz", var(ids[1]), Relation::Le, var(ids[2]))
+                .unwrap();
+            net.add_constraint("z3", var(ids[2]), Relation::Le, cst(3.0))
+                .unwrap();
+            net
+        };
+        let memory = Arc::new(InMemorySink::new());
+        let recorder = Arc::new(FlightRecorder::default());
+        let buf = Buf::default();
+        let jsonl = Arc::new(JsonlSink::new(Box::new(buf.clone())));
+        let quiet = TeeSink::new(vec![
+            memory.clone() as Arc<dyn MetricsSink>,
+            recorder.clone() as Arc<dyn MetricsSink>,
+        ]);
+        assert!(quiet.is_enabled() && !quiet.wants_profiles());
+        let out = propagate_observed(&mut chain(), &PropagationConfig::default(), &quiet);
+        // Spans and their timings still reach the quiet sinks.
+        assert_eq!(memory.events_recorded(), out.waves as u64 + 1);
+        assert_eq!(memory.histogram(SpanKind::Propagation).count(), 1);
+        assert_eq!(recorder.len(), out.waves + 1);
+
+        let traced = TeeSink::new(vec![memory.clone() as Arc<dyn MetricsSink>, jsonl.clone()]);
+        assert!(traced.wants_profiles());
+        memory.reset();
+        let out = propagate_observed(&mut chain(), &PropagationConfig::default(), &traced);
+        jsonl.finish().unwrap();
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let lines = adpm_observe::parse_trace(&text).unwrap();
+        let cprof: u64 = lines
+            .iter()
+            .filter(|l| l.tag() == "cprof")
+            .map(|l| l.u64_field("evaluations").unwrap())
+            .sum();
+        assert_eq!(
+            cprof, out.evaluations as u64,
+            "the trace keeps full attribution"
+        );
+        assert!(lines.iter().any(|l| l.tag() == "pprof"));
+        assert_eq!(memory.events_recorded(), out.waves as u64 + 1);
     }
 
     #[test]

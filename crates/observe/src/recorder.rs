@@ -93,6 +93,12 @@ impl FlightRecorder {
 }
 
 impl MetricsSink for FlightRecorder {
+    /// Profile lines would crowd the ring: one propagation over a large
+    /// network emits more of them than the ring holds.
+    fn wants_profiles(&self) -> bool {
+        false
+    }
+
     fn incr(&self, _counter: Counter, _by: u64) {}
 
     fn record(&self, event: &TraceEvent<'_>) {

@@ -27,6 +27,18 @@ pub trait MetricsSink: fmt::Debug + Send + Sync {
         true
     }
 
+    /// Whether this sink wants the per-run attribution events
+    /// ([`TraceEvent::ConstraintProfile`] and
+    /// [`TraceEvent::PropertyProfile`]): one per constraint evaluated and
+    /// one per property narrowed in every propagation run. Producers build
+    /// them only when both this and [`is_enabled`](MetricsSink::is_enabled)
+    /// are true. The default follows `is_enabled`, so a trace writer keeps
+    /// every line; sinks that only count or keep a short ring of recent
+    /// events return `false`.
+    fn wants_profiles(&self) -> bool {
+        self.is_enabled()
+    }
+
     /// Adds `by` to `counter`.
     fn incr(&self, counter: Counter, by: u64);
 
@@ -139,7 +151,9 @@ impl fmt::Display for CounterSnapshot {
 
 /// Lock-free in-memory aggregation: one atomic per [`Counter`], one
 /// [`Histogram`] per [`SpanKind`], events counted but not retained. The
-/// right sink for benches and concurrency tests.
+/// right sink for benches and concurrency tests. It wants no profile
+/// events ([`MetricsSink::wants_profiles`]), so they are neither built
+/// for it nor counted.
 #[derive(Debug)]
 pub struct InMemorySink {
     counters: [AtomicU64; Counter::COUNT],
@@ -201,6 +215,10 @@ impl InMemorySink {
 }
 
 impl MetricsSink for InMemorySink {
+    fn wants_profiles(&self) -> bool {
+        false
+    }
+
     fn incr(&self, counter: Counter, by: u64) {
         self.counters[counter.index()].fetch_add(by, Ordering::Relaxed);
     }
@@ -233,15 +251,22 @@ impl MetricsSink for TeeSink {
         self.sinks.iter().any(|s| s.is_enabled())
     }
 
+    fn wants_profiles(&self) -> bool {
+        self.sinks.iter().any(|s| s.wants_profiles())
+    }
+
     fn incr(&self, counter: Counter, by: u64) {
         for sink in &self.sinks {
             sink.incr(counter, by);
         }
     }
 
+    /// Forwards `event` to every enabled child; profile events only to the
+    /// children that want them.
     fn record(&self, event: &TraceEvent<'_>) {
+        let profile = event.is_profile();
         for sink in &self.sinks {
-            if sink.is_enabled() {
+            if sink.is_enabled() && (!profile || sink.wants_profiles()) {
                 sink.record(event);
             }
         }
@@ -353,6 +378,53 @@ mod tests {
         assert_eq!(a.histogram(SpanKind::Operation).count(), 1);
         // The default implementation (e.g. NoopSink) discards timings.
         NoopSink.time(SpanKind::Operation, 7);
+    }
+
+    #[test]
+    fn tee_passes_profiles_only_to_sinks_that_want_them() {
+        use crate::FlightRecorder;
+
+        /// Counts every event it is given; wants profiles by default.
+        #[derive(Debug, Default)]
+        struct Counting(AtomicU64);
+        impl MetricsSink for Counting {
+            fn incr(&self, _counter: Counter, _by: u64) {}
+            fn record(&self, _event: &TraceEvent<'_>) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        let memory = Arc::new(InMemorySink::new());
+        let recorder = Arc::new(FlightRecorder::default());
+        let writer = Arc::new(Counting::default());
+        assert!(writer.wants_profiles());
+        assert!(!memory.wants_profiles() && !recorder.wants_profiles());
+        assert!(!NoopSink.wants_profiles());
+        let quiet = TeeSink::new(vec![memory.clone(), recorder.clone()]);
+        assert!(quiet.is_enabled() && !quiet.wants_profiles());
+        let tee = TeeSink::new(vec![memory.clone(), recorder.clone(), writer.clone()]);
+        assert!(tee.wants_profiles());
+        let cprof = TraceEvent::ConstraintProfile {
+            name: "cap",
+            evaluations: 2,
+            conflict: false,
+        };
+        let pprof = TraceEvent::PropertyProfile {
+            name: "obj.x",
+            narrowings: 1,
+        };
+        let tick = TraceEvent::Tick {
+            tick: 0,
+            designer: 0,
+            outcome: "executed",
+            dur_us: 0,
+        };
+        for event in [&cprof, &pprof, &tick] {
+            tee.record(event);
+        }
+        assert_eq!(writer.0.load(Ordering::Relaxed), 3);
+        assert_eq!(memory.events_recorded(), 1);
+        assert_eq!(recorder.dump(), vec![tick.to_json()]);
     }
 
     #[test]

@@ -452,6 +452,16 @@ pub enum TraceEvent<'a> {
 }
 
 impl TraceEvent<'_> {
+    /// Whether this is a per-run attribution line (`cprof`/`pprof`) —
+    /// the events a sink opts into with
+    /// [`wants_profiles`](crate::MetricsSink::wants_profiles).
+    pub(crate) fn is_profile(&self) -> bool {
+        matches!(
+            self,
+            TraceEvent::ConstraintProfile { .. } | TraceEvent::PropertyProfile { .. }
+        )
+    }
+
     /// The `"t"` tag the serialized form carries.
     pub fn tag(&self) -> &'static str {
         match self {

@@ -136,6 +136,21 @@ CHAOS_DIGEST=$("$ADPM_RELEASE" run /tmp/verify_mini.dddl --remote --seed 7 \
 [ "$CLEAN_DIGEST" = "$CHAOS_DIGEST" ] || {
   echo "chaos run diverged: clean=$CLEAN_DIGEST chaotic=$CHAOS_DIGEST"; exit 1; }
 
+echo "==> traced remote run (constraint profiles still reach the trace writer)"
+# A served session tees the trace writer with its hub sinks and flight
+# recorder; only the writer asks for the `cprof`/`pprof` lines.
+RTRACE=$(mktemp)
+"$ADPM_RELEASE" run /tmp/verify_rx.dddl --remote --seed 7 --trace "$RTRACE" >/dev/null
+RANALYZE=$("$ADPM_RELEASE" analyze "$RTRACE")
+rm -f "$RTRACE"
+if grep -q 'no cprof' <<<"$RANALYZE"; then
+  echo "traced remote run wrote no cprof lines"; exit 1
+fi
+# The table must charge evaluations, not only list violated constraints.
+awk '/^constraint hot-spots/ { on = 1; next } /^$/ { on = 0 }
+     on && $1 != "constraint" { evals += $2 } END { exit !(evals > 0) }' <<<"$RANALYZE" \
+  || { echo "traced remote run has no constraint-attribution table"; exit 1; }
+
 echo "==> crash-recovery smoke (kill -9 the server, restart, replay the journal)"
 JOURNAL=/tmp/verify_journal.jsonl
 rm -f "$JOURNAL"
