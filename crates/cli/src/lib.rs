@@ -248,7 +248,7 @@ COMMANDS:
                                            operator view); --count N exits
                                            after N reports (0 = until the
                                            server goes away)
-    client  <addr> [--designer N] [--subscribe | --subscribe-all]
+    client  <addr> [--designer N] [--subscribe]
             [--expect-events K] [--timeout-ms T] [--fault-plan PLAN]
             [--session NAME]
                                            connect as designer N, optionally
@@ -884,10 +884,8 @@ fn named_session_state(
 pub struct ClientOptions {
     /// Designer index to hello as.
     pub designer: u32,
-    /// Subscribe with connectivity-derived interests.
+    /// Subscribe to the designer's notifications.
     pub subscribe: bool,
-    /// Subscribe to every notification instead.
-    pub subscribe_all: bool,
     /// Wait for at least this many notification frames before exiting;
     /// fewer within the timeout is an error (the smoke-test contract).
     pub expect_events: usize,
@@ -905,7 +903,6 @@ impl Default for ClientOptions {
         ClientOptions {
             designer: 0,
             subscribe: false,
-            subscribe_all: false,
             expect_events: 0,
             timeout_ms: 5_000,
             fault_plan: None,
@@ -974,9 +971,9 @@ pub fn client(addr: &str, options: &ClientOptions) -> Result<String, CliError> {
         })?)?;
         out.push_str(&attached.to_line());
     }
-    if options.subscribe || options.subscribe_all {
+    if options.subscribe {
         let subscribed = expect_ok(connection.request(&Frame::Subscribe {
-            all: options.subscribe_all,
+            all: false,
             resume_from: None,
         })?)?;
         out.push_str(&subscribed.to_line());
@@ -1639,7 +1636,6 @@ fn parse_client_options(args: &[String]) -> Result<ClientOptions, CliError> {
         match flag.as_str() {
             "--designer" => options.designer = number(value(&mut it)?)? as u32,
             "--subscribe" => options.subscribe = true,
-            "--subscribe-all" => options.subscribe_all = true,
             "--expect-events" => options.expect_events = number(value(&mut it)?)? as usize,
             "--timeout-ms" => options.timeout_ms = number(value(&mut it)?)?,
             "--session" => options.session = Some(value(&mut it)?),
@@ -2198,8 +2194,8 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("server announces its address");
 
-        // Designer 1 (owns rx.P-ser) subscribes with derived interests in
-        // a background thread, waiting for one notification.
+        // Designer 1 (owns rx.P-ser) subscribes in a background thread,
+        // waiting for one notification.
         let watcher_addr = addr.clone();
         let watcher = std::thread::spawn(move || {
             client(
@@ -2373,7 +2369,7 @@ mod tests {
         ])
         .expect("valid options");
         assert_eq!(options.designer, 2);
-        assert!(options.subscribe && !options.subscribe_all);
+        assert!(options.subscribe);
         assert_eq!(options.expect_events, 3);
         assert_eq!(options.timeout_ms, 1234);
         assert!(matches!(

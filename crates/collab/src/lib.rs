@@ -14,10 +14,9 @@
 //!   concurrent history is already a valid sequential history
 //!   (linearizability by construction) and can be replayed by
 //!   `adpm-core`'s replay module.
-//! - [`notify`] — the Notification Manager as a real router:
-//!   [`InterestSet`]s derived from constraint connectivity filter events
-//!   into per-designer bounded [`Inbox`]es with overflow accounting
-//!   instead of silent drops.
+//! - [`notify`] — delivery for the DPM's Notification Manager: every
+//!   event routed to a designer goes into each of that designer's bounded
+//!   [`Inbox`]es, with overflow accounting instead of silent drops.
 //! - [`wire`] — a line-delimited JSONL protocol (one flat object per
 //!   line, same escaping and parser as `adpm-observe` traces) spoken by
 //!   `adpm serve` / `adpm client`.
@@ -70,6 +69,7 @@ pub mod server;
 pub mod session;
 pub mod wire;
 
+pub use adpm_core::InterestSet;
 pub use client::CollabClient;
 pub use concurrent::{
     run_concurrent, run_concurrent_dpm, run_concurrent_dpm_with, run_concurrent_remote,
@@ -82,7 +82,7 @@ pub use journal::{
     RecoveryReport, RecoveryWarning,
 };
 pub use negotiate::{negotiate, NegotiationConfig, NegotiationOutcome, DEFAULT_MAX_ROUNDS};
-pub use notify::{Inbox, InboxEntry, InterestSet};
+pub use notify::{Inbox, InboxEntry};
 pub use resilient::{ReconnectConfig, ResilientClient};
 pub use server::{CollabServer, ServerOptions, SessionFactory, DEFAULT_SESSION};
 pub use session::{

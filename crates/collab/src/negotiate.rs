@@ -4,8 +4,9 @@
 //! back to blind backtracking: this module reduces the conflict to a
 //! minimal conflicting constraint set
 //! ([`minimal_conflict_set`]), maps
-//! that set to the designers whose viewpoints it touches (via the
-//! Notification Manager's [`InterestSet`]s), and runs a bounded,
+//! that set to the designers whose viewpoints it touches (the participant
+//! rule: a member's arguments meet the designer's own properties or their
+//! one-hop constraint neighbourhood), and runs a bounded,
 //! deterministic negotiation: relaxation proposals — widen a bound, drop a
 //! soft constraint, unbind a contested property — are generated and ranked
 //! by the paper's α/β/monotonicity statistics, then put to the
@@ -18,9 +19,9 @@
 //! [`Operation`] the session should execute — which then flows through
 //! the normal journaled, linearized submission path.
 
-use crate::notify::InterestSet;
 use adpm_constraint::{
-    explain_violation, minimal_conflict_set, ConstraintId, HeuristicReport, Relation, Relaxation,
+    explain_violation, minimal_conflict_set, ConstraintId, HeuristicReport, PropertyId, Relation,
+    Relaxation,
 };
 use adpm_core::{
     DesignProcessManager, DesignerId, Event, NegotiationAnswer, Operation, Proposal,
@@ -124,26 +125,10 @@ pub fn negotiate(
         }
     };
 
-    // 2. Map the conflict set to viewpoints: a designer participates when
-    // its NM interest set would have routed a violation on some member to
-    // it. Ascending designer id keeps everything deterministic.
-    let participants: Vec<DesignerId> = dpm
-        .designers()
-        .iter()
-        .copied()
-        .filter(|d| {
-            let interests = InterestSet::for_designer(dpm, *d);
-            members.iter().any(|m| {
-                interests.matches(
-                    &Event::ViolationDetected {
-                        constraint: *m,
-                        properties: net.constraint(*m).argument_slice().to_vec(),
-                    },
-                    net,
-                )
-            })
-        })
-        .collect();
+    // 2. Map the conflict set to viewpoints. Ascending designer id keeps
+    // everything deterministic.
+    let viewpoints = participants(dpm, &members);
+    let participants: Vec<DesignerId> = viewpoints.iter().map(|(d, _)| *d).collect();
 
     let mut outcome = NegotiationOutcome {
         seed,
@@ -162,21 +147,10 @@ pub fn negotiate(
     // 3. Generate and rank relaxation proposals.
     let mut queue = rank_proposals(dpm, &members, &properties);
 
-    // Own-viewpoint property sets, for policy answers and proposer choice.
-    let own_props: Vec<(DesignerId, BTreeSet<adpm_constraint::PropertyId>)> = participants
-        .iter()
-        .map(|d| {
-            let mut props = BTreeSet::new();
-            for pid in dpm.problems().assigned_to(*d) {
-                let p = dpm.problems().problem(pid);
-                props.extend(p.inputs().iter().copied());
-                props.extend(p.outputs().iter().copied());
-            }
-            (*d, props)
-        })
-        .collect();
+    // Whether the proposal touches the designer's own properties, for
+    // policy answers and proposer choice.
     let touches = |proposal: &Proposal, designer: DesignerId| -> bool {
-        let own = &own_props
+        let own = viewpoints
             .iter()
             .find(|(d, _)| *d == designer)
             .expect("participant has an own-props entry")
@@ -247,6 +221,32 @@ pub fn negotiate(
         }
     }
     outcome
+}
+
+/// The designers the conflict set `members` concerns, ascending, each with
+/// their own properties (the inputs and outputs of their problems). The
+/// participant rule: some member's arguments meet the designer's own
+/// properties or their one-hop constraint neighbourhood — the arguments
+/// of every constraint on an own property.
+fn participants<'a>(
+    dpm: &'a DesignProcessManager,
+    members: &[ConstraintId],
+) -> Vec<(DesignerId, &'a BTreeSet<PropertyId>)> {
+    let net = dpm.network();
+    let args = |c: &ConstraintId| net.constraint(*c).argument_slice();
+    dpm.designers()
+        .iter()
+        .map(|d| (*d, dpm.viewpoint(*d).properties()))
+        .filter(|(_, own)| {
+            members.iter().flat_map(args).any(|a| {
+                own.contains(a)
+                    || net
+                        .constraints_of(*a)
+                        .iter()
+                        .any(|c| args(c).iter().any(|p| own.contains(p)))
+            })
+        })
+        .collect()
 }
 
 /// Appends `event` to the transcript once per participant.

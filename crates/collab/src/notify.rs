@@ -1,143 +1,18 @@
-//! Interest sets and bounded per-designer inboxes — the delivery half of
-//! the paper's Notification Manager.
+//! Bounded per-designer inboxes — the delivery half of the paper's
+//! Notification Manager.
 //!
-//! The in-process [`NotificationManager`](adpm_core::NotificationManager)
-//! decides *which designers are affected* by an operation's events; this
-//! module turns that into real asynchronous delivery: each subscriber owns
-//! a bounded [`Inbox`] and receives only the events matching its
-//! [`InterestSet`], which is derived from constraint connectivity (the
-//! properties of the designer's problems, the constraints touching them,
-//! and the one-hop neighbourhood those constraints connect). When an inbox
-//! is full the incoming event is counted as dropped — overflow is
+//! The DPM's Notification Manager decides which events concern which
+//! designer (see [`InterestSet`](adpm_core::InterestSet)); this module
+//! turns that into real asynchronous delivery: each subscription owns a
+//! bounded [`Inbox`] and receives every event routed to its designer. When
+//! an inbox is full the incoming event is counted as dropped — overflow is
 //! accounted, never silent.
 
-use adpm_constraint::{ConstraintId, ConstraintNetwork, PropertyId};
-use adpm_core::{DesignProcessManager, DesignerId, Event};
-use std::collections::{BTreeSet, VecDeque};
+use adpm_core::Event;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::Waker;
-
-/// The properties and constraints a subscriber cares about.
-///
-/// An event matches when it names an interesting property or constraint
-/// (see [`InterestSet::matches`]); the `all` variant matches everything.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InterestSet {
-    properties: BTreeSet<PropertyId>,
-    constraints: BTreeSet<ConstraintId>,
-    all: bool,
-}
-
-impl InterestSet {
-    /// An interest set matching every event (a firehose subscription).
-    pub fn everything() -> Self {
-        InterestSet {
-            properties: BTreeSet::new(),
-            constraints: BTreeSet::new(),
-            all: true,
-        }
-    }
-
-    /// An explicit interest set over the given properties and constraints.
-    pub fn new(
-        properties: impl IntoIterator<Item = PropertyId>,
-        constraints: impl IntoIterator<Item = ConstraintId>,
-    ) -> Self {
-        InterestSet {
-            properties: properties.into_iter().collect(),
-            constraints: constraints.into_iter().collect(),
-            all: false,
-        }
-    }
-
-    /// Derives the designer's interest set from constraint connectivity,
-    /// the paper's "affected designers" rule: the inputs and outputs of the
-    /// designer's assigned problems, every constraint touching one of those
-    /// properties, and the full argument set of those constraints (the
-    /// one-hop neighbourhood through which other designers' changes reach
-    /// this one).
-    pub fn for_designer(dpm: &DesignProcessManager, designer: DesignerId) -> Self {
-        let network = dpm.network();
-        let mut properties: BTreeSet<PropertyId> = BTreeSet::new();
-        for problem in dpm.problems().assigned_to(designer) {
-            let p = dpm.problems().problem(problem);
-            properties.extend(p.inputs().iter().copied());
-            properties.extend(p.outputs().iter().copied());
-        }
-        let mut constraints: BTreeSet<ConstraintId> = BTreeSet::new();
-        for pid in &properties {
-            constraints.extend(network.constraints_of(*pid).iter().copied());
-        }
-        let mut neighbourhood = properties.clone();
-        for cid in &constraints {
-            neighbourhood.extend(network.constraint(*cid).argument_slice().iter().copied());
-        }
-        InterestSet {
-            properties: neighbourhood,
-            constraints,
-            all: false,
-        }
-    }
-
-    /// Whether the set is the match-everything firehose.
-    pub fn is_everything(&self) -> bool {
-        self.all
-    }
-
-    /// Number of interesting properties (0 for the firehose).
-    pub fn property_count(&self) -> usize {
-        self.properties.len()
-    }
-
-    /// Number of interesting constraints (0 for the firehose).
-    pub fn constraint_count(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// Whether `event` is relevant to this subscriber. Violation events
-    /// match through the constraint or any of its argument properties,
-    /// feasibility events through their property; `ProblemSolved` is a
-    /// coordination milestone and always delivered.
-    pub fn matches(&self, event: &Event, network: &ConstraintNetwork) -> bool {
-        if self.all {
-            return true;
-        }
-        match event {
-            Event::ViolationDetected {
-                constraint,
-                properties,
-            } => {
-                self.constraints.contains(constraint)
-                    || properties.iter().any(|p| self.properties.contains(p))
-            }
-            Event::ViolationResolved { constraint } => {
-                self.constraints.contains(constraint)
-                    || network
-                        .constraint(*constraint)
-                        .argument_slice()
-                        .iter()
-                        .any(|p| self.properties.contains(p))
-            }
-            Event::FeasibleReduced { property, .. } | Event::FeasibleEmptied { property } => {
-                self.properties.contains(property)
-            }
-            Event::ProblemSolved { .. } => true,
-            // Negotiation events match through the seed conflict, exactly
-            // like a violation on it would.
-            Event::NegotiationProposed { constraint, .. }
-            | Event::NegotiationAnswered { constraint, .. }
-            | Event::NegotiationClosed { constraint, .. } => {
-                self.constraints.contains(constraint)
-                    || network
-                        .constraint(*constraint)
-                        .argument_slice()
-                        .iter()
-                        .any(|p| self.properties.contains(p))
-            }
-        }
-    }
-}
 
 /// One delivered event, tagged with the sequence number of the operation
 /// that produced it.
@@ -339,46 +214,5 @@ mod tests {
         inbox.close();
         assert!(!inbox.push(entry(4)), "closed: dropped, no wake");
         assert_eq!(wakes.0.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn explicit_interest_set_matches_by_property_and_constraint() {
-        use adpm_constraint::{
-            expr::{cst, var},
-            ConstraintNetwork, Domain, Property, Relation,
-        };
-        let mut net = ConstraintNetwork::new();
-        let x = net
-            .add_property(Property::new("x", "a", Domain::interval(0.0, 1.0)))
-            .unwrap();
-        let y = net
-            .add_property(Property::new("y", "b", Domain::interval(0.0, 1.0)))
-            .unwrap();
-        let c = net
-            .add_constraint("cap", var(x) + var(y), Relation::Le, cst(1.0))
-            .unwrap();
-        let on_x = InterestSet::new([x], []);
-        assert!(on_x.matches(
-            &Event::FeasibleReduced {
-                property: x,
-                relative_size: 0.5
-            },
-            &net
-        ));
-        assert!(!on_x.matches(&Event::FeasibleEmptied { property: y }, &net));
-        // Violation reaches x's subscriber through the argument list even
-        // though the constraint itself is not in the set.
-        assert!(on_x.matches(&Event::ViolationResolved { constraint: c }, &net));
-        assert!(on_x.matches(
-            &Event::ViolationDetected {
-                constraint: c,
-                properties: vec![x, y]
-            },
-            &net
-        ));
-        let on_c = InterestSet::new([], [c]);
-        assert!(on_c.matches(&Event::ViolationResolved { constraint: c }, &net));
-        assert!(!on_c.matches(&Event::FeasibleEmptied { property: y }, &net));
-        assert!(InterestSet::everything().matches(&Event::FeasibleEmptied { property: y }, &net));
     }
 }

@@ -82,9 +82,9 @@ pub struct ResilientClient {
     config: ReconnectConfig,
     rng: StdRng,
     client: Option<CollabClient>,
-    /// Whether the current connection has an active subscription, and if
-    /// so whether it covers everything or derived interests.
-    subscribed: Option<bool>,
+    /// Whether the client has subscribed (and so re-subscribes on every
+    /// reconnect).
+    subscribed: bool,
     /// Highest event delivery index seen (0 = none) — the resume cursor.
     last_seen_idx: u64,
     /// Next client operation id.
@@ -131,7 +131,7 @@ impl ResilientClient {
             config,
             rng,
             client: None,
-            subscribed: None,
+            subscribed: false,
             last_seen_idx: 0,
             next_cid: 1,
             session: None,
@@ -204,18 +204,21 @@ impl ResilientClient {
         self.client = None;
     }
 
-    /// Subscribes (`all` = everything vs connectivity-derived interests).
-    /// After a reconnect the subscription is re-established automatically,
-    /// resuming from the last seen delivery index.
+    /// Subscribes to the designer's notifications. After a reconnect the
+    /// subscription is re-established automatically, resuming from the
+    /// last seen delivery index.
     ///
     /// # Errors
     ///
     /// [`CollabError`] per the retryable/fatal taxonomy.
-    pub fn subscribe(&mut self, all: bool) -> Result<(), CollabError> {
-        self.subscribed = Some(all);
+    pub fn subscribe(&mut self) -> Result<(), CollabError> {
+        self.subscribed = true;
         self.with_retries(|client, _cid, last_seen| {
             let resume_from = if last_seen > 0 { Some(last_seen) } else { None };
-            match client.request(&Frame::Subscribe { all, resume_from })? {
+            match client.request(&Frame::Subscribe {
+                all: false,
+                resume_from,
+            })? {
                 Frame::Subscribed { .. } => Ok(()),
                 Frame::Error { message } => Err(WireError::protocol(message)),
                 other => Err(WireError::protocol(format!(
@@ -445,13 +448,16 @@ impl ResilientClient {
             attach_session(&mut client, name)?;
         }
         // Re-establish the subscription, resuming after what we've seen.
-        if let Some(all) = self.subscribed {
+        if self.subscribed {
             let resume_from = if self.last_seen_idx > 0 {
                 Some(self.last_seen_idx)
             } else {
                 None
             };
-            match client.request(&Frame::Subscribe { all, resume_from }) {
+            match client.request(&Frame::Subscribe {
+                all: false,
+                resume_from,
+            }) {
                 Ok(Frame::Subscribed { .. }) => {}
                 Ok(Frame::Error { message }) => return Err(CollabError::Fatal(message)),
                 Ok(other) => {
@@ -609,7 +615,7 @@ mod tests {
         let server = serve_sensing();
         let addr = server.local_addr();
         let mut watcher = ResilientClient::connect(addr, 2, fast_config()).expect("watcher");
-        watcher.subscribe(true).expect("subscribe");
+        watcher.subscribe().expect("subscribe");
         let mut actor = ResilientClient::connect(addr, 1, fast_config()).expect("actor");
         let assign = |actor: &mut ResilientClient, property: &str, value: f64| {
             let verdict = actor
@@ -690,7 +696,7 @@ mod tests {
             .expect("watcher")
             .with_session("team-a")
             .expect("attach");
-        watcher.subscribe(true).expect("subscribe");
+        watcher.subscribe().expect("subscribe");
         let mut actor = ResilientClient::connect(addr, 1, fast_config())
             .expect("actor")
             .with_session("team-a")

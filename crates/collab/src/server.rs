@@ -51,7 +51,7 @@
 //!   [`FaultInjector`] — chaos tests run against real torn bytes.
 
 use crate::fault::{FaultAction, FaultInjector};
-use crate::notify::{Inbox, InboxEntry, InterestSet};
+use crate::notify::{Inbox, InboxEntry};
 use crate::session::{
     OpOutcome, RejectReason, SessionEngine, SessionHandle, SessionOptions, DEFAULT_INBOX_CAPACITY,
 };
@@ -1285,11 +1285,13 @@ fn run_connection(
                     }
                 }
             }
-            Frame::Subscribe { all, resume_from } => match designer {
+            // `all` is accepted for older clients and ignored: every
+            // subscription receives the designer's routed stream.
+            Frame::Subscribe { resume_from, .. } => match designer {
                 None => Frame::Error {
                     message: "subscribe requires a hello first".into(),
                 },
-                Some(d) => match subscribe(&handle, d, all, resume_from) {
+                Some(d) => match handle.subscribe_from(d, DEFAULT_INBOX_CAPACITY, resume_from) {
                     Err(_) => Frame::Error {
                         message: "session is shut down".into(),
                     },
@@ -1447,6 +1449,11 @@ fn run_connection(
                     message: format!("session `{session_name}` is gone"),
                 },
                 Some(recorder) => {
+                    // The session records each command's `session` line
+                    // after replying to it; a no-op read queued behind
+                    // those commands returns once their lines are in the
+                    // recorder. A closed session records nothing more.
+                    let _ = handle.read(|_| ());
                     let lines = recorder.dump_indexed();
                     let mut frames = vec![Frame::DumpReply {
                         session: session_name.clone(),
@@ -1530,20 +1537,6 @@ fn run_connection(
     outbox.close();
     let _ = writer_thread.join();
     shutdown
-}
-
-fn subscribe(
-    handle: &SessionHandle,
-    designer: DesignerId,
-    all: bool,
-    resume_from: Option<u64>,
-) -> Result<(Inbox, u64), crate::session::SessionClosed> {
-    let interests = if all {
-        InterestSet::everything()
-    } else {
-        handle.read(move |dpm| InterestSet::for_designer(dpm, designer))?
-    };
-    handle.subscribe_from(designer, interests, DEFAULT_INBOX_CAPACITY, resume_from)
 }
 
 fn submit(
@@ -1959,7 +1952,7 @@ mod tests {
         let server = serve_sensing();
         let addr = server.local_addr();
 
-        // Designer 2 (interface-circuit) subscribes with derived interests.
+        // Designer 2 (interface-circuit) subscribes.
         let mut watcher = CollabClient::connect(addr).expect("connect watcher");
         let welcome = watcher.request(&Frame::Hello { designer: 2 }).expect("hello");
         assert!(matches!(welcome, Frame::Welcome { .. }));

@@ -11,19 +11,21 @@
 //! [`replay_history`](adpm_core::replay_history).
 //!
 //! After each executed operation the engine drains the DPM's pending
-//! notifications for every designer and fans the events out to the
-//! matching subscriptions' bounded [`Inbox`]es (see [`crate::notify`]).
+//! notifications for every designer and pushes each designer's events into
+//! that designer's subscriptions' bounded [`Inbox`]es (see
+//! [`crate::notify`]).
 //! Reply channels are fire-and-forget on the engine side: a client that
 //! drops its reply receiver (or dies mid-call) never wedges the session
 //! thread.
 
 use crate::journal::JournalWriter;
 use crate::negotiate::{negotiate, NegotiationConfig};
-use crate::notify::{Inbox, InboxEntry, InterestSet};
+use crate::notify::{Inbox, InboxEntry};
 use adpm_core::{
-    DesignProcessManager, DesignerId, Event, Operation, OperationError, OperationRecord,
+    DesignProcessManager, DesignerId, Event, InterestSet, Operation, OperationError,
+    OperationRecord,
 };
-use adpm_constraint::{ConstraintId, ConstraintNetwork, NetworkError};
+use adpm_constraint::{ConstraintId, NetworkError};
 use adpm_observe::{Counter, FlightRecorder, MetricsSink, SpanKind, TraceEvent};
 use std::collections::VecDeque;
 use std::fmt;
@@ -116,7 +118,6 @@ enum Command {
     },
     Subscribe {
         designer: DesignerId,
-        interests: InterestSet,
         capacity: usize,
         /// Redeliver retained events with delivery index > this (`None`
         /// = fresh subscription, nothing redelivered).
@@ -242,9 +243,10 @@ impl SessionHandle {
         Ok(rx)
     }
 
-    /// Registers a bounded inbox receiving the events that match
-    /// `interests` among those the Notification Manager routes to
-    /// `designer`.
+    /// Registers a bounded inbox receiving every event the Notification
+    /// Manager routes to `designer`. `_interests` does not filter: the
+    /// routing already follows the designer's viewpoint, and the argument
+    /// is kept only for existing callers.
     ///
     /// # Errors
     ///
@@ -252,18 +254,18 @@ impl SessionHandle {
     pub fn subscribe(
         &self,
         designer: DesignerId,
-        interests: InterestSet,
+        _interests: InterestSet,
         capacity: usize,
     ) -> Result<Inbox, SessionClosed> {
-        self.subscribe_from(designer, interests, capacity, None)
+        self.subscribe_from(designer, capacity, None)
             .map(|(inbox, _)| inbox)
     }
 
     /// Like [`subscribe`](SessionHandle::subscribe), optionally resuming:
     /// with `resume_from = Some(n)` every retained event routed to
-    /// `designer` with delivery index `> n` and matching `interests` is
-    /// pre-queued into the inbox, exactly once. Also returns the highest
-    /// delivery index the session has assigned for this designer so far.
+    /// `designer` with delivery index `> n` is pre-queued into the inbox,
+    /// exactly once. Also returns the highest delivery index the session
+    /// has assigned for this designer so far.
     ///
     /// # Errors
     ///
@@ -271,7 +273,6 @@ impl SessionHandle {
     pub fn subscribe_from(
         &self,
         designer: DesignerId,
-        interests: InterestSet,
         capacity: usize,
         resume_from: Option<u64>,
     ) -> Result<(Inbox, u64), SessionClosed> {
@@ -279,7 +280,6 @@ impl SessionHandle {
         self.tx
             .send(Command::Subscribe {
                 designer,
-                interests,
                 capacity,
                 resume_from,
                 reply,
@@ -344,7 +344,6 @@ impl SessionHandle {
 
 struct SubscriptionEntry {
     designer: DesignerId,
-    interests: InterestSet,
     inbox: Inbox,
 }
 
@@ -594,7 +593,6 @@ fn session_loop(
             }
             Command::Subscribe {
                 designer,
-                interests,
                 capacity,
                 resume_from,
                 reply,
@@ -604,9 +602,7 @@ fn session_loop(
                 if let (Some(after), Some(log)) = (resume_from, logs.get(designer.index())) {
                     let mut redelivered: u32 = 0;
                     for entry in log.retained.iter().filter(|e| e.idx > after) {
-                        if interests.matches(&entry.event, dpm.network())
-                            && inbox.push(entry.clone())
-                        {
+                        if inbox.push(entry.clone()) {
                             redelivered += 1;
                         }
                     }
@@ -616,7 +612,6 @@ fn session_loop(
                 }
                 subscriptions.push(SubscriptionEntry {
                     designer,
-                    interests,
                     inbox: inbox.clone(),
                 });
                 let _ = reply.send((inbox, last_idx));
@@ -812,7 +807,6 @@ fn negotiate_conflict(
     let mut dropped: u32 = 0;
     for (designer, event) in &outcome.transcript {
         route_event(
-            dpm.network(),
             subscriptions,
             logs,
             seq,
@@ -841,7 +835,6 @@ fn negotiate_conflict(
     };
     for designer in &outcome.participants {
         route_event(
-            dpm.network(),
             subscriptions,
             logs,
             seq,
@@ -910,12 +903,12 @@ fn negotiate_conflict(
 }
 
 /// Drains the DPM's pending notifications for every designer and delivers
-/// the interest-matching events into the subscribed inboxes. Draining
-/// unconditionally (even with no subscriptions) keeps the DPM's pending
-/// queues from growing without bound over a long session. Each routed
-/// event gets the designer's next monotonic delivery index and is retained
-/// (bounded) for reconnect redelivery *before* interest filtering, so a
-/// resumed subscription sees the same indices as the original one.
+/// each designer's events into that designer's subscribed inboxes.
+/// Draining unconditionally (even with no subscriptions) keeps the DPM's
+/// pending queues from growing without bound over a long session. Each
+/// routed event gets the designer's next monotonic delivery index and is
+/// retained (bounded) for reconnect redelivery, so a resumed subscription
+/// sees the same indices as the original one.
 fn fan_out(
     dpm: &mut DesignProcessManager,
     subscriptions: &mut Vec<SubscriptionEntry>,
@@ -933,7 +926,6 @@ fn fan_out(
         let events = dpm.take_notifications(designer);
         for event in &events {
             route_event(
-                dpm.network(),
                 subscriptions,
                 logs,
                 seq,
@@ -965,10 +957,8 @@ fn fan_out(
 
 /// Routes one event to `designer`: assigns the next delivery index,
 /// retains it (bounded) for reconnect redelivery, and pushes it into
-/// every matching subscription's inbox.
-#[allow(clippy::too_many_arguments)]
+/// every one of the designer's subscription inboxes.
 fn route_event(
-    network: &ConstraintNetwork,
     subscriptions: &[SubscriptionEntry],
     logs: &mut [EventLog],
     seq: u64,
@@ -994,9 +984,6 @@ fn route_event(
         None => 0,
     };
     for sub in subscriptions.iter().filter(|s| s.designer == designer) {
-        if !sub.interests.matches(event, network) {
-            continue;
-        }
         if sub.inbox.push(InboxEntry {
             seq,
             idx,
@@ -1124,9 +1111,6 @@ mod tests {
         let d1 = dpm.designers()[1];
         let fe = frontend_problem(&dpm);
         let interests = InterestSet::for_designer(&dpm, d1);
-        // d1's connectivity-derived interests reach pf through the shared
-        // budget constraint.
-        assert!(interests.property_count() >= 2);
         let engine = SessionEngine::spawn(dpm);
         let handle = engine.handle();
         let inbox = handle
@@ -1225,7 +1209,7 @@ mod tests {
         );
         assert!(handle.snapshot().is_err());
         assert!(handle
-            .subscribe(d0, InterestSet::everything(), 8)
+            .subscribe_from(d0, 8, None)
             .is_err());
     }
 
@@ -1401,9 +1385,7 @@ mod tests {
         let fe = frontend_problem(&dpm);
         let engine = SessionEngine::spawn(dpm);
         let handle = engine.handle();
-        let inbox = handle
-            .subscribe(d1, InterestSet::everything(), 1)
-            .expect("session alive");
+        let (inbox, _) = handle.subscribe_from(d1, 1, None).expect("session alive");
         handle
             .submit(Operation::assign(d0, fe, pf, Value::number(150.0)))
             .expect("session alive");

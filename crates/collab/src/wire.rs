@@ -59,12 +59,11 @@ pub enum Frame {
         /// Designer index.
         designer: u32,
     },
-    /// Client subscribes to notifications. `all` = firehose; otherwise
-    /// the server derives the interest set from the hello'd designer's
-    /// constraint connectivity.
+    /// Client subscribes to the hello'd designer's notifications: every
+    /// event the Notification Manager routes to that designer.
     Subscribe {
-        /// `true` for the firehose, `false` for connectivity-derived
-        /// interests.
+        /// Accepted for older clients and ignored by the server; optional
+        /// on the wire (absent reads as `false`).
         all: bool,
         /// Resume marker: `Some(idx)` asks the server to redeliver every
         /// retained event for this designer with a delivery index greater
@@ -932,7 +931,10 @@ impl Frame {
                 designer: need_u32("designer")?,
             }),
             "subscribe" => Ok(Frame::Subscribe {
-                all: need_bool("all")?,
+                all: match get("all") {
+                    None => false,
+                    Some(_) => need_bool("all")?,
+                },
                 resume_from: opt_u64("resume_from")?,
             }),
             "assign" => Ok(Frame::Submit {
@@ -1578,6 +1580,13 @@ mod tests {
         }
         .to_line();
         assert!(!line.contains("resume_from"), "line: {line}");
+        assert_eq!(
+            Frame::parse_line("{\"t\":\"subscribe\"}"),
+            Ok(Frame::Subscribe {
+                all: false,
+                resume_from: None
+            })
+        );
         // Pre-resilience peers omit idx/last_idx entirely; both default 0.
         assert_eq!(
             Frame::parse_line("{\"t\":\"subscribed\",\"designer\":1}"),

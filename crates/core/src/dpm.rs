@@ -20,7 +20,7 @@
 //! violation involving properties from multiple subsystems — the costly
 //! "integration iteration" the paper's evaluation counts.
 
-use crate::events::{Event, Notification, NotificationManager};
+use crate::events::{Event, InterestSet};
 use crate::ids::{DesignerId, ProblemId};
 use crate::operation::{Operation, OperationRecord, Operator};
 use crate::problem::{ProblemSet, ProblemStatus};
@@ -31,7 +31,7 @@ use adpm_constraint::{
 };
 use adpm_observe::{Clock, Counter, MetricsSink, MonotonicClock, NoopSink, SpanKind, TraceEvent};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Why an [`Operation`] failed structural validation before execution.
 ///
@@ -168,8 +168,12 @@ pub struct DesignProcessManager {
     network: ConstraintNetwork,
     problems: ProblemSet,
     config: DpmConfig,
-    nm: NotificationManager,
     designers: Vec<DesignerId>,
+    /// One viewpoint per designer (indexed by designer id), built on first
+    /// use and dropped whenever designers or problem assignments can
+    /// change: [`add_designer`](Self::add_designer),
+    /// [`problems_mut`](Self::problems_mut) and the decompose operator.
+    viewpoints: OnceLock<Vec<InterestSet>>,
     history: Vec<OperationRecord>,
     /// Operations executed before `history` began (non-zero only after a
     /// snapshot restore): `op_base + history.len()` is the logical
@@ -197,8 +201,8 @@ impl DesignProcessManager {
             network,
             problems: ProblemSet::new(),
             config,
-            nm: NotificationManager::new(),
             designers: Vec::new(),
+            viewpoints: OnceLock::new(),
             history: Vec::new(),
             op_base: 0,
             state_program: Vec::new(),
@@ -240,6 +244,7 @@ impl DesignProcessManager {
     pub fn add_designer(&mut self) -> DesignerId {
         let id = DesignerId::new(self.designers.len() as u32);
         self.designers.push(id);
+        self.viewpoints.take();
         id
     }
 
@@ -265,7 +270,27 @@ impl DesignProcessManager {
 
     /// Mutable access to the problem hierarchy (scenario setup).
     pub fn problems_mut(&mut self) -> &mut ProblemSet {
+        self.viewpoints.take();
         &mut self.problems
+    }
+
+    /// The designer's viewpoint, which the Notification Manager routes
+    /// their events through (see [`InterestSet`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `designer` is not registered.
+    pub fn viewpoint(&self, designer: DesignerId) -> &InterestSet {
+        &self.viewpoints()[designer.index()]
+    }
+
+    fn viewpoints(&self) -> &[InterestSet] {
+        self.viewpoints.get_or_init(|| {
+            self.designers
+                .iter()
+                .map(|d| InterestSet::build(&self.problems, *d))
+                .collect()
+        })
     }
 
     /// The heuristic support data mined after the last ADPM transition.
@@ -476,6 +501,7 @@ impl DesignProcessManager {
                 for name in subproblems {
                     self.problems.decompose(operation.problem(), name.clone());
                 }
+                self.viewpoints.take();
             }
             Operator::Relax {
                 constraint,
@@ -781,22 +807,30 @@ impl DesignProcessManager {
         self.event_buffer.extend(events);
     }
 
-    /// Routes the buffered events; returns `(recipients, events delivered)`
-    /// — the Notification Manager's fan-out for this operation.
+    /// The Notification Manager: routes the buffered events to every
+    /// designer whose viewpoint they match; returns `(recipients, events
+    /// delivered)` — the fan-out for this operation.
     fn flush_events(&mut self) -> (u32, u32) {
         if self.event_buffer.is_empty() {
             return (0, 0);
         }
         let events = std::mem::take(&mut self.event_buffer);
-        let routed = self
-            .nm
-            .route(&events, &self.problems, &self.network, &self.designers);
+        let mut pending = std::mem::take(&mut self.pending);
         let (mut recipients, mut delivered) = (0u32, 0u32);
-        for Notification { designer, events } in routed {
+        for (designer, viewpoint) in self.designers.iter().zip(self.viewpoints()) {
+            let relevant: Vec<Event> = events
+                .iter()
+                .filter(|e| viewpoint.matches(e, &self.problems, &self.network))
+                .cloned()
+                .collect();
+            if relevant.is_empty() {
+                continue;
+            }
             recipients += 1;
-            delivered += events.len() as u32;
-            self.pending.entry(designer).or_default().extend(events);
+            delivered += relevant.len() as u32;
+            pending.entry(*designer).or_default().extend(relevant);
         }
+        self.pending = pending;
         (recipients, delivered)
     }
 
@@ -1136,6 +1170,17 @@ mod tests {
                 "{d} missed the violation, got {events:?}"
             );
         }
+    }
+
+    #[test]
+    fn viewpoints_follow_designers_and_assignments() {
+        let (mut dpm, d0, d1, _, front, _, pf, _, _) = fixture(ManagementMode::Adpm);
+        assert!(dpm.viewpoint(d0).properties().contains(&pf));
+        dpm.problems_mut().problem_mut(front).set_assignee(Some(d1));
+        assert!(!dpm.viewpoint(d0).properties().contains(&pf));
+        assert!(dpm.viewpoint(d1).properties().contains(&pf));
+        let d2 = dpm.add_designer();
+        assert!(dpm.viewpoint(d2).properties().is_empty());
     }
 
     #[test]

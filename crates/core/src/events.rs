@@ -3,9 +3,10 @@
 //! ADPM's NM "alerts designers of constraint-related events, including
 //! violations and reductions of a property's feasible subspace. It selects
 //! subsets of `H_{n+1}` relevant to each designer and includes them in
-//! notifications" (paper §2.2). Here the NM routes events to every designer
-//! whose assigned problems touch the affected properties.
+//! notifications" (paper §2.2). Here the NM routes each event to the
+//! designers whose [`InterestSet`] (viewpoint) it matches.
 
+use crate::dpm::DesignProcessManager;
 use crate::ids::{DesignerId, ProblemId};
 use crate::problem::ProblemSet;
 use adpm_constraint::{ConstraintId, ConstraintNetwork, PropertyId};
@@ -192,24 +193,6 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// The properties this event concerns (used for routing).
-    pub fn properties(&self) -> Vec<PropertyId> {
-        match self {
-            Event::ViolationDetected { properties, .. } => properties.clone(),
-            Event::ViolationResolved { .. } | Event::ProblemSolved { .. } => Vec::new(),
-            Event::FeasibleReduced { property, .. } | Event::FeasibleEmptied { property } => {
-                vec![*property]
-            }
-            Event::NegotiationProposed { proposal, .. } => {
-                proposal.property().into_iter().collect()
-            }
-            Event::NegotiationAnswered { .. } => Vec::new(),
-            Event::NegotiationClosed { properties, .. } => properties.clone(),
-        }
-    }
-}
-
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -265,129 +248,108 @@ impl fmt::Display for Event {
     }
 }
 
-/// A batch of events delivered to one designer after one transition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Notification {
-    /// The receiving designer.
-    pub designer: DesignerId,
-    /// The events relevant to that designer, in emission order.
-    pub events: Vec<Event>,
+/// One designer's viewpoint, and the Notification Manager's routing rule
+/// over it.
+///
+/// The viewpoint is the designer's own problems (those assigned to them),
+/// those problems' inputs and outputs, and those problems' constraints.
+/// An event is relevant to the designer when [`matches`](Self::matches)
+/// says so:
+///
+/// - feasibility events on one of their own properties;
+/// - violations (detected or resolved) and negotiations whose constraint
+///   touches one of their own properties, and violation detections and
+///   negotiations on a constraint of one of their own problems;
+/// - violations and negotiations on cross-object constraints, whoever owns
+///   them — cross-subsystem conflicts concern the whole team, which is the
+///   collaborative point of the paper;
+/// - `ProblemSolved` for one of their own problems or a child of one.
+///
+/// The DPM caches one viewpoint per designer
+/// ([`viewpoint`](crate::DesignProcessManager::viewpoint)) and routes every
+/// operation's events through it; the collaboration server delivers
+/// exactly that stream.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InterestSet {
+    problems: Vec<ProblemId>,
+    properties: BTreeSet<PropertyId>,
+    constraints: BTreeSet<ConstraintId>,
 }
 
-/// Routes events to the designers they are relevant to.
-///
-/// An event is relevant to designer `d` if it mentions a property that is an
-/// input or output of a problem assigned to `d`, if it mentions one of `d`'s
-/// problems, or if it is a violation on a constraint of one of `d`'s
-/// problems. Violation events with no such link are still broadcast to all
-/// designers — cross-subsystem conflicts concern everyone, which is the
-/// collaborative point of the paper.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NotificationManager;
-
-impl NotificationManager {
-    /// Creates a notification manager.
-    pub fn new() -> Self {
-        NotificationManager
+impl InterestSet {
+    /// Builds `designer`'s viewpoint over the problem hierarchy.
+    pub(crate) fn build(problems: &ProblemSet, designer: DesignerId) -> Self {
+        let own = problems.assigned_to(designer);
+        let mut properties = BTreeSet::new();
+        let mut constraints = BTreeSet::new();
+        for pid in &own {
+            let p = problems.problem(*pid);
+            properties.extend(p.inputs().iter().chain(p.outputs()).copied());
+            constraints.extend(p.constraints().iter().copied());
+        }
+        InterestSet {
+            problems: own,
+            properties,
+            constraints,
+        }
     }
 
-    /// Splits `events` into per-designer notifications.
-    pub fn route(
-        &self,
-        events: &[Event],
-        problems: &ProblemSet,
-        network: &ConstraintNetwork,
-        designers: &[DesignerId],
-    ) -> Vec<Notification> {
-        designers
-            .iter()
-            .map(|d| {
-                // Hoist the designer's problem/property sets out of the
-                // per-event relevance check.
-                let my_problems = problems.assigned_to(*d);
-                let my_properties: BTreeSet<PropertyId> = my_problems
-                    .iter()
-                    .flat_map(|pid| {
-                        let p = problems.problem(*pid);
-                        p.inputs().iter().chain(p.outputs().iter()).copied()
-                    })
-                    .collect();
-                Notification {
-                    designer: *d,
-                    events: events
-                        .iter()
-                        .filter(|e| {
-                            self.relevant(e, &my_problems, &my_properties, problems, network)
-                        })
-                        .cloned()
-                        .collect(),
-                }
-            })
-            .filter(|n| !n.events.is_empty())
-            .collect()
+    /// A copy of `designer`'s viewpoint as `dpm` caches it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `designer` is not registered with `dpm`.
+    pub fn for_designer(dpm: &DesignProcessManager, designer: DesignerId) -> Self {
+        dpm.viewpoint(designer).clone()
     }
 
-    fn relevant(
+    /// The inputs and outputs of the designer's own problems.
+    pub fn properties(&self) -> &BTreeSet<PropertyId> {
+        &self.properties
+    }
+
+    /// Whether `event` is relevant to this designer (see the type docs).
+    pub fn matches(
         &self,
         event: &Event,
-        my_problems: &[crate::ids::ProblemId],
-        my_properties: &BTreeSet<PropertyId>,
         problems: &ProblemSet,
         network: &ConstraintNetwork,
     ) -> bool {
+        let touches_own = |args: &[PropertyId]| args.iter().any(|p| self.properties.contains(p));
         match event {
+            Event::FeasibleReduced { property, .. } | Event::FeasibleEmptied { property } => {
+                self.properties.contains(property)
+            }
+            Event::ProblemSolved { problem } => {
+                self.problems.contains(problem)
+                    || problems
+                        .problem(*problem)
+                        .parent()
+                        .is_some_and(|parent| self.problems.contains(&parent))
+            }
             Event::ViolationDetected {
                 constraint,
                 properties,
-            } => {
-                properties.iter().any(|p| my_properties.contains(p))
-                    || my_problems
-                        .iter()
-                        .any(|pid| problems.problem(*pid).constraints().contains(constraint))
-                    // Cross-object violations concern the whole team.
-                    || network.is_cross_object(*constraint)
             }
-            Event::ViolationResolved { constraint } => {
-                network
-                    .constraint(*constraint)
-                    .argument_slice()
-                    .iter()
-                    .any(|p| my_properties.contains(p))
-                    || network.is_cross_object(*constraint)
-            }
-            Event::FeasibleReduced { property, .. } | Event::FeasibleEmptied { property } => {
-                my_properties.contains(property)
-            }
-            Event::ProblemSolved { problem } => {
-                my_problems.contains(problem)
-                    || problems.problem(*problem).parent().map(|pp| my_problems.contains(&pp))
-                        == Some(true)
-            }
-            // Negotiation events follow the seed conflict's relevance rule:
-            // a negotiated conflict concerns whoever the violation itself
-            // would concern (and, like cross-object violations, the whole
-            // team when the seed spans objects).
-            Event::NegotiationProposed { constraint, .. }
-            | Event::NegotiationAnswered { constraint, .. } => {
-                network
-                    .constraint(*constraint)
-                    .argument_slice()
-                    .iter()
-                    .any(|p| my_properties.contains(p))
-                    || my_problems
-                        .iter()
-                        .any(|pid| problems.problem(*pid).constraints().contains(constraint))
-                    || network.is_cross_object(*constraint)
-            }
-            Event::NegotiationClosed {
+            | Event::NegotiationClosed {
                 constraint,
                 properties,
                 ..
             } => {
-                properties.iter().any(|p| my_properties.contains(p))
-                    || my_problems
-                        .iter()
-                        .any(|pid| problems.problem(*pid).constraints().contains(constraint))
+                touches_own(properties)
+                    || self.constraints.contains(constraint)
+                    || network.is_cross_object(*constraint)
+            }
+            Event::NegotiationProposed { constraint, .. }
+            | Event::NegotiationAnswered { constraint, .. } => {
+                touches_own(network.constraint(*constraint).argument_slice())
+                    || self.constraints.contains(constraint)
+                    || network.is_cross_object(*constraint)
+            }
+            // Unlike a detection, a resolution does not reach the owner of
+            // a problem constraint whose arguments are all someone else's.
+            Event::ViolationResolved { constraint } => {
+                touches_own(network.constraint(*constraint).argument_slice())
                     || network.is_cross_object(*constraint)
             }
         }
@@ -397,7 +359,10 @@ impl NotificationManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adpm_constraint::{expr::var, Domain, Property, Relation};
+    use adpm_constraint::{
+        expr::{cst, var},
+        Domain, Property, Relation,
+    };
 
     fn setup() -> (ProblemSet, ConstraintNetwork, Vec<PropertyId>, ConstraintId) {
         let mut net = ConstraintNetwork::new();
@@ -429,65 +394,91 @@ mod tests {
         (problems, net, vec![a, b], c)
     }
 
+    /// The designers (of the two in `setup`) whose viewpoint `event`
+    /// matches, ascending.
+    fn recipients(event: &Event, problems: &ProblemSet, net: &ConstraintNetwork) -> Vec<u32> {
+        (0..2)
+            .filter(|d| {
+                InterestSet::build(problems, DesignerId::new(*d)).matches(event, problems, net)
+            })
+            .collect()
+    }
+
     #[test]
     fn feasible_events_go_to_property_owner_only() {
         let (problems, net, props, _) = setup();
-        let nm = NotificationManager::new();
-        let events = vec![Event::FeasibleReduced {
+        let event = Event::FeasibleReduced {
             property: props[0],
             relative_size: 0.5,
-        }];
-        let designers = [DesignerId::new(0), DesignerId::new(1)];
-        let routed = nm.route(&events, &problems, &net, &designers);
-        assert_eq!(routed.len(), 1);
-        assert_eq!(routed[0].designer, DesignerId::new(0));
+        };
+        assert_eq!(recipients(&event, &problems, &net), [0]);
+        let event = Event::FeasibleEmptied { property: props[1] };
+        assert_eq!(recipients(&event, &problems, &net), [1]);
     }
 
     #[test]
     fn cross_object_violations_reach_everyone() {
         let (problems, net, props, c) = setup();
-        let nm = NotificationManager::new();
-        let events = vec![Event::ViolationDetected {
+        let detected = Event::ViolationDetected {
             constraint: c,
             properties: props.clone(),
-        }];
-        let designers = [DesignerId::new(0), DesignerId::new(1)];
-        let routed = nm.route(&events, &problems, &net, &designers);
-        assert_eq!(routed.len(), 2);
+        };
+        assert_eq!(recipients(&detected, &problems, &net), [0, 1]);
+        let resolved = Event::ViolationResolved { constraint: c };
+        assert_eq!(recipients(&resolved, &problems, &net), [0, 1]);
     }
 
     #[test]
     fn empty_notifications_are_dropped() {
-        let (problems, net, _, _) = setup();
-        let nm = NotificationManager::new();
-        let routed = nm.route(&[], &problems, &net, &[DesignerId::new(0)]);
-        assert!(routed.is_empty());
+        // An event outside every viewpoint reaches nobody.
+        let (problems, mut net, _, _) = setup();
+        let stray = net
+            .add_property(Property::new("c", "misc", Domain::interval(0.0, 1.0)))
+            .unwrap();
+        let event = Event::FeasibleEmptied { property: stray };
+        assert!(recipients(&event, &problems, &net).is_empty());
+    }
+
+    #[test]
+    fn local_violations_match_by_property_and_problem_constraint() {
+        let (mut problems, mut net, props, _) = setup();
+        // `local` lives on designer 0's object only; designer 1 owns it as
+        // a constraint of their problem.
+        let local = net
+            .add_constraint("local", var(props[0]), Relation::Le, cst(0.5))
+            .unwrap();
+        let filter = problems.ids().nth(2).unwrap();
+        *problems.problem_mut(filter) = problems.problem(filter).clone().with_constraints([local]);
+        let detected = Event::ViolationDetected {
+            constraint: local,
+            properties: vec![props[0]],
+        };
+        assert_eq!(recipients(&detected, &problems, &net), [0, 1]);
+        // A resolution goes by argument only.
+        let resolved = Event::ViolationResolved { constraint: local };
+        assert_eq!(recipients(&resolved, &problems, &net), [0]);
+        let proposed = Event::NegotiationProposed {
+            constraint: local,
+            round: 1,
+            proposer: DesignerId::new(0),
+            proposal: Proposal::Unbind { property: props[0] },
+        };
+        assert_eq!(recipients(&proposed, &problems, &net), [0, 1]);
     }
 
     #[test]
     fn problem_solved_goes_to_assignee_and_parent_owner() {
-        let (problems, net, _, _) = setup();
-        let nm = NotificationManager::new();
+        let (mut problems, net, _, _) = setup();
         let filter_problem = problems.ids().nth(2).unwrap();
-        let events = vec![Event::ProblemSolved {
+        let event = Event::ProblemSolved {
             problem: filter_problem,
-        }];
-        let designers = [DesignerId::new(0), DesignerId::new(1)];
-        let routed = nm.route(&events, &problems, &net, &designers);
-        assert_eq!(routed.len(), 1);
-        assert_eq!(routed[0].designer, DesignerId::new(1));
-    }
-
-    #[test]
-    fn event_properties_for_routing() {
-        let e = Event::FeasibleEmptied {
-            property: PropertyId::new(4),
         };
-        assert_eq!(e.properties(), vec![PropertyId::new(4)]);
-        let e = Event::ViolationResolved {
-            constraint: ConstraintId::new(0),
-        };
-        assert!(e.properties().is_empty());
+        assert_eq!(recipients(&event, &problems, &net), [1]);
+        let top = problems.root().unwrap();
+        problems
+            .problem_mut(top)
+            .set_assignee(Some(DesignerId::new(0)));
+        assert_eq!(recipients(&event, &problems, &net), [0, 1]);
     }
 
     #[test]

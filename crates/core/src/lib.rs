@@ -38,7 +38,7 @@ mod problem;
 mod replay;
 
 pub use dpm::{DesignProcessManager, DpmConfig, ManagementMode, OperationError};
-pub use events::{Event, NegotiationAnswer, Notification, NotificationManager, Proposal};
+pub use events::{Event, InterestSet, NegotiationAnswer, Proposal};
 pub use ids::{DesignerId, ProblemId};
 pub use operation::{Operation, OperationRecord, Operator};
 pub use problem::{DesignProblem, ProblemSet, ProblemStatus};

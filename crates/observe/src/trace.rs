@@ -21,7 +21,7 @@ use crate::json::escape_into;
 /// | `TicksExecuted` | a simulation tick executes an operation |
 /// | `TicksStalled` | a simulation tick finds no designer with a proposal |
 /// | `SessionOps` | a collaboration session's command loop processes a command |
-/// | `InboxDelivered` | an interest-filtered event lands in a subscriber's inbox |
+/// | `InboxDelivered` | a routed event lands in a subscriber's inbox |
 /// | `InboxDropped` | a full inbox drops an incoming event (overflow accounting) |
 /// | `WireBytesSkipped` | the wire reader discards bytes resynchronizing past an oversized line |
 /// | `Reconnects` | a resilient client re-establishes a lost collaboration connection |

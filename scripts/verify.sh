@@ -13,6 +13,18 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+# The dump races the session's own bookkeeping unless the server orders it
+# behind the commands before it; one run rarely shows that, 50 do.
+echo "==> flight-recorder dump test, 50 repetitions"
+for i in $(seq 1 50); do
+  if ! out=$(cargo test -q -p adpm-collab --lib -- --exact \
+      server::tests::dump_keeps_whole_operations_on_a_large_network 2>&1); then
+    echo "$out"
+    echo "dump test failed on repetition $i of 50"
+    exit 1
+  fi
+done
+
 echo "==> fig_incremental smoke run (3 seeds, equivalence oracle)"
 cargo run --release -q -p adpm-bench --bin fig_incremental -- 3 >/dev/null
 

@@ -1,9 +1,11 @@
 //! Notification Manager integration: constraint-related events reach the
 //! right designers across the full scenario stack (paper §2.2's NM).
 
-use adpm_core::{DpmConfig, Event, Operation};
+use adpm_collab::{InterestSet, SessionEngine, DEFAULT_INBOX_CAPACITY};
 use adpm_constraint::Value;
-use adpm_scenarios::{sensing_system, wireless_receiver};
+use adpm_core::{DpmConfig, Event, ManagementMode, Operation};
+use adpm_scenarios::{pipeline, sensing_system, wireless_receiver};
+use adpm_teamsim::{Simulation, SimulationConfig};
 
 #[test]
 fn feasibility_reductions_are_routed_to_affected_designers() {
@@ -104,4 +106,63 @@ fn resolving_a_violation_emits_a_resolution_event() {
             .any(|e| matches!(e, Event::ViolationResolved { .. })),
         "missing resolution event: {events:?}"
     );
+}
+
+/// The wire delivers exactly what the in-process Notification Manager
+/// routes: replaying a TeamSim history through a session with one default
+/// subscription per designer yields, designer by designer, the same event
+/// stream as a fresh DPM's `take_notifications`.
+#[test]
+fn wire_subscriptions_receive_exactly_the_in_process_stream() {
+    let scenarios = [
+        ("sensing", sensing_system()),
+        ("receiver", wireless_receiver()),
+        ("pipeline(4)", pipeline(4)),
+    ];
+    for (name, scenario) in &scenarios {
+        for mode in [ManagementMode::Adpm, ManagementMode::Conventional] {
+            for seed in 1..=3 {
+                let config = SimulationConfig::for_mode(mode, seed);
+                let mut sim = Simulation::new(scenario, config.clone());
+                sim.run();
+                let fresh = || {
+                    let mut dpm = scenario.build_dpm(config.dpm_config());
+                    dpm.initialize();
+                    dpm
+                };
+                let mut in_process = fresh();
+                let engine = SessionEngine::spawn(fresh());
+                let handle = engine.handle();
+                let designers = in_process.designers().to_vec();
+                let inboxes: Vec<_> = designers
+                    .iter()
+                    .map(|d| {
+                        let interests = InterestSet::for_designer(&in_process, *d);
+                        handle
+                            .subscribe(*d, interests, DEFAULT_INBOX_CAPACITY)
+                            .expect("session alive")
+                    })
+                    .collect();
+                let mut expected: Vec<Vec<Event>> = vec![Vec::new(); designers.len()];
+                let mut delivered: Vec<Vec<Event>> = vec![Vec::new(); designers.len()];
+                for record in sim.dpm().history() {
+                    in_process
+                        .execute(record.operation.clone())
+                        .expect("the history replays");
+                    let outcome = handle
+                        .submit(record.operation.clone())
+                        .expect("session alive");
+                    assert!(outcome.record().is_some(), "{name}: {outcome:?}");
+                    for (i, d) in designers.iter().enumerate() {
+                        expected[i].extend(in_process.take_notifications(*d));
+                        delivered[i].extend(inboxes[i].drain().into_iter().map(|e| e.event));
+                    }
+                }
+                assert!(inboxes.iter().all(|inbox| inbox.dropped() == 0));
+                assert!(expected.iter().any(|events| !events.is_empty()));
+                assert_eq!(delivered, expected, "{name} {mode:?} seed {seed}");
+                engine.shutdown();
+            }
+        }
+    }
 }
