@@ -1,105 +1,115 @@
 //! Compares the DCM's two propagation paths — full from-scratch
-//! re-propagation after every operation vs dirty-set **incremental**
-//! propagation seeded with the operation's target property — on the
-//! paper's sensing-system and wireless-receiver scenarios.
+//! re-propagation after every operation vs **region** propagation, which
+//! re-derives only the properties and constraints the operation can move —
+//! on the paper's sensing-system and wireless-receiver scenarios.
 //!
 //! For every seed, one ADPM simulation is run to record a design history,
 //! and that history is then replayed operation-by-operation on two fresh
-//! DPMs, one per propagation kind. After *every* operation the two design
-//! states are checked for equivalence (identical feasible subspaces,
-//! constraint statuses, and known violations) — the correctness oracle for
-//! the incremental path — while the per-operation constraint evaluations
-//! are accumulated for the cost comparison.
+//! DPMs: one running uncapped full propagation, one running the region
+//! path. After *every* operation the two are checked for equality — bit
+//! for bit identical feasible subspaces, the same constraint statuses and
+//! known violations, and the same notification stream for every designer
+//! — the correctness oracle for the region path, while the per-operation
+//! constraint evaluations are accumulated for the cost comparison.
 //!
-//! Expected shape: the fixed points are always identical, and incremental
-//! propagation needs strictly fewer evaluations per operation, because it
-//! only re-examines constraints adjacent to what actually changed.
+//! Expected shape: the states and streams are always identical, and the
+//! region path needs strictly fewer evaluations per operation, because it
+//! only re-examines the part of the network the operation can move.
 //!
 //! Usage: `fig_incremental [seeds]` (default 60).
 
 use adpm_bench::{write_results_json, JsonRow, SEEDS};
+use adpm_constraint::{PropagationConfig, PropagationKind};
 use adpm_core::{DesignProcessManager, DpmConfig};
 use adpm_dddl::CompiledScenario;
 use adpm_teamsim::{Simulation, SimulationConfig};
-
-/// Feasible-interval tolerance for the equivalence oracle. The two paths
-/// run HC4-revise in different orders, so the last ulp may differ; any
-/// larger gap is a soundness bug and aborts the binary.
-const TOL: f64 = 1e-9;
 
 #[derive(Default)]
 struct Totals {
     operations: u64,
     full_evaluations: u64,
-    incremental_evaluations: u64,
-    incremental_runs: u64,
-    fallback_runs: u64,
+    region_evaluations: u64,
+    /// Operations where the region run cost less than the full run.
+    cheaper_runs: u64,
 }
 
-fn equivalent(full: &DesignProcessManager, inc: &DesignProcessManager) -> Result<(), String> {
-    let (fnet, inet) = (full.network(), inc.network());
+/// Checks the two DPMs agree on everything a designer can observe, and
+/// drains and compares every designer's notifications.
+fn equivalent(
+    full: &mut DesignProcessManager,
+    region: &mut DesignProcessManager,
+) -> Result<(), String> {
+    let (fnet, rnet) = (full.network(), region.network());
     for pid in fnet.property_ids() {
-        let (a, b) = (fnet.feasible(pid), inet.feasible(pid));
-        let close = match (a.enclosing_interval(), b.enclosing_interval()) {
-            (Some(ia), Some(ib)) => {
-                (ia.lo() - ib.lo()).abs() <= TOL && (ia.hi() - ib.hi()).abs() <= TOL
-            }
-            _ => a == b,
-        };
-        if !close || a.is_empty() != b.is_empty() {
+        let (a, b) = (fnet.feasible(pid), rnet.feasible(pid));
+        if format!("{a:?}") != format!("{b:?}") {
             return Err(format!(
-                "feasible({}) diverged: full {a} vs incremental {b}",
+                "feasible({}) diverged: full {a:?} vs region {b:?}",
                 fnet.property(pid).name()
             ));
         }
     }
     for cid in fnet.constraint_ids() {
-        if fnet.status(cid) != inet.status(cid) {
+        if fnet.status(cid) != rnet.status(cid) {
             return Err(format!(
-                "status({}) diverged: full {:?} vs incremental {:?}",
+                "status({}) diverged: full {:?} vs region {:?}",
                 fnet.constraint(cid).name(),
                 fnet.status(cid),
-                inet.status(cid)
+                rnet.status(cid)
             ));
         }
     }
-    if full.known_violations() != inc.known_violations() {
+    if full.known_violations() != region.known_violations() {
         return Err("known violation sets diverged".into());
+    }
+    for designer in full.designers().to_vec() {
+        let (a, b) = (
+            full.take_notifications(designer),
+            region.take_notifications(designer),
+        );
+        if a != b {
+            return Err(format!(
+                "notifications of {designer} diverged: full {a:?} vs region {b:?}"
+            ));
+        }
     }
     Ok(())
 }
 
 fn replay_scenario(name: &str, scenario: &CompiledScenario, seeds: u64) -> Totals {
+    let uncapped_full = DpmConfig {
+        propagation: PropagationConfig {
+            max_evaluations: usize::MAX,
+            ..PropagationConfig::default()
+        },
+        propagation_kind: PropagationKind::Full,
+        ..DpmConfig::adpm()
+    };
     let mut totals = Totals::default();
     for seed in 0..seeds {
         let mut sim = Simulation::new(scenario, SimulationConfig::adpm(seed));
         sim.run();
         let history = sim.dpm().history().to_vec();
 
-        let mut full = scenario.build_dpm(DpmConfig::adpm());
-        let mut inc = scenario.build_dpm(DpmConfig::adpm_incremental());
+        let mut full = scenario.build_dpm(uncapped_full.clone());
+        let mut region = scenario.build_dpm(DpmConfig::adpm());
         full.initialize();
-        inc.initialize();
-        equivalent(&full, &inc).unwrap_or_else(|why| {
-            panic!("{name} seed {seed}: states diverged after setup: {why}")
-        });
+        region.initialize();
+        equivalent(&mut full, &mut region)
+            .unwrap_or_else(|why| panic!("{name} seed {seed}: states diverged after setup: {why}"));
 
         for record in &history {
             let f = full
                 .execute(record.operation.clone())
                 .expect("full replay accepts its own history");
-            let i = inc
+            let r = region
                 .execute(record.operation.clone())
-                .expect("incremental replay accepts the same history");
+                .expect("region replay accepts the same history");
             totals.operations += 1;
             totals.full_evaluations += f.evaluations as u64;
-            totals.incremental_evaluations += i.evaluations as u64;
-            if i.evaluations < f.evaluations {
-                totals.incremental_runs += 1;
-            } else {
-                totals.fallback_runs += 1;
-            }
-            equivalent(&full, &inc).unwrap_or_else(|why| {
+            totals.region_evaluations += r.evaluations as u64;
+            totals.cheaper_runs += u64::from(r.evaluations < f.evaluations);
+            equivalent(&mut full, &mut region).unwrap_or_else(|why| {
                 panic!(
                     "{name} seed {seed} op {}: states diverged: {why}",
                     record.sequence
@@ -115,10 +125,10 @@ fn main() {
         .nth(1)
         .map(|s| s.parse().expect("seed count must be a number"))
         .unwrap_or(SEEDS);
-    println!("=== incremental vs full propagation ({seeds} seeds per scenario) ===\n");
+    println!("=== region vs full propagation ({seeds} seeds per scenario) ===\n");
     println!(
         "{:<20} {:>8} {:>12} {:>12} {:>9} {:>9} {:>9} {:>9}",
-        "case", "ops", "full evals", "incr evals", "full/op", "incr/op", "speedup", "cheaper%"
+        "case", "ops", "full evals", "region evals", "full/op", "region/op", "speedup", "cheaper%"
     );
 
     let mut all_cheaper = true;
@@ -129,37 +139,37 @@ fn main() {
     ] {
         let t = replay_scenario(name, &scenario, seeds);
         let full_per_op = t.full_evaluations as f64 / t.operations as f64;
-        let incr_per_op = t.incremental_evaluations as f64 / t.operations as f64;
+        let region_per_op = t.region_evaluations as f64 / t.operations as f64;
         println!(
-            "{name:<20} {:>8} {:>12} {:>12} {full_per_op:>9.2} {incr_per_op:>9.2} \
+            "{name:<20} {:>8} {:>12} {:>12} {full_per_op:>9.2} {region_per_op:>9.2} \
              {:>8.2}x {:>8.1}%",
             t.operations,
             t.full_evaluations,
-            t.incremental_evaluations,
-            full_per_op / incr_per_op,
-            100.0 * t.incremental_runs as f64 / t.operations as f64,
+            t.region_evaluations,
+            full_per_op / region_per_op,
+            100.0 * t.cheaper_runs as f64 / t.operations as f64,
         );
-        all_cheaper &= t.incremental_evaluations < t.full_evaluations;
+        all_cheaper &= t.region_evaluations < t.full_evaluations;
         json.push(
             JsonRow::new("bench_case", "fig_incremental")
                 .str("case", name)
                 .u64("seeds", seeds)
                 .u64("operations", t.operations)
                 .u64("full_evaluations", t.full_evaluations)
-                .u64("incremental_evaluations", t.incremental_evaluations)
-                .u64("incremental_runs", t.incremental_runs)
-                .u64("fallback_runs", t.fallback_runs)
-                .f64("speedup", full_per_op / incr_per_op)
+                .u64("region_evaluations", t.region_evaluations)
+                .u64("cheaper_runs", t.cheaper_runs)
+                .f64("speedup", full_per_op / region_per_op)
                 .finish(),
         );
     }
 
-    println!("\nequivalence oracle: every operation left identical feasible subspaces,");
-    println!("constraint statuses, and known violations under both paths (checked above).");
-    println!("incremental strictly cheaper on every scenario: {all_cheaper}");
+    println!("\nequivalence oracle: every operation left bit-identical feasible subspaces,");
+    println!("constraint statuses, known violations and per-designer notifications under");
+    println!("both paths (checked above).");
+    println!("region strictly cheaper on every scenario: {all_cheaper}");
     write_results_json("fig_incremental", &json);
     assert!(
         all_cheaper,
-        "incremental propagation must need fewer evaluations than full"
+        "region propagation must need fewer evaluations than full"
     );
 }

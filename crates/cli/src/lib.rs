@@ -157,8 +157,9 @@ COMMANDS:
                                            simulate one TeamSim run
                                            (--propagation picks the DCM path:
                                             full re-propagation after every
-                                            operation, or incremental dirty-set
-                                            propagation; --csv prints the
+                                            operation, or incremental region
+                                            propagation around what it
+                                            changed; --csv prints the
                                             per-operation table, --trace streams
                                             a JSONL event trace to FILE,
                                             --metrics appends the aggregate
@@ -191,8 +192,7 @@ COMMANDS:
     fmt     <file.dddl>                    print normalized DDDL
     builtin <sensing|receiver|walkthrough> print an embedded paper scenario
     serve   <file.dddl> [--port N] [--mode adpm|conventional]
-            [--propagation full|incremental] [--journal FILE]
-            [--fsync always|never|N] [--checkpoint-every N]
+            [--journal FILE] [--fsync always|never|N] [--checkpoint-every N]
             [--compact-every N]
             [--fault-plan PLAN] [--heartbeat-ms T] [--idle-timeout-ms T]
             [--sessions N] [--allow-create] [--metrics-addr HOST:PORT]
@@ -660,8 +660,6 @@ pub struct ServeOptions {
     pub port: u16,
     /// Management mode (`λ`) for the hosted session.
     pub mode: ManagementMode,
-    /// DCM propagation path for the hosted session.
-    pub propagation: PropagationKind,
     /// Journal every executed operation to this file; on restart the
     /// journal is recovered (replayed) before the server binds.
     pub journal: Option<PathBuf>,
@@ -699,7 +697,6 @@ impl Default for ServeOptions {
         ServeOptions {
             port: 0,
             mode: ManagementMode::Adpm,
-            propagation: PropagationKind::Full,
             journal: None,
             fsync: FsyncPolicy::EveryN(8),
             checkpoint_every: 32,
@@ -736,9 +733,7 @@ pub fn serve(
     announce: &mut dyn FnMut(&str),
 ) -> Result<String, CliError> {
     let scenario = compile_source(source)?;
-    let mut config = SimulationConfig::for_mode(options.mode, 0);
-    config.propagation_kind = options.propagation;
-    let mut dpm = scenario.build_dpm(config.dpm_config());
+    let mut dpm = scenario.build_dpm(served_config(options.mode));
     dpm.initialize();
     let mut session = SessionOptions {
         negotiation: options.negotiate.then(|| NegotiationConfig {
@@ -828,6 +823,15 @@ pub fn serve(
     Ok(out)
 }
 
+/// The DPM configuration of a served session: region propagation in ADPM
+/// mode.
+fn served_config(mode: ManagementMode) -> DpmConfig {
+    match mode {
+        ManagementMode::Adpm => DpmConfig::adpm(),
+        ManagementMode::Conventional => DpmConfig::conventional(),
+    }
+}
+
 /// Builds the state for one named session hosted by [`serve`]: a fresh
 /// initialized copy of the scenario, plus — when a journal is configured —
 /// a per-session journal at the sibling path `FILE.<name>`, recovered
@@ -838,9 +842,7 @@ fn named_session_state(
     name: &str,
 ) -> Result<(DesignProcessManager, SessionOptions), CliError> {
     let scenario = compile_source(source)?;
-    let mut config = SimulationConfig::for_mode(options.mode, 0);
-    config.propagation_kind = options.propagation;
-    let mut dpm = scenario.build_dpm(config.dpm_config());
+    let mut dpm = scenario.build_dpm(served_config(options.mode));
     dpm.initialize();
     let mut session = SessionOptions {
         negotiation: options.negotiate.then(|| NegotiationConfig {
@@ -1538,11 +1540,6 @@ fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
                         )))
                     }
                 }
-            }
-            "--propagation" => {
-                options.propagation = value(&mut it)?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--propagation: {e}")))?;
             }
             "--journal" => options.journal = Some(PathBuf::from(value(&mut it)?)),
             "--fsync" => {

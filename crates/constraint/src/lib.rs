@@ -27,9 +27,9 @@
 //!   [`propagate_profiled`] additionally timing spans against an injectable
 //!   [`adpm_observe::Clock`] and attributing evaluations / narrowings to
 //!   individual constraints and properties;
-//! * [`propagate_incremental`] — dirty-set propagation that narrows from
-//!   the last fixed point, seeding only constraints adjacent to the changed
-//!   properties (falling back to a full run when reuse would be unsound);
+//! * [`propagate_incremental`] — region propagation: the same run body
+//!   restricted to the properties and constraints the changes since the
+//!   last fixed point can move, equal to a full run bit for bit;
 //! * [`helps_direction`] — constraint monotonicity (declared or inferred);
 //! * [`HeuristicReport`] — the mined per-property heuristic support data
 //!   (`v_F` size, `β_i`, `α_i`, repair directions) of the paper's §2.3.

@@ -176,17 +176,18 @@ pub struct ConstraintNetwork {
     prop_constraints: Vec<Vec<ConstraintId>>,
     declared_monotonic: HashMap<(ConstraintId, PropertyId), HelpsDirection>,
     name_index: HashMap<(String, String), PropertyId>,
-    /// Whether the current feasible subspaces are a conflict-free fixed
-    /// point that incremental propagation may narrow from. Any widening
-    /// change (unbind, rebind, structural edit) clears it.
+    /// Whether the feasible subspaces and statuses are the fixed point of
+    /// the last run, up to the bindings in `dirty_props`, so a region run
+    /// may start from them. Structural edits, `reset_feasible` and a run
+    /// the evaluation cap stopped clear it.
     fixpoint_clean: bool,
-    /// Properties narrowed by a `bind` since the last fixed point — the
-    /// implicit dirty set incremental propagation unions with the caller's.
+    /// Properties bound or unbound since the last clean fixed point — the
+    /// implicit dirty set region propagation unions with the caller's.
     dirty_props: BTreeSet<PropertyId>,
     /// Constraints whose stored status was overwritten out-of-band (via
-    /// [`set_status`](Self::set_status)) since the last full status sweep;
-    /// an incremental run must re-evaluate these even when no adjacent
-    /// property changed.
+    /// [`set_status`](Self::set_status)) since they were last evaluated;
+    /// a region run re-evaluates these even when no adjacent property
+    /// changed.
     stale_statuses: BTreeSet<ConstraintId>,
 }
 
@@ -480,16 +481,8 @@ impl ConstraintNetwork {
                 value,
             });
         }
-        // A first-time bind to a value inside the current feasible subspace
-        // only narrows the box, so the last fixed point stays reusable; a
-        // rebind (the old singleton goes away) or an out-of-feasible value
-        // widens and forces the next propagation to start from scratch.
-        let narrowing_only = state.assignment.is_none() && state.feasible.contains(&value);
         state.assignment = Some(value);
         self.dirty_props.insert(id);
-        if !narrowing_only {
-            self.fixpoint_clean = false;
-        }
         Ok(())
     }
 
@@ -516,7 +509,6 @@ impl ConstraintNetwork {
             return Ok(()); // already unbound; nothing to invalidate
         }
         state.feasible = state.meta.initial.clone();
-        self.fixpoint_clean = false;
         self.dirty_props.insert(id);
         for cid in self.prop_constraints[id.index()].clone() {
             self.evaluate_constraint(cid);
@@ -535,8 +527,8 @@ impl ConstraintNetwork {
         self.properties[id.index()].feasible = domain;
     }
 
-    /// Resets every feasible subspace back to the initial `E_i`.
-    /// The propagator calls this before a fresh fixed-point run.
+    /// Resets every feasible subspace back to the initial `E_i`. The box no
+    /// longer holds a fixed point, so the next region request runs full.
     pub fn reset_feasible(&mut self) {
         for state in &mut self.properties {
             state.feasible = state.meta.initial.clone();
@@ -587,10 +579,9 @@ impl ConstraintNetwork {
     }
 
     /// Recomputes the statuses of just the given constraints and returns the
-    /// number of evaluations performed (`cids.len()`). The incremental
-    /// propagation path sweeps only the constraints a change could have
-    /// touched instead of the whole network.
-    pub(crate) fn evaluate_statuses_subset(&mut self, cids: &BTreeSet<ConstraintId>) -> usize {
+    /// number of evaluations performed (`cids.len()`): a propagation run
+    /// sweeps the constraints of its region.
+    pub(crate) fn evaluate_statuses_subset(&mut self, cids: &[ConstraintId]) -> usize {
         for cid in cids {
             self.evaluate_constraint(*cid);
         }
@@ -627,27 +618,27 @@ impl ConstraintNetwork {
         self.stale_statuses.insert(cid);
     }
 
-    /// Whether the current feasible subspaces are a conflict-free fixed
-    /// point that a narrowing-only (dirty-set) propagation may start from.
-    pub(crate) fn incremental_reuse_ok(&self) -> bool {
+    /// Whether the last run left a fixed point a region run may start from
+    /// (see [`propagate_incremental`](crate::propagate_incremental)).
+    pub(crate) fn fixpoint_clean(&self) -> bool {
         self.fixpoint_clean
     }
 
-    /// Properties bound since the last fixed point (the implicit dirty set).
+    /// Properties bound or unbound since the last clean fixed point (the
+    /// implicit dirty set).
     pub(crate) fn dirty_props(&self) -> &BTreeSet<PropertyId> {
         &self.dirty_props
     }
 
     /// Constraints whose stored status was overwritten out-of-band since
-    /// the last full status sweep.
+    /// they were last evaluated.
     pub(crate) fn stale_statuses(&self) -> &BTreeSet<ConstraintId> {
         &self.stale_statuses
     }
 
-    /// Records the outcome of a propagation run: `clean` means the feasible
-    /// subspaces now hold a conflict-free fixed point (which also settles
-    /// the accumulated dirty set); `!clean` forces the next incremental
-    /// request to fall back to a full run.
+    /// Records the outcome of a propagation run: `clean` means it reached
+    /// its fixed point within the cap (which also settles the accumulated
+    /// dirty set); `!clean` makes the next region request a full run.
     pub(crate) fn mark_fixpoint(&mut self, clean: bool) {
         self.fixpoint_clean = clean;
         if clean {
@@ -1132,33 +1123,43 @@ mod tests {
 
     #[test]
     fn dirty_tracking_follows_bind_unbind_and_fixpoint_marks() {
-        let (mut net, a, b, _) = simple_net();
-        assert!(!net.incremental_reuse_ok()); // never propagated
+        let (mut net, a, b, c) = simple_net();
+        assert!(!net.fixpoint_clean()); // never propagated
         net.mark_fixpoint(true);
-        assert!(net.incremental_reuse_ok());
+        assert!(net.fixpoint_clean());
         assert!(net.dirty_props().is_empty());
 
-        // First-time bind inside the feasible subspace: narrowing-only.
+        // Binds, rebinds, out-of-feasible binds and unbinds are all dirty
+        // and none of them clears the fixed point: the region run re-derives
+        // whatever they can move.
         net.bind(a, Value::number(5.0)).unwrap();
-        assert!(net.incremental_reuse_ok());
-        assert!(net.dirty_props().contains(&a));
-
-        // Rebinding replaces a singleton — a widening change.
         net.bind(a, Value::number(6.0)).unwrap();
-        assert!(!net.incremental_reuse_ok());
-
-        net.mark_fixpoint(true);
-        assert!(net.dirty_props().is_empty());
-
-        // A bind outside the current feasible subspace is widening too.
         net.set_feasible(b, Domain::interval(0.0, 1.0));
         net.bind(b, Value::number(9.0)).unwrap();
-        assert!(!net.incremental_reuse_ok());
+        net.unbind(a).unwrap();
+        assert!(net.fixpoint_clean());
+        assert_eq!(
+            net.dirty_props().iter().copied().collect::<Vec<_>>(),
+            vec![a, b]
+        );
 
-        // Unbind always forces a full restart.
+        // A clean mark settles the dirty set; an unclean one keeps it.
+        net.mark_fixpoint(false);
+        assert_eq!(net.dirty_props().len(), 2);
         net.mark_fixpoint(true);
-        net.unbind(b).unwrap();
-        assert!(!net.incremental_reuse_ok());
+        assert!(net.dirty_props().is_empty());
+
+        // Structural edits and a reset leave no fixed point to start from.
+        net.relax_constraint(c, Relaxation::WidenBound { slack: 1.0 })
+            .unwrap();
+        assert!(!net.fixpoint_clean());
+        net.mark_fixpoint(true);
+        net.reset_feasible();
+        assert!(!net.fixpoint_clean());
+        net.mark_fixpoint(true);
+        net.add_property(Property::new("z", "obj3", Domain::interval(0.0, 1.0)))
+            .unwrap();
+        assert!(!net.fixpoint_clean());
     }
 
     /// A chain `soft c0: x0 + x1 <= 4`, `c1: x1 <= x2`, `c2: x2 + x3 <= 9`

@@ -33,7 +33,7 @@ use crate::ids::{ConstraintId, PropertyId};
 use crate::interval::Interval;
 use crate::network::ConstraintNetwork;
 use adpm_observe::{Clock, Counter, MetricsSink, MonotonicClock, NoopSink, SpanKind, TraceEvent};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -45,7 +45,8 @@ pub struct PropagationConfig {
     /// the sweep's size, so [`PropagationOutcome::evaluations`] never
     /// exceeds this value. (Degenerate configs smaller than the sweep
     /// itself still sweep — statuses must stay coherent — so the effective
-    /// floor is one evaluation per swept constraint.)
+    /// floor is one evaluation per swept constraint.) A run the cap stops
+    /// leaves no clean fixed point, so the next region request runs full.
     pub max_evaluations: usize,
     /// Minimum relative width reduction for a narrowing to count (and
     /// trigger re-queuing of dependent constraints).
@@ -64,12 +65,13 @@ impl Default for PropagationConfig {
 /// Which propagation path produced an outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PropagationKind {
-    /// From-scratch fixed point: feasible subspaces reset to `E_i`, every
-    /// constraint seeded onto the worklist.
+    /// From-scratch fixed point: the region of every property, so every
+    /// feasible subspace is reset to `E_i` and every constraint seeded.
     #[default]
     Full,
-    /// Dirty-set fixed point: the previous fixed-point box is kept and only
-    /// constraints adjacent to the changed properties are seeded.
+    /// Region fixed point: only the properties an edit can move are reset
+    /// and only the constraints touching them seeded (see
+    /// [`propagate_incremental`]).
     Incremental,
 }
 
@@ -107,7 +109,8 @@ impl fmt::Display for PropagationKind {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PropagationOutcome {
     /// Which path actually ran. [`propagate_incremental`] reports
-    /// [`PropagationKind::Full`] when it had to fall back.
+    /// [`PropagationKind::Full`] when the network held no clean fixed point
+    /// to start from.
     pub kind: PropagationKind,
     /// Constraints seeded onto the initial worklist.
     pub seeded: usize,
@@ -118,7 +121,9 @@ pub struct PropagationOutcome {
     /// range. These are exactly the "reduction of a property's feasible
     /// subspace" events the Notification Manager reports.
     pub narrowed: Vec<PropertyId>,
-    /// Constraints found unsatisfiable over the current box.
+    /// Constraints found unsatisfiable over the current box. A region run
+    /// lists only its region's; the network's statuses hold every
+    /// violation.
     pub conflicts: Vec<ConstraintId>,
     /// False only if `max_evaluations` stopped the run early.
     pub reached_fixpoint: bool,
@@ -198,38 +203,40 @@ pub fn propagate_profiled(
     sink: &dyn MetricsSink,
     clock: &dyn Clock,
 ) -> PropagationOutcome {
-    full_run::<CompiledReviser>(net, config, sink, clock)
+    let region = Region::everything(net);
+    run_region::<CompiledReviser>(net, &region, config, sink, clock)
 }
 
-/// Dirty-set propagation: narrows from the last fixed point instead of
-/// restarting at `E_i`.
+/// Region propagation: re-derives only the part of the fixed point that
+/// the changes since the last propagation can move.
 ///
 /// `dirty` lists the properties changed since the last propagation; the
-/// network's own dirty tracking (properties bound since the last fixed
-/// point) is unioned in, so under-reporting cannot miss work. When the
-/// previous fixed point is reusable — it completed conflict-free and every
-/// change since was narrowing-only (a first-time `bind` inside the current
-/// feasible subspace) — only constraints adjacent to the dirty properties
-/// are seeded, and the final status sweep covers only the constraints a
-/// narrowing could have touched (plus any statuses overwritten out-of-band).
-/// For a monotone contracting revision operator this reaches exactly the
-/// fixed point a full run would compute, in a fraction of the evaluations.
+/// network's own dirty tracking (every property bound or unbound since the
+/// last clean fixed point) is unioned in, so under-reporting cannot miss
+/// work. The region is a walk from the dirty properties that crosses
+/// constraints and stops at bound properties. Its unbound properties are
+/// reset to `E_i` and its bound ones pinned to their values, its
+/// constraints are seeded in id order on the worklist a full run uses, and
+/// the status sweep covers them plus any status overwritten out of band.
 ///
-/// Fallback to a full run happens whenever reuse would be unsound or
-/// equivalence cannot be guaranteed:
+/// A bound property is a singleton no revision moves, so no constraint
+/// outside the region touches a property inside it, and a full run's
+/// revisions of the region's constraints are exactly this run's: a FIFO
+/// worklist restricted to a subset of its entries is still FIFO. Outside
+/// the region the last fixed point already holds. The result therefore
+/// equals a from-scratch [`propagate`] bit for bit — conflicts and the
+/// narrowing threshold included — except that
+/// [`PropagationOutcome::conflicts`] lists only the region's.
 ///
-/// - the network has no clean fixed point (never propagated, previous run
-///   capped or conflicted, or a widening change — `unbind`, rebind,
-///   out-of-feasible bind, structural edit — occurred);
-/// - a dirty property is unbound or unknown;
-/// - the incremental run *discovers a conflict*: conflicts break the
-///   monotonicity argument, so the run aborts and restarts from scratch
-///   internally. The aborted revisions are honestly added to the returned
-///   [`PropagationOutcome::evaluations`] (and the `Evaluations` counter),
-///   and the restart's budget is reduced by the waste so the cap holds.
+/// The last run must have left a clean fixed point: it reached its fixed
+/// point within the cap, and no structural edit (`add_property`,
+/// `add_constraint`, `relax_constraint`) or `reset_feasible` came after.
+/// Otherwise the region is the whole network and the outcome reports
+/// [`PropagationKind::Full`].
 ///
-/// The returned [`PropagationOutcome::kind`] records which path actually
-/// ran.
+/// # Panics
+///
+/// Panics if a dirty id does not belong to this network.
 ///
 /// # Examples
 ///
@@ -262,10 +269,7 @@ pub fn propagate_incremental(
 }
 
 /// [`propagate_incremental`], timing spans against an explicit [`Clock`]
-/// (see [`propagate_profiled`]). A conflict-aborted incremental attempt
-/// emits no spans of its own — the full restart reports one complete,
-/// consistently attributed run instead (its wasted revisions are still
-/// counted).
+/// (see [`propagate_profiled`]).
 pub fn propagate_incremental_profiled(
     net: &mut ConstraintNetwork,
     dirty: &[PropertyId],
@@ -273,7 +277,8 @@ pub fn propagate_incremental_profiled(
     sink: &dyn MetricsSink,
     clock: &dyn Clock,
 ) -> PropagationOutcome {
-    incremental_run::<CompiledReviser>(net, dirty, config, sink, clock)
+    let region = Region::around(net, dirty);
+    run_region::<CompiledReviser>(net, &region, config, sink, clock)
 }
 
 /// How the worklist revises one constraint: the network's compiled
@@ -315,163 +320,125 @@ impl Reviser for CompiledReviser {
     }
 }
 
-/// From-scratch propagation with reviser `R` (see [`propagate_profiled`]).
-fn full_run<R: Reviser>(
-    net: &mut ConstraintNetwork,
-    config: &PropagationConfig,
-    sink: &dyn MetricsSink,
-    clock: &dyn Clock,
-) -> PropagationOutcome {
-    let trace = sink.is_enabled();
-    let profile = trace && sink.wants_profiles();
-    let started = if trace { clock.now_us() } else { 0 };
-
-    // Start from scratch: initial ranges, bound values pinned.
-    net.reset_feasible();
-    let prop_ids: Vec<PropertyId> = net.property_ids().collect();
-    for pid in &prop_ids {
-        if let Some(value) = net.assignment(*pid).cloned() {
-            net.set_feasible(*pid, Domain::singleton(&value));
-        }
-    }
-
-    let seeds: Vec<ConstraintId> = net.constraint_ids().collect();
-    // Reserve the final full status sweep inside the cap.
-    let budget = config.max_evaluations.saturating_sub(net.constraint_count());
-    let mut reviser = R::load(net);
-    let mut run = run_worklist(
-        net,
-        &seeds,
-        budget,
-        config.min_relative_narrowing,
-        false,
-        trace,
-        profile,
-        clock,
-        &mut reviser,
-    );
-
-    let mut outcome = PropagationOutcome {
-        kind: PropagationKind::Full,
-        seeded: seeds.len(),
-        evaluations: run.evaluations,
-        narrowed: Vec::new(),
-        conflicts: run.conflicts.clone(),
-        reached_fixpoint: run.reached_fixpoint,
-        waves: run.waves,
-    };
-
-    // Final status sweep over the narrowed box: every constraint is
-    // checked once, so attribution charges each one evaluation.
-    outcome.evaluations += net.evaluate_statuses();
-    if profile {
-        for evals in &mut run.constraint_evals {
-            *evals += 1;
-        }
-    }
-    outcome.narrowed = collect_narrowed(net, &prop_ids);
-    net.mark_fixpoint(outcome.reached_fixpoint && outcome.conflicts.is_empty());
-
-    let dur_us = if trace {
-        clock.now_us().saturating_sub(started)
-    } else {
-        0
-    };
-    emit_run(sink, trace, profile, net, &run, &outcome, dur_us);
-    outcome
+/// The part of the network one run re-derives: its properties and the
+/// constraints touching them, both in id order.
+struct Region {
+    kind: PropagationKind,
+    properties: Vec<PropertyId>,
+    constraints: Vec<ConstraintId>,
 }
 
-/// Dirty-set propagation with reviser `R` (see
-/// [`propagate_incremental_profiled`]).
-fn incremental_run<R: Reviser>(
+impl Region {
+    /// Every property and constraint: a full run.
+    fn everything(net: &ConstraintNetwork) -> Self {
+        Region {
+            kind: PropagationKind::Full,
+            properties: net.property_ids().collect(),
+            constraints: net.constraint_ids().collect(),
+        }
+    }
+
+    /// The walk from `dirty` and the network's dirty properties that
+    /// crosses constraints and stops at bound properties (see
+    /// [`propagate_incremental`]); everything when the network holds no
+    /// clean fixed point.
+    fn around(net: &ConstraintNetwork, dirty: &[PropertyId]) -> Self {
+        if !net.fixpoint_clean() {
+            return Region::everything(net);
+        }
+        let mut in_region = vec![false; net.property_count()];
+        let mut seeded = vec![false; net.constraint_count()];
+        let mut stack: Vec<PropertyId> = Vec::new();
+        for pid in dirty.iter().chain(net.dirty_props()) {
+            if !std::mem::replace(&mut in_region[pid.index()], true) {
+                stack.push(*pid);
+            }
+        }
+        while let Some(pid) = stack.pop() {
+            for cid in net.constraints_of(pid) {
+                if std::mem::replace(&mut seeded[cid.index()], true) {
+                    continue;
+                }
+                for arg in net.constraint(*cid).argument_slice() {
+                    if !in_region[arg.index()] && !net.is_bound(*arg) {
+                        in_region[arg.index()] = true;
+                        stack.push(*arg);
+                    }
+                }
+            }
+        }
+        Region {
+            kind: PropagationKind::Incremental,
+            properties: net
+                .property_ids()
+                .filter(|p| in_region[p.index()])
+                .collect(),
+            constraints: net.constraint_ids().filter(|c| seeded[c.index()]).collect(),
+        }
+    }
+}
+
+/// Propagates `region` to its fixed point with reviser `R`: resets its
+/// properties (initial ranges, bound values pinned), drains the worklist
+/// seeded with its constraints, and sweeps their statuses plus any
+/// overwritten out of band. The sweep is reserved inside the cap.
+fn run_region<R: Reviser>(
     net: &mut ConstraintNetwork,
-    dirty: &[PropertyId],
+    region: &Region,
     config: &PropagationConfig,
     sink: &dyn MetricsSink,
     clock: &dyn Clock,
 ) -> PropagationOutcome {
-    let mut dirty_all: BTreeSet<PropertyId> = dirty.iter().copied().collect();
-    dirty_all.extend(net.dirty_props().iter().copied());
-    let reusable = net.incremental_reuse_ok()
-        && dirty_all
-            .iter()
-            .all(|pid| pid.index() < net.property_count() && net.assignment(*pid).is_some());
-    if !reusable {
-        return full_run::<R>(net, config, sink, clock);
-    }
     let trace = sink.is_enabled();
     let profile = trace && sink.wants_profiles();
     let started = if trace { clock.now_us() } else { 0 };
 
-    // Keep the fixed-point box; pin the dirty properties to their values.
-    let prop_ids: Vec<PropertyId> = net.property_ids().collect();
-    for pid in &dirty_all {
-        let value = net.assignment(*pid).cloned().expect("checked above");
-        net.set_feasible(*pid, Domain::singleton(&value));
+    for pid in &region.properties {
+        let domain = match net.assignment(*pid) {
+            Some(value) => Domain::singleton(value),
+            None => net.property(*pid).initial_domain().clone(),
+        };
+        net.set_feasible(*pid, domain);
     }
 
-    // Seed only the constraints adjacent to the dirty properties.
-    let seeds: Vec<ConstraintId> = dirty_all
-        .iter()
-        .flat_map(|pid| net.constraints_of(*pid))
-        .copied()
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let budget = config.max_evaluations.saturating_sub(net.constraint_count());
+    let mut sweep = region.constraints.clone();
+    if !net.stale_statuses().is_empty() {
+        sweep.extend(net.stale_statuses().iter().copied());
+        sweep.sort_unstable();
+        sweep.dedup();
+    }
+    let budget = config.max_evaluations.saturating_sub(sweep.len());
     let mut reviser = R::load(net);
     let mut run = run_worklist(
         net,
-        &seeds,
+        &region.constraints,
         budget,
         config.min_relative_narrowing,
-        true,
         trace,
         profile,
         clock,
         &mut reviser,
     );
 
-    if run.aborted_on_conflict {
-        // Conflicts break the narrowing-only reuse argument: restart from
-        // scratch, charging the aborted revisions against the cap.
-        let wasted = run.evaluations;
-        sink.incr(Counter::Evaluations, wasted as u64);
-        let inner = PropagationConfig {
-            max_evaluations: config.max_evaluations.saturating_sub(wasted),
-            ..config.clone()
-        };
-        let mut outcome = full_run::<R>(net, &inner, sink, clock);
-        outcome.evaluations += wasted;
-        return outcome;
-    }
-
     let mut outcome = PropagationOutcome {
-        kind: PropagationKind::Incremental,
-        seeded: seeds.len(),
+        kind: region.kind,
+        seeded: region.constraints.len(),
         evaluations: run.evaluations,
         narrowed: Vec::new(),
-        conflicts: run.conflicts.clone(),
+        conflicts: std::mem::take(&mut run.conflicts),
         reached_fixpoint: run.reached_fixpoint,
         waves: run.waves,
     };
 
-    // Status sweep restricted to the constraints this run could have
-    // touched: those adjacent to a dirty or narrowed property, plus any
-    // whose stored status was overwritten out-of-band. Every other
-    // constraint saw none of its argument ranges move, so its status is
-    // provably unchanged.
-    let mut sweep: BTreeSet<ConstraintId> = net.stale_statuses().clone();
-    for pid in dirty_all.iter().chain(run.changed.iter()) {
-        sweep.extend(net.constraints_of(*pid).iter().copied());
-    }
+    // Final status sweep over the narrowed box: each swept constraint is
+    // checked once, so attribution charges each one evaluation.
     outcome.evaluations += net.evaluate_statuses_subset(&sweep);
     if profile {
         for cid in &sweep {
             run.constraint_evals[cid.index()] += 1;
         }
     }
-    outcome.narrowed = collect_narrowed(net, &prop_ids);
+    outcome.narrowed = collect_narrowed(net);
     net.mark_fixpoint(outcome.reached_fixpoint);
 
     let dur_us = if trace {
@@ -483,8 +450,8 @@ fn incremental_run<R: Reviser>(
     outcome
 }
 
-/// One serialized-later wave span (buffered so a conflict-aborted
-/// incremental attempt leaves no partial spans in the trace).
+/// One wave span, buffered until the run's end so the trace lists a run's
+/// waves together ahead of its profile and `propagation` lines.
 struct WaveRecord {
     wave: u32,
     queue_len: u32,
@@ -501,10 +468,7 @@ struct WorklistRun {
     /// Narrowing events: one per (property, revision) that significantly
     /// narrowed — the per-wave `narrowed` counts sum to this.
     narrowing_events: u64,
-    /// Properties whose feasible subspace this run narrowed.
-    changed: BTreeSet<PropertyId>,
     reached_fixpoint: bool,
-    aborted_on_conflict: bool,
     wave_records: Vec<WaveRecord>,
     /// HC4 revisions per constraint (indexed by `ConstraintId::index`);
     /// populated only when `record_profiles` is set.
@@ -515,16 +479,15 @@ struct WorklistRun {
 }
 
 /// Drains an AC-3 worklist seeded with `seeds` to a fixed point (or until
-/// `budget` HC4 revisions), narrowing feasible subspaces in place. With
-/// `abort_on_conflict` the first conflict stops the run immediately —
-/// the incremental path's cue to restart from scratch.
+/// `budget` HC4 revisions), narrowing feasible subspaces in place. A
+/// conflict is recorded and the run goes on: the conflicted constraint
+/// narrows nothing.
 #[allow(clippy::too_many_arguments)]
 fn run_worklist<R: Reviser>(
     net: &mut ConstraintNetwork,
     seeds: &[ConstraintId],
     budget: usize,
     min_relative_narrowing: f64,
-    abort_on_conflict: bool,
     record_waves: bool,
     record_profiles: bool,
     clock: &dyn Clock,
@@ -535,9 +498,7 @@ fn run_worklist<R: Reviser>(
         waves: 0,
         conflicts: Vec::new(),
         narrowing_events: 0,
-        changed: BTreeSet::new(),
         reached_fixpoint: true,
-        aborted_on_conflict: false,
         wave_records: Vec::new(),
         constraint_evals: if record_profiles {
             vec![0; net.constraint_count()]
@@ -583,10 +544,6 @@ fn run_worklist<R: Reviser>(
                 conflicted[cid.index()] = true;
                 run.conflicts.push(cid);
             }
-            if abort_on_conflict {
-                run.aborted_on_conflict = true;
-                break;
-            }
         } else {
             for (pid, narrowed_iv) in revise.narrowed {
                 if net.is_bound(pid) {
@@ -598,7 +555,6 @@ fn run_worklist<R: Reviser>(
                     net.set_feasible(pid, new);
                     reviser.narrowed(net, pid);
                     run.narrowing_events += 1;
-                    run.changed.insert(pid);
                     wave_narrowings += 1;
                     if record_profiles {
                         run.property_narrowings[pid.index()] += 1;
@@ -633,7 +589,7 @@ fn run_worklist<R: Reviser>(
             wave_narrowings = 0;
         }
     }
-    // A wave cut short by the budget (or a conflict abort) still counts.
+    // A wave cut short by the budget still counts.
     if wave_evaluations > 0 {
         if record_waves {
             run.wave_records.push(WaveRecord {
@@ -650,10 +606,8 @@ fn run_worklist<R: Reviser>(
 }
 
 /// Properties whose feasible subspace sits strictly inside their `E_i`.
-fn collect_narrowed(net: &ConstraintNetwork, prop_ids: &[PropertyId]) -> Vec<PropertyId> {
-    prop_ids
-        .iter()
-        .copied()
+fn collect_narrowed(net: &ConstraintNetwork) -> Vec<PropertyId> {
+    net.property_ids()
         .filter(|pid| {
             !net.is_bound(*pid)
                 && net.feasible(*pid).relative_size(net.property(*pid).initial_domain()) < 1.0
@@ -663,7 +617,7 @@ fn collect_narrowed(net: &ConstraintNetwork, prop_ids: &[PropertyId]) -> Vec<Pro
 
 /// Emits the buffered wave spans, per-constraint / per-property profile
 /// attribution (when `profile`: the sink wants it), the run counters, and
-/// the `PropagationDone` span for one completed (non-aborted) run.
+/// the `PropagationDone` span for one run.
 fn emit_run(
     sink: &dyn MetricsSink,
     trace: bool,
@@ -1548,46 +1502,65 @@ mod tests {
         assert_eq!(again.kind, PropagationKind::Incremental);
     }
 
+    /// Binds, rebinds and unbinds keep the region path; structural edits,
+    /// a reset and a capped run make the next request a full run.
     #[test]
-    fn incremental_falls_back_to_full_without_a_clean_fixpoint() {
+    fn region_runs_start_only_from_a_clean_fixpoint() {
+        use crate::constraint::Relaxation;
         use adpm_observe::NoopSink;
 
         let config = PropagationConfig::default();
-        // Never propagated: must run full.
         let (mut net, ids) = net_with(&[(0.0, 10.0), (0.0, 10.0)]);
-        net.add_constraint("sum", var(ids[0]) + var(ids[1]), Relation::Le, cst(12.0))
+        let sum = net
+            .add_constraint("sum", var(ids[0]) + var(ids[1]), Relation::Le, cst(12.0))
             .unwrap();
-        let out = propagate_incremental(&mut net, &[], &config, &NoopSink);
-        assert_eq!(out.kind, PropagationKind::Full);
+        let kind = |net: &mut ConstraintNetwork| {
+            propagate_incremental(net, &[ids[0]], &config, &NoopSink).kind
+        };
+        // Never propagated: full.
+        assert_eq!(kind(&mut net), PropagationKind::Full);
 
-        // Unbind is a widening change: back to full.
         net.bind(ids[0], Value::number(5.0)).unwrap();
-        propagate_incremental(&mut net, &[ids[0]], &config, &NoopSink);
+        assert_eq!(kind(&mut net), PropagationKind::Incremental);
+        net.bind(ids[0], Value::number(4.0)).unwrap(); // rebind
+        assert_eq!(kind(&mut net), PropagationKind::Incremental);
         net.unbind(ids[0]).unwrap();
-        let out = propagate_incremental(&mut net, &[ids[0]], &config, &NoopSink);
-        assert_eq!(out.kind, PropagationKind::Full);
+        assert_eq!(kind(&mut net), PropagationKind::Incremental);
         assert_eq!(net.feasible(ids[0]), &Domain::interval(0.0, 10.0));
 
-        // Rebinding a bound property widens too.
-        net.bind(ids[0], Value::number(5.0)).unwrap();
-        propagate_incremental(&mut net, &[ids[0]], &config, &NoopSink);
-        net.bind(ids[0], Value::number(4.0)).unwrap();
-        let out = propagate_incremental(&mut net, &[ids[0]], &config, &NoopSink);
-        assert_eq!(out.kind, PropagationKind::Full);
+        net.relax_constraint(sum, Relaxation::WidenBound { slack: 1.0 })
+            .unwrap();
+        assert_eq!(kind(&mut net), PropagationKind::Full);
+        net.reset_feasible();
+        assert_eq!(kind(&mut net), PropagationKind::Full);
+
+        // A capped run leaves no clean fixed point behind.
+        let capped = PropagationConfig {
+            max_evaluations: 0,
+            ..config.clone()
+        };
+        net.bind(ids[0], Value::number(3.0)).unwrap();
+        let out = propagate_incremental(&mut net, &[ids[0]], &capped, &NoopSink);
+        assert_eq!(out.kind, PropagationKind::Incremental);
+        assert!(!out.reached_fixpoint);
+        assert_eq!(kind(&mut net), PropagationKind::Full);
+        assert_eq!(kind(&mut net), PropagationKind::Incremental);
     }
 
-    /// A conflict discovered mid-incremental aborts and restarts as a full
-    /// run; the outcome matches the full fixed point and the wasted
-    /// revisions are reported on top.
+    /// A conflict stays inside its region: the region run goes on past it,
+    /// lands on the full run's fixed point, and leaves the network clean
+    /// for the next region run.
     #[test]
-    fn incremental_conflict_aborts_and_restarts_full() {
+    fn region_run_keeps_conflicts_local() {
         use adpm_observe::{InMemorySink, NoopSink};
 
         let build = || {
-            let (mut net, ids) = net_with(&[(0.0, 10.0), (0.0, 10.0)]);
+            let (mut net, ids) = net_with(&[(0.0, 10.0), (0.0, 10.0), (0.0, 10.0)]);
             net.add_constraint("sum", var(ids[0]) + var(ids[1]), Relation::Le, cst(12.0))
                 .unwrap();
             net.add_constraint("cap", var(ids[0]), Relation::Le, cst(4.0))
+                .unwrap();
+            net.add_constraint("other", var(ids[2]), Relation::Le, cst(6.0))
                 .unwrap();
             (net, ids)
         };
@@ -1595,35 +1568,35 @@ mod tests {
 
         let (mut inc, ids) = build();
         propagate(&mut inc, &config);
-        // 9.0 sits in [0,10] of E_i but violates cap <= 4 — a conflict the
-        // incremental run discovers on its first revision. The bind is
-        // widening (9 ∉ feasible [0,4]), so reuse is already off; force the
-        // interesting path by re-marking the fixed point as clean.
+        // 9.0 sits in E_i = [0,10] but violates cap <= 4.
         inc.bind(ids[0], Value::number(9.0)).unwrap();
-        inc.mark_fixpoint(true);
         let sink = InMemorySink::new();
         let inc_out = propagate_incremental(&mut inc, &[ids[0]], &config, &sink);
-        assert_eq!(inc_out.kind, PropagationKind::Full); // fell back
-        assert!(!inc_out.conflicts.is_empty());
+        assert_eq!(inc_out.kind, PropagationKind::Incremental);
+        assert_eq!(inc_out.seeded, 2); // sum and cap, not other
+        assert_eq!(sink.get(Counter::Evaluations), inc_out.evaluations as u64);
 
         let (mut full, _) = build();
         full.bind(ids[0], Value::number(9.0)).unwrap();
         let full_out = propagate(&mut full, &config);
+        assert!(!full_out.conflicts.is_empty());
         assert_eq!(inc_out.conflicts, full_out.conflicts);
+        assert_eq!(inc_out.narrowed, full_out.narrowed);
+        assert!(inc_out.evaluations < full_out.evaluations);
         for pid in inc.property_ids() {
             assert_eq!(inc.feasible(pid), full.feasible(pid));
         }
         for cid in inc.constraint_ids() {
             assert_eq!(inc.status(cid), full.status(cid));
         }
-        // Wasted revisions are charged: the combined run costs at least as
-        // much as the plain full run, and the counter agrees.
-        assert!(inc_out.evaluations >= full_out.evaluations);
-        assert_eq!(sink.get(Counter::Evaluations), inc_out.evaluations as u64);
 
-        // After a conflicted fixed point the next run is full again.
-        let out = propagate_incremental(&mut inc, &[], &config, &NoopSink);
-        assert_eq!(out.kind, PropagationKind::Full);
+        // The conflicted fixed point is clean: the next run is a region
+        // run, and it lists only its own region's conflicts.
+        inc.bind(ids[2], Value::number(5.0)).unwrap();
+        let out = propagate_incremental(&mut inc, &[ids[2]], &config, &NoopSink);
+        assert_eq!(out.kind, PropagationKind::Incremental);
+        assert!(out.conflicts.is_empty());
+        assert!(inc.status(ConstraintId::new(1)).is_violated());
     }
 
     /// The fixed-point reference: the worklist revising through the AST
@@ -1643,7 +1616,8 @@ mod tests {
     }
 
     fn reference(net: &mut ConstraintNetwork, config: &PropagationConfig) -> PropagationOutcome {
-        full_run::<Interp>(net, config, &NoopSink, &MonotonicClock)
+        let region = Region::everything(net);
+        run_region::<Interp>(net, &region, config, &NoopSink, &MonotonicClock)
     }
 
     fn reference_incremental(
@@ -1651,7 +1625,8 @@ mod tests {
         dirty: &[PropertyId],
         config: &PropagationConfig,
     ) -> PropagationOutcome {
-        incremental_run::<Interp>(net, dirty, config, &NoopSink, &MonotonicClock)
+        let region = Region::around(net, dirty);
+        run_region::<Interp>(net, &region, config, &NoopSink, &MonotonicClock)
     }
 
     /// Two runs landed on the same fixed point bit for bit: identical
@@ -1744,10 +1719,10 @@ mod tests {
             assert_outcomes_match(&want, &oa, &got, &ob);
         }
 
-        /// Incremental propagation through the compiled programs follows the
+        /// Region propagation through the compiled programs follows the
         /// reference bit for bit along a seeded sequence of binds (inside
-        /// and outside the current feasible subspace) and unbinds, fallbacks
-        /// and conflict restarts included.
+        /// and outside the current feasible subspace), rebinds and unbinds,
+        /// conflicts included.
         #[test]
         fn incremental_runs_match_the_reference(
             comps in arb_components(),
@@ -1910,7 +1885,7 @@ mod tests {
     }
 
     /// Statuses set out-of-band (the conventional flow's verify path) are
-    /// re-evaluated by the incremental sweep even with an empty dirty set.
+    /// re-evaluated by the region sweep even with an empty dirty set.
     #[test]
     fn incremental_sweep_covers_out_of_band_statuses() {
         use adpm_observe::NoopSink;

@@ -5,9 +5,10 @@
 //!
 //! 1. the requested operator is applied to its problem;
 //! 2. **ADPM mode** (`λ = T`): the Design Constraint Manager runs constraint
-//!    propagation, feasible subspaces and statuses are refreshed, the
-//!    heuristic support data of §2.3 is mined, and the Notification Manager
-//!    routes violation/feasibility events to the affected designers;
+//!    propagation, feasible subspaces and statuses are refreshed, and the
+//!    Notification Manager routes violation/feasibility events to the
+//!    affected designers; the heuristic support data of §2.3 is mined from
+//!    the new state at its first read;
 //! 3. **conventional mode** (`λ = F`): no propagation — constraint statuses
 //!    change only through explicit verification operations, and changing a
 //!    value invalidates earlier verification results for the constraints it
@@ -101,29 +102,23 @@ pub struct DpmConfig {
     /// Propagation settings used in ADPM mode (evaluation cap, narrowing
     /// threshold).
     pub propagation: PropagationConfig,
-    /// Which DCM propagation path runs after each ADPM operation:
-    /// from-scratch [`PropagationKind::Full`] (the default) or dirty-set
-    /// [`PropagationKind::Incremental`] seeded with the operation's target
-    /// property. Both reach the same fixed point; incremental costs fewer
-    /// constraint evaluations per operation.
+    /// Which DCM propagation path runs after each ADPM operation: region
+    /// propagation from the operation's target property
+    /// ([`PropagationKind::Incremental`], the default) or from-scratch
+    /// [`PropagationKind::Full`], which TeamSim keeps for the paper's
+    /// evaluation accounting. Both reach the same fixed point bit for bit;
+    /// the region run costs fewer constraint evaluations per operation.
     pub propagation_kind: PropagationKind,
 }
 
 impl DpmConfig {
-    /// ADPM-mode configuration with default propagation settings.
+    /// ADPM-mode configuration with default propagation settings and
+    /// region propagation.
     pub fn adpm() -> Self {
         DpmConfig {
             mode: ManagementMode::Adpm,
             propagation: PropagationConfig::default(),
-            propagation_kind: PropagationKind::Full,
-        }
-    }
-
-    /// ADPM-mode configuration using incremental (dirty-set) propagation.
-    pub fn adpm_incremental() -> Self {
-        DpmConfig {
             propagation_kind: PropagationKind::Incremental,
-            ..DpmConfig::adpm()
         }
     }
 
@@ -131,8 +126,7 @@ impl DpmConfig {
     pub fn conventional() -> Self {
         DpmConfig {
             mode: ManagementMode::Conventional,
-            propagation: PropagationConfig::default(),
-            propagation_kind: PropagationKind::Full,
+            ..DpmConfig::adpm()
         }
     }
 }
@@ -183,7 +177,10 @@ pub struct DesignProcessManager {
     /// the latest assign per bound property, the surviving verification
     /// per target, and every decompose/relax, in chronological order.
     state_program: Vec<Operation>,
-    heuristics: Option<HeuristicReport>,
+    /// The heuristic support data, mined from the network at the first
+    /// [`heuristics`](Self::heuristics) read after the state changed:
+    /// `initialize`, `execute` and `begin_restored_history` drop it.
+    heuristics: OnceLock<HeuristicReport>,
     pending: HashMap<DesignerId, Vec<Event>>,
     known_violations: BTreeSet<ConstraintId>,
     prev_snapshot: BTreeSet<ConstraintId>,
@@ -206,7 +203,7 @@ impl DesignProcessManager {
             history: Vec::new(),
             op_base: 0,
             state_program: Vec::new(),
-            heuristics: None,
+            heuristics: OnceLock::new(),
             pending: HashMap::new(),
             known_violations: BTreeSet::new(),
             prev_snapshot: BTreeSet::new(),
@@ -293,11 +290,14 @@ impl DesignProcessManager {
         })
     }
 
-    /// The heuristic support data mined after the last ADPM transition.
-    /// `None` in conventional mode — that is precisely the information
-    /// conventional designers do not get.
+    /// The heuristic support data of the current design state, mined at the
+    /// first read after each transition. `None` in conventional mode — that
+    /// is precisely the information conventional designers do not get.
     pub fn heuristics(&self) -> Option<&HeuristicReport> {
-        self.heuristics.as_ref()
+        self.config.mode.is_adpm().then(|| {
+            self.heuristics
+                .get_or_init(|| HeuristicReport::mine(&self.network))
+        })
     }
 
     /// The design history so far (one record per executed operation).
@@ -342,6 +342,7 @@ impl DesignProcessManager {
         self.history.clear();
         self.pending.clear();
         self.event_buffer.clear();
+        self.heuristics.take();
         self.prev_snapshot = self.known_violations.clone();
     }
 
@@ -391,6 +392,7 @@ impl DesignProcessManager {
     /// onto freshly decomposed subproblems): manual wiring bypasses the
     /// transition function, so statuses and heuristics need a refresh.
     pub fn initialize(&mut self) -> usize {
+        self.heuristics.take();
         if self.config.mode != ManagementMode::Adpm {
             self.update_problem_statuses();
             self.event_buffer.clear();
@@ -402,7 +404,6 @@ impl DesignProcessManager {
             &*self.sink,
             &*self.clock,
         );
-        self.heuristics = Some(HeuristicReport::mine(&self.network));
         self.refresh_known_violations_from_network();
         self.prev_snapshot = self.known_violations.clone();
         self.update_problem_statuses();
@@ -528,9 +529,9 @@ impl DesignProcessManager {
         // Every fallible step is behind us: fold the operation into the
         // minimal state program before state observation begins.
         self.absorb_into_state_program(&operation);
+        self.heuristics.take();
 
-        // ADPM: the DCM propagates after every operation and the results are
-        // mined into heuristic support data.
+        // ADPM: the DCM propagates after every operation.
         if self.config.mode == ManagementMode::Adpm {
             let before_sizes = self.feasible_sizes();
             let outcome = match self.config.propagation_kind {
@@ -544,8 +545,8 @@ impl DesignProcessManager {
                     // The operation's target property is the dirty set; ops
                     // without one (verify, decompose) touch no values, so an
                     // empty set (plus the network's own dirty tracking) is
-                    // exact. Unsound reuse — e.g. after an unbind — falls
-                    // back to a full run inside propagate_incremental.
+                    // exact. A relax leaves no clean fixed point, so that
+                    // run is full.
                     let dirty: Vec<PropertyId> =
                         operation.operator().target_property().into_iter().collect();
                     propagate_incremental_profiled(
@@ -558,7 +559,6 @@ impl DesignProcessManager {
                 }
             };
             evaluations += outcome.evaluations;
-            self.heuristics = Some(HeuristicReport::mine(&self.network));
             self.refresh_known_violations_from_network();
             self.emit_feasibility_events(&before_sizes);
         }
@@ -1284,8 +1284,11 @@ mod tests {
             dpm.initialize();
             (dpm, d, top, [x, y, z])
         };
-        let (mut full, d, top, [x, y, z]) = build(DpmConfig::adpm());
-        let (mut inc, ..) = build(DpmConfig::adpm_incremental());
+        let (mut full, d, top, [x, y, z]) = build(DpmConfig {
+            propagation_kind: PropagationKind::Full,
+            ..DpmConfig::adpm()
+        });
+        let (mut inc, ..) = build(DpmConfig::adpm());
 
         let ops = [
             Operation::assign(d, top, x, Value::number(9.0)),

@@ -99,8 +99,9 @@ pub struct SimulationConfig {
     /// threshold).
     pub propagation: PropagationConfig,
     /// Which DCM propagation path the ADPM DPM runs after each operation:
-    /// from-scratch full propagation (the default) or dirty-set incremental
-    /// propagation seeded with the operation's target property.
+    /// from-scratch full propagation (the default, which the paper's
+    /// evaluation counts assume) or region propagation from the operation's
+    /// target property, which reaches the same fixed points.
     pub propagation_kind: PropagationKind,
 }
 

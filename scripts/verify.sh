@@ -65,6 +65,25 @@ cargo run --release -q -p adpm-cli --bin adpm -- diff-trace \
   tests/golden/sensing_seed3_ops40.jsonl /tmp/verify_engine_trace.jsonl --abs 0 --rel 0 >/dev/null
 cargo run --release -q -p adpm-cli --bin adpm -- diff-trace \
   /tmp/verify_engine_trace.jsonl tests/golden/sensing_seed3_ops40.jsonl --abs 0 --rel 0 >/dev/null
+# Region propagation must reach the fixed points of full propagation, so a
+# seeded run makes the same decisions and prints the same report; only the
+# evaluation count may differ, and never upward.
+echo "==> region vs full propagation (same run report, evaluations <= full)"
+ADPM_BIN=target/release/adpm
+for SRC in /tmp/verify_engine_sensing.dddl /tmp/verify_engine_receiver.dddl \
+           /tmp/verify_engine_walkthrough.dddl /tmp/verify_engine_mini.dddl; do
+  for SEED in 1 2 3; do
+    FULL=$("$ADPM_BIN" run "$SRC" --seed "$SEED" --propagation full)
+    REGION=$("$ADPM_BIN" run "$SRC" --seed "$SEED" --propagation incremental)
+    diff <(grep -v '^constraint evaluations:' <<<"$FULL") \
+         <(grep -v '^constraint evaluations:' <<<"$REGION") || {
+      echo "$SRC seed $SEED: the region run's report differs from the full run's"; exit 1; }
+    FULL_EVALS=$(sed -n 's/^constraint evaluations: *\([0-9]*\).*/\1/p' <<<"$FULL")
+    REGION_EVALS=$(sed -n 's/^constraint evaluations: *\([0-9]*\).*/\1/p' <<<"$REGION")
+    { [ -n "$FULL_EVALS" ] && [ -n "$REGION_EVALS" ] && [ "$REGION_EVALS" -le "$FULL_EVALS" ]; } || {
+      echo "$SRC seed $SEED: region evaluations $REGION_EVALS > full $FULL_EVALS"; exit 1; }
+  done
+done
 rm -f /tmp/verify_engine_sensing.dddl /tmp/verify_engine_receiver.dddl \
       /tmp/verify_engine_walkthrough.dddl /tmp/verify_engine_mini.dddl \
       /tmp/verify_engine_trace.jsonl

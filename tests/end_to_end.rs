@@ -4,7 +4,7 @@
 use adpm_core::{DpmConfig, ManagementMode, Operation, ProblemStatus};
 use adpm_dddl::compile_source;
 use adpm_constraint::Value;
-use adpm_teamsim::{run_once, SimulationConfig};
+use adpm_teamsim::{run_once, Simulation, SimulationConfig, StepOutcome};
 
 const MINI: &str = r#"
 object a { property x : interval(0, 10); }
@@ -147,4 +147,31 @@ fn walkthrough_example_runs_in_conventional_mode_too() {
     assert!(stats.completed);
     // Conventional runs include at least one verification operation.
     assert!(stats.per_operation.iter().any(|s| s.kind == "verify"));
+}
+
+/// The DPM mines its heuristic report at the first read after each
+/// operation. TeamSim designers read it while choosing their next move, so
+/// a report cached before an operation must not survive it: after every
+/// step the report equals a fresh mine of the network.
+#[test]
+fn lazy_heuristics_match_a_fresh_mine_after_every_step() {
+    for scenario in [
+        adpm_scenarios::sensing_system(),
+        adpm_scenarios::wireless_receiver(),
+    ] {
+        for seed in 1..=3 {
+            let mut sim = Simulation::new(&scenario, SimulationConfig::adpm(seed));
+            let mut conventional = Simulation::new(&scenario, SimulationConfig::conventional(seed));
+            let mut steps = 0;
+            while let StepOutcome::Executed(_) = sim.step() {
+                let dpm = sim.dpm();
+                let fresh = adpm_constraint::HeuristicReport::mine(dpm.network());
+                assert_eq!(dpm.heuristics(), Some(&fresh), "seed {seed} step {steps}");
+                conventional.step();
+                assert!(conventional.dpm().heuristics().is_none());
+                steps += 1;
+            }
+            assert!(steps > 5, "seed {seed}: only {steps} steps");
+        }
+    }
 }
