@@ -25,7 +25,7 @@
 #![warn(missing_debug_implementations)]
 
 use adpm_collab::{
-    recover, run_concurrent_dpm_with, run_concurrent_remote, CollabClient, CollabServer,
+    recover, run_concurrent_dpm, run_concurrent_remote, CollabClient, CollabServer,
     DiskFaultInjector, FaultInjector, FaultPlan, Frame, FsyncPolicy, JournalConfig, JournalWriter,
     NegotiationConfig, ServerOptions, SessionFactory, SessionOptions, WireError, WireOp,
 };
@@ -433,11 +433,10 @@ pub fn run(source: &str, options: &RunOptions) -> Result<String, CliError> {
         if let Some(s) = &sink {
             dpm.set_sink(s.clone());
         }
-        let negotiation = options.negotiate.then(|| NegotiationConfig {
-            policies: NegotiationPolicy::default_team(dpm.designers().len()),
-            ..NegotiationConfig::default()
-        });
-        run_concurrent_dpm_with(dpm, &config, options.turn_barrier, negotiation).stats
+        let negotiation = options
+            .negotiate
+            .then(|| team_negotiation(dpm.designers().len()));
+        run_concurrent_dpm(dpm, &config, options.turn_barrier, negotiation).stats
     } else {
         match &sink {
             None => run_once(&scenario, config),
@@ -733,50 +732,8 @@ pub fn serve(
     announce: &mut dyn FnMut(&str),
 ) -> Result<String, CliError> {
     let scenario = compile_source(source)?;
-    let mut dpm = scenario.build_dpm(served_config(options.mode));
-    dpm.initialize();
-    let mut session = SessionOptions {
-        negotiation: options.negotiate.then(|| NegotiationConfig {
-            policies: NegotiationPolicy::default_team(dpm.designers().len()),
-            ..NegotiationConfig::default()
-        }),
-        ..SessionOptions::default()
-    };
-    if let Some(path) = &options.journal {
-        let report = if path.exists() {
-            let report = recover(path, &mut dpm)?;
-            announce(&format!(
-                "recovered {} operations from {}{}",
-                report.ops,
-                path.display(),
-                if report.truncated_bytes > 0 {
-                    " (discarded a torn suffix)"
-                } else {
-                    ""
-                }
-            ));
-            for warning in &report.warnings {
-                announce(&format!("recovery warning: {warning}"));
-            }
-            Some(report)
-        } else {
-            None
-        };
-        let mut writer = JournalWriter::open(
-            JournalConfig {
-                path: path.clone(),
-                fsync: options.fsync,
-                checkpoint_every: options.checkpoint_every,
-                compact_every: options.compact_every,
-            },
-            &dpm,
-            report.map(|r| r.journal_bytes),
-        )?;
-        if let Some(plan) = options.fault_plan.as_ref().filter(|p| p.has_disk_faults()) {
-            writer = writer.with_disk_faults(DiskFaultInjector::new(plan, 0));
-        }
-        session.journal = Some(writer);
-    }
+    let (dpm, session) =
+        served_session_state(&scenario, options, options.journal.clone(), 0, announce)?;
     let server_options = ServerOptions {
         heartbeat: std::time::Duration::from_millis(options.heartbeat_ms),
         idle_timeout: std::time::Duration::from_millis(options.idle_timeout_ms),
@@ -786,10 +743,18 @@ pub fn serve(
         ..ServerOptions::default()
     };
     let factory: SessionFactory = {
-        let source = source.to_owned();
         let options = options.clone();
         Box::new(move |name| {
-            named_session_state(&source, &options, name)
+            // A named session journals at the sibling path `FILE.<name>`
+            // and folds its name into its own disk-fault stream.
+            let journal = options
+                .journal
+                .as_ref()
+                .map(|base| PathBuf::from(format!("{}.{name}", base.display())));
+            let stream = name.bytes().fold(0u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            served_session_state(&scenario, &options, journal, stream, &mut |_| {})
                 .map_err(|e| std::io::Error::other(e.to_string()))
         })
     };
@@ -832,29 +797,51 @@ fn served_config(mode: ManagementMode) -> DpmConfig {
     }
 }
 
-/// Builds the state for one named session hosted by [`serve`]: a fresh
-/// initialized copy of the scenario, plus — when a journal is configured —
-/// a per-session journal at the sibling path `FILE.<name>`, recovered
-/// first if it already exists.
-fn named_session_state(
-    source: &str,
+/// The negotiation engine of a team of `designers` under the TeamSim
+/// roster's default policies.
+fn team_negotiation(designers: usize) -> NegotiationConfig {
+    NegotiationConfig {
+        policies: NegotiationPolicy::default_team(designers),
+        ..NegotiationConfig::default()
+    }
+}
+
+/// Builds the state for one session hosted by [`serve`]: a fresh
+/// initialized copy of the scenario plus, when `journal` is set, a journal
+/// there — recovered first if it already exists, with recovery lines
+/// passed to `announce` — that draws disk faults from `fault_stream`.
+fn served_session_state(
+    scenario: &CompiledScenario,
     options: &ServeOptions,
-    name: &str,
+    journal: Option<PathBuf>,
+    fault_stream: u64,
+    announce: &mut dyn FnMut(&str),
 ) -> Result<(DesignProcessManager, SessionOptions), CliError> {
-    let scenario = compile_source(source)?;
     let mut dpm = scenario.build_dpm(served_config(options.mode));
     dpm.initialize();
     let mut session = SessionOptions {
-        negotiation: options.negotiate.then(|| NegotiationConfig {
-            policies: NegotiationPolicy::default_team(dpm.designers().len()),
-            ..NegotiationConfig::default()
-        }),
+        negotiation: options
+            .negotiate
+            .then(|| team_negotiation(dpm.designers().len())),
         ..SessionOptions::default()
     };
-    if let Some(base) = &options.journal {
-        let path = PathBuf::from(format!("{}.{name}", base.display()));
+    if let Some(path) = journal {
         let resumed = if path.exists() {
-            Some(recover(&path, &mut dpm)?.journal_bytes)
+            let report = recover(&path, &mut dpm)?;
+            announce(&format!(
+                "recovered {} operations from {}{}",
+                report.ops,
+                path.display(),
+                if report.truncated_bytes > 0 {
+                    " (discarded a torn suffix)"
+                } else {
+                    ""
+                }
+            ));
+            for warning in &report.warnings {
+                announce(&format!("recovery warning: {warning}"));
+            }
+            Some(report.journal_bytes)
         } else {
             None
         };
@@ -869,12 +856,7 @@ fn named_session_state(
             resumed,
         )?;
         if let Some(plan) = options.fault_plan.as_ref().filter(|p| p.has_disk_faults()) {
-            // Per-session stream: fold the name so each journal draws its
-            // own deterministic disk-fault schedule.
-            let stream = name.bytes().fold(0u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            });
-            writer = writer.with_disk_faults(DiskFaultInjector::new(plan, stream));
+            writer = writer.with_disk_faults(DiskFaultInjector::new(plan, fault_stream));
         }
         session.journal = Some(writer);
     }

@@ -1,10 +1,15 @@
 //! `teamsim --concurrent`: simulated designers as real client threads.
 //!
 //! The sequential TeamSim engine interleaves designers on one thread; this
-//! driver gives each [`SimulatedDesigner`] its *own* thread submitting
-//! through a shared [`SessionHandle`](crate::session::SessionHandle), so the collaboration machinery —
-//! command loop, validation, notification fan-out — is exercised by real
-//! concurrency. Determinism comes from two ingredients:
+//! driver gives each [`SimulatedDesigner`] its *own* thread, so the
+//! collaboration machinery — command loop, validation, notification
+//! fan-out — is exercised by real concurrency. Every thread runs the same
+//! designer loop (wait for the turn, snapshot, choose, submit, report the
+//! round); the two entry points differ only in how a proposal is
+//! submitted: [`run_concurrent_dpm`] through a shared
+//! [`SessionHandle`], [`run_concurrent_remote`] through a
+//! [`ResilientClient`] over loopback TCP, names encoded through the
+//! session's name table. Determinism comes from two ingredients:
 //!
 //! - **per-designer RNGs** — each thread seeds its own `StdRng` from
 //!   `config.seed` and its index, so a designer's choices depend only on
@@ -21,18 +26,17 @@
 //! that invariant is what the linearizability proptest leans on.
 
 use crate::fault::FaultPlan;
+use crate::names::NameTable;
 use crate::negotiate::NegotiationConfig;
 use crate::resilient::{ReconnectConfig, ResilientClient};
 use crate::server::{CollabServer, ServerOptions};
-use crate::session::{OpOutcome, SessionEngine, SessionOptions};
-use crate::wire::{Frame, WireOp};
-use adpm_constraint::{ConstraintId, Value};
-use adpm_core::{DesignProcessManager, Operation, OperationRecord, Operator};
-use adpm_dddl::CompiledScenario;
+use crate::session::{OpOutcome, SessionEngine, SessionHandle, SessionOptions};
+use crate::wire::Frame;
+use adpm_core::{DesignProcessManager, DesignerId, Operation, OperationRecord};
 use adpm_teamsim::{OperationStat, RunStats, SimulatedDesigner, SimulationConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
+use std::net::SocketAddr;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
@@ -58,68 +62,194 @@ struct SharedState {
     done: bool,
 }
 
+/// The turn order and stopping rule every designer thread shares.
 struct Coordinator {
     state: Mutex<SharedState>,
     changed: Condvar,
+    team: usize,
+    turn_barrier: bool,
+    stall_limit: usize,
+    max_operations: usize,
 }
 
 impl Coordinator {
     fn lock(&self) -> std::sync::MutexGuard<'_, SharedState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// Blocks until designer `seat` may act (always, without the turn
+    /// barrier); `false` once the run is over.
+    fn wait_turn(&self, seat: usize) -> bool {
+        let mut state = self.lock();
+        loop {
+            if state.done {
+                return false;
+            }
+            if !self.turn_barrier || state.turn % self.team == seat {
+                return true;
+            }
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Closes one designer round.
+    fn end_turn(&self, executed: bool, complete: bool) {
+        let mut state = self.lock();
+        state.turn += 1;
+        if executed {
+            state.stalls = 0;
+            state.executed += 1;
+            if state.executed >= self.max_operations {
+                state.done = true;
+            }
+        } else {
+            state.stalls += 1;
+            if complete || state.stalls >= self.stall_limit {
+                state.done = true;
+            }
+        }
+        self.changed.notify_all();
+    }
+
+    /// Ends the whole run — when a designer drops out, instead of
+    /// deadlocking the barrier on its turn.
+    fn finish(&self) {
+        self.lock().done = true;
+        self.changed.notify_all();
+    }
 }
 
-/// Builds a fresh DPM for the scenario and runs it concurrently; see
-/// [`run_concurrent_dpm`].
-pub fn run_concurrent(
-    scenario: &CompiledScenario,
-    config: &SimulationConfig,
-    turn_barrier: bool,
-) -> ConcurrentOutcome {
-    let dpm = scenario.build_dpm(config.dpm_config());
-    run_concurrent_dpm(dpm, config, turn_barrier)
+/// How designer threads submit their proposals.
+#[derive(Clone)]
+enum Transport {
+    /// Straight into the session's command loop.
+    InProcess,
+    /// Over loopback TCP, one [`ResilientClient`] per designer, names
+    /// encoded and decoded through the session's table.
+    Loopback {
+        addr: SocketAddr,
+        names: Arc<NameTable>,
+    },
 }
 
-/// Runs a concurrent TeamSim session over `dpm` (built but not yet
-/// initialized — setup propagation happens here, mirroring the sequential
-/// engine) with one thread per registered designer.
-///
-/// With `turn_barrier`, designers act round-robin and the run is a
-/// deterministic function of `config.seed`; without it they free-run.
-/// The run ends when the design completes, the operation cap is reached,
-/// or a full stall window passes with no executed operation.
-pub fn run_concurrent_dpm(
-    dpm: DesignProcessManager,
-    config: &SimulationConfig,
-    turn_barrier: bool,
-) -> ConcurrentOutcome {
-    run_concurrent_dpm_with(dpm, config, turn_barrier, None)
+/// What became of one proposal.
+enum Submitted {
+    Executed(OperationRecord),
+    /// Rejected (a stale snapshot or an infeasible value), or an operator
+    /// the wire does not carry: the designer proposed nothing this round.
+    Declined,
+    /// The session is gone, or retries ran out even across reconnects.
+    Lost,
 }
 
-/// [`run_concurrent_dpm`] with conflict negotiation: when `negotiation`
-/// is set, the session engine answers every operation that introduces a
-/// violation with a bounded viewpoint negotiation round (see
-/// [`negotiate`](crate::negotiate::negotiate)) and applies an accepted
-/// relaxation as a normal journaled operation, so designers see the
-/// conflict already softened in their next snapshot instead of having
-/// to backtrack out of it.
-pub fn run_concurrent_dpm_with(
-    mut dpm: DesignProcessManager,
+/// One designer thread's end of a [`Transport`].
+enum Submitter {
+    Session(SessionHandle),
+    Client(Box<ResilientClient>, Arc<NameTable>),
+}
+
+impl Submitter {
+    fn connect(
+        transport: &Transport,
+        session: &SessionHandle,
+        seat: usize,
+        seed: u64,
+    ) -> Option<Self> {
+        match transport {
+            Transport::InProcess => Some(Submitter::Session(session.clone())),
+            Transport::Loopback { addr, names } => {
+                let reconnect = ReconnectConfig {
+                    max_attempts: 8,
+                    base_backoff: Duration::from_millis(10),
+                    max_backoff: Duration::from_millis(250),
+                    request_timeout: Duration::from_secs(3),
+                    seed,
+                };
+                let client = ResilientClient::connect(*addr, seat as u32, reconnect).ok()?;
+                Some(Submitter::Client(Box::new(client), names.clone()))
+            }
+        }
+    }
+
+    fn submit(&mut self, operation: Operation) -> Submitted {
+        match self {
+            Submitter::Session(handle) => match handle.submit(operation) {
+                Err(_) => Submitted::Lost,
+                Ok(OpOutcome::Executed(record)) => Submitted::Executed(record),
+                Ok(OpOutcome::Rejected(_)) => Submitted::Declined,
+            },
+            Submitter::Client(client, names) => {
+                let Some(op) = names.wire_op(&operation) else {
+                    return Submitted::Declined;
+                };
+                match client.submit(op) {
+                    Err(_) => Submitted::Lost,
+                    Ok(verdict @ Frame::Executed { .. }) => names
+                        .record(operation, &verdict)
+                        .map_or(Submitted::Declined, Submitted::Executed),
+                    Ok(_) => Submitted::Declined,
+                }
+            }
+        }
+    }
+}
+
+/// The designer loop: wait for the turn, snapshot, choose, submit, and
+/// report the round to the coordinator, until the run ends.
+fn designer_loop(
+    seat: usize,
+    id: DesignerId,
+    config: &SimulationConfig,
+    coordinator: &Coordinator,
+    session: &SessionHandle,
+    transport: &Transport,
+) {
+    let seed = config.seed ^ ((seat as u64 + 1).wrapping_mul(SEED_STRIDE));
+    let Some(mut submitter) = Submitter::connect(transport, session, seat, seed) else {
+        coordinator.finish();
+        return;
+    };
+    let mut designer = SimulatedDesigner::new(id);
+    let mut rng = StdRng::seed_from_u64(seed);
+    while coordinator.wait_turn(seat) {
+        let Ok(snapshot) = session.snapshot() else {
+            coordinator.finish();
+            return;
+        };
+        let complete = snapshot.design_complete();
+        let proposal = if complete {
+            None
+        } else {
+            designer.choose(&snapshot, config, &mut rng)
+        };
+        let executed = match proposal.map(|operation| submitter.submit(operation)) {
+            None | Some(Submitted::Declined) => false,
+            Some(Submitted::Executed(record)) => {
+                designer.observe(&record);
+                true
+            }
+            Some(Submitted::Lost) => {
+                coordinator.finish();
+                return;
+            }
+        };
+        coordinator.end_turn(executed, complete);
+    }
+}
+
+/// Runs one designer thread per registered designer of the session behind
+/// `session` and joins them.
+fn drive(
+    designers: &[DesignerId],
     config: &SimulationConfig,
     turn_barrier: bool,
-    negotiation: Option<NegotiationConfig>,
-) -> ConcurrentOutcome {
-    let setup_evaluations = dpm.initialize();
-    let designer_ids: Vec<_> = dpm.designers().to_vec();
-    let team = designer_ids.len().max(1);
-    let stall_limit = if turn_barrier { team } else { 4 * team };
-    let engine = SessionEngine::spawn_with(
-        dpm,
-        SessionOptions {
-            negotiation,
-            ..SessionOptions::default()
-        },
-    );
+    session: &SessionHandle,
+    transport: &Transport,
+) {
+    let team = designers.len().max(1);
     let coordinator = Arc::new(Coordinator {
         state: Mutex::new(SharedState {
             turn: 0,
@@ -128,85 +258,32 @@ pub fn run_concurrent_dpm_with(
             done: false,
         }),
         changed: Condvar::new(),
+        team,
+        turn_barrier,
+        stall_limit: if turn_barrier { team } else { 4 * team },
+        max_operations: config.max_operations,
     });
-    let mut threads = Vec::with_capacity(designer_ids.len());
-    for (i, id) in designer_ids.iter().enumerate() {
-        let handle = engine.handle();
-        let coordinator = coordinator.clone();
-        let config = config.clone();
-        let id = *id;
-        let thread = thread::Builder::new()
-            .name(format!("adpm-designer-{i}"))
-            .spawn(move || {
-                let mut designer = SimulatedDesigner::new(id);
-                let mut rng = StdRng::seed_from_u64(
-                    config.seed ^ ((i as u64 + 1).wrapping_mul(SEED_STRIDE)),
-                );
-                loop {
-                    // Wait for our turn (barrier mode) or for the run to end.
-                    {
-                        let mut state = coordinator.lock();
-                        loop {
-                            if state.done {
-                                return;
-                            }
-                            if !turn_barrier || state.turn % team == i {
-                                break;
-                            }
-                            state = coordinator
-                                .changed
-                                .wait(state)
-                                .unwrap_or_else(PoisonError::into_inner);
-                        }
-                    }
-                    let Ok(snapshot) = handle.snapshot() else {
-                        return;
-                    };
-                    let complete = snapshot.design_complete();
-                    let proposal = if complete {
-                        None
-                    } else {
-                        designer.choose(&snapshot, &config, &mut rng)
-                    };
-                    let executed = match proposal {
-                        None => false,
-                        Some(operation) => match handle.submit(operation) {
-                            Err(_) => return,
-                            Ok(OpOutcome::Executed(record)) => {
-                                designer.observe(&record);
-                                true
-                            }
-                            // A rejection means our snapshot went stale
-                            // (another designer moved first) or the value
-                            // was infeasible — equivalent to proposing
-                            // nothing this round.
-                            Ok(OpOutcome::Rejected(_)) => false,
-                        },
-                    };
-                    let mut state = coordinator.lock();
-                    state.turn += 1;
-                    if executed {
-                        state.stalls = 0;
-                        state.executed += 1;
-                        if state.executed >= config.max_operations {
-                            state.done = true;
-                        }
-                    } else {
-                        state.stalls += 1;
-                        if complete || state.stalls >= stall_limit {
-                            state.done = true;
-                        }
-                    }
-                    coordinator.changed.notify_all();
-                }
-            })
-            .expect("spawn designer thread");
-        threads.push(thread);
-    }
+    let threads: Vec<_> = designers
+        .iter()
+        .enumerate()
+        .map(|(seat, &id)| {
+            let (coordinator, session, transport) =
+                (coordinator.clone(), session.clone(), transport.clone());
+            let config = config.clone();
+            thread::Builder::new()
+                .name(format!("adpm-designer-{seat}"))
+                .spawn(move || {
+                    designer_loop(seat, id, &config, &coordinator, &session, &transport);
+                })
+                .expect("spawn designer thread")
+        })
+        .collect();
     for thread in threads {
         let _ = thread.join();
     }
-    let dpm = engine.shutdown();
+}
+
+fn outcome(dpm: DesignProcessManager, setup_evaluations: usize) -> ConcurrentOutcome {
     let per_operation: Vec<OperationStat> =
         dpm.history().iter().map(OperationStat::from_record).collect();
     let stats = RunStats {
@@ -220,109 +297,38 @@ pub fn run_concurrent_dpm_with(
     ConcurrentOutcome { dpm, stats }
 }
 
-/// Name tables for turning a local [`Operation`] into its wire form and a
-/// wire verdict back into an [`OperationRecord`].
-struct RemoteNames {
-    property_names: Vec<String>,
-    problem_names: Vec<String>,
-    constraint_names: Vec<String>,
-    constraint_ids: BTreeMap<String, ConstraintId>,
-}
-
-impl RemoteNames {
-    fn build(dpm: &DesignProcessManager) -> Self {
-        let network = dpm.network();
-        let property_names = network
-            .property_ids()
-            .map(|id| {
-                let meta = network.property(id);
-                format!("{}.{}", meta.object(), meta.name())
-            })
-            .collect();
-        let problem_names = dpm
-            .problems()
-            .ids()
-            .map(|id| dpm.problems().problem(id).name().to_owned())
-            .collect();
-        let constraint_names: Vec<String> = network
-            .constraint_ids()
-            .map(|id| network.constraint(id).name().to_owned())
-            .collect();
-        let constraint_ids = network
-            .constraint_ids()
-            .map(|id| (network.constraint(id).name().to_owned(), id))
-            .collect();
-        RemoteNames {
-            property_names,
-            problem_names,
-            constraint_names,
-            constraint_ids,
-        }
-    }
-
-    /// Encodes `operation` for the wire; `None` for operators the protocol
-    /// does not carry (decompose, non-numeric assigns) — simulated
-    /// designers never propose those.
-    fn wire_op(&self, operation: &Operation) -> Option<WireOp> {
-        let problem = self.problem_names.get(operation.problem().index())?.clone();
-        match operation.operator() {
-            Operator::Assign { property, value } => {
-                let Value::Number(value) = value else {
-                    return None;
-                };
-                Some(WireOp::Assign {
-                    problem,
-                    property: self.property_names.get(property.index())?.clone(),
-                    value: *value,
-                })
-            }
-            Operator::Unbind { property } => Some(WireOp::Unbind {
-                problem,
-                property: self.property_names.get(property.index())?.clone(),
-            }),
-            Operator::Verify { constraints } => Some(WireOp::Verify {
-                problem,
-                constraints: constraints
-                    .iter()
-                    .map(|c| self.constraint_names[c.index()].as_str())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            }),
-            // Decompose is not carried by the protocol; Relax is only ever
-            // issued by the server's own negotiation engine, never proposed
-            // as a client submission.
-            Operator::Decompose { .. } | Operator::Relax { .. } => None,
-        }
-    }
-
-    /// Rebuilds the executed record from the verdict frame plus the local
-    /// operation, for [`SimulatedDesigner::observe`].
-    fn record_from_verdict(&self, operation: Operation, verdict: &Frame) -> Option<OperationRecord> {
-        let Frame::Executed {
-            seq,
-            evaluations,
-            violations_after,
-            new_violations,
-            spin,
-            ..
-        } = verdict
-        else {
-            return None;
-        };
-        let new_violations = new_violations
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .filter_map(|name| self.constraint_ids.get(name.trim()).copied())
-            .collect();
-        Some(OperationRecord {
-            sequence: *seq as usize,
-            operation,
-            evaluations: *evaluations as usize,
-            violations_after: *violations_after as usize,
-            new_violations,
-            spin: *spin,
-        })
-    }
+/// Runs a concurrent TeamSim session over `dpm` (built but not yet
+/// initialized — setup propagation happens here, mirroring the sequential
+/// engine) with one thread per registered designer.
+///
+/// With `turn_barrier`, designers act round-robin and the run is a
+/// deterministic function of `config.seed`; without it they free-run.
+/// The run ends when the design completes, the operation cap is reached,
+/// or a full stall window passes with no executed operation.
+///
+/// With `negotiation` set, the session engine answers every operation
+/// that introduces a violation with a bounded viewpoint negotiation round
+/// (see [`negotiate`](crate::negotiate::negotiate)) and applies an
+/// accepted relaxation as a normal journaled operation, so designers see
+/// the conflict already softened in their next snapshot instead of having
+/// to backtrack out of it.
+pub fn run_concurrent_dpm(
+    mut dpm: DesignProcessManager,
+    config: &SimulationConfig,
+    turn_barrier: bool,
+    negotiation: Option<NegotiationConfig>,
+) -> ConcurrentOutcome {
+    let setup_evaluations = dpm.initialize();
+    let designers = dpm.designers().to_vec();
+    let engine = SessionEngine::spawn_with(
+        dpm,
+        SessionOptions {
+            negotiation,
+            ..SessionOptions::default()
+        },
+    );
+    drive(&designers, config, turn_barrier, &engine.handle(), &Transport::InProcess);
+    outcome(engine.shutdown(), setup_evaluations)
 }
 
 /// [`run_concurrent_dpm`] with the submissions routed over real loopback
@@ -342,141 +348,19 @@ pub fn run_concurrent_remote(
     fault_plan: Option<&FaultPlan>,
 ) -> ConcurrentOutcome {
     let setup_evaluations = dpm.initialize();
-    let designer_ids: Vec<_> = dpm.designers().to_vec();
-    let team = designer_ids.len().max(1);
-    let stall_limit = team;
-    let names = Arc::new(RemoteNames::build(&dpm));
+    let designers = dpm.designers().to_vec();
     let options = ServerOptions {
         fault_plan: fault_plan.cloned(),
         ..ServerOptions::default()
     };
     let server = CollabServer::bind_with(dpm, 0, options, SessionOptions::default())
         .expect("bind loopback collaboration server");
-    let addr = server.local_addr();
-    let session = server.handle();
-    let coordinator = Arc::new(Coordinator {
-        state: Mutex::new(SharedState {
-            turn: 0,
-            stalls: 0,
-            executed: 0,
-            done: false,
-        }),
-        changed: Condvar::new(),
-    });
-    let mut threads = Vec::with_capacity(designer_ids.len());
-    for (i, id) in designer_ids.iter().enumerate() {
-        let session = session.clone();
-        let coordinator = coordinator.clone();
-        let config = config.clone();
-        let names = names.clone();
-        let id = *id;
-        let thread = thread::Builder::new()
-            .name(format!("adpm-remote-designer-{i}"))
-            .spawn(move || {
-                // Ends the whole run (instead of deadlocking the barrier
-                // on our turn) when this designer drops out.
-                let bail = |coordinator: &Coordinator| {
-                    coordinator.lock().done = true;
-                    coordinator.changed.notify_all();
-                };
-                let reconnect = ReconnectConfig {
-                    max_attempts: 8,
-                    base_backoff: Duration::from_millis(10),
-                    max_backoff: Duration::from_millis(250),
-                    request_timeout: Duration::from_secs(3),
-                    seed: config.seed ^ ((i as u64 + 1).wrapping_mul(SEED_STRIDE)),
-                };
-                let Ok(mut client) = ResilientClient::connect(addr, i as u32, reconnect) else {
-                    bail(&coordinator);
-                    return;
-                };
-                let mut designer = SimulatedDesigner::new(id);
-                let mut rng = StdRng::seed_from_u64(
-                    config.seed ^ ((i as u64 + 1).wrapping_mul(SEED_STRIDE)),
-                );
-                loop {
-                    {
-                        let mut state = coordinator.lock();
-                        loop {
-                            if state.done {
-                                return;
-                            }
-                            if state.turn % team == i {
-                                break;
-                            }
-                            state = coordinator
-                                .changed
-                                .wait(state)
-                                .unwrap_or_else(PoisonError::into_inner);
-                        }
-                    }
-                    let Ok(snapshot) = session.snapshot() else {
-                        bail(&coordinator);
-                        return;
-                    };
-                    let complete = snapshot.design_complete();
-                    let proposal = if complete {
-                        None
-                    } else {
-                        designer.choose(&snapshot, &config, &mut rng)
-                    };
-                    let executed = match proposal.as_ref().and_then(|op| names.wire_op(op)) {
-                        None => false,
-                        Some(op) => match client.submit(op) {
-                            Err(_) => {
-                                // Retries exhausted even across reconnects.
-                                bail(&coordinator);
-                                return;
-                            }
-                            Ok(verdict @ Frame::Executed { .. }) => {
-                                let operation = proposal.expect("encoded from a proposal");
-                                if let Some(record) =
-                                    names.record_from_verdict(operation, &verdict)
-                                {
-                                    designer.observe(&record);
-                                }
-                                true
-                            }
-                            // Rejected (stale snapshot / infeasible value)
-                            // or a degenerate verdict: no-op this round.
-                            Ok(_) => false,
-                        },
-                    };
-                    let mut state = coordinator.lock();
-                    state.turn += 1;
-                    if executed {
-                        state.stalls = 0;
-                        state.executed += 1;
-                        if state.executed >= config.max_operations {
-                            state.done = true;
-                        }
-                    } else {
-                        state.stalls += 1;
-                        if complete || state.stalls >= stall_limit {
-                            state.done = true;
-                        }
-                    }
-                    coordinator.changed.notify_all();
-                }
-            })
-            .expect("spawn remote designer thread");
-        threads.push(thread);
-    }
-    for thread in threads {
-        let _ = thread.join();
-    }
-    let dpm = server.shutdown();
-    let per_operation: Vec<OperationStat> =
-        dpm.history().iter().map(OperationStat::from_record).collect();
-    let stats = RunStats {
-        completed: dpm.design_complete(),
-        operations: dpm.history().len(),
-        evaluations: dpm.total_evaluations(),
-        setup_evaluations,
-        spins: dpm.spins(),
-        per_operation,
+    let transport = Transport::Loopback {
+        addr: server.local_addr(),
+        names: server.names(),
     };
-    ConcurrentOutcome { dpm, stats }
+    drive(&designers, config, true, &server.handle(), &transport);
+    outcome(server.shutdown(), setup_evaluations)
 }
 
 #[cfg(test)]
@@ -502,8 +386,8 @@ mod tests {
     fn turn_barrier_runs_are_deterministic() {
         let scenario = lna_walkthrough();
         let config = SimulationConfig::adpm(11);
-        let a = run_concurrent(&scenario, &config, true);
-        let b = run_concurrent(&scenario, &config, true);
+        let a = run_concurrent_dpm(scenario.build_dpm(config.dpm_config()), &config, true, None);
+        let b = run_concurrent_dpm(scenario.build_dpm(config.dpm_config()), &config, true, None);
         assert_eq!(
             format!("{:?}", a.dpm.history()),
             format!("{:?}", b.dpm.history())
@@ -517,7 +401,8 @@ mod tests {
     fn concurrent_history_replays_faithfully() {
         let scenario = sensing_system();
         let config = SimulationConfig::adpm(3);
-        let outcome = run_concurrent(&scenario, &config, false);
+        let outcome =
+            run_concurrent_dpm(scenario.build_dpm(config.dpm_config()), &config, false, None);
         assert!(!outcome.dpm.history().is_empty());
         let mut fresh = scenario.build_dpm(config.dpm_config());
         fresh.initialize();
@@ -561,7 +446,8 @@ mod tests {
     fn turn_barrier_walkthrough_completes() {
         let scenario = lna_walkthrough();
         let config = SimulationConfig::adpm(7);
-        let outcome = run_concurrent(&scenario, &config, true);
+        let outcome =
+            run_concurrent_dpm(scenario.build_dpm(config.dpm_config()), &config, true, None);
         assert!(
             outcome.stats.completed,
             "ops = {}, stalls hit",

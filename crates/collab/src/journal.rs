@@ -57,16 +57,20 @@
 //! to exactly what a fault-free run would have written.
 
 use crate::fault::{DiskFaultInjector, DiskWriteFault};
-use crate::wire::{field_bool, field_f64, field_str, field_u64};
-use adpm_constraint::{ConstraintId, NetworkError, PropertyId, Relaxation, Value};
+use crate::names::NameTable;
+use adpm_constraint::{NetworkError, Relaxation, Value};
 use adpm_core::{
     state_fingerprint, DesignProcessManager, DesignerId, Operation, OperationRecord, Operator,
     ProblemId,
 };
-use adpm_observe::{parse_object, Counter, JsonValue, MetricsSink, NoopSink, TraceEvent};
+use adpm_observe::{
+    field_bool, field_f64, field_str, field_u64, parse_object, Counter, JsonValue, MetricsSink,
+    NoopSink, TraceEvent,
+};
 use adpm_observe::{Clock, MonotonicClock, SpanKind};
 use std::fmt;
 use std::fs::{File, OpenOptions};
+use std::sync::Arc;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -299,26 +303,14 @@ enum ParsedValue {
     Bool(bool),
 }
 
-fn property_name(dpm: &DesignProcessManager, id: PropertyId) -> String {
-    let p = dpm.network().property(id);
-    format!("{}.{}", p.object(), p.name())
-}
-
-fn join_constraint_names(dpm: &DesignProcessManager, ids: &[ConstraintId]) -> String {
-    ids.iter()
-        .map(|c| dpm.network().constraint(*c).name())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
 /// Serializes one executed operation as a `jop` line.
-fn op_line(record: &OperationRecord, dpm: &DesignProcessManager) -> String {
-    op_line_tagged("jop", record, dpm)
+fn op_line(record: &OperationRecord, names: &NameTable) -> String {
+    op_line_tagged("jop", record, names)
 }
 
 /// Serializes one operation under a journal line tag (`jop` for history
 /// entries, `jsop` for snapshot state-program entries — same field schema).
-fn op_line_tagged(tag: &str, record: &OperationRecord, dpm: &DesignProcessManager) -> String {
+fn op_line_tagged(tag: &str, record: &OperationRecord, names: &NameTable) -> String {
     let mut out = String::with_capacity(160);
     out.push_str("{\"t\":\"");
     out.push_str(tag);
@@ -329,7 +321,7 @@ fn op_line_tagged(tag: &str, record: &OperationRecord, dpm: &DesignProcessManage
     match record.operation.operator() {
         Operator::Assign { property, value } => {
             field_str(&mut out, "op", "assign");
-            field_str(&mut out, "property", &property_name(dpm, *property));
+            field_str(&mut out, "property", names.property_name(*property));
             match value {
                 Value::Number(x) => {
                     field_str(&mut out, "vk", "num");
@@ -347,11 +339,11 @@ fn op_line_tagged(tag: &str, record: &OperationRecord, dpm: &DesignProcessManage
         }
         Operator::Unbind { property } => {
             field_str(&mut out, "op", "unbind");
-            field_str(&mut out, "property", &property_name(dpm, *property));
+            field_str(&mut out, "property", names.property_name(*property));
         }
         Operator::Verify { constraints } => {
             field_str(&mut out, "op", "verify");
-            field_str(&mut out, "constraints", &join_constraint_names(dpm, constraints));
+            field_str(&mut out, "constraints", &names.join_constraints(constraints));
         }
         Operator::Decompose { subproblems } => {
             field_str(&mut out, "op", "decompose");
@@ -362,25 +354,17 @@ fn op_line_tagged(tag: &str, record: &OperationRecord, dpm: &DesignProcessManage
             relaxation,
         } => {
             field_str(&mut out, "op", "relax");
-            field_str(
-                &mut out,
-                "constraints",
-                dpm.network().constraint(*constraint).name(),
-            );
+            field_str(&mut out, "constraints", names.constraint_name(*constraint));
             field_str(&mut out, "rk", relaxation.kind());
             if let Relaxation::WidenBound { slack } = relaxation {
                 field_f64(&mut out, "slack", *slack);
             }
         }
     }
-    field_str(&mut out, "repairs", &join_constraint_names(dpm, record.operation.repairs()));
+    field_str(&mut out, "repairs", &names.join_constraints(record.operation.repairs()));
     field_u64(&mut out, "evaluations", record.evaluations as u64);
     field_u64(&mut out, "violations_after", record.violations_after as u64);
-    field_str(
-        &mut out,
-        "new_violations",
-        &join_constraint_names(dpm, &record.new_violations),
-    );
+    field_str(&mut out, "new_violations", &names.join_constraints(&record.new_violations));
     field_bool(&mut out, "spin", record.spin);
     out.push_str("}\n");
     out
@@ -510,38 +494,19 @@ fn parse_journal_line(text: &str) -> Result<JournalLine, String> {
     }
 }
 
-fn resolve_property(dpm: &DesignProcessManager, full: &str) -> Result<PropertyId, JournalError> {
-    let (object, name) = full
-        .split_once('.')
-        .ok_or_else(|| JournalError::Mismatch(format!("property `{full}` is not object.name")))?;
-    dpm.network()
-        .property_by_name(object, name)
-        .ok_or_else(|| JournalError::Mismatch(format!("unknown property `{full}`")))
-}
-
-fn resolve_constraints(
-    dpm: &DesignProcessManager,
-    joined: &str,
-) -> Result<Vec<ConstraintId>, JournalError> {
-    joined
-        .split(',')
-        .filter(|n| !n.is_empty())
-        .map(|name| {
-            dpm.network()
-                .constraint_ids()
-                .find(|c| dpm.network().constraint(*c).name() == name)
-                .ok_or_else(|| JournalError::Mismatch(format!("unknown constraint `{name}`")))
-        })
-        .collect()
-}
-
 /// Resolves a parsed `jop` line into a replayable [`OperationRecord`].
-fn resolve_op(parsed: &ParsedOp, dpm: &DesignProcessManager) -> Result<OperationRecord, JournalError> {
+fn resolve_op(parsed: &ParsedOp, names: &NameTable) -> Result<OperationRecord, JournalError> {
+    let property = |full: &str| {
+        names
+            .property_id(full)
+            .ok_or_else(|| JournalError::Mismatch(format!("unknown property `{full}`")))
+    };
+    let constraints = |joined: &str| names.constraint_ids(joined).map_err(JournalError::Mismatch);
     let designer = DesignerId::new(parsed.designer);
     let problem = ProblemId::new(parsed.problem);
     let operator = match parsed.op.as_str() {
         "assign" => {
-            let property = parsed.property.as_deref().ok_or_else(|| {
+            let name = parsed.property.as_deref().ok_or_else(|| {
                 JournalError::Mismatch("`assign` line without a property".into())
             })?;
             let value = match &parsed.value {
@@ -553,20 +518,20 @@ fn resolve_op(parsed: &ParsedOp, dpm: &DesignProcessManager) -> Result<Operation
                 }
             };
             Operator::Assign {
-                property: resolve_property(dpm, property)?,
+                property: property(name)?,
                 value,
             }
         }
         "unbind" => {
-            let property = parsed.property.as_deref().ok_or_else(|| {
+            let name = parsed.property.as_deref().ok_or_else(|| {
                 JournalError::Mismatch("`unbind` line without a property".into())
             })?;
             Operator::Unbind {
-                property: resolve_property(dpm, property)?,
+                property: property(name)?,
             }
         }
         "verify" => Operator::Verify {
-            constraints: resolve_constraints(dpm, parsed.constraints.as_deref().unwrap_or(""))?,
+            constraints: constraints(parsed.constraints.as_deref().unwrap_or(""))?,
         },
         "decompose" => Operator::Decompose {
             subproblems: parsed
@@ -579,9 +544,8 @@ fn resolve_op(parsed: &ParsedOp, dpm: &DesignProcessManager) -> Result<Operation
                 .collect(),
         },
         "relax" => {
-            let constraints =
-                resolve_constraints(dpm, parsed.constraints.as_deref().unwrap_or(""))?;
-            let [constraint] = constraints[..] else {
+            let ids = constraints(parsed.constraints.as_deref().unwrap_or(""))?;
+            let [constraint] = ids[..] else {
                 return Err(JournalError::Mismatch(
                     "`relax` line needs exactly one constraint".into(),
                 ));
@@ -610,13 +574,13 @@ fn resolve_op(parsed: &ParsedOp, dpm: &DesignProcessManager) -> Result<Operation
         }
     };
     let operation = Operation::new(designer, problem, operator)
-        .with_repairs(resolve_constraints(dpm, &parsed.repairs)?);
+        .with_repairs(constraints(&parsed.repairs)?);
     Ok(OperationRecord {
         sequence: parsed.seq as usize,
         operation,
         evaluations: parsed.evaluations as usize,
         violations_after: parsed.violations_after as usize,
-        new_violations: resolve_constraints(dpm, &parsed.new_violations)?,
+        new_violations: constraints(&parsed.new_violations)?,
         spin: parsed.spin,
     })
 }
@@ -655,6 +619,8 @@ pub struct JournalWriter {
     backlog: Vec<String>,
     /// Seeded disk-fault stream, if the run scripts journal chaos.
     faults: Option<DiskFaultInjector>,
+    /// The session's names, built from the DPM the journal was opened on.
+    names: Arc<NameTable>,
 }
 
 impl JournalWriter {
@@ -685,6 +651,7 @@ impl JournalWriter {
             since_compact: 0,
             backlog: Vec::new(),
             faults: None,
+            names: Arc::new(NameTable::build(dpm)),
         };
         if writer.committed == 0 {
             writer.write_line(&meta_line(dpm), dpm.metrics_sink().as_ref())?;
@@ -706,6 +673,12 @@ impl JournalWriter {
         self.faults = None;
     }
 
+    /// The name table this writer encodes through — shared with the
+    /// server, so a journaled session builds its names once.
+    pub(crate) fn names(&self) -> Arc<NameTable> {
+        self.names.clone()
+    }
+
     /// Line groups a disk fault has kept off the file so far.
     pub fn backlog_len(&self) -> usize {
         self.backlog.len()
@@ -720,7 +693,11 @@ impl JournalWriter {
     /// `jmeta` header. Handing in a read-only handle makes every append
     /// fail deterministically — how the degradation path is exercised.
     #[cfg(test)]
-    pub(crate) fn from_file_for_tests(file: File, config: JournalConfig) -> JournalWriter {
+    pub(crate) fn from_file_for_tests(
+        file: File,
+        config: JournalConfig,
+        dpm: &DesignProcessManager,
+    ) -> JournalWriter {
         let committed = file.metadata().map(|m| m.len()).unwrap_or(0);
         JournalWriter {
             file,
@@ -731,6 +708,7 @@ impl JournalWriter {
             since_compact: 0,
             backlog: Vec::new(),
             faults: None,
+            names: Arc::new(NameTable::build(dpm)),
         }
     }
 
@@ -796,7 +774,7 @@ impl JournalWriter {
         dpm: &DesignProcessManager,
     ) -> Result<(), JournalError> {
         let sink = dpm.metrics_sink().clone();
-        let mut chunk = op_line(record, dpm);
+        let mut chunk = op_line(record, &self.names);
         self.appended += 1;
         self.since_compact += 1;
         if self.config.checkpoint_every > 0
@@ -858,7 +836,7 @@ impl JournalWriter {
                 new_violations: Vec::new(),
                 spin: false,
             };
-            content.push_str(&op_line_tagged("jsop", &entry, dpm));
+            content.push_str(&op_line_tagged("jsop", &entry, &self.names));
         }
         let mut tmp = OpenOptions::new()
             .write(true)
@@ -994,6 +972,7 @@ struct RecoveredState {
 fn recover_impl(
     path: &Path,
     dpm: &mut DesignProcessManager,
+    names: &NameTable,
     allow_fallback: bool,
 ) -> Result<RecoveredState, JournalError> {
     let (lines, journal_bytes, truncated_bytes) = scan(path)?;
@@ -1034,7 +1013,7 @@ fn recover_impl(
             torn_snapshot = true;
         } else {
             for parsed in &program {
-                let record = resolve_op(parsed, dpm)?;
+                let record = resolve_op(parsed, names)?;
                 dpm.execute(record.operation).map_err(JournalError::Replay)?;
                 executed += 1;
             }
@@ -1071,7 +1050,7 @@ fn recover_impl(
                 "torn snapshot section and no previous journal generation".into(),
             ));
         }
-        let prior = recover_impl(&prev, dpm, false)?;
+        let prior = recover_impl(&prev, dpm, names, false)?;
         warnings.push(RecoveryWarning::TornSnapshotFallback);
         warnings.extend(prior.warnings);
         faithful = faithful && prior.faithful;
@@ -1110,7 +1089,7 @@ fn recover_impl(
         match line {
             JournalLine::Meta => {}
             JournalLine::Op(parsed) => {
-                let record = resolve_op(parsed, dpm)?;
+                let record = resolve_op(parsed, names)?;
                 segment.push(record);
                 replayed_ops += 1;
             }
@@ -1172,7 +1151,8 @@ fn recover_impl(
 pub fn recover(path: &Path, dpm: &mut DesignProcessManager) -> Result<RecoveryReport, JournalError> {
     let clock = MonotonicClock::new();
     let start = clock.now_us();
-    let mut state = recover_impl(path, dpm, true)?;
+    let names = NameTable::build(dpm);
+    let mut state = recover_impl(path, dpm, &names, true)?;
     if state.checkpoints_verified < state.checkpoints {
         state.warnings.push(RecoveryWarning::CheckpointMismatch {
             checkpoints: state.checkpoints,

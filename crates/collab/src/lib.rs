@@ -62,6 +62,7 @@ pub mod concurrent;
 pub mod error;
 pub mod fault;
 pub mod journal;
+mod names;
 pub mod negotiate;
 pub mod notify;
 pub mod resilient;
@@ -71,10 +72,7 @@ pub mod wire;
 
 pub use adpm_core::InterestSet;
 pub use client::CollabClient;
-pub use concurrent::{
-    run_concurrent, run_concurrent_dpm, run_concurrent_dpm_with, run_concurrent_remote,
-    ConcurrentOutcome,
-};
+pub use concurrent::{run_concurrent_dpm, run_concurrent_remote, ConcurrentOutcome};
 pub use error::CollabError;
 pub use fault::{DiskFaultInjector, DiskWriteFault, FaultAction, FaultInjector, FaultPlan};
 pub use journal::{

@@ -24,11 +24,10 @@
 //! factory runs under the registry lock, so concurrent creates of the same
 //! name yield exactly one session.
 //!
-//! Wire frames carry names, not ids: the server snapshots the network's
-//! name tables once at bind time (the property/constraint/problem *sets*
-//! are fixed after scenario setup; only bindings and feasible subspaces
-//! change) and resolves both directions on the connection threads without
-//! consulting the session.
+//! Wire frames carry names, not ids: each session's name table (the
+//! `names` module; the one its journal writes through, when it has one)
+//! resolves both directions on the connection threads without consulting
+//! the session.
 //!
 //! Fault tolerance ([`ServerOptions`]):
 //!
@@ -51,15 +50,14 @@
 //!   [`FaultInjector`] — chaos tests run against real torn bytes.
 
 use crate::fault::{FaultAction, FaultInjector};
-use crate::notify::{Inbox, InboxEntry};
+use crate::journal::JournalWriter;
+use crate::names::NameTable;
+use crate::notify::Inbox;
 use crate::session::{
     OpOutcome, RejectReason, SessionEngine, SessionHandle, SessionOptions, DEFAULT_INBOX_CAPACITY,
 };
 use crate::wire::{BufferedLine, Frame, LineBuffer, WireOp};
-use adpm_constraint::{ConstraintId, PropertyId};
-use adpm_core::{
-    DesignProcessManager, DesignerId, Event, NegotiationAnswer, Operation, Operator, ProblemId,
-};
+use adpm_core::{DesignProcessManager, DesignerId};
 use adpm_observe::{
     write_exposition, Counter, FlightRecorder, MetricsHub, MetricsSink, Snapshot, SpanKind,
     TeeSink, TraceEvent, ROLLUP_SESSION,
@@ -145,193 +143,15 @@ impl Default for ServerOptions {
     }
 }
 
-/// Name tables snapshot, shared read-only across connection threads.
-struct NameMaps {
+/// What a connection needs to know about its session, shared read-only
+/// across connection threads: the session facts plus its name table.
+struct SessionInfo {
     mode: &'static str,
     designers: u32,
-    /// `object.name` per property, indexed by `PropertyId::index()`.
-    property_names: Vec<String>,
-    property_ids: BTreeMap<String, PropertyId>,
-    constraint_names: Vec<String>,
-    constraint_ids: BTreeMap<String, ConstraintId>,
-    problem_names: Vec<String>,
-    problem_ids: BTreeMap<String, ProblemId>,
     /// Whether the session was spawned with a negotiation engine —
     /// gates the client-facing negotiation frames.
     negotiation: bool,
-}
-
-impl NameMaps {
-    fn build(dpm: &DesignProcessManager) -> Self {
-        let network = dpm.network();
-        let mut property_names = Vec::with_capacity(network.property_count());
-        let mut property_ids = BTreeMap::new();
-        for id in network.property_ids() {
-            let meta = network.property(id);
-            let full = format!("{}.{}", meta.object(), meta.name());
-            property_ids.insert(full.clone(), id);
-            property_names.push(full);
-        }
-        let mut constraint_names = Vec::with_capacity(network.constraint_count());
-        let mut constraint_ids = BTreeMap::new();
-        for id in network.constraint_ids() {
-            let name = network.constraint(id).name().to_owned();
-            constraint_ids.insert(name.clone(), id);
-            constraint_names.push(name);
-        }
-        let mut problem_names = Vec::with_capacity(dpm.problems().len());
-        let mut problem_ids = BTreeMap::new();
-        for id in dpm.problems().ids() {
-            let name = dpm.problems().problem(id).name().to_owned();
-            problem_ids.insert(name.clone(), id);
-            problem_names.push(name);
-        }
-        NameMaps {
-            mode: dpm.mode().as_str(),
-            designers: dpm.designers().len() as u32,
-            property_names,
-            property_ids,
-            constraint_names,
-            constraint_ids,
-            problem_names,
-            problem_ids,
-            negotiation: false,
-        }
-    }
-
-    fn property_name(&self, id: PropertyId) -> &str {
-        &self.property_names[id.index()]
-    }
-
-    fn constraint_name(&self, id: ConstraintId) -> &str {
-        &self.constraint_names[id.index()]
-    }
-
-    fn event_frame(&self, entry: &InboxEntry) -> Frame {
-        match &entry.event {
-            Event::ViolationDetected {
-                constraint,
-                properties,
-            } => Frame::Event {
-                seq: entry.seq,
-                kind: "violation_detected".into(),
-                subject: self.constraint_name(*constraint).to_owned(),
-                properties: properties
-                    .iter()
-                    .map(|p| self.property_name(*p))
-                    .collect::<Vec<_>>()
-                    .join(","),
-                relative_size: 0.0,
-                idx: entry.idx,
-            },
-            Event::ViolationResolved { constraint } => Frame::Event {
-                seq: entry.seq,
-                kind: "violation_resolved".into(),
-                subject: self.constraint_name(*constraint).to_owned(),
-                properties: String::new(),
-                relative_size: 0.0,
-                idx: entry.idx,
-            },
-            Event::FeasibleReduced {
-                property,
-                relative_size,
-            } => Frame::Event {
-                seq: entry.seq,
-                kind: "feasible_reduced".into(),
-                subject: self.property_name(*property).to_owned(),
-                properties: String::new(),
-                relative_size: *relative_size,
-                idx: entry.idx,
-            },
-            Event::FeasibleEmptied { property } => Frame::Event {
-                seq: entry.seq,
-                kind: "feasible_emptied".into(),
-                subject: self.property_name(*property).to_owned(),
-                properties: String::new(),
-                relative_size: 0.0,
-                idx: entry.idx,
-            },
-            Event::ProblemSolved { problem } => Frame::Event {
-                seq: entry.seq,
-                kind: "problem_solved".into(),
-                subject: self.problem_names[problem.index()].clone(),
-                properties: String::new(),
-                relative_size: 0.0,
-                idx: entry.idx,
-            },
-            Event::NegotiationProposed {
-                constraint,
-                round,
-                proposer,
-                proposal,
-            } => Frame::Propose {
-                seq: entry.seq,
-                round: *round,
-                proposer: proposer.index() as u32,
-                kind: proposal.kind().into(),
-                constraint: self.constraint_name(*constraint).to_owned(),
-                property: proposal
-                    .property()
-                    .map(|p| self.property_name(p).to_owned())
-                    .unwrap_or_default(),
-                slack: proposal.slack(),
-                idx: entry.idx,
-            },
-            Event::NegotiationAnswered {
-                round,
-                designer,
-                answer,
-                counter,
-                ..
-            } => match (answer, counter) {
-                (NegotiationAnswer::Counter, Some(alternative)) => Frame::CounterProposal {
-                    seq: entry.seq,
-                    round: *round,
-                    designer: designer.index() as u32,
-                    kind: alternative.kind().into(),
-                    constraint: alternative
-                        .constraint()
-                        .map(|c| self.constraint_name(c).to_owned())
-                        .unwrap_or_default(),
-                    property: alternative
-                        .property()
-                        .map(|p| self.property_name(p).to_owned())
-                        .unwrap_or_default(),
-                    slack: alternative.slack(),
-                    idx: entry.idx,
-                },
-                (NegotiationAnswer::Reject, _) => Frame::Reject {
-                    seq: entry.seq,
-                    round: *round,
-                    designer: designer.index() as u32,
-                    idx: entry.idx,
-                },
-                // `Counter` without an alternative degrades to assent in
-                // the engine; encode it as the accept it effectively is.
-                _ => Frame::Accept {
-                    seq: entry.seq,
-                    round: *round,
-                    designer: designer.index() as u32,
-                    idx: entry.idx,
-                },
-            },
-            Event::NegotiationClosed {
-                constraint,
-                rounds,
-                resolved,
-                ..
-            } => Frame::Resolved {
-                seq: entry.seq,
-                constraint: self.constraint_name(*constraint).to_owned(),
-                rounds: *rounds,
-                // The engine's proposal count equals its round count (one
-                // proposal is tabled per round).
-                proposals: *rounds,
-                outcome: if *resolved { "resolved" } else { "abandoned" }.into(),
-                idx: entry.idx,
-            },
-        }
-    }
+    names: Arc<NameTable>,
 }
 
 /// Builds the design state for a freshly created named session: a
@@ -345,7 +165,7 @@ pub type SessionFactory =
 /// every connection bound to it, and its flight recorder.
 struct SessionSlot {
     engine: SessionEngine,
-    names: Arc<NameMaps>,
+    info: Arc<SessionInfo>,
     recorder: Arc<FlightRecorder>,
 }
 
@@ -420,14 +240,20 @@ impl Registry {
         if session.recorder.is_none() {
             session.recorder = Some(recorder.clone());
         }
-        let mut names = NameMaps::build(&dpm);
-        names.negotiation = session.negotiation.is_some();
-        let names = Arc::new(names);
+        let info = Arc::new(SessionInfo {
+            mode: dpm.mode().as_str(),
+            designers: dpm.designers().len() as u32,
+            negotiation: session.negotiation.is_some(),
+            names: session
+                .journal
+                .as_ref()
+                .map_or_else(|| Arc::new(NameTable::build(&dpm)), JournalWriter::names),
+        });
         let engine = SessionEngine::spawn_with(dpm, session);
         self.sink.incr(Counter::SessionsActive, 1);
         SessionSlot {
             engine,
-            names,
+            info,
             recorder,
         }
     }
@@ -439,12 +265,12 @@ impl Registry {
     }
 
     /// The session every connection starts in.
-    fn default_session(&self) -> (SessionHandle, Arc<NameMaps>) {
+    fn default_session(&self) -> (SessionHandle, Arc<SessionInfo>) {
         let slots = lock(&self.slots);
         let slot = slots
             .get(DEFAULT_SESSION)
             .expect("the default session always exists");
-        (slot.engine.handle(), slot.names.clone())
+        (slot.engine.handle(), slot.info.clone())
     }
 
     /// Resolves a session `create`/`attach` request to a handle, creating
@@ -454,7 +280,7 @@ impl Registry {
         &self,
         name: &str,
         create: bool,
-    ) -> Result<(SessionHandle, Arc<NameMaps>, bool), String> {
+    ) -> Result<(SessionHandle, Arc<SessionInfo>, bool), String> {
         let reject = |reason: String| {
             self.sink.incr(Counter::AttachRejected, 1);
             reason
@@ -470,7 +296,7 @@ impl Registry {
                 self.sink.incr(Counter::OverloadSheds, 1);
                 return Err(reject(format!("session `{name}` is full ({bound} clients)")));
             }
-            return Ok((slot.engine.handle(), slot.names.clone(), false));
+            return Ok((slot.engine.handle(), slot.info.clone(), false));
         }
         if !create {
             return Err(reject(format!("unknown session `{name}`")));
@@ -498,10 +324,10 @@ impl Registry {
             .map_err(|e| reject(format!("could not create session `{name}`: {e}")))?;
         let slot = self.build_slot(name, dpm, session);
         let handle = slot.engine.handle();
-        let names = slot.names.clone();
+        let info = slot.info.clone();
         slots.insert(name.to_owned(), slot);
         self.sink.incr(Counter::SessionsCreated, 1);
-        Ok((handle, names, true))
+        Ok((handle, info, true))
     }
 
     /// Sorted comma-joined session names plus their count.
@@ -815,6 +641,11 @@ impl CollabServer {
         self.registry.default_session().0
     }
 
+    /// The *default* session's name table.
+    pub(crate) fn names(&self) -> Arc<NameTable> {
+        self.registry.default_session().1.names.clone()
+    }
+
     /// Sorted names of the sessions currently hosted.
     pub fn session_names(&self) -> Vec<String> {
         lock(&self.registry.slots).keys().cloned().collect()
@@ -960,7 +791,7 @@ struct OutboxState {
     /// Encoded lines not yet written, in queue order.
     lines: String,
     /// The inbox and the name tables its events are encoded with.
-    subscription: Option<(Inbox, Arc<NameMaps>)>,
+    subscription: Option<(Inbox, Arc<SessionInfo>)>,
     /// Armed by `watch`: all sessions or not, interval, next report due.
     watch: Option<(bool, Duration, Instant)>,
     /// When the reader last received bytes from the peer.
@@ -1083,9 +914,9 @@ fn write_connection(
                 batch.push_str(&frame.to_line());
             }
         }
-        if let Some((_, names)) = &subscription {
+        if let Some((_, info)) = &subscription {
             for entry in &events {
-                batch.push_str(&names.event_frame(entry).to_line());
+                batch.push_str(&info.names.event_frame(entry).to_line());
             }
         }
         if writer.write(&batch).is_err() {
@@ -1127,9 +958,9 @@ fn reject_reason(reason: &RejectReason) -> String {
 /// session is forgotten, forcing a fresh `hello`.
 fn switch_session(
     new_handle: SessionHandle,
-    new_names: Arc<NameMaps>,
+    new_info: Arc<SessionInfo>,
     handle: &mut SessionHandle,
-    names: &mut Arc<NameMaps>,
+    info: &mut Arc<SessionInfo>,
     designer: &mut Option<DesignerId>,
     outbox: &Outbox,
 ) {
@@ -1137,12 +968,12 @@ fn switch_session(
         old.close();
     }
     if let Some(d) = *designer {
-        if d.index() as u32 >= new_names.designers {
+        if d.index() as u32 >= new_info.designers {
             *designer = None;
         }
     }
     *handle = new_handle;
-    *names = new_names;
+    *info = new_info;
 }
 
 fn serve_connection(
@@ -1227,7 +1058,7 @@ fn run_connection(
     let Ok(writer_thread) = writer_thread else {
         return false;
     };
-    let (mut handle, mut names) = registry.default_session();
+    let (mut handle, mut info) = registry.default_session();
     // Which session this connection is bound to — feeds the per-session
     // connection counts in `stats_reply` and scopes `stats`/`dump`.
     let mut session_name: String = DEFAULT_SESSION.to_owned();
@@ -1268,19 +1099,19 @@ fn run_connection(
         };
         let reply = match frame {
             Frame::Hello { designer: index } => {
-                if index < names.designers {
+                if index < info.designers {
                     designer = Some(DesignerId::new(index));
                     Frame::Welcome {
-                        mode: names.mode.to_owned(),
-                        designers: names.designers,
-                        properties: names.property_names.len() as u32,
-                        constraints: names.constraint_names.len() as u32,
+                        mode: info.mode.to_owned(),
+                        designers: info.designers,
+                        properties: info.names.property_names().len() as u32,
+                        constraints: info.names.constraint_count() as u32,
                     }
                 } else {
                     Frame::Error {
                         message: format!(
                             "unknown designer {index} (session has {})",
-                            names.designers
+                            info.designers
                         ),
                     }
                 }
@@ -1299,7 +1130,7 @@ fn run_connection(
                         inbox.set_waker(Waker::from(Arc::new(WakeWriter(Arc::downgrade(&outbox)))));
                         // A re-subscribe (resume) supersedes the previous
                         // inbox; closing it lets the session GC it.
-                        let subscription = (inbox, names.clone());
+                        let subscription = (inbox, info.clone());
                         if let Some((old, _)) =
                             lock(&outbox.state).subscription.replace(subscription)
                         {
@@ -1330,7 +1161,7 @@ fn run_connection(
                             cid,
                         }
                     } else {
-                        submit(&handle, &names, d, op, cid)
+                        submit(&handle, &info.names, d, op, cid)
                     };
                     registry.inflight.fetch_sub(1, Ordering::SeqCst);
                     reply
@@ -1341,7 +1172,7 @@ fn run_connection(
                     message: "session is shut down".into(),
                 },
                 Ok(state) => {
-                    outbox.send(&state.frames(&names));
+                    outbox.send(&state.frames(&info.names));
                     continue;
                 }
             },
@@ -1359,12 +1190,12 @@ fn run_connection(
             }
             Frame::CreateSession { name } => match registry.attach(&name, true) {
                 Err(reason) => Frame::AttachRejected { name, reason },
-                Ok((new_handle, new_names, created)) => {
+                Ok((new_handle, new_info, created)) => {
                     switch_session(
                         new_handle,
-                        new_names,
+                        new_info,
                         &mut handle,
-                        &mut names,
+                        &mut info,
                         &mut designer,
                         &outbox,
                     );
@@ -1375,12 +1206,12 @@ fn run_connection(
             },
             Frame::AttachSession { name } => match registry.attach(&name, false) {
                 Err(reason) => Frame::AttachRejected { name, reason },
-                Ok((new_handle, new_names, _)) => {
+                Ok((new_handle, new_info, _)) => {
                     switch_session(
                         new_handle,
-                        new_names,
+                        new_info,
                         &mut handle,
-                        &mut names,
+                        &mut info,
                         &mut designer,
                         &outbox,
                     );
@@ -1390,12 +1221,12 @@ fn run_connection(
                 }
             },
             Frame::DetachSession => {
-                let (new_handle, new_names) = registry.default_session();
+                let (new_handle, new_info) = registry.default_session();
                 switch_session(
                     new_handle,
-                    new_names,
+                    new_info,
                     &mut handle,
-                    &mut names,
+                    &mut info,
                     &mut designer,
                     &outbox,
                 );
@@ -1475,7 +1306,7 @@ fn run_connection(
             // proposals; the direct reply is the closing `resolved` frame
             // (outcome `consistent` when the constraint was not violated).
             Frame::Propose { constraint, .. } => {
-                if !names.negotiation {
+                if !info.negotiation {
                     Frame::NegotiationRejected {
                         message: "negotiation is disabled for this session".into(),
                     }
@@ -1484,11 +1315,11 @@ fn run_connection(
                         message: "propose requires a hello first".into(),
                     }
                 } else {
-                    match names.constraint_ids.get(&constraint) {
+                    match info.names.constraint_id(&constraint) {
                         None => Frame::Error {
                             message: format!("unknown constraint `{constraint}`"),
                         },
-                        Some(cid) => match handle.negotiate(*cid) {
+                        Some(cid) => match handle.negotiate(cid) {
                             Err(_) => Frame::Error {
                                 message: "session is shut down".into(),
                             },
@@ -1519,7 +1350,7 @@ fn run_connection(
             | Frame::Accept { .. }
             | Frame::Reject { .. }
             | Frame::Resolved { .. } => Frame::NegotiationRejected {
-                message: if names.negotiation {
+                message: if info.negotiation {
                     "negotiation answers are computed by the session's designer policies"
                         .into()
                 } else {
@@ -1541,12 +1372,12 @@ fn run_connection(
 
 fn submit(
     handle: &SessionHandle,
-    names: &NameMaps,
+    names: &NameTable,
     designer: DesignerId,
     op: WireOp,
     cid: Option<u64>,
 ) -> Frame {
-    let operation = match resolve_operation(names, designer, op) {
+    let operation = match names.resolve_operation(designer, op) {
         Ok(operation) => operation,
         Err(message) => return Frame::Error { message },
     };
@@ -1558,86 +1389,7 @@ fn submit(
             reason: reject_reason(&reason),
             cid,
         },
-        Ok(OpOutcome::Executed(record)) => Frame::Executed {
-            seq: record.sequence as u64,
-            evaluations: record.evaluations as u64,
-            violations_after: record.violations_after as u32,
-            new_violations: record
-                .new_violations
-                .iter()
-                .map(|c| names.constraint_name(*c))
-                .collect::<Vec<_>>()
-                .join(","),
-            spin: record.spin,
-            cid,
-        },
-    }
-}
-
-fn resolve_operation(
-    names: &NameMaps,
-    designer: DesignerId,
-    op: WireOp,
-) -> Result<Operation, String> {
-    let problem_id = |name: &str| {
-        names
-            .problem_ids
-            .get(name)
-            .copied()
-            .ok_or_else(|| format!("unknown problem `{name}`"))
-    };
-    let property_id = |name: &str| {
-        names
-            .property_ids
-            .get(name)
-            .copied()
-            .ok_or_else(|| format!("unknown property `{name}` (use `object.property`)"))
-    };
-    match op {
-        WireOp::Assign {
-            problem,
-            property,
-            value,
-        } => {
-            if !value.is_finite() {
-                return Err(format!("value for `{property}` must be finite"));
-            }
-            Ok(Operation::assign(
-                designer,
-                problem_id(&problem)?,
-                property_id(&property)?,
-                adpm_constraint::Value::number(value),
-            ))
-        }
-        WireOp::Unbind { problem, property } => Ok(Operation::unbind(
-            designer,
-            problem_id(&problem)?,
-            property_id(&property)?,
-        )),
-        WireOp::Verify {
-            problem,
-            constraints,
-        } => {
-            let problem = problem_id(&problem)?;
-            if constraints.is_empty() {
-                return Ok(Operation::verify(designer, problem));
-            }
-            let mut ids = Vec::new();
-            for name in constraints.split(',') {
-                let name = name.trim();
-                let id = names
-                    .constraint_ids
-                    .get(name)
-                    .copied()
-                    .ok_or_else(|| format!("unknown constraint `{name}`"))?;
-                ids.push(id);
-            }
-            Ok(Operation::new(
-                designer,
-                problem,
-                Operator::Verify { constraints: ids },
-            ))
-        }
+        Ok(OpOutcome::Executed(record)) => names.executed(&record, cid),
     }
 }
 
@@ -1675,14 +1427,14 @@ impl WireState {
     }
 
     /// The `state`, `prop`… `end` reply to a `snapshot` request.
-    fn frames(&self, names: &NameMaps) -> Vec<Frame> {
+    fn frames(&self, names: &NameTable) -> Vec<Frame> {
         let mut frames = Vec::with_capacity(self.props.len() + 2);
         frames.push(Frame::State {
             operations: self.operations,
             bound: self.bound,
             violations: self.violations,
         });
-        frames.extend(self.props.iter().zip(&names.property_names).map(
+        frames.extend(self.props.iter().zip(names.property_names()).map(
             |(&(lo, hi, bound), name)| Frame::Prop {
                 name: name.clone(),
                 lo,
@@ -2696,7 +2448,7 @@ mod tests {
                 property: "sensor.s-area".into(),
                 value,
             };
-            resolve_operation(&NameMaps::build(&dpm), DesignerId::new(1), op).expect("names")
+            NameTable::build(&dpm).resolve_operation(DesignerId::new(1), op).expect("names")
         };
         let operations = [assign(4.0), assign(5.0)];
         // Every line to every wire client crawls out 20 ms late.

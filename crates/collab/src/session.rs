@@ -18,7 +18,7 @@
 //! drops its reply receiver (or dies mid-call) never wedges the session
 //! thread.
 
-use crate::journal::JournalWriter;
+use crate::journal::{JournalError, JournalWriter};
 use crate::negotiate::{negotiate, NegotiationConfig};
 use crate::notify::{Inbox, InboxEntry};
 use adpm_core::{
@@ -661,18 +661,7 @@ fn session_loop(
                         }
                     }
                 }
-                for sub in &subscriptions {
-                    sub.inbox.close();
-                }
-                if let Some(journal) = journal.as_mut() {
-                    // Orderly shutdown models the operator fixing the disk
-                    // (space freed, mount restored): stop injecting faults
-                    // and drain whatever the degraded writer parked.
-                    journal.clear_disk_faults();
-                    if let Err(error) = journal.sync() {
-                        eprintln!("adpm: journal sync at shutdown failed: {error}");
-                    }
-                }
+                close_session(&subscriptions, &mut journal);
                 let _ = reply.send(());
                 record_session_event(&*sink, seq, kind, designer, "ok", started);
                 return dpm;
@@ -681,8 +670,16 @@ fn session_loop(
         record_session_event(&*sink, seq, kind, designer, outcome, started);
     }
     // Every handle (and the engine) is gone: nobody can command the
-    // session any more, so close the inboxes and exit.
-    for sub in &subscriptions {
+    // session any more, so close it and exit.
+    close_session(&subscriptions, &mut journal);
+    dpm
+}
+
+/// Closes every inbox and syncs the journal. Orderly shutdown models the
+/// operator fixing the disk (space freed, mount restored): the journal
+/// stops injecting faults and drains whatever a degraded writer parked.
+fn close_session(subscriptions: &[SubscriptionEntry], journal: &mut Option<JournalWriter>) {
+    for sub in subscriptions {
         sub.inbox.close();
     }
     if let Some(journal) = journal.as_mut() {
@@ -691,7 +688,33 @@ fn session_loop(
             eprintln!("adpm: journal sync at shutdown failed: {error}");
         }
     }
-    dpm
+}
+
+/// Runs one append against the session's journal, if it has one. A
+/// failing journal (disk full, fsync errors) degrades instead of failing
+/// the operation: the writer parks the lines in its backlog, the session
+/// keeps serving, and a later successful append — or an orderly shutdown
+/// after the fault clears — writes the parked lines in order.
+fn journal_append(
+    journal: &mut Option<JournalWriter>,
+    sink: &dyn MetricsSink,
+    append: impl FnOnce(&mut JournalWriter) -> Result<(), JournalError>,
+) {
+    let Some(writer) = journal.as_mut() else {
+        return;
+    };
+    let was_degraded = writer.is_degraded();
+    if let Err(error) = append(writer) {
+        sink.incr(Counter::JournalDegradations, 1);
+        if !was_degraded {
+            eprintln!("adpm: journal append failed, parking writes: {error}");
+            // A dying disk suggests the process may not reach a clean
+            // shutdown either — make the telemetry recorded so far
+            // durable now, or a traced server loses its final counters
+            // line with it.
+            sink.flush();
+        }
+    }
 }
 
 fn record_session_event(
@@ -728,26 +751,9 @@ fn execute_submission(
     }
     match dpm.execute(operation) {
         Ok(record) => {
-            if let Some(writer) = journal.as_mut() {
-                let was_degraded = writer.is_degraded();
-                if let Err(error) = writer.append(&record, dpm) {
-                    // Graceful degradation: a failing journal (disk full,
-                    // fsync errors) parks the line in the writer's
-                    // backlog; the session keeps serving and a later
-                    // successful append — or an orderly shutdown after
-                    // the fault clears — writes the parked lines in
-                    // order.
-                    dpm.metrics_sink().incr(Counter::JournalDegradations, 1);
-                    if !was_degraded {
-                        eprintln!("adpm: journal append failed, parking writes: {error}");
-                        // A dying disk suggests the process may not reach
-                        // a clean shutdown either — make the telemetry
-                        // recorded so far durable now, or a traced server
-                        // loses its final counters line with it.
-                        dpm.metrics_sink().flush();
-                    }
-                }
-            }
+            journal_append(journal, dpm.metrics_sink().as_ref(), |writer| {
+                writer.append(&record, dpm)
+            });
             fan_out(dpm, subscriptions, logs, record.sequence as u64);
             // A conflict-introducing operation triggers a negotiation per
             // new violation. Relax operations never re-negotiate — the
@@ -862,9 +868,8 @@ fn negotiate_conflict(
     );
     let outcome_label = if resolved { "resolved" } else { "abandoned" };
     let constraint_name = dpm.network().constraint(seed).name().to_owned();
-    if let Some(writer) = journal.as_mut() {
-        let was_degraded = writer.is_degraded();
-        if let Err(error) = writer.append_negotiation(
+    journal_append(journal, sink.as_ref(), |writer| {
+        writer.append_negotiation(
             seq,
             &constraint_name,
             outcome.rounds,
@@ -872,14 +877,8 @@ fn negotiate_conflict(
             outcome.participants.len() as u32,
             outcome_label,
             sink.as_ref(),
-        ) {
-            dpm.metrics_sink().incr(Counter::JournalDegradations, 1);
-            if !was_degraded {
-                eprintln!("adpm: journal append failed, parking writes: {error}");
-                dpm.metrics_sink().flush();
-            }
-        }
-    }
+        )
+    });
     let dur_us = started.elapsed().as_micros() as u64;
     sink.time(SpanKind::Negotiate, dur_us);
     if sink.is_enabled() {
@@ -1269,6 +1268,7 @@ mod tests {
                 checkpoint_every: 0,
                 compact_every: 0,
             },
+            &dpm,
         );
 
         let engine = SessionEngine::spawn_with(

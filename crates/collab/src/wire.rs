@@ -1,9 +1,9 @@
 //! The line-delimited JSONL wire protocol.
 //!
 //! One flat JSON object per line, first field the string tag `"t"` —
-//! exactly the trace-file shape, reusing `adpm-observe`'s
-//! [`escape_into`]/[`parse_object`] so the escaping rules and the parser's
-//! error reporting are shared with the trace subsystem. The schema is
+//! exactly the trace-file shape, reusing `adpm-observe`'s field writers
+//! ([`field_str`] and kin) and [`parse_object`] so the escaping rules and
+//! the parser's error reporting are shared with the trace subsystem. The schema is
 //! deliberately flat (the observe parser rejects nesting): list-valued
 //! fields are comma-joined name strings, and every design entity crosses
 //! the wire by *name* (`object.property`, problem name, constraint name)
@@ -14,7 +14,9 @@
 //! malformed or malicious peer cannot make the reader buffer without
 //! bound.
 
-use adpm_observe::{escape_into, parse_object, CounterSnapshot, JsonValue};
+use adpm_observe::{
+    field_bool, field_f64, field_str, field_u64, parse_object, CounterSnapshot, JsonValue,
+};
 use std::fmt;
 
 /// Upper bound on one wire line, delimiter included (64 KiB).
@@ -479,37 +481,6 @@ impl WireError {
     fn new(message: impl Into<String>) -> Self {
         WireError::protocol(message)
     }
-}
-
-pub(crate) fn field_str(out: &mut String, key: &str, value: &str) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":\"");
-    escape_into(out, value);
-    out.push('"');
-}
-
-pub(crate) fn field_u64(out: &mut String, key: &str, value: u64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-}
-
-pub(crate) fn field_bool(out: &mut String, key: &str, value: bool) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(if value { "true" } else { "false" });
-}
-
-pub(crate) fn field_f64(out: &mut String, key: &str, value: f64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    // Shortest round-trip formatting; the schema carries only finite
-    // values, so this is always valid JSON.
-    out.push_str(&format!("{value:?}"));
 }
 
 fn field_opt_u64(out: &mut String, key: &str, value: Option<u64>) {

@@ -86,6 +86,41 @@ pub fn escape_into(out: &mut String, value: &str) {
     }
 }
 
+/// Appends `,"key":"value"` to `out`, escaping `value` — one string field
+/// of a flat JSONL object whose opening `{"t":…` is already written.
+pub fn field_str(out: &mut String, key: &str, value: &str) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":\"");
+    escape_into(out, value);
+    out.push('"');
+}
+
+/// Appends `,"key":value` for an unsigned integer field.
+pub fn field_u64(out: &mut String, key: &str, value: u64) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    out.push_str(&value.to_string());
+}
+
+/// Appends `,"key":true` or `,"key":false`.
+pub fn field_bool(out: &mut String, key: &str, value: bool) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    out.push_str(if value { "true" } else { "false" });
+}
+
+/// Appends `,"key":value` for a float field in shortest round-trip form.
+/// Only finite values are valid JSON; callers carry no others.
+pub fn field_f64(out: &mut String, key: &str, value: f64) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    out.push_str(&format!("{value:?}"));
+}
+
 /// Parses one flat JSON object into `(key, value)` pairs, in order.
 /// Nested objects and arrays are rejected — the trace schema is flat.
 ///

@@ -84,7 +84,10 @@ pub use histogram::{Histogram, SpanKind};
 pub use hub::{
     parse_exposition, write_exposition, MetricsHub, Snapshot, SpanSummary, ROLLUP_SESSION,
 };
-pub use json::{escape_into, parse_object, JsonValue, TraceParseError};
+pub use json::{
+    escape_into, field_bool, field_f64, field_str, field_u64, parse_object, JsonValue,
+    TraceParseError,
+};
 pub use jsonl::{parse_trace, JsonlSink, TraceLine};
 pub use recorder::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use sink::{CounterSnapshot, InMemorySink, MetricsSink, NoopSink, TeeSink};

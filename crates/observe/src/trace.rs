@@ -1,6 +1,6 @@
 //! Counters and structured trace events.
 
-use crate::json::escape_into;
+use crate::json::{field_bool, field_str, field_u64};
 
 /// The closed set of aggregate counters the instrumented hot paths bump.
 ///
@@ -697,30 +697,6 @@ impl TraceEvent<'_> {
         self.write_json(&mut out);
         out
     }
-}
-
-fn field_u64(out: &mut String, key: &str, value: u64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    // u64 -> decimal without going through fmt machinery would be overkill
-    // here; these paths only run when a trace sink is attached.
-    out.push_str(&value.to_string());
-}
-
-fn field_bool(out: &mut String, key: &str, value: bool) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(if value { "true" } else { "false" });
-}
-
-fn field_str(out: &mut String, key: &str, value: &str) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":\"");
-    escape_into(out, value);
-    out.push('"');
 }
 
 #[cfg(test)]

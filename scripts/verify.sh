@@ -88,7 +88,7 @@ rm -f /tmp/verify_engine_sensing.dddl /tmp/verify_engine_receiver.dddl \
       /tmp/verify_engine_walkthrough.dddl /tmp/verify_engine_mini.dddl \
       /tmp/verify_engine_trace.jsonl
 
-echo "==> concurrent teamsim smoke run (2 designers, turn barrier)"
+echo "==> concurrent teamsim smoke runs (2 designers, turn barrier; receiver in-process vs loopback)"
 cat > /tmp/verify_mini.dddl <<'EOF'
 object rx {
     property P-front : interval(0, 300);
@@ -102,6 +102,15 @@ EOF
 cargo run --release -q -p adpm-cli --bin adpm -- run /tmp/verify_mini.dddl \
   --concurrent --turn-barrier --seed 7 | grep -q 'concurrent, turn barrier'
 cargo run --release -q -p adpm-cli --bin adpm -- builtin receiver > /tmp/verify_rx.dddl
+# Both concurrent transports run one designer loop, so a seeded loopback run
+# makes the in-process turn-barrier run's decisions; the reports differ only
+# in the header's driver label and the loopback run's `state digest` line.
+for SEED in 1 2 3; do
+  LOCAL=$(target/release/adpm run /tmp/verify_rx.dddl --concurrent --turn-barrier --seed "$SEED")
+  REMOTE=$(target/release/adpm run /tmp/verify_rx.dddl --remote --seed "$SEED")
+  diff <(tail -n +2 <<<"$LOCAL") <(tail -n +2 <<<"$REMOTE" | grep -v '^state digest:') || {
+    echo "receiver seed $SEED: the loopback run's report differs from the in-process run's"; exit 1; }
+done
 
 echo "==> negotiation smoke run (3 designers share a budget, conflicts resolve in-session)"
 cat > /tmp/verify_neg.dddl <<'EOF'

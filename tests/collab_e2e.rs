@@ -9,10 +9,10 @@
 //! splitting the interface-circuit problem in two, exactly the kind of
 //! mid-design re-decomposition the paper's collaboration model allows.
 
-use adpm_collab::run_concurrent_dpm;
+use adpm_collab::{run_concurrent_dpm, run_concurrent_remote};
 use adpm_constraint::ConstraintNetwork;
-use adpm_core::{replay_history, DesignProcessManager};
-use adpm_scenarios::sensing_system;
+use adpm_core::{replay_history, state_fingerprint, DesignProcessManager, OperationRecord};
+use adpm_scenarios::{lna_walkthrough, sensing_system, wireless_receiver};
 use adpm_teamsim::SimulationConfig;
 
 /// Per-property feasible intervals in network order; an empty feasible set
@@ -70,7 +70,7 @@ fn four_designer_sensing_dpm(config: &SimulationConfig) -> DesignProcessManager 
 #[test]
 fn four_designer_concurrent_run_matches_sequential_replay() {
     let config = SimulationConfig::adpm(42);
-    let outcome = run_concurrent_dpm(four_designer_sensing_dpm(&config), &config, true);
+    let outcome = run_concurrent_dpm(four_designer_sensing_dpm(&config), &config, true, None);
     assert!(
         outcome.stats.completed,
         "4-designer sensing run must complete (ops = {})",
@@ -109,8 +109,8 @@ fn four_designer_concurrent_run_matches_sequential_replay() {
 #[test]
 fn four_designer_turn_barrier_runs_are_deterministic() {
     let config = SimulationConfig::adpm(42);
-    let a = run_concurrent_dpm(four_designer_sensing_dpm(&config), &config, true);
-    let b = run_concurrent_dpm(four_designer_sensing_dpm(&config), &config, true);
+    let a = run_concurrent_dpm(four_designer_sensing_dpm(&config), &config, true, None);
+    let b = run_concurrent_dpm(four_designer_sensing_dpm(&config), &config, true, None);
     assert_eq!(
         format!("{:?}", a.dpm.history()),
         format!("{:?}", b.dpm.history()),
@@ -125,7 +125,7 @@ fn four_designer_turn_barrier_runs_are_deterministic() {
 #[test]
 fn four_designer_free_running_history_replays_faithfully() {
     let config = SimulationConfig::adpm(9);
-    let outcome = run_concurrent_dpm(four_designer_sensing_dpm(&config), &config, false);
+    let outcome = run_concurrent_dpm(four_designer_sensing_dpm(&config), &config, false, None);
     assert!(!outcome.dpm.history().is_empty());
 
     let mut fresh = four_designer_sensing_dpm(&config);
@@ -140,4 +140,47 @@ fn four_designer_free_running_history_replays_faithfully() {
         outcome.dpm.network().violated_constraints(),
         fresh.network().violated_constraints()
     );
+}
+
+/// The history without repair tags, which the wire protocol does not
+/// carry: a remote designer's tags never reach the served history.
+fn untagged(history: &[OperationRecord]) -> Vec<OperationRecord> {
+    history
+        .iter()
+        .map(|record| OperationRecord {
+            operation: record.operation.clone().with_repairs([]),
+            ..record.clone()
+        })
+        .collect()
+}
+
+#[test]
+fn in_process_and_loopback_drivers_agree() {
+    for scenario in [sensing_system(), wireless_receiver(), lna_walkthrough()] {
+        // Conventional designers verify to discover violations, so verify
+        // operations cross the wire too; 60 operations keep the runs short.
+        let configs = (1..=3).flat_map(|seed| {
+            let mut conventional = SimulationConfig::conventional(seed);
+            conventional.max_operations = 60;
+            [SimulationConfig::adpm(seed), conventional]
+        });
+        for config in configs {
+            let seed = config.seed;
+            let local =
+                run_concurrent_dpm(scenario.build_dpm(config.dpm_config()), &config, true, None);
+            let remote =
+                run_concurrent_remote(scenario.build_dpm(config.dpm_config()), &config, None);
+            assert!(!local.dpm.history().is_empty(), "seed {seed}");
+            assert_eq!(
+                untagged(local.dpm.history()),
+                untagged(remote.dpm.history()),
+                "seed {seed}: both transports must produce one history"
+            );
+            assert_eq!(
+                state_fingerprint(&local.dpm),
+                state_fingerprint(&remote.dpm),
+                "seed {seed}"
+            );
+        }
+    }
 }
