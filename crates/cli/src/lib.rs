@@ -39,7 +39,7 @@ use adpm_observe::{parse_trace, Counter, InMemorySink, JsonlSink, MetricsSink, T
 use adpm_teamsim::{run_once, run_once_with_sink, Batch, NegotiationPolicy, SimulationConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Errors surfaced to the CLI user.
 #[derive(Debug)]
@@ -719,8 +719,10 @@ impl Default for ServeOptions {
 /// scripts can scrape the ephemeral port — and the function then blocks
 /// until a client sends a `shutdown` frame. With a journal configured, a
 /// `recovered N operations` line is announced first (recovery replays the
-/// journal's longest valid prefix before the server binds). Returns a
-/// summary of the final design state.
+/// journal's longest valid prefix before the server binds), followed by
+/// the same lines of each pre-created named session, prefixed
+/// `session <name>: `; a session created later prints them to stderr.
+/// Returns a summary of the final design state.
 ///
 /// # Errors
 ///
@@ -742,8 +744,13 @@ pub fn serve(
         metrics_addr: options.metrics_addr,
         ..ServerOptions::default()
     };
+    // Recovery lines of named sessions wait here until the server is bound,
+    // so pre-created sessions announce theirs before `listening on`; once
+    // the buffer is gone, a session created by a client prints to stderr.
+    let recovery_lines: Arc<Mutex<Option<Vec<String>>>> = Arc::new(Mutex::new(Some(Vec::new())));
     let factory: SessionFactory = {
         let options = options.clone();
+        let recovery_lines = recovery_lines.clone();
         Box::new(move |name| {
             // A named session journals at the sibling path `FILE.<name>`
             // and folds its name into its own disk-fault stream.
@@ -754,7 +761,18 @@ pub fn serve(
             let stream = name.bytes().fold(0u64, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             });
-            served_session_state(&scenario, &options, journal, stream, &mut |_| {})
+            let mut report = |line: &str| {
+                let line = format!("session {name}: {line}");
+                match recovery_lines
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .as_mut()
+                {
+                    Some(buffer) => buffer.push(line),
+                    None => eprintln!("{line}"),
+                }
+            };
+            served_session_state(&scenario, &options, journal, stream, &mut report)
                 .map_err(|e| std::io::Error::other(e.to_string()))
         })
     };
@@ -767,6 +785,13 @@ pub fn serve(
         Some(factory),
         &precreate,
     )?;
+    let buffered = recovery_lines
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take();
+    for line in buffered.into_iter().flatten() {
+        announce(&line);
+    }
     announce(&format!("listening on {}", server.local_addr()));
     if let Some(addr) = server.metrics_addr() {
         announce(&format!("metrics on {addr}"));
@@ -2626,6 +2651,67 @@ mod tests {
         let summary = reborn.join().expect("join").expect("serve returns");
         assert!(summary.contains("session closed: 1 operations"), "{summary}");
         std::fs::remove_file(&journal).ok();
+    }
+
+    #[test]
+    fn named_sessions_announce_their_recovery_before_listening() {
+        let dir = std::env::temp_dir().join(format!("adpm-cli-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let journal = dir.join("serve-named.journal");
+        let named = PathBuf::from(format!("{}.s1", journal.display()));
+        std::fs::remove_file(&journal).ok();
+        std::fs::remove_file(&named).ok();
+        let options = ServeOptions {
+            journal: Some(journal.clone()),
+            fsync: FsyncPolicy::Always,
+            sessions: 1,
+            ..ServeOptions::default()
+        };
+
+        // First life: one operation in s1, journaled at `FILE.s1`.
+        let (addr, _lines, server) = spawn_serve(options.clone());
+        let out = submit_request(
+            &addr,
+            0,
+            Some("fe"),
+            Some("s1"),
+            &SubmitAction::Assign {
+                property: "rx.P-front".into(),
+                value: 150.0,
+            },
+        )
+        .expect("submit works");
+        assert!(out.contains("\"t\":\"executed\""), "{out}");
+        submit_request(&addr, 0, None, None, &SubmitAction::Shutdown).expect("shutdown");
+        server.join().expect("join").expect("serve returns");
+
+        // Second life: s1 replays its journal and says so before the
+        // server announces its address.
+        let (line_tx, line_rx) = std::sync::mpsc::channel::<String>();
+        let reborn = std::thread::spawn(move || {
+            serve(MINI, &options, &mut |line| {
+                line_tx.send(line.to_owned()).expect("send announce");
+            })
+        });
+        let mut before_listening = Vec::new();
+        let addr = loop {
+            let line = line_rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("server announces");
+            match line.strip_prefix("listening on ") {
+                Some(addr) => break addr.to_owned(),
+                None => before_listening.push(line),
+            }
+        };
+        let expected = format!(
+            "session s1: recovered 1 operations from {}",
+            named.display()
+        );
+        assert!(before_listening.contains(&expected), "{before_listening:?}");
+        submit_request(&addr, 0, None, None, &SubmitAction::Shutdown).expect("shutdown");
+        reborn.join().expect("join").expect("serve returns");
+        std::fs::remove_file(&journal).ok();
+        std::fs::remove_file(&named).ok();
     }
 
     #[test]

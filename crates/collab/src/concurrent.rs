@@ -2,7 +2,7 @@
 //!
 //! The sequential TeamSim engine interleaves designers on one thread; this
 //! driver gives each [`SimulatedDesigner`] its *own* thread, so the
-//! collaboration machinery — command loop, validation, notification
+//! collaboration machinery — the session lock, validation, notification
 //! fan-out — is exercised by real concurrency. Every thread runs the same
 //! designer loop (wait for the turn, snapshot, choose, submit, report the
 //! round); the two entry points differ only in how a proposal is
@@ -21,7 +21,7 @@
 //!   hence byte-comparable across runs and against sequential replays.
 //!
 //! Without the barrier, threads free-run: histories vary with scheduling,
-//! but every history is still linearized by the session loop, and
+//! but every history is still linearized by the session lock, and
 //! [`adpm_core::replay_history`] replays it faithfully on a fresh DPM —
 //! that invariant is what the linearizability proptest leans on.
 
@@ -58,6 +58,8 @@ struct SharedState {
     turn: usize,
     /// Consecutive designer rounds without an executed operation.
     stalls: usize,
+    /// Free-running designers waiting in [`Coordinator::idle`].
+    idle: usize,
     executed: usize,
     done: bool,
 }
@@ -78,15 +80,16 @@ impl Coordinator {
     }
 
     /// Blocks until designer `seat` may act (always, without the turn
-    /// barrier); `false` once the run is over.
-    fn wait_turn(&self, seat: usize) -> bool {
+    /// barrier) and returns the operations executed so far; `None` once
+    /// the run is over.
+    fn wait_turn(&self, seat: usize) -> Option<usize> {
         let mut state = self.lock();
         loop {
             if state.done {
-                return false;
+                return None;
             }
             if !self.turn_barrier || state.turn % self.team == seat {
-                return true;
+                return Some(state.executed);
             }
             state = self
                 .changed
@@ -114,6 +117,30 @@ impl Coordinator {
         self.changed.notify_all();
     }
 
+    /// Without the turn barrier, a designer that had nothing to propose
+    /// waits until an operation executes after the `seen`-th, instead of
+    /// spinning through the stall window while a busy designer is still
+    /// deciding. When every designer waits, none can move the design and
+    /// the run ends.
+    fn idle(&self, seen: usize) {
+        if self.turn_barrier {
+            return;
+        }
+        let mut state = self.lock();
+        state.idle += 1;
+        if state.idle == self.team {
+            state.done = true;
+            self.changed.notify_all();
+        }
+        while !state.done && state.executed == seen {
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.idle -= 1;
+    }
+
     /// Ends the whole run — when a designer drops out, instead of
     /// deadlocking the barrier on its turn.
     fn finish(&self) {
@@ -125,7 +152,7 @@ impl Coordinator {
 /// How designer threads submit their proposals.
 #[derive(Clone)]
 enum Transport {
-    /// Straight into the session's command loop.
+    /// Straight into the session, on the designer's thread.
     InProcess,
     /// Over loopback TCP, one [`ResilientClient`] per designer, names
     /// encoded and decoded through the session's table.
@@ -214,7 +241,7 @@ fn designer_loop(
     };
     let mut designer = SimulatedDesigner::new(id);
     let mut rng = StdRng::seed_from_u64(seed);
-    while coordinator.wait_turn(seat) {
+    while let Some(seen) = coordinator.wait_turn(seat) {
         let Ok(snapshot) = session.snapshot() else {
             coordinator.finish();
             return;
@@ -225,6 +252,7 @@ fn designer_loop(
         } else {
             designer.choose(&snapshot, config, &mut rng)
         };
+        let idle = proposal.is_none();
         let executed = match proposal.map(|operation| submitter.submit(operation)) {
             None | Some(Submitted::Declined) => false,
             Some(Submitted::Executed(record)) => {
@@ -237,6 +265,9 @@ fn designer_loop(
             }
         };
         coordinator.end_turn(executed, complete);
+        if idle {
+            coordinator.idle(seen);
+        }
     }
 }
 
@@ -254,6 +285,7 @@ fn drive(
         state: Mutex::new(SharedState {
             turn: 0,
             stalls: 0,
+            idle: 0,
             executed: 0,
             done: false,
         }),

@@ -597,7 +597,7 @@ fn meta_line(dpm: &DesignProcessManager) -> String {
     line
 }
 
-/// The append half: owned by the session loop, one `append` per executed
+/// The append half: owned by the session state, one `append` per executed
 /// operation.
 #[derive(Debug)]
 pub struct JournalWriter {

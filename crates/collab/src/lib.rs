@@ -8,12 +8,12 @@
 //!
 //! - [`session`] — a [`SessionEngine`] owns the
 //!   [`DesignProcessManager`](adpm_core::DesignProcessManager) behind a
-//!   single command-loop thread. Clones of [`SessionHandle`] submit
-//!   operations, subscribe, and snapshot from any thread over `mpsc`
-//!   channels; because exactly one thread mutates the DPM, every
-//!   concurrent history is already a valid sequential history
-//!   (linearizability by construction) and can be replayed by
-//!   `adpm-core`'s replay module.
+//!   single session lock. Clones of [`SessionHandle`] submit
+//!   operations, subscribe, and snapshot from any thread, each call
+//!   running on its caller's thread under the lock; because one command
+//!   at a time mutates the DPM, every concurrent history is already a
+//!   valid sequential history (linearizability by construction) and can
+//!   be replayed by `adpm-core`'s replay module.
 //! - [`notify`] — delivery for the DPM's Notification Manager: every
 //!   event routed to a designer goes into each of that designer's bounded
 //!   [`Inbox`]es, with overflow accounting instead of silent drops.

@@ -234,7 +234,7 @@ impl NameTable {
 
     /// The wire frame notifying a subscriber of one routed event.
     pub(crate) fn event_frame(&self, entry: &InboxEntry) -> Frame {
-        match &entry.event {
+        match &*entry.event {
             Event::ViolationDetected {
                 constraint,
                 properties,

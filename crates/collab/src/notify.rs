@@ -25,8 +25,9 @@ pub struct InboxEntry {
     /// A resuming subscriber names the last `idx` it saw and the session
     /// redelivers only what came after.
     pub idx: u64,
-    /// The routed event.
-    pub event: Event,
+    /// The routed event, shared with the session's redelivery log and
+    /// every other inbox of the same designer.
+    pub event: Arc<Event>,
 }
 
 #[derive(Debug)]
@@ -147,9 +148,9 @@ mod tests {
         InboxEntry {
             seq,
             idx: seq,
-            event: Event::ProblemSolved {
+            event: Arc::new(Event::ProblemSolved {
                 problem: ProblemId::new(0),
-            },
+            }),
         }
     }
 

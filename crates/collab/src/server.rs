@@ -6,10 +6,11 @@
 //! accepts JSONL wire-protocol connections on a loopback TCP listener.
 //! Each connection runs a reader thread, which blocks on the socket and
 //! queues its replies, and a writer thread, the only one that writes to
-//! the socket and the keeper of the connection's deadlines. Connections
-//! bound to the same session funnel into that session's command loop, so
-//! concurrent clients interleave exactly like concurrent [`SessionHandle`]
-//! users — linearized, with one authoritative history per session.
+//! the socket and the keeper of the connection's deadlines. A reader runs
+//! each request on its own thread through the session's
+//! [`SessionHandle`], so concurrent clients interleave exactly like
+//! concurrent handle users — linearized by the session lock, with one
+//! authoritative history per session.
 //!
 //! Multi-tenancy ([`CollabServer::bind_registry`]): the server hosts a
 //! **registry of named sessions**, each owning its own [`SessionEngine`]
@@ -56,7 +57,7 @@ use crate::notify::Inbox;
 use crate::session::{
     OpOutcome, RejectReason, SessionEngine, SessionHandle, SessionOptions, DEFAULT_INBOX_CAPACITY,
 };
-use crate::wire::{BufferedLine, Frame, LineBuffer, WireOp};
+use crate::wire::{write_prop_line, BufferedLine, Frame, LineBuffer, WireOp};
 use adpm_core::{DesignProcessManager, DesignerId};
 use adpm_observe::{
     write_exposition, Counter, FlightRecorder, MetricsHub, MetricsSink, Snapshot, SpanKind,
@@ -434,7 +435,7 @@ impl fmt::Debug for CollabServer {
 }
 
 impl CollabServer {
-    /// Spawns the session thread and starts accepting connections on
+    /// Sets up the default session and starts accepting connections on
     /// `127.0.0.1:port` (`port` 0 picks an ephemeral port; see
     /// [`local_addr`](Self::local_addr)). The DPM is served as given —
     /// callers run scenario setup and `initialize()` first.
@@ -804,7 +805,16 @@ impl Outbox {
     /// Queues `frames`, encoded here so the writer only copies bytes, once
     /// the queue is under [`OUTBOX_LIMIT`].
     fn send(&self, frames: &[Frame]) {
-        let encoded: String = frames.iter().map(Frame::to_line).collect();
+        let mut encoded = String::new();
+        for frame in frames {
+            frame.write_line(&mut encoded);
+        }
+        self.send_encoded(&encoded);
+    }
+
+    /// Queues already encoded lines, once the queue is under
+    /// [`OUTBOX_LIMIT`].
+    fn send_encoded(&self, encoded: &str) {
         let mut state = lock(&self.state);
         while state.lines.len() >= OUTBOX_LIMIT && !state.closed {
             state = self
@@ -812,7 +822,7 @@ impl Outbox {
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        state.lines.push_str(&encoded);
+        state.lines.push_str(encoded);
         self.changed.notify_all();
     }
 
@@ -882,7 +892,7 @@ fn write_connection(
                 sink.incr(Counter::HeartbeatsMissed, 1);
             }
             pings += 1;
-            batch.push_str(&Frame::Ping { nonce: pings }.to_line());
+            Frame::Ping { nonce: pings }.write_line(&mut batch);
             pinged_at = Some(now);
         }
         let report = state.watch.filter(|(_, _, due)| now >= *due);
@@ -911,12 +921,12 @@ fn write_connection(
             // The connection's current session, which `attach` may change.
             let session = lock(&registry.conn_sessions).get(&conn_index).cloned();
             for frame in registry.stats_report(&session.unwrap_or_default(), all, true) {
-                batch.push_str(&frame.to_line());
+                frame.write_line(&mut batch);
             }
         }
         if let Some((_, info)) = &subscription {
             for entry in &events {
-                batch.push_str(&info.names.event_frame(entry).to_line());
+                info.names.event_frame(entry).write_line(&mut batch);
             }
         }
         if writer.write(&batch).is_err() {
@@ -1149,8 +1159,8 @@ fn run_connection(
                 },
                 Some(d) => {
                     // Bounded in-flight work: over the cap the submit is
-                    // shed with a typed frame instead of queueing on the
-                    // session channel without bound. The client retries
+                    // shed with a typed frame instead of waiting on the
+                    // session lock without bound. The client retries
                     // with the same cid, so a shed costs one round trip,
                     // never a duplicate execution.
                     let inflight = registry.inflight.fetch_add(1, Ordering::SeqCst);
@@ -1172,7 +1182,7 @@ fn run_connection(
                     message: "session is shut down".into(),
                 },
                 Ok(state) => {
-                    outbox.send(&state.frames(&info.names));
+                    outbox.send_encoded(&state.render(&info.names));
                     continue;
                 }
             },
@@ -1280,11 +1290,9 @@ fn run_connection(
                     message: format!("session `{session_name}` is gone"),
                 },
                 Some(recorder) => {
-                    // The session records each command's `session` line
-                    // after replying to it; a no-op read queued behind
-                    // those commands returns once their lines are in the
-                    // recorder. A closed session records nothing more.
-                    let _ = handle.read(|_| ());
+                    // Each command records its `session` line before it
+                    // releases the session lock, so every command answered
+                    // so far is already whole in the recorder.
                     let lines = recorder.dump_indexed();
                     let mut frames = vec![Frame::DumpReply {
                         session: session_name.clone(),
@@ -1393,9 +1401,9 @@ fn submit(
     }
 }
 
-/// What a `snapshot` reply carries, copied on the session thread by
+/// What a `snapshot` reply carries, copied under the session lock by
 /// [`WireState::copy`] so that the session waits only for the copy; the
-/// frames are rendered on the connection thread.
+/// reply is rendered after the lock is released.
 struct WireState {
     operations: u64,
     bound: u32,
@@ -1426,24 +1434,20 @@ impl WireState {
         }
     }
 
-    /// The `state`, `prop`… `end` reply to a `snapshot` request.
-    fn frames(&self, names: &NameTable) -> Vec<Frame> {
-        let mut frames = Vec::with_capacity(self.props.len() + 2);
-        frames.push(Frame::State {
+    /// The encoded `state`, `prop`… `end` reply to a `snapshot` request.
+    fn render(&self, names: &NameTable) -> String {
+        let mut out = String::with_capacity(64 * (self.props.len() + 2));
+        Frame::State {
             operations: self.operations,
             bound: self.bound,
             violations: self.violations,
-        });
-        frames.extend(self.props.iter().zip(names.property_names()).map(
-            |(&(lo, hi, bound), name)| Frame::Prop {
-                name: name.clone(),
-                lo,
-                hi,
-                bound,
-            },
-        ));
-        frames.push(Frame::End);
-        frames
+        }
+        .write_line(&mut out);
+        for (&(lo, hi, bound), name) in self.props.iter().zip(names.property_names()) {
+            write_prop_line(&mut out, name, lo, hi, bound);
+        }
+        Frame::End.write_line(&mut out);
+        out
     }
 }
 

@@ -1,22 +1,25 @@
-//! The session engine: one command-loop thread owning the DPM.
+//! The session engine: the DPM behind one lock.
 //!
 //! Concurrency model: the
 //! [`DesignProcessManager`] is not
 //! thread-safe and must not be — the paper's `δ` is a sequential
-//! transition function. [`SessionEngine::spawn`] therefore moves the DPM
-//! onto a dedicated thread that processes [`SessionHandle`] commands one
-//! at a time from an `mpsc` queue. Every concurrent history is thereby
-//! *linearized by construction*: the design history the session produces
-//! is a valid sequential history, replayable by
+//! transition function. [`SessionEngine::spawn`] therefore puts the DPM and
+//! the session's bookkeeping behind one mutex, and every
+//! [`SessionHandle`] call runs its command on the caller's thread while
+//! holding it. Every concurrent history is thereby *linearized by
+//! construction*: the design history the session produces is a valid
+//! sequential history, replayable by
 //! [`replay_history`](adpm_core::replay_history).
 //!
 //! After each executed operation the engine drains the DPM's pending
 //! notifications for every designer and pushes each designer's events into
 //! that designer's subscriptions' bounded [`Inbox`]es (see
 //! [`crate::notify`]).
-//! Reply channels are fire-and-forget on the engine side: a client that
-//! drops its reply receiver (or dies mid-call) never wedges the session
-//! thread.
+//!
+//! Lock order: the session lock comes first. Under it the session takes
+//! inbox locks (to push) and, through an inbox's waker, a connection's
+//! outbox lock; no code that holds an inbox or outbox lock takes a session
+//! lock.
 
 use crate::journal::{JournalError, JournalWriter};
 use crate::negotiate::{negotiate, NegotiationConfig};
@@ -29,9 +32,8 @@ use adpm_constraint::{ConstraintId, NetworkError};
 use adpm_observe::{Counter, FlightRecorder, MetricsSink, SpanKind, TraceEvent};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Default per-subscription inbox capacity.
@@ -73,8 +75,6 @@ pub enum RejectReason {
     Invalid(OperationError),
     /// The operator itself failed (e.g. a value outside `E_i`).
     Network(NetworkError),
-    /// The session was already shutting down when the command was queued.
-    ShuttingDown,
     /// The journal writer is degraded (disk faults) and its unwritten
     /// backlog exceeded [`SessionOptions::max_journal_backlog`]: the write
     /// was shed rather than accepted without durability. The design state
@@ -87,7 +87,6 @@ impl fmt::Display for RejectReason {
         match self {
             RejectReason::Invalid(e) => write!(f, "invalid operation: {e}"),
             RejectReason::Network(e) => write!(f, "operation failed: {e}"),
-            RejectReason::ShuttingDown => write!(f, "session is shutting down"),
             RejectReason::Degraded => {
                 write!(f, "journal degraded: write backlog full, retry later")
             }
@@ -95,8 +94,8 @@ impl fmt::Display for RejectReason {
     }
 }
 
-/// The session is gone: its thread has exited (or is shutting down) and
-/// the command could not be delivered or answered.
+/// The session is gone: it was shut down, or a command panicked and closed
+/// it, so the command did not run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionClosed;
 
@@ -108,60 +107,8 @@ impl fmt::Display for SessionClosed {
 
 impl std::error::Error for SessionClosed {}
 
-enum Command {
-    Submit {
-        operation: Operation,
-        /// Client operation id for exactly-once resubmission; `None`
-        /// bypasses deduplication entirely.
-        cid: Option<u64>,
-        reply: Sender<OpOutcome>,
-    },
-    Subscribe {
-        designer: DesignerId,
-        capacity: usize,
-        /// Redeliver retained events with delivery index > this (`None`
-        /// = fresh subscription, nothing redelivered).
-        resume_from: Option<u64>,
-        reply: Sender<(Inbox, u64)>,
-    },
-    /// A read of the design state at this point of the queue: the
-    /// closure runs on the session thread and sends its own reply.
-    Read {
-        read: Box<dyn FnOnce(&DesignProcessManager) + Send>,
-    },
-    /// Negotiate the conflict seeded at `seed` now (the wire `propose`
-    /// frame), regardless of which operation introduced it.
-    Negotiate {
-        seed: ConstraintId,
-        reply: Sender<NegotiationReport>,
-    },
-    Shutdown {
-        reply: Sender<()>,
-    },
-}
-
-impl Command {
-    fn kind(&self) -> &'static str {
-        match self {
-            Command::Submit { .. } => "submit",
-            Command::Subscribe { .. } => "subscribe",
-            Command::Read { .. } => "snapshot",
-            Command::Negotiate { .. } => "negotiate",
-            Command::Shutdown { .. } => "shutdown",
-        }
-    }
-
-    fn designer_index(&self) -> u32 {
-        match self {
-            Command::Submit { operation, .. } => operation.designer().index() as u32,
-            Command::Subscribe { designer, .. } => designer.index() as u32,
-            Command::Read { .. } | Command::Negotiate { .. } | Command::Shutdown { .. } => u32::MAX,
-        }
-    }
-}
-
 /// What a session-level conflict negotiation came to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NegotiationReport {
     /// Whether the seed constraint was actually violated when the
     /// negotiation was requested; `false` means nothing ran.
@@ -178,13 +125,17 @@ pub struct NegotiationReport {
 
 /// A cloneable handle for talking to a running session.
 ///
-/// All methods are synchronous rendezvous calls (send the command, wait
-/// for the session thread's reply); [`submit_async`](SessionHandle::submit_async)
-/// exposes the underlying reply channel for callers that want to pipeline
-/// or abandon a call.
-#[derive(Debug, Clone)]
+/// Every method runs its command on the calling thread while holding the
+/// session lock, so calls from many threads are linearized.
+#[derive(Clone)]
 pub struct SessionHandle {
-    tx: Sender<Command>,
+    state: Arc<Mutex<Option<SessionState>>>,
+}
+
+impl fmt::Debug for SessionHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SessionHandle").finish_non_exhaustive()
+    }
 }
 
 impl SessionHandle {
@@ -192,9 +143,9 @@ impl SessionHandle {
     ///
     /// # Errors
     ///
-    /// [`SessionClosed`] when the session thread has already exited.
+    /// [`SessionClosed`] when the session is closed.
     pub fn submit(&self, operation: Operation) -> Result<OpOutcome, SessionClosed> {
-        self.submit_async(operation)?.recv().map_err(|_| SessionClosed)
+        self.submit_with_cid(operation, None)
     }
 
     /// Submits with a client operation id: if the session has already
@@ -204,43 +155,14 @@ impl SessionHandle {
     ///
     /// # Errors
     ///
-    /// [`SessionClosed`] when the session thread has already exited.
+    /// [`SessionClosed`] when the session is closed.
     pub fn submit_with_cid(
         &self,
         operation: Operation,
         cid: Option<u64>,
     ) -> Result<OpOutcome, SessionClosed> {
-        let (reply, rx) = mpsc::channel();
-        self.tx
-            .send(Command::Submit {
-                operation,
-                cid,
-                reply,
-            })
-            .map_err(|_| SessionClosed)?;
-        rx.recv().map_err(|_| SessionClosed)
-    }
-
-    /// Submits an operation without waiting; the returned receiver yields
-    /// the outcome. Dropping the receiver abandons the call — the session
-    /// still executes the operation but discards the reply.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionClosed`] when the session thread has already exited.
-    pub fn submit_async(
-        &self,
-        operation: Operation,
-    ) -> Result<Receiver<OpOutcome>, SessionClosed> {
-        let (reply, rx) = mpsc::channel();
-        self.tx
-            .send(Command::Submit {
-                operation,
-                cid: None,
-                reply,
-            })
-            .map_err(|_| SessionClosed)?;
-        Ok(rx)
+        let designer = operation.designer().index() as u32;
+        self.run("submit", designer, |state| state.submit(operation, cid))
     }
 
     /// Registers a bounded inbox receiving every event the Notification
@@ -250,7 +172,7 @@ impl SessionHandle {
     ///
     /// # Errors
     ///
-    /// [`SessionClosed`] when the session thread has already exited.
+    /// [`SessionClosed`] when the session is closed.
     pub fn subscribe(
         &self,
         designer: DesignerId,
@@ -269,58 +191,41 @@ impl SessionHandle {
     ///
     /// # Errors
     ///
-    /// [`SessionClosed`] when the session thread has already exited.
+    /// [`SessionClosed`] when the session is closed.
     pub fn subscribe_from(
         &self,
         designer: DesignerId,
         capacity: usize,
         resume_from: Option<u64>,
     ) -> Result<(Inbox, u64), SessionClosed> {
-        let (reply, rx) = mpsc::channel();
-        self.tx
-            .send(Command::Subscribe {
-                designer,
-                capacity,
-                resume_from,
-                reply,
-            })
-            .map_err(|_| SessionClosed)?;
-        rx.recv().map_err(|_| SessionClosed)
+        self.run("subscribe", designer.index() as u32, |state| {
+            (state.subscribe(designer, capacity, resume_from), "ok")
+        })
     }
 
-    /// Runs `read` on the session thread against the DPM as it stands at
-    /// this point of the command queue — a consistent read — and returns
-    /// its result. Every other command waits while `read` runs, so it
-    /// should copy out what the caller needs and do the rest on the
-    /// caller's thread.
+    /// Runs `read` against the DPM as it stands between two commands — a
+    /// consistent read — and returns its result. Every other command waits
+    /// while `read` runs, so it should copy out what the caller needs and
+    /// do the rest after it returns.
     ///
     /// # Errors
     ///
-    /// [`SessionClosed`] when the session thread has already exited.
-    pub fn read<T, F>(&self, read: F) -> Result<T, SessionClosed>
-    where
-        T: Send + 'static,
-        F: FnOnce(&DesignProcessManager) -> T + Send + 'static,
-    {
-        let (reply, rx) = mpsc::channel();
-        let read = Box::new(move |dpm: &DesignProcessManager| {
-            // A caller that gave up waiting must not wedge the session.
-            let _ = reply.send(read(dpm));
-        });
-        self.tx
-            .send(Command::Read { read })
-            .map_err(|_| SessionClosed)?;
-        rx.recv().map_err(|_| SessionClosed)
+    /// [`SessionClosed`] when the session is closed.
+    pub fn read<T>(
+        &self,
+        read: impl FnOnce(&DesignProcessManager) -> T,
+    ) -> Result<T, SessionClosed> {
+        self.run("snapshot", u32::MAX, |state| (read(&state.dpm), "ok"))
     }
 
-    /// Returns a clone of the DPM frozen at this point of the command
-    /// queue — a consistent read of the whole design state. Cloning the
-    /// whole DPM is the costliest [`read`](SessionHandle::read); prefer a
-    /// narrower one on hot paths.
+    /// Returns a clone of the DPM frozen between two commands — a
+    /// consistent read of the whole design state. Cloning the whole DPM is
+    /// the costliest [`read`](SessionHandle::read); prefer a narrower one
+    /// on hot paths.
     ///
     /// # Errors
     ///
-    /// [`SessionClosed`] when the session thread has already exited.
+    /// [`SessionClosed`] when the session is closed.
     pub fn snapshot(&self) -> Result<DesignProcessManager, SessionClosed> {
         self.read(DesignProcessManager::clone)
     }
@@ -332,13 +237,57 @@ impl SessionHandle {
     ///
     /// # Errors
     ///
-    /// [`SessionClosed`] when the session thread has already exited.
+    /// [`SessionClosed`] when the session is closed.
     pub fn negotiate(&self, seed: ConstraintId) -> Result<NegotiationReport, SessionClosed> {
-        let (reply, rx) = mpsc::channel();
-        self.tx
-            .send(Command::Negotiate { seed, reply })
-            .map_err(|_| SessionClosed)?;
-        rx.recv().map_err(|_| SessionClosed)
+        self.run("negotiate", u32::MAX, |state| {
+            let report = match state.negotiation.as_ref() {
+                Some(config) => negotiate_conflict(
+                    &mut state.dpm,
+                    &mut state.subscriptions,
+                    &mut state.logs,
+                    &mut state.journal,
+                    seed,
+                    config,
+                    state.seq,
+                ),
+                None => NegotiationReport::default(),
+            };
+            (report, if report.resolved { "resolved" } else { "ok" })
+        })
+    }
+
+    /// Runs one command under the session lock: counts it, runs `body`, and
+    /// records its `session` span and trace line before unlocking, so a
+    /// caller that has its answer also finds the line in the flight
+    /// recorder. A panic in `body` closes the session (see
+    /// [`SessionState::abandon`]) and answers [`SessionClosed`].
+    fn run<T>(
+        &self,
+        kind: &'static str,
+        designer: u32,
+        body: impl FnOnce(&mut SessionState) -> (T, &'static str),
+    ) -> Result<T, SessionClosed> {
+        // The lock is never held across an unwind (`body` runs inside
+        // `catch_unwind`), so a poisoned lock means the bookkeeping below
+        // panicked: treat the session as closed.
+        let mut guard = self.state.lock().map_err(|_| SessionClosed)?;
+        let state = guard.as_mut().ok_or(SessionClosed)?;
+        state.seq += 1;
+        let (seq, started) = (state.seq, Instant::now());
+        let sink = state.dpm.metrics_sink().clone();
+        sink.incr(Counter::SessionOps, 1);
+        match catch_unwind(AssertUnwindSafe(|| body(state))) {
+            Ok((value, outcome)) => {
+                record_session_event(&*sink, seq, kind, designer, outcome, started);
+                Ok(value)
+            }
+            Err(_) => {
+                if let Some(state) = guard.take() {
+                    state.abandon();
+                }
+                Err(SessionClosed)
+            }
+        }
     }
 }
 
@@ -402,10 +351,10 @@ pub struct SessionOptions {
     /// Journal every executed operation through this writer (opened by the
     /// caller, possibly resumed after a [`recover`](crate::journal::recover)).
     pub journal: Option<JournalWriter>,
-    /// Flight recorder to dump to stderr if the session thread panics —
-    /// the last events before the incident, even on an untraced server.
-    /// The caller normally also tees the same recorder into the DPM's
-    /// sink so it actually sees the session's events.
+    /// Flight recorder to dump to stderr if a command panics — the last
+    /// events before the incident, even on an untraced server. The caller
+    /// normally also tees the same recorder into the DPM's sink so it
+    /// actually sees the session's events.
     pub recorder: Option<Arc<FlightRecorder>>,
     /// Negotiate conflicts instead of leaving them to backtracking: after
     /// every executed operation that introduces violations, the engine
@@ -431,19 +380,18 @@ impl Default for SessionOptions {
     }
 }
 
-/// A running collaboration session: the command-loop thread plus a
+/// A running collaboration session: the locked session state plus a
 /// [`SessionHandle`] factory.
 ///
-/// Dropping the engine shuts the session down and joins the thread, so a
-/// forgotten engine cannot leak a detached thread past the end of a test.
+/// Dropping the engine shuts the session down, so a forgotten engine still
+/// closes its inboxes and syncs its journal.
 #[derive(Debug)]
 pub struct SessionEngine {
     handle: SessionHandle,
-    thread: Option<JoinHandle<DesignProcessManager>>,
 }
 
 impl SessionEngine {
-    /// Moves `dpm` onto a new command-loop thread and returns the engine.
+    /// Puts `dpm` behind a new session lock and returns the engine.
     ///
     /// The DPM is taken as-is: callers normally run
     /// [`initialize`](DesignProcessManager::initialize) first so the
@@ -455,39 +403,22 @@ impl SessionEngine {
     /// [`spawn`](SessionEngine::spawn) with extras — an operation journal
     /// for durability and/or a flight recorder for post-incident dumps.
     pub fn spawn_with(dpm: DesignProcessManager, options: SessionOptions) -> Self {
-        let (tx, rx) = mpsc::channel::<Command>();
-        let recorder = options.recorder.clone();
-        let thread = std::thread::Builder::new()
-            .name("adpm-session".into())
-            .spawn(move || {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    session_loop(dpm, rx, options)
-                }));
-                match result {
-                    Ok(dpm) => dpm,
-                    Err(payload) => {
-                        // The engine is going down with state we cannot
-                        // save — but the flight recorder still holds the
-                        // last events; dump them while we can.
-                        if let Some(recorder) = &recorder {
-                            eprintln!(
-                                "adpm: session thread panicked; flight recorder \
-                                 ({} of {} events retained):",
-                                recorder.len(),
-                                recorder.recorded()
-                            );
-                            for (idx, line) in recorder.dump_indexed() {
-                                eprintln!("adpm:   [{idx}] {line}");
-                            }
-                        }
-                        std::panic::resume_unwind(payload)
-                    }
-                }
-            })
-            .expect("spawn session thread");
+        let designers = dpm.designers().len();
+        let state = SessionState {
+            dpm,
+            subscriptions: Vec::new(),
+            logs: (0..designers).map(|_| EventLog::new()).collect(),
+            dedup: (0..designers).map(|_| DedupWindow::new()).collect(),
+            journal: options.journal,
+            recorder: options.recorder,
+            negotiation: options.negotiation,
+            max_journal_backlog: options.max_journal_backlog,
+            seq: 0,
+        };
         SessionEngine {
-            handle: SessionHandle { tx },
-            thread: Some(thread),
+            handle: SessionHandle {
+                state: Arc::new(Mutex::new(Some(state))),
+            },
         }
     }
 
@@ -496,183 +427,155 @@ impl SessionEngine {
         self.handle.clone()
     }
 
-    /// Gracefully stops the session and returns the final DPM.
+    /// Stops the session and returns the final DPM.
     ///
-    /// Commands already queued behind the shutdown are answered with a
-    /// deterministic [`RejectReason::ShuttingDown`] (or dropped for
-    /// non-submit commands), every subscription inbox is closed, and the
-    /// command thread is joined.
-    pub fn shutdown(mut self) -> DesignProcessManager {
-        let (reply, rx) = mpsc::channel();
-        let _ = self.handle.tx.send(Command::Shutdown { reply });
-        let _ = rx.recv();
-        let thread = self.thread.take().expect("session thread already joined");
-        thread.join().expect("session thread panicked")
+    /// A command already running finishes first; every later call on any
+    /// handle answers [`SessionClosed`]. Every subscription inbox is
+    /// closed and the journal synced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a command panicked and closed the session earlier: its
+    /// design state is gone.
+    pub fn shutdown(self) -> DesignProcessManager {
+        self.close()
+            .expect("the session closed after a command panicked")
+    }
+
+    /// Takes the state out of the lock, records the `shutdown` command and
+    /// closes the session; `None` when it is already closed.
+    fn close(&self) -> Option<DesignProcessManager> {
+        let mut guard = self.handle.state.lock().ok()?;
+        let mut state = guard.take()?;
+        state.seq += 1;
+        let started = Instant::now();
+        let sink = state.dpm.metrics_sink().clone();
+        sink.incr(Counter::SessionOps, 1);
+        close_session(&state.subscriptions, &mut state.journal);
+        record_session_event(&*sink, state.seq, "shutdown", u32::MAX, "ok", started);
+        Some(state.dpm)
     }
 }
 
 impl Drop for SessionEngine {
     fn drop(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            let (reply, _rx) = mpsc::channel();
-            let _ = self.handle.tx.send(Command::Shutdown { reply });
-            let _ = thread.join();
-        }
+        self.close();
     }
 }
 
-fn session_loop(
-    mut dpm: DesignProcessManager,
-    rx: Receiver<Command>,
-    options: SessionOptions,
-) -> DesignProcessManager {
-    let mut subscriptions: Vec<SubscriptionEntry> = Vec::new();
-    let mut logs: Vec<EventLog> = dpm.designers().iter().map(|_| EventLog::new()).collect();
-    let mut dedup: Vec<DedupWindow> = dpm.designers().iter().map(|_| DedupWindow::new()).collect();
-    let mut journal = options.journal;
-    let negotiation = options.negotiation;
-    let max_journal_backlog = options.max_journal_backlog;
-    let mut seq: u64 = 0;
-    while let Ok(command) = rx.recv() {
-        seq += 1;
-        let started = Instant::now();
-        let kind = command.kind();
-        let designer = command.designer_index();
-        let sink = dpm.metrics_sink().clone();
-        sink.incr(Counter::SessionOps, 1);
-        let outcome = match command {
-            Command::Submit {
-                operation,
-                cid,
-                reply,
-            } => {
-                let window = dedup.get_mut(operation.designer().index());
-                let remembered = match (&window, cid) {
-                    (Some(w), Some(cid)) => w.lookup(cid).cloned(),
-                    _ => None,
-                };
-                let (outcome, label) = match remembered {
-                    // Exactly-once: a resubmission after a lost response
-                    // gets the remembered answer, not a second execution.
-                    Some(outcome) => (outcome, "deduplicated"),
-                    // Shed instead of executing while the degraded
-                    // journal's parked backlog is over the bound: the gap
-                    // between accepted state and durable state stays
-                    // bounded. Not remembered in the dedup window — a
-                    // retry with the same cid executes once the disk
-                    // recovers.
-                    None if journal
-                        .as_ref()
-                        .is_some_and(|w| w.backlog_len() > max_journal_backlog) =>
-                    {
-                        sink.incr(Counter::OverloadSheds, 1);
-                        (OpOutcome::Rejected(RejectReason::Degraded), "shed")
-                    }
-                    None => {
-                        let outcome = execute_submission(
-                            &mut dpm,
-                            &mut subscriptions,
-                            &mut logs,
-                            &mut journal,
-                            operation,
-                            negotiation.as_ref(),
-                        );
-                        let label = match &outcome {
-                            OpOutcome::Executed(_) => "executed",
-                            OpOutcome::Rejected(_) => "rejected",
-                        };
-                        if let (Some(w), Some(cid)) = (dedup.get_mut(designer as usize), cid) {
-                            w.remember(cid, outcome.clone());
-                        }
-                        (outcome, label)
-                    }
-                };
-                // A dropped client must never wedge the session thread.
-                let _ = reply.send(outcome);
-                label
-            }
-            Command::Subscribe {
-                designer,
-                capacity,
-                resume_from,
-                reply,
-            } => {
-                let inbox = Inbox::bounded(capacity);
-                let last_idx = logs.get(designer.index()).map_or(0, |l| l.last_idx);
-                if let (Some(after), Some(log)) = (resume_from, logs.get(designer.index())) {
-                    let mut redelivered: u32 = 0;
-                    for entry in log.retained.iter().filter(|e| e.idx > after) {
-                        if inbox.push(entry.clone()) {
-                            redelivered += 1;
-                        }
-                    }
-                    if redelivered > 0 {
-                        sink.incr(Counter::InboxDelivered, redelivered.into());
-                    }
-                }
-                subscriptions.push(SubscriptionEntry {
-                    designer,
-                    inbox: inbox.clone(),
-                });
-                let _ = reply.send((inbox, last_idx));
-                "ok"
-            }
-            Command::Read { read } => {
-                read(&dpm);
-                "ok"
-            }
-            Command::Negotiate { seed, reply } => {
-                let report = match negotiation.as_ref() {
-                    Some(config) => negotiate_conflict(
-                        &mut dpm,
-                        &mut subscriptions,
-                        &mut logs,
-                        &mut journal,
-                        seed,
-                        config,
-                        seq,
-                    ),
-                    None => NegotiationReport {
-                        seed_violated: false,
-                        resolved: false,
-                        rounds: 0,
-                        proposals: 0,
-                        participants: 0,
-                    },
-                };
-                let label = if report.resolved { "resolved" } else { "ok" };
-                let _ = reply.send(report);
-                label
-            }
-            Command::Shutdown { reply } => {
-                // Deterministic drain: everything still queued behind the
-                // shutdown is rejected, never half-executed.
-                while let Ok(queued) = rx.try_recv() {
-                    match queued {
-                        Command::Submit { reply, .. } => {
-                            let _ = reply
-                                .send(OpOutcome::Rejected(RejectReason::ShuttingDown));
-                        }
-                        Command::Subscribe { .. }
-                        | Command::Read { .. }
-                        | Command::Negotiate { .. }
-                        | Command::Shutdown { .. } => {
-                            // Dropping the reply sender signals closure.
-                        }
-                    }
-                }
-                close_session(&subscriptions, &mut journal);
-                let _ = reply.send(());
-                record_session_event(&*sink, seq, kind, designer, "ok", started);
-                return dpm;
-            }
+/// What the session lock guards: the DPM and everything the session keeps
+/// beside it.
+struct SessionState {
+    dpm: DesignProcessManager,
+    subscriptions: Vec<SubscriptionEntry>,
+    /// One per designer, indexed by designer id.
+    logs: Vec<EventLog>,
+    /// One per designer, indexed by designer id.
+    dedup: Vec<DedupWindow>,
+    journal: Option<JournalWriter>,
+    recorder: Option<Arc<FlightRecorder>>,
+    negotiation: Option<NegotiationConfig>,
+    max_journal_backlog: usize,
+    /// Commands run so far; the `seq` of `session` trace lines.
+    seq: u64,
+}
+
+impl SessionState {
+    /// The body of a submit: the remembered outcome of a resubmitted cid,
+    /// a shed while the degraded journal is over its backlog bound, or the
+    /// operation's execution. Returns the outcome and its trace label.
+    fn submit(&mut self, operation: Operation, cid: Option<u64>) -> (OpOutcome, &'static str) {
+        let designer = operation.designer().index();
+        let remembered = match (self.dedup.get(designer), cid) {
+            (Some(window), Some(cid)) => window.lookup(cid).cloned(),
+            _ => None,
         };
-        record_session_event(&*sink, seq, kind, designer, outcome, started);
+        if let Some(outcome) = remembered {
+            // Exactly-once: a resubmission after a lost response gets the
+            // remembered answer, not a second execution.
+            return (outcome, "deduplicated");
+        }
+        // Shed instead of executing while the degraded journal's parked
+        // backlog is over the bound: the gap between accepted state and
+        // durable state stays bounded. Not remembered in the dedup window —
+        // a retry with the same cid executes once the disk recovers.
+        if self
+            .journal
+            .as_ref()
+            .is_some_and(|w| w.backlog_len() > self.max_journal_backlog)
+        {
+            self.dpm.metrics_sink().incr(Counter::OverloadSheds, 1);
+            return (OpOutcome::Rejected(RejectReason::Degraded), "shed");
+        }
+        let outcome = execute_submission(
+            &mut self.dpm,
+            &mut self.subscriptions,
+            &mut self.logs,
+            &mut self.journal,
+            operation,
+            self.negotiation.as_ref(),
+        );
+        let label = match &outcome {
+            OpOutcome::Executed(_) => "executed",
+            OpOutcome::Rejected(_) => "rejected",
+        };
+        if let (Some(window), Some(cid)) = (self.dedup.get_mut(designer), cid) {
+            window.remember(cid, outcome.clone());
+        }
+        (outcome, label)
     }
-    // Every handle (and the engine) is gone: nobody can command the
-    // session any more, so close it and exit.
-    close_session(&subscriptions, &mut journal);
-    dpm
+
+    /// The body of a subscribe: a fresh inbox, pre-filled with the retained
+    /// events after `resume_from`, and the designer's last delivery index.
+    fn subscribe(
+        &mut self,
+        designer: DesignerId,
+        capacity: usize,
+        resume_from: Option<u64>,
+    ) -> (Inbox, u64) {
+        let inbox = Inbox::bounded(capacity);
+        let log = self.logs.get(designer.index());
+        let last_idx = log.map_or(0, |l| l.last_idx);
+        if let (Some(after), Some(log)) = (resume_from, log) {
+            let mut redelivered: u32 = 0;
+            for entry in log.retained.iter().filter(|e| e.idx > after) {
+                if inbox.push(entry.clone()) {
+                    redelivered += 1;
+                }
+            }
+            if redelivered > 0 {
+                self.dpm
+                    .metrics_sink()
+                    .incr(Counter::InboxDelivered, redelivered.into());
+            }
+        }
+        self.subscriptions.push(SubscriptionEntry {
+            designer,
+            inbox: inbox.clone(),
+        });
+        (inbox, last_idx)
+    }
+
+    /// Closes a session whose command panicked: its state may be half
+    /// updated, so nothing more runs against it. The flight recorder's
+    /// last events go to stderr and every inbox is closed; the journal
+    /// keeps the lines it holds.
+    fn abandon(self) {
+        if let Some(recorder) = &self.recorder {
+            eprintln!(
+                "adpm: session command panicked; flight recorder \
+                 ({} of {} events retained):",
+                recorder.len(),
+                recorder.recorded()
+            );
+            for (idx, line) in recorder.dump_indexed() {
+                eprintln!("adpm:   [{idx}] {line}");
+            }
+        }
+        for sub in &self.subscriptions {
+            sub.inbox.close();
+        }
+    }
 }
 
 /// Closes every inbox and syncs the journal. Orderly shutdown models the
@@ -797,27 +700,21 @@ fn negotiate_conflict(
     // An earlier negotiation in the same submission (shared MCS member) or
     // a raced repair may already have cleared this seed.
     if !dpm.network().status(seed).is_violated() {
-        return NegotiationReport {
-            seed_violated: false,
-            resolved: false,
-            rounds: 0,
-            proposals: 0,
-            participants: 0,
-        };
+        return NegotiationReport::default();
     }
     let started = Instant::now();
     let sink = dpm.metrics_sink().clone();
-    let outcome = negotiate(dpm, seed, config);
+    let mut outcome = negotiate(dpm, seed, config);
     subscriptions.retain(|s| !s.inbox.is_closed());
     let mut delivered: u32 = 0;
     let mut dropped: u32 = 0;
-    for (designer, event) in &outcome.transcript {
+    for (designer, event) in std::mem::take(&mut outcome.transcript) {
         route_event(
             subscriptions,
             logs,
             seq,
-            *designer,
-            event,
+            designer,
+            Arc::new(event),
             &mut delivered,
             &mut dropped,
         );
@@ -833,19 +730,19 @@ fn negotiate_conflict(
         None => false,
     };
     let resolved = applied && !dpm.network().status(seed).is_violated();
-    let closed = Event::NegotiationClosed {
+    let closed = Arc::new(Event::NegotiationClosed {
         constraint: seed,
         properties: outcome.properties.clone(),
         rounds: outcome.rounds,
         resolved,
-    };
+    });
     for designer in &outcome.participants {
         route_event(
             subscriptions,
             logs,
             seq,
             *designer,
-            &closed,
+            closed.clone(),
             &mut delivered,
             &mut dropped,
         );
@@ -922,14 +819,13 @@ fn fan_out(
     let mut delivered: u32 = 0;
     let mut dropped: u32 = 0;
     for designer in dpm.designers().to_vec() {
-        let events = dpm.take_notifications(designer);
-        for event in &events {
+        for event in dpm.take_notifications(designer) {
             route_event(
                 subscriptions,
                 logs,
                 seq,
                 designer,
-                event,
+                Arc::new(event),
                 &mut delivered,
                 &mut dropped,
             );
@@ -956,13 +852,13 @@ fn fan_out(
 
 /// Routes one event to `designer`: assigns the next delivery index,
 /// retains it (bounded) for reconnect redelivery, and pushes it into
-/// every one of the designer's subscription inboxes.
+/// every one of the designer's subscription inboxes, all sharing `event`.
 fn route_event(
     subscriptions: &[SubscriptionEntry],
     logs: &mut [EventLog],
     seq: u64,
     designer: DesignerId,
-    event: &Event,
+    event: Arc<Event>,
     delivered: &mut u32,
     dropped: &mut u32,
 ) {
@@ -972,7 +868,7 @@ fn route_event(
             let entry = InboxEntry {
                 seq,
                 idx: log.last_idx,
-                event: event.clone(),
+                event: Arc::clone(&event),
             };
             if log.retained.len() >= RETAINED_EVENTS {
                 log.retained.pop_front();
@@ -986,7 +882,7 @@ fn route_event(
         if sub.inbox.push(InboxEntry {
             seq,
             idx,
-            event: event.clone(),
+            event: Arc::clone(&event),
         }) {
             *delivered += 1;
         } else {
@@ -1122,7 +1018,7 @@ mod tests {
         let entries = inbox.drain();
         assert!(
             entries.iter().any(|e| matches!(
-                e.event,
+                *e.event,
                 Event::FeasibleReduced { property, .. } if property == ps
             )),
             "expected a FeasibleReduced for ps, got {entries:?}"
@@ -1141,9 +1037,8 @@ mod tests {
         let fe = frontend_problem(&dpm);
         let engine = SessionEngine::spawn(dpm);
         let handle = engine.handle();
-        // Queue a shutdown, then pile submissions behind it before the
-        // loop can drain. Every one must come back ShuttingDown or
-        // SessionClosed — never half-executed.
+        // Submissions racing the shutdown either run whole before it takes
+        // the state or come back SessionClosed — never half-executed.
         let final_dpm = {
             let handle2 = handle.clone();
             let racer = std::thread::spawn(move || {
@@ -1166,10 +1061,10 @@ mod tests {
                         // Raced ahead of the shutdown: must be recorded.
                         assert!(record.sequence <= final_dpm.history().len());
                     }
-                    OpOutcome::Rejected(RejectReason::ShuttingDown) => {}
                     other => panic!("unexpected outcome {other:?}"),
                 }
             }
+            assert_eq!(outcomes.len(), final_dpm.history().len());
             final_dpm
         };
         // The history contains exactly the executed operations.
@@ -1177,21 +1072,27 @@ mod tests {
     }
 
     #[test]
-    fn dropped_reply_receiver_does_not_wedge_the_session() {
+    fn a_panicking_read_closes_the_session_for_every_handle() {
         let (dpm, pf, _) = session_fixture();
         let d0 = dpm.designers()[0];
+        let d1 = dpm.designers()[1];
         let fe = frontend_problem(&dpm);
         let engine = SessionEngine::spawn(dpm);
-        let handle = engine.handle();
-        // Abandon the reply receiver immediately: the session must still
-        // execute the operation and keep serving later commands.
-        let rx = handle
-            .submit_async(Operation::assign(d0, fe, pf, Value::number(150.0)))
-            .expect("session alive");
-        drop(rx);
-        let snapshot = handle.snapshot().expect("session still serving");
-        assert_eq!(snapshot.history().len(), 1);
-        engine.shutdown();
+        let (handle, other) = (engine.handle(), engine.handle());
+        let (inbox, _) = other.subscribe_from(d1, 8, None).expect("session alive");
+        let answer = handle.read(|_| -> u32 { panic!("a read that panics") });
+        assert_eq!(answer, Err(SessionClosed));
+        // Every handle, on any thread, now answers at once instead of
+        // blocking on the lock or running against half-updated state.
+        let racer = std::thread::spawn(move || {
+            other.submit(Operation::assign(d0, fe, pf, Value::number(150.0)))
+        });
+        assert_eq!(racer.join().expect("no unwind"), Err(SessionClosed));
+        assert!(handle.snapshot().is_err());
+        assert!(handle.negotiate(ConstraintId::new(0)).is_err());
+        assert!(inbox.is_closed(), "the panic closes subscriptions");
+        // Dropping the engine of a closed session does not panic.
+        drop(engine);
     }
 
     #[test]
@@ -1218,7 +1119,7 @@ mod tests {
         let engine = SessionEngine::spawn(dpm);
         let handle = engine.handle();
         drop(engine);
-        // The thread is gone: the handle errors instead of hanging.
+        // The session is closed: the handle errors instead of hanging.
         assert!(handle.snapshot().is_err());
     }
 
@@ -1353,11 +1254,10 @@ mod tests {
         let entries = inbox.drain();
         assert!(entries
             .iter()
-            .any(|e| matches!(e.event, Event::NegotiationProposed { .. })));
-        assert!(entries.iter().any(|e| matches!(
-            e.event,
-            Event::NegotiationClosed { resolved: true, .. }
-        )));
+            .any(|e| matches!(*e.event, Event::NegotiationProposed { .. })));
+        assert!(entries
+            .iter()
+            .any(|e| matches!(*e.event, Event::NegotiationClosed { resolved: true, .. })));
         engine.shutdown();
     }
 

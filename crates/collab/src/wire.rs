@@ -483,6 +483,21 @@ impl WireError {
     }
 }
 
+/// Appends one `prop` line: [`Frame::Prop`]'s encoding, written from
+/// borrowed parts so a snapshot reply needs no frame per property.
+pub(crate) fn write_prop_line(out: &mut String, name: &str, lo: f64, hi: f64, bound: bool) {
+    out.push_str("{\"t\":\"prop\"");
+    prop_fields(out, name, lo, hi, bound);
+    out.push_str("}\n");
+}
+
+fn prop_fields(out: &mut String, name: &str, lo: f64, hi: f64, bound: bool) {
+    field_str(out, "name", name);
+    field_f64(out, "lo", lo);
+    field_f64(out, "hi", hi);
+    field_bool(out, "bound", bound);
+}
+
 fn field_opt_u64(out: &mut String, key: &str, value: Option<u64>) {
     if let Some(value) = value {
         field_u64(out, key, value);
@@ -548,14 +563,20 @@ impl Frame {
     /// Serializes the frame as one JSON line, trailing `\n` included.
     pub fn to_line(&self) -> String {
         let mut out = String::with_capacity(64);
+        self.write_line(&mut out);
+        out
+    }
+
+    /// Appends the frame's [`to_line`](Frame::to_line) encoding to `out`.
+    pub(crate) fn write_line(&self, out: &mut String) {
         out.push_str("{\"t\":\"");
         out.push_str(self.tag());
         out.push('"');
         match self {
-            Frame::Hello { designer } => field_u64(&mut out, "designer", (*designer).into()),
+            Frame::Hello { designer } => field_u64(out, "designer", (*designer).into()),
             Frame::Subscribe { all, resume_from } => {
-                field_bool(&mut out, "all", *all);
-                field_opt_u64(&mut out, "resume_from", *resume_from);
+                field_bool(out, "all", *all);
+                field_opt_u64(out, "resume_from", *resume_from);
             }
             Frame::Submit { op, cid } => {
                 match op {
@@ -564,23 +585,23 @@ impl Frame {
                         property,
                         value,
                     } => {
-                        field_str(&mut out, "problem", problem);
-                        field_str(&mut out, "property", property);
-                        field_f64(&mut out, "value", *value);
+                        field_str(out, "problem", problem);
+                        field_str(out, "property", property);
+                        field_f64(out, "value", *value);
                     }
                     WireOp::Unbind { problem, property } => {
-                        field_str(&mut out, "problem", problem);
-                        field_str(&mut out, "property", property);
+                        field_str(out, "problem", problem);
+                        field_str(out, "property", property);
                     }
                     WireOp::Verify {
                         problem,
                         constraints,
                     } => {
-                        field_str(&mut out, "problem", problem);
-                        field_str(&mut out, "constraints", constraints);
+                        field_str(out, "problem", problem);
+                        field_str(out, "constraints", constraints);
                     }
                 }
-                field_opt_u64(&mut out, "cid", *cid);
+                field_opt_u64(out, "cid", *cid);
             }
             Frame::Snapshot | Frame::Shutdown | Frame::Bye | Frame::End => {}
             Frame::Welcome {
@@ -589,14 +610,14 @@ impl Frame {
                 properties,
                 constraints,
             } => {
-                field_str(&mut out, "mode", mode);
-                field_u64(&mut out, "designers", (*designers).into());
-                field_u64(&mut out, "properties", (*properties).into());
-                field_u64(&mut out, "constraints", (*constraints).into());
+                field_str(out, "mode", mode);
+                field_u64(out, "designers", (*designers).into());
+                field_u64(out, "properties", (*properties).into());
+                field_u64(out, "constraints", (*constraints).into());
             }
             Frame::Subscribed { designer, last_idx } => {
-                field_u64(&mut out, "designer", (*designer).into());
-                field_u64(&mut out, "last_idx", *last_idx);
+                field_u64(out, "designer", (*designer).into());
+                field_u64(out, "last_idx", *last_idx);
             }
             Frame::Executed {
                 seq,
@@ -606,38 +627,33 @@ impl Frame {
                 spin,
                 cid,
             } => {
-                field_u64(&mut out, "seq", *seq);
-                field_u64(&mut out, "evaluations", *evaluations);
-                field_u64(&mut out, "violations_after", (*violations_after).into());
-                field_str(&mut out, "new_violations", new_violations);
-                field_bool(&mut out, "spin", *spin);
-                field_opt_u64(&mut out, "cid", *cid);
+                field_u64(out, "seq", *seq);
+                field_u64(out, "evaluations", *evaluations);
+                field_u64(out, "violations_after", (*violations_after).into());
+                field_str(out, "new_violations", new_violations);
+                field_bool(out, "spin", *spin);
+                field_opt_u64(out, "cid", *cid);
             }
             Frame::Rejected { reason, cid } => {
-                field_str(&mut out, "reason", reason);
-                field_opt_u64(&mut out, "cid", *cid);
+                field_str(out, "reason", reason);
+                field_opt_u64(out, "cid", *cid);
             }
-            Frame::Error { message } => field_str(&mut out, "message", message),
+            Frame::Error { message } => field_str(out, "message", message),
             Frame::State {
                 operations,
                 bound,
                 violations,
             } => {
-                field_u64(&mut out, "operations", *operations);
-                field_u64(&mut out, "bound", (*bound).into());
-                field_u64(&mut out, "violations", (*violations).into());
+                field_u64(out, "operations", *operations);
+                field_u64(out, "bound", (*bound).into());
+                field_u64(out, "violations", (*violations).into());
             }
             Frame::Prop {
                 name,
                 lo,
                 hi,
                 bound,
-            } => {
-                field_str(&mut out, "name", name);
-                field_f64(&mut out, "lo", *lo);
-                field_f64(&mut out, "hi", *hi);
-                field_bool(&mut out, "bound", *bound);
-            }
+            } => prop_fields(out, name, *lo, *hi, *bound),
             Frame::Event {
                 seq,
                 kind,
@@ -646,36 +662,36 @@ impl Frame {
                 relative_size,
                 idx,
             } => {
-                field_u64(&mut out, "seq", *seq);
-                field_str(&mut out, "kind", kind);
-                field_str(&mut out, "subject", subject);
-                field_str(&mut out, "properties", properties);
-                field_f64(&mut out, "relative_size", *relative_size);
-                field_u64(&mut out, "idx", *idx);
+                field_u64(out, "seq", *seq);
+                field_str(out, "kind", kind);
+                field_str(out, "subject", subject);
+                field_str(out, "properties", properties);
+                field_f64(out, "relative_size", *relative_size);
+                field_u64(out, "idx", *idx);
             }
-            Frame::Ping { nonce } => field_u64(&mut out, "nonce", *nonce),
-            Frame::Pong { nonce } => field_u64(&mut out, "nonce", *nonce),
-            Frame::Warning { message } => field_str(&mut out, "message", message),
+            Frame::Ping { nonce } => field_u64(out, "nonce", *nonce),
+            Frame::Pong { nonce } => field_u64(out, "nonce", *nonce),
+            Frame::Warning { message } => field_str(out, "message", message),
             Frame::CreateSession { name } | Frame::AttachSession { name } => {
-                field_str(&mut out, "name", name)
+                field_str(out, "name", name)
             }
             Frame::ListSessions | Frame::DetachSession => {}
             Frame::SessionAttached { name, created } => {
-                field_str(&mut out, "name", name);
-                field_bool(&mut out, "created", *created);
+                field_str(out, "name", name);
+                field_bool(out, "created", *created);
             }
             Frame::SessionList { names, count } => {
-                field_str(&mut out, "names", names);
-                field_u64(&mut out, "count", (*count).into());
+                field_str(out, "names", names);
+                field_u64(out, "count", (*count).into());
             }
             Frame::AttachRejected { name, reason } => {
-                field_str(&mut out, "name", name);
-                field_str(&mut out, "reason", reason);
+                field_str(out, "name", name);
+                field_str(out, "reason", reason);
             }
-            Frame::Stats { all } => field_bool(&mut out, "all", *all),
+            Frame::Stats { all } => field_bool(out, "all", *all),
             Frame::Watch { all, interval_ms } => {
-                field_bool(&mut out, "all", *all);
-                field_u64(&mut out, "interval_ms", *interval_ms);
+                field_bool(out, "all", *all);
+                field_u64(out, "interval_ms", *interval_ms);
             }
             Frame::Dump => {}
             Frame::StatsReply {
@@ -688,29 +704,29 @@ impl Frame {
                 p90_us,
                 p99_us,
             } => {
-                field_str(&mut out, "session", session);
-                field_u64(&mut out, "connections", (*connections).into());
-                field_bool(&mut out, "watch", *watch);
+                field_str(out, "session", session);
+                field_u64(out, "connections", (*connections).into());
+                field_bool(out, "watch", *watch);
                 for (counter, value) in counters.iter() {
-                    field_u64(&mut out, counter.name(), value);
+                    field_u64(out, counter.name(), value);
                 }
-                field_u64(&mut out, "events", *events);
-                field_u64(&mut out, "p50_us", *p50_us);
-                field_u64(&mut out, "p90_us", *p90_us);
-                field_u64(&mut out, "p99_us", *p99_us);
+                field_u64(out, "events", *events);
+                field_u64(out, "p50_us", *p50_us);
+                field_u64(out, "p90_us", *p90_us);
+                field_u64(out, "p99_us", *p99_us);
             }
             Frame::DumpReply {
                 session,
                 count,
                 recorded,
             } => {
-                field_str(&mut out, "session", session);
-                field_u64(&mut out, "count", (*count).into());
-                field_u64(&mut out, "recorded", *recorded);
+                field_str(out, "session", session);
+                field_u64(out, "count", (*count).into());
+                field_u64(out, "recorded", *recorded);
             }
             Frame::Flight { idx, line } => {
-                field_u64(&mut out, "idx", *idx);
-                field_str(&mut out, "line", line);
+                field_u64(out, "idx", *idx);
+                field_str(out, "line", line);
             }
             Frame::Propose {
                 seq,
@@ -722,14 +738,14 @@ impl Frame {
                 slack,
                 idx,
             } => {
-                field_u64(&mut out, "seq", *seq);
-                field_u64(&mut out, "round", (*round).into());
-                field_u64(&mut out, "proposer", (*proposer).into());
-                field_str(&mut out, "kind", kind);
-                field_str(&mut out, "constraint", constraint);
-                field_str(&mut out, "property", property);
-                field_f64(&mut out, "slack", *slack);
-                field_u64(&mut out, "idx", *idx);
+                field_u64(out, "seq", *seq);
+                field_u64(out, "round", (*round).into());
+                field_u64(out, "proposer", (*proposer).into());
+                field_str(out, "kind", kind);
+                field_str(out, "constraint", constraint);
+                field_str(out, "property", property);
+                field_f64(out, "slack", *slack);
+                field_u64(out, "idx", *idx);
             }
             Frame::CounterProposal {
                 seq,
@@ -741,14 +757,14 @@ impl Frame {
                 slack,
                 idx,
             } => {
-                field_u64(&mut out, "seq", *seq);
-                field_u64(&mut out, "round", (*round).into());
-                field_u64(&mut out, "designer", (*designer).into());
-                field_str(&mut out, "kind", kind);
-                field_str(&mut out, "constraint", constraint);
-                field_str(&mut out, "property", property);
-                field_f64(&mut out, "slack", *slack);
-                field_u64(&mut out, "idx", *idx);
+                field_u64(out, "seq", *seq);
+                field_u64(out, "round", (*round).into());
+                field_u64(out, "designer", (*designer).into());
+                field_str(out, "kind", kind);
+                field_str(out, "constraint", constraint);
+                field_str(out, "property", property);
+                field_f64(out, "slack", *slack);
+                field_u64(out, "idx", *idx);
             }
             Frame::Accept {
                 seq,
@@ -762,10 +778,10 @@ impl Frame {
                 designer,
                 idx,
             } => {
-                field_u64(&mut out, "seq", *seq);
-                field_u64(&mut out, "round", (*round).into());
-                field_u64(&mut out, "designer", (*designer).into());
-                field_u64(&mut out, "idx", *idx);
+                field_u64(out, "seq", *seq);
+                field_u64(out, "round", (*round).into());
+                field_u64(out, "designer", (*designer).into());
+                field_u64(out, "idx", *idx);
             }
             Frame::Resolved {
                 seq,
@@ -775,23 +791,22 @@ impl Frame {
                 outcome,
                 idx,
             } => {
-                field_u64(&mut out, "seq", *seq);
-                field_str(&mut out, "constraint", constraint);
-                field_u64(&mut out, "rounds", (*rounds).into());
-                field_u64(&mut out, "proposals", (*proposals).into());
-                field_str(&mut out, "outcome", outcome);
-                field_u64(&mut out, "idx", *idx);
+                field_u64(out, "seq", *seq);
+                field_str(out, "constraint", constraint);
+                field_u64(out, "rounds", (*rounds).into());
+                field_u64(out, "proposals", (*proposals).into());
+                field_str(out, "outcome", outcome);
+                field_u64(out, "idx", *idx);
             }
             Frame::NegotiationRejected { message } => {
-                field_str(&mut out, "message", message)
+                field_str(out, "message", message)
             }
             Frame::Overloaded { retry_after_ms, cid } => {
-                field_u64(&mut out, "retry_after_ms", *retry_after_ms);
-                field_opt_u64(&mut out, "cid", *cid);
+                field_u64(out, "retry_after_ms", *retry_after_ms);
+                field_opt_u64(out, "cid", *cid);
             }
         }
         out.push_str("}\n");
-        out
     }
 
     /// Parses one wire line (with or without the trailing newline).
@@ -1204,6 +1219,25 @@ impl LineBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn prop_lines_match_the_prop_frame_byte_for_byte() {
+        for (name, lo, hi, bound) in [
+            ("lna.gain", 0.0, 25.5, false),
+            ("odd \"name\"\t", 1e-300, -0.0, true),
+            ("empty", 1.0, 0.0, false),
+        ] {
+            let mut line = String::new();
+            write_prop_line(&mut line, name, lo, hi, bound);
+            let frame = Frame::Prop {
+                name: name.into(),
+                lo,
+                hi,
+                bound,
+            };
+            assert_eq!(line, frame.to_line());
+        }
+    }
 
     #[test]
     fn every_frame_kind_round_trips() {

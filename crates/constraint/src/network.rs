@@ -189,6 +189,8 @@ pub struct ConstraintNetwork {
     /// a region run re-evaluates these even when no adjacent property
     /// changed.
     stale_statuses: BTreeSet<ConstraintId>,
+    /// The buffers [`walk_region`](Self::walk_region) reuses across runs.
+    region_marks: RegionMarks,
 }
 
 impl ConstraintNetwork {
@@ -624,16 +626,55 @@ impl ConstraintNetwork {
         self.fixpoint_clean
     }
 
-    /// Properties bound or unbound since the last clean fixed point (the
-    /// implicit dirty set).
-    pub(crate) fn dirty_props(&self) -> &BTreeSet<PropertyId> {
-        &self.dirty_props
-    }
-
     /// Constraints whose stored status was overwritten out-of-band since
     /// they were last evaluated.
     pub(crate) fn stale_statuses(&self) -> &BTreeSet<ConstraintId> {
         &self.stale_statuses
+    }
+
+    /// The properties and constraints of the region around `dirty` and the
+    /// implicit dirty set, both in id order: a walk that crosses
+    /// constraints and stops at bound properties (see
+    /// [`propagate_incremental`](crate::propagate_incremental)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dirty id does not belong to this network.
+    pub(crate) fn walk_region(
+        &mut self,
+        dirty: &[PropertyId],
+    ) -> (Vec<PropertyId>, Vec<ConstraintId>) {
+        let marks = &mut self.region_marks;
+        let stamp = marks.next_stamp(self.properties.len(), self.constraints.len());
+        // The region's properties double as the walk's queue.
+        let mut properties: Vec<PropertyId> = Vec::new();
+        let mut constraints: Vec<ConstraintId> = Vec::new();
+        for pid in dirty.iter().chain(&self.dirty_props) {
+            if std::mem::replace(&mut marks.properties[pid.index()], stamp) != stamp {
+                properties.push(*pid);
+            }
+        }
+        let mut next = 0;
+        while let Some(pid) = properties.get(next).copied() {
+            next += 1;
+            for cid in &self.prop_constraints[pid.index()] {
+                if std::mem::replace(&mut marks.constraints[cid.index()], stamp) == stamp {
+                    continue;
+                }
+                constraints.push(*cid);
+                for arg in self.constraints[cid.index()].argument_slice() {
+                    if marks.properties[arg.index()] != stamp
+                        && self.properties[arg.index()].assignment.is_none()
+                    {
+                        marks.properties[arg.index()] = stamp;
+                        properties.push(*arg);
+                    }
+                }
+            }
+        }
+        properties.sort_unstable();
+        constraints.sort_unstable();
+        (properties, constraints)
     }
 
     /// Records the outcome of a propagation run: `clean` means it reached
@@ -774,6 +815,31 @@ impl ConstraintNetwork {
             }
         }
         false
+    }
+}
+
+/// Stamped membership marks for [`ConstraintNetwork::walk_region`]: a
+/// property or constraint is in the current walk when its mark equals the
+/// stamp, so consecutive walks reuse the buffers without clearing them.
+#[derive(Debug, Clone, Default)]
+struct RegionMarks {
+    stamp: u32,
+    properties: Vec<u32>,
+    constraints: Vec<u32>,
+}
+
+impl RegionMarks {
+    /// Starts a walk over a network of the given size and returns its stamp.
+    fn next_stamp(&mut self, properties: usize, constraints: usize) -> u32 {
+        if self.stamp == u32::MAX {
+            self.stamp = 0;
+            self.properties.fill(0);
+            self.constraints.fill(0);
+        }
+        self.stamp += 1;
+        self.properties.resize(properties, 0);
+        self.constraints.resize(constraints, 0);
+        self.stamp
     }
 }
 
@@ -1127,7 +1193,7 @@ mod tests {
         assert!(!net.fixpoint_clean()); // never propagated
         net.mark_fixpoint(true);
         assert!(net.fixpoint_clean());
-        assert!(net.dirty_props().is_empty());
+        assert!(net.dirty_props.is_empty());
 
         // Binds, rebinds, out-of-feasible binds and unbinds are all dirty
         // and none of them clears the fixed point: the region run re-derives
@@ -1139,15 +1205,15 @@ mod tests {
         net.unbind(a).unwrap();
         assert!(net.fixpoint_clean());
         assert_eq!(
-            net.dirty_props().iter().copied().collect::<Vec<_>>(),
+            net.dirty_props.iter().copied().collect::<Vec<_>>(),
             vec![a, b]
         );
 
         // A clean mark settles the dirty set; an unclean one keeps it.
         net.mark_fixpoint(false);
-        assert_eq!(net.dirty_props().len(), 2);
+        assert_eq!(net.dirty_props.len(), 2);
         net.mark_fixpoint(true);
-        assert!(net.dirty_props().is_empty());
+        assert!(net.dirty_props.is_empty());
 
         // Structural edits and a reset leave no fixed point to start from.
         net.relax_constraint(c, Relaxation::WidenBound { slack: 1.0 })

@@ -131,6 +131,12 @@ pub struct PropagationOutcome {
     /// wave starts form that wave; constraints re-queued by its narrowings
     /// belong to the next. A direct measure of how far a change ripples.
     pub waves: usize,
+    /// The run's region, in id order: the only properties whose feasible
+    /// subspace it can have changed (every property for a full run).
+    pub properties: Vec<PropertyId>,
+    /// The constraints whose statuses the final sweep re-evaluated, in id
+    /// order: the only statuses the run can have changed.
+    pub swept: Vec<ConstraintId>,
 }
 
 /// Result of revising a single constraint.
@@ -204,7 +210,7 @@ pub fn propagate_profiled(
     clock: &dyn Clock,
 ) -> PropagationOutcome {
     let region = Region::everything(net);
-    run_region::<CompiledReviser>(net, &region, config, sink, clock)
+    run_region::<CompiledReviser>(net, region, config, sink, clock)
 }
 
 /// Region propagation: re-derives only the part of the fixed point that
@@ -278,7 +284,7 @@ pub fn propagate_incremental_profiled(
     clock: &dyn Clock,
 ) -> PropagationOutcome {
     let region = Region::around(net, dirty);
-    run_region::<CompiledReviser>(net, &region, config, sink, clock)
+    run_region::<CompiledReviser>(net, region, config, sink, clock)
 }
 
 /// How the worklist revises one constraint: the network's compiled
@@ -342,38 +348,15 @@ impl Region {
     /// crosses constraints and stops at bound properties (see
     /// [`propagate_incremental`]); everything when the network holds no
     /// clean fixed point.
-    fn around(net: &ConstraintNetwork, dirty: &[PropertyId]) -> Self {
+    fn around(net: &mut ConstraintNetwork, dirty: &[PropertyId]) -> Self {
         if !net.fixpoint_clean() {
             return Region::everything(net);
         }
-        let mut in_region = vec![false; net.property_count()];
-        let mut seeded = vec![false; net.constraint_count()];
-        let mut stack: Vec<PropertyId> = Vec::new();
-        for pid in dirty.iter().chain(net.dirty_props()) {
-            if !std::mem::replace(&mut in_region[pid.index()], true) {
-                stack.push(*pid);
-            }
-        }
-        while let Some(pid) = stack.pop() {
-            for cid in net.constraints_of(pid) {
-                if std::mem::replace(&mut seeded[cid.index()], true) {
-                    continue;
-                }
-                for arg in net.constraint(*cid).argument_slice() {
-                    if !in_region[arg.index()] && !net.is_bound(*arg) {
-                        in_region[arg.index()] = true;
-                        stack.push(*arg);
-                    }
-                }
-            }
-        }
+        let (properties, constraints) = net.walk_region(dirty);
         Region {
             kind: PropagationKind::Incremental,
-            properties: net
-                .property_ids()
-                .filter(|p| in_region[p.index()])
-                .collect(),
-            constraints: net.constraint_ids().filter(|c| seeded[c.index()]).collect(),
+            properties,
+            constraints,
         }
     }
 }
@@ -384,7 +367,7 @@ impl Region {
 /// overwritten out of band. The sweep is reserved inside the cap.
 fn run_region<R: Reviser>(
     net: &mut ConstraintNetwork,
-    region: &Region,
+    region: Region,
     config: &PropagationConfig,
     sink: &dyn MetricsSink,
     clock: &dyn Clock,
@@ -420,25 +403,25 @@ fn run_region<R: Reviser>(
         &mut reviser,
     );
 
-    let mut outcome = PropagationOutcome {
-        kind: region.kind,
-        seeded: region.constraints.len(),
-        evaluations: run.evaluations,
-        narrowed: Vec::new(),
-        conflicts: std::mem::take(&mut run.conflicts),
-        reached_fixpoint: run.reached_fixpoint,
-        waves: run.waves,
-    };
-
     // Final status sweep over the narrowed box: each swept constraint is
     // checked once, so attribution charges each one evaluation.
-    outcome.evaluations += net.evaluate_statuses_subset(&sweep);
+    let sweep_evaluations = net.evaluate_statuses_subset(&sweep);
     if profile {
         for cid in &sweep {
             run.constraint_evals[cid.index()] += 1;
         }
     }
-    outcome.narrowed = collect_narrowed(net);
+    let outcome = PropagationOutcome {
+        kind: region.kind,
+        seeded: region.constraints.len(),
+        evaluations: run.evaluations + sweep_evaluations,
+        narrowed: collect_narrowed(net),
+        conflicts: std::mem::take(&mut run.conflicts),
+        reached_fixpoint: run.reached_fixpoint,
+        waves: run.waves,
+        properties: region.properties,
+        swept: sweep,
+    };
     net.mark_fixpoint(outcome.reached_fixpoint);
 
     let dur_us = if trace {
@@ -1617,7 +1600,7 @@ mod tests {
 
     fn reference(net: &mut ConstraintNetwork, config: &PropagationConfig) -> PropagationOutcome {
         let region = Region::everything(net);
-        run_region::<Interp>(net, &region, config, &NoopSink, &MonotonicClock)
+        run_region::<Interp>(net, region, config, &NoopSink, &MonotonicClock)
     }
 
     fn reference_incremental(
@@ -1626,7 +1609,7 @@ mod tests {
         config: &PropagationConfig,
     ) -> PropagationOutcome {
         let region = Region::around(net, dirty);
-        run_region::<Interp>(net, &region, config, &NoopSink, &MonotonicClock)
+        run_region::<Interp>(net, region, config, &NoopSink, &MonotonicClock)
     }
 
     /// Two runs landed on the same fixed point bit for bit: identical

@@ -315,8 +315,30 @@ fn run_sequence(
         let touched = perform(&mut full, &resolved);
         perform(&mut inc, &resolved);
         let fo = propagate(&mut full, &uncapped());
+        let before = inc.clone();
         let io = propagate_incremental(&mut inc, &dirty_of(touched), config, &NoopSink);
         prop_assert!(fo.reached_fixpoint);
+        // A run moves feasible subspaces only in its region and statuses
+        // only among the constraints it swept, which the DPM's
+        // bookkeeping relies on.
+        for pid in inc.property_ids().filter(|p| !io.properties.contains(p)) {
+            prop_assert_eq!(
+                format!("{:?}", before.feasible(pid)),
+                format!("{:?}", inc.feasible(pid)),
+                "step {}: feasible({}) moved outside the region",
+                step,
+                pid
+            );
+        }
+        for cid in inc.constraint_ids().filter(|c| !io.swept.contains(c)) {
+            prop_assert_eq!(
+                before.status(cid),
+                inc.status(cid),
+                "step {}: status({}) moved outside the sweep",
+                step,
+                cid
+            );
+        }
         if capped {
             prop_assert_eq!(
                 io.kind,

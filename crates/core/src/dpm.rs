@@ -184,6 +184,11 @@ pub struct DesignProcessManager {
     pending: HashMap<DesignerId, Vec<Event>>,
     known_violations: BTreeSet<ConstraintId>,
     prev_snapshot: BTreeSet<ConstraintId>,
+    /// ADPM only: each property's relative feasible size as of the last
+    /// observation, indexed by property id. `execute` refreshes the
+    /// operator's target and then the propagation region, the only
+    /// properties whose feasible subspace an operation can move.
+    feasible_sizes: Vec<f64>,
     event_buffer: Vec<Event>,
     total_evaluations: usize,
     spins: usize,
@@ -194,7 +199,7 @@ pub struct DesignProcessManager {
 impl DesignProcessManager {
     /// Creates a DPM over an initial constraint network.
     pub fn new(network: ConstraintNetwork, config: DpmConfig) -> Self {
-        DesignProcessManager {
+        let mut dpm = DesignProcessManager {
             network,
             problems: ProblemSet::new(),
             config,
@@ -207,12 +212,17 @@ impl DesignProcessManager {
             pending: HashMap::new(),
             known_violations: BTreeSet::new(),
             prev_snapshot: BTreeSet::new(),
+            feasible_sizes: Vec::new(),
             event_buffer: Vec::new(),
             total_evaluations: 0,
             spins: 0,
             sink: Arc::new(NoopSink),
             clock: Arc::new(MonotonicClock),
+        };
+        if dpm.config.mode.is_adpm() {
+            dpm.observe_network();
         }
+        dpm
     }
 
     /// Routes all further instrumentation (operation spans, propagation
@@ -404,7 +414,7 @@ impl DesignProcessManager {
             &*self.sink,
             &*self.clock,
         );
-        self.refresh_known_violations_from_network();
+        self.observe_network();
         self.prev_snapshot = self.known_violations.clone();
         self.update_problem_statuses();
         self.event_buffer.clear();
@@ -514,8 +524,8 @@ impl DesignProcessManager {
                 self.network.relax_constraint(*constraint, *relaxation)?;
                 evaluations += 1;
                 // Keep the conflict ledger in step with the re-evaluated
-                // status: ADPM refreshes it wholesale after propagation
-                // below, but the conventional flow only updates it at
+                // status: ADPM updates it from the propagation sweep below,
+                // but the conventional flow only updates it at
                 // verifications, which would leave a relax-cleared
                 // conflict on the books forever.
                 if self.network.status(*constraint).is_violated() {
@@ -533,7 +543,10 @@ impl DesignProcessManager {
 
         // ADPM: the DCM propagates after every operation.
         if self.config.mode == ManagementMode::Adpm {
-            let before_sizes = self.feasible_sizes();
+            // The operator moved at most its target's feasible subspace.
+            if let Some(target) = operation.operator().target_property() {
+                self.feasible_sizes[target.index()] = self.relative_size(target);
+            }
             let outcome = match self.config.propagation_kind {
                 PropagationKind::Full => propagate_profiled(
                     &mut self.network,
@@ -559,8 +572,16 @@ impl DesignProcessManager {
                 }
             };
             evaluations += outcome.evaluations;
-            self.refresh_known_violations_from_network();
-            self.emit_feasibility_events(&before_sizes);
+            // The run changed statuses only among the constraints it swept
+            // and feasible subspaces only within its region.
+            for cid in &outcome.swept {
+                if self.network.status(*cid).is_violated() {
+                    self.known_violations.insert(*cid);
+                } else {
+                    self.known_violations.remove(cid);
+                }
+            }
+            self.emit_feasibility_events(&outcome.properties);
         }
 
         let new_violations = self.violation_delta();
@@ -739,39 +760,43 @@ impl DesignProcessManager {
         evaluations
     }
 
-    fn refresh_known_violations_from_network(&mut self) {
+    /// ADPM: takes the known violations and every feasible size from the
+    /// network as it stands.
+    fn observe_network(&mut self) {
         self.known_violations = self.network.violated_constraints().into_iter().collect();
-    }
-
-    fn feasible_sizes(&self) -> Vec<f64> {
-        self.network
+        self.feasible_sizes = self
+            .network
             .property_ids()
-            .map(|pid| {
-                self.network
-                    .feasible(pid)
-                    .relative_size(self.network.property(pid).initial_domain())
-            })
-            .collect()
+            .map(|pid| self.relative_size(pid))
+            .collect();
     }
 
-    fn emit_feasibility_events(&mut self, before: &[f64]) {
-        let after = self.feasible_sizes();
-        let mut events = Vec::new();
-        for (idx, (b, a)) in before.iter().zip(after.iter()).enumerate() {
-            let pid = PropertyId::new(idx as u32);
+    fn relative_size(&self, pid: PropertyId) -> f64 {
+        self.network
+            .feasible(pid)
+            .relative_size(self.network.property(pid).initial_domain())
+    }
+
+    /// Diffs the feasible sizes of `region`, in id order, against the last
+    /// observation, queueing a reduction or emptying event for each unbound
+    /// property that shrank.
+    fn emit_feasibility_events(&mut self, region: &[PropertyId]) {
+        for &pid in region {
+            let after = self.relative_size(pid);
+            let before = std::mem::replace(&mut self.feasible_sizes[pid.index()], after);
             if self.network.is_bound(pid) {
                 continue;
             }
-            if *a <= 0.0 && *b > 0.0 {
-                events.push(Event::FeasibleEmptied { property: pid });
-            } else if a + 1e-9 < *b {
-                events.push(Event::FeasibleReduced {
+            if after <= 0.0 && before > 0.0 {
+                self.event_buffer
+                    .push(Event::FeasibleEmptied { property: pid });
+            } else if after + 1e-9 < before {
+                self.event_buffer.push(Event::FeasibleReduced {
                     property: pid,
-                    relative_size: *a,
+                    relative_size: after,
                 });
             }
         }
-        self.queue_events(events);
     }
 
     /// Violations newly present since the last recorded operation.

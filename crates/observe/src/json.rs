@@ -6,7 +6,7 @@
 //! exactly what the schema needs: string escaping for the writer and a
 //! single-object parser for the reader.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A value in a flat trace object.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +79,7 @@ pub fn escape_into(out: &mut String, value: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -101,7 +101,7 @@ pub fn field_u64(out: &mut String, key: &str, value: u64) {
     out.push_str(",\"");
     out.push_str(key);
     out.push_str("\":");
-    out.push_str(&value.to_string());
+    let _ = write!(out, "{value}");
 }
 
 /// Appends `,"key":true` or `,"key":false`.
@@ -118,7 +118,7 @@ pub fn field_f64(out: &mut String, key: &str, value: f64) {
     out.push_str(",\"");
     out.push_str(key);
     out.push_str("\":");
-    out.push_str(&format!("{value:?}"));
+    let _ = write!(out, "{value:?}");
 }
 
 /// Parses one flat JSON object into `(key, value)` pairs, in order.
@@ -138,6 +138,7 @@ pub fn parse_object(
     line: usize,
 ) -> Result<Vec<(String, JsonValue)>, TraceParseError> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         line,
@@ -185,6 +186,7 @@ fn describe(byte: Option<u8>) -> String {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     line: usize,
@@ -254,7 +256,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| self.error(format!("`{text}` is not a number")))
@@ -262,7 +264,16 @@ impl Parser<'_> {
 
     fn string(&mut self) -> Result<String, TraceParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // The escape-free run up to the closing quote or the first escape
+        // is copied as one slice: the input is a `str` and both delimiters
+        // are ASCII, so the run ends on a char boundary.
+        let start = self.pos;
+        let run = self.bytes[start..]
+            .iter()
+            .position(|b| matches!(b, b'"' | b'\\'))
+            .unwrap_or(self.bytes.len() - start);
+        self.pos += run;
+        let mut out = self.text[start..self.pos].to_owned();
         loop {
             match self.next() {
                 None => return Err(self.error("unterminated string".into())),
@@ -351,6 +362,15 @@ mod tests {
         let err = parse_object("{\"a\":wat}", 3).unwrap_err();
         assert_eq!(err.line, 3);
         assert!(err.to_string().contains("line 3"));
+    }
+
+    #[test]
+    fn escape_free_runs_parse_whole_and_errors_keep_their_columns() {
+        let fields = parse_object("{\"k\":\"λ-ü x\",\"j\":\"ü\\tz\"}", 1).expect("valid");
+        assert_eq!(fields[0].1.as_str(), Some("λ-ü x"));
+        assert_eq!(fields[1].1.as_str(), Some("ü\tz"));
+        let err = parse_object("{\"k\":\"abc", 1).unwrap_err();
+        assert_eq!(err.message, "unterminated string (column 10)");
     }
 
     #[test]

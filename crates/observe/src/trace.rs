@@ -20,7 +20,7 @@ use crate::json::{field_bool, field_str, field_u64};
 /// | `Notifications` | an event is routed to a designer by the NM |
 /// | `TicksExecuted` | a simulation tick executes an operation |
 /// | `TicksStalled` | a simulation tick finds no designer with a proposal |
-/// | `SessionOps` | a collaboration session's command loop processes a command |
+/// | `SessionOps` | a collaboration session runs a command |
 /// | `InboxDelivered` | a routed event lands in a subscriber's inbox |
 /// | `InboxDropped` | a full inbox drops an incoming event (overflow accounting) |
 /// | `WireBytesSkipped` | the wire reader discards bytes resynchronizing past an oversized line |
@@ -69,7 +69,7 @@ pub enum Counter {
     TicksExecuted,
     /// Simulation ticks that stalled (no proposal).
     TicksStalled,
-    /// Commands processed by a collaboration session's command loop.
+    /// Commands a collaboration session ran.
     SessionOps,
     /// Events delivered into subscriber inboxes by the notification router.
     InboxDelivered,
@@ -353,7 +353,7 @@ pub enum TraceEvent<'a> {
         /// Duration of the tick, µs.
         dur_us: u64,
     },
-    /// A collaboration session's command loop finished one command.
+    /// A collaboration session finished one command.
     SessionCommand {
         /// Sequence number of the command within the session (1-based).
         seq: u64,

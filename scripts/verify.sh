@@ -348,6 +348,40 @@ grep -q 'session closed: 0 operations' "$SERVE_LOG" || {
   echo "default session was not isolated"; cat "$SERVE_LOG"; exit 1; }
 rm -f "$SERVE_LOG" "$MS_JOURNAL" "$MS_JOURNAL.s1" "$MS_JOURNAL.s2"
 
+echo "==> named-session recovery smoke (serve --sessions 1 --journal F twice; s1 announces its replay)"
+NS_JOURNAL=/tmp/verify_named_journal.jsonl
+rm -f "$NS_JOURNAL" "$NS_JOURNAL.s1"
+SERVE_LOG=$(mktemp)
+"$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 --sessions 1 \
+  --journal "$NS_JOURNAL" --fsync always > "$SERVE_LOG" &
+SERVE_PID=$!
+ADDR=""
+for _ in $(seq 1 100); do
+  ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG")
+  [ -n "$ADDR" ] && break
+  sleep 0.1
+done
+[ -n "$ADDR" ] || { echo "named-session serve never announced"; kill "$SERVE_PID"; exit 1; }
+"$ADPM_RELEASE" submit "$ADDR" --designer 1 --problem analog-front-end --session s1 \
+  --assign lna-mixer.lna-gain=20 | grep -q '"t":"executed"'
+"$ADPM_RELEASE" submit "$ADDR" --shutdown >/dev/null
+wait "$SERVE_PID"
+"$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 --sessions 1 \
+  --journal "$NS_JOURNAL" > "$SERVE_LOG" &
+SERVE_PID=$!
+ADDR=""
+for _ in $(seq 1 100); do
+  ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG")
+  [ -n "$ADDR" ] && break
+  sleep 0.1
+done
+[ -n "$ADDR" ] || { echo "restarted named-session serve never announced"; kill "$SERVE_PID"; exit 1; }
+grep -q '^session s1: recovered 1 operations from' "$SERVE_LOG" || {
+  echo "s1 did not announce its recovery"; cat "$SERVE_LOG"; kill "$SERVE_PID"; exit 1; }
+"$ADPM_RELEASE" submit "$ADDR" --shutdown >/dev/null
+wait "$SERVE_PID"
+rm -f "$SERVE_LOG" "$NS_JOURNAL" "$NS_JOURNAL.s1"
+
 echo "==> live telemetry smoke (scrape endpoint, adpm top --json, stats_reply schema)"
 SERVE_LOG=$(mktemp)
 "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 --sessions 2 \

@@ -5,10 +5,12 @@
 //! and the same notifications for every designer as an uncapped full
 //! replay — while needing fewer constraint evaluations overall.
 
-use adpm_constraint::{PropagationConfig, PropagationKind};
-use adpm_core::{DesignProcessManager, DpmConfig};
+use adpm_constraint::{Domain, PropagationConfig, PropagationKind, PropertyId, Value};
+use adpm_core::{DesignProcessManager, DpmConfig, Event, Operation, Operator, ProblemId};
 use adpm_dddl::CompiledScenario;
 use adpm_teamsim::{Simulation, SimulationConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn assert_equivalent(
     full: &mut DesignProcessManager,
@@ -145,4 +147,176 @@ fn incremental_simulation_completes_like_full() {
         inc.evaluations,
         full.evaluations
     );
+}
+
+/// A random design value for `pid`: inside its current feasible subspace
+/// three times in four (the design moves forward), anywhere in `E_i`
+/// otherwise (conflicts arise). `None` for symbolic properties.
+fn random_value(dpm: &DesignProcessManager, pid: PropertyId, rng: &mut StdRng) -> Option<Value> {
+    let net = dpm.network();
+    let initial = net.property(pid).initial_domain();
+    if let Domain::NumberSet(values) = initial {
+        return Some(Value::number(values[rng.gen_range(0..values.len())]));
+    }
+    let feasible = net.feasible(pid);
+    let range = if rng.gen_bool(0.75) && !feasible.is_empty() {
+        feasible
+    } else {
+        initial
+    };
+    let iv = range.enclosing_interval()?;
+    Some(Value::number(
+        iv.lo() + rng.gen_range(0.0..1.0) * (iv.hi() - iv.lo()),
+    ))
+}
+
+/// A seeded assign/unbind/verify over the outputs of a random designer's
+/// problems.
+fn random_operation(dpm: &DesignProcessManager, rng: &mut StdRng) -> Option<Operation> {
+    let designer = dpm.designers()[rng.gen_range(0..dpm.designers().len())];
+    let problems: Vec<ProblemId> = dpm
+        .problems()
+        .ids()
+        .filter(|p| dpm.problems().problem(*p).assignee() == Some(designer))
+        .collect();
+    let problem = problems
+        .get(rng.gen_range(0..problems.len().max(1)))
+        .copied()?;
+    let outputs = dpm.problems().problem(problem).outputs();
+    let roll = rng.gen_range(0..10);
+    if outputs.is_empty() || roll == 0 {
+        return Some(Operation::verify(designer, problem));
+    }
+    let pid = outputs[rng.gen_range(0..outputs.len())];
+    if roll == 1 && dpm.network().is_bound(pid) {
+        return Some(Operation::unbind(designer, problem, pid));
+    }
+    random_value(dpm, pid, rng).map(|value| Operation::assign(designer, problem, pid, value))
+}
+
+/// Every property's relative feasible size.
+fn relative_sizes(dpm: &DesignProcessManager) -> Vec<f64> {
+    let net = dpm.network();
+    net.property_ids()
+        .map(|pid| net.feasible(pid).relative_size(net.property(pid).initial_domain()))
+        .collect()
+}
+
+/// The feasibility events of one operation as a whole-network diff finds
+/// them: each unbound property's size before the operation — an unbind
+/// target restarts at its full range — against its size after, in id order.
+fn feasibility_events(before: &[f64], operation: &Operation, dpm: &DesignProcessManager) -> Vec<Event> {
+    let net = dpm.network();
+    let mut events = Vec::new();
+    for (pid, after) in net.property_ids().zip(relative_sizes(dpm)) {
+        let before = match operation.operator() {
+            Operator::Unbind { property } if *property == pid => 1.0,
+            _ => before[pid.index()],
+        };
+        if net.is_bound(pid) {
+            continue;
+        }
+        if after <= 0.0 && before > 0.0 {
+            events.push(Event::FeasibleEmptied { property: pid });
+        } else if after + 1e-9 < before {
+            events.push(Event::FeasibleReduced {
+                property: pid,
+                relative_size: after,
+            });
+        }
+    }
+    events
+}
+
+/// The DPM's region bookkeeping — feasible-size diffs over the region and
+/// known violations from the swept constraints — against a DPM running
+/// full propagation, and its feasibility events against a whole-network
+/// diff.
+#[test]
+fn region_bookkeeping_matches_full_propagation_on_random_streams() {
+    let scenarios = [
+        ("sensing", adpm_scenarios::sensing_system()),
+        ("receiver", adpm_scenarios::wireless_receiver()),
+        ("walkthrough", adpm_scenarios::lna_walkthrough()),
+        ("pipeline", adpm_scenarios::pipeline(6)),
+    ];
+    for (name, scenario) in &scenarios {
+        for seed in 1..=5u64 {
+            let mut full = scenario.build_dpm(DpmConfig {
+                propagation_kind: PropagationKind::Full,
+                ..DpmConfig::adpm()
+            });
+            let mut region = scenario.build_dpm(DpmConfig::adpm());
+            full.initialize();
+            region.initialize();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut executed, mut events, mut violations) = (0, 0, 0);
+            for step in 0..120 {
+                let Some(operation) = random_operation(&region, &mut rng) else {
+                    continue;
+                };
+                let context = format!("{name} seed {seed} step {step}: {operation:?}");
+                let before = relative_sizes(&region);
+                let (f, r) = (
+                    full.execute(operation.clone()),
+                    region.execute(operation.clone()),
+                );
+                let (f, r) = match (f, r) {
+                    (Ok(f), Ok(r)) => (f, r),
+                    (Err(f), Err(r)) => {
+                        assert_eq!(f, r, "{context}");
+                        continue;
+                    }
+                    (f, r) => panic!("{context}: full {f:?}, region {r:?}"),
+                };
+                executed += 1;
+                violations += r.new_violations.len();
+                assert_eq!(f.new_violations, r.new_violations, "{context}");
+                assert_eq!(f.violations_after, r.violations_after, "{context}");
+                assert_eq!(
+                    full.known_violations(),
+                    region.known_violations(),
+                    "{context}"
+                );
+                for dpm in [&full, &region] {
+                    assert_eq!(
+                        dpm.known_violations(),
+                        dpm.network().violated_constraints(),
+                        "{context}"
+                    );
+                }
+                let diffed = feasibility_events(&before, &operation, &region);
+                for designer in full.designers().to_vec() {
+                    let routed = region.take_notifications(designer);
+                    events += routed.len();
+                    let viewpoint = region.viewpoint(designer);
+                    let expected: Vec<&Event> = diffed
+                        .iter()
+                        .filter(|e| viewpoint.matches(e, region.problems(), region.network()))
+                        .collect();
+                    let feasibility: Vec<&Event> = routed
+                        .iter()
+                        .filter(|e| {
+                            matches!(
+                                e,
+                                Event::FeasibleReduced { .. } | Event::FeasibleEmptied { .. }
+                            )
+                        })
+                        .collect();
+                    assert_eq!(feasibility, expected, "{context}: diff for {designer}");
+                    assert_eq!(
+                        full.take_notifications(designer),
+                        routed,
+                        "{context}: notifications of {designer}"
+                    );
+                }
+            }
+            // The streams must exercise what is compared.
+            assert!(
+                executed > 20 && events > 0 && violations > 0,
+                "{name} seed {seed}: {executed} operations, {events} events, \
+                 {violations} new violations"
+            );
+        }
+    }
 }

@@ -155,7 +155,8 @@ fn wire_subscriptions_receive_exactly_the_in_process_stream() {
                     assert!(outcome.record().is_some(), "{name}: {outcome:?}");
                     for (i, d) in designers.iter().enumerate() {
                         expected[i].extend(in_process.take_notifications(*d));
-                        delivered[i].extend(inboxes[i].drain().into_iter().map(|e| e.event));
+                        delivered[i]
+                            .extend(inboxes[i].drain().into_iter().map(|e| (*e.event).clone()));
                     }
                 }
                 assert!(inboxes.iter().all(|inbox| inbox.dropped() == 0));
