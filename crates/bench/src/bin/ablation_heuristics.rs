@@ -8,7 +8,9 @@
 //! is an extension, not a paper figure.)
 
 use adpm_bench::{write_results_json, JsonRow, PhaseRecorder};
-use adpm_teamsim::{run_once_with_sink, Batch, ForwardOrdering, HeuristicToggles, SimulationConfig};
+use adpm_teamsim::{
+    run_once_with_sink, Batch, ForwardOrdering, HeuristicToggles, SimulationConfig,
+};
 
 const SEEDS: u64 = 30;
 
@@ -27,7 +29,10 @@ fn main() {
             "- feasible-subspace values (§2.3.1)",
             Box::new(|h| h.feasible_values = false),
         ),
-        ("- alpha repair targeting (§2.3.3)", Box::new(|h| h.alpha_repair = false)),
+        (
+            "- alpha repair targeting (§2.3.3)",
+            Box::new(|h| h.alpha_repair = false),
+        ),
         (
             "- direction-aware repair (§3.1.1)",
             Box::new(|h| h.direction_repair = false),
@@ -40,7 +45,10 @@ fn main() {
             "indirect-beta forward ordering (§2.3.2 ext)",
             Box::new(|h| h.forward_ordering = ForwardOrdering::BetaIndirect),
         ),
-        ("no heuristics at all", Box::new(|h| *h = HeuristicToggles::none())),
+        (
+            "no heuristics at all",
+            Box::new(|h| *h = HeuristicToggles::none()),
+        ),
     ];
 
     let mut json = Vec::new();

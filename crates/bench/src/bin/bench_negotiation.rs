@@ -116,7 +116,11 @@ fn decisions(dpm: &DesignProcessManager) -> Vec<Decision> {
     out
 }
 
-fn fresh_dpm(scenario: &CompiledScenario, seed: u64, sink: &Arc<InMemorySink>) -> DesignProcessManager {
+fn fresh_dpm(
+    scenario: &CompiledScenario,
+    seed: u64,
+    sink: &Arc<InMemorySink>,
+) -> DesignProcessManager {
     let config = SimulationConfig::for_mode(ManagementMode::Conventional, seed);
     let mut dpm = scenario.build_dpm(config.dpm_config());
     dpm.set_sink(sink.clone() as Arc<dyn MetricsSink>);
@@ -184,9 +188,9 @@ fn backtrack(
             return true;
         };
         let args = snapshot.network().constraint(seed).argument_slice();
-        let culprit = stack.iter().rposition(|d| {
-            args.contains(&d.property) && snapshot.network().is_bound(d.property)
-        });
+        let culprit = stack
+            .iter()
+            .rposition(|d| args.contains(&d.property) && snapshot.network().is_bound(d.property));
         let Some(at) = culprit else {
             // No retractable decision feeds this violation.
             return false;
@@ -442,7 +446,9 @@ fn main() {
         "ops to consistency: negotiation {} vs baseline {} ({}% of the backtracking cost)",
         negotiation.ops,
         baseline.ops,
-        (negotiation.ops * 100).checked_div(baseline.ops).unwrap_or(100)
+        (negotiation.ops * 100)
+            .checked_div(baseline.ops)
+            .unwrap_or(100)
     );
     println!(
         "decisions kept: negotiation {} vs baseline {} (backtracking buys consistency by retracting design decisions)",
@@ -463,7 +469,10 @@ fn main() {
             .u64("negotiation_rounds", rounds.get(Counter::NegotiationRounds))
             .u64("proposals_sent", rounds.get(Counter::ProposalsSent))
             .u64("conflicts_resolved", rounds.get(Counter::ConflictsResolved))
-            .u64("conflicts_abandoned", rounds.get(Counter::ConflictsAbandoned))
+            .u64(
+                "conflicts_abandoned",
+                rounds.get(Counter::ConflictsAbandoned),
+            )
             .finish(),
     );
 

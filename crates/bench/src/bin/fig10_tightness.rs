@@ -50,7 +50,10 @@ fn main() {
         .cloned()
         .fold(1.0f64, f64::max);
     for (i, gain) in gains.iter().enumerate() {
-        println!("  gain>={gain:<4} conv |{}", bar(conv_means[i], 55.0 / peak, '#'));
+        println!(
+            "  gain>={gain:<4} conv |{}",
+            bar(conv_means[i], 55.0 / peak, '#')
+        );
         println!("  {:<9} adpm |{}", "", bar(adpm_means[i], 55.0 / peak, '*'));
     }
 

@@ -23,8 +23,11 @@ fn main() {
     let scenario = adpm_scenarios::sensing_system();
     let seed = typical_seed(&scenario);
     let mut recorder = PhaseRecorder::new();
-    let conventional =
-        run_once_with_sink(&scenario, SimulationConfig::conventional(seed), recorder.sink());
+    let conventional = run_once_with_sink(
+        &scenario,
+        SimulationConfig::conventional(seed),
+        recorder.sink(),
+    );
     recorder.mark("conventional");
     let adpm = run_once_with_sink(&scenario, SimulationConfig::adpm(seed), recorder.sink());
     recorder.mark("adpm");

@@ -62,9 +62,7 @@ fn main() {
         .collect();
     let per_op_penalty: Vec<f64> = rows
         .iter()
-        .map(|(_, c, a)| {
-            a.evaluations_per_operation().mean / c.evaluations_per_operation().mean
-        })
+        .map(|(_, c, a)| a.evaluations_per_operation().mean / c.evaluations_per_operation().mean)
         .collect();
     for (i, (name, _, _)) in rows.iter().enumerate() {
         println!(

@@ -137,9 +137,7 @@ impl CollabClient {
         let deadline = Instant::now() + self.request_timeout;
         loop {
             match self.poll_frame(deadline)? {
-                None => {
-                    return Err(WireError::timeout("timed out waiting for a response"))
-                }
+                None => return Err(WireError::timeout("timed out waiting for a response")),
                 // Hold async notifications for next_event().
                 Some(event @ Frame::Event { .. }) => self.events.push_back(event),
                 Some(reply) => return Ok(reply),

@@ -316,8 +316,11 @@ fn drive(
 }
 
 fn outcome(dpm: DesignProcessManager, setup_evaluations: usize) -> ConcurrentOutcome {
-    let per_operation: Vec<OperationStat> =
-        dpm.history().iter().map(OperationStat::from_record).collect();
+    let per_operation: Vec<OperationStat> = dpm
+        .history()
+        .iter()
+        .map(OperationStat::from_record)
+        .collect();
     let stats = RunStats {
         completed: dpm.design_complete(),
         operations: dpm.history().len(),
@@ -359,7 +362,13 @@ pub fn run_concurrent_dpm(
             ..SessionOptions::default()
         },
     );
-    drive(&designers, config, turn_barrier, &engine.handle(), &Transport::InProcess);
+    drive(
+        &designers,
+        config,
+        turn_barrier,
+        &engine.handle(),
+        &Transport::InProcess,
+    );
     outcome(engine.shutdown(), setup_evaluations)
 }
 
@@ -433,8 +442,12 @@ mod tests {
     fn concurrent_history_replays_faithfully() {
         let scenario = sensing_system();
         let config = SimulationConfig::adpm(3);
-        let outcome =
-            run_concurrent_dpm(scenario.build_dpm(config.dpm_config()), &config, false, None);
+        let outcome = run_concurrent_dpm(
+            scenario.build_dpm(config.dpm_config()),
+            &config,
+            false,
+            None,
+        );
         assert!(!outcome.dpm.history().is_empty());
         let mut fresh = scenario.build_dpm(config.dpm_config());
         fresh.initialize();
@@ -464,8 +477,11 @@ mod tests {
             "seed=9,drop=0.08,dup=0.1,corrupt=0.05,truncate=0.05,delay=0.2:2ms,kill=9"
                 .parse()
                 .expect("plan");
-        let chaotic =
-            run_concurrent_remote(scenario.build_dpm(config.dpm_config()), &config, Some(&plan));
+        let chaotic = run_concurrent_remote(
+            scenario.build_dpm(config.dpm_config()),
+            &config,
+            Some(&plan),
+        );
         assert_eq!(clean.stats.operations, chaotic.stats.operations);
         assert_eq!(
             state_fingerprint(&clean.dpm),

@@ -244,14 +244,19 @@ impl FaultInjector {
             return FaultAction::Write(Vec::new());
         }
         let mut bytes = line.to_vec();
-        if self.plan.corrupt > 0.0 && self.rng.gen_range(0.0..1.0) < self.plan.corrupt && bytes.len() > 2 {
+        if self.plan.corrupt > 0.0
+            && self.rng.gen_range(0.0..1.0) < self.plan.corrupt
+            && bytes.len() > 2
+        {
             // A raw control byte mid-line: invalid JSON, guaranteed parse
             // error on the receiving side, line sync preserved.
             let at = self.rng.gen_range(1..bytes.len() - 1);
             bytes[at] = 0x01;
             self.fault();
         }
-        if self.plan.truncate > 0.0 && self.rng.gen_range(0.0..1.0) < self.plan.truncate && bytes.len() > 2
+        if self.plan.truncate > 0.0
+            && self.rng.gen_range(0.0..1.0) < self.plan.truncate
+            && bytes.len() > 2
         {
             // Cut mid-line *including* the newline: the stub fuses with
             // the next frame, producing the torn-line shape the reader's
@@ -315,9 +320,7 @@ impl DiskFaultInjector {
         DiskFaultInjector {
             plan: plan.clone(),
             rng: StdRng::seed_from_u64(
-                plan.seed
-                    ^ DISK_STREAM_SALT
-                    ^ (stream.wrapping_add(1)).wrapping_mul(SEED_STRIDE),
+                plan.seed ^ DISK_STREAM_SALT ^ (stream.wrapping_add(1)).wrapping_mul(SEED_STRIDE),
             ),
             injected: 0,
             sink: None,
@@ -400,7 +403,10 @@ mod tests {
 
     #[test]
     fn empty_plan_is_the_default() {
-        assert_eq!("".parse::<FaultPlan>().expect("empty"), FaultPlan::default());
+        assert_eq!(
+            "".parse::<FaultPlan>().expect("empty"),
+            FaultPlan::default()
+        );
     }
 
     #[test]
@@ -462,9 +468,7 @@ mod tests {
 
     #[test]
     fn disk_fault_stream_is_deterministic_and_decorrelated() {
-        let plan: FaultPlan = "seed=9,enospc=0.4,short_write=0.3"
-            .parse()
-            .expect("valid");
+        let plan: FaultPlan = "seed=9,enospc=0.4,short_write=0.3".parse().expect("valid");
         let run = |stream| {
             let mut injector = DiskFaultInjector::new(&plan, stream);
             (0..64).map(|_| injector.on_write(100)).collect::<Vec<_>>()

@@ -23,9 +23,7 @@ use adpm_constraint::{
     explain_violation, minimal_conflict_set, ConstraintId, HeuristicReport, PropertyId, Relation,
     Relaxation,
 };
-use adpm_core::{
-    DesignProcessManager, DesignerId, Event, NegotiationAnswer, Operation, Proposal,
-};
+use adpm_core::{DesignProcessManager, DesignerId, Event, NegotiationAnswer, Operation, Proposal};
 use adpm_teamsim::NegotiationPolicy;
 use std::collections::BTreeSet;
 
@@ -250,11 +248,7 @@ fn participants<'a>(
 }
 
 /// Appends `event` to the transcript once per participant.
-fn broadcast(
-    transcript: &mut Vec<(DesignerId, Event)>,
-    participants: &[DesignerId],
-    event: Event,
-) {
+fn broadcast(transcript: &mut Vec<(DesignerId, Event)>, participants: &[DesignerId], event: Event) {
     for d in participants {
         transcript.push((*d, event.clone()));
     }
@@ -404,7 +398,11 @@ mod tests {
             .add_property(Property::new("P-front", "rx", Domain::interval(0.0, 300.0)))
             .unwrap();
         let ps = net
-            .add_property(Property::new("P-ser", "deser", Domain::interval(0.0, 300.0)))
+            .add_property(Property::new(
+                "P-ser",
+                "deser",
+                Domain::interval(0.0, 300.0),
+            ))
             .unwrap();
         let budget = net
             .add_constraint("power", var(pf) + var(ps), Relation::Le, cst(200.0))
@@ -523,16 +521,13 @@ mod tests {
         // Round 1 is countered; round 2's proposal is accepted.
         assert!(outcome.rounds >= 2 || outcome.operation.is_none());
         if outcome.operation.is_some() {
-            assert!(outcome
-                .transcript
-                .iter()
-                .any(|(_, e)| matches!(
-                    e,
-                    Event::NegotiationAnswered {
-                        answer: NegotiationAnswer::Counter,
-                        ..
-                    }
-                )));
+            assert!(outcome.transcript.iter().any(|(_, e)| matches!(
+                e,
+                Event::NegotiationAnswered {
+                    answer: NegotiationAnswer::Counter,
+                    ..
+                }
+            )));
         }
     }
 

@@ -242,11 +242,12 @@ impl ResilientClient {
         let request_timeout = self.config.request_timeout;
         let max_attempts = self.config.max_attempts;
         let mut exchange = move |client: &mut CollabClient, cid: u64, _last: u64| {
-            client.send(&Frame::Submit {
-                op: op.clone(),
-                cid: Some(cid),
-            })
-            .map_err(|e| WireError::io(format!("send failed: {e}")))?;
+            client
+                .send(&Frame::Submit {
+                    op: op.clone(),
+                    cid: Some(cid),
+                })
+                .map_err(|e| WireError::io(format!("send failed: {e}")))?;
             // Wait for *this* submission's verdict: responses to earlier,
             // abandoned submissions (a duplicate delivered by the network,
             // a response lost mid-read) carry a different cid and are
@@ -570,7 +571,11 @@ mod tests {
             })
             .expect("submit across reconnect");
         assert!(matches!(verdict, Frame::Executed { .. }), "{verdict:?}");
-        assert_eq!(client.reconnects(), 1, "re-established connections count as reconnects");
+        assert_eq!(
+            client.reconnects(),
+            1,
+            "re-established connections count as reconnects"
+        );
         client.force_disconnect();
         let verdict = client
             .submit(WireOp::Verify {
@@ -630,7 +635,11 @@ mod tests {
         assign(&mut actor, "sensor.s-area", 4.0);
         let mut indices = Vec::new();
         while let Some(Frame::Event { idx, .. }) = watcher
-            .next_event(Duration::from_millis(if indices.is_empty() { 5000 } else { 300 }))
+            .next_event(Duration::from_millis(if indices.is_empty() {
+                5000
+            } else {
+                300
+            }))
             .expect("event")
         {
             indices.push(idx);
@@ -661,7 +670,10 @@ mod tests {
         let mut sorted = indices.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(indices, sorted, "indices must be strictly ascending: {indices:?}");
+        assert_eq!(
+            indices, sorted,
+            "indices must be strictly ascending: {indices:?}"
+        );
         server.shutdown();
     }
 
@@ -714,7 +726,11 @@ mod tests {
         assign(&mut actor, "sensor.s-area", 4.0);
         let mut indices = Vec::new();
         while let Some(Frame::Event { idx, .. }) = watcher
-            .next_event(Duration::from_millis(if indices.is_empty() { 5000 } else { 300 }))
+            .next_event(Duration::from_millis(if indices.is_empty() {
+                5000
+            } else {
+                300
+            }))
             .expect("event")
         {
             indices.push(idx);
@@ -742,7 +758,10 @@ mod tests {
         let mut sorted = indices.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(indices, sorted, "indices must be strictly ascending: {indices:?}");
+        assert_eq!(
+            indices, sorted,
+            "indices must be strictly ascending: {indices:?}"
+        );
 
         // Both operations landed in the named session, not the default.
         let dpm = server.shutdown();
@@ -780,7 +799,10 @@ mod tests {
             };
             let mut line = String::new();
             reader.read_line(&mut line).expect("hello");
-            assert!(line.contains("\"t\":\"hello\""), "expected hello, got {line}");
+            assert!(
+                line.contains("\"t\":\"hello\""),
+                "expected hello, got {line}"
+            );
             reply(&Frame::Welcome {
                 mode: "adpm".into(),
                 designers: 7,
@@ -799,10 +821,16 @@ mod tests {
             });
             line.clear();
             reader.read_line(&mut line).expect("resubmit");
-            let Ok(Frame::Submit { cid: Some(second), .. }) = Frame::parse_line(&line) else {
+            let Ok(Frame::Submit {
+                cid: Some(second), ..
+            }) = Frame::parse_line(&line)
+            else {
                 panic!("expected the resubmission, got {line}");
             };
-            assert_eq!(second, cid, "the retry must reuse the shed submission's cid");
+            assert_eq!(
+                second, cid,
+                "the retry must reuse the shed submission's cid"
+            );
             let waited = shed_at.elapsed();
             assert!(
                 waited >= Duration::from_millis(40),
@@ -834,7 +862,10 @@ mod tests {
                 value: 4.0,
             })
             .expect("submit");
-        assert!(matches!(verdict, Frame::Executed { seq: 1, .. }), "{verdict:?}");
+        assert!(
+            matches!(verdict, Frame::Executed { seq: 1, .. }),
+            "{verdict:?}"
+        );
         drop(client);
         script.join().expect("scripted server");
     }
@@ -853,7 +884,10 @@ mod tests {
             let b = config.backoff(attempt, &mut rng);
             let uncapped = Duration::from_millis(100 * (1 << (attempt - 1).min(16)));
             let cap = uncapped.min(config.max_backoff);
-            assert!(b >= cap.mul_f64(0.5) && b < cap.mul_f64(1.5), "attempt {attempt}: {b:?}");
+            assert!(
+                b >= cap.mul_f64(0.5) && b < cap.mul_f64(1.5),
+                "attempt {attempt}: {b:?}"
+            );
         }
     }
 }

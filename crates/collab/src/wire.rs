@@ -798,10 +798,11 @@ impl Frame {
                 field_str(out, "outcome", outcome);
                 field_u64(out, "idx", *idx);
             }
-            Frame::NegotiationRejected { message } => {
-                field_str(out, "message", message)
-            }
-            Frame::Overloaded { retry_after_ms, cid } => {
+            Frame::NegotiationRejected { message } => field_str(out, "message", message),
+            Frame::Overloaded {
+                retry_after_ms,
+                cid,
+            } => {
                 field_u64(out, "retry_after_ms", *retry_after_ms);
                 field_opt_u64(out, "cid", *cid);
             }
@@ -825,8 +826,7 @@ impl Frame {
             )));
         }
         let text = line.trim_end_matches(['\n', '\r']);
-        let fields =
-            parse_object(text, 0).map_err(|e| WireError::new(e.message))?;
+        let fields = parse_object(text, 0).map_err(|e| WireError::new(e.message))?;
         let Some((first_key, first_value)) = fields.first() else {
             return Err(WireError::new("empty frame"));
         };
@@ -861,7 +861,9 @@ impl Frame {
             match get(key) {
                 None => Ok(None),
                 Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-                    WireError::new(format!("`{key}` must be a non-negative integer in `{tag}` frame"))
+                    WireError::new(format!(
+                        "`{key}` must be a non-negative integer in `{tag}` frame"
+                    ))
                 }),
             }
         };
@@ -1341,9 +1343,7 @@ mod tests {
             Frame::CreateSession {
                 name: "team-alpha".into(),
             },
-            Frame::AttachSession {
-                name: "s2".into(),
-            },
+            Frame::AttachSession { name: "s2".into() },
             Frame::ListSessions,
             Frame::DetachSession,
             Frame::SessionAttached {
@@ -1491,41 +1491,87 @@ mod tests {
             ("{\"t\":\"hello\"}", "needs integer `designer`"),
             ("{\"t\":\"hello\",\"designer\":-1}", "needs integer"),
             ("{\"t\":\"subscribe\",\"all\":1}", "needs boolean"),
-            ("{\"t\":\"assign\",\"problem\":\"p\"}", "needs string `property`"),
-            ("{\"t\":\"assign\",\"problem\":\"p\",\"property\":\"o.x\",\"value\":\"high\"}",
-             "needs number"),
+            (
+                "{\"t\":\"assign\",\"problem\":\"p\"}",
+                "needs string `property`",
+            ),
+            (
+                "{\"t\":\"assign\",\"problem\":\"p\",\"property\":\"o.x\",\"value\":\"high\"}",
+                "needs number",
+            ),
             ("{\"t\":\"hello\",\"designer\":{}}", "nested"),
-            ("{\"t\":\"unbind\",\"problem\":\"p\",\"property\":\"o.x\",\"cid\":\"x\"}",
-             "non-negative integer"),
-            ("{\"t\":\"subscribe\",\"all\":true,\"resume_from\":-3}",
-             "non-negative integer"),
+            (
+                "{\"t\":\"unbind\",\"problem\":\"p\",\"property\":\"o.x\",\"cid\":\"x\"}",
+                "non-negative integer",
+            ),
+            (
+                "{\"t\":\"subscribe\",\"all\":true,\"resume_from\":-3}",
+                "non-negative integer",
+            ),
             ("{\"t\":\"ping\"}", "needs integer `nonce`"),
             ("{\"t\":\"create\"}", "needs string `name`"),
             ("{\"t\":\"attach\",\"name\":7}", "needs string `name`"),
-            ("{\"t\":\"session\",\"name\":\"s1\"}", "needs boolean `created`"),
-            ("{\"t\":\"sessions\",\"names\":\"a,b\"}", "needs integer `count`"),
-            ("{\"t\":\"attach_rejected\",\"name\":\"x\"}", "needs string `reason`"),
+            (
+                "{\"t\":\"session\",\"name\":\"s1\"}",
+                "needs boolean `created`",
+            ),
+            (
+                "{\"t\":\"sessions\",\"names\":\"a,b\"}",
+                "needs integer `count`",
+            ),
+            (
+                "{\"t\":\"attach_rejected\",\"name\":\"x\"}",
+                "needs string `reason`",
+            ),
             ("{\"t\":\"stats\",\"all\":1}", "must be a boolean"),
-            ("{\"t\":\"watch\",\"all\":true}", "needs integer `interval_ms`"),
-            ("{\"t\":\"stats_reply\",\"connections\":1}", "needs string `session`"),
-            ("{\"t\":\"stats_reply\",\"session\":\"s\"}", "needs integer `connections`"),
-            ("{\"t\":\"dump_reply\",\"session\":\"s\"}", "needs integer `count`"),
+            (
+                "{\"t\":\"watch\",\"all\":true}",
+                "needs integer `interval_ms`",
+            ),
+            (
+                "{\"t\":\"stats_reply\",\"connections\":1}",
+                "needs string `session`",
+            ),
+            (
+                "{\"t\":\"stats_reply\",\"session\":\"s\"}",
+                "needs integer `connections`",
+            ),
+            (
+                "{\"t\":\"dump_reply\",\"session\":\"s\"}",
+                "needs integer `count`",
+            ),
             ("{\"t\":\"flight\",\"idx\":1}", "needs string `line`"),
             ("{\"t\":\"propose\"}", "needs string `constraint`"),
-            ("{\"t\":\"propose\",\"constraint\":\"C\",\"slack\":\"big\"}",
-             "must be a number"),
-            ("{\"t\":\"propose\",\"constraint\":\"C\",\"kind\":7}",
-             "must be a string"),
-            ("{\"t\":\"counter\",\"seq\":1,\"round\":1,\"designer\":0}",
-             "needs string `kind`"),
-            ("{\"t\":\"accept\",\"seq\":1,\"round\":1}", "needs integer `designer`"),
-            ("{\"t\":\"reject\",\"seq\":1,\"designer\":0}", "needs integer `round`"),
-            ("{\"t\":\"resolved\",\"constraint\":\"C\",\"rounds\":1,\"proposals\":1}",
-             "needs string `outcome`"),
+            (
+                "{\"t\":\"propose\",\"constraint\":\"C\",\"slack\":\"big\"}",
+                "must be a number",
+            ),
+            (
+                "{\"t\":\"propose\",\"constraint\":\"C\",\"kind\":7}",
+                "must be a string",
+            ),
+            (
+                "{\"t\":\"counter\",\"seq\":1,\"round\":1,\"designer\":0}",
+                "needs string `kind`",
+            ),
+            (
+                "{\"t\":\"accept\",\"seq\":1,\"round\":1}",
+                "needs integer `designer`",
+            ),
+            (
+                "{\"t\":\"reject\",\"seq\":1,\"designer\":0}",
+                "needs integer `round`",
+            ),
+            (
+                "{\"t\":\"resolved\",\"constraint\":\"C\",\"rounds\":1,\"proposals\":1}",
+                "needs string `outcome`",
+            ),
             ("{\"t\":\"negotiation_rejected\"}", "needs string `message`"),
             ("{\"t\":\"overloaded\"}", "needs integer `retry_after_ms`"),
-            ("{\"t\":\"overloaded\",\"retry_after_ms\":5,\"cid\":\"x\"}",
-             "non-negative integer"),
+            (
+                "{\"t\":\"overloaded\",\"retry_after_ms\":5,\"cid\":\"x\"}",
+                "non-negative integer",
+            ),
             ("not json", "expected"),
             ("{}", "empty frame"),
         ] {
@@ -1552,7 +1598,16 @@ mod tests {
             p99_us: 3,
         }
         .to_line();
-        let metadata = ["t", "session", "connections", "watch", "events", "p50_us", "p90_us", "p99_us"];
+        let metadata = [
+            "t",
+            "session",
+            "connections",
+            "watch",
+            "events",
+            "p50_us",
+            "p90_us",
+            "p99_us",
+        ];
         let fields = parse_object(line.trim_end(), 0).expect("flat JSON");
         let mut counter_fields = 0;
         for (key, _) in &fields {
@@ -1565,7 +1620,11 @@ mod tests {
             );
             counter_fields += 1;
         }
-        assert_eq!(counter_fields, Counter::COUNT, "every counter crosses the wire");
+        assert_eq!(
+            counter_fields,
+            Counter::COUNT,
+            "every counter crosses the wire"
+        );
     }
 
     #[test]
@@ -1615,7 +1674,10 @@ mod tests {
             buffer.take(),
             Some(BufferedLine::Line(line.trim_end().to_owned()))
         );
-        assert_eq!(buffer.take(), Some(BufferedLine::Line("{\"t\":\"bye\"}".into())));
+        assert_eq!(
+            buffer.take(),
+            Some(BufferedLine::Line("{\"t\":\"bye\"}".into()))
+        );
         assert_eq!(buffer.take(), None);
     }
 
@@ -1634,7 +1696,10 @@ mod tests {
                 bytes: (MAX_LINE_BYTES + 10 + 5) as u64
             })
         );
-        assert_eq!(buffer.take(), Some(BufferedLine::Line("{\"t\":\"bye\"}".into())));
+        assert_eq!(
+            buffer.take(),
+            Some(BufferedLine::Line("{\"t\":\"bye\"}".into()))
+        );
     }
 
     #[test]
@@ -1644,7 +1709,10 @@ mod tests {
         buffer.push(&[0xff, 0xfe, b'\n']);
         buffer.push(Frame::End.to_line().as_bytes());
         assert_eq!(buffer.take(), Some(BufferedLine::Skipped { bytes: 3 }));
-        assert_eq!(buffer.take(), Some(BufferedLine::Line("{\"t\":\"end\"}".into())));
+        assert_eq!(
+            buffer.take(),
+            Some(BufferedLine::Line("{\"t\":\"end\"}".into()))
+        );
         assert_eq!(buffer.take(), None);
     }
 }

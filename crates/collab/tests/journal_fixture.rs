@@ -102,7 +102,10 @@ fn journal_bytes_match_the_pinned_fixture() {
         );
     }
     assert_eq!(written, pinned, "journal bytes drifted from the fixture");
-    assert_eq!(format!("{:016x}", state_fingerprint(&live)), FINAL_FINGERPRINT);
+    assert_eq!(
+        format!("{:016x}", state_fingerprint(&live)),
+        FINAL_FINGERPRINT
+    );
 }
 
 #[test]

@@ -160,7 +160,8 @@ impl CompiledConstraint {
     /// Lowers `constraint` to a flat program.
     pub(crate) fn compile(constraint: &Constraint) -> Self {
         let vars = constraint.argument_slice().to_vec();
-        let mut ops = Vec::with_capacity(constraint.lhs().node_count() + constraint.rhs().node_count());
+        let mut ops =
+            Vec::with_capacity(constraint.lhs().node_count() + constraint.rhs().node_count());
         // Reverse preorder: rhs first, and second children first — see the
         // module docs for why descending index order must equal the
         // interpreter's backward visit order.
@@ -409,8 +410,12 @@ fn lower(expr: &Expr, vars: &[PropertyId], ops: &mut Vec<Op>) -> u32 {
         Expr::Exp(e) => Op::Exp(lower(e, vars, ops)),
         Expr::Ln(e) => Op::Ln(lower(e, vars, ops)),
         Expr::Powi(e, n) => Op::Powi(lower(e, vars, ops), *n),
-        Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b)
-        | Expr::Min(a, b) | Expr::Max(a, b) => {
+        Expr::Add(a, b)
+        | Expr::Sub(a, b)
+        | Expr::Mul(a, b)
+        | Expr::Div(a, b)
+        | Expr::Min(a, b)
+        | Expr::Max(a, b) => {
             let ib = lower(b, vars, ops);
             let ia = lower(a, vars, ops);
             match expr {

@@ -141,9 +141,7 @@ pub enum RelaxError {
 impl fmt::Display for RelaxError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RelaxError::EqualityWiden => {
-                f.write_str("equality constraints have no bound to widen")
-            }
+            RelaxError::EqualityWiden => f.write_str("equality constraints have no bound to widen"),
             RelaxError::BadSlack { slack } => {
                 write!(f, "slack must be finite and positive, got {slack}")
             }
@@ -259,13 +257,8 @@ impl Constraint {
                 // `0 <= 1`: ids, indices, and journaled histories stay
                 // valid, and the propagator handles it as an
                 // ordinary (argument-free) constraint.
-                let mut relaxed = Constraint::new(
-                    self.id,
-                    self.name.clone(),
-                    cst(0.0),
-                    Relation::Le,
-                    cst(1.0),
-                );
+                let mut relaxed =
+                    Constraint::new(self.id, self.name.clone(), cst(0.0), Relation::Le, cst(1.0));
                 relaxed.soft = self.soft;
                 Ok(relaxed)
             }

@@ -126,9 +126,9 @@ impl Domain {
     pub fn contains(&self, value: &Value) -> bool {
         match (self, value) {
             (Domain::Interval(iv), Value::Number(x)) => iv.contains(*x),
-            (Domain::NumberSet(v), Value::Number(x)) => {
-                v.iter().any(|y| (y - x).abs() <= VALUE_EPS * (1.0 + x.abs()))
-            }
+            (Domain::NumberSet(v), Value::Number(x)) => v
+                .iter()
+                .any(|y| (y - x).abs() <= VALUE_EPS * (1.0 + x.abs())),
             (Domain::TextSet(v), Value::Text(s)) => v.iter().any(|t| t == s),
             (
                 Domain::Bool {
@@ -175,7 +175,12 @@ impl Domain {
             Domain::Interval(own) => Domain::Interval(own.intersect(iv)),
             Domain::NumberSet(v) => {
                 let tolerant = iv.inflate(1e-9);
-                Domain::NumberSet(v.iter().copied().filter(|x| tolerant.contains(*x)).collect())
+                Domain::NumberSet(
+                    v.iter()
+                        .copied()
+                        .filter(|x| tolerant.contains(*x))
+                        .collect(),
+                )
             }
             other => other.clone(),
         }
@@ -447,7 +452,10 @@ mod tests {
     fn relative_size_of_unbounded_initial_is_finite() {
         let init = Domain::interval(0.0, f64::INFINITY);
         assert_eq!(init.relative_size(&init), 1.0);
-        assert_eq!(Domain::interval(1.0, f64::INFINITY).relative_size(&init), 1.0);
+        assert_eq!(
+            Domain::interval(1.0, f64::INFINITY).relative_size(&init),
+            1.0
+        );
         assert_eq!(Domain::interval(1.0, 4.0).relative_size(&init), 0.0);
         assert_eq!(Domain::empty().relative_size(&init), 0.0);
     }
@@ -489,7 +497,10 @@ mod tests {
             "{0.174255 0.500000}"
         );
         assert_eq!(Domain::number_set([1.0, 2.0]).to_string(), "{1, 2}");
-        assert_eq!(Domain::text_set(["Transistor", "Geometry"]).to_string(), "{Transistor, Geometry}");
+        assert_eq!(
+            Domain::text_set(["Transistor", "Geometry"]).to_string(),
+            "{Transistor, Geometry}"
+        );
     }
 
     #[test]

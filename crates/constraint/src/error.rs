@@ -125,7 +125,10 @@ mod tests {
             let s = e.to_string();
             assert!(!s.is_empty());
             assert!(!s.ends_with('.'), "{s}");
-            assert!(s.chars().next().unwrap().is_lowercase() || s.starts_with("cannot"), "{s}");
+            assert!(
+                s.chars().next().unwrap().is_lowercase() || s.starts_with("cannot"),
+                "{s}"
+            );
         }
     }
 

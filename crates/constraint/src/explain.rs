@@ -172,10 +172,18 @@ mod tests {
     fn gain_net() -> (ConstraintNetwork, PropertyId, PropertyId, ConstraintId) {
         let mut net = ConstraintNetwork::new();
         let g = net
-            .add_property(Property::new("LNA-gain", "lna", Domain::interval(0.0, 100.0)))
+            .add_property(Property::new(
+                "LNA-gain",
+                "lna",
+                Domain::interval(0.0, 100.0),
+            ))
             .unwrap();
         let loss = net
-            .add_property(Property::new("flt-loss", "filter", Domain::interval(1.0, 25.0)))
+            .add_property(Property::new(
+                "flt-loss",
+                "filter",
+                Domain::interval(1.0, 25.0),
+            ))
             .unwrap();
         let c = net
             .add_constraint("TotalGain", var(g) - var(loss), Relation::Ge, cst(28.0))
@@ -209,7 +217,11 @@ mod tests {
             .find(|a| a.property == g)
             .expect("gain present");
         // With loss pinned at 19.5 the gain must be >= 47.5.
-        assert!((gain_arg.required.lo() - 47.5).abs() < 1e-9, "{}", gain_arg.required);
+        assert!(
+            (gain_arg.required.lo() - 47.5).abs() < 1e-9,
+            "{}",
+            gain_arg.required
+        );
         assert_eq!(gain_arg.helps, Some(HelpsDirection::Up));
 
         let loss_arg = explanation
@@ -218,7 +230,11 @@ mod tests {
             .find(|a| a.property == loss)
             .expect("loss present");
         // With gain pinned at 40 the loss must be <= 12.
-        assert!((loss_arg.required.hi() - 12.0).abs() < 1e-9, "{}", loss_arg.required);
+        assert!(
+            (loss_arg.required.hi() - 12.0).abs() < 1e-9,
+            "{}",
+            loss_arg.required
+        );
         assert_eq!(loss_arg.helps, Some(HelpsDirection::Down));
     }
 
@@ -266,8 +282,10 @@ mod tests {
         let x = net
             .add_property(Property::new("x", "o", Domain::interval(0.0, 10.0)))
             .unwrap();
-        net.add_constraint("lo", var(x), Relation::Ge, cst(8.0)).unwrap();
-        net.add_constraint("hi", var(x), Relation::Le, cst(2.0)).unwrap();
+        net.add_constraint("lo", var(x), Relation::Ge, cst(8.0))
+            .unwrap();
+        net.add_constraint("hi", var(x), Relation::Le, cst(2.0))
+            .unwrap();
         net.bind(x, Value::number(5.0)).unwrap();
         net.evaluate_statuses();
         let all = explain_all_violations(&net);

@@ -404,9 +404,12 @@ mod tests {
         let d = net
             .add_property(Property::new("d", "o", Domain::interval(0.0, 10.0)))
             .unwrap();
-        net.add_constraint("ab", var(a), Relation::Le, var(b)).unwrap();
-        net.add_constraint("bc", var(b), Relation::Le, var(c)).unwrap();
-        net.add_constraint("cd", var(c), Relation::Le, var(d)).unwrap();
+        net.add_constraint("ab", var(a), Relation::Le, var(b))
+            .unwrap();
+        net.add_constraint("bc", var(b), Relation::Le, var(c))
+            .unwrap();
+        net.add_constraint("cd", var(c), Relation::Le, var(d))
+            .unwrap();
         net.evaluate_statuses();
         let report = HeuristicReport::mine(&net);
         // a touches `ab` directly and `bc` through b.
@@ -431,13 +434,8 @@ mod tests {
         // even the sampling fallback finds no single helpful direction).
         net.add_constraint("mono", var(a), Relation::Ge, cst(8.0))
             .unwrap();
-        net.add_constraint(
-            "band",
-            (var(b) - cst(5.0)).abs(),
-            Relation::Le,
-            cst(0.25),
-        )
-        .unwrap();
+        net.add_constraint("band", (var(b) - cst(5.0)).abs(), Relation::Le, cst(0.25))
+            .unwrap();
         net.bind(a, Value::number(1.0)).unwrap();
         net.bind(b, Value::number(1.0)).unwrap();
         net.evaluate_statuses();

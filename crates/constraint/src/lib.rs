@@ -79,7 +79,9 @@ mod value;
 pub use constraint::{Constraint, ConstraintStatus, Relation, RelaxError, Relaxation, EQ_TOL};
 pub use domain::Domain;
 pub use error::NetworkError;
-pub use explain::{explain_all_violations, explain_violation, ArgumentDiagnosis, ViolationExplanation};
+pub use explain::{
+    explain_all_violations, explain_violation, ArgumentDiagnosis, ViolationExplanation,
+};
 pub use expr::Expr;
 pub use heuristics::{HeuristicReport, PropertyInsight};
 pub use ids::{ConstraintId, PropertyId};

@@ -144,9 +144,7 @@ pub fn local_helps_direction(
             0.0
         }
     };
-    let margin_at = |x: f64| {
-        constraint.margin(&|id| if id == pid { x } else { point(id) })
-    };
+    let margin_at = |x: f64| constraint.margin(&|id| if id == pid { x } else { point(id) });
     let here = margin_at(current);
     let up = margin_at(current + probe);
     let down = margin_at(current - probe);
@@ -162,7 +160,10 @@ pub fn local_helps_direction(
         };
     }
     let eps = 1e-12 * (1.0 + here.abs());
-    match (up.is_finite() && up > here + eps, down.is_finite() && down > here + eps) {
+    match (
+        up.is_finite() && up > here + eps,
+        down.is_finite() && down > here + eps,
+    ) {
         (true, false) => Some(HelpsDirection::Up),
         (false, true) => Some(HelpsDirection::Down),
         (true, true) => {
@@ -345,7 +346,8 @@ mod tests {
         let c = net
             .add_constraint("cap", var(ids[0]), Relation::Le, cst(5.0))
             .unwrap();
-        net.declare_monotonic(c, ids[0], HelpsDirection::Up).unwrap();
+        net.declare_monotonic(c, ids[0], HelpsDirection::Up)
+            .unwrap();
         assert_eq!(helps_direction(&net, c, ids[0]), Some(HelpsDirection::Up));
     }
 
@@ -418,7 +420,12 @@ mod tests {
     fn local_direction_on_band_constraint() {
         let (mut net, ids) = net3();
         let c = net
-            .add_constraint("band", (var(ids[0]) - cst(5.0)).abs(), Relation::Le, cst(1.0))
+            .add_constraint(
+                "band",
+                (var(ids[0]) - cst(5.0)).abs(),
+                Relation::Le,
+                cst(1.0),
+            )
             .unwrap();
         assert_eq!(
             local_helps_direction(&net, c, ids[0], 8.0, 0.1),
@@ -458,12 +465,7 @@ mod tests {
     fn product_of_positives_is_monotone_in_each_factor() {
         let (mut net, ids) = net3();
         let c = net
-            .add_constraint(
-                "rc",
-                var(ids[0]) * var(ids[1]),
-                Relation::Le,
-                cst(20.0),
-            )
+            .add_constraint("rc", var(ids[0]) * var(ids[1]), Relation::Le, cst(20.0))
             .unwrap();
         assert_eq!(helps_direction(&net, c, ids[0]), Some(HelpsDirection::Down));
         assert_eq!(helps_direction(&net, c, ids[1]), Some(HelpsDirection::Down));

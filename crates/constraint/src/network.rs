@@ -255,13 +255,13 @@ impl ConstraintNetwork {
         let id = ConstraintId::new(self.constraints.len() as u32);
         let constraint = Constraint::new(id, name, lhs, rel, rhs);
         for arg in constraint.argument_slice() {
-            let state = self
-                .properties
-                .get(arg.index())
-                .ok_or(NetworkError::DanglingReference {
-                    constraint: constraint.name().to_owned(),
-                    property: *arg,
-                })?;
+            let state =
+                self.properties
+                    .get(arg.index())
+                    .ok_or(NetworkError::DanglingReference {
+                        constraint: constraint.name().to_owned(),
+                        property: *arg,
+                    })?;
             if !state.meta.initial.is_numeric() {
                 return Err(NetworkError::NonNumericArgument {
                     constraint: constraint.name().to_owned(),
@@ -392,7 +392,10 @@ impl ConstraintNetwork {
         let mut groups: BTreeMap<usize, Vec<ConstraintId>> = BTreeMap::new();
         for i in 0..n {
             let root = find(&mut parent, i);
-            groups.entry(root).or_default().push(ConstraintId::new(i as u32));
+            groups
+                .entry(root)
+                .or_default()
+                .push(ConstraintId::new(i as u32));
         }
         let mut components: Vec<Vec<ConstraintId>> = groups.into_values().collect();
         components.sort_by_key(|c| c[0].index());
@@ -726,10 +729,12 @@ impl ConstraintNetwork {
             .constraints
             .get(cid.index())
             .ok_or(NetworkError::UnknownConstraint(cid))?;
-        let new = old.relaxed(relaxation).map_err(|source| NetworkError::Relax {
-            constraint: old.name().to_owned(),
-            source,
-        })?;
+        let new = old
+            .relaxed(relaxation)
+            .map_err(|source| NetworkError::Relax {
+                constraint: old.name().to_owned(),
+                source,
+            })?;
         for arg in old.arguments() {
             if !new.involves(arg) {
                 self.prop_constraints[arg.index()].retain(|c| *c != cid);
@@ -1067,8 +1072,12 @@ mod tests {
         let mut net = ConstraintNetwork::new();
         let ids: Vec<PropertyId> = (0..4)
             .map(|i| {
-                net.add_property(Property::new(format!("x{i}"), "o", Domain::interval(0.0, 1.0)))
-                    .unwrap()
+                net.add_property(Property::new(
+                    format!("x{i}"),
+                    "o",
+                    Domain::interval(0.0, 1.0),
+                ))
+                .unwrap()
             })
             .collect();
         // Chain: c0(x0,x1), c1(x1,x2), c2(x2,x3).
@@ -1082,7 +1091,7 @@ mod tests {
         assert_eq!(net.beta_extended(ids[0], 2), 2); // + c1 via x1
         assert_eq!(net.beta_extended(ids[0], 3), 3); // + c2 via x2
         assert_eq!(net.beta_extended(ids[0], 9), 3); // saturates
-        // Middle property reaches everything in two hops.
+                                                     // Middle property reaches everything in two hops.
         assert_eq!(net.beta_extended(ids[1], 1), 2);
         assert_eq!(net.beta_extended(ids[1], 2), 3);
     }

@@ -593,7 +593,10 @@ fn collect_narrowed(net: &ConstraintNetwork) -> Vec<PropertyId> {
     net.property_ids()
         .filter(|pid| {
             !net.is_bound(*pid)
-                && net.feasible(*pid).relative_size(net.property(*pid).initial_domain()) < 1.0
+                && net
+                    .feasible(*pid)
+                    .relative_size(net.property(*pid).initial_domain())
+                    < 1.0
         })
         .collect()
 }
@@ -967,9 +970,7 @@ mod tests {
     use crate::value::Value;
     use proptest::prelude::*;
 
-    fn net_with(
-        domains: &[(f64, f64)],
-    ) -> (ConstraintNetwork, Vec<PropertyId>) {
+    fn net_with(domains: &[(f64, f64)]) -> (ConstraintNetwork, Vec<PropertyId>) {
         let mut net = ConstraintNetwork::new();
         let ids = domains
             .iter()
@@ -1301,7 +1302,10 @@ mod tests {
         let lines = adpm_observe::parse_trace(&text).unwrap();
         let waves: Vec<_> = lines.iter().filter(|l| l.tag() == "wave").collect();
         assert_eq!(waves.len(), out.waves);
-        let wave_evals: u64 = waves.iter().map(|l| l.u64_field("evaluations").unwrap()).sum();
+        let wave_evals: u64 = waves
+            .iter()
+            .map(|l| l.u64_field("evaluations").unwrap())
+            .sum();
         let done = lines.iter().find(|l| l.tag() == "propagation").unwrap();
         // The propagation line's total includes the final status sweep, the
         // per-wave lines only the worklist revisions.
@@ -1738,13 +1742,8 @@ mod tests {
     /// operator repertoire in one component.
     fn dense_net() -> (ConstraintNetwork, Vec<PropertyId>) {
         let (mut net, ids) = net_with(&[(0.0, 300.0), (0.0, 300.0), (1.0, 16.0), (-50.0, 50.0)]);
-        net.add_constraint(
-            "power",
-            var(ids[0]) + var(ids[1]),
-            Relation::Le,
-            cst(200.0),
-        )
-        .unwrap();
+        net.add_constraint("power", var(ids[0]) + var(ids[1]), Relation::Le, cst(200.0))
+            .unwrap();
         net.add_constraint("sqrt", var(ids[2]).sqrt(), Relation::Le, cst(3.0))
             .unwrap();
         net.add_constraint(

@@ -5,7 +5,7 @@
 use adpm_constraint::expr::{cst, var};
 use adpm_constraint::{
     hc4_revise, minimal_conflict_set, propagate, subset_conflicts, Constraint, ConstraintId,
-    ConstraintNetwork, Domain, Interval, Property, PropertyId, PropagationConfig, Relation, Value,
+    ConstraintNetwork, Domain, Interval, PropagationConfig, Property, PropertyId, Relation, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;

@@ -110,7 +110,10 @@ pub fn conflict_view(network: &ConstraintNetwork, report: &HeuristicReport) -> S
     let mut out = String::from("CONFLICTS\n");
     for cid in network.violated_constraints() {
         let c = network.constraint(cid);
-        out.push_str(&format!("{:<24}Violated\n", format!("{}-{}", c.name(), cid)));
+        out.push_str(&format!(
+            "{:<24}Violated\n",
+            format!("{}-{}", c.name(), cid)
+        ));
         // Fig. 4 also shows the values each property would need
         // ("[48.000000 48.000000] required by LNAGain-C10").
         if let Some(explanation) = explain_violation(network, cid) {
@@ -169,7 +172,11 @@ mod tests {
             )
             .unwrap();
         let ind = net
-            .add_property(Property::new("Freq-ind", "LNA+Mixer", Domain::interval(0.0, 0.5)))
+            .add_property(Property::new(
+                "Freq-ind",
+                "LNA+Mixer",
+                Domain::interval(0.0, 0.5),
+            ))
             .unwrap();
         net.add_constraint("LNAPower", var(w) * cst(10.0), Relation::Le, cst(200.0))
             .unwrap();
@@ -203,8 +210,12 @@ mod tests {
     #[test]
     fn object_browser_filters_by_object() {
         let mut net = lna_net();
-        net.add_property(Property::new("beam-len", "Filter", Domain::interval(5.0, 20.0)))
-            .unwrap();
+        net.add_property(Property::new(
+            "beam-len",
+            "Filter",
+            Domain::interval(5.0, 20.0),
+        ))
+        .unwrap();
         let view = object_browser(&net, "LNA+Mixer");
         assert!(!view.contains("beam-len"));
     }

@@ -612,7 +612,8 @@ impl DesignProcessManager {
         // Propagation evaluations were already counted by the DCM's own
         // instrumentation; only verification tool runs are added here.
         self.sink.incr(Counter::Operations, 1);
-        self.sink.incr(Counter::Evaluations, verify_evaluations as u64);
+        self.sink
+            .incr(Counter::Evaluations, verify_evaluations as u64);
         self.sink
             .incr(Counter::Violations, record.new_violations.len() as u64);
         self.sink.incr(Counter::Notifications, delivered as u64);
@@ -675,9 +676,9 @@ impl DesignProcessManager {
         let Some(target) = operation.operator().target_property() else {
             return false;
         };
-        self.known_violations
-            .iter()
-            .any(|cid| self.network.is_cross_object(*cid) && self.network.constraint(*cid).involves(target))
+        self.known_violations.iter().any(|cid| {
+            self.network.is_cross_object(*cid) && self.network.constraint(*cid).involves(target)
+        })
     }
 
     /// Folds one executed operation into the minimal state program (see
@@ -885,10 +886,7 @@ impl DesignProcessManager {
                 .predecessors()
                 .iter()
                 .all(|p| self.problems.problem(*p).status() == ProblemStatus::Solved);
-            let outputs_bound = problem
-                .outputs()
-                .iter()
-                .all(|p| self.network.is_bound(*p));
+            let outputs_bound = problem.outputs().iter().all(|p| self.network.is_bound(*p));
             let constraints_satisfied = problem
                 .constraints()
                 .iter()
@@ -896,9 +894,7 @@ impl DesignProcessManager {
             let solved = children_solved && outputs_bound && constraints_satisfied;
             let status = if solved {
                 ProblemStatus::Solved
-            } else if (!problem.children().is_empty() && !children_solved)
-                || !predecessors_solved
-            {
+            } else if (!problem.children().is_empty() && !children_solved) || !predecessors_solved {
                 // Waiting on subproblems or on the declared partial order;
                 // problem selection (f_p) skips Waiting problems.
                 ProblemStatus::Waiting
@@ -909,7 +905,8 @@ impl DesignProcessManager {
             if status != was {
                 self.problems.problem_mut(pid).set_status(status);
                 if status == ProblemStatus::Solved {
-                    self.event_buffer.push(Event::ProblemSolved { problem: pid });
+                    self.event_buffer
+                        .push(Event::ProblemSolved { problem: pid });
                 }
             }
         }
@@ -927,7 +924,9 @@ mod tests {
     /// Two-subsystem fixture modelled on the paper's receiver power budget:
     /// `P_f + P_s <= 200`, with the front-end and deserializer designed by
     /// different designers (so the budget is a cross-object constraint).
-    fn fixture(mode: ManagementMode) -> (
+    fn fixture(
+        mode: ManagementMode,
+    ) -> (
         DesignProcessManager,
         DesignerId,
         DesignerId,
@@ -945,7 +944,9 @@ mod tests {
         fixture_with(config)
     }
 
-    fn fixture_with(config: DpmConfig) -> (
+    fn fixture_with(
+        config: DpmConfig,
+    ) -> (
         DesignProcessManager,
         DesignerId,
         DesignerId,
@@ -958,10 +959,18 @@ mod tests {
     ) {
         let mut net = ConstraintNetwork::new();
         let pf = net
-            .add_property(Property::new("P-front", "frontend", Domain::interval(0.0, 300.0)))
+            .add_property(Property::new(
+                "P-front",
+                "frontend",
+                Domain::interval(0.0, 300.0),
+            ))
             .unwrap();
         let ps = net
-            .add_property(Property::new("P-ser", "deser", Domain::interval(0.0, 300.0)))
+            .add_property(Property::new(
+                "P-ser",
+                "deser",
+                Domain::interval(0.0, 300.0),
+            ))
             .unwrap();
         let budget = net
             .add_constraint("power", var(pf) + var(ps), Relation::Le, cst(200.0))
@@ -1071,10 +1080,7 @@ mod tests {
         dpm.execute(Operation::assign(d1, deser, ps, Value::number(40.0)))
             .unwrap();
         assert!(dpm.known_violations().is_empty());
-        assert_eq!(
-            dpm.network().status(budget),
-            ConstraintStatus::Consistent
-        );
+        assert_eq!(dpm.network().status(budget), ConstraintStatus::Consistent);
     }
 
     #[test]
@@ -1089,9 +1095,7 @@ mod tests {
         assert_eq!(dpm.spins(), 0);
         // The repair operation reacts to a known cross-subsystem violation.
         let record = dpm
-            .execute(
-                Operation::assign(d1, deser, ps, Value::number(40.0)).with_repairs([budget]),
-            )
+            .execute(Operation::assign(d1, deser, ps, Value::number(40.0)).with_repairs([budget]))
             .unwrap();
         assert!(record.spin);
         assert_eq!(dpm.spins(), 1);
@@ -1132,10 +1136,7 @@ mod tests {
         dpm.execute(Operation::assign(d1, deser, ps, Value::number(60.0)))
             .unwrap();
         assert!(dpm.design_complete());
-        assert_eq!(
-            dpm.problems().problem(top).status(),
-            ProblemStatus::Solved
-        );
+        assert_eq!(dpm.problems().problem(top).status(), ProblemStatus::Solved);
         assert_eq!(
             dpm.problems().problem(front).status(),
             ProblemStatus::Solved
@@ -1148,8 +1149,7 @@ mod tests {
 
     #[test]
     fn conventional_needs_verification_to_complete() {
-        let (mut dpm, d0, d1, top, front, deser, pf, ps, _) =
-            fixture(ManagementMode::Conventional);
+        let (mut dpm, d0, d1, top, front, deser, pf, ps, _) = fixture(ManagementMode::Conventional);
         dpm.execute(Operation::assign(d0, front, pf, Value::number(120.0)))
             .unwrap();
         dpm.execute(Operation::assign(d1, deser, ps, Value::number(60.0)))
@@ -1264,7 +1264,10 @@ mod tests {
         assert!((narrowed.hi() - 50.0).abs() < 1e-9);
         dpm.execute(Operation::unbind(d0, front, pf)).unwrap();
         let restored = dpm.network().feasible(ps).enclosing_interval().unwrap();
-        assert!((restored.hi() - 200.0).abs() < 1e-9, "restored = {restored}");
+        assert!(
+            (restored.hi() - 200.0).abs() < 1e-9,
+            "restored = {restored}"
+        );
     }
 
     #[test]
@@ -1296,7 +1299,8 @@ mod tests {
                 .unwrap();
             net.add_constraint("xy", var(x) + var(y), Relation::Le, cst(12.0))
                 .unwrap();
-            net.add_constraint("z", var(z), Relation::Le, cst(7.0)).unwrap();
+            net.add_constraint("z", var(z), Relation::Le, cst(7.0))
+                .unwrap();
             let mut dpm = DesignProcessManager::new(net, config);
             let d = dpm.add_designer();
             let top = dpm.problems_mut().add_root("top");
@@ -1369,10 +1373,8 @@ mod tests {
         dpm.execute(Operation::assign(d1, deser, ps, Value::number(100.0)))
             .unwrap();
         dpm.execute(Operation::verify(d0, top)).unwrap();
-        dpm.execute(
-            Operation::assign(d1, deser, ps, Value::number(40.0)).with_repairs([budget]),
-        )
-        .unwrap();
+        dpm.execute(Operation::assign(d1, deser, ps, Value::number(40.0)).with_repairs([budget]))
+            .unwrap();
         dpm.execute(Operation::verify(d0, top)).unwrap();
 
         assert_eq!(sink.get(Counter::Operations), dpm.history().len() as u64);
@@ -1412,17 +1414,32 @@ mod tests {
 
         let ghost_designer = DesignerId::new(99);
         assert_eq!(
-            dpm.validate_operation(&Operation::assign(ghost_designer, front, pf, Value::number(1.0))),
+            dpm.validate_operation(&Operation::assign(
+                ghost_designer,
+                front,
+                pf,
+                Value::number(1.0)
+            )),
             Err(OperationError::UnknownDesigner(ghost_designer))
         );
         let ghost_problem = ProblemId::new(99);
         assert_eq!(
-            dpm.validate_operation(&Operation::assign(d0, ghost_problem, pf, Value::number(1.0))),
+            dpm.validate_operation(&Operation::assign(
+                d0,
+                ghost_problem,
+                pf,
+                Value::number(1.0)
+            )),
             Err(OperationError::UnknownProblem(ghost_problem))
         );
         let ghost_property = PropertyId::new(99);
         assert_eq!(
-            dpm.validate_operation(&Operation::assign(d0, front, ghost_property, Value::number(1.0))),
+            dpm.validate_operation(&Operation::assign(
+                d0,
+                front,
+                ghost_property,
+                Value::number(1.0)
+            )),
             Err(OperationError::UnknownProperty(ghost_property))
         );
         let ghost_constraint = ConstraintId::new(99);
@@ -1430,7 +1447,9 @@ mod tests {
             dpm.validate_operation(&Operation::new(
                 d0,
                 top,
-                Operator::Verify { constraints: vec![ghost_constraint] },
+                Operator::Verify {
+                    constraints: vec![ghost_constraint]
+                },
             )),
             Err(OperationError::UnknownConstraint(ghost_constraint))
         );

@@ -379,8 +379,12 @@ mod tests {
         let top = problems.add_root("system");
         let analog = problems.decompose(top, "analog");
         let filter = problems.decompose(top, "filter");
-        problems.problem_mut(analog).set_assignee(Some(DesignerId::new(0)));
-        problems.problem_mut(filter).set_assignee(Some(DesignerId::new(1)));
+        problems
+            .problem_mut(analog)
+            .set_assignee(Some(DesignerId::new(0)));
+        problems
+            .problem_mut(filter)
+            .set_assignee(Some(DesignerId::new(1)));
         *problems.problem_mut(analog) = problems
             .problem(analog)
             .clone()

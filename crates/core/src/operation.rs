@@ -206,7 +206,11 @@ impl fmt::Display for Operation {
                 )
             }
             Operator::Unbind { property } => {
-                write!(f, "{}: unbind {property} on {}", self.designer, self.problem)
+                write!(
+                    f,
+                    "{}: unbind {property} on {}",
+                    self.designer, self.problem
+                )
             }
             Operator::Verify { constraints } => {
                 if constraints.is_empty() {
@@ -275,7 +279,12 @@ mod tests {
                 .kind(),
             "assign"
         );
-        assert_eq!(Operation::unbind(d, p, PropertyId::new(1)).operator().kind(), "unbind");
+        assert_eq!(
+            Operation::unbind(d, p, PropertyId::new(1))
+                .operator()
+                .kind(),
+            "unbind"
+        );
         assert_eq!(Operation::verify(d, p).operator().kind(), "verify");
         assert_eq!(
             Operation::decompose(d, p, ["a", "b"]).operator().kind(),

@@ -6,8 +6,8 @@
 //! *Waiting* until its children are solved, which is how the paper's `f_p`
 //! (problem selection) skips it.
 
-use adpm_constraint::{ConstraintId, PropertyId};
 use crate::ids::{DesignerId, ProblemId};
+use adpm_constraint::{ConstraintId, PropertyId};
 use std::fmt;
 
 /// Level of accomplishment of a design problem.
@@ -97,10 +97,7 @@ impl DesignProblem {
     /// addressed — the partial order of the paper's decomposition
     /// operators ("decomposing p_i into a partially-ordered subproblem
     /// set").
-    pub fn with_predecessors(
-        mut self,
-        predecessors: impl IntoIterator<Item = ProblemId>,
-    ) -> Self {
+    pub fn with_predecessors(mut self, predecessors: impl IntoIterator<Item = ProblemId>) -> Self {
         self.predecessors = predecessors.into_iter().collect();
         self
     }
@@ -357,8 +354,7 @@ mod tests {
 
     #[test]
     fn predecessors_round_trip() {
-        let p = DesignProblem::new(ProblemId::new(2), "b")
-            .with_predecessors([ProblemId::new(1)]);
+        let p = DesignProblem::new(ProblemId::new(2), "b").with_predecessors([ProblemId::new(1)]);
         assert_eq!(p.predecessors(), &[ProblemId::new(1)]);
     }
 

@@ -182,8 +182,7 @@ pub fn audit_trace(trace: &[TraceLine], history: &[OperationRecord]) -> TraceAud
             continue;
         };
         let matches = line.str_field("kind") == Some(record.operation.operator().kind())
-            && line.u64_field("designer")
-                == Some(record.operation.designer().index() as u64)
+            && line.u64_field("designer") == Some(record.operation.designer().index() as u64)
             && line.u64_field("evaluations") == Some(record.evaluations as u64)
             && line.u64_field("violations_after") == Some(record.violations_after as u64)
             && line.u64_field("new_violations") == Some(record.new_violations.len() as u64)
@@ -210,7 +209,11 @@ mod tests {
         ConstraintNetwork, Domain, Property, Relation, Value,
     };
 
-    fn build() -> (ConstraintNetwork, adpm_constraint::PropertyId, adpm_constraint::PropertyId) {
+    fn build() -> (
+        ConstraintNetwork,
+        adpm_constraint::PropertyId,
+        adpm_constraint::PropertyId,
+    ) {
         let mut net = ConstraintNetwork::new();
         let x = net
             .add_property(Property::new("x", "a", Domain::interval(0.0, 10.0)))
@@ -295,8 +298,7 @@ mod tests {
             .unwrap();
         let mut history = donor.history().to_vec();
         // Corrupt the history with an out-of-range value.
-        history[0].operation =
-            Operation::assign(d, top, x, Value::number(999.0));
+        history[0].operation = Operation::assign(d, top, x, Value::number(999.0));
         let mut fresh = dpm_for(&net, DpmConfig::adpm());
         assert!(replay_history(&history, &mut fresh).is_err());
     }

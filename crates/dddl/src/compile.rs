@@ -305,11 +305,8 @@ impl CompiledScenario {
                 .iter()
                 .map(|name| self.constraints[name.as_str()])
                 .collect();
-            let predecessors: Vec<ProblemId> = decl
-                .after
-                .iter()
-                .map(|name| ids[name.as_str()])
-                .collect();
+            let predecessors: Vec<ProblemId> =
+                decl.after.iter().map(|name| ids[name.as_str()]).collect();
             let mut problem = dpm
                 .problems()
                 .problem(pid)
@@ -395,7 +392,10 @@ mod tests {
         assert_eq!(dpm.problems().len(), 3);
         assert_eq!(dpm.designers().len(), 2);
         let root = dpm.problems().root().unwrap();
-        assert_eq!(dpm.problems().problem(root).status(), ProblemStatus::Waiting);
+        assert_eq!(
+            dpm.problems().problem(root).status(),
+            ProblemStatus::Waiting
+        );
         let pmax = s.property("rx", "P-max").unwrap();
         assert!(dpm.network().is_bound(pmax));
     }
@@ -435,10 +435,9 @@ mod tests {
 
     #[test]
     fn unknown_property_reference_fails_compilation() {
-        let err = compile_source(
-            "object o { property x : interval(0, 1); } constraint c: o.y <= 1;",
-        )
-        .unwrap_err();
+        let err =
+            compile_source("object o { property x : interval(0, 1); } constraint c: o.y <= 1;")
+                .unwrap_err();
         assert!(err.to_string().contains("unknown property reference `o.y`"));
     }
 

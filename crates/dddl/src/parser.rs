@@ -429,8 +429,8 @@ impl Parser {
                 }
                 other => {
                     return Err(self.error(format!(
-                        "expected `outputs`, `inputs`, `constraints`, or `designer`, found `{other}`"
-                    )))
+                    "expected `outputs`, `inputs`, `constraints`, or `designer`, found `{other}`"
+                )))
                 }
             }
         }
@@ -553,7 +553,10 @@ mod tests {
         assert_eq!(obj.properties.len(), 5);
         assert_eq!(obj.properties[0].units.as_deref(), Some("um"));
         assert_eq!(obj.properties[0].levels, vec!["Transistor", "Geometry"]);
-        assert_eq!(obj.properties[1].domain, DomainDecl::Set(vec![1.0, 2.0, 3.0]));
+        assert_eq!(
+            obj.properties[1].domain,
+            DomainDecl::Set(vec![1.0, 2.0, 3.0])
+        );
         assert_eq!(
             obj.properties[2].domain,
             DomainDecl::Choice(vec!["Transistor".into(), "Geometry".into()])
@@ -695,10 +698,8 @@ mod tests {
 
     #[test]
     fn error_on_bad_exponent() {
-        let err = parse(
-            "object o { property x : interval(0, 1); } constraint c: o.x ^ 1.5 <= 1;",
-        )
-        .unwrap_err();
+        let err = parse("object o { property x : interval(0, 1); } constraint c: o.x ^ 1.5 <= 1;")
+            .unwrap_err();
         assert!(err.to_string().contains("exponent"));
     }
 

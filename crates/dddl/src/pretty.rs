@@ -14,7 +14,12 @@ pub fn to_source(ast: &ScenarioAst) -> String {
     for object in &ast.objects {
         let _ = writeln!(out, "object {} {{", name(&object.name));
         for p in &object.properties {
-            let _ = write!(out, "    property {} : {}", name(&p.name), domain(&p.domain));
+            let _ = write!(
+                out,
+                "    property {} : {}",
+                name(&p.name),
+                domain(&p.domain)
+            );
             if let Some(units) = &p.units {
                 let _ = write!(out, " units \"{}\"", escape(units));
             }
@@ -46,7 +51,11 @@ pub fn to_source(ast: &ScenarioAst) -> String {
                 .map(|m| {
                     format!(
                         "{} in {}.{}",
-                        if m.increasing { "increasing" } else { "decreasing" },
+                        if m.increasing {
+                            "increasing"
+                        } else {
+                            "decreasing"
+                        },
                         name(&m.property.object),
                         name(&m.property.property)
                     )
@@ -94,8 +103,12 @@ fn refs(list: &[PropRef]) -> String {
 /// Quotes a name unless it is a plain identifier the lexer keeps whole.
 fn name(s: &str) -> String {
     let plain = !s.is_empty()
-        && s.chars().next().map(|c| c.is_ascii_alphabetic() || c == '_') == Some(true)
-        && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+        && s.chars()
+            .next()
+            .map(|c| c.is_ascii_alphabetic() || c == '_')
+            == Some(true)
+        && s.chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
         && !s.ends_with('-');
     if plain {
         s.to_owned()
@@ -139,11 +152,19 @@ fn domain(d: &DomainDecl) -> String {
         DomainDecl::Interval(lo, hi) => format!("interval({}, {})", number(*lo), number(*hi)),
         DomainDecl::Set(values) => format!(
             "set({})",
-            values.iter().map(|v| number(*v)).collect::<Vec<_>>().join(", ")
+            values
+                .iter()
+                .map(|v| number(*v))
+                .collect::<Vec<_>>()
+                .join(", ")
         ),
         DomainDecl::Choice(values) => format!(
             "choice({})",
-            values.iter().map(|v| name(v)).collect::<Vec<_>>().join(", ")
+            values
+                .iter()
+                .map(|v| name(v))
+                .collect::<Vec<_>>()
+                .join(", ")
         ),
         DomainDecl::Bool => "bool".to_owned(),
     }
@@ -288,10 +309,9 @@ mod tests {
 
     #[test]
     fn negative_literals_become_unary_minus() {
-        let ast = parse(
-            "object o { property x : interval(-5, 5) init -2; } constraint c: o.x >= -4;",
-        )
-        .expect("valid");
+        let ast =
+            parse("object o { property x : interval(-5, 5) init -2; } constraint c: o.x >= -4;")
+                .expect("valid");
         let printed = to_source(&ast);
         let again = parse(&printed).expect("re-parses");
         assert_eq!(ast, again);

@@ -308,7 +308,11 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<Token> {
-        tokenize(src).unwrap().into_iter().map(|s| s.token).collect()
+        tokenize(src)
+            .unwrap()
+            .into_iter()
+            .map(|s| s.token)
+            .collect()
     }
 
     #[test]
@@ -345,10 +349,7 @@ mod tests {
 
     #[test]
     fn identifiers_may_contain_dashes_but_subtraction_survives() {
-        assert_eq!(
-            kinds("beam-len"),
-            vec![Token::Ident("beam-len".into())]
-        );
+        assert_eq!(kinds("beam-len"), vec![Token::Ident("beam-len".into())]);
         assert_eq!(
             kinds("a - b"),
             vec![

@@ -140,23 +140,23 @@ fn scenario_ast() -> impl Strategy<Value = ScenarioAst> {
                 0..3,
             ),
         );
-        let constraints = proptest::collection::btree_map(
-            ident(),
-            (constraint, any::<bool>()),
-            0..4,
-        )
-        .prop_map(|map| -> Vec<ConstraintDecl> {
-            map.into_iter()
-                .map(|(name, ((lhs, rel, rhs, monotonic), soft))| ConstraintDecl {
-                    name,
-                    soft,
-                    lhs,
-                    rel,
-                    rhs,
-                    monotonic,
-                })
-                .collect()
-        });
+        let constraints =
+            proptest::collection::btree_map(ident(), (constraint, any::<bool>()), 0..4).prop_map(
+                |map| -> Vec<ConstraintDecl> {
+                    map.into_iter()
+                        .map(
+                            |(name, ((lhs, rel, rhs, monotonic), soft))| ConstraintDecl {
+                                name,
+                                soft,
+                                lhs,
+                                rel,
+                                rhs,
+                                monotonic,
+                            },
+                        )
+                        .collect()
+                },
+            );
         (Just(objects), constraints).prop_map(|(objects, constraints)| ScenarioAst {
             objects,
             constraints,

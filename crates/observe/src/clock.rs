@@ -124,8 +124,10 @@ mod tests {
 
     #[test]
     fn clocks_are_object_safe() {
-        let clocks: Vec<Box<dyn Clock>> =
-            vec![Box::new(MonotonicClock::new()), Box::new(ManualClock::new())];
+        let clocks: Vec<Box<dyn Clock>> = vec![
+            Box::new(MonotonicClock::new()),
+            Box::new(ManualClock::new()),
+        ];
         for clock in &clocks {
             let _ = clock.now_us();
         }

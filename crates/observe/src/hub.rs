@@ -276,10 +276,8 @@ pub fn parse_exposition(text: &str) -> BTreeMap<String, CounterSnapshot> {
             .split(',')
             .find_map(|label| label.strip_prefix("session=\""))
             .and_then(|v| v.strip_suffix('"'));
-        let (Some(session), Some(value)) = (
-            session,
-            rest[close + 1..].trim().parse::<u64>().ok(),
-        ) else {
+        let (Some(session), Some(value)) = (session, rest[close + 1..].trim().parse::<u64>().ok())
+        else {
             continue;
         };
         per_session
@@ -290,9 +288,8 @@ pub fn parse_exposition(text: &str) -> BTreeMap<String, CounterSnapshot> {
     per_session
         .into_iter()
         .map(|(session, values)| {
-            let snapshot = CounterSnapshot::from_fn(|c| {
-                values.get(&c.index()).copied().unwrap_or(0)
-            });
+            let snapshot =
+                CounterSnapshot::from_fn(|c| values.get(&c.index()).copied().unwrap_or(0));
             (session, snapshot)
         })
         .collect()
@@ -310,7 +307,13 @@ mod tests {
         let b = hub.register("s1");
         assert!(Arc::ptr_eq(&a, &b), "one session, one sink");
         a.incr(Counter::SessionOps, 3);
-        assert_eq!(hub.snapshot("s1").unwrap().counters.get(Counter::SessionOps), 3);
+        assert_eq!(
+            hub.snapshot("s1")
+                .unwrap()
+                .counters
+                .get(Counter::SessionOps),
+            3
+        );
         assert!(hub.snapshot("nope").is_none());
         hub.rollup().incr(Counter::Operations, 2);
         assert_eq!(hub.rollup_snapshot().counters.get(Counter::Operations), 2);
@@ -417,7 +420,9 @@ mod tests {
         write_exposition(&mut text, ROLLUP_SESSION, &snapshot);
         text.push_str("garbage line\nadpm_unknown_metric{session=\"x\"} 1\n");
         assert!(text.contains("adpm_operations{session=\"team-a\"} 12"));
-        assert!(text.contains("adpm_span_us{session=\"team-a\",span=\"session\",quantile=\"0.99\"}"));
+        assert!(
+            text.contains("adpm_span_us{session=\"team-a\",span=\"session\",quantile=\"0.99\"}")
+        );
         let parsed = parse_exposition(&text);
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed["team-a"], snapshot.counters);

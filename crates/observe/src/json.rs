@@ -133,10 +133,7 @@ pub fn field_f64(out: &mut String, key: &str, value: f64) {
 /// message when `text` is not exactly one flat JSON object: malformed
 /// syntax, nested objects/arrays, or trailing characters after the
 /// closing brace.
-pub fn parse_object(
-    text: &str,
-    line: usize,
-) -> Result<Vec<(String, JsonValue)>, TraceParseError> {
+pub fn parse_object(text: &str, line: usize) -> Result<Vec<(String, JsonValue)>, TraceParseError> {
     let mut parser = Parser {
         text,
         bytes: text.as_bytes(),
@@ -163,10 +160,9 @@ pub fn parse_object(
                 Some(b',') => continue,
                 Some(b'}') => break,
                 other => {
-                    return Err(parser.error(format!(
-                        "expected `,` or `}}`, found {}",
-                        describe(other)
-                    )))
+                    return Err(
+                        parser.error(format!("expected `,` or `}}`, found {}", describe(other)))
+                    )
                 }
             }
         }
@@ -233,7 +229,9 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'{' | b'[') => Err(self.error("nested values are not part of the trace schema".into())),
+            Some(b'{' | b'[') => {
+                Err(self.error("nested values are not part of the trace schema".into()))
+            }
             Some(_) => self.number(),
             None => Err(self.error("expected a value, found end of line".into())),
         }
@@ -299,11 +297,7 @@ impl Parser<'_> {
                                 .ok_or_else(|| self.error("\\u escape outside BMP".into()))?,
                         );
                     }
-                    other => {
-                        return Err(
-                            self.error(format!("unknown escape {}", describe(other)))
-                        )
-                    }
+                    other => return Err(self.error(format!("unknown escape {}", describe(other)))),
                 },
                 Some(byte) => {
                     // Re-assemble multi-byte UTF-8 sequences: back up and

@@ -1,9 +1,9 @@
 //! The JSONL trace sink and its reader.
 
+use crate::histogram::SpanKind;
 use crate::json::{parse_object, JsonValue, TraceParseError};
 use crate::sink::{InMemorySink, MetricsSink};
 use crate::trace::{Counter, TraceEvent};
-use crate::histogram::SpanKind;
 use std::fmt;
 use std::io::{BufWriter, Write};
 use std::path::Path;

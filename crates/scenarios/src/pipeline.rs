@@ -82,8 +82,14 @@ pub fn pipeline_dddl(n: usize) -> String {
         .collect::<Vec<_>>()
         .join(" + ");
     let _ = writeln!(out, "constraint TotalGain: {product} >= system.req-gain;");
-    let _ = writeln!(out, "constraint TotalPower: {power_sum} <= system.req-power;");
-    let _ = writeln!(out, "constraint TotalNoise: {noise_sum} <= system.req-noise;");
+    let _ = writeln!(
+        out,
+        "constraint TotalPower: {power_sum} <= system.req-power;"
+    );
+    let _ = writeln!(
+        out,
+        "constraint TotalNoise: {noise_sum} <= system.req-noise;"
+    );
 
     // Problem hierarchy: the leader owns the system budgets and matching.
     let mut top_constraints: Vec<String> =
@@ -127,10 +133,7 @@ mod tests {
             assert_eq!(s.network().property_count(), 5 * n + 3);
             assert_eq!(s.network().constraint_count(), 2 * n + (n - 1) + 3);
             assert_eq!(s.designer_count() as usize, n + 1);
-            assert_eq!(
-                s.build_dpm(DpmConfig::adpm()).problems().len(),
-                n + 1
-            );
+            assert_eq!(s.build_dpm(DpmConfig::adpm()).problems().len(), n + 1);
         }
     }
 
@@ -143,7 +146,9 @@ mod tests {
                 "{name} should couple subsystems"
             );
         }
-        assert!(!s.network().is_cross_object(s.constraint("GainPower1").unwrap()));
+        assert!(!s
+            .network()
+            .is_cross_object(s.constraint("GainPower1").unwrap()));
     }
 
     #[test]

@@ -261,8 +261,13 @@ mod tests {
         ];
         for (obj, name, value, problem, designer) in assignments {
             let pid = s.property(obj, name).unwrap();
-            dpm.execute(Operation::assign(designer, problem, pid, Value::number(value)))
-                .unwrap_or_else(|e| panic!("binding {obj}.{name}={value}: {e}"));
+            dpm.execute(Operation::assign(
+                designer,
+                problem,
+                pid,
+                Value::number(value),
+            ))
+            .unwrap_or_else(|e| panic!("binding {obj}.{name}={value}: {e}"));
         }
         assert!(
             dpm.known_violations().is_empty(),

@@ -140,9 +140,16 @@ mod tests {
             .constraint_ids()
             .filter(|cid| s.network().is_cross_object(*cid))
             .count();
-        assert!(cross >= 4, "expected several cross-object constraints, got {cross}");
-        assert!(s.network().is_cross_object(s.constraint("MeetArea").unwrap()));
-        assert!(s.network().is_cross_object(s.constraint("SenseGain").unwrap()));
+        assert!(
+            cross >= 4,
+            "expected several cross-object constraints, got {cross}"
+        );
+        assert!(s
+            .network()
+            .is_cross_object(s.constraint("MeetArea").unwrap()));
+        assert!(s
+            .network()
+            .is_cross_object(s.constraint("SenseGain").unwrap()));
     }
 
     #[test]
@@ -198,8 +205,13 @@ mod tests {
         ];
         for (obj, name, value, problem, designer) in assignments {
             let pid = s.property(obj, name).unwrap();
-            dpm.execute(Operation::assign(designer, problem, pid, Value::number(value)))
-                .unwrap_or_else(|e| panic!("binding {obj}.{name}={value}: {e}"));
+            dpm.execute(Operation::assign(
+                designer,
+                problem,
+                pid,
+                Value::number(value),
+            ))
+            .unwrap_or_else(|e| panic!("binding {obj}.{name}={value}: {e}"));
         }
         assert!(
             dpm.known_violations().is_empty(),
@@ -216,7 +228,13 @@ mod tests {
     fn requirements_are_bound_at_start() {
         let s = sensing_system();
         let dpm = s.build_dpm(DpmConfig::conventional());
-        for name in ["req-resolution", "req-range", "req-yield", "req-power", "req-area"] {
+        for name in [
+            "req-resolution",
+            "req-range",
+            "req-yield",
+            "req-power",
+            "req-area",
+        ] {
             let pid = s.property("system", name).unwrap();
             assert!(dpm.network().is_bound(pid), "{name} should be init-bound");
         }

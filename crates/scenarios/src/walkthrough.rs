@@ -112,13 +112,27 @@ mod tests {
 
         // 1. Device engineer adjusts the beam length to 13 µm and completes
         //    an initial filter version.
-        dpm.execute(Operation::assign(d[2], filter, beam_len, Value::number(13.0)))
-            .unwrap();
-        dpm.execute(Operation::assign(d[2], filter, flt_loss, Value::number(19.5)))
-            .unwrap();
+        dpm.execute(Operation::assign(
+            d[2],
+            filter,
+            beam_len,
+            Value::number(13.0),
+        ))
+        .unwrap();
+        dpm.execute(Operation::assign(
+            d[2],
+            filter,
+            flt_loss,
+            Value::number(19.5),
+        ))
+        .unwrap();
 
         // Fig. 2: the inductor's feasible subspace is now ≈ (0.186, 0.5) µH.
-        let ind = dpm.network().feasible(freq_ind).enclosing_interval().unwrap();
+        let ind = dpm
+            .network()
+            .feasible(freq_ind)
+            .enclosing_interval()
+            .unwrap();
         assert!((ind.lo() - 13.0 / 70.0).abs() < 1e-6, "ind = {ind}");
         assert!((ind.hi() - 0.5).abs() < 1e-9);
 
@@ -129,14 +143,23 @@ mod tests {
         assert_eq!(ranked[0], freq_ind);
 
         // 2. Circuit designer binds the inductor at 0.2 µH: no conflict.
-        dpm.execute(Operation::assign(d[1], analog, freq_ind, Value::number(0.2)))
-            .unwrap();
+        dpm.execute(Operation::assign(
+            d[1],
+            analog,
+            freq_ind,
+            Value::number(0.2),
+        ))
+        .unwrap();
         assert!(dpm.known_violations().is_empty());
 
         // Fig. 3: Diff-pair-W appears in several constraints (power,
         // impedance, gain) — β ≥ 3.
         let report = dpm.heuristics().unwrap();
-        assert!(report.insight(w).beta >= 3, "beta = {}", report.insight(w).beta);
+        assert!(
+            report.insight(w).beta >= 3,
+            "beta = {}",
+            report.insight(w).beta
+        );
 
         // Circuit designer sizes the differential pair at the small end to
         // save power, then completes the derived outputs.
@@ -163,10 +186,8 @@ mod tests {
 
         // 4. One re-sizing to 3.5 µm fixes both violations in a single
         //    iteration, exactly as in the paper.
-        dpm.execute(
-            Operation::assign(d[1], analog, w, Value::number(3.5)).with_repairs(violated),
-        )
-        .unwrap();
+        dpm.execute(Operation::assign(d[1], analog, w, Value::number(3.5)).with_repairs(violated))
+            .unwrap();
         assert!(dpm.known_violations().is_empty(), "both violations fixed");
     }
 
@@ -183,7 +204,9 @@ mod tests {
     #[test]
     fn cross_subsystem_constraints_drive_spins() {
         let s = lna_walkthrough();
-        assert!(s.network().is_cross_object(s.constraint("TotalGain").unwrap()));
+        assert!(s
+            .network()
+            .is_cross_object(s.constraint("TotalGain").unwrap()));
         assert!(s.network().is_cross_object(s.constraint("IndFc").unwrap()));
         assert!(!s.network().is_cross_object(s.constraint("PowerW").unwrap()));
     }

@@ -192,6 +192,9 @@ mod tests {
         let mut c = SimulationConfig::adpm(7);
         assert_eq!(c.dpm_config().propagation_kind, PropagationKind::Full);
         c.propagation_kind = PropagationKind::Incremental;
-        assert_eq!(c.dpm_config().propagation_kind, PropagationKind::Incremental);
+        assert_eq!(
+            c.dpm_config().propagation_kind,
+            PropagationKind::Incremental
+        );
     }
 }

@@ -31,8 +31,10 @@ use adpm_constraint::{
     helps_direction, local_helps_direction, ConstraintId, Domain, HelpsDirection, Interval,
     PropertyId, Value,
 };
-use adpm_core::{DesignProcessManager, DesignerId, ManagementMode, Operation, OperationRecord,
-                ProblemId, ProblemStatus};
+use adpm_core::{
+    DesignProcessManager, DesignerId, ManagementMode, Operation, OperationRecord, ProblemId,
+    ProblemStatus,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -400,9 +402,9 @@ impl SimulatedDesigner {
             .enclosing_interval()
             .unwrap_or(Interval::new(-1e6, 1e6));
         match current {
-            Some(v) => Some(self.delta_step(
-                target, v, direction, context, &hull, &initial, config, rng,
-            )),
+            Some(v) => {
+                Some(self.delta_step(target, v, direction, context, &hull, &initial, config, rng))
+            }
             None => self.pick_from_domain(&initial, direction, rng),
         }
     }
@@ -721,9 +723,8 @@ impl SimulatedDesigner {
         // Acting on a fully stale view (not consulting the browser at all)
         // is rarer than merely weighing secondary objectives.
         let stale = noisy && rng.gen_bool(0.3);
-        let use_feasible = !stale
-            && config.mode == ManagementMode::Adpm
-            && config.heuristics.feasible_values;
+        let use_feasible =
+            !stale && config.mode == ManagementMode::Adpm && config.heuristics.feasible_values;
         let domain = if use_feasible && !net.feasible(target).is_empty() {
             net.feasible(target).clone()
         } else {
@@ -745,7 +746,12 @@ impl SimulatedDesigner {
         }
         self.last_assignment = Some((target, value, context));
         let problem = self.problem_of_output(dpm, &open_problems, target);
-        Some(Operation::assign(self.id, problem, target, Value::number(value)))
+        Some(Operation::assign(
+            self.id,
+            problem,
+            target,
+            Value::number(value),
+        ))
     }
 
     /// Direction vote across *all* constraints connected to `target`
@@ -1006,7 +1012,9 @@ mod tests {
     fn forward_choice_targets_own_unbound_output() {
         let (dpm, mut designers) = adpm_setup();
         let config = SimulationConfig::adpm(1);
-        let op = designers[1].choose(&dpm, &config, &mut rng()).expect("has work");
+        let op = designers[1]
+            .choose(&dpm, &config, &mut rng())
+            .expect("has work");
         let target = op.operator().target_property().expect("assign op");
         // Designer 1 owns the analog problem's outputs.
         let analog = dpm.problems().assigned_to(designers[1].id())[0];
@@ -1053,15 +1061,40 @@ mod tests {
         let filter = dpm.problems().problem(top).children()[1];
         let w = s.property("LNA+Mixer", "Diff-pair-W").unwrap();
         for (pid, problem, designer, value) in [
-            (s.property("Filter", "beam-len").unwrap(), filter, d[2], 13.0),
-            (s.property("Filter", "flt-loss").unwrap(), filter, d[2], 19.5),
-            (s.property("LNA+Mixer", "Freq-ind").unwrap(), analog, d[1], 0.2),
+            (
+                s.property("Filter", "beam-len").unwrap(),
+                filter,
+                d[2],
+                13.0,
+            ),
+            (
+                s.property("Filter", "flt-loss").unwrap(),
+                filter,
+                d[2],
+                19.5,
+            ),
+            (
+                s.property("LNA+Mixer", "Freq-ind").unwrap(),
+                analog,
+                d[1],
+                0.2,
+            ),
             (w, analog, d[1], 3.0),
-            (s.property("system", "req-sys-gain").unwrap(), top, d[0], 30.0),
+            (
+                s.property("system", "req-sys-gain").unwrap(),
+                top,
+                d[0],
+                30.0,
+            ),
             (s.property("system", "req-zerr").unwrap(), top, d[0], 35.0),
         ] {
-            dpm.execute(Operation::assign(designer, problem, pid, Value::number(value)))
-                .unwrap();
+            dpm.execute(Operation::assign(
+                designer,
+                problem,
+                pid,
+                Value::number(value),
+            ))
+            .unwrap();
         }
         assert_eq!(dpm.known_violations().len(), 2);
         let config = SimulationConfig::adpm(1);
@@ -1077,7 +1110,10 @@ mod tests {
         assert!(new_value > 3.0, "expected an increase, got {new_value}");
         // Executing the repair clears both violations.
         dpm.execute(op).unwrap();
-        assert!(dpm.known_violations().is_empty(), "repair value {new_value}");
+        assert!(
+            dpm.known_violations().is_empty(),
+            "repair value {new_value}"
+        );
     }
 
     #[test]
@@ -1182,13 +1218,18 @@ mod tests {
     /// Builds a tiny DPM where `x` is pinched between `lo: x >= 8` (up)
     /// and `hi: x <= 2` (down) — a direction tie — plus a satisfied cap.
     fn pinched_dpm(mode: adpm_core::ManagementMode) -> (DesignProcessManager, PropertyId) {
-        use adpm_constraint::{expr::{cst, var}, ConstraintNetwork, Property, Relation};
+        use adpm_constraint::{
+            expr::{cst, var},
+            ConstraintNetwork, Property, Relation,
+        };
         let mut net = ConstraintNetwork::new();
         let x = net
             .add_property(Property::new("x", "o", Domain::interval(0.0, 10.0)))
             .unwrap();
-        net.add_constraint("lo", var(x), Relation::Ge, cst(8.0)).unwrap();
-        net.add_constraint("hi", var(x), Relation::Le, cst(9.5)).unwrap();
+        net.add_constraint("lo", var(x), Relation::Ge, cst(8.0))
+            .unwrap();
+        net.add_constraint("hi", var(x), Relation::Le, cst(9.5))
+            .unwrap();
         let config = match mode {
             adpm_core::ManagementMode::Adpm => adpm_core::DpmConfig::adpm(),
             adpm_core::ManagementMode::Conventional => adpm_core::DpmConfig::conventional(),
@@ -1213,13 +1254,22 @@ mod tests {
         let (mut dpm, x) = pinched_dpm(adpm_core::ManagementMode::Adpm);
         let top = dpm.problems().root().unwrap();
         let d = dpm.designers()[0];
-        dpm.execute(Operation::assign(d, top, x, Value::number(1.0))).unwrap();
+        dpm.execute(Operation::assign(d, top, x, Value::number(1.0)))
+            .unwrap();
         assert_eq!(dpm.known_violations().len(), 1);
         let designer = SimulatedDesigner::new(d);
         let config = SimulationConfig::adpm(0);
         let violations = dpm.known_violations();
         let value = designer
-            .best_scoring_value(&dpm, &config, x, &violations, 1.0, 0, &Domain::interval(0.0, 10.0))
+            .best_scoring_value(
+                &dpm,
+                &config,
+                x,
+                &violations,
+                1.0,
+                0,
+                &Domain::interval(0.0, 10.0),
+            )
             .expect("an improving value exists");
         assert!((8.0..=9.5).contains(&value), "value = {value}");
     }
@@ -1230,19 +1280,31 @@ mod tests {
         let (mut dpm, x) = pinched_dpm(adpm_core::ManagementMode::Adpm);
         let top = dpm.problems().root().unwrap();
         let d = dpm.designers()[0];
-        dpm.execute(Operation::assign(d, top, x, Value::number(9.0))).unwrap();
+        dpm.execute(Operation::assign(d, top, x, Value::number(9.0)))
+            .unwrap();
         assert!(dpm.known_violations().is_empty());
         let designer = SimulatedDesigner::new(d);
         let config = SimulationConfig::adpm(0);
         assert_eq!(
-            designer.best_scoring_value(&dpm, &config, x, &[], 9.0, 0, &Domain::interval(0.0, 10.0)),
+            designer.best_scoring_value(
+                &dpm,
+                &config,
+                x,
+                &[],
+                9.0,
+                0,
+                &Domain::interval(0.0, 10.0)
+            ),
             None
         );
     }
 
     #[test]
     fn checkable_constraints_are_mode_asymmetric() {
-        use adpm_constraint::{expr::{cst, var}, ConstraintNetwork, Property, Relation};
+        use adpm_constraint::{
+            expr::{cst, var},
+            ConstraintNetwork, Property, Relation,
+        };
         // x belongs to designer 0's problem; `local` is theirs, `cross` is
         // the (unassigned-to-them) parent's and never seen violated.
         let mut net = ConstraintNetwork::new();
@@ -1252,8 +1314,12 @@ mod tests {
         let y = net
             .add_property(Property::new("y", "b", Domain::interval(0.0, 10.0)))
             .unwrap();
-        let local = net.add_constraint("local", var(x), Relation::Le, cst(9.0)).unwrap();
-        let cross = net.add_constraint("cross", var(x) + var(y), Relation::Le, cst(12.0)).unwrap();
+        let local = net
+            .add_constraint("local", var(x), Relation::Le, cst(9.0))
+            .unwrap();
+        let cross = net
+            .add_constraint("cross", var(x) + var(y), Relation::Le, cst(12.0))
+            .unwrap();
         let build = |mode| {
             let config = match mode {
                 adpm_core::ManagementMode::Adpm => adpm_core::DpmConfig::adpm(),
@@ -1265,8 +1331,11 @@ mod tests {
             let top = dpm.problems_mut().add_root("top");
             let pa = dpm.problems_mut().decompose(top, "pa");
             let pb = dpm.problems_mut().decompose(top, "pb");
-            *dpm.problems_mut().problem_mut(top) =
-                dpm.problems().problem(top).clone().with_constraints([cross]);
+            *dpm.problems_mut().problem_mut(top) = dpm
+                .problems()
+                .problem(top)
+                .clone()
+                .with_constraints([cross]);
             *dpm.problems_mut().problem_mut(pa) = dpm
                 .problems()
                 .problem(pa)
@@ -1285,15 +1354,17 @@ mod tests {
         let designer = SimulatedDesigner::new(DesignerId::new(0));
         // ADPM: the DCM keeps every constraint's status fresh.
         let adpm = build(adpm_core::ManagementMode::Adpm);
-        let checkable =
-            designer.checkable_constraints(&adpm, &SimulationConfig::adpm(0), x, &[]);
+        let checkable = designer.checkable_constraints(&adpm, &SimulationConfig::adpm(0), x, &[]);
         assert!(checkable.contains(&local) && checkable.contains(&cross));
         // Conventional: the unseen cross constraint is invisible.
         let conv = build(adpm_core::ManagementMode::Conventional);
         let checkable =
             designer.checkable_constraints(&conv, &SimulationConfig::conventional(0), x, &[]);
         assert!(checkable.contains(&local));
-        assert!(!checkable.contains(&cross), "unseen cross constraint leaked");
+        assert!(
+            !checkable.contains(&cross),
+            "unseen cross constraint leaked"
+        );
         // ...until it has been seen violated once.
         let mut aware = SimulatedDesigner::new(DesignerId::new(0));
         aware.seen_violated.insert(cross);
@@ -1317,15 +1388,19 @@ mod tests {
         // And the context hash actually changes when a neighbour binds.
         let top = dpm.problems().root().unwrap();
         let d = dpm.designers()[0];
-        dpm.execute(Operation::assign(d, top, x, Value::number(9.0))).unwrap();
+        dpm.execute(Operation::assign(d, top, x, Value::number(9.0)))
+            .unwrap();
         // x's own binding does not affect x's context (neighbours only).
         assert_eq!(SimulatedDesigner::context_hash(dpm.network(), x), ctx1);
     }
 
     #[test]
     fn forward_ordering_variants_pick_different_targets() {
-        use adpm_constraint::{expr::{cst, var}, ConstraintNetwork, Property, Relation};
         use crate::config::ForwardOrdering;
+        use adpm_constraint::{
+            expr::{cst, var},
+            ConstraintNetwork, Property, Relation,
+        };
         // `hub` sits in two constraints with a wide feasible range;
         // `narrow` sits in one constraint that pins it tightly.
         let mut net = ConstraintNetwork::new();
@@ -1335,9 +1410,12 @@ mod tests {
         let narrow = net
             .add_property(Property::new("narrow", "o", Domain::interval(0.0, 10.0)))
             .unwrap();
-        net.add_constraint("h1", var(hub), Relation::Le, cst(9.0)).unwrap();
-        net.add_constraint("h2", var(hub), Relation::Ge, cst(1.0)).unwrap();
-        net.add_constraint("n1", var(narrow), Relation::Le, cst(0.5)).unwrap();
+        net.add_constraint("h1", var(hub), Relation::Le, cst(9.0))
+            .unwrap();
+        net.add_constraint("h2", var(hub), Relation::Ge, cst(1.0))
+            .unwrap();
+        net.add_constraint("n1", var(narrow), Relation::Le, cst(0.5))
+            .unwrap();
         let mut dpm = DesignProcessManager::new(net, adpm_core::DpmConfig::adpm());
         let d = dpm.add_designer();
         let top = dpm.problems_mut().add_root("top");

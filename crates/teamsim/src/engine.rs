@@ -288,7 +288,10 @@ mod tests {
         let stats = run_once(&scenario, SimulationConfig::adpm(7));
         assert!(stats.completed, "ops = {}", stats.operations);
         assert!(stats.operations > 0);
-        assert!(stats.evaluations > stats.operations, "ADPM propagates per op");
+        assert!(
+            stats.evaluations > stats.operations,
+            "ADPM propagates per op"
+        );
     }
 
     #[test]
@@ -314,7 +317,10 @@ mod tests {
     #[test]
     fn sensing_system_completes_in_both_modes() {
         let scenario = sensing_system();
-        for (mode, seed) in [(ManagementMode::Adpm, 11), (ManagementMode::Conventional, 11)] {
+        for (mode, seed) in [
+            (ManagementMode::Adpm, 11),
+            (ManagementMode::Conventional, 11),
+        ] {
             let stats = run_once(&scenario, SimulationConfig::for_mode(mode, seed));
             assert!(
                 stats.completed,

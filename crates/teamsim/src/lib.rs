@@ -34,6 +34,6 @@ pub mod stats;
 
 pub use config::{ForwardOrdering, HeuristicToggles, SimulationConfig};
 pub use designer::SimulatedDesigner;
-pub use negotiation::NegotiationPolicy;
 pub use engine::{run_once, run_once_instrumented, run_once_with_sink, Simulation, StepOutcome};
+pub use negotiation::NegotiationPolicy;
 pub use stats::{percentile, Batch, OperationStat, RunStats, Summary};

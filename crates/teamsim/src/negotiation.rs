@@ -159,6 +159,9 @@ mod tests {
                 NegotiationPolicy::Stubborn,
             ]
         );
-        assert_eq!(NegotiationPolicy::default_team(4)[3], NegotiationPolicy::Compromising);
+        assert_eq!(
+            NegotiationPolicy::default_team(4)[3],
+            NegotiationPolicy::Compromising
+        );
     }
 }

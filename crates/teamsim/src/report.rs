@@ -69,17 +69,9 @@ pub fn stats_window(sim: &Simulation) -> String {
         "current violations:     {}",
         dpm.known_violations().len()
     );
-    let _ = writeln!(
-        out,
-        "constraint evaluations: {}",
-        dpm.total_evaluations()
-    );
+    let _ = writeln!(out, "constraint evaluations: {}", dpm.total_evaluations());
     let _ = writeln!(out, "cumulative spins:       {}", dpm.spins());
-    let _ = writeln!(
-        out,
-        "design complete:        {}",
-        dpm.design_complete()
-    );
+    let _ = writeln!(out, "design complete:        {}", dpm.design_complete());
     let _ = writeln!(out, "────────────────────────────────────────────────");
     out
 }
@@ -151,8 +143,7 @@ fn safe_ratio(a: f64, b: f64) -> f64 {
 /// CSV rows for one run's per-operation capture
 /// (`op,kind,violations_found,violations_after,evaluations,spin`).
 pub fn run_csv(run: &RunStats) -> String {
-    let mut out =
-        String::from("op,kind,violations_found,violations_after,evaluations,spin\n");
+    let mut out = String::from("op,kind,violations_found,violations_after,evaluations,spin\n");
     for s in &run.per_operation {
         let _ = writeln!(
             out,

@@ -407,7 +407,14 @@ mod tests {
     fn batch_operations_percentile_uses_completed_runs() {
         let mut batch = Batch::new();
         batch.push(run(vec![stat(1, 0, 1, false)], true));
-        batch.push(run(vec![stat(1, 0, 1, false), stat(2, 0, 1, false), stat(3, 0, 1, false)], true));
+        batch.push(run(
+            vec![
+                stat(1, 0, 1, false),
+                stat(2, 0, 1, false),
+                stat(3, 0, 1, false),
+            ],
+            true,
+        ));
         batch.push(run(vec![stat(1, 0, 1, false); 9], false)); // censored, ignored
         assert_eq!(batch.operations_percentile(0.5), 2.0);
         assert_eq!(batch.operations_percentile(1.0), 3.0);

@@ -11,9 +11,9 @@
 //!
 //! Run with: `cargo run -p adpm-examples --bin lna_walkthrough`
 
+use adpm_constraint::{HeuristicReport, Value};
 use adpm_core::browse::{conflict_view, constraint_pane, object_browser, property_pane};
 use adpm_core::{DpmConfig, Operation};
-use adpm_constraint::{HeuristicReport, Value};
 use adpm_scenarios::lna_walkthrough;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,19 +28,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let beam_len = scenario.property("Filter", "beam-len").expect("exists");
     let flt_loss = scenario.property("Filter", "flt-loss").expect("exists");
     let freq_ind = scenario.property("LNA+Mixer", "Freq-ind").expect("exists");
-    let w = scenario.property("LNA+Mixer", "Diff-pair-W").expect("exists");
+    let w = scenario
+        .property("LNA+Mixer", "Diff-pair-W")
+        .expect("exists");
     let req_gain = scenario.property("system", "req-sys-gain").expect("exists");
     let req_zerr = scenario.property("system", "req-zerr").expect("exists");
 
     println!("== step 1: device engineer adjusts the beam length to 13 µm ==\n");
-    dpm.execute(Operation::assign(d[2], filter, beam_len, Value::number(13.0)))?;
-    dpm.execute(Operation::assign(d[2], filter, flt_loss, Value::number(19.5)))?;
+    dpm.execute(Operation::assign(
+        d[2],
+        filter,
+        beam_len,
+        Value::number(13.0),
+    ))?;
+    dpm.execute(Operation::assign(
+        d[2],
+        filter,
+        flt_loss,
+        Value::number(19.5),
+    ))?;
 
     println!("Fig. 2 — object browser, circuit designer's view:\n");
     println!("{}", object_browser(dpm.network(), "LNA+Mixer"));
 
     println!("== step 2: circuit designer works the inductor first (smallest feasible set) ==\n");
-    dpm.execute(Operation::assign(d[1], analog, freq_ind, Value::number(0.2)))?;
+    dpm.execute(Operation::assign(
+        d[1],
+        analog,
+        freq_ind,
+        Value::number(0.2),
+    ))?;
     println!(
         "bound Freq-ind = 0.2 µH; known violations: {}\n",
         dpm.known_violations().len()

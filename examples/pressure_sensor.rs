@@ -33,7 +33,10 @@ fn main() {
         conventional.push(run_once(&scenario, SimulationConfig::conventional(s)));
         adpm.push(run_once(&scenario, SimulationConfig::adpm(s)));
     }
-    println!("{}", comparison_block("sensing system", &conventional, &adpm));
+    println!(
+        "{}",
+        comparison_block("sensing system", &conventional, &adpm)
+    );
     println!(
         "ADPM completes the design with {:.1}x fewer designer operations, at the\n\
          cost of {:.1}x more constraint evaluations (automatic tool runs).",

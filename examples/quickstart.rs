@@ -5,8 +5,8 @@
 //! Run with: `cargo run -p adpm-examples --bin quickstart`
 
 use adpm_constraint::{
-    expr::var, propagate, ConstraintNetwork, Domain, HeuristicReport, Property,
-    PropagationConfig, Relation, Value,
+    expr::var, propagate, ConstraintNetwork, Domain, HeuristicReport, PropagationConfig, Property,
+    Relation, Value,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

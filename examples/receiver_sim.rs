@@ -30,7 +30,11 @@ fn main() {
                     );
                 }
                 if sim.operations().is_multiple_of(10) {
-                    println!("\nafter {} operations:\n{}", sim.operations(), stats_window(&sim));
+                    println!(
+                        "\nafter {} operations:\n{}",
+                        sim.operations(),
+                        stats_window(&sim)
+                    );
                 }
             }
             StepOutcome::Complete => break,

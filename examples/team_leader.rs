@@ -19,7 +19,11 @@ use rand::SeedableRng;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The leader models the design: properties and constraints.
     let mut net = ConstraintNetwork::new();
-    let gain = net.add_property(Property::new("gain", "analog", Domain::interval(1.0, 100.0)))?;
+    let gain = net.add_property(Property::new(
+        "gain",
+        "analog",
+        Domain::interval(1.0, 100.0),
+    ))?;
     let power = net.add_property(
         Property::new("power", "analog", Domain::interval(10.0, 300.0)).with_units("mW"),
     )?;
@@ -29,12 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let loss = net.add_property(Property::new("loss", "filter", Domain::interval(1.0, 25.0)))?;
     let c_gain = net.add_constraint("GainPower", var(gain), Relation::Le, var(power) / cst(3.0))?;
     let c_loss = net.add_constraint("LossBeam", var(loss), Relation::Ge, cst(30.0) - var(beam))?;
-    let c_total = net.add_constraint(
-        "TotalGain",
-        var(gain) - var(loss),
-        Relation::Ge,
-        cst(20.0),
-    )?;
+    let c_total =
+        net.add_constraint("TotalGain", var(gain) - var(loss), Relation::Ge, cst(20.0))?;
 
     // 2. The leader defines the top-level problem and decomposes it — a
     //    live design operation, exactly like §2.4's opening move.
@@ -78,9 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Manual wiring bypasses the transition function, so refresh the
     // process state (statuses + heuristics) before handing over.
     dpm.initialize();
-    println!(
-        "assigned `analog` to {circuit_designer} and `mems-filter` to {device_engineer}\n"
-    );
+    println!("assigned `analog` to {circuit_designer} and `mems-filter` to {device_engineer}\n");
 
     // 4. Simulated designers take over and drive the process to completion
     //    through the same public API.

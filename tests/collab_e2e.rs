@@ -81,7 +81,11 @@ fn four_designer_concurrent_run_matches_sequential_replay() {
     // The fourth designer is a real participant, not a bystander.
     let d3 = *outcome.dpm.designers().last().unwrap();
     assert!(
-        outcome.dpm.history().iter().any(|r| r.operation.designer() == d3),
+        outcome
+            .dpm
+            .history()
+            .iter()
+            .any(|r| r.operation.designer() == d3),
         "the added designer must execute at least one operation"
     );
 
@@ -119,7 +123,10 @@ fn four_designer_turn_barrier_runs_are_deterministic() {
     assert_eq!(a.stats.operations, b.stats.operations);
     assert_eq!(a.stats.evaluations, b.stats.evaluations);
     assert_eq!(a.stats.spins, b.stats.spins);
-    assert_eq!(feasible_boxes(a.dpm.network()), feasible_boxes(b.dpm.network()));
+    assert_eq!(
+        feasible_boxes(a.dpm.network()),
+        feasible_boxes(b.dpm.network())
+    );
 }
 
 #[test]

@@ -24,14 +24,8 @@ fn identical_configs_reproduce_identical_runs() {
 
 #[test]
 fn recompiling_the_scenario_does_not_change_runs() {
-    let a = run_once(
-        &adpm_scenarios::sensing_system(),
-        SimulationConfig::adpm(3),
-    );
-    let b = run_once(
-        &adpm_scenarios::sensing_system(),
-        SimulationConfig::adpm(3),
-    );
+    let a = run_once(&adpm_scenarios::sensing_system(), SimulationConfig::adpm(3));
+    let b = run_once(&adpm_scenarios::sensing_system(), SimulationConfig::adpm(3));
     assert_eq!(a, b);
 }
 
@@ -82,10 +76,7 @@ fn mode_flag_changes_behaviour_not_scenario() {
     for pid in scenario.network().property_ids() {
         // No assignments may have leaked into the template network beyond
         // the declared `init` bindings.
-        let is_init = scenario
-            .initial_bindings()
-            .iter()
-            .any(|(p, _)| *p == pid);
+        let is_init = scenario.initial_bindings().iter().any(|(p, _)| *p == pid);
         assert!(
             scenario.network().assignment(pid).is_none(),
             "template network must stay unbound (init happens per run), pid bound: {pid:?}, init: {is_init}"

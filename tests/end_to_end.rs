@@ -1,9 +1,9 @@
 //! End-to-end integration: DDDL text → compiled scenario → design-process
 //! manager → TeamSim run, across all layers of the workspace.
 
+use adpm_constraint::Value;
 use adpm_core::{DpmConfig, ManagementMode, Operation, ProblemStatus};
 use adpm_dddl::compile_source;
-use adpm_constraint::Value;
 use adpm_teamsim::{run_once, Simulation, SimulationConfig, StepOutcome};
 
 const MINI: &str = r#"
@@ -21,7 +21,11 @@ fn dddl_to_simulation_pipeline() {
     let scenario = compile_source(MINI).expect("valid DDDL");
     for mode in [ManagementMode::Adpm, ManagementMode::Conventional] {
         let stats = run_once(&scenario, SimulationConfig::for_mode(mode, 1));
-        assert!(stats.completed, "{mode:?} failed in {} ops", stats.operations);
+        assert!(
+            stats.completed,
+            "{mode:?} failed in {} ops",
+            stats.operations
+        );
         assert!(stats.operations >= 2, "must bind at least two outputs");
     }
 }
@@ -39,13 +43,21 @@ fn manual_operations_drive_the_same_pipeline() {
     let pb = dpm.problems().problem(top).children()[1];
 
     // Propagation already narrowed x's feasible set via `floor`.
-    let fx = dpm.network().feasible(x).enclosing_interval().expect("numeric");
+    let fx = dpm
+        .network()
+        .feasible(x)
+        .enclosing_interval()
+        .expect("numeric");
     assert_eq!(fx.lo(), 2.0);
 
     dpm.execute(Operation::assign(d[0], pa, x, Value::number(9.0)))
         .expect("x in range");
     // link: y <= 3 now.
-    let fy = dpm.network().feasible(y).enclosing_interval().expect("numeric");
+    let fy = dpm
+        .network()
+        .feasible(y)
+        .enclosing_interval()
+        .expect("numeric");
     assert!((fy.hi() - 3.0).abs() < 1e-9);
 
     dpm.execute(Operation::assign(d[1], pb, y, Value::number(2.5)))
@@ -71,7 +83,10 @@ fn both_paper_cases_complete_in_both_modes_for_several_seeds() {
                 // Completion implies a valid design: re-check every
                 // constraint against the oracle (ground-truth point check).
                 // The engine's termination condition must never lie.
-                assert_eq!(stats.spins, stats.per_operation.iter().filter(|s| s.spin).count());
+                assert_eq!(
+                    stats.spins,
+                    stats.per_operation.iter().filter(|s| s.spin).count()
+                );
             }
         }
     }

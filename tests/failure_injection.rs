@@ -3,9 +3,9 @@
 //! scenario text. The process layer must degrade gracefully (censored or
 //! conflicted runs), never panic or report false completion.
 
+use adpm_constraint::{propagate, PropagationConfig, Value};
 use adpm_core::{DpmConfig, ManagementMode, Operation};
 use adpm_dddl::compile_source;
-use adpm_constraint::{propagate, PropagationConfig, Value};
 use adpm_teamsim::{run_once, SimulationConfig};
 
 /// An over-constrained scenario: the requirements admit no solution.
@@ -27,7 +27,10 @@ fn infeasible_scenario_is_censored_not_panicking() {
         let mut config = SimulationConfig::for_mode(mode, 1);
         config.max_operations = 200;
         let stats = run_once(&scenario, config);
-        assert!(!stats.completed, "{mode:?} claimed to solve an infeasible design");
+        assert!(
+            !stats.completed,
+            "{mode:?} claimed to solve an infeasible design"
+        );
     }
 }
 

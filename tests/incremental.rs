@@ -55,7 +55,10 @@ fn replay_equivalence(name: &str, scenario: &CompiledScenario, seed: u64) -> (us
     let mut sim = Simulation::new(scenario, SimulationConfig::adpm(seed));
     sim.run();
     let history = sim.dpm().history().to_vec();
-    assert!(!history.is_empty(), "{name}: seed {seed} produced no operations");
+    assert!(
+        !history.is_empty(),
+        "{name}: seed {seed} produced no operations"
+    );
 
     let mut full = scenario.build_dpm(DpmConfig {
         propagation: PropagationConfig {
@@ -100,7 +103,10 @@ fn sensing_system_replays_equivalently_and_cheaper() {
         full_total += full;
         inc_total += inc;
     }
-    assert!(inc_total < full_total, "incremental {inc_total} !< full {full_total}");
+    assert!(
+        inc_total < full_total,
+        "incremental {inc_total} !< full {full_total}"
+    );
 }
 
 #[test]
@@ -112,7 +118,10 @@ fn wireless_receiver_replays_equivalently_and_cheaper() {
         full_total += full;
         inc_total += inc;
     }
-    assert!(inc_total < full_total, "incremental {inc_total} !< full {full_total}");
+    assert!(
+        inc_total < full_total,
+        "incremental {inc_total} !< full {full_total}"
+    );
 }
 
 #[test]
@@ -198,14 +207,21 @@ fn random_operation(dpm: &DesignProcessManager, rng: &mut StdRng) -> Option<Oper
 fn relative_sizes(dpm: &DesignProcessManager) -> Vec<f64> {
     let net = dpm.network();
     net.property_ids()
-        .map(|pid| net.feasible(pid).relative_size(net.property(pid).initial_domain()))
+        .map(|pid| {
+            net.feasible(pid)
+                .relative_size(net.property(pid).initial_domain())
+        })
         .collect()
 }
 
 /// The feasibility events of one operation as a whole-network diff finds
 /// them: each unbound property's size before the operation — an unbind
 /// target restarts at its full range — against its size after, in id order.
-fn feasibility_events(before: &[f64], operation: &Operation, dpm: &DesignProcessManager) -> Vec<Event> {
+fn feasibility_events(
+    before: &[f64],
+    operation: &Operation,
+    dpm: &DesignProcessManager,
+) -> Vec<Event> {
     let net = dpm.network();
     let mut events = Vec::new();
     for (pid, after) in net.property_ids().zip(relative_sizes(dpm)) {

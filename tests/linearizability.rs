@@ -20,7 +20,10 @@ use std::thread;
 /// Three designers each own one shared-bus property; two overlapping sum
 /// caps couple neighbours so one designer's assignment narrows another's
 /// feasible range (and can reject a stale concurrent proposal).
-fn fixture() -> (DesignProcessManager, Vec<(DesignerId, ProblemId, PropertyId)>) {
+fn fixture() -> (
+    DesignProcessManager,
+    Vec<(DesignerId, ProblemId, PropertyId)>,
+) {
     let mut net = ConstraintNetwork::new();
     let props: Vec<PropertyId> = ["x", "y", "z"]
         .iter()

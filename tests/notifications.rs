@@ -22,14 +22,19 @@ fn feasibility_reductions_are_routed_to_affected_designers() {
     }
     // Binding the sensor area narrows the interface's area budget through
     // the cross-subsystem MeetArea constraint.
-    dpm.execute(Operation::assign(d[1], sensor_problem, s_area, Value::number(6.0)))
-        .expect("in range");
+    dpm.execute(Operation::assign(
+        d[1],
+        sensor_problem,
+        s_area,
+        Value::number(6.0),
+    ))
+    .expect("in range");
     let interface_events = dpm.take_notifications(d[2]);
     let i_area = scenario.property("interface", "i-area").expect("exists");
     assert!(
-        interface_events.iter().any(
-            |e| matches!(e, Event::FeasibleReduced { property, .. } if *property == i_area)
-        ),
+        interface_events
+            .iter()
+            .any(|e| matches!(e, Event::FeasibleReduced { property, .. } if *property == i_area)),
         "circuit designer not told their area budget shrank: {interface_events:?}"
     );
 }
@@ -53,14 +58,34 @@ fn cross_subsystem_violations_reach_the_whole_team() {
     let mix_power = scenario.property("lna-mixer", "mix-power").expect("exists");
     let drive = scenario.property("filter", "drive-v").expect("exists");
     let sys_power = scenario.property("system", "sys-power").expect("exists");
-    dpm.execute(Operation::assign(d[0], top, sys_power, Value::number(150.0)))
-        .expect("in range");
-    dpm.execute(Operation::assign(d[1], analog, lna_power, Value::number(250.0)))
-        .expect("in range");
-    dpm.execute(Operation::assign(d[1], analog, mix_power, Value::number(90.0)))
-        .expect("in range");
-    dpm.execute(Operation::assign(d[2], filter_problem, drive, Value::number(30.0)))
-        .expect("in range");
+    dpm.execute(Operation::assign(
+        d[0],
+        top,
+        sys_power,
+        Value::number(150.0),
+    ))
+    .expect("in range");
+    dpm.execute(Operation::assign(
+        d[1],
+        analog,
+        lna_power,
+        Value::number(250.0),
+    ))
+    .expect("in range");
+    dpm.execute(Operation::assign(
+        d[1],
+        analog,
+        mix_power,
+        Value::number(90.0),
+    ))
+    .expect("in range");
+    dpm.execute(Operation::assign(
+        d[2],
+        filter_problem,
+        drive,
+        Value::number(30.0),
+    ))
+    .expect("in range");
     assert!(
         !dpm.known_violations().is_empty(),
         "the power chain must be violated"
@@ -90,14 +115,24 @@ fn resolving_a_violation_emits_a_resolution_event() {
     let interface_problem = dpm.problems().problem(top).children()[1];
     let i_power = scenario.property("interface", "i-power").expect("exists");
     // Violate the power requirement (req-power = 30), then fix it.
-    dpm.execute(Operation::assign(d[2], interface_problem, i_power, Value::number(50.0)))
-        .expect("in range");
+    dpm.execute(Operation::assign(
+        d[2],
+        interface_problem,
+        i_power,
+        Value::number(50.0),
+    ))
+    .expect("in range");
     assert!(!dpm.known_violations().is_empty());
     for designer in &d {
         let _ = dpm.take_notifications(*designer);
     }
-    dpm.execute(Operation::assign(d[2], interface_problem, i_power, Value::number(20.0)))
-        .expect("in range");
+    dpm.execute(Operation::assign(
+        d[2],
+        interface_problem,
+        i_power,
+        Value::number(20.0),
+    ))
+    .expect("in range");
     assert!(dpm.known_violations().is_empty());
     let events = dpm.take_notifications(d[2]);
     assert!(

@@ -47,13 +47,26 @@ fn tmp_trace_path(name: &str) -> PathBuf {
 /// Field-level schema requirements, one entry per documented line tag
 /// (`docs/OBSERVABILITY.md`). Every field listed must be present.
 const SCHEMA: &[(&str, &[&str])] = &[
-    ("run_start", &["mode", "seed", "designers", "properties", "constraints"]),
-    ("wave", &["wave", "queue_len", "evaluations", "narrowed", "dur_us"]),
+    (
+        "run_start",
+        &["mode", "seed", "designers", "properties", "constraints"],
+    ),
+    (
+        "wave",
+        &["wave", "queue_len", "evaluations", "narrowed", "dur_us"],
+    ),
     ("cprof", &["name", "evaluations", "conflict"]),
     ("pprof", &["name", "narrowings"]),
     (
         "propagation",
-        &["evaluations", "waves", "narrowed", "conflicts", "fixpoint", "dur_us"],
+        &[
+            "evaluations",
+            "waves",
+            "narrowed",
+            "conflicts",
+            "fixpoint",
+            "dur_us",
+        ],
     ),
     ("violation", &["seq", "constraint", "cross"]),
     (
@@ -73,7 +86,16 @@ const SCHEMA: &[(&str, &[&str])] = &[
     ),
     ("fanout", &["seq", "recipients", "events", "dur_us"]),
     ("tick", &["tick", "outcome", "dur_us"]),
-    ("summary", &["operations", "evaluations", "spins", "violations", "completed"]),
+    (
+        "summary",
+        &[
+            "operations",
+            "evaluations",
+            "spins",
+            "violations",
+            "completed",
+        ],
+    ),
     ("counters", &["operations", "evaluations", "waves", "spins"]),
 ];
 
@@ -106,7 +128,10 @@ fn sensing_trace_is_schema_valid_jsonl() {
     assert_eq!(lines.last().map(TraceLine::tag), Some("counters"));
     let summaries: Vec<_> = lines.iter().filter(|l| l.tag() == "summary").collect();
     assert_eq!(summaries.len(), 1);
-    assert_eq!(summaries[0].u64_field("operations"), Some(stats.operations as u64));
+    assert_eq!(
+        summaries[0].u64_field("operations"),
+        Some(stats.operations as u64)
+    );
 
     // The op lines are the run, one per executed operation, in order.
     let ops: Vec<_> = lines.iter().filter(|l| l.tag() == "op").collect();
@@ -181,8 +206,15 @@ fn analysis_attribution_reconciles_with_the_counter_totals() {
     assert_eq!(designer_ops, stats.operations as u64);
     // Span timings cover every tick, and nested spans never take longer
     // than the ticks that contain them (manual clock: monotone counters).
-    let ticks = report.timings.iter().find(|t| t.span == "tick").expect("tick timings");
-    assert_eq!(ticks.count, lines.iter().filter(|l| l.tag() == "tick").count() as u64);
+    let ticks = report
+        .timings
+        .iter()
+        .find(|t| t.span == "tick")
+        .expect("tick timings");
+    assert_eq!(
+        ticks.count,
+        lines.iter().filter(|l| l.tag() == "tick").count() as u64
+    );
     let props = report
         .timings
         .iter()

@@ -65,9 +65,8 @@ fn adpm_is_at_least_three_times_less_variable() {
                 SimulationConfig::for_mode(ManagementMode::Adpm, seed),
             ));
         }
-        let iqr = |batch: &Batch| {
-            batch.operations_percentile(0.75) - batch.operations_percentile(0.25)
-        };
+        let iqr =
+            |batch: &Batch| batch.operations_percentile(0.75) - batch.operations_percentile(0.25);
         let ratio = iqr(&conventional) / iqr(&adpm).max(1e-9);
         assert!(ratio >= 3.0, "variability ratio only {ratio:.2}");
     }
@@ -102,8 +101,8 @@ fn adpm_pays_an_evaluation_penalty_with_the_right_structure() {
     ] {
         let (conventional, adpm) = batches(&scenario);
         let total_penalty = adpm.evaluations().mean / conventional.evaluations().mean;
-        let per_op_penalty = adpm.evaluations_per_operation().mean
-            / conventional.evaluations_per_operation().mean;
+        let per_op_penalty =
+            adpm.evaluations_per_operation().mean / conventional.evaluations_per_operation().mean;
         assert!(total_penalty > 1.5, "total penalty only {total_penalty:.2}");
         assert!(
             per_op_penalty > total_penalty,

@@ -15,7 +15,13 @@ use std::sync::{Arc, Mutex};
 /// strategies can produce values with `'static` lifetimes.
 #[derive(Debug, Clone)]
 enum Spec {
-    Wave { wave: u32, queue_len: u32, evaluations: u64, narrowed: u32, dur_us: u64 },
+    Wave {
+        wave: u32,
+        queue_len: u32,
+        evaluations: u64,
+        narrowed: u32,
+        dur_us: u64,
+    },
     Done {
         kind: String,
         seeded: u32,
@@ -26,9 +32,20 @@ enum Spec {
         fixpoint: bool,
         dur_us: u64,
     },
-    Cprof { name: String, evaluations: u64, conflict: bool },
-    Pprof { name: String, narrowings: u64 },
-    Violation { seq: u64, constraint: String, cross: bool },
+    Cprof {
+        name: String,
+        evaluations: u64,
+        conflict: bool,
+    },
+    Pprof {
+        name: String,
+        narrowings: u64,
+    },
+    Violation {
+        seq: u64,
+        constraint: String,
+        cross: bool,
+    },
     Op {
         seq: u64,
         designer: u32,
@@ -41,23 +58,37 @@ enum Spec {
         spin: bool,
         dur_us: u64,
     },
-    Fanout { seq: u64, recipients: u32, events: u32, dur_us: u64 },
-    Tick { tick: u64, designer: u32, outcome: String, dur_us: u64 },
+    Fanout {
+        seq: u64,
+        recipients: u32,
+        events: u32,
+        dur_us: u64,
+    },
+    Tick {
+        tick: u64,
+        designer: u32,
+        outcome: String,
+        dur_us: u64,
+    },
 }
 
 impl Spec {
     /// Records the spec into `sink` as the borrowing [`TraceEvent`].
     fn record(&self, sink: &JsonlSink) {
         let event = match self {
-            Spec::Wave { wave, queue_len, evaluations, narrowed, dur_us } => {
-                TraceEvent::PropagationWave {
-                    wave: *wave,
-                    queue_len: *queue_len,
-                    evaluations: *evaluations,
-                    narrowed: *narrowed,
-                    dur_us: *dur_us,
-                }
-            }
+            Spec::Wave {
+                wave,
+                queue_len,
+                evaluations,
+                narrowed,
+                dur_us,
+            } => TraceEvent::PropagationWave {
+                wave: *wave,
+                queue_len: *queue_len,
+                evaluations: *evaluations,
+                narrowed: *narrowed,
+                dur_us: *dur_us,
+            },
             Spec::Done {
                 kind,
                 seeded,
@@ -77,7 +108,11 @@ impl Spec {
                 fixpoint: *fixpoint,
                 dur_us: *dur_us,
             },
-            Spec::Cprof { name, evaluations, conflict } => TraceEvent::ConstraintProfile {
+            Spec::Cprof {
+                name,
+                evaluations,
+                conflict,
+            } => TraceEvent::ConstraintProfile {
                 name,
                 evaluations: *evaluations,
                 conflict: *conflict,
@@ -86,7 +121,11 @@ impl Spec {
                 name,
                 narrowings: *narrowings,
             },
-            Spec::Violation { seq, constraint, cross } => TraceEvent::Violation {
+            Spec::Violation {
+                seq,
+                constraint,
+                cross,
+            } => TraceEvent::Violation {
                 seq: *seq,
                 constraint,
                 cross: *cross,
@@ -114,13 +153,23 @@ impl Spec {
                 spin: *spin,
                 dur_us: *dur_us,
             },
-            Spec::Fanout { seq, recipients, events, dur_us } => TraceEvent::NotificationFanout {
+            Spec::Fanout {
+                seq,
+                recipients,
+                events,
+                dur_us,
+            } => TraceEvent::NotificationFanout {
                 seq: *seq,
                 recipients: *recipients,
                 events: *events,
                 dur_us: *dur_us,
             },
-            Spec::Tick { tick, designer, outcome, dur_us } => TraceEvent::Tick {
+            Spec::Tick {
+                tick,
+                designer,
+                outcome,
+                dur_us,
+            } => TraceEvent::Tick {
                 tick: *tick,
                 designer: *designer,
                 outcome,
@@ -133,7 +182,13 @@ impl Spec {
     /// Checks a parsed line against the spec, field by field.
     fn check(&self, line: &TraceLine) {
         match self {
-            Spec::Wave { wave, queue_len, evaluations, narrowed, dur_us } => {
+            Spec::Wave {
+                wave,
+                queue_len,
+                evaluations,
+                narrowed,
+                dur_us,
+            } => {
                 assert_eq!(line.tag(), "wave");
                 assert_eq!(line.u64_field("wave"), Some(u64::from(*wave)));
                 assert_eq!(line.u64_field("queue_len"), Some(u64::from(*queue_len)));
@@ -161,7 +216,11 @@ impl Spec {
                 assert_eq!(line.bool_field("fixpoint"), Some(*fixpoint));
                 assert_eq!(line.u64_field("dur_us"), Some(*dur_us));
             }
-            Spec::Cprof { name, evaluations, conflict } => {
+            Spec::Cprof {
+                name,
+                evaluations,
+                conflict,
+            } => {
                 assert_eq!(line.tag(), "cprof");
                 assert_eq!(line.str_field("name"), Some(name.as_str()));
                 assert_eq!(line.u64_field("evaluations"), Some(*evaluations));
@@ -172,7 +231,11 @@ impl Spec {
                 assert_eq!(line.str_field("name"), Some(name.as_str()));
                 assert_eq!(line.u64_field("narrowings"), Some(*narrowings));
             }
-            Spec::Violation { seq, constraint, cross } => {
+            Spec::Violation {
+                seq,
+                constraint,
+                cross,
+            } => {
                 assert_eq!(line.tag(), "violation");
                 assert_eq!(line.u64_field("seq"), Some(*seq));
                 assert_eq!(line.str_field("constraint"), Some(constraint.as_str()));
@@ -201,18 +264,31 @@ impl Spec {
                     line.u64_field("violations_after"),
                     Some(u64::from(*violations_after))
                 );
-                assert_eq!(line.u64_field("new_violations"), Some(u64::from(*new_violations)));
+                assert_eq!(
+                    line.u64_field("new_violations"),
+                    Some(u64::from(*new_violations))
+                );
                 assert_eq!(line.bool_field("spin"), Some(*spin));
                 assert_eq!(line.u64_field("dur_us"), Some(*dur_us));
             }
-            Spec::Fanout { seq, recipients, events, dur_us } => {
+            Spec::Fanout {
+                seq,
+                recipients,
+                events,
+                dur_us,
+            } => {
                 assert_eq!(line.tag(), "fanout");
                 assert_eq!(line.u64_field("seq"), Some(*seq));
                 assert_eq!(line.u64_field("recipients"), Some(u64::from(*recipients)));
                 assert_eq!(line.u64_field("events"), Some(u64::from(*events)));
                 assert_eq!(line.u64_field("dur_us"), Some(*dur_us));
             }
-            Spec::Tick { tick, designer, outcome, dur_us } => {
+            Spec::Tick {
+                tick,
+                designer,
+                outcome,
+                dur_us,
+            } => {
                 assert_eq!(line.tag(), "tick");
                 assert_eq!(line.u64_field("tick"), Some(*tick));
                 assert_eq!(line.u64_field("designer"), Some(u64::from(*designer)));
@@ -253,15 +329,22 @@ fn name() -> impl Strategy<Value = String> {
 
 fn spec() -> impl Strategy<Value = Spec> {
     prop_oneof![
-        (any::<u32>(), any::<u32>(), exact_u64(), any::<u32>(), exact_u64()).prop_map(
-            |(wave, queue_len, evaluations, narrowed, dur_us)| Spec::Wave {
-                wave,
-                queue_len,
-                evaluations,
-                narrowed,
-                dur_us,
-            }
-        ),
+        (
+            any::<u32>(),
+            any::<u32>(),
+            exact_u64(),
+            any::<u32>(),
+            exact_u64()
+        )
+            .prop_map(
+                |(wave, queue_len, evaluations, narrowed, dur_us)| Spec::Wave {
+                    wave,
+                    queue_len,
+                    evaluations,
+                    narrowed,
+                    dur_us,
+                }
+            ),
         (
             prop_oneof![Just("full".to_string()), Just("incremental".to_string())],
             any::<u32>(),
@@ -287,15 +370,29 @@ fn spec() -> impl Strategy<Value = Spec> {
                 }
             ),
         (name(), exact_u64(), any::<bool>()).prop_map(|(name, evaluations, conflict)| {
-            Spec::Cprof { name, evaluations, conflict }
+            Spec::Cprof {
+                name,
+                evaluations,
+                conflict,
+            }
         }),
         (name(), exact_u64()).prop_map(|(name, narrowings)| Spec::Pprof { name, narrowings }),
         (exact_u64(), name(), any::<bool>()).prop_map(|(seq, constraint, cross)| {
-            Spec::Violation { seq, constraint, cross }
+            Spec::Violation {
+                seq,
+                constraint,
+                cross,
+            }
         }),
         (
             (exact_u64(), any::<u32>(), name(), name(), name()),
-            (exact_u64(), any::<u32>(), any::<u32>(), any::<bool>(), exact_u64()),
+            (
+                exact_u64(),
+                any::<u32>(),
+                any::<u32>(),
+                any::<bool>(),
+                exact_u64()
+            ),
         )
             .prop_map(
                 |(
@@ -317,10 +414,20 @@ fn spec() -> impl Strategy<Value = Spec> {
                 }
             ),
         (exact_u64(), any::<u32>(), any::<u32>(), exact_u64()).prop_map(
-            |(seq, recipients, events, dur_us)| Spec::Fanout { seq, recipients, events, dur_us }
+            |(seq, recipients, events, dur_us)| Spec::Fanout {
+                seq,
+                recipients,
+                events,
+                dur_us
+            }
         ),
         (exact_u64(), any::<u32>(), name(), exact_u64()).prop_map(
-            |(tick, designer, outcome, dur_us)| Spec::Tick { tick, designer, outcome, dur_us }
+            |(tick, designer, outcome, dur_us)| Spec::Tick {
+                tick,
+                designer,
+                outcome,
+                dur_us
+            }
         ),
     ]
 }
@@ -405,7 +512,10 @@ fn interleaved_garbage_is_rejected() {
         let err = parse_trace(&text).expect_err("garbage line must not parse");
         assert_eq!(err.line, 2, "wrong line for {garbage:?}");
         // The error message carries enough context to locate the problem.
-        assert!(err.to_string().contains("line 2"), "unhelpful error for {garbage:?}");
+        assert!(
+            err.to_string().contains("line 2"),
+            "unhelpful error for {garbage:?}"
+        );
     }
 }
 

@@ -71,11 +71,16 @@ fn exact_u64() -> impl Strategy<Value = u64> {
 
 fn wire_op() -> impl Strategy<Value = WireOp> {
     prop_oneof![
-        (name(), name(), value())
-            .prop_map(|(problem, property, value)| WireOp::Assign { problem, property, value }),
+        (name(), name(), value()).prop_map(|(problem, property, value)| WireOp::Assign {
+            problem,
+            property,
+            value
+        }),
         (name(), name()).prop_map(|(problem, property)| WireOp::Unbind { problem, property }),
-        (name(), name())
-            .prop_map(|(problem, constraints)| WireOp::Verify { problem, constraints }),
+        (name(), name()).prop_map(|(problem, constraints)| WireOp::Verify {
+            problem,
+            constraints
+        }),
     ]
 }
 
@@ -103,23 +108,39 @@ fn frame() -> impl Strategy<Value = Frame> {
         ),
         (any::<u32>(), exact_u64())
             .prop_map(|(designer, last_idx)| Frame::Subscribed { designer, last_idx }),
-        (exact_u64(), exact_u64(), any::<u32>(), name(), any::<bool>(), opt_u64()).prop_map(
-            |(seq, evaluations, violations_after, new_violations, spin, cid)| Frame::Executed {
-                seq,
-                evaluations,
-                violations_after,
-                new_violations,
-                spin,
-                cid,
-            }
-        ),
+        (
+            exact_u64(),
+            exact_u64(),
+            any::<u32>(),
+            name(),
+            any::<bool>(),
+            opt_u64()
+        )
+            .prop_map(
+                |(seq, evaluations, violations_after, new_violations, spin, cid)| Frame::Executed {
+                    seq,
+                    evaluations,
+                    violations_after,
+                    new_violations,
+                    spin,
+                    cid,
+                }
+            ),
         (name(), opt_u64()).prop_map(|(reason, cid)| Frame::Rejected { reason, cid }),
         name().prop_map(|message| Frame::Error { message }),
         (exact_u64(), any::<u32>(), any::<u32>()).prop_map(|(operations, bound, violations)| {
-            Frame::State { operations, bound, violations }
+            Frame::State {
+                operations,
+                bound,
+                violations,
+            }
         }),
-        (name(), value(), value(), any::<bool>())
-            .prop_map(|(name, lo, hi, bound)| Frame::Prop { name, lo, hi, bound }),
+        (name(), value(), value(), any::<bool>()).prop_map(|(name, lo, hi, bound)| Frame::Prop {
+            name,
+            lo,
+            hi,
+            bound
+        }),
         Just(Frame::End),
         (exact_u64(), name(), name(), name(), value(), exact_u64()).prop_map(
             |(seq, kind, subject, properties, relative_size, idx)| Frame::Event {
@@ -183,11 +204,23 @@ fn parser_rejects_malformed_frames() {
         ("{\"t\":7}", "tag must be a string"),
         ("{\"t\":\"warp\"}", "unknown frame tag"),
         ("{\"t\":\"hello\"}", "needs integer `designer`"),
-        ("{\"t\":\"hello\",\"designer\":\"zero\"}", "needs integer `designer`"),
+        (
+            "{\"t\":\"hello\",\"designer\":\"zero\"}",
+            "needs integer `designer`",
+        ),
         ("{\"t\":\"hello\",\"designer\":99999999999}", "out of range"),
-        ("{\"t\":\"subscribe\",\"all\":\"yes\"}", "needs boolean `all`"),
-        ("{\"t\":\"assign\",\"problem\":\"p\",\"property\":\"x\"}", "`value`"),
-        ("{\"t\":\"prop\",\"name\":\"x\",\"lo\":{},\"hi\":1,\"bound\":true}", "nested"),
+        (
+            "{\"t\":\"subscribe\",\"all\":\"yes\"}",
+            "needs boolean `all`",
+        ),
+        (
+            "{\"t\":\"assign\",\"problem\":\"p\",\"property\":\"x\"}",
+            "`value`",
+        ),
+        (
+            "{\"t\":\"prop\",\"name\":\"x\",\"lo\":{},\"hi\":1,\"bound\":true}",
+            "nested",
+        ),
     ];
     for (line, needle) in cases {
         let err = Frame::parse_line(line).expect_err(line);
