@@ -4,6 +4,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Prints the rest of the first line of the serve log $1 that starts with
+# "$2 " (default `listening on`), waiting up to 10 s for it; fails,
+# printing nothing, if the line never appears.
+announced() {
+  local log=$1 prefix=${2:-listening on} addr
+  for _ in $(seq 1 100); do
+    addr=$(sed -n "s/^$prefix //p" "$log")
+    [ -n "$addr" ] && { echo "$addr"; return 0; }
+    sleep 0.1
+  done
+  return 1
+}
+
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -145,13 +161,7 @@ ADPM_RELEASE=target/release/adpm
 SERVE_LOG=$(mktemp)
 "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 > "$SERVE_LOG" &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "serve never announced an address"; kill "$SERVE_PID"; exit 1; }
+ADDR=$(announced "$SERVE_LOG") || { echo "serve never announced an address"; kill "$SERVE_PID"; exit 1; }
 CLIENT_LOG=$(mktemp)
 "$ADPM_RELEASE" client "$ADDR" --designer 1 --subscribe \
   --expect-events 1 --timeout-ms 10000 > "$CLIENT_LOG" &
@@ -198,13 +208,7 @@ SERVE_LOG=$(mktemp)
 "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 \
   --journal "$JOURNAL" --fsync always > "$SERVE_LOG" &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "serve never announced an address"; kill "$SERVE_PID"; exit 1; }
+ADDR=$(announced "$SERVE_LOG") || { echo "serve never announced an address"; kill "$SERVE_PID"; exit 1; }
 "$ADPM_RELEASE" submit "$ADDR" --designer 1 --problem analog-front-end \
   --assign lna-mixer.lna-gain=20 | grep -q '"t":"executed"'
 "$ADPM_RELEASE" submit "$ADDR" --designer 1 --problem analog-front-end \
@@ -213,13 +217,7 @@ kill -9 "$SERVE_PID"     # simulated crash: no shutdown frame, no fsync window
 wait "$SERVE_PID" 2>/dev/null || true
 "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 --journal "$JOURNAL" > "$SERVE_LOG" &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "restarted serve never announced"; kill "$SERVE_PID"; exit 1; }
+ADDR=$(announced "$SERVE_LOG") || { echo "restarted serve never announced"; kill "$SERVE_PID"; exit 1; }
 grep -q '^recovered 2 operations from' "$SERVE_LOG" || {
   echo "restart did not replay the journal"; cat "$SERVE_LOG"; kill "$SERVE_PID"; exit 1; }
 "$ADPM_RELEASE" submit "$ADDR" --shutdown >/dev/null
@@ -235,13 +233,7 @@ SERVE_LOG=$(mktemp)
 "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 \
   --journal "$CJOURNAL" --fsync always --compact-every 2 > "$SERVE_LOG" &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "compacting serve never announced"; kill "$SERVE_PID"; exit 1; }
+ADDR=$(announced "$SERVE_LOG") || { echo "compacting serve never announced"; kill "$SERVE_PID"; exit 1; }
 for GAIN in 18 19 20 21; do
   "$ADPM_RELEASE" submit "$ADDR" --designer 1 --problem analog-front-end \
     --assign lna-mixer.lna-gain=$GAIN | grep -q '"t":"executed"'
@@ -254,13 +246,7 @@ kill -9 "$SERVE_PID"     # crash after compaction: recovery = snapshot + tail
 wait "$SERVE_PID" 2>/dev/null || true
 "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 --journal "$CJOURNAL" > "$SERVE_LOG" &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "restarted compacting serve never announced"; kill "$SERVE_PID"; exit 1; }
+ADDR=$(announced "$SERVE_LOG") || { echo "restarted compacting serve never announced"; kill "$SERVE_PID"; exit 1; }
 grep -q '^recovered 4 operations from' "$SERVE_LOG" || {
   echo "snapshot+tail recovery lost operations"; cat "$SERVE_LOG"; kill "$SERVE_PID"; exit 1; }
 "$ADPM_RELEASE" submit "$ADDR" --shutdown >/dev/null
@@ -276,13 +262,7 @@ SERVE_LOG=$(mktemp)
 "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 \
   --journal "$DJOURNAL" --fault-plan 'seed=3,enospc=1.0' > "$SERVE_LOG" &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "enospc serve never announced"; kill "$SERVE_PID"; exit 1; }
+ADDR=$(announced "$SERVE_LOG") || { echo "enospc serve never announced"; kill "$SERVE_PID"; exit 1; }
 # Every journal append fails, yet submits still execute: degradation
 # parks the lines in the write backlog instead of dropping the journal.
 "$ADPM_RELEASE" submit "$ADDR" --designer 1 --problem analog-front-end \
@@ -299,13 +279,7 @@ grep -q 'session closed: 2 operations' "$SERVE_LOG" || {
   echo "backlog did not converge: journal incomplete"; cat "$DJOURNAL"; exit 1; }
 "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 --journal "$DJOURNAL" > "$SERVE_LOG" &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "post-enospc serve never announced"; kill "$SERVE_PID"; exit 1; }
+ADDR=$(announced "$SERVE_LOG") || { echo "post-enospc serve never announced"; kill "$SERVE_PID"; exit 1; }
 grep -q '^recovered 2 operations from' "$SERVE_LOG" || {
   echo "journal written under disk faults did not recover"; cat "$SERVE_LOG"; kill "$SERVE_PID"; exit 1; }
 "$ADPM_RELEASE" submit "$ADDR" --shutdown >/dev/null
@@ -319,13 +293,7 @@ SERVE_LOG=$(mktemp)
 "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 --sessions 2 \
   --journal "$MS_JOURNAL" --fsync always > "$SERVE_LOG" &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "multi-session serve never announced"; kill "$SERVE_PID"; exit 1; }
+ADDR=$(announced "$SERVE_LOG") || { echo "multi-session serve never announced"; kill "$SERVE_PID"; exit 1; }
 # The same property binds in both sessions independently — each is seq 1.
 "$ADPM_RELEASE" submit "$ADDR" --designer 1 --problem analog-front-end --session s1 \
   --assign lna-mixer.lna-gain=20 | grep -q '"t":"executed","seq":1'
@@ -355,13 +323,7 @@ SERVE_LOG=$(mktemp)
 "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 --sessions 1 \
   --journal "$NS_JOURNAL" --fsync always > "$SERVE_LOG" &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "named-session serve never announced"; kill "$SERVE_PID"; exit 1; }
+ADDR=$(announced "$SERVE_LOG") || { echo "named-session serve never announced"; kill "$SERVE_PID"; exit 1; }
 "$ADPM_RELEASE" submit "$ADDR" --designer 1 --problem analog-front-end --session s1 \
   --assign lna-mixer.lna-gain=20 | grep -q '"t":"executed"'
 "$ADPM_RELEASE" submit "$ADDR" --shutdown >/dev/null
@@ -369,13 +331,7 @@ wait "$SERVE_PID"
 "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 --sessions 1 \
   --journal "$NS_JOURNAL" > "$SERVE_LOG" &
 SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "restarted named-session serve never announced"; kill "$SERVE_PID"; exit 1; }
+ADDR=$(announced "$SERVE_LOG") || { echo "restarted named-session serve never announced"; kill "$SERVE_PID"; exit 1; }
 grep -q '^session s1: recovered 1 operations from' "$SERVE_LOG" || {
   echo "s1 did not announce its recovery"; cat "$SERVE_LOG"; kill "$SERVE_PID"; exit 1; }
 "$ADPM_RELEASE" submit "$ADDR" --shutdown >/dev/null
@@ -387,14 +343,9 @@ SERVE_LOG=$(mktemp)
 "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 --sessions 2 \
   --metrics-addr 127.0.0.1:0 > "$SERVE_LOG" &
 SERVE_PID=$!
-ADDR=""; MADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG")
-  MADDR=$(sed -n 's/^metrics on //p' "$SERVE_LOG")
-  [ -n "$ADDR" ] && [ -n "$MADDR" ] && break
-  sleep 0.1
-done
-{ [ -n "$ADDR" ] && [ -n "$MADDR" ]; } || {
+# `metrics on` is announced right after `listening on`.
+MADDR=$(announced "$SERVE_LOG" 'metrics on') \
+  && ADDR=$(sed -n 's/^listening on //p' "$SERVE_LOG") && [ -n "$ADDR" ] || {
   echo "serve never announced both addresses"; kill "$SERVE_PID"; exit 1; }
 "$ADPM_RELEASE" submit "$ADDR" --designer 1 --problem analog-front-end --session s1 \
   --assign lna-mixer.lna-gain=20 | grep -q '"t":"executed"'
