@@ -305,7 +305,9 @@ fn run_episode(
         backtrack(&handle, &problems, &assigned)
     };
 
-    let final_dpm = engine.shutdown();
+    let final_dpm = engine
+        .shutdown()
+        .expect("unjournaled: closes only on a panic");
     result.ops = final_dpm.history().len() as u64;
     result.consistent = final_dpm.known_violations().is_empty();
     let network = final_dpm.network();

@@ -63,6 +63,9 @@ pub enum CliError {
     /// A collaboration connection failed at the wire-protocol level, or a
     /// `client`/`submit` expectation (like `--expect-events`) was not met.
     Wire(WireError),
+    /// `serve`'s default session closed before shutdown (a journal append
+    /// failed or a command panicked); the payload says how to recover.
+    SessionClosed(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -76,6 +79,7 @@ impl std::fmt::Display for CliError {
             CliError::Trace(e) => write!(f, "invalid trace: {e}"),
             CliError::Regression(report) => write!(f, "{report}"),
             CliError::Wire(e) => write!(f, "{e}"),
+            CliError::SessionClosed(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -727,8 +731,9 @@ impl Default for ServeOptions {
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] for invalid scenarios, bind failures, or an
-/// unrecoverable journal.
+/// Returns a [`CliError`] for invalid scenarios, bind failures, an
+/// unrecoverable journal, or a default session that closed before the
+/// shutdown because a journal append failed or a command panicked.
 pub fn serve(
     source: &str,
     options: &ServeOptions,
@@ -797,7 +802,16 @@ pub fn serve(
     if let Some(addr) = server.metrics_addr() {
         announce(&format!("metrics on {addr}"));
     }
-    let dpm = server.wait();
+    let dpm = server.wait().ok_or_else(|| {
+        CliError::SessionClosed(match &options.journal {
+            Some(path) => format!(
+                "the session closed before shutdown; restart with --journal {} \
+                 to recover its acknowledged operations",
+                path.display()
+            ),
+            None => "the session closed before shutdown after a command panicked".into(),
+        })
+    })?;
     let network = dpm.network();
     let bound = network
         .property_ids()
@@ -1244,10 +1258,9 @@ fn render_top_table(
                 }
             }
         };
-        // SHED folds both overload paths into one operator signal: work
-        // refused at the limits plus appends parked by a degraded journal.
-        let shed =
-            counters.get(Counter::OverloadSheds) + counters.get(Counter::JournalDegradations);
+        // SHED is work refused at the limits; a failed journal append is
+        // not a shed, it closes the session.
+        let shed = counters.get(Counter::OverloadSheds);
         let _ = writeln!(
             out,
             "{session:<16} {connections:>5} {rate:>8.1} {p99_us:>9} {:>7} {:>7} {:>11} {shed:>7} {events:>8}",
@@ -2609,8 +2622,11 @@ mod tests {
             assert!(header.contains(column), "{header}");
         }
         let row = table.lines().nth(1).expect("row");
-        // SHED = overload_sheds (5) + journal_degradations (6).
-        for cell in ["default", "2", "30", "3", "4096", "11", "7"] {
+        // SHED = overload_sheds (5) alone; journal_degradations (6) is
+        // not a shed.
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cells[7], "5", "{row}");
+        for cell in ["default", "2", "30", "3", "4096", "7"] {
             assert!(row.contains(cell), "{row}");
         }
         // The first sample has no predecessor: rate renders as 0.0.
@@ -2673,6 +2689,39 @@ mod tests {
             summary.contains("session closed: 1 operations"),
             "{summary}"
         );
+        std::fs::remove_file(&journal).ok();
+    }
+
+    /// A failed journal append closes the served session: the submit is
+    /// refused, `serve` returns an error naming the journal to recover
+    /// from, and the journal holds no operation.
+    #[test]
+    fn serve_fails_stop_when_the_journal_cannot_be_written() {
+        let dir = std::env::temp_dir().join(format!("adpm-cli-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let journal = dir.join("serve-enospc.journal");
+        std::fs::remove_file(&journal).ok();
+        let (addr, _lines, server) = spawn_serve(ServeOptions {
+            journal: Some(journal.clone()),
+            fault_plan: Some("seed=3,enospc=1.0".parse().expect("plan")),
+            ..ServeOptions::default()
+        });
+        let assign = SubmitAction::Assign {
+            property: "rx.P-front".into(),
+            value: 150.0,
+        };
+        let refused = submit_request(&addr, 0, Some("fe"), None, &assign);
+        assert!(matches!(refused, Err(CliError::Wire(_))), "{refused:?}");
+        submit_request(&addr, 0, None, None, &SubmitAction::Shutdown).expect("shutdown");
+        let error = server.join().expect("join").expect_err("serve fails");
+        assert!(matches!(error, CliError::SessionClosed(_)), "{error:?}");
+        assert_eq!(error.exit_code(), 1);
+        assert!(
+            error.to_string().contains(&journal.display().to_string()),
+            "{error}"
+        );
+        let text = std::fs::read_to_string(&journal).expect("journal");
+        assert!(!text.contains("\"t\":\"jop\""), "{text}");
         std::fs::remove_file(&journal).ok();
     }
 

@@ -369,7 +369,10 @@ pub fn run_concurrent_dpm(
         &engine.handle(),
         &Transport::InProcess,
     );
-    outcome(engine.shutdown(), setup_evaluations)
+    let dpm = engine
+        .shutdown()
+        .expect("unjournaled: closes only on a panic");
+    outcome(dpm, setup_evaluations)
 }
 
 /// [`run_concurrent_dpm`] with the submissions routed over real loopback
@@ -401,7 +404,10 @@ pub fn run_concurrent_remote(
         names: server.names(),
     };
     drive(&designers, config, true, &server.handle(), &transport);
-    outcome(server.shutdown(), setup_evaluations)
+    let dpm = server
+        .shutdown()
+        .expect("unjournaled: closes only on a panic");
+    outcome(dpm, setup_evaluations)
 }
 
 #[cfg(test)]

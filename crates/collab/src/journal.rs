@@ -47,15 +47,16 @@
 //! tolerated by falling back to `<path>.prev`
 //! ([`RecoveryWarning::TornSnapshotFallback`]).
 //!
-//! # Disk-fault degradation
+//! # Disk faults
 //!
 //! The writer accepts a seeded [`DiskFaultInjector`]
 //! (ENOSPC, short writes, fsync failures, torn snapshots). A failed
-//! append never panics and never tears the journal mid-line: the partial
-//! bytes are rolled back and the serialized lines are parked in an
-//! in-memory backlog that is flushed, in order, ahead of the next
-//! successful append — so once the disk recovers, the journal converges
-//! to exactly what a fault-free run would have written.
+//! append never panics and never leaves part of itself behind: the file
+//! is truncated back to its length before the append, so an `Err` from
+//! [`JournalWriter::append`] means the operation is not on disk. The
+//! session answering for that operation then closes instead of
+//! acknowledging it (fail-stop), and a restart recovers exactly the
+//! acknowledged prefix.
 
 use crate::fault::{DiskFaultInjector, DiskWriteFault};
 use crate::names::NameTable;
@@ -66,7 +67,7 @@ use adpm_core::{
 };
 use adpm_observe::{
     field_bool, field_f64, field_str, field_u64, parse_object, Counter, JsonValue, MetricsSink,
-    NoopSink, TraceEvent,
+    TraceEvent,
 };
 use adpm_observe::{Clock, MonotonicClock, SpanKind};
 use std::fmt;
@@ -645,9 +646,6 @@ pub struct JournalWriter {
     committed: u64,
     /// Appends since the last compaction.
     since_compact: u64,
-    /// Serialized line groups (op + optional checkpoint) a disk fault kept
-    /// off the file, flushed in order ahead of the next append.
-    backlog: Vec<String>,
     /// Seeded disk-fault stream, if the run scripts journal chaos.
     faults: Option<DiskFaultInjector>,
     /// The session's names, built from the DPM the journal was opened on.
@@ -679,13 +677,15 @@ impl JournalWriter {
             appended: 0,
             committed,
             since_compact: 0,
-            backlog: Vec::new(),
             faults: None,
             names: Arc::new(NameTable::build(dpm)),
         };
         if writer.committed == 0 {
-            writer.write_line(&meta_line(dpm), dpm.metrics_sink().as_ref())?;
+            let meta = meta_line(dpm);
+            writer.write_line(&meta)?;
             writer.file.sync_data()?;
+            dpm.metrics_sink()
+                .incr(Counter::JournalBytes, meta.len() as u64);
         }
         Ok(writer)
     }
@@ -697,31 +697,20 @@ impl JournalWriter {
         self
     }
 
-    /// Detaches the disk-fault stream — the chaos harness's "the disk
-    /// recovered / space was restored" switch.
-    pub fn clear_disk_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// The name table this writer encodes through — shared with the
     /// server, so a journaled session builds its names once.
     pub(crate) fn names(&self) -> Arc<NameTable> {
         self.names.clone()
     }
 
-    /// Line groups a disk fault has kept off the file so far.
-    pub fn backlog_len(&self) -> usize {
-        self.backlog.len()
-    }
-
-    /// Whether the writer is currently degraded (has a non-empty backlog).
-    pub fn is_degraded(&self) -> bool {
-        !self.backlog.is_empty()
+    /// The journal file this writer appends to.
+    pub(crate) fn path(&self) -> &Path {
+        &self.config.path
     }
 
     /// Test seam: wraps an already-open file handle without writing the
     /// `jmeta` header. Handing in a read-only handle makes every append
-    /// fail deterministically — how the degradation path is exercised.
+    /// fail deterministically — how the fail-stop path is exercised.
     #[cfg(test)]
     pub(crate) fn from_file_for_tests(
         file: File,
@@ -735,7 +724,6 @@ impl JournalWriter {
             appended: 0,
             committed,
             since_compact: 0,
-            backlog: Vec::new(),
             faults: None,
             names: Arc::new(NameTable::build(dpm)),
         }
@@ -744,7 +732,7 @@ impl JournalWriter {
     /// Writes one full line, consulting the fault stream. On any failure
     /// the file is truncated back to the last committed line, so a short
     /// write never leaves torn bytes for the *next* append to fuse with.
-    fn write_line(&mut self, line: &str, sink: &dyn MetricsSink) -> std::io::Result<()> {
+    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
         let outcome = match self.faults.as_mut().map(|f| f.on_write(line.len())) {
             Some(DiskWriteFault::Enospc) => {
                 Err(std::io::Error::other("injected ENOSPC (disk full)"))
@@ -757,7 +745,6 @@ impl JournalWriter {
         };
         match outcome {
             Ok(()) => {
-                sink.incr(Counter::JournalBytes, line.len() as u64);
                 self.committed += line.len() as u64;
                 Ok(())
             }
@@ -776,16 +763,6 @@ impl JournalWriter {
         self.file.sync_data()
     }
 
-    /// Flushes backlogged line groups, in order. Stops at the first
-    /// failure (the rest stay queued for the next attempt).
-    fn flush_backlog(&mut self, sink: &dyn MetricsSink) -> std::io::Result<()> {
-        while let Some(chunk) = self.backlog.first().cloned() {
-            self.write_line(&chunk, sink)?;
-            self.backlog.remove(0);
-        }
-        Ok(())
-    }
-
     /// Appends one executed operation (and, on cadence, a checkpoint),
     /// then applies the fsync policy and, on cadence, compacts. `dpm` must
     /// be the state *after* the operation — its fingerprint is what
@@ -793,15 +770,17 @@ impl JournalWriter {
     ///
     /// # Errors
     ///
-    /// An `Err` is a *degradation*, not data loss: the serialized lines
-    /// are parked in the writer's backlog and flushed ahead of the next
-    /// successful append, so the journal converges once the disk recovers.
+    /// An `Err` means the operation is not on disk: a failed write, or a
+    /// failed sync under [`FsyncPolicy::Always`], truncates the file back
+    /// to its length before this append. The caller must not acknowledge
+    /// the operation.
     pub fn append(
         &mut self,
         record: &OperationRecord,
         dpm: &DesignProcessManager,
     ) -> Result<(), JournalError> {
         let sink = dpm.metrics_sink().clone();
+        let start = self.committed;
         let mut chunk = op_line(record, &self.names);
         self.appended += 1;
         self.since_compact += 1;
@@ -818,15 +797,16 @@ impl JournalWriter {
             ck.push_str("}\n");
             chunk.push_str(&ck);
         }
-        self.backlog.push(chunk);
-        self.flush_backlog(sink.as_ref())?;
+        self.write_line(&chunk)?;
         if self.config.fsync == FsyncPolicy::Always {
-            self.sync_data()?;
+            if let Err(error) = self.sync_data() {
+                let _ = self.file.set_len(start);
+                self.committed = start;
+                return Err(error.into());
+            }
         }
-        if self.config.compact_every > 0
-            && self.since_compact >= self.config.compact_every
-            && self.backlog.is_empty()
-        {
+        sink.incr(Counter::JournalBytes, chunk.len() as u64);
+        if self.config.compact_every > 0 && self.since_compact >= self.config.compact_every {
             // Compaction failure is not a journaling failure: the live
             // journal is intact either way, so swallow and retry on the
             // next cadence hit.
@@ -922,18 +902,14 @@ impl JournalWriter {
         field_u64(&mut line, "participants", participants.into());
         field_str(&mut line, "outcome", outcome);
         line.push_str("}\n");
-        // Through the backlog, so a degraded writer keeps `jneg` lines in
-        // order behind the operation lines they follow.
-        self.backlog.push(line);
-        self.flush_backlog(sink)?;
+        self.write_line(&line)?;
+        sink.incr(Counter::JournalBytes, line.len() as u64);
         Ok(())
     }
 
-    /// Flushes the backlog and whatever else is buffered, then syncs
-    /// (used at orderly shutdown). Shutdown has no sink, so bytes a
-    /// degraded run flushes here are not counted into `journal_bytes`.
+    /// Flushes whatever is buffered, then syncs (used at orderly
+    /// shutdown).
     pub fn sync(&mut self) -> Result<(), JournalError> {
-        self.flush_backlog(&NoopSink)?;
         self.file.flush()?;
         self.sync_data()?;
         Ok(())
@@ -1477,13 +1453,14 @@ mod tests {
         );
     }
 
+    /// Each disk fault kind fails the append it hits and leaves the file
+    /// as it was before that append, so recovery yields exactly the
+    /// operations whose appends succeeded.
     #[test]
-    fn enospc_faults_degrade_then_converge() {
+    fn disk_faults_roll_back_the_failed_append() {
         use crate::fault::FaultPlan;
-        let dir = tempdir();
         let scenario = lna_walkthrough();
-        let config = SimulationConfig::adpm(5);
-        let mut sim = Simulation::new(&scenario, config);
+        let mut sim = Simulation::new(&scenario, SimulationConfig::adpm(5));
         while matches!(sim.step(), StepOutcome::Executed(_)) {}
         let history: Vec<Operation> = sim
             .dpm()
@@ -1491,38 +1468,44 @@ mod tests {
             .iter()
             .map(|r| r.operation.clone())
             .collect();
-        let mut dpm = fresh_dpm();
-        let path = dir.join("faulty.journal");
-        let plan: FaultPlan = "seed=5,enospc=0.4,short_write=0.2".parse().expect("plan");
-        let mut writer = JournalWriter::open(
-            JournalConfig {
-                path: path.clone(),
-                fsync: FsyncPolicy::Never,
-                checkpoint_every: 4,
-                compact_every: 0,
-            },
-            &dpm,
-            None,
-        )
-        .expect("open")
-        .with_disk_faults(DiskFaultInjector::new(&plan, 0));
-        let mut degradations = 0u32;
-        for op in history {
-            let record = dpm.execute(op).expect("execute");
-            if writer.append(&record, &dpm).is_err() {
-                degradations += 1;
+        let acknowledged = 3;
+        assert!(history.len() > acknowledged, "walkthrough too short");
+        for fault in ["enospc", "short_write", "fsync_fail"] {
+            let dir = tempdir();
+            let path = dir.join(format!("{fault}.journal"));
+            let mut dpm = fresh_dpm();
+            let mut writer = JournalWriter::open(
+                JournalConfig {
+                    checkpoint_every: 2,
+                    ..JournalConfig::new(&path)
+                },
+                &dpm,
+                None,
+            )
+            .expect("open");
+            for op in &history[..acknowledged] {
+                let record = dpm.execute(op.clone()).expect("execute");
+                writer.append(&record, &dpm).expect("fault-free append");
             }
+            let expected = state_fingerprint(&dpm);
+            let plan: FaultPlan = format!("seed=5,{fault}=1.0").parse().expect("plan");
+            let mut writer = writer.with_disk_faults(DiskFaultInjector::new(&plan, 0));
+            let before = std::fs::metadata(&path).expect("meta").len();
+            let record = dpm.execute(history[acknowledged].clone()).expect("execute");
+            assert!(writer.append(&record, &dpm).is_err(), "{fault}: append");
+            assert_eq!(
+                std::fs::metadata(&path).expect("meta").len(),
+                before,
+                "{fault}: the failed append left bytes behind"
+            );
+            drop(writer);
+            let mut recovered = fresh_dpm();
+            let report = recover(&path, &mut recovered).expect("recover");
+            assert!(report.faithful, "{fault}: {report:?}");
+            assert_eq!(report.ops as usize, acknowledged, "{fault}");
+            assert_eq!(report.truncated_bytes, 0, "{fault}");
+            assert_eq!(state_fingerprint(&recovered), expected, "{fault}");
         }
-        assert!(degradations > 0, "fault plan injected nothing");
-        // Space restored: the backlog drains and the journal converges.
-        writer.clear_disk_faults();
-        writer.sync().expect("final sync");
-        assert!(!writer.is_degraded());
-        let mut recovered = fresh_dpm();
-        let report = recover(&path, &mut recovered).expect("recover");
-        assert!(report.faithful, "report: {report:?}");
-        assert_eq!(report.ops as usize, dpm.operations_total());
-        assert_eq!(state_fingerprint(&recovered), state_fingerprint(&dpm));
     }
 
     #[test]

@@ -584,7 +584,7 @@ mod tests {
             })
             .expect("second submit");
         assert!(matches!(verdict, Frame::Executed { .. }), "{verdict:?}");
-        let dpm = server.shutdown();
+        let dpm = server.shutdown().expect("session open");
         assert_eq!(dpm.history().len(), 2);
     }
 
@@ -764,7 +764,7 @@ mod tests {
         );
 
         // Both operations landed in the named session, not the default.
-        let dpm = server.shutdown();
+        let dpm = server.shutdown().expect("session open");
         assert_eq!(dpm.history().len(), 0, "the default session saw nothing");
     }
 

@@ -54,7 +54,7 @@ use crate::journal::JournalWriter;
 use crate::names::NameTable;
 use crate::notify::Inbox;
 use crate::session::{
-    OpOutcome, RejectReason, SessionEngine, SessionHandle, SessionOptions, DEFAULT_INBOX_CAPACITY,
+    OpOutcome, SessionEngine, SessionHandle, SessionOptions, DEFAULT_INBOX_CAPACITY,
 };
 use crate::wire::{write_prop_line, BufferedLine, Frame, LineBuffer, WireOp};
 use adpm_core::{DesignProcessManager, DesignerId};
@@ -670,8 +670,10 @@ impl CollabServer {
     }
 
     /// Blocks until some client sends a `shutdown` frame, then tears the
-    /// server down and returns the final design state.
-    pub fn wait(self) -> DesignProcessManager {
+    /// server down and returns the final design state of the default
+    /// session; `None` when that session had closed earlier (see
+    /// [`SessionEngine::shutdown`]).
+    pub fn wait(self) -> Option<DesignProcessManager> {
         {
             let (flag, cvar) = &*self.shutdown_signal;
             let mut requested = lock(flag);
@@ -685,12 +687,13 @@ impl CollabServer {
     }
 
     /// Tears the server down now: stops accepting, closes connections,
-    /// joins every thread, and shuts the session down.
-    pub fn shutdown(self) -> DesignProcessManager {
+    /// joins every thread, and shuts every session down. Returns what
+    /// [`wait`](Self::wait) returns.
+    pub fn shutdown(self) -> Option<DesignProcessManager> {
         self.finish()
     }
 
-    fn finish(mut self) -> DesignProcessManager {
+    fn finish(mut self) -> Option<DesignProcessManager> {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock both accept loops with a throwaway connection each.
         for addr in std::iter::once(self.addr).chain(self.metrics_addr) {
@@ -716,10 +719,10 @@ impl CollabServer {
         for (name, slot) in slots {
             let dpm = slot.engine.shutdown();
             if name == DEFAULT_SESSION {
-                default_dpm = Some(dpm);
+                default_dpm = dpm;
             }
         }
-        default_dpm.expect("the default session always exists")
+        default_dpm
     }
 }
 
@@ -965,10 +968,6 @@ fn write_connection(
 /// panics past what the clock holds, and a `watch` interval is wire input.
 fn deadline(from: Instant, wait: Duration) -> Instant {
     from + wait.min(Duration::from_secs(1 << 32))
-}
-
-fn reject_reason(reason: &RejectReason) -> String {
-    reason.to_string()
 }
 
 /// Rebinds a connection's mutable session state after a successful
@@ -1405,7 +1404,7 @@ fn submit(
             message: "session is shut down".into(),
         },
         Ok(OpOutcome::Rejected(reason)) => Frame::Rejected {
-            reason: reject_reason(&reason),
+            reason: reason.to_string(),
             cid,
         },
         Ok(OpOutcome::Executed(record)) => names.executed(&record, cid),
@@ -1842,8 +1841,78 @@ mod tests {
             .expect("recv")
             .expect("frame");
         assert_eq!(bye, Frame::Bye);
-        let dpm = waiter.join().expect("wait join");
+        let dpm = waiter.join().expect("wait join").expect("session open");
         assert_eq!(dpm.history().len(), 0);
+    }
+
+    /// A submit whose journal append fails closes the session: the
+    /// submitter gets an error frame, a subscribed peer gets no event, the
+    /// journal holds no operation, and the server still shuts down.
+    #[test]
+    fn failed_journal_append_closes_the_session_before_any_event() {
+        use crate::fault::{DiskFaultInjector, FaultPlan};
+        use crate::journal::JournalConfig;
+        let dir = std::env::temp_dir().join(format!("adpm-server-failstop-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("journal.jsonl");
+        std::fs::remove_file(&path).ok();
+        let dpm = sensing_dpm();
+        let plan: FaultPlan = "seed=3,enospc=1.0".parse().expect("plan");
+        let journal = JournalWriter::open(JournalConfig::new(&path), &dpm, None)
+            .expect("open journal")
+            .with_disk_faults(DiskFaultInjector::new(&plan, 0));
+        let session = SessionOptions {
+            journal: Some(journal),
+            ..SessionOptions::default()
+        };
+        let server =
+            CollabServer::bind_with(dpm, 0, ServerOptions::default(), session).expect("bind");
+        let addr = server.local_addr();
+        let mut watcher = CollabClient::connect(addr).expect("connect watcher");
+        watcher
+            .request(&Frame::Hello { designer: 2 })
+            .expect("hello");
+        let subscribed = watcher
+            .request(&Frame::Subscribe {
+                all: false,
+                resume_from: None,
+            })
+            .expect("subscribe");
+        assert!(
+            matches!(subscribed, Frame::Subscribed { .. }),
+            "{subscribed:?}"
+        );
+        let before = std::fs::metadata(&path).expect("journal").len();
+
+        let mut actor = CollabClient::connect(addr).expect("connect actor");
+        actor.request(&Frame::Hello { designer: 1 }).expect("hello");
+        let reply = assign_s_area(&mut actor, 4.0);
+        assert!(matches!(reply, Frame::Error { .. }), "{reply:?}");
+        let event = watcher
+            .next_event(Duration::from_millis(300))
+            .expect("event wait");
+        assert_eq!(event, None, "a peer learned of an unjournaled operation");
+        assert!(server.shutdown().is_none(), "the session closed");
+        assert_eq!(std::fs::metadata(&path).expect("journal").len(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A server whose session closed after a panicking command answers
+    /// submits with an error frame and shuts down without panicking.
+    #[test]
+    fn server_with_a_panicked_session_shuts_down_cleanly() {
+        let server = serve_sensing();
+        let mut client = CollabClient::connect(server.local_addr()).expect("connect");
+        client
+            .request(&Frame::Hello { designer: 1 })
+            .expect("hello");
+        let answer = server
+            .handle()
+            .read(|_| -> u32 { panic!("a read that panics") });
+        assert!(answer.is_err(), "the panic closes the session");
+        let reply = assign_s_area(&mut client, 4.0);
+        assert!(matches!(reply, Frame::Error { .. }), "{reply:?}");
+        assert!(server.shutdown().is_none());
     }
 
     #[test]
@@ -2172,7 +2241,7 @@ mod tests {
         assert!(matches!(event, Frame::Event { seq: 1, .. }));
 
         // The default session saw none of it.
-        let dpm = server.shutdown();
+        let dpm = server.shutdown().expect("session open");
         assert_eq!(dpm.history().len(), 0);
     }
 
@@ -2321,7 +2390,7 @@ mod tests {
         };
         assert_eq!(cid, Some(77));
         assert_eq!(seq2, seq);
-        let dpm = server.shutdown();
+        let dpm = server.shutdown().expect("session open");
         assert_eq!(dpm.history().len(), 1, "the operation ran exactly once");
     }
 

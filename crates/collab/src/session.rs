@@ -75,11 +75,6 @@ pub enum RejectReason {
     Invalid(OperationError),
     /// The operator itself failed (e.g. a value outside `E_i`).
     Network(NetworkError),
-    /// The journal writer is degraded (disk faults) and its unwritten
-    /// backlog exceeded 256 chunks: the write was shed rather than
-    /// accepted without durability. The design state is unchanged;
-    /// retrying later (same `cid`) is safe.
-    Degraded,
 }
 
 impl fmt::Display for RejectReason {
@@ -87,15 +82,12 @@ impl fmt::Display for RejectReason {
         match self {
             RejectReason::Invalid(e) => write!(f, "invalid operation: {e}"),
             RejectReason::Network(e) => write!(f, "operation failed: {e}"),
-            RejectReason::Degraded => {
-                write!(f, "journal degraded: write backlog full, retry later")
-            }
         }
     }
 }
 
-/// The session is gone: it was shut down, or a command panicked and closed
-/// it, so the command did not run.
+/// The session is gone: it was shut down, or it closed because a command
+/// panicked or a journal append failed, so the command did not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionClosed;
 
@@ -143,7 +135,9 @@ impl SessionHandle {
     ///
     /// # Errors
     ///
-    /// [`SessionClosed`] when the session is closed.
+    /// [`SessionClosed`] when the session is closed, including when this
+    /// submit's journal append failed and closed it: the operation is then
+    /// not on disk, and no peer was told of it.
     pub fn submit(&self, operation: Operation) -> Result<OpOutcome, SessionClosed> {
         self.submit_with_cid(operation, None)
     }
@@ -199,7 +193,7 @@ impl SessionHandle {
         resume_from: Option<u64>,
     ) -> Result<(Inbox, u64), SessionClosed> {
         self.run("subscribe", designer.index() as u32, |state| {
-            (state.subscribe(designer, capacity, resume_from), "ok")
+            Ok((state.subscribe(designer, capacity, resume_from), "ok"))
         })
     }
 
@@ -215,7 +209,7 @@ impl SessionHandle {
         &self,
         read: impl FnOnce(&DesignProcessManager) -> T,
     ) -> Result<T, SessionClosed> {
-        self.run("snapshot", u32::MAX, |state| (read(&state.dpm), "ok"))
+        self.run("snapshot", u32::MAX, |state| Ok((read(&state.dpm), "ok")))
     }
 
     /// Returns a clone of the DPM frozen between two commands — a
@@ -249,23 +243,24 @@ impl SessionHandle {
                     seed,
                     config,
                     state.seq,
-                ),
+                )?,
                 None => NegotiationReport::default(),
             };
-            (report, if report.resolved { "resolved" } else { "ok" })
+            Ok((report, if report.resolved { "resolved" } else { "ok" }))
         })
     }
 
     /// Runs one command under the session lock: counts it, runs `body`, and
     /// records its `session` span and trace line before unlocking, so a
     /// caller that has its answer also finds the line in the flight
-    /// recorder. A panic in `body` closes the session (see
-    /// [`SessionState::abandon`]) and answers [`SessionClosed`].
+    /// recorder. A panic in `body`, or a journal append it could not make,
+    /// closes the session (see [`SessionState::abandon`]) and answers
+    /// [`SessionClosed`].
     fn run<T>(
         &self,
         kind: &'static str,
         designer: u32,
-        body: impl FnOnce(&mut SessionState) -> (T, &'static str),
+        body: impl FnOnce(&mut SessionState) -> Result<(T, &'static str), JournalError>,
     ) -> Result<T, SessionClosed> {
         // The lock is never held across an unwind (`body` runs inside
         // `catch_unwind`), so a poisoned lock means the bookkeeping below
@@ -276,18 +271,18 @@ impl SessionHandle {
         let (seq, started) = (state.seq, Instant::now());
         let sink = state.dpm.metrics_sink().clone();
         sink.incr(Counter::SessionOps, 1);
-        match catch_unwind(AssertUnwindSafe(|| body(state))) {
-            Ok((value, outcome)) => {
+        let why = match catch_unwind(AssertUnwindSafe(|| body(state))) {
+            Ok(Ok((value, outcome))) => {
                 record_session_event(&*sink, seq, kind, designer, outcome, started);
-                Ok(value)
+                return Ok(value);
             }
-            Err(_) => {
-                if let Some(state) = guard.take() {
-                    state.abandon();
-                }
-                Err(SessionClosed)
-            }
+            Ok(Err(_)) => "a journal append failed",
+            Err(_) => "a command panicked",
+        };
+        if let Some(state) = guard.take() {
+            state.abandon(why);
         }
+        Err(SessionClosed)
     }
 }
 
@@ -339,11 +334,6 @@ impl DedupWindow {
         self.answered.push_back((cid, outcome));
     }
 }
-
-/// Chunks a degraded journal writer may hold unwritten before the session
-/// starts shedding writes ([`RejectReason::Degraded`]), bounding how much
-/// accepted-but-not-durable state the session can accumulate.
-const MAX_JOURNAL_BACKLOG: usize = 256;
 
 /// Extras a session can be spawned with; [`Default`] is a plain in-memory
 /// session, exactly what [`SessionEngine::spawn`] gives.
@@ -417,13 +407,11 @@ impl SessionEngine {
     /// handle answers [`SessionClosed`]. Every subscription inbox is
     /// closed and the journal synced.
     ///
-    /// # Panics
-    ///
-    /// Panics if a command panicked and closed the session earlier: its
-    /// design state is gone.
-    pub fn shutdown(self) -> DesignProcessManager {
+    /// `None` when the session had already closed because a command
+    /// panicked or a journal append failed: its in-memory design state is
+    /// gone, and a journaled session is recovered from its journal.
+    pub fn shutdown(self) -> Option<DesignProcessManager> {
         self.close()
-            .expect("the session closed after a command panicked")
     }
 
     /// Takes the state out of the lock, records the `shutdown` command and
@@ -465,9 +453,13 @@ struct SessionState {
 
 impl SessionState {
     /// The body of a submit: the remembered outcome of a resubmitted cid,
-    /// a shed while the degraded journal is over its backlog bound, or the
-    /// operation's execution. Returns the outcome and its trace label.
-    fn submit(&mut self, operation: Operation, cid: Option<u64>) -> (OpOutcome, &'static str) {
+    /// or the operation's execution. Returns the outcome and its trace
+    /// label, or the journal error that must close the session.
+    fn submit(
+        &mut self,
+        operation: Operation,
+        cid: Option<u64>,
+    ) -> Result<(OpOutcome, &'static str), JournalError> {
         let designer = operation.designer().index();
         let remembered = match (self.dedup.get(designer), cid) {
             (Some(window), Some(cid)) => window.lookup(cid).cloned(),
@@ -476,19 +468,7 @@ impl SessionState {
         if let Some(outcome) = remembered {
             // Exactly-once: a resubmission after a lost response gets the
             // remembered answer, not a second execution.
-            return (outcome, "deduplicated");
-        }
-        // Shed instead of executing while the degraded journal's parked
-        // backlog is over the bound: the gap between accepted state and
-        // durable state stays bounded. Not remembered in the dedup window —
-        // a retry with the same cid executes once the disk recovers.
-        if self
-            .journal
-            .as_ref()
-            .is_some_and(|w| w.backlog_len() > MAX_JOURNAL_BACKLOG)
-        {
-            self.dpm.metrics_sink().incr(Counter::OverloadSheds, 1);
-            return (OpOutcome::Rejected(RejectReason::Degraded), "shed");
+            return Ok((outcome, "deduplicated"));
         }
         let outcome = execute_submission(
             &mut self.dpm,
@@ -497,7 +477,7 @@ impl SessionState {
             &mut self.journal,
             operation,
             self.negotiation.as_ref(),
-        );
+        )?;
         let label = match &outcome {
             OpOutcome::Executed(_) => "executed",
             OpOutcome::Rejected(_) => "rejected",
@@ -505,7 +485,7 @@ impl SessionState {
         if let (Some(window), Some(cid)) = (self.dedup.get_mut(designer), cid) {
             window.remember(cid, outcome.clone());
         }
-        (outcome, label)
+        Ok((outcome, label))
     }
 
     /// The body of a subscribe: a fresh inbox, pre-filled with the retained
@@ -539,14 +519,15 @@ impl SessionState {
         (inbox, last_idx)
     }
 
-    /// Closes a session whose command panicked: its state may be half
-    /// updated, so nothing more runs against it. The flight recorder's
-    /// last events go to stderr and every inbox is closed; the journal
-    /// keeps the lines it holds.
-    fn abandon(self) {
+    /// Closes a session because `why` — a command panicked, or an
+    /// operation it executed could not be journaled: its state may be half
+    /// updated or ahead of the disk, so nothing more runs against it. The
+    /// flight recorder's last events go to stderr and every inbox is
+    /// closed; the journal keeps the lines it holds.
+    fn abandon(self, why: &str) {
         if let Some(recorder) = &self.recorder {
             eprintln!(
-                "adpm: session command panicked; flight recorder \
+                "adpm: session closed because {why}; flight recorder \
                  ({} of {} events retained):",
                 recorder.len(),
                 recorder.recorded()
@@ -561,15 +542,12 @@ impl SessionState {
     }
 }
 
-/// Closes every inbox and syncs the journal. Orderly shutdown models the
-/// operator fixing the disk (space freed, mount restored): the journal
-/// stops injecting faults and drains whatever a degraded writer parked.
+/// Closes every inbox and syncs the journal.
 fn close_session(subscriptions: &[SubscriptionEntry], journal: &mut Option<JournalWriter>) {
     for sub in subscriptions {
         sub.inbox.close();
     }
     if let Some(journal) = journal.as_mut() {
-        journal.clear_disk_faults();
         if let Err(error) = journal.sync() {
             eprintln!("adpm: journal sync at shutdown failed: {error}");
         }
@@ -577,30 +555,29 @@ fn close_session(subscriptions: &[SubscriptionEntry], journal: &mut Option<Journ
 }
 
 /// Runs one append against the session's journal, if it has one. A
-/// failing journal (disk full, fsync errors) degrades instead of failing
-/// the operation: the writer parks the lines in its backlog, the session
-/// keeps serving, and a later successful append — or an orderly shutdown
-/// after the fault clears — writes the parked lines in order.
+/// failed append (disk full, short write, fsync error) left nothing on
+/// disk, and the DPM cannot undo the operation, so the error is returned
+/// for the caller to stop before anyone learns of the operation; the
+/// session then closes.
 fn journal_append(
     journal: &mut Option<JournalWriter>,
     sink: &dyn MetricsSink,
     append: impl FnOnce(&mut JournalWriter) -> Result<(), JournalError>,
-) {
+) -> Result<(), JournalError> {
     let Some(writer) = journal.as_mut() else {
-        return;
+        return Ok(());
     };
-    let was_degraded = writer.is_degraded();
-    if let Err(error) = append(writer) {
+    append(writer).inspect_err(|error| {
         sink.incr(Counter::JournalDegradations, 1);
-        if !was_degraded {
-            eprintln!("adpm: journal append failed, parking writes: {error}");
-            // A dying disk suggests the process may not reach a clean
-            // shutdown either — make the telemetry recorded so far
-            // durable now, or a traced server loses its final counters
-            // line with it.
-            sink.flush();
-        }
-    }
+        eprintln!(
+            "adpm: journal append to {} failed, closing the session: {error}",
+            writer.path().display()
+        );
+        // A dying disk suggests the process may not reach a clean shutdown
+        // either — make the telemetry recorded so far durable now, or a
+        // traced server loses its final counters line with it.
+        sink.flush();
+    })
 }
 
 fn record_session_event(
@@ -631,15 +608,15 @@ fn execute_submission(
     journal: &mut Option<JournalWriter>,
     operation: Operation,
     negotiation: Option<&NegotiationConfig>,
-) -> OpOutcome {
+) -> Result<OpOutcome, JournalError> {
     if let Err(error) = dpm.validate_operation(&operation) {
-        return OpOutcome::Rejected(RejectReason::Invalid(error));
+        return Ok(OpOutcome::Rejected(RejectReason::Invalid(error)));
     }
     match dpm.execute(operation) {
         Ok(record) => {
             journal_append(journal, dpm.metrics_sink().as_ref(), |writer| {
                 writer.append(&record, dpm)
-            });
+            })?;
             fan_out(dpm, subscriptions, logs, record.sequence as u64);
             // A conflict-introducing operation triggers a negotiation per
             // new violation. Relax operations never re-negotiate — the
@@ -655,13 +632,13 @@ fn execute_submission(
                             seed,
                             config,
                             record.sequence as u64,
-                        );
+                        )?;
                     }
                 }
             }
-            OpOutcome::Executed(record)
+            Ok(OpOutcome::Executed(record))
         }
-        Err(error) => OpOutcome::Rejected(RejectReason::Network(error)),
+        Err(error) => Ok(OpOutcome::Rejected(RejectReason::Network(error))),
     }
 }
 
@@ -669,7 +646,8 @@ fn execute_submission(
 /// delivers its transcript to the subscribed inboxes, applies an accepted
 /// relaxation through the normal journaled submission path, and closes
 /// with a routed [`Event::NegotiationClosed`] reflecting whether the seed
-/// conflict actually cleared.
+/// conflict actually cleared. A journal error stops it at once, like
+/// [`execute_submission`].
 #[allow(clippy::too_many_arguments)]
 fn negotiate_conflict(
     dpm: &mut DesignProcessManager,
@@ -679,11 +657,11 @@ fn negotiate_conflict(
     seed: ConstraintId,
     config: &NegotiationConfig,
     seq: u64,
-) -> NegotiationReport {
+) -> Result<NegotiationReport, JournalError> {
     // An earlier negotiation in the same submission (shared MCS member) or
     // a raced repair may already have cleared this seed.
     if !dpm.network().status(seed).is_violated() {
-        return NegotiationReport::default();
+        return Ok(NegotiationReport::default());
     }
     let started = Instant::now();
     let sink = dpm.metrics_sink().clone();
@@ -707,7 +685,7 @@ fn negotiate_conflict(
     // never recursively negotiate.
     let applied = match outcome.operation.clone() {
         Some(operation) => matches!(
-            execute_submission(dpm, subscriptions, logs, journal, operation, None),
+            execute_submission(dpm, subscriptions, logs, journal, operation, None)?,
             OpOutcome::Executed(_)
         ),
         None => false,
@@ -758,7 +736,7 @@ fn negotiate_conflict(
             outcome_label,
             sink.as_ref(),
         )
-    });
+    })?;
     let dur_us = started.elapsed().as_micros() as u64;
     sink.time(SpanKind::Negotiate, dur_us);
     if sink.is_enabled() {
@@ -772,13 +750,13 @@ fn negotiate_conflict(
             dur_us,
         });
     }
-    NegotiationReport {
+    Ok(NegotiationReport {
         seed_violated: true,
         resolved,
         rounds: outcome.rounds,
         proposals: outcome.proposals,
         participants: outcome.participants.len() as u32,
-    }
+    })
 }
 
 /// Drains the DPM's pending notifications for every designer and delivers
@@ -942,7 +920,7 @@ mod tests {
         let snapshot = handle.snapshot().expect("session alive");
         assert_eq!(snapshot.history().len(), 1);
         assert!(snapshot.network().is_bound(pf));
-        let final_dpm = engine.shutdown();
+        let final_dpm = engine.shutdown().expect("session open");
         assert_eq!(final_dpm.history().len(), 1);
     }
 
@@ -978,7 +956,7 @@ mod tests {
             .expect("session alive")
             .record()
             .is_some());
-        let final_dpm = engine.shutdown();
+        let final_dpm = engine.shutdown().expect("session open");
         assert_eq!(final_dpm.history().len(), 1, "rejections leave no record");
     }
 
@@ -1035,7 +1013,7 @@ mod tests {
                 }
                 outcomes
             });
-            let final_dpm = engine.shutdown();
+            let final_dpm = engine.shutdown().expect("session open");
             let outcomes = racer.join().expect("racer panicked");
             for outcome in &outcomes {
                 match outcome {
@@ -1103,51 +1081,53 @@ mod tests {
         assert!(handle.snapshot().is_err());
     }
 
-    /// Regression: the journal-degradation path must flush the trace sink,
-    /// or a traced server that hits a journal write failure silently loses
-    /// its final counters line if it later dies uncleanly.
-    #[test]
-    fn journal_degradation_flushes_the_trace_sink() {
-        use crate::journal::{FsyncPolicy, JournalConfig};
-        use adpm_observe::JsonlSink;
-        use std::io::Write;
-        use std::sync::{Arc, Mutex};
+    /// A writer whose bytes stay readable after the sink is gone.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
         }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 
-        let (mut dpm, pf, _) = session_fixture();
+    /// Drives one submit into a failing journal. The journal at `path`
+    /// first gets one acknowledged operation outside any session; then
+    /// `failing` opens the writer the session journals through, and a
+    /// subscribed peer watches a submit that the writer cannot persist.
+    /// Asserts fail-stop: the submit is not executed and the session is
+    /// closed, the journal keeps its pre-submit length, the trace sink
+    /// was flushed, no event reached the peer, and recovery yields
+    /// exactly the acknowledged operation.
+    fn assert_fail_stop(
+        path: &std::path::Path,
+        failing: impl FnOnce(&DesignProcessManager) -> JournalWriter,
+    ) {
+        use crate::journal::{recover, JournalConfig};
+        use adpm_core::state_fingerprint;
+        use adpm_observe::JsonlSink;
+
+        let (mut dpm, pf, ps) = session_fixture();
         let buf = SharedBuf::default();
         dpm.set_sink(Arc::new(JsonlSink::new(Box::new(buf.clone()))));
-        let d0 = dpm.designers()[0];
+        let (d0, d1) = (dpm.designers()[0], dpm.designers()[1]);
         let fe = frontend_problem(&dpm);
-
-        // A journal wrapped around a read-only handle: the very first
-        // append fails, which is exactly the degradation trigger.
-        let dir = std::env::temp_dir().join(format!("adpm-session-degrade-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.jsonl");
-        std::fs::write(&path, b"").unwrap();
-        let file = std::fs::File::open(&path).unwrap();
-        let writer = JournalWriter::from_file_for_tests(
-            file,
-            JournalConfig {
-                path,
-                fsync: FsyncPolicy::Never,
-                checkpoint_every: 0,
-                compact_every: 0,
-            },
-            &dpm,
-        );
+        let top = dpm.problems().root().unwrap();
+        let de = dpm.problems().problem(top).children()[1];
+        std::fs::remove_file(path).ok();
+        let mut writer = JournalWriter::open(JournalConfig::new(path), &dpm, None).unwrap();
+        let record = dpm
+            .execute(Operation::assign(d1, de, ps, Value::number(50.0)))
+            .expect("executes");
+        writer.append(&record, &dpm).expect("fault-free append");
+        drop(writer);
+        let acknowledged = state_fingerprint(&dpm);
+        let writer = failing(&dpm);
+        let before = std::fs::metadata(path).unwrap().len();
 
         let engine = SessionEngine::spawn_with(
             dpm,
@@ -1157,69 +1137,62 @@ mod tests {
             },
         );
         let handle = engine.handle();
-        let outcome = handle
-            .submit(Operation::assign(d0, fe, pf, Value::number(150.0)))
-            .expect("session alive");
-        assert!(
-            outcome.record().is_some(),
-            "degradation keeps the session serving"
-        );
-        // The counters line must be durable *now* — before any shutdown
-        // or explicit finish ever runs.
+        let (inbox, _) = handle.subscribe_from(d1, 64, None).expect("session alive");
+        let assign = Operation::assign(d0, fe, pf, Value::number(100.0));
+        assert_eq!(handle.submit(assign.clone()), Err(SessionClosed));
+        assert_eq!(handle.submit(assign), Err(SessionClosed), "closed for good");
+        assert_eq!(std::fs::metadata(path).unwrap().len(), before);
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         assert!(
             text.lines().any(|l| l.contains("\"t\":\"counters\"")),
-            "degradation did not flush the sink; trace so far: {text}"
+            "the failure did not flush the sink; trace so far: {text}"
         );
-        engine.shutdown();
+        assert!(inbox.is_closed(), "closing the session closes inboxes");
+        assert!(inbox.drain().is_empty(), "a peer learned of the operation");
+        assert!(engine.shutdown().is_none(), "the session is already closed");
+
+        let (mut recovered, _, _) = session_fixture();
+        let report = recover(path, &mut recovered).expect("recover");
+        assert_eq!(report.ops, 1);
+        assert_eq!(state_fingerprint(&recovered), acknowledged);
+    }
+
+    /// A write that fails closes the session, and the failure path flushes
+    /// the trace sink, or a traced server that hits a journal write
+    /// failure loses its final counters line if it later dies uncleanly.
+    #[test]
+    fn journal_degradation_flushes_the_trace_sink() {
+        use crate::journal::JournalConfig;
+
+        let dir = std::env::temp_dir().join(format!("adpm-session-degrade-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.jsonl");
+        // A journal wrapped around a read-only handle: every write fails.
+        assert_fail_stop(&path, |dpm| {
+            let file = std::fs::File::open(&path).unwrap();
+            JournalWriter::from_file_for_tests(file, JournalConfig::new(&path), dpm)
+        });
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The default journal syncs every operation before it is answered:
-    /// when every fsync fails, the first append already reports it, and a
-    /// session counts the degradation on its first submit.
+    /// when the sync fails, the operation is not acknowledged, and the
+    /// written line is truncated away again.
     #[test]
     fn default_journal_config_syncs_every_append() {
         use crate::fault::{DiskFaultInjector, FaultPlan};
         use crate::journal::JournalConfig;
-        use adpm_observe::InMemorySink;
 
         let plan: FaultPlan = "fsync_fail=1.0".parse().expect("plan");
         let dir = std::env::temp_dir().join(format!("adpm-session-fsync-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let open = |name: &str, dpm: &DesignProcessManager| {
-            let path = dir.join(name);
-            std::fs::remove_file(&path).ok();
-            JournalWriter::open(JournalConfig::new(path), dpm, None)
+        let path = dir.join("session.jsonl");
+        assert_fail_stop(&path, |dpm| {
+            let resume = std::fs::metadata(&path).unwrap().len();
+            JournalWriter::open(JournalConfig::new(&path), dpm, Some(resume))
                 .expect("open journal")
                 .with_disk_faults(DiskFaultInjector::new(&plan, 0))
-        };
-        let (mut dpm, pf, _) = session_fixture();
-        let d0 = dpm.designers()[0];
-        let fe = frontend_problem(&dpm);
-        let assign = Operation::assign(d0, fe, pf, Value::number(150.0));
-
-        let mut direct = dpm.clone();
-        let mut writer = open("direct.jsonl", &direct);
-        let record = direct.execute(assign.clone()).expect("executes");
-        assert!(
-            writer.append(&record, &direct).is_err(),
-            "the first append syncs, and its sync fails"
-        );
-
-        let sink = Arc::new(InMemorySink::new());
-        dpm.set_sink(sink.clone());
-        let writer = open("session.jsonl", &dpm);
-        let engine = SessionEngine::spawn_with(
-            dpm,
-            SessionOptions {
-                journal: Some(writer),
-                ..SessionOptions::default()
-            },
-        );
-        let outcome = engine.handle().submit(assign).expect("session alive");
-        assert!(outcome.record().is_some(), "degradation keeps serving");
-        assert_eq!(sink.get(Counter::JournalDegradations), 1);
-        engine.shutdown();
+        });
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -403,7 +403,7 @@ pub enum Frame {
         message: String,
     },
     /// The server shed a request because a resource limit was hit (too
-    /// many in-flight operations, the journal writer is degraded, ...).
+    /// many in-flight operations, too many clients, ...).
     /// Design state is unchanged. The client should wait `retry_after_ms`
     /// and resubmit with the *same* `cid` — the server's dedup window
     /// guarantees the retry executes at most once.

@@ -1,12 +1,17 @@
 //! Property-based tests of the operation journal's crash-recovery
 //! contract: truncating the file at *any* byte offset recovers exactly
-//! the longest valid prefix (never more, never garbage), and a full
-//! write→recover round trip reproduces the design state bit-for-bit.
+//! the longest valid prefix (never more, never garbage), a full
+//! write→recover round trip reproduces the design state bit-for-bit, and
+//! under disk faults recovery yields exactly the operations a session
+//! acknowledged.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use adpm_collab::{recover, valid_prefix_bytes, FsyncPolicy, JournalConfig, JournalWriter};
+use adpm_collab::{
+    recover, valid_prefix_bytes, DiskFaultInjector, FaultPlan, FsyncPolicy, JournalConfig,
+    JournalWriter, OpOutcome, SessionEngine, SessionOptions,
+};
 use adpm_core::{state_fingerprint, DesignProcessManager, Operation};
 use adpm_scenarios::lna_walkthrough;
 use adpm_teamsim::{Simulation, SimulationConfig, StepOutcome};
@@ -294,5 +299,66 @@ proptest! {
         prop_assert_eq!(report.ops, take as u64);
         prop_assert!(report.faithful, "report: {:?}", report);
         prop_assert_eq!(state_fingerprint(&recovered), state_fingerprint(&original));
+    }
+
+    /// Fail-stop under disk faults: submitting the TeamSim history through
+    /// a journaled session under a seeded plan of ENOSPC, short writes and
+    /// fsync failures, a crash right after the last answer recovers
+    /// exactly the operations answered `executed`, in order, and their
+    /// design state.
+    #[test]
+    fn recovery_yields_exactly_the_acknowledged_prefix(
+        seed in 0u64..1_000,
+        enospc in 0.0f64..0.3,
+        short_write in 0.0f64..0.3,
+        fsync_fail in 0.0f64..0.3,
+    ) {
+        let (history, _) = fixture();
+        let plan: FaultPlan = format!(
+            "seed={seed},enospc={enospc},short_write={short_write},fsync_fail={fsync_fail}"
+        )
+        .parse()
+        .expect("plan");
+        let dir = scratch_dir();
+        let path = dir.join("faulty.journal");
+        let dpm = fresh_dpm();
+        let journal = JournalWriter::open(JournalConfig::new(&path), &dpm, None)
+            .expect("open journal")
+            .with_disk_faults(DiskFaultInjector::new(&plan, 0));
+        let engine = SessionEngine::spawn_with(
+            dpm,
+            SessionOptions {
+                journal: Some(journal),
+                ..SessionOptions::default()
+            },
+        );
+        let handle = engine.handle();
+        let mut acknowledged = Vec::new();
+        for op in history {
+            match handle.submit(op.clone()) {
+                Ok(OpOutcome::Executed(record)) => acknowledged.push(record),
+                Ok(OpOutcome::Rejected(reason)) => panic!("history op rejected: {reason}"),
+                Err(_) => break,
+            }
+        }
+        // The journal as a crash at this instant would leave it.
+        let crashed = dir.join("crashed.journal");
+        std::fs::copy(&path, &crashed).expect("copy journal");
+        let closed = acknowledged.len() < history.len();
+        prop_assert_eq!(engine.shutdown().is_none(), closed);
+
+        let mut recovered = fresh_dpm();
+        let report = recover(&crashed, &mut recovered).expect("recover");
+        prop_assert!(report.faithful, "report: {:?}", report);
+        prop_assert_eq!(report.truncated_bytes, 0);
+        prop_assert_eq!(
+            format!("{:?}", recovered.history()),
+            format!("{:?}", acknowledged)
+        );
+        let mut expected = fresh_dpm();
+        for record in &acknowledged {
+            expected.execute(record.operation.clone()).expect("re-execute");
+        }
+        prop_assert_eq!(state_fingerprint(&recovered), state_fingerprint(&expected));
     }
 }

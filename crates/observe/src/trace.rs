@@ -40,8 +40,8 @@ use crate::json::{field_bool, field_str, field_u64};
 /// | `JournalCompactions` | the journal writer replaces the journal with a snapshot + empty tail |
 /// | `SnapshotBytes` | bytes written into `jsnap`/`jsop` snapshot sections during compaction |
 /// | `RecoveryReplayedOps` | a post-snapshot tail operation is replayed during recovery (the bounded part) |
-/// | `JournalDegradations` | a journal append or fsync fails and the lines are parked in the in-memory backlog |
-/// | `OverloadSheds` | the server sheds work at a resource limit (admission reject, in-flight bound, slow-client eviction, degraded-journal shed) |
+/// | `JournalDegradations` | a journal append or fsync fails, is rolled back, and closes the session (at most one per session) |
+/// | `OverloadSheds` | the server sheds work at a resource limit (admission reject, in-flight bound, slow-client eviction) |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
     /// Executed design operations.
@@ -120,12 +120,12 @@ pub enum Counter {
     /// compaction bounds (`RecoveryOps` counts everything re-executed,
     /// snapshot program included).
     RecoveryReplayedOps,
-    /// Journal degradation events: an append or fsync failed and the
-    /// serialized lines were parked in the writer's in-memory backlog.
+    /// Failed journal appends: a write or fsync failed, the append was
+    /// rolled back, and the session closed instead of acknowledging the
+    /// operation — so at most one per session.
     JournalDegradations,
     /// Work shed at a resource limit: admission rejects, in-flight-bounded
-    /// submits answered `overloaded`, slow-client evictions, and writes
-    /// shed while the journal backlog is over its limit.
+    /// submits answered `overloaded`, and slow-client evictions.
     OverloadSheds,
 }
 

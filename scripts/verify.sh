@@ -255,36 +255,43 @@ grep -q 'session closed: 4 operations' "$SERVE_LOG" || {
   echo "recovered compacted history does not match"; cat "$SERVE_LOG"; exit 1; }
 rm -f "$SERVE_LOG" "$CJOURNAL" "$CJOURNAL.prev"
 
-echo "==> disk-fault chaos smoke (every append hits ENOSPC; server serves on, journal converges)"
-DJOURNAL=/tmp/verify_enospc_journal.jsonl
-rm -f "$DJOURNAL"
-SERVE_LOG=$(mktemp)
-"$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 \
-  --journal "$DJOURNAL" --fault-plan 'seed=3,enospc=1.0' > "$SERVE_LOG" &
-SERVE_PID=$!
-ADDR=$(announced "$SERVE_LOG") || { echo "enospc serve never announced"; kill "$SERVE_PID"; exit 1; }
-# Every journal append fails, yet submits still execute: degradation
-# parks the lines in the write backlog instead of dropping the journal.
-"$ADPM_RELEASE" submit "$ADDR" --designer 1 --problem analog-front-end \
-  --assign lna-mixer.lna-gain=20 | grep -q '"t":"executed"'
-"$ADPM_RELEASE" submit "$ADDR" --designer 1 --problem analog-front-end \
-  --assign lna-mixer.lna-gain=22 | grep -q '"t":"executed"'
-# Orderly shutdown models the disk recovering (space freed): the backlog
-# drains, so the journal ends complete and replayable.
-"$ADPM_RELEASE" submit "$ADDR" --shutdown >/dev/null
-wait "$SERVE_PID"
-grep -q 'session closed: 2 operations' "$SERVE_LOG" || {
-  echo "degraded server lost operations"; cat "$SERVE_LOG"; exit 1; }
-[ "$(grep -c '"t":"jop"' "$DJOURNAL")" -eq 2 ] || {
-  echo "backlog did not converge: journal incomplete"; cat "$DJOURNAL"; exit 1; }
-"$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 --journal "$DJOURNAL" > "$SERVE_LOG" &
-SERVE_PID=$!
-ADDR=$(announced "$SERVE_LOG") || { echo "post-enospc serve never announced"; kill "$SERVE_PID"; exit 1; }
-grep -q '^recovered 2 operations from' "$SERVE_LOG" || {
-  echo "journal written under disk faults did not recover"; cat "$SERVE_LOG"; kill "$SERVE_PID"; exit 1; }
-"$ADPM_RELEASE" submit "$ADDR" --shutdown >/dev/null
-wait "$SERVE_PID"
-rm -f "$SERVE_LOG" "$DJOURNAL"
+echo "==> disk-fault fail-stop smoke (a failed append is never acknowledged; a restart recovers the rest)"
+DJOURNAL=/tmp/verify_faulty_journal.jsonl
+for PLAN in 'seed=3,enospc=1.0' 'seed=3,fsync_fail=1.0'; do
+  rm -f "$DJOURNAL"
+  SERVE_LOG=$(mktemp)
+  SERVE_ERR=$(mktemp)
+  "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 \
+    --journal "$DJOURNAL" --fault-plan "$PLAN" > "$SERVE_LOG" 2> "$SERVE_ERR" &
+  SERVE_PID=$!
+  ADDR=$(announced "$SERVE_LOG") || { echo "$PLAN: serve never announced"; kill "$SERVE_PID"; exit 1; }
+  # Every append fails, so the operation is not on disk: the session
+  # closes instead of answering `executed`.
+  if "$ADPM_RELEASE" submit "$ADDR" --designer 1 --problem analog-front-end \
+      --assign lna-mixer.lna-gain=20 2>/dev/null | grep -q '"t":"executed"'; then
+    echo "$PLAN: an operation that is not on disk was acknowledged"; kill "$SERVE_PID"; exit 1
+  fi
+  "$ADPM_RELEASE" submit "$ADDR" --shutdown >/dev/null
+  if wait "$SERVE_PID"; then
+    echo "$PLAN: serve exited 0 after its session closed"; cat "$SERVE_LOG" "$SERVE_ERR"; exit 1
+  fi
+  grep -qF -- "--journal $DJOURNAL" "$SERVE_ERR" || {
+    echo "$PLAN: serve did not name the journal to recover from"; cat "$SERVE_ERR"; exit 1; }
+  if grep -q '"t":"jop"' "$DJOURNAL"; then
+    echo "$PLAN: the failed append left a jop line"; cat "$DJOURNAL"; exit 1
+  fi
+  "$ADPM_RELEASE" serve /tmp/verify_rx.dddl --port 0 --journal "$DJOURNAL" > "$SERVE_LOG" &
+  SERVE_PID=$!
+  ADDR=$(announced "$SERVE_LOG") || { echo "$PLAN: restarted serve never announced"; kill "$SERVE_PID"; exit 1; }
+  grep -q '^recovered 0 operations from' "$SERVE_LOG" || {
+    echo "$PLAN: recovery found operations nobody was told of"; cat "$SERVE_LOG"; kill "$SERVE_PID"; exit 1; }
+  "$ADPM_RELEASE" submit "$ADDR" --designer 1 --problem analog-front-end \
+    --assign lna-mixer.lna-gain=20 | grep -q '"t":"executed","seq":1' || {
+    echo "$PLAN: the retried submit did not execute as seq 1"; kill "$SERVE_PID"; exit 1; }
+  "$ADPM_RELEASE" submit "$ADDR" --shutdown >/dev/null
+  wait "$SERVE_PID"
+  rm -f "$SERVE_LOG" "$SERVE_ERR" "$DJOURNAL"
+done
 
 echo "==> multi-session smoke (2 named sessions, isolated state + per-session journals)"
 MS_JOURNAL=/tmp/verify_ms_journal.jsonl

@@ -151,7 +151,7 @@ proptest! {
         }
         let executed: usize = threads.into_iter().map(|t| t.join().unwrap()).sum();
 
-        let final_dpm = engine.shutdown();
+        let final_dpm = engine.shutdown().expect("session open");
         // Every Executed outcome is one history entry — nothing lost,
         // nothing double-counted across the thread boundary.
         prop_assert_eq!(executed, final_dpm.history().len());
