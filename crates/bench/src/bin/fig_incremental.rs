@@ -81,7 +81,6 @@ fn replay_scenario(name: &str, scenario: &CompiledScenario, seeds: u64) -> Total
     let uncapped_full = DpmConfig {
         propagation: PropagationConfig {
             max_evaluations: usize::MAX,
-            ..PropagationConfig::default()
         },
         propagation_kind: PropagationKind::Full,
         ..DpmConfig::adpm()

@@ -15,7 +15,6 @@
 //! | `fig10_tightness` | Fig. 10: operations vs gain-requirement tightness |
 //! | `ablation_heuristics` | ablation of the §2.3 heuristics (design-choice study) |
 //! | `fig_incremental` | incremental vs full DCM propagation: cost + equivalence oracle |
-//! | `bench_collab` | multi-session collaboration load: submit-latency percentiles under client churn |
 //!
 //! Per-layer and end-to-end timings of propagation, DDDL parsing and
 //! TeamSim runs come from the standalone `perfbench` crate at the
@@ -26,7 +25,10 @@
 
 use adpm_core::ManagementMode;
 use adpm_dddl::CompiledScenario;
-use adpm_observe::{Counter, CounterSnapshot, InMemorySink, MetricsSink};
+use adpm_observe::{
+    escape_into, field_bool, field_str, field_u64, Counter, CounterSnapshot, InMemorySink,
+    MetricsSink,
+};
 use adpm_teamsim::{run_once, run_once_with_sink, Batch, SimulationConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -201,51 +203,32 @@ pub struct JsonRow(String);
 impl JsonRow {
     /// Opens a row with its `"t"` tag and the emitting bench's name.
     pub fn new(tag: &str, bench: &str) -> Self {
-        let mut row = JsonRow(String::from("{"));
-        row.push_str_field("t", tag);
-        row.push_str_field("bench", bench);
-        row
-    }
-
-    fn push_key(&mut self, key: &str) {
-        if self.0.len() > 1 {
-            self.0.push(',');
-        }
-        let _ = write!(self.0, "\"{key}\":");
-    }
-
-    fn push_str_field(&mut self, key: &str, value: &str) {
-        self.push_key(key);
-        self.0.push('"');
-        for c in value.chars() {
-            match c {
-                '"' => self.0.push_str("\\\""),
-                '\\' => self.0.push_str("\\\\"),
-                c => self.0.push(c),
-            }
-        }
-        self.0.push('"');
+        let mut row = String::from("{\"t\":\"");
+        escape_into(&mut row, tag);
+        row.push('"');
+        field_str(&mut row, "bench", bench);
+        JsonRow(row)
     }
 
     /// Appends a string field.
     #[must_use]
     pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.push_str_field(key, value);
+        field_str(&mut self.0, key, value);
         self
     }
 
     /// Appends an unsigned integer field.
     #[must_use]
     pub fn u64(mut self, key: &str, value: u64) -> Self {
-        self.push_key(key);
-        let _ = write!(self.0, "{value}");
+        field_u64(&mut self.0, key, value);
         self
     }
 
-    /// Appends a float field (non-finite values serialize as `null`).
+    /// Appends a float field in `Display` form (non-finite values
+    /// serialize as `null`).
     #[must_use]
     pub fn f64(mut self, key: &str, value: f64) -> Self {
-        self.push_key(key);
+        let _ = write!(self.0, ",\"{key}\":");
         if value.is_finite() {
             let _ = write!(self.0, "{value}");
         } else {
@@ -257,8 +240,7 @@ impl JsonRow {
     /// Appends a boolean field.
     #[must_use]
     pub fn bool(mut self, key: &str, value: bool) -> Self {
-        self.push_key(key);
-        let _ = write!(self.0, "{value}");
+        field_bool(&mut self.0, key, value);
         self
     }
 
@@ -346,6 +328,7 @@ mod tests {
     fn json_rows_are_flat_and_escaped() {
         let row = JsonRow::new("bench_phase", "demo")
             .str("phase", "a\"b\\c")
+            .str("note", "two\nlines")
             .u64("ops", 7)
             .f64("ratio", 1.5)
             .f64("bad", f64::NAN)
@@ -354,7 +337,7 @@ mod tests {
         assert_eq!(
             row,
             "{\"t\":\"bench_phase\",\"bench\":\"demo\",\"phase\":\"a\\\"b\\\\c\",\
-             \"ops\":7,\"ratio\":1.5,\"bad\":null,\"ok\":true}"
+             \"note\":\"two\\nlines\",\"ops\":7,\"ratio\":1.5,\"bad\":null,\"ok\":true}"
         );
         // The twin files parse with the trace tooling.
         assert!(adpm_observe::parse_trace(&row).is_ok());

@@ -28,6 +28,7 @@ use adpm_collab::{
     recover, run_concurrent_dpm, run_concurrent_remote, CollabClient, CollabServer,
     DiskFaultInjector, FaultInjector, FaultPlan, Frame, FsyncPolicy, JournalConfig, JournalWriter,
     NegotiationConfig, ServerOptions, SessionFactory, SessionOptions, WireError, WireOp,
+    DEFAULT_SESSION,
 };
 use adpm_constraint::{
     explain_all_violations, propagate, NetworkError, PropagationConfig, PropagationKind, Value,
@@ -63,7 +64,7 @@ pub enum CliError {
     /// A collaboration connection failed at the wire-protocol level, or a
     /// `client`/`submit` expectation (like `--expect-events`) was not met.
     Wire(WireError),
-    /// `serve`'s default session closed before shutdown (a journal append
+    /// A session `serve` hosted closed before shutdown (a journal append
     /// failed or a command panicked); the payload says how to recover.
     SessionClosed(String),
 }
@@ -732,7 +733,7 @@ impl Default for ServeOptions {
 /// # Errors
 ///
 /// Returns a [`CliError`] for invalid scenarios, bind failures, an
-/// unrecoverable journal, or a default session that closed before the
+/// unrecoverable journal, or any hosted session that closed before the
 /// shutdown because a journal append failed or a command panicked.
 pub fn serve(
     source: &str,
@@ -763,7 +764,7 @@ pub fn serve(
             let journal = options
                 .journal
                 .as_ref()
-                .map(|base| PathBuf::from(format!("{}.{name}", base.display())));
+                .map(|base| session_journal(base, name));
             let stream = name.bytes().fold(0u64, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             });
@@ -802,15 +803,26 @@ pub fn serve(
     if let Some(addr) = server.metrics_addr() {
         announce(&format!("metrics on {addr}"));
     }
-    let dpm = server.wait().ok_or_else(|| {
-        CliError::SessionClosed(match &options.journal {
-            Some(path) => format!(
-                "the session closed before shutdown; restart with --journal {} \
-                 to recover its acknowledged operations",
-                path.display()
-            ),
-            None => "the session closed before shutdown after a command panicked".into(),
-        })
+    let dpm = server.wait().map_err(|closed| {
+        let why: Vec<String> = closed
+            .iter()
+            .map(|name| {
+                let session = if name == DEFAULT_SESSION {
+                    "the session".to_owned()
+                } else {
+                    format!("session {name}")
+                };
+                match &options.journal {
+                    Some(base) => format!(
+                        "{session} closed before shutdown; restart with --journal {} \
+                         to recover its acknowledged operations",
+                        session_journal(base, name).display()
+                    ),
+                    None => format!("{session} closed before shutdown after a command panicked"),
+                }
+            })
+            .collect();
+        CliError::SessionClosed(why.join("; "))
     })?;
     let network = dpm.network();
     let bound = network
@@ -826,6 +838,16 @@ pub fn serve(
         network.violated_constraints().len()
     );
     Ok(out)
+}
+
+/// Where a served session journals: the default session at `base`, a
+/// named one at the sibling path `base.<name>`.
+fn session_journal(base: &std::path::Path, name: &str) -> PathBuf {
+    if name == DEFAULT_SESSION {
+        base.to_path_buf()
+    } else {
+        PathBuf::from(format!("{}.{name}", base.display()))
+    }
 }
 
 /// The DPM configuration of a served session: region propagation in ADPM
@@ -1294,21 +1316,15 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
             let path = it
                 .next()
                 .ok_or_else(|| CliError::Usage("analyze needs a trace file".into()))?;
-            let rest: Vec<String> = it.cloned().collect();
+            let rest = it.as_slice();
             let mut json = false;
-            let mut vs: Option<String> = None;
-            let mut args = rest.iter();
-            while let Some(flag) = args.next() {
-                match flag.as_str() {
+            let mut vs: Option<&str> = None;
+            let mut flags = Flags::new(rest);
+            while let Some(flag) = flags.next() {
+                match flag {
                     "--json" => json = true,
-                    "--vs" => {
-                        vs = Some(
-                            args.next()
-                                .ok_or_else(|| CliError::Usage("--vs needs a trace file".into()))?
-                                .clone(),
-                        );
-                    }
-                    other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
+                    "--vs" => vs = Some(flags.value_of("a trace file")?),
+                    _ => return Err(flags.unknown()),
                 }
             }
             let trace = std::fs::read_to_string(path)?;
@@ -1329,29 +1345,14 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
             let b = it
                 .next()
                 .ok_or_else(|| CliError::Usage("diff-trace needs a candidate trace".into()))?;
-            let rest: Vec<String> = it.cloned().collect();
+            let rest = it.as_slice();
             let mut thresholds = DiffThresholds::default();
-            let mut args = rest.iter();
-            while let Some(flag) = args.next() {
-                let value = |args: &mut std::slice::Iter<String>| {
-                    args.next()
-                        .cloned()
-                        .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-                };
-                match flag.as_str() {
-                    "--abs" => {
-                        let v = value(&mut args)?;
-                        thresholds.absolute = v.parse().map_err(|_| {
-                            CliError::Usage(format!("--abs expects a number, got `{v}`"))
-                        })?;
-                    }
-                    "--rel" => {
-                        let v = value(&mut args)?;
-                        thresholds.relative = v.parse().map_err(|_| {
-                            CliError::Usage(format!("--rel expects a fraction, got `{v}`"))
-                        })?;
-                    }
-                    other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
+            let mut flags = Flags::new(rest);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--abs" => thresholds.absolute = flags.number()?,
+                    "--rel" => thresholds.relative = flags.parse_as("a fraction")?,
+                    _ => return Err(flags.unknown()),
                 }
             }
             diff_trace(
@@ -1365,8 +1366,8 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
                 .next()
                 .ok_or_else(|| CliError::Usage("serve needs a scenario file".into()))?;
             let source = std::fs::read_to_string(path)?;
-            let rest: Vec<String> = it.cloned().collect();
-            let options = parse_serve_options(&rest)?;
+            let rest = it.as_slice();
+            let options = parse_serve_options(rest)?;
             // Print the listening line eagerly so scripts can scrape the
             // ephemeral port while the server blocks.
             serve(&source, &options, &mut |line| {
@@ -1379,16 +1380,16 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
             let addr = it
                 .next()
                 .ok_or_else(|| CliError::Usage("client needs a server address".into()))?;
-            let rest: Vec<String> = it.cloned().collect();
-            let options = parse_client_options(&rest)?;
+            let rest = it.as_slice();
+            let options = parse_client_options(rest)?;
             client(addr, &options)
         }
         "submit" => {
             let addr = it
                 .next()
                 .ok_or_else(|| CliError::Usage("submit needs a server address".into()))?;
-            let rest: Vec<String> = it.cloned().collect();
-            let (designer, problem, session, action) = parse_submit_options(&rest)?;
+            let rest = it.as_slice();
+            let (designer, problem, session, action) = parse_submit_options(rest)?;
             submit_request(
                 addr,
                 designer,
@@ -1401,8 +1402,8 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
             let addr = it
                 .next()
                 .ok_or_else(|| CliError::Usage("top needs a server address".into()))?;
-            let rest: Vec<String> = it.cloned().collect();
-            let options = parse_top_options(&rest)?;
+            let rest = it.as_slice();
+            let options = parse_top_options(rest)?;
             top(addr, &options, &mut |report| {
                 use std::io::Write as _;
                 println!("{report}");
@@ -1414,36 +1415,32 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
                 .next()
                 .ok_or_else(|| CliError::Usage(format!("{command} needs a scenario file")))?;
             let source = std::fs::read_to_string(path)?;
-            let rest: Vec<String> = it.cloned().collect();
+            let rest = it.as_slice();
             match command {
                 "check" => check(&source),
                 "fmt" => fmt(&source),
                 "run" => {
-                    let options = parse_run_options(&rest)?;
+                    let options = parse_run_options(rest)?;
                     run(&source, &options)
                 }
                 "compare" => {
-                    let seeds = parse_flag(&rest, "--seeds")?
-                        .map(|s| {
-                            s.parse::<u64>().map_err(|_| {
-                                CliError::Usage(format!("--seeds expects a number, got `{s}`"))
-                            })
-                        })
-                        .transpose()?
-                        .unwrap_or(20);
+                    let mut seeds = 20;
+                    let mut flags = Flags::new(rest);
+                    while let Some(flag) = flags.next() {
+                        match flag {
+                            "--seeds" => seeds = flags.number()?,
+                            _ => return Err(flags.unknown()),
+                        }
+                    }
                     compare(&source, seeds)
                 }
                 _ => {
                     let mut bindings = Vec::new();
-                    let mut args = rest.iter();
-                    while let Some(flag) = args.next() {
-                        if flag == "--bind" {
-                            let value = args.next().ok_or_else(|| {
-                                CliError::Usage("--bind needs obj.prop=value".into())
-                            })?;
-                            bindings.push(value.clone());
-                        } else {
-                            return Err(CliError::Usage(format!("unknown flag `{flag}`")));
+                    let mut flags = Flags::new(rest);
+                    while let Some(flag) = flags.next() {
+                        match flag {
+                            "--bind" => bindings.push(flags.value_of("obj.prop=value")?.to_owned()),
+                            _ => return Err(flags.unknown()),
                         }
                     }
                     explain(&source, &bindings)
@@ -1456,80 +1453,112 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-fn parse_flag<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, CliError> {
-    let mut out = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == name {
-            out = Some(
-                it.next()
-                    .ok_or_else(|| CliError::Usage(format!("{name} needs a value")))?
-                    .as_str(),
-            );
+/// A cursor over a command's flags. It yields each flag in turn and reads
+/// the flag's value, so every command words its usage errors alike:
+/// ``FLAG needs a value``, ``FLAG expects a number, got `V` ``,
+/// ``FLAG: why`` and ``unknown flag `FLAG` ``.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    /// The flag most recently yielded by [`next`](Self::next).
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags {
+            args: args.iter(),
+            flag: "",
         }
     }
-    Ok(out)
+
+    /// The next flag, or `None` once every argument is read.
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.args.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value; a missing one is `FLAG needs {what}`.
+    fn value_of(&mut self, what: &str) -> Result<&'a str, CliError> {
+        let flag = self.flag;
+        self.args
+            .next()
+            .map(String::as_str)
+            .ok_or_else(|| CliError::Usage(format!("{flag} needs {what}")))
+    }
+
+    /// The current flag's value.
+    fn value(&mut self) -> Result<&'a str, CliError> {
+        self.value_of("a value")
+    }
+
+    /// The current flag's value as `T`; one that does not parse is
+    /// ``FLAG expects {what}, got `V` ``.
+    fn parse_as<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, CliError> {
+        let value = self.value()?;
+        value.parse().map_err(|_| self.expected(what, value))
+    }
+
+    /// The current flag's value as a number.
+    fn number<T: std::str::FromStr>(&mut self) -> Result<T, CliError> {
+        self.parse_as("a number")
+    }
+
+    /// The current flag's value parsed by `T`'s own rules, whose error
+    /// follows the flag: `FLAG: why`.
+    fn parsed<T>(&mut self) -> Result<T, CliError>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        let value = self.value()?;
+        value
+            .parse()
+            .map_err(|e| CliError::Usage(format!("{}: {e}", self.flag)))
+    }
+
+    /// The current flag's value as a management mode.
+    fn mode(&mut self) -> Result<ManagementMode, CliError> {
+        match self.value()? {
+            "adpm" => Ok(ManagementMode::Adpm),
+            "conventional" | "conv" => Ok(ManagementMode::Conventional),
+            other => Err(self.expected("adpm or conventional", other)),
+        }
+    }
+
+    fn expected(&self, what: &str, value: &str) -> CliError {
+        CliError::Usage(format!("{} expects {what}, got `{value}`", self.flag))
+    }
+
+    /// The current flag is not one the command takes.
+    fn unknown(&self) -> CliError {
+        CliError::Usage(format!("unknown flag `{}`", self.flag))
+    }
 }
 
 fn parse_run_options(args: &[String]) -> Result<RunOptions, CliError> {
     let mut options = RunOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
-            "--mode" => {
-                options.mode = match value(&mut it)?.as_str() {
-                    "adpm" => ManagementMode::Adpm,
-                    "conventional" | "conv" => ManagementMode::Conventional,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "--mode expects adpm or conventional, got `{other}`"
-                        )))
-                    }
-                }
-            }
-            "--seed" => {
-                let v = value(&mut it)?;
-                options.seed = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--seed expects a number, got `{v}`")))?;
-            }
-            "--max-ops" => {
-                let v = value(&mut it)?;
-                options.max_operations = v.parse().map_err(|_| {
-                    CliError::Usage(format!("--max-ops expects a number, got `{v}`"))
-                })?;
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--mode" => options.mode = flags.mode()?,
+            "--seed" => options.seed = flags.number()?,
+            "--max-ops" => options.max_operations = flags.number()?,
             "--csv" => options.csv = true,
-            "--trace" => options.trace = Some(PathBuf::from(value(&mut it)?)),
+            "--trace" => options.trace = Some(PathBuf::from(flags.value()?)),
             "--metrics" => options.metrics = true,
             "--concurrent" => options.concurrent = true,
             "--turn-barrier" => options.turn_barrier = true,
             "--remote" => options.remote = true,
             "--negotiate" => options.negotiate = true,
-            "--fault-plan" => {
-                options.fault_plan = Some(
-                    value(&mut it)?
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--fault-plan: {e}")))?,
-                );
-            }
-            "--propagation" => {
-                options.propagation = value(&mut it)?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--propagation: {e}")))?;
-            }
+            "--fault-plan" => options.fault_plan = Some(flags.parsed()?),
+            "--propagation" => options.propagation = flags.parsed()?,
             other => match other.strip_prefix("--propagation=") {
                 Some(v) => {
                     options.propagation = v
                         .parse()
                         .map_err(|e| CliError::Usage(format!("--propagation: {e}")))?;
                 }
-                None => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
+                None => return Err(flags.unknown()),
             },
         }
     }
@@ -1538,72 +1567,22 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, CliError> {
 
 fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
     let mut options = ServeOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
-            "--port" => {
-                let v = value(&mut it)?;
-                options.port = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--port expects a number, got `{v}`")))?;
-            }
-            "--mode" => {
-                options.mode = match value(&mut it)?.as_str() {
-                    "adpm" => ManagementMode::Adpm,
-                    "conventional" | "conv" => ManagementMode::Conventional,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "--mode expects adpm or conventional, got `{other}`"
-                        )))
-                    }
-                }
-            }
-            "--journal" => options.journal = Some(PathBuf::from(value(&mut it)?)),
-            "--fsync" => {
-                options.fsync = value(&mut it)?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("--fsync: {e}")))?;
-            }
-            "--compact-every" => {
-                let v = value(&mut it)?;
-                options.compact_every = v.parse().map_err(|_| {
-                    CliError::Usage(format!("--compact-every expects a number, got `{v}`"))
-                })?;
-            }
-            "--fault-plan" => {
-                options.fault_plan = Some(
-                    value(&mut it)?
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--fault-plan: {e}")))?,
-                );
-            }
-            "--heartbeat-ms" => {
-                let v = value(&mut it)?;
-                options.heartbeat_ms = v.parse().map_err(|_| {
-                    CliError::Usage(format!("--heartbeat-ms expects a number, got `{v}`"))
-                })?;
-            }
-            "--idle-timeout-ms" => {
-                let v = value(&mut it)?;
-                options.idle_timeout_ms = v.parse().map_err(|_| {
-                    CliError::Usage(format!("--idle-timeout-ms expects a number, got `{v}`"))
-                })?;
-            }
-            "--sessions" => {
-                let v = value(&mut it)?;
-                options.sessions = v.parse().map_err(|_| {
-                    CliError::Usage(format!("--sessions expects a number, got `{v}`"))
-                })?;
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--port" => options.port = flags.number()?,
+            "--mode" => options.mode = flags.mode()?,
+            "--journal" => options.journal = Some(PathBuf::from(flags.value()?)),
+            "--fsync" => options.fsync = flags.parsed()?,
+            "--compact-every" => options.compact_every = flags.number()?,
+            "--fault-plan" => options.fault_plan = Some(flags.parsed()?),
+            "--heartbeat-ms" => options.heartbeat_ms = flags.number()?,
+            "--idle-timeout-ms" => options.idle_timeout_ms = flags.number()?,
+            "--sessions" => options.sessions = flags.number()?,
             "--allow-create" => options.allow_create = true,
-            "--metrics-addr" => options.metrics_addr = Some(parse_addr(&value(&mut it)?)?),
+            "--metrics-addr" => options.metrics_addr = Some(parse_addr(flags.value()?)?),
             "--negotiate" => options.negotiate = true,
-            other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(options)
@@ -1611,23 +1590,14 @@ fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
 
 fn parse_top_options(args: &[String]) -> Result<TopOptions, CliError> {
     let mut options = TopOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-        };
-        let number = |v: String| {
-            v.parse::<u64>()
-                .map_err(|_| CliError::Usage(format!("{flag} expects a number, got `{v}`")))
-        };
-        match flag.as_str() {
-            "--session" => options.session = Some(value(&mut it)?),
-            "--interval" => options.interval_ms = number(value(&mut it)?)?,
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--session" => options.session = Some(flags.value()?.to_owned()),
+            "--interval" => options.interval_ms = flags.number()?,
             "--json" => options.json = true,
-            "--count" => options.count = number(value(&mut it)?)?,
-            other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
+            "--count" => options.count = flags.number()?,
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(options)
@@ -1635,31 +1605,16 @@ fn parse_top_options(args: &[String]) -> Result<TopOptions, CliError> {
 
 fn parse_client_options(args: &[String]) -> Result<ClientOptions, CliError> {
     let mut options = ClientOptions::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-        };
-        let number = |v: String| {
-            v.parse::<u64>()
-                .map_err(|_| CliError::Usage(format!("{flag} expects a number, got `{v}`")))
-        };
-        match flag.as_str() {
-            "--designer" => options.designer = number(value(&mut it)?)? as u32,
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--designer" => options.designer = flags.number()?,
             "--subscribe" => options.subscribe = true,
-            "--expect-events" => options.expect_events = number(value(&mut it)?)? as usize,
-            "--timeout-ms" => options.timeout_ms = number(value(&mut it)?)?,
-            "--session" => options.session = Some(value(&mut it)?),
-            "--fault-plan" => {
-                options.fault_plan = Some(
-                    value(&mut it)?
-                        .parse()
-                        .map_err(|e| CliError::Usage(format!("--fault-plan: {e}")))?,
-                );
-            }
-            other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
+            "--expect-events" => options.expect_events = flags.number()?,
+            "--timeout-ms" => options.timeout_ms = flags.number()?,
+            "--session" => options.session = Some(flags.value()?.to_owned()),
+            "--fault-plan" => options.fault_plan = Some(flags.parsed()?),
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(options)
@@ -1673,7 +1628,6 @@ fn parse_submit_options(
     let mut session: Option<String> = None;
     let mut action: Option<SubmitAction> = None;
     let mut constraints = String::new();
-    let mut it = args.iter();
     let set_action = |action: &mut Option<SubmitAction>, new: SubmitAction| {
         if action.is_some() {
             return Err(CliError::Usage(
@@ -1683,23 +1637,14 @@ fn parse_submit_options(
         *action = Some(new);
         Ok(())
     };
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<String>| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
-            "--designer" => {
-                let v = value(&mut it)?;
-                designer = v.parse().map_err(|_| {
-                    CliError::Usage(format!("--designer expects a number, got `{v}`"))
-                })?;
-            }
-            "--problem" => problem = Some(value(&mut it)?),
-            "--session" => session = Some(value(&mut it)?),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--designer" => designer = flags.number()?,
+            "--problem" => problem = Some(flags.value()?.to_owned()),
+            "--session" => session = Some(flags.value()?.to_owned()),
             "--assign" => {
-                let binding = value(&mut it)?;
+                let binding = flags.value()?;
                 let (property, raw) = binding.split_once('=').ok_or_else(|| {
                     CliError::Usage(format!("--assign expects obj.prop=value, got `{binding}`"))
                 })?;
@@ -1715,7 +1660,7 @@ fn parse_submit_options(
                 )?;
             }
             "--unbind" => {
-                let property = value(&mut it)?;
+                let property = flags.value()?.to_owned();
                 set_action(&mut action, SubmitAction::Unbind { property })?;
             }
             "--verify" => set_action(
@@ -1724,9 +1669,9 @@ fn parse_submit_options(
                     constraints: String::new(),
                 },
             )?,
-            "--constraints" => constraints = value(&mut it)?,
+            "--constraints" => flags.value()?.clone_into(&mut constraints),
             "--shutdown" => set_action(&mut action, SubmitAction::Shutdown)?,
-            other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
+            _ => return Err(flags.unknown()),
         }
     }
     let mut action = action.ok_or_else(|| {
@@ -2723,6 +2668,44 @@ mod tests {
         let text = std::fs::read_to_string(&journal).expect("journal");
         assert!(!text.contains("\"t\":\"jop\""), "{text}");
         std::fs::remove_file(&journal).ok();
+    }
+
+    /// A named session whose journal append fails fails `serve` too, and
+    /// the error names that session's journal.
+    #[test]
+    fn serve_fails_stop_when_a_named_session_cannot_journal() {
+        let dir = std::env::temp_dir().join(format!("adpm-cli-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let journal = dir.join("serve-named-enospc.journal");
+        let named = PathBuf::from(format!("{}.s1", journal.display()));
+        std::fs::remove_file(&journal).ok();
+        std::fs::remove_file(&named).ok();
+        let (addr, _lines, server) = spawn_serve(ServeOptions {
+            journal: Some(journal.clone()),
+            sessions: 1,
+            fault_plan: Some("seed=3,enospc=1.0".parse().expect("plan")),
+            ..ServeOptions::default()
+        });
+        let assign = SubmitAction::Assign {
+            property: "rx.P-front".into(),
+            value: 150.0,
+        };
+        let refused = submit_request(&addr, 0, Some("fe"), Some("s1"), &assign);
+        assert!(matches!(refused, Err(CliError::Wire(_))), "{refused:?}");
+        submit_request(&addr, 0, None, None, &SubmitAction::Shutdown).expect("shutdown");
+        let error = server.join().expect("join").expect_err("serve fails");
+        assert!(matches!(error, CliError::SessionClosed(_)), "{error:?}");
+        assert_eq!(error.exit_code(), 1);
+        assert_eq!(
+            error.to_string(),
+            format!(
+                "session s1 closed before shutdown; restart with --journal {} \
+                 to recover its acknowledged operations",
+                named.display()
+            )
+        );
+        std::fs::remove_file(&journal).ok();
+        std::fs::remove_file(&named).ok();
     }
 
     #[test]

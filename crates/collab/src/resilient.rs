@@ -15,7 +15,10 @@
 //!   If the response is lost, the resubmission after reconnect presents
 //!   the same `cid` and the session answers from its dedup window instead
 //!   of executing twice — at-most-once execution, at-least-once delivery,
-//!   so exactly-once effect.
+//!   so exactly-once effect. The session remembers `cid`s per designer,
+//!   and several clients may act as one designer, so no two clients may
+//!   share a `cid`: ids come from one process-wide counter, with the
+//!   process id in their high bits.
 //! - **Subscription resume.** The client remembers the highest delivery
 //!   index it has seen; on reconnect it resubscribes with
 //!   `resume_from = last_seen` and the server redelivers exactly the gap.
@@ -31,8 +34,34 @@ use adpm_observe::{Counter, MetricsSink, SpanKind, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Bits of a `cid` below the process's pid: the process-wide count of
+/// submissions.
+const CID_COUNT_BITS: u32 = 31;
+
+/// Bits of the pid a `cid` carries. 22 bits hold every Linux pid
+/// (`PID_MAX_LIMIT` is 2²²), and 22 + [`CID_COUNT_BITS`] = 53 keeps every
+/// `cid` an integer an `f64` holds exactly: the wire parses numbers as
+/// `f64`, and a rounded `cid` would make the client discard its own verdict.
+const CID_PID_BITS: u32 = 22;
+
+/// A fresh client operation id, never handed to another client.
+///
+/// A session deduplicates per `(designer, cid)`, and every client that
+/// says `hello` as the same designer shares that window. So a `cid` is
+/// drawn from one process-wide counter, not per client: two clients of one
+/// process never share one. The process id in the high bits keeps clients
+/// of different processes apart. The count wraps after 2³¹ submissions of
+/// one process, far beyond any dedup window.
+fn next_cid() -> u64 {
+    static SUBMITTED: AtomicU64 = AtomicU64::new(0);
+    let count = SUBMITTED.fetch_add(1, Ordering::Relaxed) + 1;
+    let pid = u64::from(std::process::id()) & ((1 << CID_PID_BITS) - 1);
+    (pid << CID_COUNT_BITS) | (count & ((1 << CID_COUNT_BITS) - 1))
+}
 
 /// Reconnect/backoff policy for a [`ResilientClient`].
 #[derive(Debug, Clone)]
@@ -87,8 +116,6 @@ pub struct ResilientClient {
     subscribed: bool,
     /// Highest event delivery index seen (0 = none) — the resume cursor.
     last_seen_idx: u64,
-    /// Next client operation id.
-    next_cid: u64,
     /// Named session to bind to on every (re)connection; `None` stays in
     /// the server's default session.
     session: Option<String>,
@@ -133,7 +160,6 @@ impl ResilientClient {
             client: None,
             subscribed: false,
             last_seen_idx: 0,
-            next_cid: 1,
             session: None,
             reconnects: 0,
             connections: 0,
@@ -161,14 +187,19 @@ impl ResilientClient {
     ///
     /// # Errors
     ///
-    /// [`CollabError`] when the session handshake on the live connection
-    /// fails (a typed `attach_rejected` is fatal).
+    /// [`CollabError::Fatal`] when the server refuses the session (a typed
+    /// `attach_rejected`).
     pub fn with_session(mut self, name: impl Into<String>) -> Result<Self, CollabError> {
         self.session = Some(name.into());
         // Rebind the live connection now instead of waiting for the next
         // reconnect — callers expect submissions to land in the session.
+        // A lost reply drops the connection, and the next exchange
+        // reconnects and attaches.
         if let Some(client) = self.client.as_mut() {
-            attach_session(client, self.session.as_deref().expect("just set"))?;
+            match attach_session(client, self.session.as_deref().expect("just set")) {
+                Err(e) if e.is_retryable() => self.client = None,
+                attached => attached?,
+            }
         }
         Ok(self)
     }
@@ -237,8 +268,7 @@ impl ResilientClient {
     /// [`CollabError::Retryable`] when every attempt failed on transport;
     /// [`CollabError::Fatal`] for name-resolution/protocol errors.
     pub fn submit(&mut self, op: WireOp) -> Result<Frame, CollabError> {
-        let cid = self.next_cid;
-        self.next_cid += 1;
+        let cid = next_cid();
         let request_timeout = self.config.request_timeout;
         let max_attempts = self.config.max_attempts;
         let mut exchange = move |client: &mut CollabClient, cid: u64, _last: u64| {
@@ -586,6 +616,59 @@ mod tests {
         assert!(matches!(verdict, Frame::Executed { .. }), "{verdict:?}");
         let dpm = server.shutdown().expect("session open");
         assert_eq!(dpm.history().len(), 2);
+    }
+
+    /// Two clients acting as one designer share the session's dedup
+    /// window, so their operation ids must differ: each assign executes.
+    #[test]
+    fn two_clients_of_one_designer_each_execute() {
+        let server = serve_sensing();
+        let mut first =
+            ResilientClient::connect(server.local_addr(), 0, fast_config()).expect("connect");
+        let mut second =
+            ResilientClient::connect(server.local_addr(), 0, fast_config()).expect("connect");
+        for (client, value) in [(&mut first, 4.0), (&mut second, 3.0)] {
+            let verdict = client
+                .submit(WireOp::Assign {
+                    problem: "pressure-sensor".into(),
+                    property: "sensor.s-area".into(),
+                    value,
+                })
+                .expect("submit");
+            assert!(matches!(verdict, Frame::Executed { .. }), "{verdict:?}");
+        }
+        let dpm = server.shutdown().expect("session open");
+        assert_eq!(dpm.history().len(), 2, "one assign was answered, not run");
+    }
+
+    /// Every `cid` the client draws survives the wire, whose numbers are
+    /// `f64`: the largest one round-trips exactly, one past 2⁵³ does not.
+    #[test]
+    fn the_largest_cid_round_trips_through_the_wire() {
+        const MAX_CID: u64 = (1 << (CID_PID_BITS + CID_COUNT_BITS)) - 1;
+        assert_eq!(MAX_CID, (1 << 53) - 1);
+        let (a, b) = (next_cid(), next_cid());
+        assert_ne!(a, b);
+        assert!(a <= MAX_CID && b <= MAX_CID, "{a} {b}");
+        let submit = |cid| Frame::Submit {
+            op: WireOp::Verify {
+                problem: "sensing-system".into(),
+                constraints: String::new(),
+            },
+            cid: Some(cid),
+        };
+        let round_trip = |frame: &Frame| Frame::parse_line(&frame.to_line()).expect("parse");
+        assert_eq!(round_trip(&submit(MAX_CID)), submit(MAX_CID));
+        let verdict = Frame::Executed {
+            seq: 1,
+            evaluations: 0,
+            violations_after: 0,
+            new_violations: String::new(),
+            spin: false,
+            cid: Some(MAX_CID),
+        };
+        assert_eq!(round_trip(&verdict), verdict);
+        assert_ne!(round_trip(&submit(MAX_CID + 2)), submit(MAX_CID + 2));
     }
 
     #[test]

@@ -671,9 +671,14 @@ impl CollabServer {
 
     /// Blocks until some client sends a `shutdown` frame, then tears the
     /// server down and returns the final design state of the default
-    /// session; `None` when that session had closed earlier (see
-    /// [`SessionEngine::shutdown`]).
-    pub fn wait(self) -> Option<DesignProcessManager> {
+    /// session.
+    ///
+    /// # Errors
+    ///
+    /// The sorted names of the hosted sessions that had closed before the
+    /// shutdown because a journal append failed or a command panicked
+    /// (see [`SessionEngine::shutdown`]); their in-memory state is gone.
+    pub fn wait(self) -> Result<DesignProcessManager, Vec<String>> {
         {
             let (flag, cvar) = &*self.shutdown_signal;
             let mut requested = lock(flag);
@@ -687,13 +692,14 @@ impl CollabServer {
     }
 
     /// Tears the server down now: stops accepting, closes connections,
-    /// joins every thread, and shuts every session down. Returns what
-    /// [`wait`](Self::wait) returns.
+    /// joins every thread, and shuts every session down. Returns the
+    /// default session's final design state; `None` when any hosted
+    /// session had closed (see [`wait`](Self::wait)).
     pub fn shutdown(self) -> Option<DesignProcessManager> {
-        self.finish()
+        self.finish().ok()
     }
 
-    fn finish(mut self) -> Option<DesignProcessManager> {
+    fn finish(mut self) -> Result<DesignProcessManager, Vec<String>> {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock both accept loops with a throwaway connection each.
         for addr in std::iter::once(self.addr).chain(self.metrics_addr) {
@@ -713,16 +719,22 @@ impl CollabServer {
         for t in threads {
             let _ = t.join();
         }
-        // Shut every hosted session down; hand back the default one.
+        // Shut every hosted session down; hand back the default one, or
+        // name the sessions that had closed.
         let slots = std::mem::take(&mut *lock(&self.registry.slots));
         let mut default_dpm = None;
+        let mut closed = Vec::new();
         for (name, slot) in slots {
-            let dpm = slot.engine.shutdown();
-            if name == DEFAULT_SESSION {
-                default_dpm = dpm;
+            match slot.engine.shutdown() {
+                Some(dpm) if name == DEFAULT_SESSION => default_dpm = Some(dpm),
+                Some(_) => {}
+                None => closed.push(name),
             }
         }
-        default_dpm
+        match default_dpm {
+            Some(dpm) if closed.is_empty() => Ok(dpm),
+            _ => Err(closed),
+        }
     }
 }
 

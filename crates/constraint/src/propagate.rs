@@ -37,7 +37,11 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-/// Tuning knobs for the propagation fixed point.
+/// Minimum relative width reduction for a narrowing to count (and
+/// re-queue the constraints of the narrowed property).
+const MIN_RELATIVE_NARROWING: f64 = 1e-6;
+
+/// Tuning knob for the propagation fixed point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PropagationConfig {
     /// Hard cap on constraint evaluations per run, *including* the final
@@ -48,16 +52,12 @@ pub struct PropagationConfig {
     /// floor is one evaluation per swept constraint.) A run the cap stops
     /// leaves no clean fixed point, so the next region request runs full.
     pub max_evaluations: usize,
-    /// Minimum relative width reduction for a narrowing to count (and
-    /// trigger re-queuing of dependent constraints).
-    pub min_relative_narrowing: f64,
 }
 
 impl Default for PropagationConfig {
     fn default() -> Self {
         PropagationConfig {
             max_evaluations: 10_000,
-            min_relative_narrowing: 1e-6,
         }
     }
 }
@@ -396,7 +396,6 @@ fn run_region<R: Reviser>(
         net,
         &region.constraints,
         budget,
-        config.min_relative_narrowing,
         trace,
         profile,
         clock,
@@ -465,12 +464,10 @@ struct WorklistRun {
 /// `budget` HC4 revisions), narrowing feasible subspaces in place. A
 /// conflict is recorded and the run goes on: the conflicted constraint
 /// narrows nothing.
-#[allow(clippy::too_many_arguments)]
 fn run_worklist<R: Reviser>(
     net: &mut ConstraintNetwork,
     seeds: &[ConstraintId],
     budget: usize,
-    min_relative_narrowing: f64,
     record_waves: bool,
     record_profiles: bool,
     clock: &dyn Clock,
@@ -534,7 +531,7 @@ fn run_worklist<R: Reviser>(
                 }
                 let old = net.feasible(pid).clone();
                 let new = old.narrow_to_interval(&narrowed_iv);
-                if significant_narrowing(&old, &new, min_relative_narrowing) {
+                if significant_narrowing(&old, &new) {
                     net.set_feasible(pid, new);
                     reviser.narrowed(net, pid);
                     run.narrowing_events += 1;
@@ -693,12 +690,12 @@ pub(crate) fn tolerant_intersect(a: &Interval, b: &Interval) -> Interval {
     met
 }
 
-fn significant_narrowing(old: &Domain, new: &Domain, min_relative: f64) -> bool {
+fn significant_narrowing(old: &Domain, new: &Domain) -> bool {
     if new.is_empty() && !old.is_empty() {
         return true;
     }
     let (old_m, new_m) = (old.measure(), new.measure());
-    old_m - new_m > min_relative * (1.0 + old_m)
+    old_m - new_m > MIN_RELATIVE_NARROWING * (1.0 + old_m)
 }
 
 /// One HC4 revision of a single constraint against the given argument
@@ -1153,13 +1150,7 @@ mod tests {
         let (mut net, ids) = net_with(&[(0.0, 10.0), (0.0, 10.0)]);
         net.add_constraint("sum", var(ids[0]) + var(ids[1]), Relation::Le, cst(5.0))
             .unwrap();
-        let out = propagate(
-            &mut net,
-            &PropagationConfig {
-                max_evaluations: 0,
-                ..PropagationConfig::default()
-            },
-        );
+        let out = propagate(&mut net, &PropagationConfig { max_evaluations: 0 });
         assert!(!out.reached_fixpoint);
     }
 
@@ -1421,7 +1412,6 @@ mod tests {
         // Cap exactly at the uncapped total: fixpoint, cap respected.
         let exact = PropagationConfig {
             max_evaluations: total,
-            ..PropagationConfig::default()
         };
         let out = propagate(&mut chain(), &exact);
         assert!(out.reached_fixpoint);
@@ -1430,7 +1420,6 @@ mod tests {
         // One below: censored, and the total still honors the cap.
         let tight = PropagationConfig {
             max_evaluations: total - 1,
-            ..PropagationConfig::default()
         };
         let out = propagate(&mut chain(), &tight);
         assert!(!out.reached_fixpoint);
@@ -1522,10 +1511,7 @@ mod tests {
         assert_eq!(kind(&mut net), PropagationKind::Full);
 
         // A capped run leaves no clean fixed point behind.
-        let capped = PropagationConfig {
-            max_evaluations: 0,
-            ..config.clone()
-        };
+        let capped = PropagationConfig { max_evaluations: 0 };
         net.bind(ids[0], Value::number(3.0)).unwrap();
         let out = propagate_incremental(&mut net, &[ids[0]], &capped, &NoopSink);
         assert_eq!(out.kind, PropagationKind::Incremental);
@@ -1773,10 +1759,7 @@ mod tests {
 
     #[test]
     fn compiled_engine_honours_evaluation_cap() {
-        let config = PropagationConfig {
-            max_evaluations: 8,
-            ..PropagationConfig::default()
-        };
+        let config = PropagationConfig { max_evaluations: 8 };
         let (mut a, _) = dense_net();
         let (mut b, _) = dense_net();
         let oa = reference(&mut a, &config);

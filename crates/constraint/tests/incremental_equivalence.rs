@@ -155,7 +155,6 @@ fn build_kinked(bounds: &[(f64, f64)], gap: f64) -> ConstraintNetwork {
 fn uncapped() -> PropagationConfig {
     PropagationConfig {
         max_evaluations: usize::MAX,
-        ..PropagationConfig::default()
     }
 }
 
@@ -428,7 +427,6 @@ proptest! {
     ) {
         let config = PropagationConfig {
             max_evaluations: cap,
-            ..PropagationConfig::default()
         };
         run_sequence(build_kinked(&bounds, gap), &seq, &config, |p| p.into_iter().collect())?;
     }
@@ -476,10 +474,7 @@ fn capped_region_run_forces_the_next_run_full() {
 
     // The region of x0 is its whole component, six constraints; a cap of
     // seven leaves the worklist one revision.
-    let tight = PropagationConfig {
-        max_evaluations: 7,
-        ..config.clone()
-    };
+    let tight = PropagationConfig { max_evaluations: 7 };
     let capped = propagate_incremental(&mut inc, &[x0], &tight, &NoopSink);
     assert_eq!(capped.kind, PropagationKind::Incremental);
     assert_eq!(capped.seeded, 6);

@@ -99,8 +99,7 @@ impl ManagementMode {
 pub struct DpmConfig {
     /// Transition model selector (`λ`).
     pub mode: ManagementMode,
-    /// Propagation settings used in ADPM mode (evaluation cap, narrowing
-    /// threshold).
+    /// Propagation settings used in ADPM mode (the evaluation cap).
     pub propagation: PropagationConfig,
     /// Which DCM propagation path runs after each ADPM operation: region
     /// propagation from the operation's target property

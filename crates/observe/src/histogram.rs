@@ -219,28 +219,6 @@ impl Histogram {
         self.percentile(99.0)
     }
 
-    /// Folds every sample of `other` into `self` at bucket granularity:
-    /// per-bucket counts, `count`, and `sum` add; `max` takes the larger.
-    ///
-    /// Because percentiles are pure bucket bounds, merging N per-shard
-    /// histograms and querying the merge is *exactly* equivalent to having
-    /// recorded every sample into one histogram — unlike averaging the
-    /// shards' percentile answers, which has no such guarantee.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Resets the histogram to empty.
     pub fn reset(&self) {
         for bucket in &self.buckets {
@@ -378,45 +356,6 @@ mod tests {
             handle.join().expect("worker thread panicked");
         }
         assert_eq!(h.count(), THREADS as u64 * SAMPLES);
-    }
-
-    #[test]
-    fn merge_is_equivalent_to_recording_into_one_histogram() {
-        // Three "shards" with deliberately skewed distributions, so that
-        // averaging the shards' percentiles would give a wrong answer.
-        let shards = [Histogram::new(), Histogram::new(), Histogram::new()];
-        let reference = Histogram::new();
-        let mut rng_state = 0x2545_F491_4F6C_DD1Du64;
-        for (i, shard) in shards.iter().enumerate() {
-            for _ in 0..200 {
-                // xorshift: deterministic, spread across buckets.
-                rng_state ^= rng_state << 13;
-                rng_state ^= rng_state >> 7;
-                rng_state ^= rng_state << 17;
-                let v = (rng_state % 10_000) << (i * 4);
-                shard.record(v);
-                reference.record(v);
-            }
-        }
-        let merged = Histogram::new();
-        for shard in &shards {
-            merged.merge(shard);
-        }
-        assert_eq!(merged.count(), reference.count());
-        assert_eq!(merged.sum(), reference.sum());
-        assert_eq!(merged.max(), reference.max());
-        for p in [50.0, 90.0, 99.0, 100.0] {
-            assert_eq!(merged.percentile(p), reference.percentile(p), "p{p}");
-        }
-    }
-
-    #[test]
-    fn merge_of_empty_histograms_is_a_no_op() {
-        let h = Histogram::new();
-        h.record(7);
-        h.merge(&Histogram::new());
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), 7);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! that `write_exposition` emits for any snapshot must re-parse (via
 //! `parse_exposition`) to exactly the originating `CounterSnapshot`, for
 //! any session name and any counter values, and regardless of interleaved
-//! noise lines — the contract the server's scrape listener and
-//! `bench_collab`'s self-scrape both lean on.
+//! noise lines — the contract the server's scrape listener and the
+//! collaboration churn test's self-scrape both lean on.
 
 use adpm_observe::{
     parse_exposition, write_exposition, Counter, InMemorySink, MetricsSink, Snapshot, SpanKind,

@@ -95,8 +95,7 @@ pub struct SimulationConfig {
     /// choosing the smallest feasible width to save power). This is what
     /// makes runs vary across seeds in both modes.
     pub choice_noise: f64,
-    /// Propagation settings for the ADPM DCM (evaluation cap, narrowing
-    /// threshold).
+    /// Propagation settings for the ADPM DCM (the evaluation cap).
     pub propagation: PropagationConfig,
     /// Which DCM propagation path the ADPM DPM runs after each operation:
     /// from-scratch full propagation (the default, which the paper's

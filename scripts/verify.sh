@@ -385,47 +385,6 @@ done
 wait "$SERVE_PID"
 rm -f "$SERVE_LOG" "$SCRAPE" "$TOP_LOG" /tmp/verify_rx.dddl /tmp/verify_mini.dddl
 
-echo "==> bench_collab smoke run (multi-session load generator)"
-cargo run --release -q -p adpm-bench --bin bench_collab -- --smoke >/dev/null
-
-echo "==> results/BENCH_collab.json schema gate"
-COLLAB_JSON=results/BENCH_collab.json
-[ -f "$COLLAB_JSON" ] || { echo "$COLLAB_JSON missing — run bench_collab"; exit 1; }
-grep -q '"t":"bench_case"' "$COLLAB_JSON" || { echo "$COLLAB_JSON has no bench_case rows"; exit 1; }
-grep -q '"t":"bench_summary"' "$COLLAB_JSON" || { echo "$COLLAB_JSON has no bench_summary row"; exit 1; }
-awk '
-/"t":"bench_summary"/ {
-  seen = 1
-  if (match($0, /"clients":[0-9]+/)) clients = substr($0, RSTART + 10, RLENGTH - 10) + 0
-  if (match($0, /"sessions":[0-9]+/)) sessions = substr($0, RSTART + 11, RLENGTH - 11) + 0
-  if (clients < 100) { printf "clients %d < 100\n", clients; exit 1 }
-  if (sessions < 4) { printf "sessions %d < 4\n", sessions; exit 1 }
-  if ($0 !~ /"p99_us":[0-9]+/) { print "no p99_us in summary"; exit 1 }
-  printf "clients %d, sessions %d, p99_us present ok\n", clients, sessions
-}
-END { if (!seen) { print "no parseable bench_summary"; exit 1 } }' "$COLLAB_JSON"
-
-echo "==> bench_recovery smoke run (recovery time vs journal age)"
-cargo run --release -q -p adpm-bench --bin bench_recovery -- --smoke >/dev/null
-
-echo "==> results/BENCH_recovery.json schema + flat-recovery gate"
-REC_JSON=results/BENCH_recovery.json
-[ -f "$REC_JSON" ] || { echo "$REC_JSON missing — run bench_recovery"; exit 1; }
-grep -q '"t":"bench_case"' "$REC_JSON" || { echo "$REC_JSON has no bench_case rows"; exit 1; }
-grep -q '"t":"bench_summary"' "$REC_JSON" || { echo "$REC_JSON has no bench_summary row"; exit 1; }
-awk '
-/"t":"bench_summary"/ {
-  seen = 1
-  if (match($0, /"recovery_ratio":[0-9.]+/)) ratio = substr($0, RSTART + 17, RLENGTH - 17) + 0
-  if (match($0, /"flat_ratio_bound":[0-9.]+/)) bound = substr($0, RSTART + 19, RLENGTH - 19) + 0
-  if (match($0, /"age_factor":[0-9]+/)) age = substr($0, RSTART + 13, RLENGTH - 13) + 0
-  if (age < 10) { printf "age_factor %d < 10\n", age; exit 1 }
-  if (bound <= 0) { print "no flat_ratio_bound in summary"; exit 1 }
-  if (ratio <= 0 || ratio > bound) { printf "recovery_ratio %.2f outside (0, %.2f]\n", ratio, bound; exit 1 }
-  printf "recovery at %dx age within %.2fx of base (bound %.1f) ok\n", age, ratio, bound
-}
-END { if (!seen) { print "no parseable bench_summary"; exit 1 } }' "$REC_JSON"
-
 echo "==> bench_negotiation smoke run (negotiation vs backtracking)"
 cargo run --release -q -p adpm-bench --bin bench_negotiation -- --smoke >/dev/null
 

@@ -63,7 +63,6 @@ fn replay_equivalence(name: &str, scenario: &CompiledScenario, seed: u64) -> (us
     let mut full = scenario.build_dpm(DpmConfig {
         propagation: PropagationConfig {
             max_evaluations: usize::MAX,
-            ..PropagationConfig::default()
         },
         propagation_kind: PropagationKind::Full,
         ..DpmConfig::adpm()
