@@ -3,7 +3,7 @@
 //! A journaled session appends one JSONL line per accepted operation, in
 //! execution (sequence) order, to a plain text file. The format reuses the
 //! trace/wire JSON dialect — one flat object per line, `"t"` tag first —
-//! with three line kinds:
+//! with five line kinds:
 //!
 //! | tag | written | carries |
 //! |-----|---------|---------|
@@ -12,6 +12,9 @@
 //! | `jck`   | every `checkpoint_every` operations | the sequence number and the [`state_fingerprint`] of the design state at that point |
 //! | `jsnap` | at each compaction, once, right after `jmeta` | the logical operation count, the length of the state program that follows, and the [`state_fingerprint`] the program must reproduce |
 //! | `jsop`  | at each compaction, once per state-program operation | one operation of the snapshot's minimal state program (same field schema as `jop`) |
+//!
+//! Older journals may also hold `jneg` negotiation summaries; recovery
+//! checks their shape and skips them.
 //!
 //! By default every append is synced before it returns
 //! ([`FsyncPolicy::Always`]); recovery is **longest-valid-prefix**:
@@ -53,10 +56,11 @@
 //! (ENOSPC, short writes, fsync failures, torn snapshots). A failed
 //! append never panics and never leaves part of itself behind: the file
 //! is truncated back to its length before the append, so an `Err` from
-//! [`JournalWriter::append`] means the operation is not on disk. The
-//! session answering for that operation then closes instead of
-//! acknowledging it (fail-stop), and a restart recovers exactly the
-//! acknowledged prefix.
+//! an append means none of its operations is on disk. A session appends
+//! everything one submit executed — the operation and any relaxations
+//! its negotiations applied — in one append, so the session answering
+//! for that submit closes instead of acknowledging it (fail-stop), and a
+//! restart recovers exactly the acknowledged prefix.
 
 use crate::fault::{DiskFaultInjector, DiskWriteFault};
 use crate::names::NameTable;
@@ -261,9 +265,10 @@ enum JournalLine {
     Checkpoint {
         fingerprint: u64,
     },
-    /// A `jneg` negotiation summary. Informational: the accepted
-    /// relaxation (if any) is journaled as its own `jop` relax line, so
-    /// recovery validates and then skips these.
+    /// A `jneg` negotiation summary from a journal written before the
+    /// trace's `negotiate` line became the only record of one. The
+    /// accepted relaxation is its own `jop` line, so recovery validates
+    /// and then skips these.
     Negotiation,
     /// A `jsnap` snapshot header: the next `ops` lines must be `jsop`.
     SnapshotHeader {
@@ -631,8 +636,8 @@ fn meta_line(dpm: &DesignProcessManager) -> String {
     line
 }
 
-/// The append half: owned by the session state, one `append` per executed
-/// operation.
+/// The append half: owned by the session state, one append per command
+/// that changed the design.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
@@ -682,7 +687,7 @@ impl JournalWriter {
         };
         if writer.committed == 0 {
             let meta = meta_line(dpm);
-            writer.write_line(&meta)?;
+            writer.write_lines(&meta)?;
             writer.file.sync_data()?;
             dpm.metrics_sink()
                 .incr(Counter::JournalBytes, meta.len() as u64);
@@ -729,10 +734,11 @@ impl JournalWriter {
         }
     }
 
-    /// Writes one full line, consulting the fault stream. On any failure
-    /// the file is truncated back to the last committed line, so a short
-    /// write never leaves torn bytes for the *next* append to fuse with.
-    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
+    /// Writes whole lines in one write, consulting the fault stream. On
+    /// any failure the file is truncated back to the last committed line,
+    /// so a short write never leaves torn bytes for the *next* append to
+    /// fuse with.
+    fn write_lines(&mut self, line: &str) -> std::io::Result<()> {
         let outcome = match self.faults.as_mut().map(|f| f.on_write(line.len())) {
             Some(DiskWriteFault::Enospc) => {
                 Err(std::io::Error::other("injected ENOSPC (disk full)"))
@@ -764,8 +770,8 @@ impl JournalWriter {
     }
 
     /// Appends one executed operation (and, on cadence, a checkpoint),
-    /// then applies the fsync policy and, on cadence, compacts. `dpm` must
-    /// be the state *after* the operation — its fingerprint is what
+    /// then applies the fsync policy and, on cadence, compacts. `dpm`
+    /// must be the state *after* the operation — its fingerprint is what
     /// checkpoints and snapshots record.
     ///
     /// # Errors
@@ -779,25 +785,42 @@ impl JournalWriter {
         record: &OperationRecord,
         dpm: &DesignProcessManager,
     ) -> Result<(), JournalError> {
+        self.append_all(std::slice::from_ref(record), dpm)
+    }
+
+    /// [`append`](JournalWriter::append) for the operations one command
+    /// executed, in sequence order: one write (with a checkpoint after the
+    /// last one if one fell due among them) and one sync. An `Err` means
+    /// none of them is on disk.
+    pub(crate) fn append_all(
+        &mut self,
+        records: &[OperationRecord],
+        dpm: &DesignProcessManager,
+    ) -> Result<(), JournalError> {
+        let Some(last) = records.last() else {
+            return Ok(());
+        };
         let sink = dpm.metrics_sink().clone();
         let start = self.committed;
-        let mut chunk = op_line(record, &self.names);
-        self.appended += 1;
-        self.since_compact += 1;
-        if self.config.checkpoint_every > 0
-            && self.appended.is_multiple_of(self.config.checkpoint_every)
-        {
-            let mut ck = String::from("{\"t\":\"jck\"");
-            field_u64(&mut ck, "seq", record.sequence as u64);
+        let mut chunk = String::with_capacity(160 * records.len());
+        for record in records {
+            chunk.push_str(&op_line(record, &self.names));
+        }
+        let before = self.appended;
+        self.appended += records.len() as u64;
+        self.since_compact += records.len() as u64;
+        let every = self.config.checkpoint_every;
+        if every > 0 && self.appended / every > before / every {
+            chunk.push_str("{\"t\":\"jck\"");
+            field_u64(&mut chunk, "seq", last.sequence as u64);
             field_str(
-                &mut ck,
+                &mut chunk,
                 "fingerprint",
                 &format!("{:016x}", state_fingerprint(dpm)),
             );
-            ck.push_str("}\n");
-            chunk.push_str(&ck);
+            chunk.push_str("}\n");
         }
-        self.write_line(&chunk)?;
+        self.write_lines(&chunk)?;
         if self.config.fsync == FsyncPolicy::Always {
             if let Err(error) = self.sync_data() {
                 let _ = self.file.set_len(start);
@@ -877,33 +900,6 @@ impl JournalWriter {
         self.since_compact = 0;
         sink.incr(Counter::JournalCompactions, 1);
         sink.incr(Counter::SnapshotBytes, (content.len() - snap_start) as u64);
-        Ok(())
-    }
-
-    /// Appends a `jneg` negotiation-summary line. Informational (recovery
-    /// skips it): the accepted relaxation, if any, is journaled separately
-    /// as a normal `jop` relax line.
-    #[allow(clippy::too_many_arguments)]
-    pub fn append_negotiation(
-        &mut self,
-        seq: u64,
-        constraint: &str,
-        rounds: u32,
-        proposals: u32,
-        participants: u32,
-        outcome: &str,
-        sink: &dyn MetricsSink,
-    ) -> Result<(), JournalError> {
-        let mut line = String::from("{\"t\":\"jneg\"");
-        field_u64(&mut line, "seq", seq);
-        field_str(&mut line, "constraint", constraint);
-        field_u64(&mut line, "rounds", rounds.into());
-        field_u64(&mut line, "proposals", proposals.into());
-        field_u64(&mut line, "participants", participants.into());
-        field_str(&mut line, "outcome", outcome);
-        line.push_str("}\n");
-        self.write_line(&line)?;
-        sink.incr(Counter::JournalBytes, line.len() as u64);
         Ok(())
     }
 
@@ -1506,6 +1502,61 @@ mod tests {
             assert_eq!(report.truncated_bytes, 0, "{fault}");
             assert_eq!(state_fingerprint(&recovered), expected, "{fault}");
         }
+    }
+
+    /// Journals written before negotiation summaries left the journal may
+    /// hold `jneg` lines between operations; recovery skips them.
+    #[test]
+    fn an_older_jneg_line_between_two_ops_is_skipped() {
+        let dir = tempdir();
+        let (original, path) = journaled_run(&dir, 0);
+        let text = std::fs::read_to_string(&path).expect("read journal");
+        let jneg = "{\"t\":\"jneg\",\"seq\":1,\"constraint\":\"c\",\"rounds\":1,\
+                    \"proposals\":1,\"participants\":2,\"outcome\":\"resolved\"}\n";
+        let second_op = text
+            .match_indices("{\"t\":\"jop\"")
+            .nth(1)
+            .expect("two ops")
+            .0;
+        let edited = format!("{}{jneg}{}", &text[..second_op], &text[second_op..]);
+        std::fs::write(&path, edited).expect("write journal");
+        let mut recovered = fresh_dpm();
+        let report = recover(&path, &mut recovered).expect("recover");
+        assert!(report.faithful, "report: {report:?}");
+        assert_eq!(report.truncated_bytes, 0);
+        assert_eq!(report.ops as usize, original.history().len());
+        assert_eq!(state_fingerprint(&recovered), state_fingerprint(&original));
+    }
+
+    /// A batch is one write: its `jop` lines in order, and a checkpoint
+    /// that fell due inside it after the last of them, fingerprinting the
+    /// state after the batch.
+    #[test]
+    fn a_checkpoint_due_inside_a_batch_follows_its_last_op() {
+        let dir = tempdir();
+        let (original, _) = journaled_run(&dir, 0);
+        let records = &original.history()[..3];
+        let path = dir.join("batch.journal");
+        let mut dpm = fresh_dpm();
+        let config = JournalConfig {
+            fsync: FsyncPolicy::Never,
+            checkpoint_every: 2,
+            ..JournalConfig::new(&path)
+        };
+        let mut writer = JournalWriter::open(config, &dpm, None).expect("open journal");
+        for record in records {
+            dpm.execute(record.operation.clone()).expect("execute");
+        }
+        writer.append_all(records, &dpm).expect("append");
+        drop(writer);
+        let text = std::fs::read_to_string(&path).expect("read journal");
+        let tags: Vec<&str> = text.lines().filter_map(|l| l.split('"').nth(3)).collect();
+        assert_eq!(tags, ["jmeta", "jop", "jop", "jop", "jck"]);
+        assert!(text.lines().last().unwrap().contains("\"seq\":3"));
+        let mut recovered = fresh_dpm();
+        let report = recover(&path, &mut recovered).expect("recover");
+        assert!(report.faithful, "report: {report:?}");
+        assert_eq!((report.ops, report.checkpoints_verified), (3, 1));
     }
 
     #[test]

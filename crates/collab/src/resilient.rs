@@ -168,7 +168,7 @@ impl ResilientClient {
         };
         // The initial connect gets the same retry budget as a reconnect:
         // under fault injection even the handshake can be lost in transit.
-        client.reconnect_with_backoff()?;
+        client.with_retries(|_, _| Ok(()))?;
         Ok(client)
     }
 
@@ -244,18 +244,14 @@ impl ResilientClient {
     /// [`CollabError`] per the retryable/fatal taxonomy.
     pub fn subscribe(&mut self) -> Result<(), CollabError> {
         self.subscribed = true;
-        self.with_retries(|client, _cid, last_seen| {
-            let resume_from = if last_seen > 0 { Some(last_seen) } else { None };
-            match client.request(&Frame::Subscribe {
-                all: false,
-                resume_from,
-            })? {
-                Frame::Subscribed { .. } => Ok(()),
-                Frame::Error { message } => Err(WireError::protocol(message)),
-                other => Err(WireError::protocol(format!(
-                    "expected subscribed, got `{}`",
-                    other.tag()
-                ))),
+        let last_seen = self.last_seen_idx;
+        // A connection opened from here on subscribes in its handshake;
+        // only one that was already open needs the exchange.
+        self.with_retries(|client, opened| {
+            if opened {
+                Ok(())
+            } else {
+                request_subscription(client, last_seen)
             }
         })
     }
@@ -271,7 +267,7 @@ impl ResilientClient {
         let cid = next_cid();
         let request_timeout = self.config.request_timeout;
         let max_attempts = self.config.max_attempts;
-        let mut exchange = move |client: &mut CollabClient, cid: u64, _last: u64| {
+        self.with_retries(move |client, _| {
             client
                 .send(&Frame::Submit {
                     op: op.clone(),
@@ -328,8 +324,7 @@ impl ResilientClient {
                     }
                 }
             }
-        };
-        self.with_retries_cid(&mut exchange, cid)
+        })
     }
 
     /// Returns the next *new* notification frame, waiting up to `timeout`.
@@ -362,8 +357,10 @@ impl ResilientClient {
                     return Ok(Some(frame));
                 }
                 Err(e) if e.is_retryable() => {
+                    // Reconnect (and resubscribe) with backoff; there
+                    // is no exchange to retry.
                     self.client = None;
-                    self.reconnect_with_backoff()?;
+                    self.with_retries(|_, _| Ok(()))?;
                     if Instant::now() >= deadline {
                         return Ok(None);
                     }
@@ -379,7 +376,7 @@ impl ResilientClient {
     ///
     /// [`CollabError`] per the retryable/fatal taxonomy.
     pub fn read_snapshot(&mut self) -> Result<(Frame, Vec<Frame>), CollabError> {
-        self.with_retries(|client, _, _| client.read_snapshot())
+        self.with_retries(|client, _| client.read_snapshot())
     }
 
     /// Drains the non-fatal server warnings collected so far.
@@ -406,18 +403,14 @@ impl ResilientClient {
         Ok(())
     }
 
+    /// The one retry loop: up to `max_attempts` times, with the backoff
+    /// schedule between attempts, (re)connects if needed and runs
+    /// `exchange` on the live connection, telling it whether this attempt
+    /// opened that connection. A retryable failure drops the connection
+    /// for the next attempt; a fatal one returns at once.
     fn with_retries<T>(
         &mut self,
-        mut exchange: impl FnMut(&mut CollabClient, u64, u64) -> Result<T, WireError>,
-    ) -> Result<T, CollabError> {
-        self.with_retries_cid(&mut exchange, 0)
-    }
-
-    /// `with_retries` for exchanges that carry a client operation id.
-    fn with_retries_cid<T>(
-        &mut self,
-        exchange: &mut impl FnMut(&mut CollabClient, u64, u64) -> Result<T, WireError>,
-        cid: u64,
+        mut exchange: impl FnMut(&mut CollabClient, bool) -> Result<T, WireError>,
     ) -> Result<T, CollabError> {
         let mut last_error = CollabError::Retryable("no attempt made".into());
         for attempt in 1..=self.config.max_attempts {
@@ -425,16 +418,16 @@ impl ResilientClient {
                 let backoff = self.config.backoff(attempt - 1, &mut self.rng);
                 std::thread::sleep(backoff);
             }
-            if let Err(e) = self.ensure_connected() {
-                last_error = e;
-                if last_error.is_retryable() {
+            let opened = match self.ensure_connected() {
+                Ok(opened) => opened,
+                Err(e) if e.is_retryable() => {
+                    last_error = e;
                     continue;
                 }
-                return Err(last_error);
-            }
-            let last_seen = self.last_seen_idx;
+                Err(e) => return Err(e),
+            };
             let client = self.client.as_mut().expect("just connected");
-            match exchange(client, cid, last_seen) {
+            match exchange(client, opened) {
                 Ok(value) => return Ok(value),
                 Err(e) if e.is_retryable() => {
                     // The connection is suspect; rebuild it next attempt.
@@ -447,9 +440,12 @@ impl ResilientClient {
         Err(last_error)
     }
 
-    fn ensure_connected(&mut self) -> Result<(), CollabError> {
+    /// Opens a connection if there is none: hello, the named session's
+    /// attach, and the subscription if the client has one. Returns whether
+    /// it opened one.
+    fn ensure_connected(&mut self) -> Result<bool, CollabError> {
         if self.client.is_some() {
-            return Ok(());
+            return Ok(false);
         }
         let started = Instant::now();
         let first_connection = self.connections == 0;
@@ -480,25 +476,7 @@ impl ResilientClient {
         }
         // Re-establish the subscription, resuming after what we've seen.
         if self.subscribed {
-            let resume_from = if self.last_seen_idx > 0 {
-                Some(self.last_seen_idx)
-            } else {
-                None
-            };
-            match client.request(&Frame::Subscribe {
-                all: false,
-                resume_from,
-            }) {
-                Ok(Frame::Subscribed { .. }) => {}
-                Ok(Frame::Error { message }) => return Err(CollabError::Fatal(message)),
-                Ok(other) => {
-                    return Err(CollabError::Fatal(format!(
-                        "expected subscribed, got `{}`",
-                        other.tag()
-                    )))
-                }
-                Err(e) => return Err(e.into()),
-            }
+            request_subscription(&mut client, self.last_seen_idx)?;
         }
         self.client = Some(client);
         if !first_connection {
@@ -517,30 +495,28 @@ impl ResilientClient {
                 }
             }
         }
-        Ok(())
+        Ok(true)
     }
 
     /// The named session this client binds to, if any.
     pub fn session(&self) -> Option<&str> {
         self.session.as_deref()
     }
+}
 
-    /// Reconnects (used by the event path, where there is no exchange to
-    /// retry) honouring the backoff schedule.
-    fn reconnect_with_backoff(&mut self) -> Result<(), CollabError> {
-        let mut last_error = CollabError::Retryable("no attempt made".into());
-        for attempt in 1..=self.config.max_attempts {
-            if attempt > 1 {
-                let backoff = self.config.backoff(attempt - 1, &mut self.rng);
-                std::thread::sleep(backoff);
-            }
-            match self.ensure_connected() {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_retryable() => last_error = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_error)
+/// Subscribes on `client`, resuming after delivery index `last_seen` (0 =
+/// from now on).
+fn request_subscription(client: &mut CollabClient, last_seen: u64) -> Result<(), WireError> {
+    match client.request(&Frame::Subscribe {
+        all: false,
+        resume_from: (last_seen > 0).then_some(last_seen),
+    })? {
+        Frame::Subscribed { .. } => Ok(()),
+        Frame::Error { message } => Err(WireError::protocol(message)),
+        other => Err(WireError::protocol(format!(
+            "expected subscribed, got `{}`",
+            other.tag()
+        ))),
     }
 }
 
@@ -585,6 +561,28 @@ mod tests {
             seed: 11,
             ..ReconnectConfig::default()
         }
+    }
+
+    /// A subscribe that has to reconnect first subscribes once, in the new
+    /// connection's handshake: one session command, not two.
+    #[test]
+    fn subscribe_after_a_disconnect_runs_one_session_command() {
+        use adpm_observe::InMemorySink;
+        let mut dpm = sensing_system().build_dpm(SimulationConfig::adpm(7).dpm_config());
+        dpm.initialize();
+        let sink = Arc::new(InMemorySink::new());
+        dpm.set_sink(sink.clone());
+        let server = CollabServer::bind(dpm, 0).expect("bind");
+        let mut client =
+            ResilientClient::connect(server.local_addr(), 1, fast_config()).expect("connect");
+        client.force_disconnect();
+        let before = sink.get(Counter::SessionOps);
+        client.subscribe().expect("subscribe");
+        assert_eq!(sink.get(Counter::SessionOps) - before, 1);
+        // On the open connection the call itself subscribes.
+        client.subscribe().expect("subscribe again");
+        assert_eq!(sink.get(Counter::SessionOps) - before, 2);
+        server.shutdown();
     }
 
     #[test]

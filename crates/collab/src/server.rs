@@ -168,6 +168,26 @@ struct SessionSlot {
     recorder: Arc<FlightRecorder>,
 }
 
+impl SessionSlot {
+    /// A binding to this slot's session, hosted under `name`.
+    fn binding(&self, name: &str) -> Binding {
+        Binding {
+            name: name.to_owned(),
+            handle: self.engine.handle(),
+            info: self.info.clone(),
+        }
+    }
+}
+
+/// The session a connection is bound to.
+struct Binding {
+    /// The session's name — feeds the per-session connection counts in
+    /// `stats_reply` and scopes `stats`/`dump`.
+    name: String,
+    handle: SessionHandle,
+    info: Arc<SessionInfo>,
+}
+
 /// The registry of named sessions a [`CollabServer`] hosts.
 struct Registry {
     slots: Mutex<BTreeMap<String, SessionSlot>>,
@@ -264,22 +284,17 @@ impl Registry {
     }
 
     /// The session every connection starts in.
-    fn default_session(&self) -> (SessionHandle, Arc<SessionInfo>) {
-        let slots = lock(&self.slots);
-        let slot = slots
+    fn default_session(&self) -> Binding {
+        lock(&self.slots)
             .get(DEFAULT_SESSION)
-            .expect("the default session always exists");
-        (slot.engine.handle(), slot.info.clone())
+            .expect("the default session always exists")
+            .binding(DEFAULT_SESSION)
     }
 
-    /// Resolves a session `create`/`attach` request to a handle, creating
+    /// Resolves a session `create`/`attach` request to a binding, creating
     /// the session when `create` is set and the server allows it. The
     /// returned flag says whether this request created the session.
-    fn attach(
-        &self,
-        name: &str,
-        create: bool,
-    ) -> Result<(SessionHandle, Arc<SessionInfo>, bool), String> {
+    fn attach(&self, name: &str, create: bool) -> Result<(Binding, bool), String> {
         let reject = |reason: String| {
             self.sink.incr(Counter::AttachRejected, 1);
             reason
@@ -297,7 +312,7 @@ impl Registry {
                     "session `{name}` is full ({bound} clients)"
                 )));
             }
-            return Ok((slot.engine.handle(), slot.info.clone(), false));
+            return Ok((slot.binding(name), false));
         }
         if !create {
             return Err(reject(format!("unknown session `{name}`")));
@@ -324,11 +339,10 @@ impl Registry {
         let (dpm, session) =
             factory(name).map_err(|e| reject(format!("could not create session `{name}`: {e}")))?;
         let slot = self.build_slot(name, dpm, session);
-        let handle = slot.engine.handle();
-        let info = slot.info.clone();
+        let binding = slot.binding(name);
         slots.insert(name.to_owned(), slot);
         self.sink.incr(Counter::SessionsCreated, 1);
-        Ok((handle, info, true))
+        Ok((binding, true))
     }
 
     /// Sorted comma-joined session names plus their count.
@@ -645,12 +659,12 @@ impl CollabServer {
     /// submitters that want to skip the socket (the concurrent TeamSim
     /// driver).
     pub fn handle(&self) -> SessionHandle {
-        self.registry.default_session().0
+        self.registry.default_session().handle
     }
 
     /// The *default* session's name table.
     pub(crate) fn names(&self) -> Arc<NameTable> {
-        self.registry.default_session().1.names.clone()
+        self.registry.default_session().info.names.clone()
     }
 
     /// Sorted names of the sessions currently hosted.
@@ -982,28 +996,29 @@ fn deadline(from: Instant, wait: Duration) -> Instant {
     from + wait.min(Duration::from_secs(1 << 32))
 }
 
-/// Rebinds a connection's mutable session state after a successful
+/// Rebinds a connection to session `to` after a successful
 /// `create`/`attach`/`detach`: the old subscription is closed (the old
-/// session GCs it) and a designer index that does not exist in the new
-/// session is forgotten, forcing a fresh `hello`.
+/// session GCs it), a designer index that does not exist in the new
+/// session is forgotten, forcing a fresh `hello`, and the registry's
+/// connection count moves to the new session.
 fn switch_session(
-    new_handle: SessionHandle,
-    new_info: Arc<SessionInfo>,
-    handle: &mut SessionHandle,
-    info: &mut Arc<SessionInfo>,
+    to: Binding,
+    bound: &mut Binding,
     designer: &mut Option<DesignerId>,
     outbox: &Outbox,
+    registry: &Registry,
+    conn_index: u64,
 ) {
     if let Some((old, _)) = lock(&outbox.state).subscription.take() {
         old.close();
     }
     if let Some(d) = *designer {
-        if d.index() as u32 >= new_info.designers {
+        if d.index() as u32 >= to.info.designers {
             *designer = None;
         }
     }
-    *handle = new_handle;
-    *info = new_info;
+    lock(&registry.conn_sessions).insert(conn_index, to.name.clone());
+    *bound = to;
 }
 
 fn serve_connection(
@@ -1088,10 +1103,7 @@ fn run_connection(
     let Ok(writer_thread) = writer_thread else {
         return false;
     };
-    let (mut handle, mut info) = registry.default_session();
-    // Which session this connection is bound to — feeds the per-session
-    // connection counts in `stats_reply` and scopes `stats`/`dump`.
-    let mut session_name: String = DEFAULT_SESSION.to_owned();
+    let mut bound = registry.default_session();
     let mut buffer = LineBuffer::new();
     let mut chunk = [0u8; 4096];
     let mut designer: Option<DesignerId> = None;
@@ -1129,19 +1141,19 @@ fn run_connection(
         };
         let reply = match frame {
             Frame::Hello { designer: index } => {
-                if index < info.designers {
+                if index < bound.info.designers {
                     designer = Some(DesignerId::new(index));
                     Frame::Welcome {
-                        mode: info.mode.to_owned(),
-                        designers: info.designers,
-                        properties: info.names.property_names().len() as u32,
-                        constraints: info.names.constraint_count() as u32,
+                        mode: bound.info.mode.to_owned(),
+                        designers: bound.info.designers,
+                        properties: bound.info.names.property_names().len() as u32,
+                        constraints: bound.info.names.constraint_count() as u32,
                     }
                 } else {
                     Frame::Error {
                         message: format!(
                             "unknown designer {index} (session has {})",
-                            info.designers
+                            bound.info.designers
                         ),
                     }
                 }
@@ -1152,7 +1164,10 @@ fn run_connection(
                 None => Frame::Error {
                     message: "subscribe requires a hello first".into(),
                 },
-                Some(d) => match handle.subscribe_from(d, DEFAULT_INBOX_CAPACITY, resume_from) {
+                Some(d) => match bound
+                    .handle
+                    .subscribe_from(d, DEFAULT_INBOX_CAPACITY, resume_from)
+                {
                     Err(_) => Frame::Error {
                         message: "session is shut down".into(),
                     },
@@ -1160,7 +1175,7 @@ fn run_connection(
                         inbox.set_waker(Waker::from(Arc::new(WakeWriter(Arc::downgrade(&outbox)))));
                         // A re-subscribe (resume) supersedes the previous
                         // inbox; closing it lets the session GC it.
-                        let subscription = (inbox, info.clone());
+                        let subscription = (inbox, bound.info.clone());
                         if let Some((old, _)) =
                             lock(&outbox.state).subscription.replace(subscription)
                         {
@@ -1191,18 +1206,18 @@ fn run_connection(
                             cid,
                         }
                     } else {
-                        submit(&handle, &info.names, d, op, cid)
+                        submit(&bound.handle, &bound.info.names, d, op, cid)
                     };
                     registry.inflight.fetch_sub(1, Ordering::SeqCst);
                     reply
                 }
             },
-            Frame::Snapshot => match handle.read(WireState::copy) {
+            Frame::Snapshot => match bound.handle.read(WireState::copy) {
                 Err(_) => Frame::Error {
                     message: "session is shut down".into(),
                 },
                 Ok(state) => {
-                    outbox.send_encoded(&state.render(&info.names));
+                    outbox.send_encoded(&state.render(&bound.info.names));
                     continue;
                 }
             },
@@ -1220,33 +1235,15 @@ fn run_connection(
             }
             Frame::CreateSession { name } => match registry.attach(&name, true) {
                 Err(reason) => Frame::AttachRejected { name, reason },
-                Ok((new_handle, new_info, created)) => {
-                    switch_session(
-                        new_handle,
-                        new_info,
-                        &mut handle,
-                        &mut info,
-                        &mut designer,
-                        &outbox,
-                    );
-                    session_name = name.clone();
-                    lock(&registry.conn_sessions).insert(conn_index, session_name.clone());
+                Ok((to, created)) => {
+                    switch_session(to, &mut bound, &mut designer, &outbox, registry, conn_index);
                     Frame::SessionAttached { name, created }
                 }
             },
             Frame::AttachSession { name } => match registry.attach(&name, false) {
                 Err(reason) => Frame::AttachRejected { name, reason },
-                Ok((new_handle, new_info, _)) => {
-                    switch_session(
-                        new_handle,
-                        new_info,
-                        &mut handle,
-                        &mut info,
-                        &mut designer,
-                        &outbox,
-                    );
-                    session_name = name.clone();
-                    lock(&registry.conn_sessions).insert(conn_index, session_name.clone());
+                Ok((to, _)) => {
+                    switch_session(to, &mut bound, &mut designer, &outbox, registry, conn_index);
                     Frame::SessionAttached {
                         name,
                         created: false,
@@ -1254,17 +1251,8 @@ fn run_connection(
                 }
             },
             Frame::DetachSession => {
-                let (new_handle, new_info) = registry.default_session();
-                switch_session(
-                    new_handle,
-                    new_info,
-                    &mut handle,
-                    &mut info,
-                    &mut designer,
-                    &outbox,
-                );
-                session_name = DEFAULT_SESSION.to_owned();
-                lock(&registry.conn_sessions).insert(conn_index, session_name.clone());
+                let to = registry.default_session();
+                switch_session(to, &mut bound, &mut designer, &outbox, registry, conn_index);
                 Frame::SessionAttached {
                     name: DEFAULT_SESSION.into(),
                     created: false,
@@ -1275,19 +1263,19 @@ fn run_connection(
                 Frame::SessionList { names, count }
             }
             Frame::Stats { all } => {
-                if all && session_name != DEFAULT_SESSION {
+                if all && bound.name != DEFAULT_SESSION {
                     Frame::Error {
                         message: "`stats` across all sessions requires the default (operator) \
                                   session"
                             .into(),
                     }
                 } else {
-                    outbox.send(&registry.stats_report(&session_name, all, false));
+                    outbox.send(&registry.stats_report(&bound.name, all, false));
                     continue;
                 }
             }
             Frame::Watch { all, interval_ms } => {
-                if all && session_name != DEFAULT_SESSION {
+                if all && bound.name != DEFAULT_SESSION {
                     Frame::Error {
                         message: "`watch` across all sessions requires the default (operator) \
                                   session"
@@ -1304,13 +1292,13 @@ fn run_connection(
                     // Send the first report immediately so a watcher does
                     // not sit blind for a whole interval; the writer sends
                     // the rest as they fall due.
-                    outbox.send(&registry.stats_report(&session_name, all, true));
+                    outbox.send(&registry.stats_report(&bound.name, all, true));
                     continue;
                 }
             }
-            Frame::Dump => match registry.recorder(&session_name) {
+            Frame::Dump => match registry.recorder(&bound.name) {
                 None => Frame::Error {
-                    message: format!("session `{session_name}` is gone"),
+                    message: format!("session `{}` is gone", bound.name),
                 },
                 Some(recorder) => {
                     // Each command records its `session` line before it
@@ -1318,7 +1306,7 @@ fn run_connection(
                     // so far is already whole in the recorder.
                     let lines = recorder.dump_indexed();
                     let mut frames = vec![Frame::DumpReply {
-                        session: session_name.clone(),
+                        session: bound.name.clone(),
                         count: lines.len() as u32,
                         recorded: recorder.recorded(),
                     }];
@@ -1337,7 +1325,7 @@ fn run_connection(
             // proposals; the direct reply is the closing `resolved` frame
             // (outcome `consistent` when the constraint was not violated).
             Frame::Propose { constraint, .. } => {
-                if !info.negotiation {
+                if !bound.info.negotiation {
                     Frame::NegotiationRejected {
                         message: "negotiation is disabled for this session".into(),
                     }
@@ -1346,11 +1334,11 @@ fn run_connection(
                         message: "propose requires a hello first".into(),
                     }
                 } else {
-                    match info.names.constraint_id(&constraint) {
+                    match bound.info.names.constraint_id(&constraint) {
                         None => Frame::Error {
                             message: format!("unknown constraint `{constraint}`"),
                         },
-                        Some(cid) => match handle.negotiate(cid) {
+                        Some(cid) => match bound.handle.negotiate(cid) {
                             Err(_) => Frame::Error {
                                 message: "session is shut down".into(),
                             },
@@ -1381,7 +1369,7 @@ fn run_connection(
             | Frame::Accept { .. }
             | Frame::Reject { .. }
             | Frame::Resolved { .. } => Frame::NegotiationRejected {
-                message: if info.negotiation {
+                message: if bound.info.negotiation {
                     "negotiation answers are computed by the session's designer policies".into()
                 } else {
                     "negotiation is disabled for this session".into()

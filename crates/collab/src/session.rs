@@ -11,10 +11,20 @@
 //! sequential history, replayable by
 //! [`replay_history`](adpm_core::replay_history).
 //!
-//! After each executed operation the engine drains the DPM's pending
-//! notifications for every designer and pushes each designer's events into
-//! that designer's subscriptions' bounded [`Inbox`]es (see
-//! [`crate::notify`]).
+//! Every command that changes the design — a submit, or a `negotiate` —
+//! runs one pipeline:
+//!
+//! 1. **Execute** the operation and any negotiations it starts, with their
+//!    relaxations. After each executed operation the DPM's pending
+//!    notifications, and each negotiation's transcript, join one ordered
+//!    list of `(designer, seq, event)`.
+//! 2. **Append** every record the command executed in one journal append
+//!    (one sync): all of them reach the disk or none does.
+//! 3. **Deliver** the list into the designers' bounded [`Inbox`]es (see
+//!    [`crate::notify`]), counted once.
+//!
+//! A failed append returns before step 3, so nobody learns of a command
+//! that is not on disk; the session then closes.
 //!
 //! Lock order: the session lock comes first. Under it the session takes
 //! inbox locks (to push) and, through an inbox's waker, a connection's
@@ -22,7 +32,7 @@
 //! lock.
 
 use crate::journal::{JournalError, JournalWriter};
-use crate::negotiate::{negotiate, NegotiationConfig};
+use crate::negotiate::{negotiate, NegotiationConfig, NegotiationOutcome};
 use crate::notify::{Inbox, InboxEntry};
 use adpm_constraint::{ConstraintId, NetworkError};
 use adpm_core::{
@@ -234,18 +244,7 @@ impl SessionHandle {
     /// [`SessionClosed`] when the session is closed.
     pub fn negotiate(&self, seed: ConstraintId) -> Result<NegotiationReport, SessionClosed> {
         self.run("negotiate", u32::MAX, |state| {
-            let report = match state.negotiation.as_ref() {
-                Some(config) => negotiate_conflict(
-                    &mut state.dpm,
-                    &mut state.subscriptions,
-                    &mut state.logs,
-                    &mut state.journal,
-                    seed,
-                    config,
-                    state.seq,
-                )?,
-                None => NegotiationReport::default(),
-            };
+            let report = state.negotiate(seed)?;
             Ok((report, if report.resolved { "resolved" } else { "ok" }))
         })
     }
@@ -420,12 +419,12 @@ impl SessionEngine {
         let mut guard = self.handle.state.lock().ok()?;
         let mut state = guard.take()?;
         state.seq += 1;
-        let started = Instant::now();
+        let (seq, started) = (state.seq, Instant::now());
         let sink = state.dpm.metrics_sink().clone();
         sink.incr(Counter::SessionOps, 1);
-        close_session(&state.subscriptions, &mut state.journal);
-        record_session_event(&*sink, state.seq, "shutdown", u32::MAX, "ok", started);
-        Some(state.dpm)
+        let dpm = state.close();
+        record_session_event(&*sink, seq, "shutdown", u32::MAX, "ok", started);
+        Some(dpm)
     }
 }
 
@@ -451,10 +450,22 @@ struct SessionState {
     seq: u64,
 }
 
+/// What one design-changing command did, gathered while it runs and
+/// committed when it is done: where its records begin in the DPM's
+/// history, and the events it routes, in delivery order.
+struct Batch {
+    /// Index in [`DesignProcessManager::history`] of the command's first
+    /// record.
+    first_record: usize,
+    /// `(designer, seq, event)`, in the order designers receive them.
+    events: Vec<(DesignerId, u64, Arc<Event>)>,
+}
+
 impl SessionState {
     /// The body of a submit: the remembered outcome of a resubmitted cid,
-    /// or the operation's execution. Returns the outcome and its trace
-    /// label, or the journal error that must close the session.
+    /// or the operation's execution, with any negotiations it starts.
+    /// Returns the outcome and its trace label, or the journal error that
+    /// must close the session.
     fn submit(
         &mut self,
         operation: Operation,
@@ -470,14 +481,19 @@ impl SessionState {
             // remembered answer, not a second execution.
             return Ok((outcome, "deduplicated"));
         }
-        let outcome = execute_submission(
-            &mut self.dpm,
-            &mut self.subscriptions,
-            &mut self.logs,
-            &mut self.journal,
-            operation,
-            self.negotiation.as_ref(),
-        )?;
+        let mut batch = self.batch();
+        let outcome = self.execute(operation, &mut batch);
+        // A conflict-introducing operation triggers a negotiation per new
+        // violation. Relax operations never re-negotiate — the applied
+        // relaxation *is* the negotiation's outcome.
+        if let OpOutcome::Executed(record) = &outcome {
+            if record.operation.operator().kind() != "relax" {
+                for &seed in &record.new_violations {
+                    self.negotiate_conflict(seed, record.sequence as u64, &mut batch);
+                }
+            }
+        }
+        self.commit(batch)?;
         let label = match &outcome {
             OpOutcome::Executed(_) => "executed",
             OpOutcome::Rejected(_) => "rejected",
@@ -486,6 +502,15 @@ impl SessionState {
             window.remember(cid, outcome.clone());
         }
         Ok((outcome, label))
+    }
+
+    /// The body of a `negotiate` command: one negotiation of `seed`,
+    /// committed like a submit.
+    fn negotiate(&mut self, seed: ConstraintId) -> Result<NegotiationReport, JournalError> {
+        let mut batch = self.batch();
+        let report = self.negotiate_conflict(seed, self.seq, &mut batch);
+        self.commit(batch)?;
+        Ok(report)
     }
 
     /// The body of a subscribe: a fresh inbox, pre-filled with the retained
@@ -519,6 +544,226 @@ impl SessionState {
         (inbox, last_idx)
     }
 
+    /// An empty batch for a command about to change the design.
+    fn batch(&self) -> Batch {
+        Batch {
+            first_record: self.dpm.history().len(),
+            events: Vec::new(),
+        }
+    }
+
+    /// Executes one operation and moves the DPM's pending notifications
+    /// onto `batch`. Draining every designer's queue, even with nobody
+    /// subscribed, keeps the DPM's pending queues from growing without
+    /// bound over a long session.
+    fn execute(&mut self, operation: Operation, batch: &mut Batch) -> OpOutcome {
+        if let Err(error) = self.dpm.validate_operation(&operation) {
+            return OpOutcome::Rejected(RejectReason::Invalid(error));
+        }
+        match self.dpm.execute(operation) {
+            Ok(record) => {
+                let seq = record.sequence as u64;
+                for index in 0..self.dpm.designers().len() {
+                    let designer = self.dpm.designers()[index];
+                    let events = self.dpm.take_notifications(designer);
+                    batch.events.extend(
+                        events
+                            .into_iter()
+                            .map(|event| (designer, seq, Arc::new(event))),
+                    );
+                }
+                OpOutcome::Executed(record)
+            }
+            Err(error) => OpOutcome::Rejected(RejectReason::Network(error)),
+        }
+    }
+
+    /// Runs one conflict negotiation against the current design state:
+    /// queues its transcript on `batch`, executes an accepted relaxation,
+    /// and queues an [`Event::NegotiationClosed`] reflecting whether the
+    /// seed conflict actually cleared. All-zero when the session does not
+    /// negotiate or `seed` is no longer violated.
+    fn negotiate_conflict(
+        &mut self,
+        seed: ConstraintId,
+        seq: u64,
+        batch: &mut Batch,
+    ) -> NegotiationReport {
+        let Some(config) = self.negotiation.as_ref() else {
+            return NegotiationReport::default();
+        };
+        // An earlier negotiation in the same submission (shared MCS member)
+        // may already have cleared this seed.
+        if !self.dpm.network().status(seed).is_violated() {
+            return NegotiationReport::default();
+        }
+        let started = Instant::now();
+        let sink = self.dpm.metrics_sink().clone();
+        let NegotiationOutcome {
+            participants,
+            rounds,
+            proposals,
+            operation,
+            transcript,
+            properties,
+            ..
+        } = negotiate(&self.dpm, seed, config);
+        batch.events.extend(
+            transcript
+                .into_iter()
+                .map(|(designer, event)| (designer, seq, Arc::new(event))),
+        );
+        let applied = operation.is_some_and(|operation| {
+            matches!(self.execute(operation, batch), OpOutcome::Executed(_))
+        });
+        let resolved = applied && !self.dpm.network().status(seed).is_violated();
+        let closed = Arc::new(Event::NegotiationClosed {
+            constraint: seed,
+            properties,
+            rounds,
+            resolved,
+        });
+        batch.events.extend(
+            participants
+                .iter()
+                .map(|&designer| (designer, seq, Arc::clone(&closed))),
+        );
+        sink.incr(Counter::NegotiationRounds, rounds.into());
+        sink.incr(Counter::ProposalsSent, proposals.into());
+        sink.incr(
+            if resolved {
+                Counter::ConflictsResolved
+            } else {
+                Counter::ConflictsAbandoned
+            },
+            1,
+        );
+        let report = NegotiationReport {
+            seed_violated: true,
+            resolved,
+            rounds,
+            proposals,
+            participants: participants.len() as u32,
+        };
+        let dur_us = started.elapsed().as_micros() as u64;
+        sink.time(SpanKind::Negotiate, dur_us);
+        if sink.is_enabled() {
+            sink.record(&TraceEvent::Negotiation {
+                seq,
+                constraint: self.dpm.network().constraint(seed).name(),
+                rounds,
+                proposals,
+                participants: report.participants,
+                outcome: if resolved { "resolved" } else { "abandoned" },
+                dur_us,
+            });
+        }
+        report
+    }
+
+    /// Ends every design-changing command: appends all of `batch`'s
+    /// records in one journal append, then delivers its events. A failed
+    /// append (disk full, short write, fsync error) left none of the
+    /// records on disk, and the DPM cannot undo them, so the error is
+    /// returned before anyone learns of the command; the session then
+    /// closes.
+    fn commit(&mut self, batch: Batch) -> Result<(), JournalError> {
+        let records = &self.dpm.history()[batch.first_record..];
+        if records.is_empty() && batch.events.is_empty() {
+            return Ok(());
+        }
+        if let Some(writer) = self.journal.as_mut() {
+            let sink = self.dpm.metrics_sink();
+            writer.append_all(records, &self.dpm).inspect_err(|error| {
+                sink.incr(Counter::JournalDegradations, 1);
+                eprintln!(
+                    "adpm: journal append to {} failed, closing the session: {error}",
+                    writer.path().display()
+                );
+                // A dying disk suggests the process may not reach a clean
+                // shutdown either — make the telemetry recorded so far
+                // durable now, or a traced server loses its final counters
+                // line with it.
+                sink.flush();
+            })?;
+        }
+        self.deliver(batch.events);
+        Ok(())
+    }
+
+    /// Delivers `events` in order into the subscribed inboxes, after one
+    /// sweep of closed subscriptions, and counts them once. Each routed
+    /// event gets its designer's next monotonic delivery index and is
+    /// retained (bounded) for reconnect redelivery, so a resumed
+    /// subscription sees the same indices as the original one.
+    fn deliver(&mut self, events: Vec<(DesignerId, u64, Arc<Event>)>) {
+        let started = Instant::now();
+        let sink = self.dpm.metrics_sink().clone();
+        // Subscriptions whose inbox was closed (connection gone) are dead
+        // weight; collect them before delivering.
+        self.subscriptions.retain(|s| !s.inbox.is_closed());
+        let first_seq = events.first().map_or(0, |&(_, seq, _)| seq);
+        let (mut delivered, mut dropped): (u32, u32) = (0, 0);
+        for (designer, seq, event) in events {
+            let idx = match self.logs.get_mut(designer.index()) {
+                Some(log) => {
+                    log.last_idx += 1;
+                    if log.retained.len() >= RETAINED_EVENTS {
+                        log.retained.pop_front();
+                    }
+                    log.retained.push_back(InboxEntry {
+                        seq,
+                        idx: log.last_idx,
+                        event: Arc::clone(&event),
+                    });
+                    log.last_idx
+                }
+                None => 0,
+            };
+            for sub in self.subscriptions.iter().filter(|s| s.designer == designer) {
+                if sub.inbox.push(InboxEntry {
+                    seq,
+                    idx,
+                    event: Arc::clone(&event),
+                }) {
+                    delivered += 1;
+                } else {
+                    dropped += 1;
+                }
+            }
+        }
+        if delivered > 0 {
+            sink.incr(Counter::InboxDelivered, delivered.into());
+        }
+        if dropped > 0 {
+            sink.incr(Counter::InboxDropped, dropped.into());
+        }
+        let dur_us = started.elapsed().as_micros() as u64;
+        sink.time(SpanKind::Notify, dur_us);
+        if sink.is_enabled() && (delivered > 0 || dropped > 0) {
+            sink.record(&TraceEvent::InboxFanout {
+                seq: first_seq,
+                subscribers: self.subscriptions.len() as u32,
+                delivered,
+                dropped,
+                dur_us,
+            });
+        }
+    }
+
+    /// Closes every inbox and syncs the journal: an orderly shutdown.
+    fn close(mut self) -> DesignProcessManager {
+        for sub in &self.subscriptions {
+            sub.inbox.close();
+        }
+        if let Some(journal) = self.journal.as_mut() {
+            if let Err(error) = journal.sync() {
+                eprintln!("adpm: journal sync at shutdown failed: {error}");
+            }
+        }
+        self.dpm
+    }
+
     /// Closes a session because `why` — a command panicked, or an
     /// operation it executed could not be journaled: its state may be half
     /// updated or ahead of the disk, so nothing more runs against it. The
@@ -542,44 +787,6 @@ impl SessionState {
     }
 }
 
-/// Closes every inbox and syncs the journal.
-fn close_session(subscriptions: &[SubscriptionEntry], journal: &mut Option<JournalWriter>) {
-    for sub in subscriptions {
-        sub.inbox.close();
-    }
-    if let Some(journal) = journal.as_mut() {
-        if let Err(error) = journal.sync() {
-            eprintln!("adpm: journal sync at shutdown failed: {error}");
-        }
-    }
-}
-
-/// Runs one append against the session's journal, if it has one. A
-/// failed append (disk full, short write, fsync error) left nothing on
-/// disk, and the DPM cannot undo the operation, so the error is returned
-/// for the caller to stop before anyone learns of the operation; the
-/// session then closes.
-fn journal_append(
-    journal: &mut Option<JournalWriter>,
-    sink: &dyn MetricsSink,
-    append: impl FnOnce(&mut JournalWriter) -> Result<(), JournalError>,
-) -> Result<(), JournalError> {
-    let Some(writer) = journal.as_mut() else {
-        return Ok(());
-    };
-    append(writer).inspect_err(|error| {
-        sink.incr(Counter::JournalDegradations, 1);
-        eprintln!(
-            "adpm: journal append to {} failed, closing the session: {error}",
-            writer.path().display()
-        );
-        // A dying disk suggests the process may not reach a clean shutdown
-        // either — make the telemetry recorded so far durable now, or a
-        // traced server loses its final counters line with it.
-        sink.flush();
-    })
-}
-
 fn record_session_event(
     sink: &dyn MetricsSink,
     seq: u64,
@@ -598,257 +805,6 @@ fn record_session_event(
             outcome,
             dur_us,
         });
-    }
-}
-
-fn execute_submission(
-    dpm: &mut DesignProcessManager,
-    subscriptions: &mut Vec<SubscriptionEntry>,
-    logs: &mut [EventLog],
-    journal: &mut Option<JournalWriter>,
-    operation: Operation,
-    negotiation: Option<&NegotiationConfig>,
-) -> Result<OpOutcome, JournalError> {
-    if let Err(error) = dpm.validate_operation(&operation) {
-        return Ok(OpOutcome::Rejected(RejectReason::Invalid(error)));
-    }
-    match dpm.execute(operation) {
-        Ok(record) => {
-            journal_append(journal, dpm.metrics_sink().as_ref(), |writer| {
-                writer.append(&record, dpm)
-            })?;
-            fan_out(dpm, subscriptions, logs, record.sequence as u64);
-            // A conflict-introducing operation triggers a negotiation per
-            // new violation. Relax operations never re-negotiate — the
-            // applied relaxation *is* the negotiation's outcome.
-            if let Some(config) = negotiation {
-                if record.operation.operator().kind() != "relax" {
-                    for seed in record.new_violations.clone() {
-                        negotiate_conflict(
-                            dpm,
-                            subscriptions,
-                            logs,
-                            journal,
-                            seed,
-                            config,
-                            record.sequence as u64,
-                        )?;
-                    }
-                }
-            }
-            Ok(OpOutcome::Executed(record))
-        }
-        Err(error) => Ok(OpOutcome::Rejected(RejectReason::Network(error))),
-    }
-}
-
-/// Runs one conflict negotiation against the current design state,
-/// delivers its transcript to the subscribed inboxes, applies an accepted
-/// relaxation through the normal journaled submission path, and closes
-/// with a routed [`Event::NegotiationClosed`] reflecting whether the seed
-/// conflict actually cleared. A journal error stops it at once, like
-/// [`execute_submission`].
-#[allow(clippy::too_many_arguments)]
-fn negotiate_conflict(
-    dpm: &mut DesignProcessManager,
-    subscriptions: &mut Vec<SubscriptionEntry>,
-    logs: &mut [EventLog],
-    journal: &mut Option<JournalWriter>,
-    seed: ConstraintId,
-    config: &NegotiationConfig,
-    seq: u64,
-) -> Result<NegotiationReport, JournalError> {
-    // An earlier negotiation in the same submission (shared MCS member) or
-    // a raced repair may already have cleared this seed.
-    if !dpm.network().status(seed).is_violated() {
-        return Ok(NegotiationReport::default());
-    }
-    let started = Instant::now();
-    let sink = dpm.metrics_sink().clone();
-    let mut outcome = negotiate(dpm, seed, config);
-    subscriptions.retain(|s| !s.inbox.is_closed());
-    let mut delivered: u32 = 0;
-    let mut dropped: u32 = 0;
-    for (designer, event) in std::mem::take(&mut outcome.transcript) {
-        route_event(
-            subscriptions,
-            logs,
-            seq,
-            designer,
-            Arc::new(event),
-            &mut delivered,
-            &mut dropped,
-        );
-    }
-    // Apply the accepted relaxation as a normal journaled operation —
-    // negotiation disabled for the nested submission, so a relaxation can
-    // never recursively negotiate.
-    let applied = match outcome.operation.clone() {
-        Some(operation) => matches!(
-            execute_submission(dpm, subscriptions, logs, journal, operation, None)?,
-            OpOutcome::Executed(_)
-        ),
-        None => false,
-    };
-    let resolved = applied && !dpm.network().status(seed).is_violated();
-    let closed = Arc::new(Event::NegotiationClosed {
-        constraint: seed,
-        properties: outcome.properties.clone(),
-        rounds: outcome.rounds,
-        resolved,
-    });
-    for designer in &outcome.participants {
-        route_event(
-            subscriptions,
-            logs,
-            seq,
-            *designer,
-            closed.clone(),
-            &mut delivered,
-            &mut dropped,
-        );
-    }
-    if delivered > 0 {
-        sink.incr(Counter::InboxDelivered, delivered.into());
-    }
-    if dropped > 0 {
-        sink.incr(Counter::InboxDropped, dropped.into());
-    }
-    sink.incr(Counter::NegotiationRounds, outcome.rounds.into());
-    sink.incr(Counter::ProposalsSent, outcome.proposals.into());
-    sink.incr(
-        if resolved {
-            Counter::ConflictsResolved
-        } else {
-            Counter::ConflictsAbandoned
-        },
-        1,
-    );
-    let outcome_label = if resolved { "resolved" } else { "abandoned" };
-    let constraint_name = dpm.network().constraint(seed).name().to_owned();
-    journal_append(journal, sink.as_ref(), |writer| {
-        writer.append_negotiation(
-            seq,
-            &constraint_name,
-            outcome.rounds,
-            outcome.proposals,
-            outcome.participants.len() as u32,
-            outcome_label,
-            sink.as_ref(),
-        )
-    })?;
-    let dur_us = started.elapsed().as_micros() as u64;
-    sink.time(SpanKind::Negotiate, dur_us);
-    if sink.is_enabled() {
-        sink.record(&TraceEvent::Negotiation {
-            seq,
-            constraint: &constraint_name,
-            rounds: outcome.rounds,
-            proposals: outcome.proposals,
-            participants: outcome.participants.len() as u32,
-            outcome: outcome_label,
-            dur_us,
-        });
-    }
-    Ok(NegotiationReport {
-        seed_violated: true,
-        resolved,
-        rounds: outcome.rounds,
-        proposals: outcome.proposals,
-        participants: outcome.participants.len() as u32,
-    })
-}
-
-/// Drains the DPM's pending notifications for every designer and delivers
-/// each designer's events into that designer's subscribed inboxes.
-/// Draining unconditionally (even with no subscriptions) keeps the DPM's
-/// pending queues from growing without bound over a long session. Each
-/// routed event gets the designer's next monotonic delivery index and is
-/// retained (bounded) for reconnect redelivery, so a resumed subscription
-/// sees the same indices as the original one.
-fn fan_out(
-    dpm: &mut DesignProcessManager,
-    subscriptions: &mut Vec<SubscriptionEntry>,
-    logs: &mut [EventLog],
-    seq: u64,
-) {
-    let started = Instant::now();
-    let sink = dpm.metrics_sink().clone();
-    // Subscriptions whose inbox was closed (connection gone) are dead
-    // weight; collect them before fanning out.
-    subscriptions.retain(|s| !s.inbox.is_closed());
-    let mut delivered: u32 = 0;
-    let mut dropped: u32 = 0;
-    for designer in dpm.designers().to_vec() {
-        for event in dpm.take_notifications(designer) {
-            route_event(
-                subscriptions,
-                logs,
-                seq,
-                designer,
-                Arc::new(event),
-                &mut delivered,
-                &mut dropped,
-            );
-        }
-    }
-    if delivered > 0 {
-        sink.incr(Counter::InboxDelivered, delivered.into());
-    }
-    if dropped > 0 {
-        sink.incr(Counter::InboxDropped, dropped.into());
-    }
-    let dur_us = started.elapsed().as_micros() as u64;
-    sink.time(SpanKind::Notify, dur_us);
-    if sink.is_enabled() && (delivered > 0 || dropped > 0) {
-        sink.record(&TraceEvent::InboxFanout {
-            seq,
-            subscribers: subscriptions.len() as u32,
-            delivered,
-            dropped,
-            dur_us,
-        });
-    }
-}
-
-/// Routes one event to `designer`: assigns the next delivery index,
-/// retains it (bounded) for reconnect redelivery, and pushes it into
-/// every one of the designer's subscription inboxes, all sharing `event`.
-fn route_event(
-    subscriptions: &[SubscriptionEntry],
-    logs: &mut [EventLog],
-    seq: u64,
-    designer: DesignerId,
-    event: Arc<Event>,
-    delivered: &mut u32,
-    dropped: &mut u32,
-) {
-    let idx = match logs.get_mut(designer.index()) {
-        Some(log) => {
-            log.last_idx += 1;
-            let entry = InboxEntry {
-                seq,
-                idx: log.last_idx,
-                event: Arc::clone(&event),
-            };
-            if log.retained.len() >= RETAINED_EVENTS {
-                log.retained.pop_front();
-            }
-            log.retained.push_back(entry);
-            log.last_idx
-        }
-        None => 0,
-    };
-    for sub in subscriptions.iter().filter(|s| s.designer == designer) {
-        if sub.inbox.push(InboxEntry {
-            seq,
-            idx,
-            event: Arc::clone(&event),
-        }) {
-            *delivered += 1;
-        } else {
-            *dropped += 1;
-        }
     }
 }
 
@@ -1249,14 +1205,29 @@ mod tests {
             .history()
             .iter()
             .any(|r| r.operation.operator().kind() == "relax"));
-        // d1 saw the proposal and the close.
-        let entries = inbox.drain();
-        assert!(entries
+        // d1 saw every event in order: the trigger's violation (seq 3),
+        // the negotiation transcript, the relaxation's own event (seq 4),
+        // and the close, which carries the trigger's seq.
+        let seen: Vec<(String, u64, u64)> = inbox
+            .drain()
             .iter()
-            .any(|e| matches!(*e.event, Event::NegotiationProposed { .. })));
-        assert!(entries
-            .iter()
-            .any(|e| matches!(*e.event, Event::NegotiationClosed { resolved: true, .. })));
+            .map(|e| {
+                let debug = format!("{:?}", e.event);
+                let kind = debug.split([' ', '{']).next().unwrap_or_default();
+                (kind.to_owned(), e.seq, e.idx)
+            })
+            .collect();
+        let expected = [
+            ("FeasibleReduced", 1, 1),
+            ("ProblemSolved", 2, 2),
+            ("ViolationDetected", 3, 3),
+            ("NegotiationProposed", 3, 4),
+            ("NegotiationAnswered", 3, 5),
+            ("ViolationResolved", 4, 6),
+            ("NegotiationClosed", 3, 7),
+        ]
+        .map(|(kind, seq, idx)| (kind.to_owned(), seq, idx));
+        assert_eq!(seen, expected);
         engine.shutdown();
     }
 

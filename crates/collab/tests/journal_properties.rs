@@ -10,9 +10,9 @@ use std::sync::OnceLock;
 
 use adpm_collab::{
     recover, valid_prefix_bytes, DiskFaultInjector, FaultPlan, FsyncPolicy, JournalConfig,
-    JournalWriter, OpOutcome, SessionEngine, SessionOptions,
+    JournalWriter, NegotiationConfig, OpOutcome, SessionEngine, SessionOptions,
 };
-use adpm_core::{state_fingerprint, DesignProcessManager, Operation};
+use adpm_core::{state_fingerprint, DesignProcessManager, Operation, OperationRecord};
 use adpm_scenarios::lna_walkthrough;
 use adpm_teamsim::{Simulation, SimulationConfig, StepOutcome};
 use proptest::prelude::*;
@@ -24,20 +24,23 @@ fn fresh_dpm() -> DesignProcessManager {
     dpm
 }
 
+/// The history of one TeamSim run of the walkthrough under `config`.
+fn simulated_history(config: SimulationConfig) -> Vec<OperationRecord> {
+    let scenario = lna_walkthrough();
+    let mut sim = Simulation::new(&scenario, config);
+    while matches!(sim.step(), StepOutcome::Executed(_)) {}
+    sim.dpm().history().to_vec()
+}
+
 /// The walkthrough's operation history plus the bytes of a journal
 /// produced by re-executing it under a `JournalWriter` — computed once,
 /// shared across proptest cases.
 fn fixture() -> &'static (Vec<Operation>, Vec<u8>) {
     static FIXTURE: OnceLock<(Vec<Operation>, Vec<u8>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let scenario = lna_walkthrough();
-        let mut sim = Simulation::new(&scenario, SimulationConfig::adpm(5));
-        while matches!(sim.step(), StepOutcome::Executed(_)) {}
-        let history: Vec<Operation> = sim
-            .dpm()
-            .history()
-            .iter()
-            .map(|r| r.operation.clone())
+        let history: Vec<Operation> = simulated_history(SimulationConfig::adpm(5))
+            .into_iter()
+            .map(|r| r.operation)
             .collect();
         assert!(history.len() > 3, "walkthrough too short to exercise");
         let dir = scratch_dir();
@@ -61,6 +64,21 @@ fn fixture() -> &'static (Vec<Operation>, Vec<u8>) {
         writer.sync().expect("sync");
         let bytes = std::fs::read(&path).expect("read journal");
         (history, bytes)
+    })
+}
+
+/// A conventional-mode history of the walkthrough: its designers bind
+/// without ADPM's narrowed ranges, so its operations introduce conflicts,
+/// which a negotiating session relaxes.
+fn conflicting_history() -> &'static Vec<Operation> {
+    static HISTORY: OnceLock<Vec<Operation>> = OnceLock::new();
+    HISTORY.get_or_init(|| {
+        let records = simulated_history(SimulationConfig::conventional(5));
+        assert!(
+            records.iter().any(|r| !r.new_violations.is_empty()),
+            "the conventional walkthrough introduces no conflict"
+        );
+        records.into_iter().map(|r| r.operation).collect()
     })
 }
 
@@ -303,19 +321,23 @@ proptest! {
         prop_assert_eq!(state_fingerprint(&recovered), state_fingerprint(&original));
     }
 
-    /// Fail-stop under disk faults: submitting the TeamSim history through
+    /// Fail-stop under disk faults: submitting a TeamSim history through
     /// a journaled session under a seeded plan of ENOSPC, short writes and
     /// fsync failures, a crash right after the last answer recovers
     /// exactly the operations answered `executed`, in order, and their
-    /// design state.
+    /// design state. A negotiating session replays a history that
+    /// introduces conflicts: each acknowledged submit then also brings the
+    /// relaxations its negotiations applied, and nothing of a submit that
+    /// was not acknowledged.
     #[test]
     fn recovery_yields_exactly_the_acknowledged_prefix(
         seed in 0u64..1_000,
         enospc in 0.0f64..0.3,
         short_write in 0.0f64..0.3,
         fsync_fail in 0.0f64..0.3,
+        negotiating in any::<bool>(),
     ) {
-        let (history, _) = fixture();
+        let history = if negotiating { conflicting_history() } else { &fixture().0 };
         let plan: FaultPlan = format!(
             "seed={seed},enospc={enospc},short_write={short_write},fsync_fail={fsync_fail}"
         )
@@ -331,14 +353,24 @@ proptest! {
             dpm,
             SessionOptions {
                 journal: Some(journal),
+                negotiation: negotiating.then(NegotiationConfig::default),
                 ..SessionOptions::default()
             },
         );
         let handle = engine.handle();
-        let mut acknowledged = Vec::new();
+        // Every record the acknowledged submits added to the history.
+        let mut acknowledged: Vec<OperationRecord> = Vec::new();
+        let mut answered = 0;
         for op in history {
             match handle.submit(op.clone()) {
-                Ok(OpOutcome::Executed(record)) => acknowledged.push(record),
+                Ok(OpOutcome::Executed(_)) => {
+                    let known = acknowledged.len();
+                    let added = handle
+                        .read(|dpm| dpm.history()[known..].to_vec())
+                        .expect("an acknowledged submit leaves the session open");
+                    acknowledged.extend(added);
+                    answered += 1;
+                }
                 Ok(OpOutcome::Rejected(reason)) => panic!("history op rejected: {reason}"),
                 Err(_) => break,
             }
@@ -346,7 +378,7 @@ proptest! {
         // The journal as a crash at this instant would leave it.
         let crashed = dir.join("crashed.journal");
         std::fs::copy(&path, &crashed).expect("copy journal");
-        let closed = acknowledged.len() < history.len();
+        let closed = answered < history.len();
         prop_assert_eq!(engine.shutdown().is_none(), closed);
 
         let mut recovered = fresh_dpm();
