@@ -478,11 +478,29 @@ impl CompiledNetwork {
     }
 
     /// An arena snapshot of `net`'s current effective intervals — a
-    /// propagation run's starting box.
-    pub(crate) fn load_arena(net: &ConstraintNetwork) -> IntervalArena {
+    /// propagation run's starting box. A region run passes its
+    /// constraints, the only ones it revises, and gets the arguments of
+    /// those loaded (every other slot stays [`Interval::UNIVERSE`], unread);
+    /// `None` loads every property.
+    pub(crate) fn load_arena(
+        &self,
+        net: &ConstraintNetwork,
+        region: Option<&[ConstraintId]>,
+    ) -> IntervalArena {
         let mut arena = IntervalArena::new(net.property_count());
-        for pid in net.property_ids() {
-            arena.set(pid, net.effective_interval(pid));
+        match region {
+            None => {
+                for pid in net.property_ids() {
+                    arena.set(pid, net.effective_interval(pid));
+                }
+            }
+            Some(constraints) => {
+                for cid in constraints {
+                    for pid in &self.constraints[cid.index()].vars {
+                        arena.set(*pid, net.effective_interval(*pid));
+                    }
+                }
+            }
         }
         arena
     }

@@ -291,9 +291,9 @@ pub fn propagate_incremental_profiled(
 /// programs in production ([`CompiledReviser`]), the AST interpreter as the
 /// fixed-point reference in tests.
 trait Reviser {
-    /// Prepares a run starting from `net`'s current box (called after bound
-    /// properties are pinned).
-    fn load(net: &ConstraintNetwork) -> Self;
+    /// Prepares a run of `region` starting from `net`'s current box (called
+    /// after bound properties are pinned).
+    fn load(net: &ConstraintNetwork, region: &Region) -> Self;
     /// One HC4 revision of constraint `cid` against the current box.
     fn revise(&mut self, net: &ConstraintNetwork, cid: ConstraintId) -> ReviseResult;
     /// `pid`'s feasible subspace in `net` just narrowed.
@@ -301,7 +301,8 @@ trait Reviser {
 }
 
 /// The network's compiled programs (shared, never recompiled here) revised
-/// against an arena mirror of the box, loaded once per run.
+/// against an arena mirror of the box, loaded once per run: the whole box
+/// for a full run, the arguments of the region's constraints otherwise.
 struct CompiledReviser {
     programs: Arc<CompiledNetwork>,
     arena: IntervalArena,
@@ -309,10 +310,15 @@ struct CompiledReviser {
 }
 
 impl Reviser for CompiledReviser {
-    fn load(net: &ConstraintNetwork) -> Self {
+    fn load(net: &ConstraintNetwork, region: &Region) -> Self {
+        let programs = Arc::clone(net.programs());
+        let constraints = match region.kind {
+            PropagationKind::Full => None,
+            PropagationKind::Incremental => Some(&region.constraints[..]),
+        };
         CompiledReviser {
-            programs: Arc::clone(net.programs()),
-            arena: CompiledNetwork::load_arena(net),
+            arena: programs.load_arena(net, constraints),
+            programs,
             scratch: ReviseScratch::new(),
         }
     }
@@ -391,7 +397,7 @@ fn run_region<R: Reviser>(
         sweep.dedup();
     }
     let budget = config.max_evaluations.saturating_sub(sweep.len());
-    let mut reviser = R::load(net);
+    let mut reviser = R::load(net, &region);
     let mut run = run_worklist(
         net,
         &region.constraints,
@@ -1577,7 +1583,7 @@ mod tests {
     struct Interp;
 
     impl Reviser for Interp {
-        fn load(_net: &ConstraintNetwork) -> Self {
+        fn load(_net: &ConstraintNetwork, _region: &Region) -> Self {
             Interp
         }
 

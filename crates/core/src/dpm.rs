@@ -182,7 +182,11 @@ pub struct DesignProcessManager {
     heuristics: OnceLock<HeuristicReport>,
     pending: HashMap<DesignerId, Vec<Event>>,
     known_violations: BTreeSet<ConstraintId>,
-    prev_snapshot: BTreeSet<ConstraintId>,
+    /// `(constraint, known violated before)` for each change to
+    /// `known_violations` since the last baseline (the end of the last
+    /// operation, `initialize` or `begin_restored_history`), in change
+    /// order; the first change of a constraint holds its baseline.
+    violation_changes: Vec<(ConstraintId, bool)>,
     /// ADPM only: each property's relative feasible size as of the last
     /// observation, indexed by property id. `execute` refreshes the
     /// operator's target and then the propagation region, the only
@@ -210,7 +214,7 @@ impl DesignProcessManager {
             heuristics: OnceLock::new(),
             pending: HashMap::new(),
             known_violations: BTreeSet::new(),
-            prev_snapshot: BTreeSet::new(),
+            violation_changes: Vec::new(),
             feasible_sizes: Vec::new(),
             event_buffer: Vec::new(),
             total_evaluations: 0,
@@ -220,6 +224,9 @@ impl DesignProcessManager {
         };
         if dpm.config.mode.is_adpm() {
             dpm.observe_network();
+            // The baseline is empty: the first operation reports whatever
+            // the network already held violated as new.
+            dpm.violation_changes = dpm.known_violations.iter().map(|c| (*c, false)).collect();
         }
         dpm
     }
@@ -352,7 +359,7 @@ impl DesignProcessManager {
         self.pending.clear();
         self.event_buffer.clear();
         self.heuristics.take();
-        self.prev_snapshot = self.known_violations.clone();
+        self.violation_changes.clear();
     }
 
     /// Total constraint evaluations across the whole history.
@@ -414,7 +421,7 @@ impl DesignProcessManager {
             &*self.clock,
         );
         self.observe_network();
-        self.prev_snapshot = self.known_violations.clone();
+        self.violation_changes.clear();
         self.update_problem_statuses();
         self.event_buffer.clear();
         self.total_evaluations += outcome.evaluations;
@@ -527,11 +534,8 @@ impl DesignProcessManager {
                 // but the conventional flow only updates it at
                 // verifications, which would leave a relax-cleared
                 // conflict on the books forever.
-                if self.network.status(*constraint).is_violated() {
-                    self.known_violations.insert(*constraint);
-                } else {
-                    self.known_violations.remove(constraint);
-                }
+                let violated = self.network.status(*constraint).is_violated();
+                self.set_known_violation(*constraint, violated);
             }
         }
 
@@ -573,19 +577,16 @@ impl DesignProcessManager {
             evaluations += outcome.evaluations;
             // The run changed statuses only among the constraints it swept
             // and feasible subspaces only within its region.
-            for cid in &outcome.swept {
-                if self.network.status(*cid).is_violated() {
-                    self.known_violations.insert(*cid);
-                } else {
-                    self.known_violations.remove(cid);
-                }
+            for &cid in &outcome.swept {
+                let violated = self.network.status(cid).is_violated();
+                self.set_known_violation(cid, violated);
             }
             self.emit_feasibility_events(&outcome.properties);
         }
 
-        let new_violations = self.violation_delta();
+        let (new_violations, resolved) = self.violation_delta();
         self.update_problem_statuses();
-        self.emit_violation_events(&new_violations);
+        self.emit_violation_events(&new_violations, &resolved);
         let fanout_started = if trace { self.clock.now_us() } else { 0 };
         let (recipients, delivered) = self.flush_events();
         let fanout_dur_us = if trace {
@@ -675,9 +676,10 @@ impl DesignProcessManager {
         let Some(target) = operation.operator().target_property() else {
             return false;
         };
-        self.known_violations.iter().any(|cid| {
-            self.network.is_cross_object(*cid) && self.network.constraint(*cid).involves(target)
-        })
+        self.network
+            .constraints_of(target)
+            .iter()
+            .any(|cid| self.known_violations.contains(cid) && self.network.is_cross_object(*cid))
     }
 
     /// Folds one executed operation into the minimal state program (see
@@ -724,7 +726,7 @@ impl DesignProcessManager {
     fn invalidate_verifications(&mut self, property: PropertyId) {
         for cid in self.network.constraints_of(property).to_vec() {
             self.network.set_status(cid, ConstraintStatus::Consistent);
-            self.known_violations.remove(&cid);
+            self.set_known_violation(cid, false);
         }
     }
 
@@ -751,11 +753,7 @@ impl DesignProcessManager {
                 ConstraintStatus::Violated
             };
             self.network.set_status(cid, status);
-            if ok {
-                self.known_violations.remove(&cid);
-            } else {
-                self.known_violations.insert(cid);
-            }
+            self.set_known_violation(cid, !ok);
         }
         evaluations
     }
@@ -799,37 +797,53 @@ impl DesignProcessManager {
         }
     }
 
-    /// Violations newly present since the last recorded operation.
-    fn violation_delta(&self) -> Vec<ConstraintId> {
-        self.known_violations
-            .iter()
-            .copied()
-            .filter(|cid| !self.prev_snapshot.contains(cid))
-            .collect()
+    /// The one writer of `known_violations` inside an operation: records
+    /// whether `cid` is known violated and notes each change for
+    /// [`violation_delta`](Self::violation_delta).
+    fn set_known_violation(&mut self, cid: ConstraintId, violated: bool) {
+        let changed = if violated {
+            self.known_violations.insert(cid)
+        } else {
+            self.known_violations.remove(&cid)
+        };
+        if changed {
+            self.violation_changes.push((cid, !violated));
+        }
     }
 
-    fn emit_violation_events(&mut self, new_violations: &[ConstraintId]) {
-        let mut events: Vec<Event> = new_violations
-            .iter()
-            .map(|cid| Event::ViolationDetected {
-                constraint: *cid,
-                properties: self.network.constraint(*cid).arguments(),
-            })
-            .collect();
-        for cid in self.prev_snapshot.clone() {
-            if !self.known_violations.contains(&cid) {
-                events.push(Event::ViolationResolved { constraint: cid });
+    /// The violations newly known since the baseline and those no longer
+    /// known, each in id order; the baseline moves to now. Costs the
+    /// changes made, not the violations standing.
+    fn violation_delta(&mut self) -> (Vec<ConstraintId>, Vec<ConstraintId>) {
+        let mut changes = std::mem::take(&mut self.violation_changes);
+        // A stable sort keeps each constraint's first change, which holds
+        // its baseline, ahead of its later ones.
+        changes.sort_by_key(|(cid, _)| *cid);
+        changes.dedup_by_key(|(cid, _)| *cid);
+        let (mut detected, mut resolved) = (Vec::new(), Vec::new());
+        for (cid, before) in changes.drain(..) {
+            match (before, self.known_violations.contains(&cid)) {
+                (false, true) => detected.push(cid),
+                (true, false) => resolved.push(cid),
+                _ => {}
             }
         }
-        self.queue_events(events);
-        self.prev_snapshot = self.known_violations.clone();
+        self.violation_changes = changes;
+        (detected, resolved)
     }
 
-    fn queue_events(&mut self, events: Vec<Event>) {
-        if events.is_empty() {
-            return;
+    fn emit_violation_events(&mut self, detected: &[ConstraintId], resolved: &[ConstraintId]) {
+        for cid in detected {
+            self.event_buffer.push(Event::ViolationDetected {
+                constraint: *cid,
+                properties: self.network.constraint(*cid).arguments(),
+            });
         }
-        self.event_buffer.extend(events);
+        self.event_buffer.extend(
+            resolved
+                .iter()
+                .map(|cid| Event::ViolationResolved { constraint: *cid }),
+        );
     }
 
     /// The Notification Manager: routes the buffered events to every

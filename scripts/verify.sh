@@ -44,13 +44,18 @@ done
 echo "==> fig_incremental smoke run (3 seeds, equivalence oracle)"
 cargo run --release -q -p adpm-bench --bin fig_incremental -- 3 >/dev/null
 
-# Both figures are seed-deterministic, so a fresh run must rewrite their
-# checked-in JSON twins byte for byte; a difference means a stale twin.
-echo "==> fig7_profile / fig8_stats twins match a fresh run"
-cargo run --release -q -p adpm-bench --bin fig7_profile >/dev/null
-cargo run --release -q -p adpm-bench --bin fig8_stats >/dev/null
-git diff --exit-code -- results/fig7_profile.json results/fig8_stats.json || {
-  echo "a fresh run rewrote results/fig7_profile.json or results/fig8_stats.json"; exit 1; }
+# These figures are seed-deterministic, so a fresh run must rewrite their
+# checked-in JSON twins byte for byte; a difference means a stale twin or a
+# change in behaviour (their spins and violation counts come from the DPM's
+# per-operation bookkeeping).
+FIGURES="fig7_profile fig8_stats fig9_operations fig9_evaluations fig10_tightness
+         ablation_heuristics scaling_teams"
+echo "==> figure twins match a fresh run ($(echo $FIGURES))"
+for FIG in $FIGURES; do
+  cargo run --release -q -p adpm-bench --bin "$FIG" >/dev/null
+  git diff --exit-code -- "results/$FIG.json" || {
+    echo "a fresh run of $FIG rewrote results/$FIG.json"; exit 1; }
+done
 
 echo "==> adpm analyze smoke run (golden trace)"
 cargo run --release -q -p adpm-cli --bin adpm -- analyze tests/golden/sensing_short.jsonl >/dev/null

@@ -157,30 +157,74 @@ fn incremental_simulation_completes_like_full() {
     );
 }
 
-/// A random design value for `pid`: inside its current feasible subspace
-/// three times in four (the design moves forward), anywhere in `E_i`
-/// otherwise (conflicts arise). `None` for symbolic properties.
-fn random_value(dpm: &DesignProcessManager, pid: PropertyId, rng: &mut StdRng) -> Option<Value> {
+/// How a stream draws the values it assigns.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    /// Inside the current feasible subspace three times in four (the
+    /// design moves forward), anywhere in `E_i` otherwise (conflicts arise).
+    MostlyFeasible,
+    /// Outside the current feasible subspace whenever `E_i` leaves room, as
+    /// most of perfbench's uniform draws from `E_i` land: violations pile up
+    /// and stand while the region runs go on.
+    Infeasible,
+}
+
+/// A random design value for `pid` drawn as `draw` says. `None` for
+/// symbolic properties.
+fn random_value(
+    dpm: &DesignProcessManager,
+    pid: PropertyId,
+    draw: Draw,
+    rng: &mut StdRng,
+) -> Option<Value> {
     let net = dpm.network();
     let initial = net.property(pid).initial_domain();
-    if let Domain::NumberSet(values) = initial {
-        return Some(Value::number(values[rng.gen_range(0..values.len())]));
-    }
     let feasible = net.feasible(pid);
-    let range = if rng.gen_bool(0.75) && !feasible.is_empty() {
-        feasible
-    } else {
-        initial
+    if let Domain::NumberSet(values) = initial {
+        let mut menu = values.clone();
+        if let Draw::Infeasible = draw {
+            menu.retain(|v| !feasible.contains(&Value::number(*v)));
+            if menu.is_empty() {
+                menu = values.clone();
+            }
+        }
+        return Some(Value::number(menu[rng.gen_range(0..menu.len())]));
+    }
+    let value = match (draw, feasible.enclosing_interval()) {
+        (Draw::Infeasible, Some(f)) => {
+            let iv = initial.enclosing_interval()?;
+            let (below, above) = (f.lo() - iv.lo(), iv.hi() - f.hi());
+            if below + above > 0.0 {
+                // Uniform over [lo, f.lo) and (f.hi, hi].
+                let u = rng.gen_range(0.0..below + above);
+                if u < below {
+                    iv.lo() + u
+                } else {
+                    iv.hi() - (u - below)
+                }
+            } else {
+                iv.lo() + rng.gen_range(0.0..1.0) * (iv.hi() - iv.lo())
+            }
+        }
+        _ => {
+            let range = if matches!(draw, Draw::MostlyFeasible)
+                && rng.gen_bool(0.75)
+                && !feasible.is_empty()
+            {
+                feasible
+            } else {
+                initial
+            };
+            let iv = range.enclosing_interval()?;
+            iv.lo() + rng.gen_range(0.0..1.0) * (iv.hi() - iv.lo())
+        }
     };
-    let iv = range.enclosing_interval()?;
-    Some(Value::number(
-        iv.lo() + rng.gen_range(0.0..1.0) * (iv.hi() - iv.lo()),
-    ))
+    Some(Value::number(value))
 }
 
 /// A seeded assign/unbind/verify over the outputs of a random designer's
 /// problems.
-fn random_operation(dpm: &DesignProcessManager, rng: &mut StdRng) -> Option<Operation> {
+fn random_operation(dpm: &DesignProcessManager, draw: Draw, rng: &mut StdRng) -> Option<Operation> {
     let designer = dpm.designers()[rng.gen_range(0..dpm.designers().len())];
     let problems: Vec<ProblemId> = dpm
         .problems()
@@ -199,7 +243,7 @@ fn random_operation(dpm: &DesignProcessManager, rng: &mut StdRng) -> Option<Oper
     if roll == 1 && dpm.network().is_bound(pid) {
         return Some(Operation::unbind(designer, problem, pid));
     }
-    random_value(dpm, pid, rng).map(|value| Operation::assign(designer, problem, pid, value))
+    random_value(dpm, pid, draw, rng).map(|value| Operation::assign(designer, problem, pid, value))
 }
 
 /// Every property's relative feasible size.
@@ -246,7 +290,8 @@ fn feasibility_events(
 /// The DPM's region bookkeeping — feasible-size diffs over the region and
 /// known violations from the swept constraints — against a DPM running
 /// full propagation, and its feasibility events against a whole-network
-/// diff.
+/// diff, on streams that mostly stay feasible and on streams that assign
+/// outside the feasible set.
 #[test]
 fn region_bookkeeping_matches_full_propagation_on_random_streams() {
     let scenarios = [
@@ -255,8 +300,11 @@ fn region_bookkeeping_matches_full_propagation_on_random_streams() {
         ("walkthrough", adpm_scenarios::lna_walkthrough()),
         ("pipeline", adpm_scenarios::pipeline(6)),
     ];
+    let mut peak_standing = [0usize; 2];
     for (name, scenario) in &scenarios {
-        for seed in 1..=5u64 {
+        for (seed, draw) in
+            (1..=5u64).flat_map(|s| [(s, Draw::MostlyFeasible), (s, Draw::Infeasible)])
+        {
             let mut full = scenario.build_dpm(DpmConfig {
                 propagation_kind: PropagationKind::Full,
                 ..DpmConfig::adpm()
@@ -267,10 +315,10 @@ fn region_bookkeeping_matches_full_propagation_on_random_streams() {
             let mut rng = StdRng::seed_from_u64(seed);
             let (mut executed, mut events, mut violations) = (0, 0, 0);
             for step in 0..120 {
-                let Some(operation) = random_operation(&region, &mut rng) else {
+                let Some(operation) = random_operation(&region, draw, &mut rng) else {
                     continue;
                 };
-                let context = format!("{name} seed {seed} step {step}: {operation:?}");
+                let context = format!("{name} seed {seed} {draw:?} step {step}: {operation:?}");
                 let before = relative_sizes(&region);
                 let (f, r) = (
                     full.execute(operation.clone()),
@@ -286,6 +334,8 @@ fn region_bookkeeping_matches_full_propagation_on_random_streams() {
                 };
                 executed += 1;
                 violations += r.new_violations.len();
+                let peak = &mut peak_standing[draw as usize];
+                *peak = (*peak).max(r.violations_after);
                 assert_eq!(f.new_violations, r.new_violations, "{context}");
                 assert_eq!(f.violations_after, r.violations_after, "{context}");
                 assert_eq!(
@@ -329,9 +379,15 @@ fn region_bookkeeping_matches_full_propagation_on_random_streams() {
             // The streams must exercise what is compared.
             assert!(
                 executed > 20 && events > 0 && violations > 0,
-                "{name} seed {seed}: {executed} operations, {events} events, \
+                "{name} seed {seed} {draw:?}: {executed} operations, {events} events, \
                  {violations} new violations"
             );
         }
     }
+    // Infeasible draws are what make violations stand in region runs.
+    let [feasible, infeasible] = peak_standing;
+    assert!(
+        infeasible > feasible,
+        "peak standing violations: {infeasible} infeasible-draw, {feasible} mostly-feasible"
+    );
 }
