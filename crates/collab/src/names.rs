@@ -40,8 +40,7 @@ impl NameTable {
         let mut property_names = Vec::with_capacity(network.property_count());
         let mut property_ids = BTreeMap::new();
         for id in network.property_ids() {
-            let meta = network.property(id);
-            let full = format!("{}.{}", meta.object(), meta.name());
+            let full = network.property(id).qualified_name().to_owned();
             property_ids.entry(full.clone()).or_insert(id);
             property_names.push(full);
         }

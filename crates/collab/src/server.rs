@@ -2840,18 +2840,29 @@ mod tests {
             ));
         }
         let recorder = server.flight_recorder(DEFAULT_SESSION).expect("recorder");
-        let ring = adpm_observe::parse_trace(&recorder.dump().join("\n")).expect("ring parses");
+        server.shutdown();
+        let dump = recorder.dump();
+        let ring = adpm_observe::parse_trace(&dump.join("\n")).expect("ring parses");
         assert_eq!(ring.iter().filter(|l| l.tag() == "op").count(), 3);
         assert!(
             ring.iter()
                 .all(|l| l.tag() != "cprof" && l.tag() != "pprof"),
             "profile lines stay out of the ring"
         );
-        server.shutdown();
         trace.finish().expect("flush trace");
         let text = std::fs::read_to_string(&path).expect("read trace");
         std::fs::remove_file(&path).ok();
         let lines = adpm_observe::parse_trace(&text).expect("trace parses");
+        // The ring renders at dump what the writer rendered at record:
+        // every dumped line is the writer's line, byte for byte.
+        let written: Vec<&str> = text
+            .lines()
+            .zip(&lines)
+            .filter(|(_, l)| !matches!(l.tag(), "cprof" | "pprof" | "counters"))
+            .map(|(line, _)| line)
+            .collect();
+        assert!(dump.len() < recorder.capacity(), "the ring kept everything");
+        assert_eq!(dump, written);
         let cprof: u64 = lines
             .iter()
             .filter(|l| l.tag() == "cprof")

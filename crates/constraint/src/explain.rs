@@ -130,7 +130,7 @@ pub fn explain_violation(
             };
             ArgumentDiagnosis {
                 property: *pid,
-                name: format!("{}.{}", meta.object(), meta.name()),
+                name: meta.qualified_name().to_owned(),
                 current: net.effective_interval(*pid),
                 required,
                 helps: helps_direction(net, cid, *pid),

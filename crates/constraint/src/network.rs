@@ -28,12 +28,16 @@ use std::sync::{Arc, OnceLock};
 ///     .with_units("µH")
 ///     .with_abstraction_levels(["Transistor", "Geometry"]);
 /// assert_eq!(freq_ind.name(), "Freq-ind");
+/// assert_eq!(freq_ind.qualified_name(), "LNA+Mixer.Freq-ind");
 /// assert_eq!(freq_ind.units(), Some("µH"));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Property {
-    name: String,
-    object: String,
+    /// `object.name`, built once: [`object`](Self::object) and
+    /// [`name`](Self::name) are its two parts.
+    qualified: String,
+    /// Length of the object part of `qualified`.
+    object_len: usize,
     units: Option<String>,
     abstraction_levels: Vec<String>,
     initial: Domain,
@@ -43,9 +47,13 @@ impl Property {
     /// Creates a property named `name` on design object `object` with the
     /// initial value range `initial` (the paper's `E_i`).
     pub fn new(name: impl Into<String>, object: impl Into<String>, initial: Domain) -> Self {
+        let mut qualified = object.into();
+        let object_len = qualified.len();
+        qualified.push('.');
+        qualified.push_str(&name.into());
         Property {
-            name: name.into(),
-            object: object.into(),
+            qualified,
+            object_len,
             units: None,
             abstraction_levels: Vec::new(),
             initial,
@@ -69,12 +77,18 @@ impl Property {
 
     /// Property name, unique within its design object.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.qualified[self.object_len + 1..]
     }
 
     /// Owning design object, e.g. `LNA+Mixer`.
     pub fn object(&self) -> &str {
-        &self.object
+        &self.qualified[..self.object_len]
+    }
+
+    /// The qualified name `object.name` that traces, explanations and the
+    /// wire use, e.g. `LNA+Mixer.Freq-ind`.
+    pub fn qualified_name(&self) -> &str {
+        &self.qualified
     }
 
     /// Unit label, if any.
@@ -138,6 +152,15 @@ struct PropertyState {
     meta: Property,
     assignment: Option<Value>,
     feasible: Domain,
+    /// Whether the property counts in [`ConstraintNetwork::narrowed_count`].
+    narrowed: bool,
+}
+
+impl PropertyState {
+    /// Unbound, with a feasible subspace strictly inside `E_i`.
+    fn is_narrowed(&self) -> bool {
+        self.assignment.is_none() && self.feasible.relative_size(&self.meta.initial) < 1.0
+    }
 }
 
 /// The network of design constraints and properties.
@@ -189,6 +212,9 @@ pub struct ConstraintNetwork {
     /// a region run re-evaluates these even when no adjacent property
     /// changed.
     stale_statuses: BTreeSet<ConstraintId>,
+    /// How many properties are narrowed: kept by every write to an
+    /// assignment or a feasible subspace, so a run need not scan.
+    narrowed: usize,
     /// The buffers [`walk_region`](Self::walk_region) reuses across runs.
     region_marks: RegionMarks,
 }
@@ -216,12 +242,9 @@ impl ConstraintNetwork {
     /// Returns [`NetworkError::DuplicateProperty`] if a property with the
     /// same name already exists on the same design object.
     pub fn add_property(&mut self, meta: Property) -> Result<PropertyId, NetworkError> {
-        let key = (meta.object.clone(), meta.name.clone());
+        let key = (meta.object().to_owned(), meta.name().to_owned());
         if self.name_index.contains_key(&key) {
-            return Err(NetworkError::DuplicateProperty(format!(
-                "{}.{}",
-                meta.object, meta.name
-            )));
+            return Err(NetworkError::DuplicateProperty(meta.qualified.clone()));
         }
         let id = PropertyId::new(self.properties.len() as u32);
         let feasible = meta.initial.clone();
@@ -229,7 +252,9 @@ impl ConstraintNetwork {
             meta,
             assignment: None,
             feasible,
+            narrowed: false,
         });
+        self.refresh_narrowed(id);
         self.prop_constraints.push(Vec::new());
         self.name_index.insert(key, id);
         self.two_hop_beta = Arc::default();
@@ -488,6 +513,7 @@ impl ConstraintNetwork {
         }
         state.assignment = Some(value);
         self.dirty_props.insert(id);
+        self.refresh_narrowed(id);
         Ok(())
     }
 
@@ -515,6 +541,7 @@ impl ConstraintNetwork {
         }
         state.feasible = state.meta.initial.clone();
         self.dirty_props.insert(id);
+        self.refresh_narrowed(id);
         for cid in self.prop_constraints[id.index()].clone() {
             self.evaluate_constraint(cid);
         }
@@ -530,15 +557,37 @@ impl ConstraintNetwork {
     /// Overwrites a property's feasible subspace (used by the propagator).
     pub(crate) fn set_feasible(&mut self, id: PropertyId, domain: Domain) {
         self.properties[id.index()].feasible = domain;
+        self.refresh_narrowed(id);
     }
 
     /// Resets every feasible subspace back to the initial `E_i`. The box no
     /// longer holds a fixed point, so the next region request runs full.
     pub fn reset_feasible(&mut self) {
-        for state in &mut self.properties {
+        for pid in (0..self.properties.len() as u32).map(PropertyId::new) {
+            let state = &mut self.properties[pid.index()];
             state.feasible = state.meta.initial.clone();
+            self.refresh_narrowed(pid);
         }
         self.fixpoint_clean = false;
+    }
+
+    /// How many properties are unbound with a feasible subspace strictly
+    /// inside their `E_i` — the narrowings the Notification Manager reports.
+    pub fn narrowed_count(&self) -> usize {
+        self.narrowed
+    }
+
+    /// Re-derives `id`'s narrowed flag after a write, keeping the count.
+    fn refresh_narrowed(&mut self, id: PropertyId) {
+        let state = &mut self.properties[id.index()];
+        let now = state.is_narrowed();
+        if std::mem::replace(&mut state.narrowed, now) != now {
+            if now {
+                self.narrowed += 1;
+            } else {
+                self.narrowed -= 1;
+            }
+        }
     }
 
     /// The interval a constraint evaluation should use for this property:
@@ -812,7 +861,7 @@ impl ConstraintNetwork {
         let args = self.constraints[cid.index()].argument_slice();
         let mut first: Option<&str> = None;
         for pid in args {
-            let obj = self.properties[pid.index()].meta.object.as_str();
+            let obj = self.properties[pid.index()].meta.object();
             match first {
                 None => first = Some(obj),
                 Some(f) if f != obj => return true,
@@ -1125,6 +1174,35 @@ mod tests {
         assert_eq!(net.feasible(a), &Domain::interval(4.0, 5.0));
         net.reset_feasible();
         assert_eq!(net.feasible(a), &Domain::interval(0.0, 10.0));
+    }
+
+    #[test]
+    fn narrowed_count_follows_every_write() {
+        let (mut net, a, b, _) = simple_net();
+        let recount = |net: &ConstraintNetwork| {
+            net.property_ids()
+                .filter(|p| {
+                    !net.is_bound(*p)
+                        && net
+                            .feasible(*p)
+                            .relative_size(net.property(*p).initial_domain())
+                            < 1.0
+                })
+                .count()
+        };
+        assert_eq!(net.narrowed_count(), 0);
+        net.set_feasible(a, Domain::interval(4.0, 5.0));
+        net.set_feasible(b, Domain::interval(0.0, 2.0));
+        assert_eq!(net.narrowed_count(), 2);
+        net.bind(a, Value::number(4.5)).unwrap();
+        assert_eq!(net.narrowed_count(), 1, "a bound property is not narrowed");
+        net.set_feasible(b, Domain::interval(0.0, 10.0));
+        assert_eq!(net.narrowed_count(), 0, "back to its full range");
+        net.unbind(a).unwrap();
+        net.set_feasible(b, Domain::interval(1.0, 2.0));
+        assert_eq!(net.narrowed_count(), recount(&net));
+        net.reset_feasible();
+        assert_eq!(net.narrowed_count(), 0);
     }
 
     #[test]

@@ -117,10 +117,12 @@ pub struct PropagationOutcome {
     /// Number of constraint evaluations performed (HC4 revisions plus the
     /// final status sweep) — the paper's tool-run proxy.
     pub evaluations: usize,
-    /// Properties whose feasible subspace was narrowed below its initial
-    /// range. These are exactly the "reduction of a property's feasible
-    /// subspace" events the Notification Manager reports.
-    pub narrowed: Vec<PropertyId>,
+    /// How many unbound properties, network-wide, end the run with a
+    /// feasible subspace narrowed below their initial range
+    /// ([`ConstraintNetwork::narrowed_count`]): the "reduction of a
+    /// property's feasible subspace" events the Notification Manager
+    /// reports.
+    pub narrowed: usize,
     /// Constraints found unsatisfiable over the current box. A region run
     /// lists only its region's; the network's statuses hold every
     /// violation.
@@ -420,7 +422,7 @@ fn run_region<R: Reviser>(
         kind: region.kind,
         seeded: region.constraints.len(),
         evaluations: run.evaluations + sweep_evaluations,
-        narrowed: collect_narrowed(net),
+        narrowed: net.narrowed_count(),
         conflicts: std::mem::take(&mut run.conflicts),
         reached_fixpoint: run.reached_fixpoint,
         waves: run.waves,
@@ -591,19 +593,6 @@ fn run_worklist<R: Reviser>(
     run
 }
 
-/// Properties whose feasible subspace sits strictly inside their `E_i`.
-fn collect_narrowed(net: &ConstraintNetwork) -> Vec<PropertyId> {
-    net.property_ids()
-        .filter(|pid| {
-            !net.is_bound(*pid)
-                && net
-                    .feasible(*pid)
-                    .relative_size(net.property(*pid).initial_domain())
-                    < 1.0
-        })
-        .collect()
-}
-
 /// Emits the buffered wave spans, per-constraint / per-property profile
 /// attribution (when `profile`: the sink wants it), the run counters, and
 /// the `PropagationDone` span for one run.
@@ -642,9 +631,8 @@ fn emit_run(
         for pid in net.property_ids() {
             let narrowings = run.property_narrowings[pid.index()];
             if narrowings > 0 {
-                let prop = net.property(pid);
                 sink.record(&TraceEvent::PropertyProfile {
-                    name: &format!("{}.{}", prop.object(), prop.name()),
+                    name: net.property(pid).qualified_name(),
                     narrowings,
                 });
             }
@@ -662,7 +650,7 @@ fn emit_run(
             seeded: outcome.seeded as u32,
             waves: outcome.waves as u32,
             evaluations: outcome.evaluations as u64,
-            narrowed: outcome.narrowed.len() as u32,
+            narrowed: outcome.narrowed as u32,
             conflicts: outcome.conflicts.len() as u32,
             fixpoint: outcome.reached_fixpoint,
             dur_us,
@@ -999,7 +987,7 @@ mod tests {
         assert!(out.reached_fixpoint);
         assert!(out.conflicts.is_empty());
         assert_eq!(net.feasible(ids[0]), &Domain::interval(0.0, 4.0));
-        assert_eq!(out.narrowed, vec![ids[0]]);
+        assert_eq!(out.narrowed, 1);
         assert!(out.evaluations >= 2); // at least one revise + status sweep
     }
 
@@ -1253,7 +1241,7 @@ mod tests {
         assert_eq!(sink.get(Counter::SeedConstraints), 3);
         // Narrowings counts events (property × revision), so it dominates
         // the count of distinct narrowed properties.
-        assert!(sink.get(Counter::Narrowings) >= out.narrowed.len() as u64);
+        assert!(sink.get(Counter::Narrowings) >= out.narrowed as u64);
         assert_eq!(sink.get(Counter::Conflicts), 0);
 
         let (mut simple, ids) = net_with(&[(0.0, 10.0)]);

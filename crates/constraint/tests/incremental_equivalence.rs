@@ -67,8 +67,8 @@ fn edits() -> impl Strategy<Value = Vec<Edit>> {
 }
 
 /// The chain shape: interval properties chained by `<=` constraints, plus
-/// random caps and one sum constraint so revisions fan out through shared
-/// constraints.
+/// random caps, a two-term sum so revisions fan out through shared
+/// constraints, and the wide constraints of [`add_wide`].
 fn build_network(bounds: &[(f64, f64)], caps: &[f64]) -> ConstraintNetwork {
     let mut net = ConstraintNetwork::new();
     let ids: Vec<PropertyId> = bounds
@@ -99,13 +99,44 @@ fn build_network(bounds: &[(f64, f64)], caps: &[f64]) -> ConstraintNetwork {
         cst(45.0),
     )
     .unwrap();
+    add_wide(&mut net, &ids, "");
     net
+}
+
+/// Constraints over three argument occurrences on `ids` (fewer distinct
+/// properties when `ids` is short): a three-term sum, a product bounded by
+/// a third property, and a property occurring twice. A region run must
+/// load every argument of these, not only the first two.
+fn add_wide(net: &mut ConstraintNetwork, ids: &[PropertyId], prefix: &str) {
+    let (first, mid, last) = (ids[0], ids[ids.len() / 2], ids[ids.len() - 1]);
+    net.add_constraint(
+        format!("{prefix}sum3"),
+        var(first) + var(mid) + var(last),
+        Relation::Le,
+        cst(50.0),
+    )
+    .unwrap();
+    net.add_constraint(
+        format!("{prefix}prod"),
+        var(first) * var(mid),
+        Relation::Le,
+        cst(20.0) * var(last),
+    )
+    .unwrap();
+    net.add_constraint(
+        format!("{prefix}twice"),
+        (var(first) + var(last)) * var(first),
+        Relation::Le,
+        cst(500.0),
+    )
+    .unwrap();
 }
 
 /// The conflicted, kinked shape: two components built from `abs`, `min`
 /// and `max` (non-differentiable, so revisions land on kinks), a soft
-/// product, and a pair of caps on `y0` that can never both hold, so the
-/// network is conflicted before any bind.
+/// product and the wide constraints of [`add_wide`], and a pair of caps on
+/// `y0` that can never both hold, so the network is conflicted before any
+/// bind.
 fn build_kinked(bounds: &[(f64, f64)], gap: f64) -> ConstraintNetwork {
     let mut net = ConstraintNetwork::new();
     let component = |name: &str, net: &mut ConstraintNetwork| -> Vec<PropertyId> {
@@ -139,6 +170,7 @@ fn build_kinked(bounds: &[(f64, f64)], gap: f64) -> ConstraintNetwork {
             .add_constraint("prod", var(first) * var(last), Relation::Le, cst(300.0))
             .unwrap();
         net.set_constraint_soft(product, true).unwrap();
+        add_wide(net, &ids, name);
         ids
     };
     component("x", &mut net);
@@ -160,7 +192,8 @@ fn uncapped() -> PropagationConfig {
 
 /// Asserts both networks agree bit for bit on every feasible subspace
 /// (through `{:?}`, which is exact for `f64` and tells `-0.0` from `0.0`)
-/// and every status, and that both runs narrowed the same properties.
+/// and every status, and that both runs count the narrowed properties
+/// a scan finds.
 fn assert_equivalent(
     full: &ConstraintNetwork,
     fo: &PropagationOutcome,
@@ -186,10 +219,27 @@ fn assert_equivalent(
             full.constraint(cid).name()
         );
     }
+    // The kept counts equal a scan of the network.
+    let narrowed = full
+        .property_ids()
+        .filter(|p| {
+            !full.is_bound(*p)
+                && full
+                    .feasible(*p)
+                    .relative_size(full.property(*p).initial_domain())
+                    < 1.0
+        })
+        .count();
     prop_assert_eq!(
-        &fo.narrowed,
-        &io.narrowed,
-        "{}: narrowed sets diverged",
+        fo.narrowed,
+        narrowed,
+        "{}: full run's narrowed count",
+        context
+    );
+    prop_assert_eq!(
+        io.narrowed,
+        narrowed,
+        "{}: region run's narrowed count",
         context
     );
     // A region run lists only its region's conflicts.
@@ -472,14 +522,16 @@ fn capped_region_run_forces_the_next_run_full() {
     full.bind(x0, Value::number(14.0)).unwrap();
     inc.bind(x0, Value::number(14.0)).unwrap();
 
-    // The region of x0 is its whole component, six constraints; a cap of
-    // seven leaves the worklist one revision.
-    let tight = PropagationConfig { max_evaluations: 7 };
+    // The region of x0 is its whole component, nine constraints; a cap of
+    // ten leaves the worklist one revision.
+    let tight = PropagationConfig {
+        max_evaluations: 10,
+    };
     let capped = propagate_incremental(&mut inc, &[x0], &tight, &NoopSink);
     assert_eq!(capped.kind, PropagationKind::Incremental);
-    assert_eq!(capped.seeded, 6);
+    assert_eq!(capped.seeded, 9);
     assert!(!capped.reached_fixpoint);
-    assert_eq!(capped.evaluations, 7);
+    assert_eq!(capped.evaluations, 10);
 
     let next = propagate_incremental(&mut inc, &[], &config, &NoopSink);
     assert_eq!(next.kind, PropagationKind::Full);

@@ -629,11 +629,8 @@ impl DesignProcessManager {
                 });
             }
             let target = match record.operation.operator().target_property() {
-                Some(pid) => {
-                    let prop = self.network.property(pid);
-                    format!("{}.{}", prop.object(), prop.name())
-                }
-                None => String::new(),
+                Some(pid) => self.network.property(pid).qualified_name(),
+                None => "",
             };
             let dur_us = self.clock.now_us().saturating_sub(op_started);
             self.sink.record(&TraceEvent::Operation {
@@ -641,7 +638,7 @@ impl DesignProcessManager {
                 designer: record.operation.designer().index() as u32,
                 kind: record.operation.operator().kind(),
                 mode: self.config.mode.as_str(),
-                target: &target,
+                target,
                 evaluations: record.evaluations as u64,
                 violations_after: record.violations_after as u32,
                 new_violations: record.new_violations.len() as u32,

@@ -91,4 +91,4 @@ pub use json::{
 pub use jsonl::{parse_trace, JsonlSink, TraceLine};
 pub use recorder::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use sink::{CounterSnapshot, InMemorySink, MetricsSink, NoopSink, TeeSink};
-pub use trace::{Counter, TraceEvent};
+pub use trace::{Counter, TraceEvent, TraceEventOf};

@@ -20,6 +20,10 @@ use std::sync::Arc;
 /// Counter increments ([`incr`](MetricsSink::incr)) may be called
 /// unconditionally; the no-op implementation compiles down to an indirect
 /// call that immediately returns.
+///
+/// A sink's [`is_enabled`](MetricsSink::is_enabled) and
+/// [`wants_profiles`](MetricsSink::wants_profiles) answers must not change
+/// over its life: a [`TeeSink`] reads them once, when it is built.
 pub trait MetricsSink: fmt::Debug + Send + Sync {
     /// Whether this sink wants [`TraceEvent`]s. Hot paths skip building
     /// events entirely when this is `false`.
@@ -234,25 +238,43 @@ impl MetricsSink for InMemorySink {
 
 /// Fans every call out to several sinks (e.g. aggregate counters in memory
 /// *and* stream a JSONL trace).
+///
+/// The children are fixed: the tee asks each one for
+/// [`is_enabled`](MetricsSink::is_enabled) and
+/// [`wants_profiles`](MetricsSink::wants_profiles) once, when it is built.
 #[derive(Debug, Clone, Default)]
 pub struct TeeSink {
     sinks: Vec<Arc<dyn MetricsSink>>,
+    /// The enabled children, which get every event that is not a profile.
+    event_sinks: Vec<Arc<dyn MetricsSink>>,
+    /// The enabled children that want profiles too.
+    profile_sinks: Vec<Arc<dyn MetricsSink>>,
 }
 
 impl TeeSink {
     /// Creates a tee over the given sinks.
     pub fn new(sinks: Vec<Arc<dyn MetricsSink>>) -> Self {
-        TeeSink { sinks }
+        let event_sinks: Vec<_> = sinks.iter().filter(|s| s.is_enabled()).cloned().collect();
+        let profile_sinks = event_sinks
+            .iter()
+            .filter(|s| s.wants_profiles())
+            .cloned()
+            .collect();
+        TeeSink {
+            sinks,
+            event_sinks,
+            profile_sinks,
+        }
     }
 }
 
 impl MetricsSink for TeeSink {
     fn is_enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.is_enabled())
+        !self.event_sinks.is_empty()
     }
 
     fn wants_profiles(&self) -> bool {
-        self.sinks.iter().any(|s| s.wants_profiles())
+        !self.profile_sinks.is_empty()
     }
 
     fn incr(&self, counter: Counter, by: u64) {
@@ -264,11 +286,13 @@ impl MetricsSink for TeeSink {
     /// Forwards `event` to every enabled child; profile events only to the
     /// children that want them.
     fn record(&self, event: &TraceEvent<'_>) {
-        let profile = event.is_profile();
-        for sink in &self.sinks {
-            if sink.is_enabled() && (!profile || sink.wants_profiles()) {
-                sink.record(event);
-            }
+        let sinks = if event.is_profile() {
+            &self.profile_sinks
+        } else {
+            &self.event_sinks
+        };
+        for sink in sinks {
+            sink.record(event);
         }
     }
 

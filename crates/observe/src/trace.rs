@@ -224,12 +224,18 @@ impl Counter {
 /// sink serializes them immediately. The serialized form is one flat JSON
 /// object per event, tagged by `"t"` — the schema is documented in
 /// `docs/OBSERVABILITY.md` and round-trips through [`crate::parse_trace`].
+pub type TraceEvent<'a> = TraceEventOf<&'a str>;
+
+/// The trace event schema, generic over how its string fields are held:
+/// producers and sinks see [`TraceEvent`] (borrowed `&str`); a sink that
+/// keeps events past the `record` call stores them with its own handles
+/// ([`map_str`](Self::map_str)) and maps back to `&str` to render them.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent<'a> {
+pub enum TraceEventOf<S> {
     /// Context line emitted once at the start of a traced simulation run.
     RunStart {
         /// Management mode, `"adpm"` or `"conventional"` (the paper's λ).
-        mode: &'a str,
+        mode: S,
         /// Simulation seed.
         seed: u64,
         /// Team size.
@@ -256,7 +262,7 @@ pub enum TraceEvent<'a> {
     /// One propagation run reached fixpoint (or its evaluation cap).
     PropagationDone {
         /// `"full"` or `"incremental"` — which propagation path ran.
-        kind: &'a str,
+        kind: S,
         /// Constraints seeded onto the initial worklist (all of them for a
         /// full run, only the dirty-adjacent ones incrementally).
         seeded: u32,
@@ -279,7 +285,7 @@ pub enum TraceEvent<'a> {
     /// `cprof` lines reproduces the footer's `evaluations` total.
     ConstraintProfile {
         /// Constraint name.
-        name: &'a str,
+        name: S,
         /// Evaluations charged to the constraint in this run (HC4
         /// revisions plus its status-sweep check, if swept).
         evaluations: u64,
@@ -292,7 +298,7 @@ pub enum TraceEvent<'a> {
     /// lines reproduces the run's narrowing-event count.
     PropertyProfile {
         /// Property name, `object.property`.
-        name: &'a str,
+        name: S,
         /// Narrowing events charged to the property in this run.
         narrowings: u64,
     },
@@ -302,7 +308,7 @@ pub enum TraceEvent<'a> {
         /// Sequence number of the discovering operation.
         seq: u64,
         /// Violated constraint's name.
-        constraint: &'a str,
+        constraint: S,
         /// Whether the constraint spans more than one design object (the
         /// paper's cross-subsystem case — the expensive kind).
         cross: bool,
@@ -314,12 +320,12 @@ pub enum TraceEvent<'a> {
         /// Index of the requesting designer.
         designer: u32,
         /// Operator kind: `"assign"`, `"unbind"`, `"verify"`, `"decompose"`.
-        kind: &'a str,
+        kind: S,
         /// Management mode, `"adpm"` or `"conventional"`.
-        mode: &'a str,
+        mode: S,
         /// Target property of an assign/unbind as `object.property`, empty
         /// for operators without a single property target.
-        target: &'a str,
+        target: S,
         /// Constraint evaluations attributed to the operation.
         evaluations: u64,
         /// Violations known immediately after the operation.
@@ -349,7 +355,7 @@ pub enum TraceEvent<'a> {
         /// Designer whose proposal was executed (`u32::MAX` if none).
         designer: u32,
         /// `"executed"`, `"stalled"`, or `"complete"`.
-        outcome: &'a str,
+        outcome: S,
         /// Duration of the tick, µs.
         dur_us: u64,
     },
@@ -359,12 +365,12 @@ pub enum TraceEvent<'a> {
         seq: u64,
         /// Command kind: `"submit"`, `"subscribe"`, `"snapshot"`,
         /// `"shutdown"`.
-        kind: &'a str,
+        kind: S,
         /// Index of the designer the command acted for (`u32::MAX` when
         /// the command has no designer, e.g. `snapshot`).
         designer: u32,
         /// `"executed"`, `"rejected"`, or `"ok"`.
-        outcome: &'a str,
+        outcome: S,
         /// Duration of the command, µs.
         dur_us: u64,
     },
@@ -424,7 +430,7 @@ pub enum TraceEvent<'a> {
         seq: u64,
         /// Name of the constraint the negotiation settled on (the applied
         /// relaxation's target, or the seed conflict when abandoned).
-        constraint: &'a str,
+        constraint: S,
         /// Propose/answer rounds run.
         rounds: u32,
         /// Relaxation proposals sent to participants across all rounds.
@@ -432,7 +438,7 @@ pub enum TraceEvent<'a> {
         /// Designers whose viewpoints the minimal conflict set touched.
         participants: u32,
         /// `"resolved"` or `"abandoned"`.
-        outcome: &'a str,
+        outcome: S,
         /// Duration from MCS reduction to the final verdict, µs.
         dur_us: u64,
     },
@@ -451,39 +457,244 @@ pub enum TraceEvent<'a> {
     },
 }
 
-impl TraceEvent<'_> {
+impl<S> TraceEventOf<S> {
     /// Whether this is a per-run attribution line (`cprof`/`pprof`) —
     /// the events a sink opts into with
     /// [`wants_profiles`](crate::MetricsSink::wants_profiles).
     pub(crate) fn is_profile(&self) -> bool {
         matches!(
             self,
-            TraceEvent::ConstraintProfile { .. } | TraceEvent::PropertyProfile { .. }
+            Self::ConstraintProfile { .. } | Self::PropertyProfile { .. }
         )
     }
 
     /// The `"t"` tag the serialized form carries.
     pub fn tag(&self) -> &'static str {
         match self {
-            TraceEvent::RunStart { .. } => "run_start",
-            TraceEvent::PropagationWave { .. } => "wave",
-            TraceEvent::PropagationDone { .. } => "propagation",
-            TraceEvent::ConstraintProfile { .. } => "cprof",
-            TraceEvent::PropertyProfile { .. } => "pprof",
-            TraceEvent::Violation { .. } => "violation",
-            TraceEvent::Operation { .. } => "op",
-            TraceEvent::NotificationFanout { .. } => "fanout",
-            TraceEvent::Tick { .. } => "tick",
-            TraceEvent::SessionCommand { .. } => "session",
-            TraceEvent::InboxFanout { .. } => "notify",
-            TraceEvent::Recovery { .. } => "recover",
-            TraceEvent::Reconnect { .. } => "reconnect",
-            TraceEvent::WireSkip { .. } => "wire_skip",
-            TraceEvent::Negotiation { .. } => "negotiate",
-            TraceEvent::RunSummary { .. } => "summary",
+            Self::RunStart { .. } => "run_start",
+            Self::PropagationWave { .. } => "wave",
+            Self::PropagationDone { .. } => "propagation",
+            Self::ConstraintProfile { .. } => "cprof",
+            Self::PropertyProfile { .. } => "pprof",
+            Self::Violation { .. } => "violation",
+            Self::Operation { .. } => "op",
+            Self::NotificationFanout { .. } => "fanout",
+            Self::Tick { .. } => "tick",
+            Self::SessionCommand { .. } => "session",
+            Self::InboxFanout { .. } => "notify",
+            Self::Recovery { .. } => "recover",
+            Self::Reconnect { .. } => "reconnect",
+            Self::WireSkip { .. } => "wire_skip",
+            Self::Negotiation { .. } => "negotiate",
+            Self::RunSummary { .. } => "summary",
         }
     }
 
+    /// The same event with every string field passed through `f`, in
+    /// declaration order; the other fields are copied.
+    pub fn map_str<T>(self, mut f: impl FnMut(S) -> T) -> TraceEventOf<T> {
+        use TraceEventOf as E;
+        match self {
+            E::RunStart {
+                mode,
+                seed,
+                designers,
+                properties,
+                constraints,
+            } => E::RunStart {
+                mode: f(mode),
+                seed,
+                designers,
+                properties,
+                constraints,
+            },
+            E::PropagationWave {
+                wave,
+                queue_len,
+                evaluations,
+                narrowed,
+                dur_us,
+            } => E::PropagationWave {
+                wave,
+                queue_len,
+                evaluations,
+                narrowed,
+                dur_us,
+            },
+            E::PropagationDone {
+                kind,
+                seeded,
+                waves,
+                evaluations,
+                narrowed,
+                conflicts,
+                fixpoint,
+                dur_us,
+            } => E::PropagationDone {
+                kind: f(kind),
+                seeded,
+                waves,
+                evaluations,
+                narrowed,
+                conflicts,
+                fixpoint,
+                dur_us,
+            },
+            E::ConstraintProfile {
+                name,
+                evaluations,
+                conflict,
+            } => E::ConstraintProfile {
+                name: f(name),
+                evaluations,
+                conflict,
+            },
+            E::PropertyProfile { name, narrowings } => E::PropertyProfile {
+                name: f(name),
+                narrowings,
+            },
+            E::Violation {
+                seq,
+                constraint,
+                cross,
+            } => E::Violation {
+                seq,
+                constraint: f(constraint),
+                cross,
+            },
+            E::Operation {
+                seq,
+                designer,
+                kind,
+                mode,
+                target,
+                evaluations,
+                violations_after,
+                new_violations,
+                spin,
+                dur_us,
+            } => E::Operation {
+                seq,
+                designer,
+                kind: f(kind),
+                mode: f(mode),
+                target: f(target),
+                evaluations,
+                violations_after,
+                new_violations,
+                spin,
+                dur_us,
+            },
+            E::NotificationFanout {
+                seq,
+                recipients,
+                events,
+                dur_us,
+            } => E::NotificationFanout {
+                seq,
+                recipients,
+                events,
+                dur_us,
+            },
+            E::Tick {
+                tick,
+                designer,
+                outcome,
+                dur_us,
+            } => E::Tick {
+                tick,
+                designer,
+                outcome: f(outcome),
+                dur_us,
+            },
+            E::SessionCommand {
+                seq,
+                kind,
+                designer,
+                outcome,
+                dur_us,
+            } => E::SessionCommand {
+                seq,
+                kind: f(kind),
+                designer,
+                outcome: f(outcome),
+                dur_us,
+            },
+            E::InboxFanout {
+                seq,
+                subscribers,
+                delivered,
+                dropped,
+                dur_us,
+            } => E::InboxFanout {
+                seq,
+                subscribers,
+                delivered,
+                dropped,
+                dur_us,
+            },
+            E::Recovery {
+                ops,
+                checkpoints,
+                journal_bytes,
+                truncated_bytes,
+                faithful,
+                dur_us,
+            } => E::Recovery {
+                ops,
+                checkpoints,
+                journal_bytes,
+                truncated_bytes,
+                faithful,
+                dur_us,
+            },
+            E::Reconnect {
+                designer,
+                attempt,
+                resumed_from,
+                dur_us,
+            } => E::Reconnect {
+                designer,
+                attempt,
+                resumed_from,
+                dur_us,
+            },
+            E::WireSkip { bytes } => E::WireSkip { bytes },
+            E::Negotiation {
+                seq,
+                constraint,
+                rounds,
+                proposals,
+                participants,
+                outcome,
+                dur_us,
+            } => E::Negotiation {
+                seq,
+                constraint: f(constraint),
+                rounds,
+                proposals,
+                participants,
+                outcome: f(outcome),
+                dur_us,
+            },
+            E::RunSummary {
+                operations,
+                evaluations,
+                spins,
+                violations,
+                completed,
+            } => E::RunSummary {
+                operations,
+                evaluations,
+                spins,
+                violations,
+                completed,
+            },
+        }
+    }
+}
+
+impl TraceEvent<'_> {
     /// Appends the event's JSON object (no trailing newline) to `out`.
     pub fn write_json(&self, out: &mut String) {
         out.push_str("{\"t\":\"");

@@ -30,13 +30,15 @@ echo "==> cargo test --workspace"
 cargo test -q --workspace
 
 # The dump races the session's own bookkeeping unless the server orders it
-# behind the commands before it; one run rarely shows that, 50 do.
-echo "==> flight-recorder dump test, 50 repetitions"
+# behind the commands before it; one run rarely shows that, 50 do. The
+# second test checks every dumped line against a teed trace writer's.
+echo "==> flight-recorder dump tests, 50 repetitions"
 for i in $(seq 1 50); do
   if ! out=$(cargo test -q -p adpm-collab --lib -- --exact \
-      server::tests::dump_keeps_whole_operations_on_a_large_network 2>&1); then
+      server::tests::dump_keeps_whole_operations_on_a_large_network \
+      server::tests::profiles_reach_a_trace_writer_but_not_the_flight_recorder 2>&1); then
     echo "$out"
-    echo "dump test failed on repetition $i of 50"
+    echo "dump tests failed on repetition $i of 50"
     exit 1
   fi
 done
