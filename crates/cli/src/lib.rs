@@ -1792,6 +1792,22 @@ mod tests {
     }
 
     #[test]
+    fn explain_reports_conflicts_on_unbounded_domains() {
+        // `1e999` parses as infinity: x starts on the whole real line.
+        let source = r#"
+            object o { property x : interval(-1e999, 1e999); }
+            constraint Lo: o.x <= 5;
+            constraint Hi: o.x >= 7;
+            problem top { constraints: Lo, Hi; designer 0; }
+            problem p under top { outputs: o.x; designer 0; }
+        "#;
+        let out = explain(source, &[]).expect("valid");
+        assert!(out.contains("Hi is violated"), "{out}");
+        assert!(out.contains("current [-inf, 5.000000]"), "{out}");
+        assert!(!out.contains("Lo is violated"), "{out}");
+    }
+
+    #[test]
     fn explain_rejects_malformed_bindings() {
         assert!(matches!(
             explain(MINI, &["nonsense".into()]),

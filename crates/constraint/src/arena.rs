@@ -1,9 +1,9 @@
 //! Dense structure-of-arrays interval storage for propagation runs.
 //!
-//! The AST interpreter resolves every variable occurrence through
-//! [`ConstraintNetwork::effective_interval`](crate::ConstraintNetwork::effective_interval),
-//! which walks a property-state struct and matches on the [`Domain`]
-//! (crate::Domain) enum. The propagator instead keeps one flat pair of
+//! Reading a variable through
+//! [`ConstraintNetwork::effective_interval`](crate::ConstraintNetwork::effective_interval)
+//! walks a property-state struct and matches on the [`Domain`]
+//! (crate::Domain) enum. Revisions instead read one flat pair of
 //! `f64` arrays — lower bounds and upper bounds — indexed directly by the
 //! dense `u32` of a [`PropertyId`], so the hot path's variable loads are two
 //! array reads with no hashing, no enum dispatch, and no pointer chasing.
@@ -19,7 +19,8 @@ use crate::interval::Interval;
 /// Flat interval store indexed by dense property ids (SoA layout: one
 /// array of lower bounds, one of upper bounds). Each propagation run loads
 /// one from the network's current box and keeps it in step with every
-/// narrowing.
+/// narrowing; explanations and conflict-set checks hold their own boxes in
+/// one.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct IntervalArena {
     los: Vec<f64>,

@@ -1,14 +1,15 @@
-//! Compilation of constraints to flat interval programs — the form the
-//! propagator revises.
+//! Compilation of constraints to flat interval programs, and the one HC4
+//! revision routine that runs them.
 //!
-//! The AST interpreter behind [`hc4_revise`](crate::hc4_revise) re-walks
-//! each constraint's [`Expr`] tree on every HC4 revision, allocating a
-//! boxed node tree for the forward values and a `HashMap` for the narrowed
-//! arguments. This module lowers each constraint **once**, when it enters
-//! the network or is relaxed, into a flat array of [`Op`] instructions
-//! whose operands are instruction indices, evaluated against an
-//! [`IntervalArena`] with a reusable [`ReviseScratch`] — no per-revise
-//! allocation, no hashing, no pointer chasing on the hot path.
+//! Each constraint is lowered **once**, when it enters the network or is
+//! relaxed, into a flat array of [`Op`] instructions whose operands are
+//! instruction indices, evaluated against an [`IntervalArena`] with a
+//! reusable [`ReviseScratch`] — no per-revise allocation beyond the result,
+//! no hashing, no pointer chasing on the hot path. [`CompiledConstraint::revise`]
+//! is the only revision in production: the propagator's worklist, violation
+//! explanations (`explain.rs`) and the conflict-set checks (`mcs.rs`) all
+//! call it. The AST interpreter that re-walks each constraint's [`Expr`]
+//! trees (`interp.rs`) is compiled in test builds only, as its reference.
 //!
 //! ## Instruction order
 //!
@@ -25,9 +26,9 @@
 //!
 //! The backward visit order matters: repeated variable occurrences
 //! accumulate through tolerant intersections whose
-//! floating-point results depend on operand order, and the propagator must
-//! reproduce the interpreter's fixed points bit-for-bit (the oracle tests
-//! here and in `propagate.rs` check it).
+//! floating-point results depend on operand order, and every revision must
+//! equal the interpreter's bit for bit (the oracle tests here, in
+//! `propagate.rs` and in `interp.rs` check it).
 
 use crate::arena::IntervalArena;
 use crate::constraint::{Constraint, Relation, EQ_TOL};
@@ -35,7 +36,6 @@ use crate::expr::Expr;
 use crate::ids::{ConstraintId, PropertyId};
 use crate::interval::Interval;
 use crate::network::ConstraintNetwork;
-use crate::propagate::{root_even, signed_root, tolerant_intersect, ReviseResult};
 use std::sync::OnceLock;
 
 /// One flat-program instruction. Operands are indices of earlier
@@ -133,6 +133,16 @@ impl GapForm {
     }
 }
 
+/// Result of revising a single constraint.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct ReviseResult {
+    /// Per-argument narrowed intervals (already intersected with the
+    /// argument's input interval), ascending by property.
+    pub(crate) narrowed: Vec<(PropertyId, Interval)>,
+    /// The constraint cannot be satisfied anywhere in the current box.
+    pub(crate) conflict: bool,
+}
+
 /// Reusable scratch buffers for [`CompiledConstraint::revise`] — the
 /// "reusable scratch stack" of the performance model. One instance serves
 /// any number of revisions of any number of programs; each call resizes
@@ -185,10 +195,11 @@ impl CompiledConstraint {
         self.gap.get_or_init(|| GapForm::new(constraint))
     }
 
-    /// One HC4 revision against the intervals in `arena`, equivalent to
-    /// [`hc4_revise`](crate::hc4_revise) on the original constraint —
-    /// interval for interval, including the accumulation order of repeated
-    /// variable occurrences.
+    /// One HC4 revision against the intervals in `arena`: forward interval
+    /// evaluation, then backward projection of the relation's target onto
+    /// every argument occurrence. Test builds check it against the AST
+    /// interpreter interval for interval, including the accumulation order
+    /// of repeated variable occurrences.
     pub(crate) fn revise(
         &self,
         arena: &IntervalArena,
@@ -393,6 +404,47 @@ impl CompiledConstraint {
     }
 }
 
+/// Relative tolerance for "near-touch" intersections: when two intervals
+/// miss each other by no more than this (relative) amount, the intersection
+/// snaps to the nearest boundary point instead of reporting a conflict.
+/// Floating-point slop along a projection chain is orders of magnitude
+/// smaller; genuine conflicts are orders of magnitude larger.
+const TOUCH_EPS: f64 = 1e-9;
+
+/// Intersection that forgives floating-point slop: an exact-empty result
+/// whose inputs miss by at most [`TOUCH_EPS`] (relative) becomes the
+/// single touching point.
+pub(crate) fn tolerant_intersect(a: &Interval, b: &Interval) -> Interval {
+    let met = a.intersect(b);
+    if !met.is_empty() || a.is_empty() || b.is_empty() {
+        return met;
+    }
+    let scale = |x: f64, y: f64| TOUCH_EPS * (1.0 + x.abs().max(y.abs()));
+    if b.lo() > a.hi() && b.lo() - a.hi() <= scale(b.lo(), a.hi()) {
+        return Interval::singleton(a.hi());
+    }
+    if a.lo() > b.hi() && a.lo() - b.hi() <= scale(a.lo(), b.hi()) {
+        return Interval::singleton(b.hi());
+    }
+    met
+}
+
+/// The real `n`-th root of `x` for odd `n`, keeping its sign.
+pub(crate) fn signed_root(x: f64, n: i32) -> f64 {
+    if x.is_infinite() {
+        return x;
+    }
+    x.signum() * x.abs().powf(1.0 / n as f64)
+}
+
+/// The non-negative `n`-th root of `max(x, 0)` for even `n`.
+pub(crate) fn root_even(x: f64, n: i32) -> f64 {
+    if x.is_infinite() {
+        return f64::INFINITY;
+    }
+    x.max(0.0).powf(1.0 / n as f64)
+}
+
 /// Emits `expr`'s instructions in reverse preorder and returns the index
 /// of the node's own instruction.
 fn lower(expr: &Expr, vars: &[PropertyId], ops: &mut Vec<Op>) -> u32 {
@@ -478,10 +530,11 @@ impl CompiledNetwork {
     }
 
     /// An arena snapshot of `net`'s current effective intervals — a
-    /// propagation run's starting box. A region run passes its
-    /// constraints, the only ones it revises, and gets the arguments of
-    /// those loaded (every other slot stays [`Interval::UNIVERSE`], unread);
-    /// `None` loads every property.
+    /// propagation run's or an explanation's starting box. A region run
+    /// passes its constraints (an explanation its one constraint), the only
+    /// ones it revises, and gets the arguments of those loaded (every other
+    /// slot stays [`Interval::UNIVERSE`], unread); `None` loads every
+    /// property.
     pub(crate) fn load_arena(
         &self,
         net: &ConstraintNetwork,
@@ -510,7 +563,7 @@ impl CompiledNetwork {
 mod tests {
     use super::*;
     use crate::expr::{cst, var};
-    use crate::hc4_revise;
+    use crate::interp::hc4_revise;
     use proptest::prelude::*;
 
     fn p(i: u32) -> PropertyId {
@@ -615,8 +668,40 @@ mod tests {
         );
         let arena = arena_from(&[Interval::new(0.0, 1.0)]);
         assert_revise_matches(&c, &arena);
-        let compiled = CompiledConstraint::compile(&c);
-        let r = compiled.revise(&arena, &mut ReviseScratch::new());
+    }
+
+    #[test]
+    fn revise_reports_narrowed_arguments() {
+        let c = Constraint::new(
+            ConstraintId::new(0),
+            "cap",
+            var(p(0)) + var(p(1)),
+            Relation::Le,
+            cst(5.0),
+        );
+        let arena = arena_from(&[Interval::new(0.0, 10.0), Interval::new(3.0, 10.0)]);
+        let r = CompiledConstraint::compile(&c).revise(&arena, &mut ReviseScratch::new());
+        assert!(!r.conflict);
+        let x0 = r
+            .narrowed
+            .iter()
+            .find(|(pid, _)| *pid == p(0))
+            .map(|(_, iv)| *iv)
+            .unwrap();
+        assert!((x0.hi() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn revise_reports_conflict_on_impossible_relation() {
+        let c = Constraint::new(
+            ConstraintId::new(0),
+            "impossible",
+            var(p(0)),
+            Relation::Ge,
+            cst(100.0),
+        );
+        let arena = arena_from(&[Interval::new(0.0, 1.0)]);
+        let r = CompiledConstraint::compile(&c).revise(&arena, &mut ReviseScratch::new());
         assert!(r.conflict);
         assert!(r.narrowed.is_empty());
     }
@@ -726,6 +811,47 @@ mod tests {
                 (inner.clone(), inner).prop_map(|(a, b)| a.max(b)),
             ]
         })
+    }
+
+    /// An interval in [-50, 50] and a point inside it.
+    fn arb_interval_with_point() -> impl Strategy<Value = (Interval, f64)> {
+        (-50.0f64..50.0, -50.0f64..50.0, 0.0f64..1.0).prop_map(|(a, b, t)| {
+            let (lo, hi) = (a.min(b), a.max(b));
+            (Interval::new(lo, hi), lo + (hi - lo) * t)
+        })
+    }
+
+    proptest! {
+        /// A revision of `k_a·x + k_b·y <= c` over a box holding one of its
+        /// solutions `(x, y)` reports no conflict and keeps that solution.
+        #[test]
+        fn hc4_preserves_in_box_solutions(
+            ka in -5.0f64..5.0,
+            kb in -5.0f64..5.0,
+            (ix, x) in arb_interval_with_point(),
+            (iy, y) in arb_interval_with_point(),
+            slack in -20.0f64..20.0,
+        ) {
+            let c = Constraint::new(
+                ConstraintId::new(0),
+                "lin",
+                cst(ka) * var(p(0)) + cst(kb) * var(p(1)),
+                Relation::Le,
+                cst(ka * x + kb * y + slack.abs()),
+            );
+            let revised = CompiledConstraint::compile(&c)
+                .revise(&arena_from(&[ix, iy]), &mut ReviseScratch::new());
+            prop_assert!(!revised.conflict, "spurious conflict");
+            for (pid, narrowed) in &revised.narrowed {
+                let kept = if *pid == p(0) { x } else { y };
+                prop_assert!(
+                    narrowed.contains(kept)
+                        || (kept - narrowed.lo()).abs() < 1e-6
+                        || (kept - narrowed.hi()).abs() < 1e-6,
+                    "solution {kept} pruned from {narrowed} for {pid}"
+                );
+            }
+        }
     }
 
     proptest! {

@@ -7,14 +7,16 @@
 //! that data: for every argument of a violated constraint, the *required
 //! interval* — the values that would satisfy the constraint with every
 //! other argument left as it currently stands — together with the current
-//! value/range and the direction that helps.
+//! value/range and the direction that helps. Each required interval is one
+//! revision of the constraint's compiled program with that argument freed
+//! to its initial range.
 
+use crate::compile::ReviseScratch;
 use crate::constraint::ConstraintStatus;
 use crate::ids::{ConstraintId, PropertyId};
 use crate::interval::Interval;
 use crate::monotone::helps_direction;
 use crate::network::{ConstraintNetwork, HelpsDirection};
-use crate::propagate::hc4_revise;
 use std::fmt;
 
 /// Per-argument diagnosis of a violated constraint.
@@ -98,26 +100,26 @@ pub fn explain_violation(
         return None;
     }
     let constraint = net.constraint(cid);
-    let lookup = |pid: PropertyId| net.effective_interval(pid);
-    let gap = constraint.gap_interval(&lookup);
+    let gap = constraint.gap_interval(&|pid| net.effective_interval(pid));
+    let programs = net.programs();
+    let mut arena = programs.load_arena(net, Some(&[cid]));
+    let mut scratch = ReviseScratch::new();
     let arguments = constraint
         .argument_slice()
         .iter()
         .map(|pid| {
             let meta = net.property(*pid);
+            let current = net.effective_interval(*pid);
             // Required interval: free this property over its initial range,
-            // keep everything else at its current effective range, and
+            // keep every other argument at its current effective range, and
             // project the constraint onto it with one HC4 revision.
-            let freed = |id: PropertyId| {
-                if id == *pid {
-                    meta.initial_domain()
-                        .enclosing_interval()
-                        .unwrap_or(Interval::UNIVERSE)
-                } else {
-                    net.effective_interval(id)
-                }
-            };
-            let revise = hc4_revise(constraint, &freed);
+            let freed = meta
+                .initial_domain()
+                .enclosing_interval()
+                .unwrap_or(Interval::UNIVERSE);
+            arena.set(*pid, freed);
+            let revise = programs.revise(cid, &arena, &mut scratch);
+            arena.set(*pid, current);
             let required = if revise.conflict {
                 Interval::EMPTY
             } else {
@@ -125,13 +127,12 @@ pub fn explain_violation(
                     .narrowed
                     .iter()
                     .find(|(p, _)| p == pid)
-                    .map(|(_, iv)| *iv)
-                    .unwrap_or_else(|| freed(*pid))
+                    .map_or(freed, |(_, iv)| *iv)
             };
             ArgumentDiagnosis {
                 property: *pid,
                 name: meta.qualified_name().to_owned(),
-                current: net.effective_interval(*pid),
+                current,
                 required,
                 helps: helps_direction(net, cid, *pid),
             }

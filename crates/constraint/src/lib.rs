@@ -21,7 +21,10 @@
 //!   constraint evaluations, the paper's tool-run proxy. Each constraint is
 //!   lowered once, when it is added or relaxed, to a flat interval program
 //!   the worklist revises against dense structure-of-arrays interval
-//!   storage; [`hc4_revise`] is the equivalent AST interpreter;
+//!   storage. Violation explanations ([`explain_violation`]) and conflict
+//!   sets ([`minimal_conflict_set`]) revise through the same programs; an
+//!   AST interpreter computing the same revisions exists only in test
+//!   builds, as the reference all three are checked against;
 //! * [`propagate_observed`] — the same algorithm reporting per-wave spans
 //!   and counters to an [`adpm_observe::MetricsSink`], with
 //!   [`propagate_profiled`] additionally timing spans against an injectable
@@ -69,6 +72,8 @@ mod explain;
 pub mod expr;
 mod heuristics;
 mod ids;
+#[cfg(test)]
+mod interp;
 mod interval;
 mod mcs;
 mod monotone;
@@ -90,8 +95,7 @@ pub use mcs::{minimal_conflict_set, subset_conflicts, MinimalConflictSet};
 pub use monotone::{helps_direction, local_helps_direction};
 pub use network::{ConstraintNetwork, HelpsDirection, Property};
 pub use propagate::{
-    hc4_revise, propagate, propagate_incremental, propagate_incremental_profiled,
-    propagate_observed, propagate_profiled, PropagationConfig, PropagationKind, PropagationOutcome,
-    ReviseResult,
+    propagate, propagate_incremental, propagate_incremental_profiled, propagate_observed,
+    propagate_profiled, PropagationConfig, PropagationKind, PropagationOutcome,
 };
 pub use value::{Value, VALUE_EPS};

@@ -16,22 +16,22 @@
 //! singletons, unbound properties at their full initial range `E_i`, and a
 //! fixed-point of HC4 revisions over **only** the subset — so the verdict
 //! never depends on feasible-subspace state other constraints left behind.
+//! The revisions run the network's compiled programs against an
+//! [`IntervalArena`] holding that box, under the propagator's narrowing
+//! rule; the reduction reuses one arena for all its tests.
 
+use crate::arena::IntervalArena;
+use crate::compile::ReviseScratch;
 use crate::ids::{ConstraintId, PropertyId};
-use crate::interval::Interval;
 use crate::network::ConstraintNetwork;
-use crate::propagate::hc4_revise;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::propagate::significant_interval_narrowing;
+use std::collections::BTreeSet;
 
 /// Evaluation budget of one subset fixed-point, scaled by subset size.
 /// Conflicts in practice appear within a couple of waves; a subset that
 /// exhausts the budget without one is treated as consistent (sound for the
 /// caller: negotiation simply argues about a slightly larger set).
-const EVALS_PER_CONSTRAINT: usize = 64;
-
-/// Ignore narrowings below this absolute width change — mirrors the main
-/// propagator's relative-narrowing cutoff and guarantees termination.
-const MIN_NARROWING: f64 = 1e-9;
+pub(crate) const EVALS_PER_CONSTRAINT: usize = 64;
 
 /// A minimal conflicting constraint set over a network's current bindings.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,17 +62,24 @@ impl MinimalConflictSet {
 /// initial range — empties some property's interval or proves a member
 /// unsatisfiable.
 pub fn subset_conflicts(net: &ConstraintNetwork, subset: &BTreeSet<ConstraintId>) -> bool {
-    if subset.is_empty() {
-        return false;
-    }
-    let mut ranges: BTreeMap<PropertyId, Interval> = BTreeMap::new();
+    let mut arena = IntervalArena::new(net.property_count());
+    subset_conflicts_in(net, subset, &mut arena, &mut ReviseScratch::new())
+}
+
+/// [`subset_conflicts`] on a reused arena: only the subset's arguments are
+/// reset, and only they are read.
+fn subset_conflicts_in(
+    net: &ConstraintNetwork,
+    subset: &BTreeSet<ConstraintId>,
+    arena: &mut IntervalArena,
+    scratch: &mut ReviseScratch,
+) -> bool {
     for cid in subset {
         for pid in net.constraint(*cid).argument_slice() {
-            ranges
-                .entry(*pid)
-                .or_insert_with(|| net.initial_interval(*pid));
+            arena.set(*pid, net.initial_interval(*pid));
         }
     }
+    let programs = net.programs();
     let budget = EVALS_PER_CONSTRAINT * subset.len();
     let mut evals = 0usize;
     // Chaotic iteration over the subset in id order: sweep until a full
@@ -84,21 +91,13 @@ pub fn subset_conflicts(net: &ConstraintNetwork, subset: &BTreeSet<ConstraintId>
                 return false; // censored: treat as consistent
             }
             evals += 1;
-            let lookup = |pid: PropertyId| ranges[&pid];
-            let result = hc4_revise(net.constraint(*cid), &lookup);
+            let result = programs.revise(*cid, arena, scratch);
             if result.conflict {
                 return true;
             }
             for (pid, iv) in result.narrowed {
-                if iv.is_empty() {
-                    return true;
-                }
-                let current = ranges[&pid];
-                if current.width() - iv.width() > MIN_NARROWING
-                    || iv.lo() - current.lo() > MIN_NARROWING
-                    || current.hi() - iv.hi() > MIN_NARROWING
-                {
-                    ranges.insert(pid, iv);
+                if significant_interval_narrowing(&arena.get(pid), &iv) {
+                    arena.set(pid, iv);
                     narrowed_any = true;
                 }
             }
@@ -131,8 +130,13 @@ pub fn minimal_conflict_set(
         .find(|component| component.contains(&seed))?
         .into_iter()
         .collect();
+    let mut arena = IntervalArena::new(net.property_count());
+    let mut scratch = ReviseScratch::new();
+    let mut conflicts = |subset: &BTreeSet<ConstraintId>| {
+        subset_conflicts_in(net, subset, &mut arena, &mut scratch)
+    };
     let mut tests = 1;
-    if !subset_conflicts(net, &candidate) {
+    if !conflicts(&candidate) {
         return None;
     }
     // Ascending id order with the seed tried last: deterministic, and it
@@ -150,7 +154,7 @@ pub fn minimal_conflict_set(
     for cid in order {
         candidate.remove(&cid);
         tests += 1;
-        if !subset_conflicts(net, &candidate) {
+        if !conflicts(&candidate) {
             candidate.insert(cid); // needed for the conflict; keep it
         }
     }

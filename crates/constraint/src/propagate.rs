@@ -10,10 +10,11 @@
 //!
 //! The worklist revises through the flat interval programs the network
 //! compiles at its structural edits (see [`crate::compile`]), against an
-//! arena mirror of the current box loaded once per run. [`hc4_revise`], the
-//! AST interpreter, computes the same revision interval for interval; it
-//! serves violation explanation and conflict-set reduction, and is the
-//! reference the propagator is tested against.
+//! arena mirror of the current box loaded once per run. In test builds the
+//! same run body also revises through the AST interpreter, the reference
+//! whose fixed points the propagator must reproduce bit for bit. The
+//! narrowing rule ([`significant_interval_narrowing`] for intervals) is
+//! shared with the conflict-set checks of `mcs.rs`.
 //!
 //! Every HC4 revision of one constraint counts as one **constraint
 //! evaluation** — the unit the paper uses as a proxy for verification-tool
@@ -25,15 +26,13 @@
 //! fraction), matching the complexity remark in the paper's §3.2.
 
 use crate::arena::IntervalArena;
-use crate::compile::{CompiledNetwork, ReviseScratch};
-use crate::constraint::{Constraint, Relation, EQ_TOL};
+use crate::compile::{CompiledNetwork, ReviseResult, ReviseScratch};
 use crate::domain::Domain;
-use crate::expr::Expr;
 use crate::ids::{ConstraintId, PropertyId};
 use crate::interval::Interval;
 use crate::network::ConstraintNetwork;
 use adpm_observe::{Clock, Counter, MetricsSink, MonotonicClock, NoopSink, SpanKind, TraceEvent};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -139,16 +138,6 @@ pub struct PropagationOutcome {
     /// The constraints whose statuses the final sweep re-evaluated, in id
     /// order: the only statuses the run can have changed.
     pub swept: Vec<ConstraintId>,
-}
-
-/// Result of revising a single constraint.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReviseResult {
-    /// Per-argument narrowed intervals (already intersected with the
-    /// argument's input interval).
-    pub narrowed: Vec<(PropertyId, Interval)>,
-    /// The constraint cannot be satisfied anywhere in the current box.
-    pub conflict: bool,
 }
 
 /// Runs constraint propagation to a fixed point, narrowing every unbound
@@ -659,32 +648,28 @@ fn emit_run(
     }
 }
 
-/// Relative tolerance for "near-touch" intersections: when two intervals
-/// miss each other by no more than this (relative) amount, the intersection
-/// snaps to the nearest boundary point instead of reporting a conflict.
-/// Floating-point slop along a projection chain is orders of magnitude
-/// smaller; genuine conflicts are orders of magnitude larger.
-const TOUCH_EPS: f64 = 1e-9;
-
-/// Intersection that forgives floating-point slop: an exact-empty result
-/// whose inputs miss by at most [`TOUCH_EPS`] (relative) becomes the
-/// single touching point.
-pub(crate) fn tolerant_intersect(a: &Interval, b: &Interval) -> Interval {
-    let met = a.intersect(b);
-    if !met.is_empty() || a.is_empty() || b.is_empty() {
-        return met;
+/// Whether narrowing `old` to `new` (a subset) counts: re-queues the
+/// constraints of the narrowed property here, and moves the box of a
+/// conflict-set check. A finite interval must lose more than
+/// [`MIN_RELATIVE_NARROWING`] of `1 + width`; an unbounded one, whose width
+/// difference is `∞ − ∞`, must see a bound move inward by more than that
+/// fraction of `1 + |new bound|`.
+pub(crate) fn significant_interval_narrowing(old: &Interval, new: &Interval) -> bool {
+    if new.is_empty() {
+        return !old.is_empty();
     }
-    let scale = |x: f64, y: f64| TOUCH_EPS * (1.0 + x.abs().max(y.abs()));
-    if b.lo() > a.hi() && b.lo() - a.hi() <= scale(b.lo(), a.hi()) {
-        return Interval::singleton(a.hi());
+    let width = old.width();
+    if width.is_finite() {
+        return width - new.width() > MIN_RELATIVE_NARROWING * (1.0 + width);
     }
-    if a.lo() > b.hi() && a.lo() - b.hi() <= scale(a.lo(), b.hi()) {
-        return Interval::singleton(b.hi());
-    }
-    met
+    let inward = |moved: f64, bound: f64| moved > MIN_RELATIVE_NARROWING * (1.0 + bound.abs());
+    inward(new.lo() - old.lo(), new.lo()) || inward(old.hi() - new.hi(), new.hi())
 }
 
 fn significant_narrowing(old: &Domain, new: &Domain) -> bool {
+    if let (Domain::Interval(old), Domain::Interval(new)) = (old, new) {
+        return significant_interval_narrowing(old, new);
+    }
     if new.is_empty() && !old.is_empty() {
         return true;
     }
@@ -692,271 +677,12 @@ fn significant_narrowing(old: &Domain, new: &Domain) -> bool {
     old_m - new_m > MIN_RELATIVE_NARROWING * (1.0 + old_m)
 }
 
-/// One HC4 revision of a single constraint against the given argument
-/// intervals: forward interval evaluation, then backward projection of the
-/// relation's target interval onto every argument occurrence.
-pub fn hc4_revise<F: Fn(PropertyId) -> Interval>(
-    constraint: &Constraint,
-    lookup: &F,
-) -> ReviseResult {
-    let lhs_node = forward(constraint.lhs(), lookup);
-    let rhs_node = forward(constraint.rhs(), lookup);
-    let (lhs_iv, rhs_iv) = (lhs_node.interval, rhs_node.interval);
-    if lhs_iv.is_empty() || rhs_iv.is_empty() {
-        return ReviseResult {
-            narrowed: Vec::new(),
-            conflict: true,
-        };
-    }
-
-    let gap_target = match constraint.relation() {
-        Relation::Le | Relation::Lt => Interval::NON_POSITIVE,
-        Relation::Ge | Relation::Gt => Interval::NON_NEGATIVE,
-        Relation::Eq => Interval::new(-EQ_TOL, EQ_TOL),
-    };
-    // Treat the relation as the virtual node `lhs - rhs ∈ gap_target`.
-    let gap = lhs_iv - rhs_iv;
-    let gap = tolerant_intersect(&gap, &gap_target);
-    if gap.is_empty() {
-        return ReviseResult {
-            narrowed: Vec::new(),
-            conflict: true,
-        };
-    }
-    let lhs_target = (gap + rhs_iv).intersect(&lhs_iv);
-    let rhs_target = (lhs_iv - gap).intersect(&rhs_iv);
-
-    let mut narrowed: HashMap<PropertyId, Interval> = HashMap::new();
-    let mut conflict = false;
-    backward(
-        constraint.lhs(),
-        &lhs_node,
-        lhs_target,
-        &mut narrowed,
-        &mut conflict,
-    );
-    backward(
-        constraint.rhs(),
-        &rhs_node,
-        rhs_target,
-        &mut narrowed,
-        &mut conflict,
-    );
-
-    let mut narrowed: Vec<(PropertyId, Interval)> = narrowed.into_iter().collect();
-    narrowed.sort_by_key(|(pid, _)| *pid);
-    if narrowed.iter().any(|(_, iv)| iv.is_empty()) {
-        conflict = true;
-    }
-    ReviseResult {
-        narrowed: if conflict { Vec::new() } else { narrowed },
-        conflict,
-    }
-}
-
-/// Forward-annotated expression tree: each node carries the interval of its
-/// subexpression over the input box.
-struct Node {
-    interval: Interval,
-    children: Vec<Node>,
-}
-
-fn forward<F: Fn(PropertyId) -> Interval>(expr: &Expr, lookup: &F) -> Node {
-    match expr {
-        Expr::Const(x) => Node {
-            interval: Interval::singleton(*x),
-            children: Vec::new(),
-        },
-        Expr::Var(id) => Node {
-            interval: lookup(*id),
-            children: Vec::new(),
-        },
-        Expr::Neg(e) | Expr::Abs(e) | Expr::Sqrt(e) | Expr::Exp(e) | Expr::Ln(e) => {
-            let child = forward(e, lookup);
-            let interval = match expr {
-                Expr::Neg(_) => child.interval.neg(),
-                Expr::Abs(_) => child.interval.abs(),
-                Expr::Sqrt(_) => child.interval.sqrt(),
-                Expr::Exp(_) => child.interval.exp(),
-                Expr::Ln(_) => child.interval.ln(),
-                _ => unreachable!(),
-            };
-            Node {
-                interval,
-                children: vec![child],
-            }
-        }
-        Expr::Powi(e, n) => {
-            let child = forward(e, lookup);
-            Node {
-                interval: child.interval.powi(*n),
-                children: vec![child],
-            }
-        }
-        Expr::Add(a, b)
-        | Expr::Sub(a, b)
-        | Expr::Mul(a, b)
-        | Expr::Div(a, b)
-        | Expr::Min(a, b)
-        | Expr::Max(a, b) => {
-            let ca = forward(a, lookup);
-            let cb = forward(b, lookup);
-            let interval = match expr {
-                Expr::Add(_, _) => ca.interval + cb.interval,
-                Expr::Sub(_, _) => ca.interval - cb.interval,
-                Expr::Mul(_, _) => ca.interval * cb.interval,
-                Expr::Div(_, _) => ca.interval / cb.interval,
-                Expr::Min(_, _) => ca.interval.min(&cb.interval),
-                Expr::Max(_, _) => ca.interval.max(&cb.interval),
-                _ => unreachable!(),
-            };
-            Node {
-                interval,
-                children: vec![ca, cb],
-            }
-        }
-    }
-}
-
-/// Backward projection: given that this node's value must lie in `target`,
-/// narrow every variable occurrence underneath it.
-fn backward(
-    expr: &Expr,
-    node: &Node,
-    target: Interval,
-    narrowed: &mut HashMap<PropertyId, Interval>,
-    conflict: &mut bool,
-) {
-    let t = tolerant_intersect(&node.interval, &target);
-    if t.is_empty() {
-        *conflict = true;
-        return;
-    }
-    match expr {
-        Expr::Const(_) => {}
-        Expr::Var(id) => {
-            let entry = narrowed.entry(*id).or_insert(node.interval);
-            *entry = tolerant_intersect(entry, &t);
-            if entry.is_empty() {
-                *conflict = true;
-            }
-        }
-        Expr::Neg(e) => backward(e, &node.children[0], t.neg(), narrowed, conflict),
-        Expr::Abs(e) => {
-            let tt = t.intersect(&Interval::NON_NEGATIVE);
-            if tt.is_empty() {
-                *conflict = true;
-                return;
-            }
-            let child_target = tt.hull(&tt.neg());
-            backward(e, &node.children[0], child_target, narrowed, conflict);
-        }
-        Expr::Sqrt(e) => {
-            let tt = t.intersect(&Interval::NON_NEGATIVE);
-            if tt.is_empty() {
-                *conflict = true;
-                return;
-            }
-            backward(e, &node.children[0], tt.powi(2), narrowed, conflict);
-        }
-        Expr::Exp(e) => {
-            let tt = t.intersect(&Interval::new(0.0, f64::INFINITY));
-            if tt.is_empty() {
-                *conflict = true;
-                return;
-            }
-            backward(e, &node.children[0], tt.ln(), narrowed, conflict);
-        }
-        Expr::Ln(e) => backward(e, &node.children[0], t.exp(), narrowed, conflict),
-        Expr::Powi(e, n) => {
-            if *n == 0 {
-                if !t.contains(1.0) {
-                    *conflict = true;
-                }
-                return;
-            }
-            let child_target = if *n % 2 == 1 {
-                Interval::new(signed_root(t.lo(), *n), signed_root(t.hi(), *n))
-            } else {
-                let tt = t.intersect(&Interval::NON_NEGATIVE);
-                if tt.is_empty() {
-                    *conflict = true;
-                    return;
-                }
-                let r = Interval::new(root_even(tt.lo(), *n), root_even(tt.hi(), *n));
-                r.hull(&r.neg())
-            };
-            backward(e, &node.children[0], child_target, narrowed, conflict);
-        }
-        Expr::Add(a, b) => {
-            let (ia, ib) = (node.children[0].interval, node.children[1].interval);
-            backward(a, &node.children[0], t - ib, narrowed, conflict);
-            backward(b, &node.children[1], t - ia, narrowed, conflict);
-        }
-        Expr::Sub(a, b) => {
-            let (ia, ib) = (node.children[0].interval, node.children[1].interval);
-            backward(a, &node.children[0], t + ib, narrowed, conflict);
-            backward(b, &node.children[1], ia - t, narrowed, conflict);
-        }
-        Expr::Mul(a, b) => {
-            let (ia, ib) = (node.children[0].interval, node.children[1].interval);
-            backward(a, &node.children[0], t / ib, narrowed, conflict);
-            backward(b, &node.children[1], t / ia, narrowed, conflict);
-        }
-        Expr::Div(a, b) => {
-            let (ia, ib) = (node.children[0].interval, node.children[1].interval);
-            backward(a, &node.children[0], t * ib, narrowed, conflict);
-            backward(b, &node.children[1], ia / t, narrowed, conflict);
-        }
-        Expr::Min(a, b) => {
-            let (ia, ib) = (node.children[0].interval, node.children[1].interval);
-            let mut ta = Interval::new(t.lo(), f64::INFINITY);
-            if ib.lo() > t.hi() {
-                // b cannot supply the minimum, so a must.
-                ta = ta.intersect(&Interval::new(f64::NEG_INFINITY, t.hi()));
-            }
-            let mut tb = Interval::new(t.lo(), f64::INFINITY);
-            if ia.lo() > t.hi() {
-                tb = tb.intersect(&Interval::new(f64::NEG_INFINITY, t.hi()));
-            }
-            backward(a, &node.children[0], ta, narrowed, conflict);
-            backward(b, &node.children[1], tb, narrowed, conflict);
-        }
-        Expr::Max(a, b) => {
-            let (ia, ib) = (node.children[0].interval, node.children[1].interval);
-            let mut ta = Interval::new(f64::NEG_INFINITY, t.hi());
-            if ib.hi() < t.lo() {
-                ta = ta.intersect(&Interval::new(t.lo(), f64::INFINITY));
-            }
-            let mut tb = Interval::new(f64::NEG_INFINITY, t.hi());
-            if ia.hi() < t.lo() {
-                tb = tb.intersect(&Interval::new(t.lo(), f64::INFINITY));
-            }
-            backward(a, &node.children[0], ta, narrowed, conflict);
-            backward(b, &node.children[1], tb, narrowed, conflict);
-        }
-    }
-}
-
-pub(crate) fn signed_root(x: f64, n: i32) -> f64 {
-    if x.is_infinite() {
-        return x;
-    }
-    x.signum() * x.abs().powf(1.0 / n as f64)
-}
-
-pub(crate) fn root_even(x: f64, n: i32) -> f64 {
-    if x.is_infinite() {
-        return f64::INFINITY;
-    }
-    x.max(0.0).powf(1.0 / n as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::ConstraintStatus;
-    use crate::expr::{cst, var};
+    use crate::constraint::{ConstraintStatus, Relation, EQ_TOL};
+    use crate::expr::{cst, var, Expr};
+    use crate::interp::hc4_revise;
     use crate::network::Property;
     use crate::value::Value;
     use proptest::prelude::*;
@@ -1112,6 +838,69 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_domains_narrow_and_conflict() {
+        // x <= 5 narrows (-inf, inf) to (-inf, 5]; x >= 7 then conflicts.
+        let (mut net, ids) = net_with(&[(f64::NEG_INFINITY, f64::INFINITY)]);
+        let lo = net
+            .add_constraint("Lo", var(ids[0]), Relation::Le, cst(5.0))
+            .unwrap();
+        let hi = net
+            .add_constraint("Hi", var(ids[0]), Relation::Ge, cst(7.0))
+            .unwrap();
+        let out = propagate(&mut net, &PropagationConfig::default());
+        assert_eq!(
+            net.feasible(ids[0]),
+            &Domain::interval(f64::NEG_INFINITY, 5.0)
+        );
+        assert_eq!(out.conflicts, vec![hi]);
+        assert_eq!(net.status(lo), ConstraintStatus::Satisfied);
+        assert_eq!(net.status(hi), ConstraintStatus::Violated);
+    }
+
+    #[test]
+    fn interval_narrowing_rule_covers_unbounded_bounds() {
+        let iv = Interval::new;
+        let inf = f64::INFINITY;
+        // Finite widths: the relative width rule.
+        assert!(significant_interval_narrowing(
+            &iv(0.0, 10.0),
+            &iv(0.0, 9.0)
+        ));
+        assert!(!significant_interval_narrowing(
+            &iv(0.0, 10.0),
+            &iv(0.0, 10.0 - 1e-6)
+        ));
+        // Unbounded: a bound that moves inward counts, a finite bound must
+        // move by more than the relative step.
+        assert!(significant_interval_narrowing(
+            &iv(-inf, inf),
+            &iv(-inf, 5.0)
+        ));
+        assert!(significant_interval_narrowing(
+            &iv(0.0, inf),
+            &iv(0.0, 1e300)
+        ));
+        assert!(significant_interval_narrowing(&iv(0.0, inf), &iv(1.0, inf)));
+        assert!(!significant_interval_narrowing(
+            &iv(0.0, inf),
+            &iv(1e-7, inf)
+        ));
+        assert!(!significant_interval_narrowing(
+            &iv(-inf, inf),
+            &iv(-inf, inf)
+        ));
+        // Emptying always counts.
+        assert!(significant_interval_narrowing(
+            &iv(-inf, inf),
+            &Interval::EMPTY
+        ));
+        assert!(!significant_interval_narrowing(
+            &Interval::EMPTY,
+            &Interval::EMPTY
+        ));
+    }
+
+    #[test]
     fn violated_binding_marks_conflicts_and_status() {
         let (mut net, ids) = net_with(&[(0.0, 10.0)]);
         let c = net
@@ -1160,47 +949,6 @@ mod tests {
         propagate(&mut net, &PropagationConfig::default());
         // With P_f free again, P_s relaxes back to [0, 200].
         assert_eq!(net.feasible(ids[1]), &Domain::interval(0.0, 200.0));
-    }
-
-    #[test]
-    fn hc4_revise_reports_narrowed_arguments() {
-        let c = Constraint::new(
-            ConstraintId::new(0),
-            "cap",
-            var(PropertyId::new(0)) + var(PropertyId::new(1)),
-            Relation::Le,
-            cst(5.0),
-        );
-        let lookup = |pid: PropertyId| {
-            if pid.index() == 0 {
-                Interval::new(0.0, 10.0)
-            } else {
-                Interval::new(3.0, 10.0)
-            }
-        };
-        let r = hc4_revise(&c, &lookup);
-        assert!(!r.conflict);
-        let x0 = r
-            .narrowed
-            .iter()
-            .find(|(p, _)| p.index() == 0)
-            .map(|(_, iv)| *iv)
-            .unwrap();
-        assert!((x0.hi() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hc4_revise_conflict_on_impossible_relation() {
-        let c = Constraint::new(
-            ConstraintId::new(0),
-            "impossible",
-            var(PropertyId::new(0)),
-            Relation::Ge,
-            cst(100.0),
-        );
-        let r = hc4_revise(&c, &|_| Interval::new(0.0, 1.0));
-        assert!(r.conflict);
-        assert!(r.narrowed.is_empty());
     }
 
     #[test]

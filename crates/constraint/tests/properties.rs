@@ -1,11 +1,12 @@
 //! Property-based tests for the constraint substrate's core invariants:
 //! interval-arithmetic soundness (enclosure of point results), lattice laws,
-//! and HC4/propagation solution preservation.
+//! and propagation solution preservation. One HC4 revision's solution
+//! preservation is tested next to the revision routine, in `compile.rs`.
 
 use adpm_constraint::expr::{cst, var};
 use adpm_constraint::{
-    hc4_revise, minimal_conflict_set, propagate, subset_conflicts, Constraint, ConstraintId,
-    ConstraintNetwork, Domain, Interval, PropagationConfig, Property, PropertyId, Relation, Value,
+    minimal_conflict_set, propagate, subset_conflicts, ConstraintId, ConstraintNetwork, Domain,
+    Interval, PropagationConfig, Property, PropertyId, Relation, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -101,7 +102,7 @@ proptest! {
 }
 
 /// Strategy for a random linear constraint `k_a * x + k_b * y <= c` with a
-/// known in-box solution, so HC4 must preserve that solution.
+/// known in-box solution, so propagation must preserve that solution.
 fn linear_case() -> impl Strategy<Value = (f64, f64, f64, Interval, Interval, f64, f64)> {
     (
         -5.0f64..5.0,
@@ -117,33 +118,6 @@ fn linear_case() -> impl Strategy<Value = (f64, f64, f64, Interval, Interval, f6
 }
 
 proptest! {
-    #[test]
-    fn hc4_preserves_in_box_solutions((ka, kb, c, ix, iy, x, y) in linear_case()) {
-        let px = PropertyId::new(0);
-        let py = PropertyId::new(1);
-        let constraint = Constraint::new(
-            ConstraintId::new(0),
-            "lin",
-            cst(ka) * var(px) + cst(kb) * var(py),
-            Relation::Le,
-            cst(c),
-        );
-        let lookup = |pid: PropertyId| if pid == px { ix } else { iy };
-        let revised = hc4_revise(&constraint, &lookup);
-        // The box contains (x, y), which satisfies the constraint, so no
-        // conflict may be reported and (x, y) must survive narrowing.
-        prop_assert!(!revised.conflict, "spurious conflict");
-        for (pid, narrowed) in &revised.narrowed {
-            let kept = if *pid == px { x } else { y };
-            prop_assert!(
-                narrowed.contains(kept)
-                    || (kept - narrowed.lo()).abs() < 1e-6
-                    || (kept - narrowed.hi()).abs() < 1e-6,
-                "solution {kept} pruned from {narrowed} for {pid}"
-            );
-        }
-    }
-
     #[test]
     fn propagation_only_narrows_and_preserves_solutions(
         (ka, kb, c, ix, iy, x, y) in linear_case()

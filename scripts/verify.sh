@@ -49,15 +49,19 @@ cargo run --release -q -p adpm-bench --bin fig_incremental -- 3 >/dev/null
 # These figures are seed-deterministic, so a fresh run must rewrite their
 # checked-in JSON twins byte for byte; a difference means a stale twin or a
 # change in behaviour (their spins and violation counts come from the DPM's
-# per-operation bookkeeping).
+# per-operation bookkeeping). bench_negotiation prints no timings, so its
+# text table is held to the same rule as its JSON twin.
 FIGURES="fig7_profile fig8_stats fig9_operations fig9_evaluations fig10_tightness
          ablation_heuristics scaling_teams"
-echo "==> figure twins match a fresh run ($(echo $FIGURES))"
+echo "==> figure twins match a fresh run ($(echo $FIGURES) bench_negotiation)"
 for FIG in $FIGURES; do
   cargo run --release -q -p adpm-bench --bin "$FIG" >/dev/null
   git diff --exit-code -- "results/$FIG.json" || {
     echo "a fresh run of $FIG rewrote results/$FIG.json"; exit 1; }
 done
+cargo run --release -q -p adpm-bench --bin bench_negotiation >results/BENCH_negotiation.txt
+git diff --exit-code -- results/BENCH_negotiation.json results/BENCH_negotiation.txt || {
+  echo "a fresh run of bench_negotiation rewrote results/BENCH_negotiation.{json,txt}"; exit 1; }
 
 echo "==> adpm analyze smoke run (golden trace)"
 cargo run --release -q -p adpm-cli --bin adpm -- analyze tests/golden/sensing_short.jsonl >/dev/null
@@ -115,6 +119,18 @@ for SRC in /tmp/verify_engine_sensing.dddl /tmp/verify_engine_receiver.dddl \
       echo "$SRC seed $SEED: region evaluations $REGION_EVALS > full $FULL_EVALS"; exit 1; }
   done
 done
+# Fig. 4-style explanations: required intervals, "no single-property fix"
+# and helps directions for two binding sets on the receiver builtin.
+echo "==> adpm explain on the receiver matches tests/golden/explain_receiver.txt"
+{
+  "$ADPM_BIN" explain /tmp/verify_engine_receiver.dddl \
+    --bind lna-mixer.lna-gain=2 --bind lna-mixer.mix-gain=0.3 --bind filter.flt-loss=9 \
+    --bind lna-mixer.lna-power=290 --bind lna-mixer.mix-power=90
+  "$ADPM_BIN" explain /tmp/verify_engine_receiver.dddl \
+    --bind filter.n-res=4 --bind filter.beam-len=5 --bind filter.flt-q=60 \
+    --bind lna-mixer.lna-nf=14 --bind lna-mixer.bias-i=9.5
+} | diff tests/golden/explain_receiver.txt - || {
+  echo "adpm explain output differs from tests/golden/explain_receiver.txt"; exit 1; }
 rm -f /tmp/verify_engine_sensing.dddl /tmp/verify_engine_receiver.dddl \
       /tmp/verify_engine_walkthrough.dddl /tmp/verify_engine_mini.dddl \
       /tmp/verify_engine_trace.jsonl
@@ -399,9 +415,6 @@ done
 "$ADPM_RELEASE" submit "$ADDR" --shutdown >/dev/null
 wait "$SERVE_PID"
 rm -f "$SERVE_LOG" "$SCRAPE" "$TOP_LOG" /tmp/verify_rx.dddl /tmp/verify_mini.dddl
-
-echo "==> bench_negotiation smoke run (negotiation vs backtracking)"
-cargo run --release -q -p adpm-bench --bin bench_negotiation -- --smoke >/dev/null
 
 echo "==> results/BENCH_negotiation.json schema + resolution gate"
 NEG_JSON=results/BENCH_negotiation.json
