@@ -4,13 +4,25 @@
 //! [`CollabServer::bind`] takes ownership of a configured
 //! [`DesignProcessManager`], moves it into a [`SessionEngine`], and
 //! accepts JSONL wire-protocol connections on a loopback TCP listener.
-//! Each connection runs a reader thread, which blocks on the socket and
-//! queues its replies, and a writer thread, the only one that writes to
-//! the socket and the keeper of the connection's deadlines. A reader runs
-//! each request on its own thread through the session's
-//! [`SessionHandle`], so concurrent clients interleave exactly like
-//! concurrent handle users — linearized by the session lock, with one
-//! authoritative history per session.
+//! Each connection runs a reader thread and a writer thread. The reader
+//! blocks on the socket, runs each request on its own thread through the
+//! session's [`SessionHandle`], so concurrent clients interleave exactly
+//! like concurrent handle users — linearized by the session lock, with one
+//! authoritative history per session — and writes the reply itself.
+//!
+//! Who writes: the reader writes every reply, `snapshot` batches included,
+//! in one write together with the events queued in the designer's inbox,
+//! events first. A submit's own routed events are queued before the
+//! session answers it, so they always reach the submitter ahead of its
+//! `executed` frame. From the moment the reader starts handling a frame
+//! until that write the connection is busy, and inbox pushes do not wake
+//! the writer thread. The writer thread writes only what falls due
+//! otherwise: events while the reader is idle in `read`, `ping`s and
+//! `watch` reports; it also keeps the idle and queue-age deadlines. The
+//! socket's write half sits behind its own lock in the connection's
+//! outbox, taken before the outbox state; whoever drains the inbox holds
+//! it until its write ends, so events leave in routing order, and no wait
+//! for a slow socket holds the state lock that inbox pushes take.
 //!
 //! Multi-tenancy ([`CollabServer::bind_registry`]): the server hosts a
 //! **registry of named sessions**, each owning its own [`SessionEngine`]
@@ -39,7 +51,7 @@
 //!   half-open and drops it — the failure a plain blocking read can never
 //!   detect.
 //! - **Write deadlines.** Every connection socket gets a 5 s write
-//!   timeout, so one stalled client cannot wedge its writer thread
+//!   timeout, so one stalled client cannot wedge its connection's threads
 //!   forever; the bounded inbox in front of it sheds load first.
 //! - **Resynchronization.** Oversized or undecodable lines are skipped to
 //!   the next newline; skipped bytes count into `wire_bytes_skipped`, emit
@@ -81,11 +93,6 @@ const RETRY_AFTER_MS: u64 = 250;
 /// Backoff after an `accept(2)` error. Persistent failures (e.g. EMFILE)
 /// otherwise turn the accept loop into a 100% CPU spin.
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
-
-/// Queued reply bytes past which a connection's reader stops reading until
-/// its writer catches up, so a peer that sends without reading meets TCP
-/// backpressure instead of a queue that grows without bound.
-const OUTBOX_LIMIT: usize = 1 << 20;
 
 /// Name of the session every connection starts bound to. It always exists:
 /// [`CollabServer::bind`] seeds it from the DPM it is given.
@@ -816,55 +823,93 @@ impl ConnWriter {
         }
         self.stream.flush()
     }
+
+    /// Writes the events queued in `subscription`'s inbox, then `tail`
+    /// (encoded lines, possibly none), in one write. Callers hold the
+    /// outbox's writer lock from the drain to the end of the write, so
+    /// events leave in the order the session routed them.
+    fn send(
+        &mut self,
+        subscription: Option<&(Inbox, Arc<SessionInfo>)>,
+        tail: &str,
+    ) -> io::Result<()> {
+        let mut batch = String::new();
+        if let Some((inbox, info)) = subscription {
+            for entry in inbox.drain() {
+                info.names.event_frame(&entry).write_line(&mut batch);
+            }
+        }
+        if batch.is_empty() {
+            return if tail.is_empty() {
+                Ok(())
+            } else {
+                self.write(tail)
+            };
+        }
+        batch.push_str(tail);
+        self.write(&batch)
+    }
 }
 
-/// One connection's outbound side: the reader queues into it, the writer
-/// thread drains it.
+/// One connection's outbound side. The reader writes each reply itself,
+/// the events queued for its designer ahead of it; the writer thread
+/// writes only what falls due while the reader is idle. Lock order:
+/// `writer`, then `state`.
 struct Outbox {
+    /// The socket's write half. A thread that writes takes it before
+    /// `state` and keeps it until its write ends, so no wait for a slow
+    /// socket ever holds `state`, which the session's inbox pushes take.
+    writer: Mutex<ConnWriter>,
     state: Mutex<OutboxState>,
-    /// Wakes the writer, and a reader held back by [`OUTBOX_LIMIT`].
+    /// Wakes the writer thread.
     changed: Condvar,
 }
 
 struct OutboxState {
-    /// Encoded lines not yet written, in queue order.
-    lines: String,
     /// The inbox and the name tables its events are encoded with.
     subscription: Option<(Inbox, Arc<SessionInfo>)>,
     /// Armed by `watch`: all sessions or not, interval, next report due.
     watch: Option<(bool, Duration, Instant)>,
     /// When the reader last received bytes from the peer.
     last_read: Instant,
+    /// Set from the moment the reader starts handling a frame until its
+    /// reply: the reply carries the events queued meanwhile, so inbox
+    /// pushes do not wake the writer thread.
+    busy: bool,
     /// Set by whichever thread ends the connection first.
     closed: bool,
 }
 
 impl Outbox {
-    /// Queues `frames`, encoded here so the writer only copies bytes, once
-    /// the queue is under [`OUTBOX_LIMIT`].
-    fn send(&self, frames: &[Frame]) {
-        let mut encoded = String::new();
-        for frame in frames {
-            frame.write_line(&mut encoded);
-        }
-        self.send_encoded(&encoded);
+    /// Marks the connection busy: the reader has a frame to answer.
+    fn begin(&self) {
+        lock(&self.state).busy = true;
     }
 
-    /// Queues already encoded lines, once the queue is under
-    /// [`OUTBOX_LIMIT`].
-    fn send_encoded(&self, encoded: &str) {
+    /// The reader's answer to one frame: ends the busy mark, then writes
+    /// the events queued for the designer and `reply` (encoded lines,
+    /// possibly none) in one write. Fails once the connection is closed.
+    fn reply(&self, reply: &str) -> io::Result<()> {
+        let mut writer = lock(&self.writer);
         let mut state = lock(&self.state);
-        while state.lines.len() >= OUTBOX_LIMIT && !state.closed {
-            state = self
-                .changed
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+        state.busy = false;
+        if state.closed {
+            return Err(io::ErrorKind::NotConnected.into());
         }
-        state.lines.push_str(encoded);
+        let subscription = state.subscription.clone();
+        drop(state);
+        writer.send(subscription.as_ref(), reply)
+    }
+
+    /// Arms or disarms `watch` reports, and wakes the writer thread to
+    /// reschedule its sleep.
+    fn set_watch(&self, watch: Option<(bool, Duration, Instant)>) {
+        lock(&self.state).watch = watch;
         self.changed.notify_all();
     }
 
-    /// Ends the connection and its subscription, and wakes the other thread.
+    /// Ends the connection and its subscription, and wakes the writer
+    /// thread.
     fn close(&self) {
         let mut state = lock(&self.state);
         state.closed = true;
@@ -875,28 +920,33 @@ impl Outbox {
     }
 }
 
-/// Wakes a connection's writer after each push to its inbox; weak, because
-/// the outbox holds the inbox that holds this.
+/// Wakes a connection's writer thread after a push to its inbox, unless
+/// the reader is busy and will write the event with its reply; weak,
+/// because the outbox holds the inbox that holds this.
 struct WakeWriter(Weak<Outbox>);
 
 impl Wake for WakeWriter {
     fn wake(self: Arc<Self>) {
         if let Some(outbox) = self.0.upgrade() {
-            // Taking the lock orders this wake after the writer's look at
-            // the inbox, so it cannot fall between that look and the wait.
-            let _state = lock(&outbox.state);
-            outbox.changed.notify_all();
+            // Taking the lock orders this wake after the writer thread's
+            // look at the inbox, so it cannot fall between that look and
+            // the wait, and after any reply that cleared the busy mark
+            // before draining.
+            let state = lock(&outbox.state);
+            if !state.busy {
+                outbox.changed.notify_all();
+            }
         }
     }
 }
 
-/// The connection's writer thread. Each round sends the queued replies, a
-/// due `ping` and `watch` report, and the subscription's events, in that
-/// order, or sleeps until the earliest deadline. On exit (outbox closed,
-/// write failed, peer idle) it shuts the socket down, ending the reader.
+/// The connection's writer thread. Each round sends a due `ping` and
+/// `watch` report and, while the reader is idle, the subscription's
+/// events, or sleeps until the earliest deadline or an inbox push. On exit
+/// (outbox closed, write failed, peer idle) it shuts the socket down,
+/// ending the reader.
 fn write_connection(
     outbox: &Outbox,
-    mut writer: ConnWriter,
     registry: &Registry,
     options: &ServerOptions,
     sink: &dyn MetricsSink,
@@ -908,70 +958,69 @@ fn write_connection(
     // caps depth on its own, so a client that keeps it pinned near-full
     // is losing events forever without ever tripping a depth check.
     let mut backlogged_since: Option<Instant> = None;
-    let mut state = lock(&outbox.state);
     loop {
+        let mut writer = lock(&outbox.writer);
+        let mut state = lock(&outbox.state);
+        if state.closed {
+            break;
+        }
         let now = Instant::now();
         let idle_deadline = deadline(state.last_read, options.idle_timeout);
-        if !state.closed && now >= idle_deadline {
+        if now >= idle_deadline {
             // Half-open peer: nothing (not even pongs) for the whole idle
             // window.
             sink.incr(Counter::HeartbeatsMissed, 1);
             break;
         }
-        let mut batch = std::mem::take(&mut state.lines);
-        if batch.len() >= OUTBOX_LIMIT {
-            outbox.changed.notify_all();
-        }
         // A ping sent after the last read is still unanswered.
         let unanswered = pinged_at.filter(|at| *at > state.last_read);
         let ping_due = deadline(unanswered.unwrap_or(state.last_read), options.heartbeat);
+        let report = state.watch.filter(|(_, _, due)| now >= *due);
+        // A busy reader writes the queued events with its reply.
+        let events = state
+            .subscription
+            .clone()
+            .filter(|(inbox, _)| !state.busy && !inbox.is_empty());
+        if events.is_none() {
+            backlogged_since = None;
+            if now < ping_due && report.is_none() {
+                drop(writer);
+                let watch_due = state.watch.map_or(ping_due, |(_, _, due)| due);
+                let wake_at = idle_deadline.min(ping_due).min(watch_due);
+                drop(
+                    outbox
+                        .changed
+                        .wait_timeout(state, wake_at.saturating_duration_since(now))
+                        .unwrap_or_else(PoisonError::into_inner),
+                );
+                continue;
+            }
+        }
+        if let Some((all, interval, _)) = report {
+            state.watch = Some((all, interval, deadline(now, interval)));
+        }
+        drop(state);
+        let mut tail = String::new();
         if now >= ping_due {
             if unanswered.is_some() {
                 sink.incr(Counter::HeartbeatsMissed, 1);
             }
             pings += 1;
-            Frame::Ping { nonce: pings }.write_line(&mut batch);
+            Frame::Ping { nonce: pings }.write_line(&mut tail);
             pinged_at = Some(now);
         }
-        let report = state.watch.filter(|(_, _, due)| now >= *due);
-        if let Some((all, interval, _)) = report {
-            state.watch = Some((all, interval, deadline(now, interval)));
-        }
-        let subscription = state.subscription.clone();
-        let events = subscription
-            .as_ref()
-            .map_or(Vec::new(), |(inbox, _)| inbox.drain());
-        if batch.is_empty() && report.is_none() && events.is_empty() {
-            if state.closed {
-                break;
-            }
-            let watch_due = state.watch.map_or(ping_due, |(_, _, due)| due);
-            let wake_at = idle_deadline.min(ping_due).min(watch_due);
-            state = outbox
-                .changed
-                .wait_timeout(state, wake_at.saturating_duration_since(now))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-            continue;
-        }
-        drop(state);
         if let Some((all, _, _)) = report {
             // The connection's current session, which `attach` may change.
             let session = lock(&registry.conn_sessions).get(&conn_index).cloned();
             for frame in registry.stats_report(&session.unwrap_or_default(), all, true) {
-                frame.write_line(&mut batch);
+                frame.write_line(&mut tail);
             }
         }
-        if let Some((_, info)) = &subscription {
-            for entry in &events {
-                info.names.event_frame(entry).write_line(&mut batch);
-            }
-        }
-        if writer.write(&batch).is_err() {
-            state = lock(&outbox.state);
+        if writer.send(events.as_ref(), &tail).is_err() {
             break;
         }
-        if let Some((inbox, _)) = &subscription {
+        drop(writer);
+        if let Some((inbox, _)) = &events {
             if inbox.is_empty() {
                 backlogged_since = None;
             } else if backlogged_since.get_or_insert_with(Instant::now).elapsed()
@@ -983,11 +1032,9 @@ fn write_connection(
                 backlogged_since = None;
             }
         }
-        state = lock(&outbox.state);
     }
-    drop(state);
     outbox.close();
-    let _ = writer.stream.shutdown(NetShutdown::Both);
+    let _ = lock(&outbox.writer).stream.shutdown(NetShutdown::Both);
 }
 
 /// `from + wait`, the wait capped at ~136 years: `Instant` arithmetic
@@ -1046,9 +1093,10 @@ fn serve_connection(
     lock(&registry.conn_sessions).remove(&conn_index);
 }
 
-/// Reads and answers one connection's requests; a writer thread spawned
-/// here sends everything. Returns, after joining the writer so a `bye` is
-/// on the wire, whether the peer asked the server to shut down.
+/// Reads and answers one connection's requests, writing each reply (see
+/// [`Outbox::reply`]); a writer thread spawned here writes what falls due
+/// while the reader is idle. Returns, after joining the writer thread,
+/// whether the peer asked the server to shut down.
 fn run_connection(
     stream: TcpStream,
     registry: &Arc<Registry>,
@@ -1067,7 +1115,7 @@ fn run_connection(
     let mut writer = ConnWriter { stream, injector };
     // Admission: a default session already at its client cap sheds the
     // fresh connection with a typed frame (the count includes this
-    // connection) — the one frame not sent by a writer thread.
+    // connection) — the one frame written before the outbox exists.
     let default_conns = lock(&registry.conn_sessions)
         .values()
         .filter(|s| s.as_str() == DEFAULT_SESSION)
@@ -1082,11 +1130,12 @@ fn run_connection(
         return false;
     }
     let outbox = Arc::new(Outbox {
+        writer: Mutex::new(writer),
         state: Mutex::new(OutboxState {
-            lines: String::new(),
             subscription: None,
             watch: None,
             last_read: Instant::now(),
+            busy: false,
             closed: false,
         }),
         changed: Condvar::new(),
@@ -1096,9 +1145,7 @@ fn run_connection(
         let sink = sink.clone();
         thread::Builder::new()
             .name("adpm-write".into())
-            .spawn(move || {
-                write_connection(&outbox, writer, &registry, &options, &*sink, conn_index)
-            })
+            .spawn(move || write_connection(&outbox, &registry, &options, &*sink, conn_index))
     };
     let Ok(writer_thread) = writer_thread else {
         return false;
@@ -1116,9 +1163,12 @@ fn run_connection(
                     if sink.is_enabled() {
                         sink.record(&TraceEvent::WireSkip { bytes });
                     }
-                    outbox.send(&[Frame::Warning {
+                    let warning = Frame::Warning {
                         message: format!("{bytes} bytes discarded resynchronizing the stream"),
-                    }]);
+                    };
+                    if outbox.reply(&warning.to_line()).is_err() {
+                        break 'conn false;
+                    }
                 }
                 None => match read_half.read(&mut chunk) {
                     Ok(0) | Err(_) => break 'conn false,
@@ -1129,263 +1179,295 @@ fn run_connection(
                 },
             }
         };
+        outbox.begin();
         let frame = match Frame::parse_line(&line) {
             Ok(frame) => frame,
             Err(err) => {
                 // Parse errors keep the line-synchronized connection open.
-                outbox.send(&[Frame::Error {
+                let error = Frame::Error {
                     message: err.message,
-                }]);
+                };
+                if outbox.reply(&error.to_line()).is_err() {
+                    break false;
+                }
                 continue;
             }
         };
-        let reply = match frame {
-            Frame::Hello { designer: index } => {
-                if index < bound.info.designers {
-                    designer = Some(DesignerId::new(index));
-                    Frame::Welcome {
-                        mode: bound.info.mode.to_owned(),
-                        designers: bound.info.designers,
-                        properties: bound.info.names.property_names().len() as u32,
-                        constraints: bound.info.names.constraint_count() as u32,
-                    }
-                } else {
-                    Frame::Error {
-                        message: format!(
-                            "unknown designer {index} (session has {})",
-                            bound.info.designers
-                        ),
-                    }
-                }
-            }
-            // `all` is accepted for older clients and ignored: every
-            // subscription receives the designer's routed stream.
-            Frame::Subscribe { resume_from, .. } => match designer {
-                None => Frame::Error {
-                    message: "subscribe requires a hello first".into(),
-                },
-                Some(d) => match bound
-                    .handle
-                    .subscribe_from(d, DEFAULT_INBOX_CAPACITY, resume_from)
-                {
-                    Err(_) => Frame::Error {
-                        message: "session is shut down".into(),
-                    },
-                    Ok((inbox, last_idx)) => {
-                        inbox.set_waker(Waker::from(Arc::new(WakeWriter(Arc::downgrade(&outbox)))));
-                        // A re-subscribe (resume) supersedes the previous
-                        // inbox; closing it lets the session GC it.
-                        let subscription = (inbox, bound.info.clone());
-                        if let Some((old, _)) =
-                            lock(&outbox.state).subscription.replace(subscription)
-                        {
-                            old.close();
-                        }
-                        Frame::Subscribed {
-                            designer: d.index() as u32,
-                            last_idx,
-                        }
-                    }
-                },
-            },
-            Frame::Submit { op, cid } => match designer {
-                None => Frame::Error {
-                    message: "submit requires a hello first".into(),
-                },
-                Some(d) => {
-                    // Bounded in-flight work: over the cap the submit is
-                    // shed with a typed frame instead of waiting on the
-                    // session lock without bound. The client retries
-                    // with the same cid, so a shed costs one round trip,
-                    // never a duplicate execution.
-                    let inflight = registry.inflight.fetch_add(1, Ordering::SeqCst);
-                    let reply = if inflight >= options.max_inflight {
-                        sink.incr(Counter::OverloadSheds, 1);
-                        Frame::Overloaded {
-                            retry_after_ms: RETRY_AFTER_MS,
-                            cid,
+        // The reply's encoded lines: one frame, or several for the arms
+        // that break out with their own.
+        let reply = 'reply: {
+            let reply = match frame {
+                Frame::Hello { designer: index } => {
+                    if index < bound.info.designers {
+                        designer = Some(DesignerId::new(index));
+                        Frame::Welcome {
+                            mode: bound.info.mode.to_owned(),
+                            designers: bound.info.designers,
+                            properties: bound.info.names.property_names().len() as u32,
+                            constraints: bound.info.names.constraint_count() as u32,
                         }
                     } else {
-                        submit(&bound.handle, &bound.info.names, d, op, cid)
-                    };
-                    registry.inflight.fetch_sub(1, Ordering::SeqCst);
-                    reply
-                }
-            },
-            Frame::Snapshot => match bound.handle.read(WireState::copy) {
-                Err(_) => Frame::Error {
-                    message: "session is shut down".into(),
-                },
-                Ok(state) => {
-                    outbox.send_encoded(&state.render(&bound.info.names));
-                    continue;
-                }
-            },
-            Frame::Ping { nonce } => Frame::Pong { nonce },
-            // Any traffic already refreshed `last_activity`; a pong needs
-            // no reply.
-            Frame::Pong { .. } => continue,
-            Frame::Shutdown => {
-                outbox.send(&[Frame::Bye]);
-                break true;
-            }
-            Frame::Bye => {
-                outbox.send(&[Frame::Bye]);
-                break false;
-            }
-            Frame::CreateSession { name } => match registry.attach(&name, true) {
-                Err(reason) => Frame::AttachRejected { name, reason },
-                Ok((to, created)) => {
-                    switch_session(to, &mut bound, &mut designer, &outbox, registry, conn_index);
-                    Frame::SessionAttached { name, created }
-                }
-            },
-            Frame::AttachSession { name } => match registry.attach(&name, false) {
-                Err(reason) => Frame::AttachRejected { name, reason },
-                Ok((to, _)) => {
-                    switch_session(to, &mut bound, &mut designer, &outbox, registry, conn_index);
-                    Frame::SessionAttached {
-                        name,
-                        created: false,
+                        Frame::Error {
+                            message: format!(
+                                "unknown designer {index} (session has {})",
+                                bound.info.designers
+                            ),
+                        }
                     }
                 }
-            },
-            Frame::DetachSession => {
-                let to = registry.default_session();
-                switch_session(to, &mut bound, &mut designer, &outbox, registry, conn_index);
-                Frame::SessionAttached {
-                    name: DEFAULT_SESSION.into(),
-                    created: false,
-                }
-            }
-            Frame::ListSessions => {
-                let (names, count) = registry.list();
-                Frame::SessionList { names, count }
-            }
-            Frame::Stats { all } => {
-                if all && bound.name != DEFAULT_SESSION {
-                    Frame::Error {
-                        message: "`stats` across all sessions requires the default (operator) \
-                                  session"
-                            .into(),
-                    }
-                } else {
-                    outbox.send(&registry.stats_report(&bound.name, all, false));
-                    continue;
-                }
-            }
-            Frame::Watch { all, interval_ms } => {
-                if all && bound.name != DEFAULT_SESSION {
-                    Frame::Error {
-                        message: "`watch` across all sessions requires the default (operator) \
-                                  session"
-                            .into(),
-                    }
-                } else if interval_ms == 0 {
-                    // Interval zero disarms; `end` acknowledges it.
-                    lock(&outbox.state).watch = None;
-                    Frame::End
-                } else {
-                    let interval = Duration::from_millis(interval_ms);
-                    let due = deadline(Instant::now(), interval);
-                    lock(&outbox.state).watch = Some((all, interval, due));
-                    // Send the first report immediately so a watcher does
-                    // not sit blind for a whole interval; the writer sends
-                    // the rest as they fall due.
-                    outbox.send(&registry.stats_report(&bound.name, all, true));
-                    continue;
-                }
-            }
-            Frame::Dump => match registry.recorder(&bound.name) {
-                None => Frame::Error {
-                    message: format!("session `{}` is gone", bound.name),
-                },
-                Some(recorder) => {
-                    // Each command records its `session` line before it
-                    // releases the session lock, so every command answered
-                    // so far is already whole in the recorder.
-                    let lines = recorder.dump_indexed();
-                    let mut frames = vec![Frame::DumpReply {
-                        session: bound.name.clone(),
-                        count: lines.len() as u32,
-                        recorded: recorder.recorded(),
-                    }];
-                    frames.extend(
-                        lines
-                            .into_iter()
-                            .map(|(idx, line)| Frame::Flight { idx, line }),
-                    );
-                    frames.push(Frame::End);
-                    outbox.send(&frames);
-                    continue;
-                }
-            },
-            // A client-sent `propose` asks the server to negotiate the
-            // named conflict now. The server's engine generates the actual
-            // proposals; the direct reply is the closing `resolved` frame
-            // (outcome `consistent` when the constraint was not violated).
-            Frame::Propose { constraint, .. } => {
-                if !bound.info.negotiation {
-                    Frame::NegotiationRejected {
-                        message: "negotiation is disabled for this session".into(),
-                    }
-                } else if designer.is_none() {
-                    Frame::Error {
-                        message: "propose requires a hello first".into(),
-                    }
-                } else {
-                    match bound.info.names.constraint_id(&constraint) {
-                        None => Frame::Error {
-                            message: format!("unknown constraint `{constraint}`"),
-                        },
-                        Some(cid) => match bound.handle.negotiate(cid) {
+                // `all` is accepted for older clients and ignored: every
+                // subscription receives the designer's routed stream.
+                Frame::Subscribe { resume_from, .. } => match designer {
+                    None => Frame::Error {
+                        message: "subscribe requires a hello first".into(),
+                    },
+                    Some(d) => {
+                        match bound
+                            .handle
+                            .subscribe_from(d, DEFAULT_INBOX_CAPACITY, resume_from)
+                        {
                             Err(_) => Frame::Error {
                                 message: "session is shut down".into(),
                             },
-                            Ok(report) => Frame::Resolved {
-                                seq: 0,
-                                constraint,
-                                rounds: report.rounds,
-                                proposals: report.proposals,
-                                outcome: if !report.seed_violated {
-                                    "consistent"
-                                } else if report.resolved {
-                                    "resolved"
-                                } else {
-                                    "abandoned"
+                            Ok((inbox, last_idx)) => {
+                                inbox.set_waker(Waker::from(Arc::new(WakeWriter(Arc::downgrade(
+                                    &outbox,
+                                )))));
+                                // A re-subscribe (resume) supersedes the previous
+                                // inbox; closing it lets the session GC it.
+                                let subscription = (inbox, bound.info.clone());
+                                if let Some((old, _)) =
+                                    lock(&outbox.state).subscription.replace(subscription)
+                                {
+                                    old.close();
                                 }
-                                .into(),
-                                idx: 0,
-                            },
-                        },
+                                Frame::Subscribed {
+                                    designer: d.index() as u32,
+                                    last_idx,
+                                }
+                            }
+                        }
+                    }
+                },
+                Frame::Submit { op, cid } => match designer {
+                    None => Frame::Error {
+                        message: "submit requires a hello first".into(),
+                    },
+                    Some(d) => {
+                        // Bounded in-flight work: over the cap the submit is
+                        // shed with a typed frame instead of waiting on the
+                        // session lock without bound. The client retries
+                        // with the same cid, so a shed costs one round trip,
+                        // never a duplicate execution.
+                        let inflight = registry.inflight.fetch_add(1, Ordering::SeqCst);
+                        let reply = if inflight >= options.max_inflight {
+                            sink.incr(Counter::OverloadSheds, 1);
+                            Frame::Overloaded {
+                                retry_after_ms: RETRY_AFTER_MS,
+                                cid,
+                            }
+                        } else {
+                            submit(&bound.handle, &bound.info.names, d, op, cid)
+                        };
+                        registry.inflight.fetch_sub(1, Ordering::SeqCst);
+                        reply
+                    }
+                },
+                Frame::Snapshot => match bound.handle.read(WireState::copy) {
+                    Err(_) => Frame::Error {
+                        message: "session is shut down".into(),
+                    },
+                    Ok(state) => break 'reply state.render(&bound.info.names),
+                },
+                Frame::Ping { nonce } => Frame::Pong { nonce },
+                // Any traffic already refreshed `last_activity`; a pong needs
+                // no reply.
+                Frame::Pong { .. } => break 'reply String::new(),
+                Frame::Shutdown => {
+                    let _ = outbox.reply(&Frame::Bye.to_line());
+                    break 'conn true;
+                }
+                Frame::Bye => {
+                    let _ = outbox.reply(&Frame::Bye.to_line());
+                    break 'conn false;
+                }
+                Frame::CreateSession { name } => match registry.attach(&name, true) {
+                    Err(reason) => Frame::AttachRejected { name, reason },
+                    Ok((to, created)) => {
+                        switch_session(
+                            to,
+                            &mut bound,
+                            &mut designer,
+                            &outbox,
+                            registry,
+                            conn_index,
+                        );
+                        Frame::SessionAttached { name, created }
+                    }
+                },
+                Frame::AttachSession { name } => match registry.attach(&name, false) {
+                    Err(reason) => Frame::AttachRejected { name, reason },
+                    Ok((to, _)) => {
+                        switch_session(
+                            to,
+                            &mut bound,
+                            &mut designer,
+                            &outbox,
+                            registry,
+                            conn_index,
+                        );
+                        Frame::SessionAttached {
+                            name,
+                            created: false,
+                        }
+                    }
+                },
+                Frame::DetachSession => {
+                    let to = registry.default_session();
+                    switch_session(to, &mut bound, &mut designer, &outbox, registry, conn_index);
+                    Frame::SessionAttached {
+                        name: DEFAULT_SESSION.into(),
+                        created: false,
                     }
                 }
-            }
-            // The remaining negotiation frames are server-generated:
-            // answers come from the session's designer policies, never
-            // from the wire. Reject them as typed data, not a bare error,
-            // so clients can distinguish "disabled" from "malformed".
-            Frame::CounterProposal { .. }
-            | Frame::Accept { .. }
-            | Frame::Reject { .. }
-            | Frame::Resolved { .. } => Frame::NegotiationRejected {
-                message: if bound.info.negotiation {
-                    "negotiation answers are computed by the session's designer policies".into()
-                } else {
-                    "negotiation is disabled for this session".into()
+                Frame::ListSessions => {
+                    let (names, count) = registry.list();
+                    Frame::SessionList { names, count }
+                }
+                Frame::Stats { all } => {
+                    if all && bound.name != DEFAULT_SESSION {
+                        Frame::Error {
+                            message: "`stats` across all sessions requires the default (operator) \
+                                  session"
+                                .into(),
+                        }
+                    } else {
+                        break 'reply encode(&registry.stats_report(&bound.name, all, false));
+                    }
+                }
+                Frame::Watch { all, interval_ms } => {
+                    if all && bound.name != DEFAULT_SESSION {
+                        Frame::Error {
+                            message: "`watch` across all sessions requires the default (operator) \
+                                  session"
+                                .into(),
+                        }
+                    } else if interval_ms == 0 {
+                        // Interval zero disarms; `end` acknowledges it.
+                        outbox.set_watch(None);
+                        Frame::End
+                    } else {
+                        let interval = Duration::from_millis(interval_ms);
+                        let due = deadline(Instant::now(), interval);
+                        outbox.set_watch(Some((all, interval, due)));
+                        // Send the first report immediately so a watcher does
+                        // not sit blind for a whole interval; the writer sends
+                        // the rest as they fall due.
+                        break 'reply encode(&registry.stats_report(&bound.name, all, true));
+                    }
+                }
+                Frame::Dump => match registry.recorder(&bound.name) {
+                    None => Frame::Error {
+                        message: format!("session `{}` is gone", bound.name),
+                    },
+                    Some(recorder) => {
+                        // Each command records its `session` line before it
+                        // releases the session lock, so every command answered
+                        // so far is already whole in the recorder.
+                        let lines = recorder.dump_indexed();
+                        let mut frames = vec![Frame::DumpReply {
+                            session: bound.name.clone(),
+                            count: lines.len() as u32,
+                            recorded: recorder.recorded(),
+                        }];
+                        frames.extend(
+                            lines
+                                .into_iter()
+                                .map(|(idx, line)| Frame::Flight { idx, line }),
+                        );
+                        frames.push(Frame::End);
+                        break 'reply encode(&frames);
+                    }
                 },
-            },
-            // Response-only frames arriving from a client are protocol
-            // misuse, but harmless: name them and carry on.
-            other => Frame::Error {
-                message: format!("unexpected `{}` frame from a client", other.tag()),
-            },
+                // A client-sent `propose` asks the server to negotiate the
+                // named conflict now. The server's engine generates the actual
+                // proposals; the direct reply is the closing `resolved` frame
+                // (outcome `consistent` when the constraint was not violated).
+                Frame::Propose { constraint, .. } => {
+                    if !bound.info.negotiation {
+                        Frame::NegotiationRejected {
+                            message: "negotiation is disabled for this session".into(),
+                        }
+                    } else if designer.is_none() {
+                        Frame::Error {
+                            message: "propose requires a hello first".into(),
+                        }
+                    } else {
+                        match bound.info.names.constraint_id(&constraint) {
+                            None => Frame::Error {
+                                message: format!("unknown constraint `{constraint}`"),
+                            },
+                            Some(cid) => match bound.handle.negotiate(cid) {
+                                Err(_) => Frame::Error {
+                                    message: "session is shut down".into(),
+                                },
+                                Ok(report) => Frame::Resolved {
+                                    seq: 0,
+                                    constraint,
+                                    rounds: report.rounds,
+                                    proposals: report.proposals,
+                                    outcome: if !report.seed_violated {
+                                        "consistent"
+                                    } else if report.resolved {
+                                        "resolved"
+                                    } else {
+                                        "abandoned"
+                                    }
+                                    .into(),
+                                    idx: 0,
+                                },
+                            },
+                        }
+                    }
+                }
+                // The remaining negotiation frames are server-generated:
+                // answers come from the session's designer policies, never
+                // from the wire. Reject them as typed data, not a bare error,
+                // so clients can distinguish "disabled" from "malformed".
+                Frame::CounterProposal { .. }
+                | Frame::Accept { .. }
+                | Frame::Reject { .. }
+                | Frame::Resolved { .. } => Frame::NegotiationRejected {
+                    message: if bound.info.negotiation {
+                        "negotiation answers are computed by the session's designer policies".into()
+                    } else {
+                        "negotiation is disabled for this session".into()
+                    },
+                },
+                // Response-only frames arriving from a client are protocol
+                // misuse, but harmless: name them and carry on.
+                other => Frame::Error {
+                    message: format!("unexpected `{}` frame from a client", other.tag()),
+                },
+            };
+            reply.to_line()
         };
-        outbox.send(&[reply]);
+        if outbox.reply(&reply).is_err() {
+            break false;
+        }
     };
     outbox.close();
     let _ = writer_thread.join();
     shutdown
+}
+
+/// `frames` encoded one line each.
+fn encode(frames: &[Frame]) -> String {
+    let mut out = String::new();
+    for frame in frames {
+        frame.write_line(&mut out);
+    }
+    out
 }
 
 fn submit(
@@ -2622,6 +2704,229 @@ mod tests {
             .request(&Frame::Hello { designer: 0 })
             .expect("hello");
         assert!(matches!(welcome, Frame::Welcome { .. }));
+        server.shutdown();
+    }
+
+    /// A sensing server counting into an in-memory sink.
+    fn serve_sensing_counted(options: ServerOptions) -> (CollabServer, Arc<InMemorySink>) {
+        let mut dpm = sensing_dpm();
+        let sink = Arc::new(InMemorySink::new());
+        dpm.set_sink(sink.clone());
+        let server =
+            CollabServer::bind_with(dpm, 0, options, SessionOptions::default()).expect("bind");
+        (server, sink)
+    }
+
+    /// A client of `designer` that has said hello and subscribed.
+    fn subscribed(addr: SocketAddr, designer: u32) -> CollabClient {
+        let mut client = CollabClient::connect(addr).expect("connect");
+        client.request(&Frame::Hello { designer }).expect("hello");
+        let subscribed = client
+            .request(&Frame::Subscribe {
+                all: false,
+                resume_from: None,
+            })
+            .expect("subscribe");
+        assert!(
+            matches!(subscribed, Frame::Subscribed { .. }),
+            "{subscribed:?}"
+        );
+        client
+    }
+
+    /// Designer 1 moves the sensor area and designer 2 the interface area;
+    /// both appear in `MeetArea`, so each one's assigns reach the other.
+    fn assign_area(client: &mut CollabClient, designer: u32, round: usize) -> Frame {
+        let (problem, property, values) = if designer == 1 {
+            ("pressure-sensor", "sensor.s-area", [4.0, 5.0])
+        } else {
+            ("interface-circuit", "interface.i-area", [1.0, 1.5])
+        };
+        client
+            .request(&Frame::Submit {
+                op: WireOp::Assign {
+                    problem: problem.into(),
+                    property: property.into(),
+                    value: values[round % 2],
+                },
+                cid: None,
+            })
+            .expect("submit")
+    }
+
+    /// The reader writes a submit's verdict behind the events the
+    /// operation routed to the submitter's own designer.
+    #[test]
+    fn submitters_own_events_arrive_before_its_executed_frame() {
+        let server = serve_sensing();
+        let mut client = subscribed(server.local_addr(), 1);
+        client
+            .send(&Frame::Submit {
+                op: WireOp::Assign {
+                    problem: "pressure-sensor".into(),
+                    property: "sensor.s-area".into(),
+                    value: 4.0,
+                },
+                cid: Some(1),
+            })
+            .expect("submit");
+        let mut events = 0;
+        loop {
+            match client.recv(Duration::from_secs(5)).expect("recv") {
+                Some(Frame::Event { seq, .. }) => {
+                    assert_eq!(seq, 1);
+                    events += 1;
+                }
+                Some(Frame::Executed { seq, .. }) => {
+                    assert_eq!(seq, 1);
+                    break;
+                }
+                other => panic!("expected events then the verdict, got {other:?}"),
+            }
+        }
+        assert!(events > 0, "the assign routes events to its own designer");
+        assert_eq!(
+            client.recv(Duration::from_millis(200)).expect("recv"),
+            None,
+            "nothing of the operation follows its verdict"
+        );
+        server.shutdown();
+    }
+
+    /// A peer whose reader sits in `read` gets its events from the writer
+    /// thread: every one arrives well inside the 10 s heartbeat, which
+    /// would be the first thing to flush an inbox whose wake-up was lost.
+    #[test]
+    fn idle_peer_receives_every_event_while_another_connection_submits() {
+        let (server, sink) = serve_sensing_counted(ServerOptions::default());
+        let addr = server.local_addr();
+        let mut peer = subscribed(addr, 2);
+        let actor = thread::spawn(move || {
+            let mut client = CollabClient::connect(addr).expect("connect");
+            client
+                .request(&Frame::Hello { designer: 1 })
+                .expect("hello");
+            for round in 0..100 {
+                let verdict = assign_area(&mut client, 1, round);
+                assert!(matches!(verdict, Frame::Executed { .. }), "{verdict:?}");
+            }
+        });
+        let mut seen = Vec::new();
+        let mut deadline = None;
+        loop {
+            if deadline.is_none() && actor.is_finished() {
+                deadline = Some(Instant::now() + Duration::from_secs(3));
+            }
+            let delivered = sink.get(Counter::InboxDelivered);
+            if deadline.is_some() && seen.len() as u64 == delivered {
+                break;
+            }
+            assert!(
+                deadline.is_none_or(|at| Instant::now() < at),
+                "{} of {delivered} routed events reached the idle peer",
+                seen.len()
+            );
+            if let Some(Frame::Event { idx, .. }) = peer
+                .next_event(Duration::from_millis(20))
+                .expect("event wait")
+            {
+                seen.push(idx);
+            }
+        }
+        actor.join().expect("actor");
+        assert!(!seen.is_empty(), "the actor's assigns reach designer 2");
+        assert_eq!(sink.get(Counter::InboxDropped), 0);
+        let expected: Vec<u64> = (1..=seen.len() as u64).collect();
+        assert_eq!(seen, expected, "every event once, in routing order");
+        server.shutdown();
+    }
+
+    /// Two designers submit concurrently: each one's events leave with its
+    /// own replies or from its writer thread, and together they are
+    /// exactly the events the session delivered into their inboxes.
+    #[test]
+    fn concurrent_submitters_receive_every_delivered_event() {
+        let (server, sink) = serve_sensing_counted(ServerOptions::default());
+        let addr = server.local_addr();
+        // Both subscribe before either submits, so each sees its
+        // designer's events from the first.
+        let clients = [(1, subscribed(addr, 1)), (2, subscribed(addr, 2))];
+        let workers: Vec<_> = clients
+            .into_iter()
+            .map(|(designer, mut client)| {
+                thread::spawn(move || {
+                    for round in 0..60 {
+                        let verdict = assign_area(&mut client, designer, round);
+                        assert!(matches!(verdict, Frame::Executed { .. }), "{verdict:?}");
+                    }
+                    client
+                })
+            })
+            .collect();
+        let mut clients: Vec<CollabClient> = workers
+            .into_iter()
+            .map(|worker| worker.join().expect("worker"))
+            .collect();
+        let delivered = sink.get(Counter::InboxDelivered);
+        let mut received = vec![Vec::new(); clients.len()];
+        let deadline = Instant::now() + Duration::from_secs(3);
+        while received.iter().map(Vec::len).sum::<usize>() < delivered as usize {
+            assert!(
+                Instant::now() < deadline,
+                "{received:?} of {delivered} delivered events arrived"
+            );
+            for (client, seen) in clients.iter_mut().zip(&mut received) {
+                if let Some(Frame::Event { idx, .. }) =
+                    client.next_event(Duration::from_millis(10)).expect("wait")
+                {
+                    seen.push(idx);
+                }
+            }
+        }
+        assert_eq!(sink.get(Counter::InboxDropped), 0);
+        for seen in &received {
+            assert!(!seen.is_empty(), "each designer's assigns reach the other");
+            let expected: Vec<u64> = (1..=seen.len() as u64).collect();
+            assert_eq!(seen, &expected, "every event once, in routing order");
+        }
+        for client in &mut clients {
+            assert_eq!(
+                client.next_event(Duration::from_millis(100)).expect("wait"),
+                None,
+                "no event beyond the delivered count"
+            );
+        }
+        server.shutdown();
+    }
+
+    /// A fault-plan kill on a reply the reader writes ends the connection:
+    /// the peer reads end of stream and the server deregisters it.
+    #[test]
+    fn kill_during_a_reader_written_reply_closes_the_connection() {
+        let options = ServerOptions {
+            fault_plan: Some("seed=1,kill=2".parse().expect("plan")),
+            ..ServerOptions::default()
+        };
+        let (server, _) = serve_sensing_counted(options);
+        let mut client = CollabClient::connect(server.local_addr()).expect("connect");
+        let welcome = client
+            .request(&Frame::Hello { designer: 0 })
+            .expect("first reply");
+        assert!(matches!(welcome, Frame::Welcome { .. }), "{welcome:?}");
+        // The second outgoing frame is the scripted kill.
+        client.send(&Frame::Hello { designer: 0 }).expect("send");
+        assert!(
+            client.recv(Duration::from_secs(5)).is_err(),
+            "the killed connection must end, not time out"
+        );
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.connection_counts().0 > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the server kept the killed connection"
+            );
+            thread::sleep(Duration::from_millis(10));
+        }
         server.shutdown();
     }
 

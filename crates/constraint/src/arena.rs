@@ -2,8 +2,8 @@
 //!
 //! Reading a variable through
 //! [`ConstraintNetwork::effective_interval`](crate::ConstraintNetwork::effective_interval)
-//! walks a property-state struct and matches on the [`Domain`]
-//! (crate::Domain) enum. Revisions instead read one flat pair of
+//! walks a property-state struct and matches on the
+//! [`Domain`](crate::Domain) enum. Revisions instead read one flat pair of
 //! `f64` arrays — lower bounds and upper bounds — indexed directly by the
 //! dense `u32` of a [`PropertyId`], so the hot path's variable loads are two
 //! array reads with no hashing, no enum dispatch, and no pointer chasing.

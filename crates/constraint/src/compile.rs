@@ -133,16 +133,6 @@ impl GapForm {
     }
 }
 
-/// Result of revising a single constraint.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct ReviseResult {
-    /// Per-argument narrowed intervals (already intersected with the
-    /// argument's input interval), ascending by property.
-    pub(crate) narrowed: Vec<(PropertyId, Interval)>,
-    /// The constraint cannot be satisfied anywhere in the current box.
-    pub(crate) conflict: bool,
-}
-
 /// Reusable scratch buffers for [`CompiledConstraint::revise`] — the
 /// "reusable scratch stack" of the performance model. One instance serves
 /// any number of revisions of any number of programs; each call resizes
@@ -197,14 +187,21 @@ impl CompiledConstraint {
 
     /// One HC4 revision against the intervals in `arena`: forward interval
     /// evaluation, then backward projection of the relation's target onto
-    /// every argument occurrence. Test builds check it against the AST
-    /// interpreter interval for interval, including the accumulation order
-    /// of repeated variable occurrences.
+    /// every argument occurrence. Returns whether the constraint cannot be
+    /// satisfied anywhere in the box (a conflict). `narrowed` is cleared and
+    /// receives the narrowed interval of every visited argument (already
+    /// intersected with its input interval), ascending by property; it
+    /// stays empty on a conflict. Callers reuse one buffer across calls.
+    /// Test builds check it against the AST interpreter interval for
+    /// interval, including the accumulation order of repeated variable
+    /// occurrences.
     pub(crate) fn revise(
         &self,
         arena: &IntervalArena,
         scratch: &mut ReviseScratch,
-    ) -> ReviseResult {
+        narrowed: &mut Vec<(PropertyId, Interval)>,
+    ) -> bool {
+        narrowed.clear();
         let n = self.ops.len();
 
         // Forward pass: one ascending sweep fills every instruction's value.
@@ -233,10 +230,7 @@ impl CompiledConstraint {
         let lhs_iv = scratch.vals[self.lhs_root as usize];
         let rhs_iv = scratch.vals[self.rhs_root as usize];
         if lhs_iv.is_empty() || rhs_iv.is_empty() {
-            return ReviseResult {
-                narrowed: Vec::new(),
-                conflict: true,
-            };
+            return true;
         }
 
         let gap_target = match self.relation {
@@ -247,10 +241,7 @@ impl CompiledConstraint {
         let gap = lhs_iv - rhs_iv;
         let gap = tolerant_intersect(&gap, &gap_target);
         if gap.is_empty() {
-            return ReviseResult {
-                narrowed: Vec::new(),
-                conflict: true,
-            };
+            return true;
         }
         let lhs_target = (gap + rhs_iv).intersect(&lhs_iv);
         let rhs_target = (lhs_iv - gap).intersect(&rhs_iv);
@@ -386,21 +377,22 @@ impl CompiledConstraint {
             }
         }
 
-        let mut narrowed: Vec<(PropertyId, Interval)> = self
-            .vars
-            .iter()
-            .zip(scratch.touched.iter())
-            .zip(scratch.acc.iter())
-            .filter(|((_, touched), _)| **touched)
-            .map(|((pid, _), iv)| (*pid, *iv))
-            .collect();
-        if narrowed.iter().any(|(_, iv)| iv.is_empty()) {
-            conflict = true;
-        }
         if conflict {
-            narrowed = Vec::new();
+            return true;
         }
-        ReviseResult { narrowed, conflict }
+        narrowed.extend(
+            self.vars
+                .iter()
+                .zip(scratch.touched.iter())
+                .zip(scratch.acc.iter())
+                .filter(|((_, touched), _)| **touched)
+                .map(|((pid, _), iv)| (*pid, *iv)),
+        );
+        if narrowed.iter().any(|(_, iv)| iv.is_empty()) {
+            narrowed.clear();
+            return true;
+        }
+        false
     }
 }
 
@@ -518,15 +510,17 @@ impl CompiledNetwork {
         self.constraints[cid.index()].gap.get().is_some()
     }
 
-    /// One HC4 revision of constraint `cid` against `arena` (see
+    /// One HC4 revision of constraint `cid` against `arena`, its narrowed
+    /// arguments written to `narrowed`; returns whether it conflicts (see
     /// [`CompiledConstraint::revise`]).
     pub(crate) fn revise(
         &self,
         cid: ConstraintId,
         arena: &IntervalArena,
         scratch: &mut ReviseScratch,
-    ) -> ReviseResult {
-        self.constraints[cid.index()].revise(arena, scratch)
+        narrowed: &mut Vec<(PropertyId, Interval)>,
+    ) -> bool {
+        self.constraints[cid.index()].revise(arena, scratch, narrowed)
     }
 
     /// An arena snapshot of `net`'s current effective intervals — a
@@ -563,7 +557,7 @@ impl CompiledNetwork {
 mod tests {
     use super::*;
     use crate::expr::{cst, var};
-    use crate::interp::hc4_revise;
+    use crate::interp::{hc4_revise, ReviseResult};
     use proptest::prelude::*;
 
     fn p(i: u32) -> PropertyId {
@@ -578,10 +572,22 @@ mod tests {
         arena
     }
 
+    /// `compiled`'s revision against `arena` in the interpreter's result
+    /// shape.
+    fn revised(
+        compiled: &CompiledConstraint,
+        arena: &IntervalArena,
+        scratch: &mut ReviseScratch,
+    ) -> ReviseResult {
+        let mut narrowed = Vec::new();
+        let conflict = compiled.revise(arena, scratch, &mut narrowed);
+        ReviseResult { narrowed, conflict }
+    }
+
     fn assert_revise_matches(c: &Constraint, arena: &IntervalArena) {
         let compiled = CompiledConstraint::compile(c);
         let mut scratch = ReviseScratch::new();
-        let got = compiled.revise(arena, &mut scratch);
+        let got = revised(&compiled, arena, &mut scratch);
         let want = hc4_revise(c, &|pid| arena.get(pid));
         assert_eq!(got.conflict, want.conflict, "conflict flag for {c}");
         assert_eq!(got.narrowed.len(), want.narrowed.len(), "arity for {c}");
@@ -680,7 +686,11 @@ mod tests {
             cst(5.0),
         );
         let arena = arena_from(&[Interval::new(0.0, 10.0), Interval::new(3.0, 10.0)]);
-        let r = CompiledConstraint::compile(&c).revise(&arena, &mut ReviseScratch::new());
+        let r = revised(
+            &CompiledConstraint::compile(&c),
+            &arena,
+            &mut ReviseScratch::new(),
+        );
         assert!(!r.conflict);
         let x0 = r
             .narrowed
@@ -701,7 +711,11 @@ mod tests {
             cst(100.0),
         );
         let arena = arena_from(&[Interval::new(0.0, 1.0)]);
-        let r = CompiledConstraint::compile(&c).revise(&arena, &mut ReviseScratch::new());
+        let r = revised(
+            &CompiledConstraint::compile(&c),
+            &arena,
+            &mut ReviseScratch::new(),
+        );
         assert!(r.conflict);
         assert!(r.narrowed.is_empty());
     }
@@ -716,7 +730,11 @@ mod tests {
             cst(5.0),
         );
         let arena = arena_from(&[Interval::EMPTY]);
-        let r = CompiledConstraint::compile(&c).revise(&arena, &mut ReviseScratch::new());
+        let r = revised(
+            &CompiledConstraint::compile(&c),
+            &arena,
+            &mut ReviseScratch::new(),
+        );
         assert!(r.conflict);
     }
 
@@ -755,7 +773,7 @@ mod tests {
         let mut scratch = ReviseScratch::new();
         for c in [&big, &small, &big] {
             let compiled = CompiledConstraint::compile(c);
-            let got = compiled.revise(&arena, &mut scratch);
+            let got = revised(&compiled, &arena, &mut scratch);
             let want = hc4_revise(c, &|pid| arena.get(pid));
             assert_eq!(got, want);
         }
@@ -839,10 +857,14 @@ mod tests {
                 Relation::Le,
                 cst(ka * x + kb * y + slack.abs()),
             );
-            let revised = CompiledConstraint::compile(&c)
-                .revise(&arena_from(&[ix, iy]), &mut ReviseScratch::new());
-            prop_assert!(!revised.conflict, "spurious conflict");
-            for (pid, narrowed) in &revised.narrowed {
+            let mut narrowed_args = Vec::new();
+            let conflict = CompiledConstraint::compile(&c).revise(
+                &arena_from(&[ix, iy]),
+                &mut ReviseScratch::new(),
+                &mut narrowed_args,
+            );
+            prop_assert!(!conflict, "spurious conflict");
+            for (pid, narrowed) in &narrowed_args {
                 let kept = if *pid == p(0) { x } else { y };
                 prop_assert!(
                     narrowed.contains(kept)
@@ -869,7 +891,7 @@ mod tests {
         ) {
             let c = Constraint::new(ConstraintId::new(0), "c", lhs, rel, rhs);
             let arena = arena_from(&ivs);
-            let got = CompiledConstraint::compile(&c).revise(&arena, &mut ReviseScratch::new());
+            let got = revised(&CompiledConstraint::compile(&c), &arena, &mut ReviseScratch::new());
             let want = hc4_revise(&c, &|pid| arena.get(pid));
             prop_assert_eq!(got.conflict, want.conflict);
             prop_assert_eq!(got.narrowed.len(), want.narrowed.len());

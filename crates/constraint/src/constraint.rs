@@ -384,6 +384,17 @@ impl Constraint {
     pub fn gap_interval<F: Fn(PropertyId) -> Interval>(&self, lookup: &F) -> Interval {
         self.lhs.eval_interval(lookup) - self.rhs.eval_interval(lookup)
     }
+
+    /// The relation alone (`lhs rel rhs`, without the constraint's name),
+    /// each property written as `name` names it.
+    pub(crate) fn render_named<'a>(&'a self, name: &'a dyn Fn(PropertyId) -> &'a str) -> String {
+        format!(
+            "{} {} {}",
+            self.lhs.display_named(name),
+            self.rel,
+            self.rhs.display_named(name)
+        )
+    }
 }
 
 impl fmt::Display for Constraint {

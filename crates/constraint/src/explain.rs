@@ -42,7 +42,8 @@ pub struct ViolationExplanation {
     pub constraint: ConstraintId,
     /// Its name.
     pub name: String,
-    /// The constraint rendered as text.
+    /// The constraint's relation rendered as text, its properties by
+    /// qualified name (`object.name`).
     pub rendering: String,
     /// The gap interval `lhs - rhs` over the current ranges — how far the
     /// relation is from holding.
@@ -104,6 +105,7 @@ pub fn explain_violation(
     let programs = net.programs();
     let mut arena = programs.load_arena(net, Some(&[cid]));
     let mut scratch = ReviseScratch::new();
+    let mut narrowed = Vec::new();
     let arguments = constraint
         .argument_slice()
         .iter()
@@ -118,13 +120,12 @@ pub fn explain_violation(
                 .enclosing_interval()
                 .unwrap_or(Interval::UNIVERSE);
             arena.set(*pid, freed);
-            let revise = programs.revise(cid, &arena, &mut scratch);
+            let conflict = programs.revise(cid, &arena, &mut scratch, &mut narrowed);
             arena.set(*pid, current);
-            let required = if revise.conflict {
+            let required = if conflict {
                 Interval::EMPTY
             } else {
-                revise
-                    .narrowed
+                narrowed
                     .iter()
                     .find(|(p, _)| p == pid)
                     .map_or(freed, |(_, iv)| *iv)
@@ -141,7 +142,7 @@ pub fn explain_violation(
     Some(ViolationExplanation {
         constraint: cid,
         name: constraint.name().to_owned(),
-        rendering: constraint.to_string(),
+        rendering: constraint.render_named(&|pid| net.property(pid).qualified_name()),
         gap,
         arguments,
     })
@@ -210,6 +211,14 @@ mod tests {
         net.evaluate_statuses();
         let explanation = explain_violation(&net, c).expect("violated");
         assert_eq!(explanation.name, "TotalGain");
+        // Properties by qualified name, the constraint's name said once.
+        assert_eq!(
+            explanation.rendering,
+            "(lna.LNA-gain - filter.flt-loss) >= 28"
+        );
+        assert!(explanation
+            .to_string()
+            .starts_with("TotalGain is violated: (lna.LNA-gain - filter.flt-loss) >= 28\n"));
         assert_eq!(explanation.arguments.len(), 2);
 
         let gain_arg = explanation

@@ -386,23 +386,61 @@ impl From<PropertyId> for Expr {
     }
 }
 
+impl Expr {
+    /// The expression written like its `Display` form, with each variable
+    /// named by `name` instead of by its id.
+    pub(crate) fn display_named<'a>(
+        &'a self,
+        name: &'a dyn Fn(PropertyId) -> &'a str,
+    ) -> impl fmt::Display + 'a {
+        Rendered {
+            expr: self,
+            name: Some(name),
+        }
+    }
+}
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        Rendered {
+            expr: self,
+            name: None,
+        }
+        .fmt(f)
+    }
+}
+
+/// An expression written with its variables named by `name`, or by their
+/// ids when it is `None`.
+struct Rendered<'a> {
+    expr: &'a Expr,
+    name: Option<&'a dyn Fn(PropertyId) -> &'a str>,
+}
+
+impl fmt::Display for Rendered<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sub = |expr| Rendered {
+            expr,
+            name: self.name,
+        };
+        match self.expr {
             Expr::Const(x) => write!(f, "{x}"),
-            Expr::Var(id) => write!(f, "{id}"),
-            Expr::Neg(e) => write!(f, "(-{e})"),
-            Expr::Abs(e) => write!(f, "abs({e})"),
-            Expr::Sqrt(e) => write!(f, "sqrt({e})"),
-            Expr::Exp(e) => write!(f, "exp({e})"),
-            Expr::Ln(e) => write!(f, "ln({e})"),
-            Expr::Powi(e, n) => write!(f, "({e})^{n}"),
-            Expr::Add(a, b) => write!(f, "({a} + {b})"),
-            Expr::Sub(a, b) => write!(f, "({a} - {b})"),
-            Expr::Mul(a, b) => write!(f, "({a} * {b})"),
-            Expr::Div(a, b) => write!(f, "({a} / {b})"),
-            Expr::Min(a, b) => write!(f, "min({a}, {b})"),
-            Expr::Max(a, b) => write!(f, "max({a}, {b})"),
+            Expr::Var(id) => match self.name {
+                Some(name) => f.write_str(name(*id)),
+                None => write!(f, "{id}"),
+            },
+            Expr::Neg(e) => write!(f, "(-{})", sub(e)),
+            Expr::Abs(e) => write!(f, "abs({})", sub(e)),
+            Expr::Sqrt(e) => write!(f, "sqrt({})", sub(e)),
+            Expr::Exp(e) => write!(f, "exp({})", sub(e)),
+            Expr::Ln(e) => write!(f, "ln({})", sub(e)),
+            Expr::Powi(e, n) => write!(f, "({})^{n}", sub(e)),
+            Expr::Add(a, b) => write!(f, "({} + {})", sub(a), sub(b)),
+            Expr::Sub(a, b) => write!(f, "({} - {})", sub(a), sub(b)),
+            Expr::Mul(a, b) => write!(f, "({} * {})", sub(a), sub(b)),
+            Expr::Div(a, b) => write!(f, "({} / {})", sub(a), sub(b)),
+            Expr::Min(a, b) => write!(f, "min({}, {})", sub(a), sub(b)),
+            Expr::Max(a, b) => write!(f, "max({}, {})", sub(a), sub(b)),
         }
     }
 }

@@ -70,7 +70,7 @@ pub struct HeuristicReport {
 impl HeuristicReport {
     /// Mines the network's current statuses and feasible subspaces into
     /// per-property heuristic data. Call after
-    /// [`propagate`](crate::propagate) (ADPM) or after explicit status
+    /// [`propagate`](fn@crate::propagate) (ADPM) or after explicit status
     /// updates (conventional flow).
     ///
     /// Only the per-operation state is read afresh: statuses, feasible

@@ -11,7 +11,7 @@
 //! [`minimal_conflict_set`](crate::minimal_conflict_set) must equal the
 //! interpreter-based bodies below on generated networks.
 
-use crate::compile::{root_even, signed_root, tolerant_intersect, ReviseResult};
+use crate::compile::{root_even, signed_root, tolerant_intersect};
 use crate::constraint::{Constraint, ConstraintStatus, Relation, EQ_TOL};
 use crate::explain::{ArgumentDiagnosis, ViolationExplanation};
 use crate::expr::Expr;
@@ -22,6 +22,16 @@ use crate::monotone::helps_direction;
 use crate::network::ConstraintNetwork;
 use crate::propagate::significant_interval_narrowing;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// Result of revising a single constraint.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct ReviseResult {
+    /// Per-argument narrowed intervals (already intersected with the
+    /// argument's input interval), ascending by property.
+    pub(crate) narrowed: Vec<(PropertyId, Interval)>,
+    /// The constraint cannot be satisfied anywhere in the current box.
+    pub(crate) conflict: bool,
+}
 
 /// One HC4 revision of a single constraint against the given argument
 /// intervals: forward interval evaluation, then backward projection of the
@@ -319,7 +329,7 @@ pub(crate) fn explain_reference(
     Some(ViolationExplanation {
         constraint: cid,
         name: constraint.name().to_owned(),
-        rendering: constraint.to_string(),
+        rendering: constraint.render_named(&|pid| net.property(pid).qualified_name()),
         gap,
         arguments,
     })

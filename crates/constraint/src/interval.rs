@@ -4,7 +4,7 @@
 //! feasible subspace `v_F(a_i)` is represented (for numeric properties) as an
 //! interval, and constraint evaluation/propagation is interval evaluation of
 //! the constraint's expression tree (see [`crate::expr`] and
-//! [`crate::propagate`]).
+//! [`crate::propagate()`]).
 //!
 //! The arithmetic here is *conservative*: every operation returns an interval
 //! that contains all point results. Division by an interval containing zero

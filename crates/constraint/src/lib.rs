@@ -16,7 +16,7 @@
 //!   per the paper's Eq. (1);
 //! * [`ConstraintNetwork`] — the network `C_n`, with `α`/`β` counts and
 //!   cross-object (spin-relevant) classification;
-//! * [`propagate`] — the DCM's propagation algorithm (HC4-revise inside an
+//! * [`propagate()`] — the DCM's propagation algorithm (HC4-revise inside an
 //!   AC-3 worklist) computing infeasible values and statuses while counting
 //!   constraint evaluations, the paper's tool-run proxy. Each constraint is
 //!   lowered once, when it is added or relaxed, to a flat interval program

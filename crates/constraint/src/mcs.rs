@@ -82,6 +82,7 @@ fn subset_conflicts_in(
     let programs = net.programs();
     let budget = EVALS_PER_CONSTRAINT * subset.len();
     let mut evals = 0usize;
+    let mut narrowed = Vec::new();
     // Chaotic iteration over the subset in id order: sweep until a full
     // pass narrows nothing (fixed point) or the budget censors the run.
     loop {
@@ -91,11 +92,10 @@ fn subset_conflicts_in(
                 return false; // censored: treat as consistent
             }
             evals += 1;
-            let result = programs.revise(*cid, arena, scratch);
-            if result.conflict {
+            if programs.revise(*cid, arena, scratch, &mut narrowed) {
                 return true;
             }
-            for (pid, iv) in result.narrowed {
+            for &(pid, iv) in &narrowed {
                 if significant_interval_narrowing(&arena.get(pid), &iv) {
                     arena.set(pid, iv);
                     narrowed_any = true;

@@ -26,7 +26,7 @@
 //! fraction), matching the complexity remark in the paper's §3.2.
 
 use crate::arena::IntervalArena;
-use crate::compile::{CompiledNetwork, ReviseResult, ReviseScratch};
+use crate::compile::{CompiledNetwork, ReviseScratch};
 use crate::domain::Domain;
 use crate::ids::{ConstraintId, PropertyId};
 use crate::interval::Interval;
@@ -285,8 +285,15 @@ trait Reviser {
     /// Prepares a run of `region` starting from `net`'s current box (called
     /// after bound properties are pinned).
     fn load(net: &ConstraintNetwork, region: &Region) -> Self;
-    /// One HC4 revision of constraint `cid` against the current box.
-    fn revise(&mut self, net: &ConstraintNetwork, cid: ConstraintId) -> ReviseResult;
+    /// One HC4 revision of constraint `cid` against the current box: its
+    /// narrowed arguments go to `narrowed` (cleared first); returns whether
+    /// it conflicts.
+    fn revise(
+        &mut self,
+        net: &ConstraintNetwork,
+        cid: ConstraintId,
+        narrowed: &mut Vec<(PropertyId, Interval)>,
+    ) -> bool;
     /// `pid`'s feasible subspace in `net` just narrowed.
     fn narrowed(&mut self, net: &ConstraintNetwork, pid: PropertyId);
 }
@@ -314,8 +321,14 @@ impl Reviser for CompiledReviser {
         }
     }
 
-    fn revise(&mut self, _net: &ConstraintNetwork, cid: ConstraintId) -> ReviseResult {
-        self.programs.revise(cid, &self.arena, &mut self.scratch)
+    fn revise(
+        &mut self,
+        _net: &ConstraintNetwork,
+        cid: ConstraintId,
+        narrowed: &mut Vec<(PropertyId, Interval)>,
+    ) -> bool {
+        self.programs
+            .revise(cid, &self.arena, &mut self.scratch, narrowed)
     }
 
     fn narrowed(&mut self, net: &ConstraintNetwork, pid: PropertyId) {
@@ -494,6 +507,8 @@ fn run_worklist<R: Reviser>(
         in_queue[cid.index()] = true;
     }
     let mut conflicted = vec![false; net.constraint_count()];
+    // One revision's narrowed arguments, reused across the run.
+    let mut narrowed = Vec::new();
 
     // Wave bookkeeping: the constraints queued when a wave starts belong to
     // it; anything they re-queue belongs to the next wave (BFS levels).
@@ -515,20 +530,19 @@ fn run_worklist<R: Reviser>(
             run.constraint_evals[cid.index()] += 1;
         }
 
-        let revise = reviser.revise(net, cid);
-        if revise.conflict {
+        if reviser.revise(net, cid, &mut narrowed) {
             if !conflicted[cid.index()] {
                 conflicted[cid.index()] = true;
                 run.conflicts.push(cid);
             }
         } else {
-            for (pid, narrowed_iv) in revise.narrowed {
+            for &(pid, narrowed_iv) in &narrowed {
                 if net.is_bound(pid) {
                     continue; // bound properties stay pinned to their value
                 }
-                let old = net.feasible(pid).clone();
+                let old = net.feasible(pid);
                 let new = old.narrow_to_interval(&narrowed_iv);
-                if significant_narrowing(&old, &new) {
+                if significant_narrowing(old, &new) {
                     net.set_feasible(pid, new);
                     reviser.narrowed(net, pid);
                     run.narrowing_events += 1;
@@ -1323,8 +1337,15 @@ mod tests {
             Interp
         }
 
-        fn revise(&mut self, net: &ConstraintNetwork, cid: ConstraintId) -> ReviseResult {
-            hc4_revise(net.constraint(cid), &|pid| net.effective_interval(pid))
+        fn revise(
+            &mut self,
+            net: &ConstraintNetwork,
+            cid: ConstraintId,
+            narrowed: &mut Vec<(PropertyId, Interval)>,
+        ) -> bool {
+            let result = hc4_revise(net.constraint(cid), &|pid| net.effective_interval(pid));
+            *narrowed = result.narrowed;
+            result.conflict
         }
 
         fn narrowed(&mut self, _net: &ConstraintNetwork, _pid: PropertyId) {}

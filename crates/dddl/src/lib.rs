@@ -27,7 +27,7 @@
 //! # Ok::<(), adpm_dddl::DddlError>(())
 //! ```
 //!
-//! The pipeline is [`token`] (lexing) → [`parse`] (AST) → [`compile`]
+//! The pipeline is [`token`] (lexing) → [`parse`] (AST) → [`compile()`]
 //! (name resolution + lowering into an
 //! [`adpm_constraint::ConstraintNetwork`]) → [`CompiledScenario::build_dpm`]
 //! (a fresh [`adpm_core::DesignProcessManager`] per simulation run). A

@@ -31,14 +31,17 @@ cargo test -q --workspace
 
 # The dump races the session's own bookkeeping unless the server orders it
 # behind the commands before it; one run rarely shows that, 50 do. The
-# second test checks every dumped line against a teed trace writer's.
-echo "==> flight-recorder dump tests, 50 repetitions"
+# second test checks every dumped line against a teed trace writer's. The
+# third catches an inbox push that falls between the writer thread's look
+# and its wait, or between a reply's drain and the end of its busy mark.
+echo "==> flight-recorder dump and idle-peer wake-up tests, 50 repetitions"
 for i in $(seq 1 50); do
   if ! out=$(cargo test -q -p adpm-collab --lib -- --exact \
       server::tests::dump_keeps_whole_operations_on_a_large_network \
-      server::tests::profiles_reach_a_trace_writer_but_not_the_flight_recorder 2>&1); then
+      server::tests::profiles_reach_a_trace_writer_but_not_the_flight_recorder \
+      server::tests::idle_peer_receives_every_event_while_another_connection_submits 2>&1); then
     echo "$out"
-    echo "dump tests failed on repetition $i of 50"
+    echo "dump or wake-up tests failed on repetition $i of 50"
     exit 1
   fi
 done
@@ -443,8 +446,11 @@ for WORKLOAD in collab-large-net teamsim-batch; do
     --workload "$WORKLOAD" --seed 1 --seconds 4 --trace 1 >/dev/null
 done
 
-echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
+# Twice: the public build flags public docs that link to private items, the
+# private build link-checks the docs of private modules and items.
+echo "==> cargo doc --no-deps, public and --document-private-items (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items --quiet
 
 echo "==> cargo test --doc --workspace"
 cargo test -q --doc --workspace
