@@ -47,14 +47,6 @@ pub fn run_batch(scenario: &CompiledScenario, mode: ManagementMode, seeds: u64) 
     batch
 }
 
-/// Runs both modes over the same seeds.
-pub fn run_both(scenario: &CompiledScenario, seeds: u64) -> (Batch, Batch) {
-    (
-        run_batch(scenario, ManagementMode::Conventional, seeds),
-        run_batch(scenario, ManagementMode::Adpm, seeds),
-    )
-}
-
 /// Accumulates per-phase counter totals across a bench binary.
 ///
 /// Every figure binary runs in phases (one batch of simulations per bar,

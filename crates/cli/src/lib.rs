@@ -241,14 +241,14 @@ COMMANDS:
                                            ephemeral; prints `metrics on ADDR`)
                                            — scrape it with nc/curl
     top     <addr> [--session NAME] [--interval MS] [--json] [--count N]
-                                           live per-session telemetry: arms the
-                                           server's `watch` stats push and
-                                           renders each report as a table
+                                           live per-session telemetry: polls
+                                           the server with `stats` every MS
+                                           and renders each report as a table
                                            (connections, ops/s, p99 submit
                                            latency, inbox drops, reconnects,
                                            journal bytes) — or as raw
                                            stats_reply JSONL with --json.
-                                           Without --session it watches every
+                                           Without --session it polls every
                                            session plus the `*` rollup (an
                                            operator view); --count N exits
                                            after N reports (0 = until the
@@ -1138,7 +1138,7 @@ pub fn submit_request(
 /// Options for [`top`].
 #[derive(Debug, Clone)]
 pub struct TopOptions {
-    /// Watch only this session (attaching to it). `None` watches every
+    /// Poll only this session (attaching to it). `None` polls every
     /// hosted session plus the `*` rollup — the operator view a fresh
     /// (default-session) connection is entitled to.
     pub session: Option<String>,
@@ -1146,7 +1146,7 @@ pub struct TopOptions {
     pub interval_ms: u64,
     /// Emit raw `stats_reply` frames as JSONL instead of a table.
     pub json: bool,
-    /// Stop after this many reports; 0 keeps watching until the server
+    /// Stop after this many reports; 0 keeps polling until the server
     /// goes away.
     pub count: u64,
 }
@@ -1162,15 +1162,15 @@ impl Default for TopOptions {
     }
 }
 
-/// `adpm top`: subscribe to a server's `watch` stats push and render each
-/// report as a per-session table (or as raw `stats_reply` JSONL with
+/// `adpm top`: poll a server with `stats` every `interval_ms` and render
+/// each report as a per-session table (or as raw `stats_reply` JSONL with
 /// `--json`). Each report is handed to `emit`; ops/s is computed
 /// client-side from successive `session_ops` samples.
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] for connection failures, a rejected session
-/// attach, or a server-side error reply (e.g. watching all sessions from
+/// attach, or a server-side error reply (e.g. asking for all sessions from
 /// a non-operator connection).
 pub fn top(
     addr: &str,
@@ -1181,22 +1181,23 @@ pub fn top(
     if let Some(name) = &options.session {
         expect_session(connection.request(&Frame::AttachSession { name: name.clone() })?)?;
     }
-    let all = options.session.is_none();
-    let interval_ms = options.interval_ms.max(1);
-    connection
-        .send(&Frame::Watch { all, interval_ms })
-        .map_err(CliError::Io)?;
-    // Reports arrive at the watch cadence; allow a few missed beats
-    // before declaring the server gone.
-    let report_timeout = std::time::Duration::from_millis(interval_ms.saturating_mul(4) + 5_000);
+    let request = Frame::Stats {
+        all: options.session.is_none(),
+    };
+    let interval = std::time::Duration::from_millis(options.interval_ms.max(1));
     let mut previous: std::collections::BTreeMap<String, (u64, std::time::Instant)> =
         std::collections::BTreeMap::new();
     let mut reports = 0u64;
     loop {
-        let batch = match read_stats_batch(&mut connection, report_timeout) {
+        let polled_at = std::time::Instant::now();
+        let batch = match connection
+            .send(&request)
+            .map_err(CliError::Io)
+            .and_then(|()| read_stats_batch(&mut connection, STATS_TIMEOUT))
+        {
             Ok(batch) => batch,
             // After at least one report, a dropped connection is the
-            // server shutting down — a clean exit for a watcher.
+            // server shutting down — a clean exit for a poller.
             Err(_) if reports > 0 => break,
             Err(e) => return Err(e),
         };
@@ -1211,13 +1212,24 @@ pub fn top(
         if options.count != 0 && reports >= options.count {
             break;
         }
+        // Wait out the interval in `recv`, which answers the server's
+        // pings, so an interval past the idle timeout keeps the link.
+        let next = polled_at + interval;
+        while let Some(left) = next.checked_duration_since(std::time::Instant::now()) {
+            if left.is_zero() || connection.recv(left).is_err() {
+                break;
+            }
+        }
     }
     Ok(String::new())
 }
 
-/// Collects one pushed stats report: every `stats_reply` up to the
-/// terminating `end`. Event frames interleaved by a subscription are
-/// ignored; an `err` frame fails the watch.
+/// How long [`top`] waits for the reply to one `stats` poll.
+const STATS_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+
+/// Collects one stats report: every `stats_reply` up to the terminating
+/// `end`. Event frames interleaved by a subscription are ignored; an
+/// `err` frame fails the poll.
 fn read_stats_batch(
     connection: &mut CollabClient,
     timeout: std::time::Duration,
@@ -1243,7 +1255,7 @@ fn read_stats_batch(
     }
 }
 
-/// Renders one watch report as a fixed-width table. `previous` carries
+/// Renders one stats report as a fixed-width table. `previous` carries
 /// each session's last `session_ops` sample for the ops/s column.
 fn render_top_table(
     batch: &[Frame],
@@ -1688,15 +1700,6 @@ fn parse_submit_options(
         ));
     }
     Ok((designer, problem, session, action))
-}
-
-/// Compiles a scenario for callers embedding the CLI as a library.
-///
-/// # Errors
-///
-/// Returns a [`CliError`] for invalid DDDL.
-pub fn load_scenario(source: &str) -> Result<CompiledScenario, CliError> {
-    Ok(compile_source(source)?)
 }
 
 #[cfg(test)]
@@ -2461,30 +2464,35 @@ mod tests {
             &addr,
             &TopOptions {
                 json: true,
-                count: 1,
+                count: 3,
                 interval_ms: 50,
                 ..TopOptions::default()
             },
             &mut |line| lines.push(line.to_owned()),
         )
         .expect("top");
-        let mut ops = std::collections::BTreeMap::new();
-        for line in &lines {
-            let frame = Frame::parse_line(&format!("{line}\n")).expect("stats_reply parses");
-            let Frame::StatsReply {
-                session, counters, ..
-            } = frame
-            else {
-                panic!("expected stats_reply, got {line}");
-            };
-            ops.insert(session, counters.get(Counter::SessionOps));
+        // Three polls, each one row per hosted session plus the rollup.
+        assert_eq!(lines.len(), 15, "{lines:?}");
+        for batch in lines.chunks(5) {
+            let mut ops = std::collections::BTreeMap::new();
+            for line in batch {
+                assert!(!line.contains("\"watch\""), "{line}");
+                let frame = Frame::parse_line(&format!("{line}\n")).expect("stats_reply parses");
+                let Frame::StatsReply {
+                    session, counters, ..
+                } = frame
+                else {
+                    panic!("expected stats_reply, got {line}");
+                };
+                ops.insert(session, counters.get(Counter::SessionOps));
+            }
+            let sessions: Vec<&str> = ops.keys().map(String::as_str).collect();
+            assert_eq!(sessions, vec!["*", "default", "s1", "s2", "s3"]);
+            assert_eq!(ops["s1"], 1);
+            assert_eq!(ops["s2"], 2);
+            assert_eq!(ops["s3"], 0);
+            assert!(ops["*"] >= 3, "the rollup aggregates every session");
         }
-        let sessions: Vec<&str> = ops.keys().map(String::as_str).collect();
-        assert_eq!(sessions, vec!["*", "default", "s1", "s2", "s3"]);
-        assert_eq!(ops["s1"], 1);
-        assert_eq!(ops["s2"], 2);
-        assert_eq!(ops["s3"], 0);
-        assert!(ops["*"] >= 3, "the rollup aggregates every session");
         submit_request(&addr, 0, None, None, &SubmitAction::Shutdown).expect("shutdown");
         server.join().expect("join").expect("serve returns");
     }
@@ -2554,7 +2562,6 @@ mod tests {
         let reply = Frame::StatsReply {
             session: "default".into(),
             connections: 2,
-            watch: true,
             counters: Box::new(CounterSnapshot::from_fn(|c| match c {
                 Counter::SessionOps => 10,
                 Counter::InboxDropped => 3,

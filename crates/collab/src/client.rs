@@ -13,7 +13,7 @@
 //! arrive in pieces, and the buffer keeps the partial line intact across
 //! timeouts.
 
-use crate::fault::{FaultAction, FaultInjector};
+use crate::fault::FaultInjector;
 use crate::wire::{BufferedLine, Frame, LineBuffer, WireError};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -96,24 +96,12 @@ impl CollabClient {
             self.stream.write_all(line.as_bytes())?;
             return self.stream.flush();
         };
-        match injector.transform(line.as_bytes()) {
-            FaultAction::Kill => {
-                self.stream.shutdown(Shutdown::Both).ok();
-                Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "connection killed by fault plan",
-                ))
-            }
-            FaultAction::Write(chunks) => {
-                for (bytes, delay) in chunks {
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    self.stream.write_all(&bytes)?;
-                }
-                self.stream.flush()
-            }
+        let written = injector.write_lines(&mut self.stream, line);
+        if matches!(&written, Err(e) if e.kind() == io::ErrorKind::BrokenPipe) {
+            // The scripted kill (or a peer already gone): close both ways.
+            self.stream.shutdown(Shutdown::Both).ok();
         }
+        written
     }
 
     /// Drains the non-fatal `warn` diagnostics the server has pushed.

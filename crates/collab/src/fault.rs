@@ -33,6 +33,7 @@
 use adpm_observe::{Counter, MetricsSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::{self, Write};
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -277,6 +278,32 @@ impl FaultInjector {
             chunks.push((bytes, Duration::ZERO));
         }
         FaultAction::Write(chunks)
+    }
+
+    /// Writes `batch` (encoded lines) to `out`, each line as
+    /// [`transform`](FaultInjector::transform) decides: its chunks in
+    /// order, each after its delay; then flushes.
+    ///
+    /// # Errors
+    ///
+    /// `BrokenPipe` when the scripted kill is reached (the lines before it
+    /// are written); otherwise the write error.
+    pub(crate) fn write_lines(&mut self, out: &mut impl Write, batch: &str) -> io::Result<()> {
+        for line in batch.split_inclusive('\n') {
+            let FaultAction::Write(chunks) = self.transform(line.as_bytes()) else {
+                return Err(io::Error::new(
+                    io::ErrorKind::BrokenPipe,
+                    "connection killed by fault plan",
+                ));
+            };
+            for (bytes, delay) in chunks {
+                if !delay.is_zero() {
+                    std::thread::sleep(delay);
+                }
+                out.write_all(&bytes)?;
+            }
+        }
+        out.flush()
     }
 }
 

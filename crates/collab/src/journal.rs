@@ -43,7 +43,9 @@
 //! into a fresh `<path>.compact.tmp`, fsynced, and atomically renamed
 //! over the journal after the old generation is preserved as
 //! `<path>.prev` (a hard link, so disk usage is bounded at two
-//! generations). Recovery then replays the short program and only the
+//! generations). The directory is synced before the writer returns, as
+//! it is after creating a fresh journal, so an OS crash cannot bring the
+//! old name back. Recovery then replays the short program and only the
 //! post-snapshot tail, making recovery time O(tail), not O(history).
 //! A crash at any point of the protocol leaves either the old journal or
 //! a complete new one at `path`; a snapshot torn by byte-level damage is
@@ -140,6 +142,18 @@ fn prev_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_owned();
     os.push(".prev");
     PathBuf::from(os)
+}
+
+/// Syncs the directory holding `path`, so that a file created, linked or
+/// renamed there keeps its name across an OS crash. Not routed through
+/// the [`DiskFaultInjector`]: the seeded fault streams draw only for
+/// journal data.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 /// The temp file a compaction builds before its atomic rename:
@@ -689,6 +703,7 @@ impl JournalWriter {
             let meta = meta_line(dpm);
             writer.write_lines(&meta)?;
             writer.file.sync_data()?;
+            sync_parent_dir(&writer.config.path)?;
             dpm.metrics_sink()
                 .incr(Counter::JournalBytes, meta.len() as u64);
         }
@@ -898,6 +913,10 @@ impl JournalWriter {
             .open(&self.config.path)?;
         self.committed = content.len() as u64;
         self.since_compact = 0;
+        // Until the directory is synced, an OS crash can leave `path`
+        // naming the old generation, which lacks every operation
+        // acknowledged from here on.
+        sync_parent_dir(&self.config.path)?;
         sink.incr(Counter::JournalCompactions, 1);
         sink.incr(Counter::SnapshotBytes, (content.len() - snap_start) as u64);
         Ok(())

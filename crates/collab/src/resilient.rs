@@ -28,7 +28,6 @@
 
 use crate::client::CollabClient;
 use crate::error::CollabError;
-use crate::fault::{FaultInjector, FaultPlan};
 use crate::wire::{Frame, WireError, WireOp};
 use adpm_observe::{Counter, MetricsSink, SpanKind, TraceEvent};
 use rand::rngs::StdRng;
@@ -121,9 +120,8 @@ pub struct ResilientClient {
     session: Option<String>,
     /// Total reconnects performed.
     reconnects: u64,
-    /// Connections opened so far (fault injector stream selector).
+    /// Connections opened so far.
     connections: u64,
-    fault_plan: Option<FaultPlan>,
     sink: Option<Arc<dyn MetricsSink>>,
 }
 
@@ -163,7 +161,6 @@ impl ResilientClient {
             session: None,
             reconnects: 0,
             connections: 0,
-            fault_plan: None,
             sink: None,
         };
         // The initial connect gets the same retry budget as a reconnect:
@@ -202,19 +199,6 @@ impl ResilientClient {
             }
         }
         Ok(self)
-    }
-
-    /// Injects `plan` faults into every *outgoing* frame; each reconnect
-    /// uses the next per-connection fault stream.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        if let Some(client) = self.client.as_mut() {
-            client.set_fault_injector(FaultInjector::new(
-                self.fault_plan.as_ref().expect("just set"),
-                self.connections.saturating_sub(1),
-            ));
-        }
-        self
     }
 
     /// Total reconnects performed so far.
@@ -387,22 +371,6 @@ impl ResilientClient {
             .unwrap_or_default()
     }
 
-    /// Sends `shutdown`, asking the server to stop. Best-effort: transport
-    /// errors after the send are ignored.
-    ///
-    /// # Errors
-    ///
-    /// [`CollabError`] when the shutdown frame could not be delivered.
-    pub fn shutdown_server(&mut self) -> Result<(), CollabError> {
-        self.ensure_connected()?;
-        let client = self.client.as_mut().expect("just connected");
-        client
-            .send(&Frame::Shutdown)
-            .map_err(|e| CollabError::Retryable(format!("send failed: {e}")))?;
-        let _ = client.recv(Duration::from_secs(2));
-        Ok(())
-    }
-
     /// The one retry loop: up to `max_attempts` times, with the backoff
     /// schedule between attempts, (re)connects if needed and runs
     /// `exchange` on the live connection, telling it whether this attempt
@@ -452,9 +420,6 @@ impl ResilientClient {
         let mut client = CollabClient::connect(self.addr)
             .map_err(|e| CollabError::Retryable(format!("connect failed: {e}")))?;
         client.set_request_timeout(self.config.request_timeout);
-        if let Some(plan) = &self.fault_plan {
-            client.set_fault_injector(FaultInjector::new(plan, self.connections));
-        }
         self.connections += 1;
         match client.request(&Frame::Hello {
             designer: self.designer,

@@ -16,13 +16,13 @@
 //! session answers it, so they always reach the submitter ahead of its
 //! `executed` frame. From the moment the reader starts handling a frame
 //! until that write the connection is busy, and inbox pushes do not wake
-//! the writer thread. The writer thread writes only what falls due
-//! otherwise: events while the reader is idle in `read`, `ping`s and
-//! `watch` reports; it also keeps the idle and queue-age deadlines. The
-//! socket's write half sits behind its own lock in the connection's
-//! outbox, taken before the outbox state; whoever drains the inbox holds
-//! it until its write ends, so events leave in routing order, and no wait
-//! for a slow socket holds the state lock that inbox pushes take.
+//! the writer thread. The writer thread writes only events while the
+//! reader is idle in `read`, and `ping`s; it also keeps the idle and
+//! queue-age deadlines. The socket's write half sits behind its own lock
+//! in the connection's outbox, taken before the outbox state; whoever
+//! drains the inbox holds it until its write ends, so events leave in
+//! routing order, and no wait for a slow socket holds the state lock that
+//! inbox pushes take.
 //!
 //! Multi-tenancy ([`CollabServer::bind_registry`]): the server hosts a
 //! **registry of named sessions**, each owning its own [`SessionEngine`]
@@ -61,7 +61,7 @@
 //!   frame passes through a per-connection deterministic
 //!   [`FaultInjector`] — chaos tests run against real torn bytes.
 
-use crate::fault::{FaultAction, FaultInjector};
+use crate::fault::FaultInjector;
 use crate::journal::JournalWriter;
 use crate::names::NameTable;
 use crate::notify::Inbox;
@@ -369,12 +369,11 @@ impl Registry {
     /// One `stats_reply` frame for one session snapshot. Submit-latency
     /// percentiles come from the `session` span the engine times around
     /// every command.
-    fn stats_reply(name: &str, snapshot: &Snapshot, connections: u32, watch: bool) -> Frame {
+    fn stats_reply(name: &str, snapshot: &Snapshot, connections: u32) -> Frame {
         let span = snapshot.span(SpanKind::Session);
         Frame::StatsReply {
             session: name.to_owned(),
             connections,
-            watch,
             counters: Box::new(snapshot.counters),
             events: snapshot.events,
             p50_us: span.p50,
@@ -386,7 +385,7 @@ impl Registry {
     /// The `stats_reply` frames for one report, then its `end`: the
     /// attached session's alone, or (with `all`) every hosted session plus
     /// the `*` rollup.
-    fn stats_report(&self, session: &str, all: bool, watch: bool) -> Vec<Frame> {
+    fn stats_report(&self, session: &str, all: bool) -> Vec<Frame> {
         let connections: BTreeMap<String, u32> = {
             let conns = lock(&self.conn_sessions);
             let mut counts = BTreeMap::new();
@@ -401,15 +400,12 @@ impl Registry {
                 .hub
                 .snapshot_all()
                 .iter()
-                .map(|(name, snapshot)| {
-                    Registry::stats_reply(name, snapshot, conns_for(name), watch)
-                })
+                .map(|(name, snapshot)| Registry::stats_reply(name, snapshot, conns_for(name)))
                 .collect();
             frames.push(Registry::stats_reply(
                 ROLLUP_SESSION,
                 &self.hub.rollup_snapshot(),
                 connections.values().sum(),
-                watch,
             ));
             frames
         } else {
@@ -419,7 +415,6 @@ impl Registry {
                         session,
                         &snapshot,
                         conns_for(session),
-                        watch,
                     )]
                 }
                 None => Vec::new(),
@@ -799,29 +794,13 @@ impl ConnWriter {
     /// `end` frames fill as few segments as the socket allows instead of
     /// one each; with one, every line passes through the injector.
     fn write(&mut self, batch: &str) -> io::Result<()> {
-        let Some(injector) = self.injector.as_mut() else {
-            self.stream.write_all(batch.as_bytes())?;
-            return self.stream.flush();
-        };
-        for line in batch.split_inclusive('\n') {
-            match injector.transform(line.as_bytes()) {
-                FaultAction::Kill => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "connection killed by fault plan",
-                    ))
-                }
-                FaultAction::Write(chunks) => {
-                    for (bytes, delay) in chunks {
-                        if !delay.is_zero() {
-                            thread::sleep(delay);
-                        }
-                        self.stream.write_all(&bytes)?;
-                    }
-                }
+        match self.injector.as_mut() {
+            Some(injector) => injector.write_lines(&mut self.stream, batch),
+            None => {
+                self.stream.write_all(batch.as_bytes())?;
+                self.stream.flush()
             }
         }
-        self.stream.flush()
     }
 
     /// Writes the events queued in `subscription`'s inbox, then `tail`
@@ -868,8 +847,6 @@ struct Outbox {
 struct OutboxState {
     /// The inbox and the name tables its events are encoded with.
     subscription: Option<(Inbox, Arc<SessionInfo>)>,
-    /// Armed by `watch`: all sessions or not, interval, next report due.
-    watch: Option<(bool, Duration, Instant)>,
     /// When the reader last received bytes from the peer.
     last_read: Instant,
     /// Set from the moment the reader starts handling a frame until its
@@ -899,13 +876,6 @@ impl Outbox {
         let subscription = state.subscription.clone();
         drop(state);
         writer.send(subscription.as_ref(), reply)
-    }
-
-    /// Arms or disarms `watch` reports, and wakes the writer thread to
-    /// reschedule its sleep.
-    fn set_watch(&self, watch: Option<(bool, Duration, Instant)>) {
-        lock(&self.state).watch = watch;
-        self.changed.notify_all();
     }
 
     /// Ends the connection and its subscription, and wakes the writer
@@ -940,18 +910,12 @@ impl Wake for WakeWriter {
     }
 }
 
-/// The connection's writer thread. Each round sends a due `ping` and
-/// `watch` report and, while the reader is idle, the subscription's
-/// events, or sleeps until the earliest deadline or an inbox push. On exit
-/// (outbox closed, write failed, peer idle) it shuts the socket down,
-/// ending the reader.
-fn write_connection(
-    outbox: &Outbox,
-    registry: &Registry,
-    options: &ServerOptions,
-    sink: &dyn MetricsSink,
-    conn_index: u64,
-) {
+/// The connection's writer thread. Each round sends a due `ping` and,
+/// while the reader is idle, the subscription's events, or sleeps until
+/// the idle deadline, the next ping or an inbox push. On exit (outbox
+/// closed, write failed, peer idle) it shuts the socket down, ending the
+/// reader.
+fn write_connection(outbox: &Outbox, options: &ServerOptions, sink: &dyn MetricsSink) {
     let mut pings: u64 = 0;
     let mut pinged_at: Option<Instant> = None;
     // Slow-client eviction is by queue AGE, not depth: the bounded inbox
@@ -960,7 +924,7 @@ fn write_connection(
     let mut backlogged_since: Option<Instant> = None;
     loop {
         let mut writer = lock(&outbox.writer);
-        let mut state = lock(&outbox.state);
+        let state = lock(&outbox.state);
         if state.closed {
             break;
         }
@@ -975,7 +939,6 @@ fn write_connection(
         // A ping sent after the last read is still unanswered.
         let unanswered = pinged_at.filter(|at| *at > state.last_read);
         let ping_due = deadline(unanswered.unwrap_or(state.last_read), options.heartbeat);
-        let report = state.watch.filter(|(_, _, due)| now >= *due);
         // A busy reader writes the queued events with its reply.
         let events = state
             .subscription
@@ -983,10 +946,9 @@ fn write_connection(
             .filter(|(inbox, _)| !state.busy && !inbox.is_empty());
         if events.is_none() {
             backlogged_since = None;
-            if now < ping_due && report.is_none() {
+            if now < ping_due {
                 drop(writer);
-                let watch_due = state.watch.map_or(ping_due, |(_, _, due)| due);
-                let wake_at = idle_deadline.min(ping_due).min(watch_due);
+                let wake_at = idle_deadline.min(ping_due);
                 drop(
                     outbox
                         .changed
@@ -995,9 +957,6 @@ fn write_connection(
                 );
                 continue;
             }
-        }
-        if let Some((all, interval, _)) = report {
-            state.watch = Some((all, interval, deadline(now, interval)));
         }
         drop(state);
         let mut tail = String::new();
@@ -1008,13 +967,6 @@ fn write_connection(
             pings += 1;
             Frame::Ping { nonce: pings }.write_line(&mut tail);
             pinged_at = Some(now);
-        }
-        if let Some((all, _, _)) = report {
-            // The connection's current session, which `attach` may change.
-            let session = lock(&registry.conn_sessions).get(&conn_index).cloned();
-            for frame in registry.stats_report(&session.unwrap_or_default(), all, true) {
-                frame.write_line(&mut tail);
-            }
         }
         if writer.send(events.as_ref(), &tail).is_err() {
             break;
@@ -1038,7 +990,8 @@ fn write_connection(
 }
 
 /// `from + wait`, the wait capped at ~136 years: `Instant` arithmetic
-/// panics past what the clock holds, and a `watch` interval is wire input.
+/// panics past what the clock holds, and the heartbeat and idle timeout
+/// come from the command line.
 fn deadline(from: Instant, wait: Duration) -> Instant {
     from + wait.min(Duration::from_secs(1 << 32))
 }
@@ -1133,7 +1086,6 @@ fn run_connection(
         writer: Mutex::new(writer),
         state: Mutex::new(OutboxState {
             subscription: None,
-            watch: None,
             last_read: Instant::now(),
             busy: false,
             closed: false,
@@ -1141,11 +1093,10 @@ fn run_connection(
         changed: Condvar::new(),
     });
     let writer_thread = {
-        let (outbox, registry, options) = (outbox.clone(), registry.clone(), options.clone());
-        let sink = sink.clone();
+        let (outbox, options, sink) = (outbox.clone(), options.clone(), sink.clone());
         thread::Builder::new()
             .name("adpm-write".into())
-            .spawn(move || write_connection(&outbox, &registry, &options, &*sink, conn_index))
+            .spawn(move || write_connection(&outbox, &options, &*sink))
     };
     let Ok(writer_thread) = writer_thread else {
         return false;
@@ -1342,28 +1293,7 @@ fn run_connection(
                                 .into(),
                         }
                     } else {
-                        break 'reply encode(&registry.stats_report(&bound.name, all, false));
-                    }
-                }
-                Frame::Watch { all, interval_ms } => {
-                    if all && bound.name != DEFAULT_SESSION {
-                        Frame::Error {
-                            message: "`watch` across all sessions requires the default (operator) \
-                                  session"
-                                .into(),
-                        }
-                    } else if interval_ms == 0 {
-                        // Interval zero disarms; `end` acknowledges it.
-                        outbox.set_watch(None);
-                        Frame::End
-                    } else {
-                        let interval = Duration::from_millis(interval_ms);
-                        let due = deadline(Instant::now(), interval);
-                        outbox.set_watch(Some((all, interval, due)));
-                        // Send the first report immediately so a watcher does
-                        // not sit blind for a whole interval; the writer sends
-                        // the rest as they fall due.
-                        break 'reply encode(&registry.stats_report(&bound.name, all, true));
+                        break 'reply encode(&registry.stats_report(&bound.name, all));
                     }
                 }
                 Frame::Dump => match registry.recorder(&bound.name) {
@@ -1904,6 +1834,19 @@ mod tests {
             .expect("recv")
             .expect("frame");
         assert!(matches!(err, Frame::Error { .. }));
+        // An unknown tag (here `watch`, which older clients sent): `err`,
+        // and the connection stays usable.
+        client
+            .send_raw("{\"t\":\"watch\",\"interval_ms\":30}\n")
+            .expect("send raw");
+        let err = client
+            .recv(Duration::from_secs(5))
+            .expect("recv")
+            .expect("frame");
+        assert!(
+            matches!(&err, Frame::Error { message } if message.contains("unknown frame tag")),
+            "{err:?}"
+        );
         let welcome = client
             .request(&Frame::Hello { designer: 0 })
             .expect("hello");
@@ -2480,10 +2423,6 @@ mod tests {
     /// terminating `end`.
     fn read_batch(client: &mut CollabClient, frame: &Frame) -> Vec<Frame> {
         client.send(frame).expect("send");
-        recv_batch(client)
-    }
-
-    fn recv_batch(client: &mut CollabClient) -> Vec<Frame> {
         let mut frames = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         while Instant::now() < deadline {
@@ -2520,7 +2459,6 @@ mod tests {
         let Frame::StatsReply {
             session,
             connections,
-            watch,
             counters,
             events,
             p50_us,
@@ -2532,7 +2470,6 @@ mod tests {
         };
         assert_eq!(session, DEFAULT_SESSION);
         assert_eq!(*connections, 1);
-        assert!(!watch);
         assert_eq!(counters.get(Counter::SessionOps), 2);
         assert!(counters.get(Counter::Operations) >= 2);
         assert!(*events > 0, "session commands emit trace events");
@@ -2581,129 +2518,6 @@ mod tests {
             })
             .collect();
         assert_eq!(sessions, vec!["default", "s1", ROLLUP_SESSION]);
-        server.shutdown();
-    }
-
-    #[test]
-    fn watch_pushes_periodic_reports_until_disarmed() {
-        let server = serve_sensing();
-        let mut client = CollabClient::connect(server.local_addr()).expect("connect");
-        client
-            .request(&Frame::Hello { designer: 0 })
-            .expect("hello");
-        // Arming pushes an immediate first report...
-        let first = read_batch(
-            &mut client,
-            &Frame::Watch {
-                all: false,
-                interval_ms: 30,
-            },
-        );
-        assert_eq!(first.len(), 1);
-        assert!(
-            matches!(&first[0], Frame::StatsReply { watch: true, .. }),
-            "watch reports carry the watch flag: {:?}",
-            first[0]
-        );
-        // ...and further reports keep arriving without another request.
-        let second = recv_batch(&mut client);
-        assert!(
-            matches!(&second[0], Frame::StatsReply { watch: true, .. }),
-            "expected a pushed report, got {second:?}"
-        );
-        // Interval zero disarms; the `end` acknowledges it.
-        client
-            .send(&Frame::Watch {
-                all: false,
-                interval_ms: 0,
-            })
-            .expect("disarm");
-        recv_batch(&mut client);
-        server.shutdown();
-    }
-
-    /// `watch` reports fall due on the writer's clock, not on a quiet
-    /// read, so a client that never stops sending still gets them.
-    #[test]
-    fn watch_reports_arrive_while_the_client_keeps_sending() {
-        let server = serve_sensing();
-        let mut client = CollabClient::connect(server.local_addr()).expect("connect");
-        let first = read_batch(
-            &mut client,
-            &Frame::Watch {
-                all: false,
-                interval_ms: 30,
-            },
-        );
-        assert_eq!(first.len(), 1);
-        let mut reports = 0;
-        let mut nonce = 0;
-        // Whether a report's `stats_reply` has been read but not its `end`.
-        let mut in_report = false;
-        let mut track = |frame: Frame| match frame {
-            Frame::StatsReply { watch: true, .. } => {
-                reports += 1;
-                in_report = true;
-                false
-            }
-            Frame::End if in_report => {
-                in_report = false;
-                false
-            }
-            Frame::End => true,
-            other => panic!("unexpected {other:?}"),
-        };
-        let until = Instant::now() + Duration::from_millis(600);
-        while Instant::now() < until {
-            nonce += 1;
-            client.send(&Frame::Ping { nonce }).expect("ping");
-            // `recv` swallows the server's pongs.
-            while let Some(frame) = client.recv(Duration::from_millis(5)).expect("recv") {
-                assert!(!track(frame), "an `end` outside a report");
-            }
-        }
-        // Disarm, and drain up to the bare `end` acknowledging it: reports
-        // already due may still be on the wire ahead of it, none after.
-        client
-            .send(&Frame::Watch {
-                all: false,
-                interval_ms: 0,
-            })
-            .expect("disarm");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            assert!(
-                Instant::now() < deadline,
-                "the disarm was never acknowledged"
-            );
-            if let Some(frame) = client.recv(Duration::from_millis(100)).expect("recv") {
-                if track(frame) {
-                    break;
-                }
-            }
-        }
-        assert!(
-            reports >= 5,
-            "{reports} pushed reports in 600 ms of steady sending at a 30 ms interval"
-        );
-        assert_eq!(
-            client.recv(Duration::from_millis(100)).expect("recv"),
-            None,
-            "no report follows the disarm"
-        );
-        // An interval no clock can represent arms like any other.
-        let first = read_batch(
-            &mut client,
-            &Frame::Watch {
-                all: false,
-                interval_ms: u64::MAX,
-            },
-        );
-        assert_eq!(first.len(), 1);
-        let welcome = client
-            .request(&Frame::Hello { designer: 0 })
-            .expect("hello");
-        assert!(matches!(welcome, Frame::Welcome { .. }));
         server.shutdown();
     }
 

@@ -252,16 +252,6 @@ pub enum Frame {
         /// session (the operator scope).
         all: bool,
     },
-    /// Client arms (or disarms) periodic telemetry push: the server sends
-    /// a full stats report (as for [`Frame::Stats`]) every `interval_ms`
-    /// until the connection closes or a `watch` with `interval_ms: 0`
-    /// disarms it.
-    Watch {
-        /// Scope, as for [`Frame::Stats`].
-        all: bool,
-        /// Push period in milliseconds; `0` disarms the watch.
-        interval_ms: u64,
-    },
     /// Client asks for the attached session's flight-recorder contents:
     /// a [`Frame::DumpReply`] header, one [`Frame::Flight`] per retained
     /// event (oldest first), and a terminating [`Frame::End`].
@@ -276,9 +266,6 @@ pub enum Frame {
         session: String,
         /// Connections currently bound to the session (0 for the rollup).
         connections: u32,
-        /// Whether this reply was pushed by an armed watch (`false` for
-        /// one-shot `stats` replies).
-        watch: bool,
         /// Every counter at capture time.
         counters: Box<CounterSnapshot>,
         /// Trace events recorded at capture time.
@@ -545,7 +532,6 @@ impl Frame {
             Frame::SessionList { .. } => "sessions",
             Frame::AttachRejected { .. } => "attach_rejected",
             Frame::Stats { .. } => "stats",
-            Frame::Watch { .. } => "watch",
             Frame::Dump => "dump",
             Frame::StatsReply { .. } => "stats_reply",
             Frame::DumpReply { .. } => "dump_reply",
@@ -689,15 +675,10 @@ impl Frame {
                 field_str(out, "reason", reason);
             }
             Frame::Stats { all } => field_bool(out, "all", *all),
-            Frame::Watch { all, interval_ms } => {
-                field_bool(out, "all", *all);
-                field_u64(out, "interval_ms", *interval_ms);
-            }
             Frame::Dump => {}
             Frame::StatsReply {
                 session,
                 connections,
-                watch,
                 counters,
                 events,
                 p50_us,
@@ -706,7 +687,6 @@ impl Frame {
             } => {
                 field_str(out, "session", session);
                 field_u64(out, "connections", (*connections).into());
-                field_bool(out, "watch", *watch);
                 for (counter, value) in counters.iter() {
                     field_u64(out, counter.name(), value);
                 }
@@ -1027,15 +1007,10 @@ impl Frame {
             "stats" => Ok(Frame::Stats {
                 all: opt_bool("all")?,
             }),
-            "watch" => Ok(Frame::Watch {
-                all: opt_bool("all")?,
-                interval_ms: need_u64("interval_ms")?,
-            }),
             "dump" => Ok(Frame::Dump),
             "stats_reply" => Ok(Frame::StatsReply {
                 session: need_str("session")?,
                 connections: need_u32("connections")?,
-                watch: opt_bool("watch")?,
                 // Counters cross the wire keyed by `Counter::name`; a
                 // counter a newer server knows and an older client does
                 // not (or vice versa) simply reads as 0.
@@ -1364,19 +1339,10 @@ mod tests {
             },
             Frame::Stats { all: false },
             Frame::Stats { all: true },
-            Frame::Watch {
-                all: true,
-                interval_ms: 500,
-            },
-            Frame::Watch {
-                all: false,
-                interval_ms: 0,
-            },
             Frame::Dump,
             Frame::StatsReply {
                 session: "team-alpha".into(),
                 connections: 3,
-                watch: true,
                 counters: {
                     use adpm_observe::Counter;
                     Box::new(CounterSnapshot::from_fn(|c| match c {
@@ -1525,10 +1491,6 @@ mod tests {
             ),
             ("{\"t\":\"stats\",\"all\":1}", "must be a boolean"),
             (
-                "{\"t\":\"watch\",\"all\":true}",
-                "needs integer `interval_ms`",
-            ),
-            (
                 "{\"t\":\"stats_reply\",\"connections\":1}",
                 "needs string `session`",
             ),
@@ -1590,7 +1552,6 @@ mod tests {
         let line = Frame::StatsReply {
             session: "s".into(),
             connections: 1,
-            watch: false,
             counters: Box::new(CounterSnapshot::from_fn(|c| c.index() as u64 + 1)),
             events: 5,
             p50_us: 1,
@@ -1602,7 +1563,6 @@ mod tests {
             "t",
             "session",
             "connections",
-            "watch",
             "events",
             "p50_us",
             "p90_us",

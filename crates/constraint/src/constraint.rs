@@ -206,14 +206,6 @@ impl Constraint {
         }
     }
 
-    /// Marks the constraint *soft*: a preference rather than a hard
-    /// requirement, which negotiation may drop entirely. Defaults to
-    /// `false` (hard).
-    pub fn with_soft(mut self, soft: bool) -> Self {
-        self.soft = soft;
-        self
-    }
-
     /// Whether the constraint is soft (droppable during negotiation).
     pub fn is_soft(&self) -> bool {
         self.soft

@@ -388,9 +388,9 @@ impl ConstraintNetwork {
     /// constraint hypergraph: two constraints are connected when they share
     /// a property.
     ///
-    /// Components are the unit of parallelism for the compiled propagation
-    /// engine — no property crosses a component, so components can be
-    /// propagated on independent workers without coordination. Each inner
+    /// No property crosses a component, so a conflict never spans two:
+    /// minimal conflict-set extraction starts from the component holding
+    /// the violated constraint. Each inner
     /// vector lists its constraint ids in ascending order, and the outer
     /// vector is sorted by each component's smallest constraint id, making
     /// the partition deterministic for a given network.
